@@ -8,15 +8,27 @@ One client in one process sends the next operation when the previous one
 returns.  ``--trace 0`` measures the end-to-end metrics with no tracing;
 ``--trace 1`` measures every layer through spans installed around
 pinchcert's public functions, alternating untraced and traced passes over
-the workload's op cycle so the tracing overhead is measured in the same
-run.  The last line of standard output is one JSON object; the lines
-before it say the same in words.  See perfbench/README.md for why each
+the head of the workload's op cycle so the tracing overhead is measured in
+the same run.
+
+Times are reported at a reference speed.  A fixed loop that uses no
+pinchcert code runs between timed ops, and each op's time is scaled by
+how much slower or faster than 1 ms per repetition that loop ran beside
+it; a bare interpreter importing numpy runs between set-up probes, and
+each probe is scaled by how much slower or faster than 0.15 s that import
+ran beside it.  On a shared host the CPU speed can drift by a third within
+minutes; the scaling cancels the drift, not a change in pinchcert.
+Wall-clock values are printed beside them.
+
+The last line of standard output is one JSON object; the lines before it
+say the same in words.  See perfbench/README.md for why each
 workload exists and which end-to-end metric each layer metric should move.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -26,6 +38,7 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -34,8 +47,20 @@ SRC = ROOT / "src"
 OUT_DIR = HERE / "out"
 
 WORKLOADS = ("certify", "sweep", "lab")
-SETUP_PROBES = 5
+SETUP_PROBES = 7
 PROBE_TIMEOUT_S = 120
+
+#: repetitions of the reference loop beside each op, about a tenth of an op
+REFERENCE_REPS = {"certify": 5, "sweep": 20, "lab": 20}
+#: one repetition at the reference speed, by definition
+REFERENCE_REP_MS = 1.0
+#: a fresh interpreter's ``import numpy`` at the reference speed, by definition
+REFERENCE_IMPORT_S = 0.15
+_IMPORT_PROBE = ("import time; started = time.perf_counter(); import numpy; "
+                 "print(time.perf_counter() - started)")
+
+_REF_COEFFS = [Fraction(3 * i + 1, 7 * i + 2) for i in range(7)]
+_REF_POINTS = [Fraction(k, 97) for k in range(1, 21)]
 
 
 def _parse_args(argv):
@@ -67,20 +92,72 @@ def _setup_probe(args) -> int:
     return 0
 
 
-def _measure_setup(args) -> list[float]:
-    """Set-up time in fresh interpreters, one after another."""
+def _import_s() -> float:
+    """Seconds a fresh interpreter takes to import numpy, nothing else."""
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True,
+                          text=True, timeout=PROBE_TIMEOUT_S, cwd=ROOT, check=True)
+    return float(done.stdout)
+
+
+def _measure_setup(args) -> tuple[list[float], list[float]]:
+    """Set-up time in fresh interpreters, one after another.
+
+    Returns the wall times and the same times at the reference speed.  Set-up
+    is mostly starting an interpreter and importing, so each probe is scaled
+    by a bare ``import numpy`` in a fresh interpreter timed just before and
+    just after it, not by the reference loop.
+    """
     command = [sys.executable, str(HERE / "run.py"), "--setup-probe",
                "--workload", args.workload, "--seed", str(args.seed),
                "--seconds", "0"]
-    times = []
+    wall, scaled = [], []
+    before = _import_s()
     for _ in range(SETUP_PROBES):
         done = subprocess.run(command, capture_output=True, text=True,
                               timeout=PROBE_TIMEOUT_S, cwd=ROOT)
         if done.returncode != 0:
             sys.stderr.write(done.stderr)
             raise SystemExit("error: set-up probe failed")
-        times.append(json.loads(done.stdout.strip().splitlines()[-1])["setup_s"])
-    return times
+        after = _import_s()
+        seconds = json.loads(done.stdout.strip().splitlines()[-1])["setup_s"]
+        wall.append(seconds)
+        scaled.append(seconds * 2 * REFERENCE_IMPORT_S / (before + after))
+        before = after
+    return wall, scaled
+
+
+def reference_rep_ms(reps: int) -> float:
+    """Milliseconds per repetition of a fixed loop that uses no pinchcert code.
+
+    One repetition evaluates a rational polynomial by Horner's rule at 20
+    points and contracts small numpy arrays, in about equal shares: the
+    interpreter, Fraction and small-array work pinchcert's ops consist of.
+    The garbage collector is off while it runs, so the objects the program
+    keeps alive do not change its time.
+    """
+    import numpy as np
+
+    forms = np.linspace(-1.0, 1.0, 44).reshape(11, 2, 2)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        started = time.perf_counter()
+        for _ in range(reps):
+            total = Fraction(0)
+            for x in _REF_POINTS:
+                value = Fraction(0)
+                for c in _REF_COEFFS:
+                    value = value * x + c
+                total += value
+            for _ in range(50):
+                gram = np.einsum("aij,bij->ab", forms, forms)
+                mean = 0.5 * (forms[:, 0, 0] + forms[:, 1, 1])
+                spare = float(np.sum(gram**2)) + float(np.dot(mean, mean))
+        elapsed = time.perf_counter() - started
+    finally:
+        if enabled:
+            gc.enable()
+    return elapsed * 1e3 / reps
 
 
 def tail(latencies: list[float]) -> tuple[float, int]:
@@ -103,14 +180,25 @@ def _finite(latencies: list[float]) -> list[float]:
     return [x for x in latencies if not math.isnan(x)] or [math.nan]
 
 
-def _timed_phase(runner, seconds: float, tracer) -> list[float]:
-    latencies = []
+def _timed_phase(runner, seconds: float, tracer, reps: int):
+    """Closed loop for ``seconds``; the reference loop runs between ops.
+
+    Returns the ops' wall latencies and the same latencies at the reference
+    speed, each scaled by the mean of the reference loop just before and
+    just after it.
+    """
+    wall, scaled = [], []
     index = 0
+    before = reference_rep_ms(reps)
     started = time.perf_counter()
     while time.perf_counter() - started < seconds or index == 0:
-        latencies.append(runner.run(index, tracer))
+        latency = runner.run(index, tracer)
+        after = reference_rep_ms(reps)
+        wall.append(latency)
+        scaled.append(latency * 2 * REFERENCE_REP_MS / (before + after))
+        before = after
         index += 1
-    return _finite(latencies)
+    return _finite(wall), _finite(scaled)
 
 
 def _environment() -> dict:
@@ -143,26 +231,39 @@ def _result(runner, metrics: dict) -> dict:
 
 
 def end_to_end(args) -> dict:
-    setup = _measure_setup(args)
+    setup_wall, setup = _measure_setup(args)
     import workloads
     from tracing import NullTracer
 
     runner = workloads.Runner(workloads.CYCLES[args.workload](args.seed))
     tracer = NullTracer()
     runner.run(0, tracer)                       # warm-up, checked but not timed
-    latencies = _timed_phase(runner, args.seconds, tracer)
-    tail_s, tail_pct = tail(latencies)
+    reps = REFERENCE_REPS[args.workload]
+    reference_rep_ms(reps)                      # warm-up of the reference loop
+    wall, latencies = _timed_phase(runner, args.seconds, tracer, reps)
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+    def op_metrics(latencies):
+        tail_s, tail_pct = tail(latencies)
+        return {
+            "op_p50_ms": (statistics.median(latencies) * 1e3, "ms"),
+            "op_tail_ms": (tail_s * 1e3, "ms"),
+            "ops_per_s": (len(latencies) / sum(latencies), "1/s"),
+        }, tail_pct
+
+    ops, tail_pct = op_metrics(latencies)
+    wall_ops, _ = op_metrics(wall)
     metrics = {
         "setup_s": (statistics.median(setup), "s"),
-        "op_p50_ms": (statistics.median(latencies) * 1e3, "ms"),
-        "op_tail_ms": (tail_s * 1e3, "ms"),
-        "ops_per_s": (len(latencies) / sum(latencies), "1/s"),
+        **ops,
         "peak_rss_mb": (peak_kb / 1024, "MB"),
     }
     print(f"{args.workload}: {len(latencies)} timed ops, seed {args.seed}")
     for name, (value, unit) in metrics.items():
         print(f"  {name:<12} {value:.6g} {unit}")
+    print(f"  setup_s      {statistics.median(setup_wall):.6g} s in wall time")
+    for name, (value, unit) in wall_ops.items():
+        print(f"  {name:<12} {value:.6g} {unit} in wall time")
     print(f"  op_tail_ms is p{tail_pct} of {len(latencies)} samples")
     print(f"  setup_s samples {[round(s, 4) for s in setup]}")
     print(f"  failed_frac  {runner.failed / runner.attempted:.6g} "
@@ -175,19 +276,19 @@ def per_layer(args) -> dict:
     import workloads
     from tracing import NullTracer, Tracer, layer_metrics, write_spans
 
-    ops = workloads.CYCLES[args.workload](args.seed)
-    runner = workloads.Runner(ops)
+    runner = workloads.Runner(workloads.CYCLES[args.workload](args.seed))
+    n_ops = workloads.TRACED_OPS[args.workload]
     null, tracer = NullTracer(), Tracer()
     runner.run(0, null)                         # warm-up fills lazy caches
-    # Pairs of one untraced and one traced pass over the whole cycle, while
-    # another pair still fits in --seconds; counts are per op, so they do
-    # not depend on how many pairs ran.
+    # Pairs of one untraced and one traced pass over the first n_ops ops,
+    # while another pair still fits in --seconds; counts are per op, so
+    # they do not depend on how many pairs ran.
     plain, traced = [], []
     started = time.perf_counter()
     while True:
         pair_started = time.perf_counter()
-        plain += [runner.run(i, null) for i in range(len(ops))]
-        traced += [runner.run(i, tracer) for i in range(len(ops))]
+        plain += [runner.run(i, null) for i in range(n_ops)]
+        traced += [runner.run(i, tracer) for i in range(n_ops)]
         now = time.perf_counter()
         if now - started + (now - pair_started) > args.seconds:
             break
@@ -201,7 +302,7 @@ def per_layer(args) -> dict:
     write_spans(tracer, spans_path)
 
     print(f"{args.workload}: {n_traced} traced and {len(plain)} untraced ops "
-          f"over cycles of {len(ops)}, seed {args.seed}")
+          f"over the first {n_ops} ops of the cycle, seed {args.seed}")
     print(f"  op_p50_ms untraced {p50_plain:.6g}, traced {p50_traced:.6g}")
     for name, (value, unit) in metrics.items():
         print(f"  {name:<38} {value:.6g} {unit}")

@@ -89,6 +89,20 @@ def test_benchmark_json_names_what_the_benchmark_prints():
     }
 
 
+def test_result_line_carries_every_end_to_end_metric():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    done = _bench("--workload", "certify", "--seed", "1", "--seconds", "1",
+                  "--trace", "0")
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0
+    assert set(result["metrics"]) == {m["name"] for m in spec["end_to_end"]}
+    for metric in spec["end_to_end"]:
+        measured = result["metrics"][metric["name"]]
+        assert measured["unit"] == metric["unit"]
+        assert measured["value"] > 0
+
+
 def test_fails_without_pinchcert_sources(tmp_path):
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     shutil.copytree(HERE, tmp_path / "perfbench",

@@ -1,9 +1,11 @@
 """The three benchmark workloads: seeded operations and their checks.
 
 Each workload turns a seed into a fixed cycle of operations.  The timed
-loop repeats the cycle, so every operation of a run is one of the cycle's,
-and a traced pass over one whole cycle does the same work on every run
-with that seed.  An operation returns what its check needs; the check runs
+loop repeats the cycle, so every operation of a run is one of the cycle's;
+the `sweep` and `lab` cycles are about as long as a run, because their ops
+differ in cost with their inputs and a run should draw many distinct ones.
+A traced pass over the first ``TRACED_OPS`` ops does the same work on
+every run with that seed.  An operation returns what its check needs; the check runs
 outside the timed region and compares against :mod:`oracles`, never
 against pinchcert itself.  :class:`Runner` is the single closed-loop client
 that runs, times and checks the operations.
@@ -36,6 +38,11 @@ CERTIFY_CYCLE = 20
 SWEEP_LEFT_T_PER_OP = 4      # 25 ops cover the 100 default t values once
 SWEEP_RIGHT_T_PER_OP = 20    # 5 ops cover them once
 LAB_DEGREES = (2, 3, 4, 5, 6)
+SWEEP_PASSES = 4             # default sweeps per cycle, each cut anew
+LAB_DRAWS = 20               # sample seeds per degree in one cycle
+
+#: ops at the head of the cycle that a traced pass runs
+TRACED_OPS = {"certify": CERTIFY_CYCLE, "sweep": 25, "lab": len(LAB_DEGREES)}
 
 CLASSIFY_QUERIES_PER_OP = 64
 LAB_SAMPLES = 100
@@ -225,20 +232,28 @@ def _sweep_op(left_ks, right_ks) -> Op:
 
 
 def sweep_cycle(seed: int) -> list[Op]:
-    """The default left and right sweeps cut into one cycle of 25 ops."""
+    """The default left and right sweeps, each cut into 25 ops, SWEEP_PASSES times.
+
+    Every pass cuts the 100 default t values by a fresh seeded permutation,
+    so one pass is the traffic of the two default sweeps.  An op's cost
+    depends on which t values it gets (from about 0.6 to 1.2 times the
+    typical op), so a cycle of several passes keeps a run's median and
+    tail from hanging on one seed's 25 subsets.
+    """
     rng = random.Random(f"sweep/{seed}")
-    left_perm = list(DEFAULT_T)
-    rng.shuffle(left_perm)
-    right_perm = list(DEFAULT_T)
-    rng.shuffle(right_perm)
     n_left = len(DEFAULT_T) // SWEEP_LEFT_T_PER_OP
     n_right = len(DEFAULT_T) // SWEEP_RIGHT_T_PER_OP
     ops = []
-    for i in range(n_left):
-        left_ks = sorted(left_perm[i * SWEEP_LEFT_T_PER_OP:(i + 1) * SWEEP_LEFT_T_PER_OP])
-        j = i % n_right
-        right_ks = sorted(right_perm[j * SWEEP_RIGHT_T_PER_OP:(j + 1) * SWEEP_RIGHT_T_PER_OP])
-        ops.append(_sweep_op(left_ks, right_ks))
+    for _ in range(SWEEP_PASSES):
+        left_perm = list(DEFAULT_T)
+        rng.shuffle(left_perm)
+        right_perm = list(DEFAULT_T)
+        rng.shuffle(right_perm)
+        for i in range(n_left):
+            left_ks = sorted(left_perm[i * SWEEP_LEFT_T_PER_OP:(i + 1) * SWEEP_LEFT_T_PER_OP])
+            j = i % n_right
+            right_ks = sorted(right_perm[j * SWEEP_RIGHT_T_PER_OP:(j + 1) * SWEEP_RIGHT_T_PER_OP])
+            ops.append(_sweep_op(left_ks, right_ks))
     return ops
 
 
@@ -266,8 +281,16 @@ def _lab_op(s: int, sample_seed: int) -> Op:
 
 
 def lab_cycle(seed: int) -> list[Op]:
+    """Degrees 2..6 in turn, each with LAB_DRAWS sample seeds per cycle.
+
+    The median op is one of degree 4, so a run's median rests on a fifth
+    of its ops; distinct sample seeds keep those from being a few repeated
+    draws.  The degrees stay interleaved, so a run that ends mid-cycle
+    still has each degree in equal share.
+    """
     rng = random.Random(f"lab/{seed}")
-    return [_lab_op(s, rng.randrange(2**31)) for s in LAB_DEGREES]
+    return [_lab_op(s, rng.randrange(2**31))
+            for _ in range(LAB_DRAWS) for s in LAB_DEGREES]
 
 
 CYCLES = {"certify": certify_cycle, "sweep": sweep_cycle, "lab": lab_cycle}
