@@ -67,11 +67,6 @@ def rat_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def rat_approx(q: Fraction, digits: int = 12) -> str:
-    """Decimal approximation, clearly marked as such, for human output."""
-    return f"{float(q):.{digits}g} (approx)"
-
-
 class Polynomial:
     """Dense univariate polynomial over Fraction, lowest degree first.
 
@@ -293,9 +288,6 @@ class IntervalQ:
     def contains(self, x) -> bool:
         x = rat(x)
         return self.lo <= x <= self.hi
-
-    def strictly_inside(self, other: "IntervalQ") -> bool:
-        return other.lo < self.lo and self.hi < other.hi
 
     def to_json(self) -> list[str]:
         return [rat_str(self.lo), rat_str(self.hi)]

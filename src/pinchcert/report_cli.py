@@ -24,6 +24,7 @@ from . import param_search as ps
 from . import pinching_bounds as pb
 from . import shrinker_bridge as sb
 from .exact_poly import (
+    ExactPolyError,
     IntervalQ,
     SignCertificate,
     certify_sign_on_interval,
@@ -461,6 +462,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError, ValueError, TypeError, KeyError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except (cl.FrameDegeneracyError, ExactPolyError) as err:
+        print(f"certification failure: {args.subcommand}: {err}", file=sys.stderr)
+        return EXIT_CERTIFICATION_FAILURE
 
     report.wall_time_ms = int((time.perf_counter() - started) * 1000)
     print(report.render_markdown())

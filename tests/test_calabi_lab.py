@@ -4,8 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import lab_reference
 from pinchcert import calabi_lab as cl
+
+
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
@@ -255,7 +261,7 @@ def test_dual_number_first_derivatives_match_stencils():
     imm = cl.build_calabi_immersion(4)
     ch = cl.chart_for_point(SAMPLE_POINT)
     th, ph = cl.chart_coords(ch, SAMPLE_POINT)
-    jet = cl._local_jet(imm, ch, th, ph, 1e-3)
+    jet = cl._local_jet(cl._stencil_values(imm, ch, th, ph, 1e-3), 1e-3)
     du, dv = cl._first_derivatives_complex_step(
         imm, ch, np.array([[th]]), np.array([[ph]])
     )
@@ -305,15 +311,87 @@ def test_scan_csv_and_summary():
     assert scan.to_json_str() == scan.to_json_str()
 
 
-def test_threaded_scan_matches_serial(monkeypatch):
+SCAN_FIELDS = ("charts", "S", "A_matrix", "A_norm_sq", "rho_perp", "H_norm_sq",
+               "K_induced", "K_gauss", "a_dot_b", "a_norm_sq", "b_norm_sq", "B1")
+
+
+def test_batched_scan_matches_one_sample_scans():
+    # 300 samples span two full blocks and a ragged tail
+    assert 300 > 2 * cl.SCAN_BLOCK and 300 % cl.SCAN_BLOCK
+    for s in (1, 3, 6):
+        imm = cl.build_calabi_immersion(s)
+        scan = cl.geometry_scan(imm, 300, seed=20, with_derivatives=True)
+        assert set(scan.charts.tolist()) == {0, 1}
+        for i, point in enumerate(scan.sample_points):
+            single = cl._scan_block(imm, point[None], scan.fd_step, scan.deriv_step, i)
+            for name in SCAN_FIELDS:
+                assert np.array_equal(getattr(scan, name)[i], single[name][0]), (s, i, name)
+
+
+# Bounds from finite-difference round-off, not from observed differences:
+# eps * sum|D2| / h^2 ~ 2.2e-16 * 5.3 / 1e-6 ~ 1.2e-9 for the second-form
+# quantities, and one more central difference over 2 * deriv_step for B1.
+REFERENCE_TOLERANCES = {
+    "S": 1e-8, "A_norm_sq": 1e-8, "rho_perp": 1e-8, "H_norm_sq": 1e-8,
+    "K_gauss": 1e-8, "K_induced": 1e-8, "a_dot_b": 1e-8, "a_norm_sq": 1e-8,
+    "b_norm_sq": 1e-8, "B1": 1e-6,
+}
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_batched_scan_agrees_with_frozen_per_point_reference(s):
+    imm = cl.build_calabi_immersion(s)
+    for seed in (41, 42):
+        scan = cl.geometry_scan(imm, 100, seed, with_derivatives=True)
+        ref = lab_reference.reference_scan(imm, 100, seed, with_derivatives=True)
+        assert np.array_equal(scan.charts, ref.charts)
+        for name, tol in REFERENCE_TOLERANCES.items():
+            diff = np.max(np.abs(getattr(scan, name) - getattr(ref, name)))
+            assert diff <= tol, f"s={s} seed={seed} {name} moved by {diff:.2e}"
+        verdicts = [(r.name, r.passed) for r in cl.verify_identities(scan).residuals]
+        ref_verdicts = [(r.name, r.passed) for r in cl.verify_identities(ref).residuals]
+        assert verdicts == ref_verdicts
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda p: arrays(np.float64, (2, p), elements=st.floats(-10.0, 10.0))
+    )
+)
+def test_norm_and_normal_curvature_follow_from_second_form_vectors(ab):
+    # trace-free h^alpha = [[a_alpha, b_alpha], [b_alpha, -a_alpha]]
+    a, b = ab
+    h = np.stack([np.stack([a, b], -1), np.stack([b, -a], -1)], -2)[None]
+    inv = cl._second_form_invariants(h)
+    s_val, a_sq, rho = inv["S"][0], inv["A_norm_sq"][0], inv["rho_perp"][0]
+    assume(s_val > 1e-100)
+    scale = s_val**2
+    a_defect = a_sq - s_val**2 / 2
+    expected = 2 * (a @ a - b @ b) ** 2 + 8 * (a @ b) ** 2
+    assert abs(a_defect - expected) <= 1e-12 * scale
+    assert abs((rho - s_val**2) + 2 * a_defect) <= 1e-12 * scale
+
+
+def test_scan_rejects_bad_derivative_step_before_evaluating(monkeypatch):
+    def fail(self, points):
+        raise AssertionError("evaluated before the step was checked")
+
+    monkeypatch.setattr(cl.Immersion, "evaluate", fail)
+    imm = cl.build_calabi_immersion(2)
+    for bad in (0.1, 1e-5):
+        with pytest.raises(ValueError):
+            cl.geometry_scan(imm, 5, seed=0, with_derivatives=True, deriv_step=bad)
+
+
+def test_degenerate_sample_names_degree_and_first_index():
     imm = cl.build_calabi_immersion(3)
-    serial = cl.geometry_scan(imm, 24, seed=20, workers=1)
-    threaded = cl.geometry_scan(imm, 24, seed=20, workers=4)
-    assert np.array_equal(serial.S, threaded.S)
-    assert np.array_equal(serial.K_induced, threaded.K_induced)
-    monkeypatch.setenv("PINCHCERT_THREADS", "3")
-    enved = cl.geometry_scan(imm, 24, seed=20)
-    assert np.array_equal(serial.S, enved.S)
+    flat = imm.rotated(np.zeros((7, 7)))
+    with pytest.raises(cl.FrameDegeneracyError, match=r"degree 3: .* at sample 0$"):
+        cl.geometry_scan(flat, 5, seed=0)
+    # a block later in the scan reports its scan-wide index
+    with pytest.raises(cl.FrameDegeneracyError, match=r"at sample 128$"):
+        cl._scan_block(flat, cl.fibonacci_sphere_points(3, seed=0), 1e-3, None, 128)
 
 
 def test_scan_requires_samples():

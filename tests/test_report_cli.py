@@ -2,11 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from pinchcert import report_cli as rc
 from pinchcert import param_search as ps
-from pinchcert.exact_poly import SignCertificate, rat
+from pinchcert.exact_poly import ExactPolyError, SignCertificate, rat
 from pinchcert.shrinker_bridge import ShrinkerPinchData
 
 
@@ -133,9 +134,36 @@ def test_lab_rejects_out_of_range_degree():
 
 
 def test_lab_rejects_bad_step():
-    code = rc.main(["lab", "--s", "2", "--samples", "5", "--seed", "1",
-                    "--step", "0.5"])
-    assert code == rc.EXIT_USAGE
+    for step in ("0.5", "0.1"):
+        code = rc.main(["lab", "--s", "2", "--samples", "5", "--seed", "1",
+                        "--step", step])
+        assert code == rc.EXIT_USAGE
+
+
+def test_lab_frame_degeneracy_exits_1_naming_the_sample(monkeypatch, capsys):
+    build = rc.cl.build_calabi_immersion
+
+    def flattened(s):
+        imm = build(s)
+        return imm.rotated(np.zeros((imm.n_components, imm.n_components)))
+
+    monkeypatch.setattr(rc.cl, "build_calabi_immersion", flattened)
+    code = rc.main(["lab", "--s", "3", "--samples", "5", "--seed", "1"])
+    assert code == rc.EXIT_CERTIFICATION_FAILURE
+    err = capsys.readouterr().err
+    assert "certification failure: lab: degree 3:" in err
+    assert "at sample 0" in err
+
+
+def test_exact_core_failure_exits_1_naming_the_item(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ExactPolyError("theta1: isolation found no sign change")
+
+    monkeypatch.setattr(rc, "isolate_root", broken)
+    code = rc.main(["certify"])
+    assert code == rc.EXIT_CERTIFICATION_FAILURE
+    assert ("certification failure: certify: theta1: isolation found no sign change"
+            in capsys.readouterr().err)
 
 
 def test_lab_report_is_deterministic():
