@@ -13,8 +13,11 @@ first root over the branches, which Sturm machinery encloses exactly.
 For the upper endpoint the certificate is a single cubic, so its root is
 isolated directly.
 
-Every probe, comparison and bisection step is exact rational arithmetic;
-identical configurations produce bit-identical results.
+Every probe, comparison and bisection step is exact rational arithmetic
+(a float root estimate may only propose the cell where a bisection ends,
+which exact checks then confirm); identical configurations produce
+bit-identical results.  Each branch's Sturm chain is built once and serves
+every count, isolation and certificate on it.
 """
 
 from __future__ import annotations
@@ -32,14 +35,15 @@ from .exact_poly import (
     Polynomial,
     SignCertificate,
     _count_evidence,
-    _offset_midpoint,
+    _RootCounter,
+    _smallest_root_cell,
     certify_sign_on_interval,
     count_roots,
     isolate_root,
     rat,
     rat_str,
+    sign_at,
     sturm_sequence,
-    sign_variations,
 )
 
 F = Fraction
@@ -136,21 +140,6 @@ class ThresholdEnclosure:
         }
 
 
-class _RootCounter:
-    """Sturm chain cached once per polynomial, for repeated range counts."""
-
-    def __init__(self, p: Polynomial):
-        self.p = p
-        self.chain = sturm_sequence(p)
-
-    def variations(self, x: Fraction) -> int:
-        return sign_variations([q(x) for q in self.chain])
-
-    def count(self, lo: Fraction, hi: Fraction) -> int:
-        """Distinct roots in (lo, hi); endpoints must not be roots."""
-        return self.variations(lo) - self.variations(hi)
-
-
 def left_branch_polynomials(w, t) -> list[tuple[str, Polynomial, IntervalQ]]:
     """Polynomial branches of the lower-endpoint certificate.
 
@@ -161,8 +150,7 @@ def left_branch_polynomials(w, t) -> list[tuple[str, Polynomial, IntervalQ]]:
     stationary point c0(x)/c1 falls inside [5/3, x].
     """
     w, t = rat(w), rat(t)
-    c1 = (2 + 15 * t) / 2
-    k0 = c1 * w + F(36, 5) - F(126, 5) * t  # c0(x) = k0 - 2x
+    c1, k0 = pb.weight_linear_coeffs(0, w, t)  # c0(x) = k0 - 2x
     common = (16 * t * (1 - t)) * _X * (3 * _X - 4) * (3 * _X - 5) * (5 * _X - 9)
     w_minus_x = Polynomial.linear(w, -1)
     q_at_x = Polynomial.linear(k0, c1 - 2)
@@ -209,7 +197,7 @@ def _nonzero_point_above(p: Polynomial, u: Fraction, v: Fraction) -> Fraction:
     delta = (v - u) / 10**6
     for _ in range(10):
         candidate = u + delta
-        if candidate < v and p(candidate) != 0:
+        if candidate < v and sign_at(p, candidate) != 0:
             return candidate
         delta /= 10
     raise ExactPolyError(f"no nonzero point just above {u}")
@@ -235,45 +223,47 @@ def _first_nonneg(p: Polynomial, u: Fraction, v: Fraction, width: Fraction) -> _
     exactly-one-root certificate for the enclosure of the branch's smallest
     root (endpoints of opposite sign).  When the segment starts at a root of
     p, the root factor is divided out exactly so that strict negativity of
-    the quotient certifies the sign of p on the initial sliver.
+    the quotient certifies the sign of p on the initial sliver.  p's Sturm
+    chain is built once, after the cheap sign tests.
     """
-    if p(u) > 0:
+    if sign_at(p, u) > 0:
         return _Crossing(kind="at-start", lo=u, hi=u)
     u_in = _nonzero_point_above(p, u, v)
-    if p(u_in) > 0:
+    if sign_at(p, u_in) > 0:
         return _Crossing(kind="at-start", lo=u, hi=u_in)
     dossier = []
     # certify p < 0 on the sliver (u, u_in]
-    if p(u) == 0:
+    if sign_at(p, u) == 0:
         g = _deflate_root(p, u)
-        if g(u) > 0:
+        if sign_at(g, u) > 0:
             # p = (x-u)^k g turns positive immediately above u
             return _Crossing(kind="at-start", lo=u, hi=u_in)
         # p = (x-u)^k g with (x-u)^k > 0 above u, so sign(p) = sign(g) there
         dossier.append(certify_sign_on_interval(g, IntervalQ(u, u_in), "negative"))
+        counter = _RootCounter(p)
     else:
-        n_gap, cert_gap = count_roots(p, IntervalQ(u, u_in))
+        counter = _RootCounter(p)
+        n_gap, cert_gap = count_roots(p, IntervalQ(u, u_in), counter.chain)
         if n_gap != 0:
-            enclosure, cert = _isolate_smallest_root(p, u, u_in, width)
+            enclosure, cert = _isolate_smallest_root(p, u, u_in, width, counter)
             return _Crossing(kind="root", lo=enclosure.lo, hi=enclosure.hi,
                              certificate=cert, dossier=(cert_gap,))
         dossier.append(cert_gap)
     v_in = v
-    if p(v_in) == 0:
+    if sign_at(p, v_in) == 0:
         v_in = v - (v - u) / 10**6
-        while p(v_in) == 0:
+        while sign_at(p, v_in) == 0:
             v_in = (u_in + v_in) / 2
-    counter = _RootCounter(p)
     n = counter.count(u_in, v_in)
     if n == 0:
-        _, evidence = _count_evidence(p, u_in, v_in)
+        _, evidence = _count_evidence(p, u_in, v_in, counter.chain)
         cert = SignCertificate(p, IntervalQ(u_in, v_in), CLAIM_NO_ROOT, evidence)
         dossier.append(cert)
         return _Crossing(kind="none", dossier=tuple(dossier))
     enclosure, cert = _isolate_smallest_root(p, u_in, v_in, width, counter=counter)
     # dossier: no roots strictly below the enclosure, so p < 0 there
     if enclosure.lo > u_in:
-        _, ev = _count_evidence(p, u_in, enclosure.lo)
+        _, ev = _count_evidence(p, u_in, enclosure.lo, counter.chain)
         dossier.append(SignCertificate(p, IntervalQ(u_in, enclosure.lo), CLAIM_NO_ROOT, ev))
     return _Crossing(kind="root", lo=enclosure.lo, hi=enclosure.hi,
                      certificate=cert, dossier=tuple(dossier))
@@ -289,25 +279,20 @@ def _isolate_smallest_root(
     """Enclose the smallest root of p in (a, b); requires p(a) != 0 != p(b).
 
     Count-driven bisection keeps the leftmost root bracketed until exactly
-    one remains, then sign bisection tightens to the requested width.
+    one remains, then sign bisection tightens to the requested width; the
+    kernel :func:`exact_poly._smallest_root_cell` jumps straight to the
+    cell where that bisection stops whenever it can confirm it.
     """
     counter = counter or _RootCounter(p)
     if counter.count(a, b) < 1:
         raise ValueError("no root to isolate")
-    while counter.count(a, b) > 1 or b - a > width:
-        mid = (a + b) / 2
-        if p(mid) == 0:
-            mid = _offset_midpoint(p, a, b)
-        if counter.count(a, mid) >= 1:
-            b = mid
-        else:
-            a = mid
-    if p(a) * p(b) >= 0:
+    a, b = _smallest_root_cell(counter, a, b, width)
+    if sign_at(p, a) * sign_at(p, b) >= 0:
         # a single root without a sign change is an even-multiplicity touch
         raise ExactPolyError(
             "branch root has even multiplicity; no sign-change enclosure exists"
         )
-    _, evidence = _count_evidence(p, a, b)
+    _, evidence = _count_evidence(p, a, b, counter.chain)
     enclosure = IntervalQ(a, b)
     return enclosure, SignCertificate(p, enclosure, CLAIM_ONE_ROOT, evidence)
 
@@ -328,18 +313,19 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
     if width <= 0:
         raise ValueError("width must be positive")
 
-    phi_start = left_certificate_value(t, w, DOMAIN_LO)
-    if phi_start < 0:
-        raise AssertionError("certificate value at 5/3 is a weighted square; cannot be negative")
+    # the (3x - 5) factor of the common term vanishes at 5/3, and the weight
+    # supremum over S in [5/3, 5/3] is q(5/3)^2, so phi(5/3) is the square
+    # 5 (w - 5/3)^2 q(5/3)^2
+    c1, k0 = pb.weight_linear_coeffs(0, w, t)  # c0(x) = k0 - 2x
+    q_at_53 = Polynomial.linear(F(5, 3) * c1 + k0, -2)
+    q_start = q_at_53(DOMAIN_LO)
+    phi_start = 5 * (w - DOMAIN_LO) ** 2 * q_start ** 2
     if phi_start > 0:
         # nonnegative at (and hence just above) the domain edge: no usable
-        # region.  phi(5/3) = 5 (w - 5/3)^2 q(5/3)^2, so a sign certificate
-        # for the linear weight factor q witnesses the degeneracy cheaply.
-        c1, _ = pb.weight_linear_coeffs(DOMAIN_LO, w, t)
-        k0 = c1 * w + F(36, 5) - F(126, 5) * t
-        q_at_53 = Polynomial.linear(F(5, 3) * c1 + k0, -2)
+        # region; a sign certificate for the linear weight factor q
+        # witnesses the degeneracy cheaply.
         enclosure = IntervalQ(DOMAIN_LO, DOMAIN_LO)
-        sign = "positive" if q_at_53(DOMAIN_LO) > 0 else "negative"
+        sign = "positive" if q_start > 0 else "negative"
         cert = certify_sign_on_interval(q_at_53, enclosure, sign)
         return ThresholdEnclosure(
             side="left", t=t, w=w, enclosure=enclosure, certificate=cert,
@@ -401,7 +387,8 @@ def right_threshold(t, width=F(1, 10**6)) -> ThresholdEnclosure:
     """
     t, width = rat(t), rat(width)
     p = pb.theta2(t)
-    n, count_cert = count_roots(p, pb.PINCH_DOMAIN)
+    chain = sturm_sequence(p)
+    n, count_cert = count_roots(p, pb.PINCH_DOMAIN, chain)
     if n == 0:
         return ThresholdEnclosure(
             side="right", t=t, w=DOMAIN_HI,
@@ -410,7 +397,7 @@ def right_threshold(t, width=F(1, 10**6)) -> ThresholdEnclosure:
         )
     if n != 1:
         raise ExactPolyError(f"expected at most one root in the domain, found {n}")
-    enclosure, cert = isolate_root(p, pb.PINCH_DOMAIN, width)
+    enclosure, cert = isolate_root(p, pb.PINCH_DOMAIN, width, chain)
     return ThresholdEnclosure(
         side="right", t=t, w=DOMAIN_HI, enclosure=enclosure,
         certificate=cert, degenerate=False, support=(count_cert,),

@@ -1,0 +1,215 @@
+"""The integer exact core against the frozen Fraction-only reference.
+
+Evaluation, Sturm chains and both isolators must agree with
+``tests/exact_reference.py`` exactly: same values, same chain members, same
+enclosures and evidence, same errors.  Explicit cases force the isolation
+kernel off its jump to the final cell and onto plain bisection.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import exact_reference as ref
+from pinchcert import exact_poly as ep
+from pinchcert import param_search as ps
+from pinchcert.exact_poly import (
+    ExactPolyError,
+    IntervalQ,
+    Polynomial,
+    _count_evidence,
+    _jump_cell,
+    _RootCounter,
+    count_roots,
+    isolate_root,
+    sign_at,
+    sturm_sequence,
+)
+
+F = Fraction
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=60)
+points = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
+polys = st.lists(rationals, min_size=0, max_size=7).map(Polynomial)
+widths = st.sampled_from([F(1, 10), F(1, 1000), F(1, 10**6)])
+# roots in the pinching domain's neighbourhood, dyadic ones included
+roots = st.one_of(
+    st.fractions(min_value=1, max_value=2, max_denominator=40),
+    st.integers(min_value=0, max_value=64).map(lambda k: 1 + F(k, 64)),
+)
+
+
+def from_roots(rs, scale=F(1), extra=()) -> Polynomial:
+    p = Polynomial.constant(scale)
+    for r in rs:
+        p = p * Polynomial.linear(-r, 1)
+    for c in extra:  # an irreducible factor x^2 + c with c > 0
+        p = p * Polynomial((c, 0, 1))
+    return p
+
+
+rooted_polys = st.builds(
+    from_roots,
+    st.lists(roots, min_size=1, max_size=5),
+    st.fractions(min_value=F(1, 9), max_value=9, max_denominator=100).flatmap(
+        lambda s: st.sampled_from([s, -s])),
+    st.lists(st.fractions(min_value=F(1, 10), max_value=3, max_denominator=10), max_size=1),
+)
+intervals = st.tuples(
+    st.fractions(min_value=1, max_value=2, max_denominator=30),
+    st.fractions(min_value=1, max_value=2, max_denominator=30),
+).map(lambda ab: IntervalQ(min(ab), max(ab)))
+
+
+def outcome(fn, *args):
+    """Result of ``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ExactPolyError, ValueError) as err:
+        return type(err), str(err)
+
+
+# ---------------------------------------------------------------------------
+# evaluation and chains
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(polys, points)
+def test_integer_evaluation_equals_fraction_horner(p, x):
+    assert p(x) == ref.horner(p, x)
+    value = ref.horner(p, x)
+    assert sign_at(p, x) == (value > 0) - (value < 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys.filter(lambda p: not p.is_zero))
+def test_integer_chain_equals_reference_chain(p):
+    chain = sturm_sequence(p)
+    expected = ref.sturm_sequence(p)
+    assert chain == expected
+    assert chain[0] is p
+    for q in chain:
+        assert all(type(c) is Fraction for c in q.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rooted_polys)
+def test_integer_chain_equals_reference_chain_with_repeated_roots(p):
+    assert sturm_sequence(p) == ref.sturm_sequence(p)
+
+
+def test_integer_form_stays_out_of_equality_and_hash():
+    p = Polynomial((F(1, 3), F(-2, 5), F(7, 2)))
+    q = Polynomial((F(1, 3), F(-2, 5), F(7, 2)))
+    assert p(F(3, 7)) == ref.horner(p, F(3, 7))  # fills p's integer form only
+    assert p.integer_form() == ((10, -12, 105), 30)
+    assert p == q and hash(p) == hash(q)
+    assert Polynomial(()).integer_form() == ((), 1)
+    assert Polynomial(())(F(5, 3)) == 0
+
+
+def test_count_evidence_with_a_given_chain_matches_a_fresh_one():
+    p = from_roots([F(7, 4), F(3, 2)], extra=[F(1, 2)])
+    chain = sturm_sequence(p)
+    assert _count_evidence(p, F(1), F(2), chain) == _count_evidence(p, F(1), F(2))
+    assert count_roots(p, IntervalQ(1, 2), chain)[1] == count_roots(p, IntervalQ(1, 2))[1]
+
+
+# ---------------------------------------------------------------------------
+# isolation
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(rooted_polys, intervals, widths)
+def test_isolate_root_matches_reference(p, iv, width):
+    assert outcome(isolate_root, p, iv, width) == outcome(ref.isolate_root, p, iv, width)
+
+
+def smallest_args(p, iv):
+    """The interval's ends, moved outward off roots as the callers ensure."""
+    a, b = iv.lo, iv.hi
+    while p(a) == 0 or p(b) == 0:
+        a, b = a - F(1, 997), b + F(1, 991)
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(rooted_polys, intervals, widths)
+def test_isolate_smallest_root_matches_reference(p, iv, width):
+    a, b = smallest_args(p, iv)
+    assert outcome(ps._isolate_smallest_root, p, a, b, width) == outcome(
+        ref.isolate_smallest_root, p, a, b, width
+    )
+
+
+# (polynomial, interval, width, why the jump cannot be confirmed)
+FALLBACK_CASES = [
+    (from_roots([F(7, 4)]), IntervalQ(1, 2), F(1, 10**6), "root on a dyadic midpoint"),
+    (from_roots([F(7, 4)], extra=[F(1)]), IntervalQ(F(3, 2), 2), F(1, 10**3),
+     "root on the first midpoint"),
+    (from_roots([F(7, 5), F(7, 5)]), IntervalQ(1, 2), F(1, 10**6), "double root"),
+    (from_roots([F(7, 5), F(7, 5) + F(1, 10**7)]), IntervalQ(1, 2), F(1, 10**6),
+     "two roots closer than the width"),
+    (from_roots([F(13, 10), F(3, 2)]), IntervalQ(1, 2), F(1, 10**6),
+     "larger root on a midpoint where bisection moves b down"),
+    (from_roots([F(7, 5), F(7, 5) + F(1, 10**8), F(7, 5) + F(2, 10**8)]), IntervalQ(1, 2),
+     F(1, 10**6), "three roots in one cell"),
+]
+# more cases where isolate_root must refuse what the reference refuses
+REFUSED_CASES = [
+    (from_roots([F(13, 10), F(8, 5), F(8, 5)]), IntervalQ(1, 2), F(1, 10**6),
+     "double root right of the isolated one"),
+    (from_roots([F(7, 5)], extra=[F(1, 100)]), IntervalQ(F(3, 2), 2), F(1, 10**6),
+     "no root in the interval"),
+    (from_roots([F(13, 10)], scale=F(10**400)), IntervalQ(1, 2), F(1, 10**6),
+     "coefficients beyond float range"),
+]
+
+
+@pytest.mark.parametrize(
+    "p, iv, width, why", FALLBACK_CASES + REFUSED_CASES,
+    ids=[c[3] for c in FALLBACK_CASES + REFUSED_CASES],
+)
+def test_explicit_cases_match_reference(p, iv, width, why):
+    assert outcome(isolate_root, p, iv, width) == outcome(ref.isolate_root, p, iv, width)
+    a, b = smallest_args(p, iv)
+    assert outcome(ps._isolate_smallest_root, p, a, b, width) == outcome(
+        ref.isolate_smallest_root, p, a, b, width
+    )
+
+
+@pytest.mark.parametrize("p, iv, width, why", FALLBACK_CASES, ids=[c[3] for c in FALLBACK_CASES])
+def test_fallback_cases_are_not_jumped(p, iv, width, why):
+    a, b = smallest_args(p, iv)
+    assert _jump_cell(_RootCounter(p), a, b, width) is None
+
+
+def test_jump_lands_on_the_bisection_cell_for_a_simple_root():
+    p = from_roots([F(13, 10), F(17, 10)], extra=[F(1, 3)])
+    a, b = F(1), F(2)
+    cell = _jump_cell(_RootCounter(p), a, b, F(1, 10**6))
+    assert cell is not None
+    expected, _ = ref.isolate_smallest_root(p, a, b, F(1, 10**6))
+    assert cell == (expected.lo, expected.hi)
+
+
+TWO_ROOTS = from_roots([F(13, 10), F(17, 10)], extra=[F(1, 3)])
+THREE_CLOSE_ROOTS = from_roots([F(7, 5), F(7, 5) + F(1, 10**8), F(7, 5) + F(2, 10**8)])
+
+
+@pytest.mark.parametrize(
+    "p, guess",
+    [(TWO_ROOTS, 1.7), (TWO_ROOTS, 1.5), (TWO_ROOTS, 1.0), (TWO_ROOTS, 2.0),
+     (THREE_CLOSE_ROOTS, 1.4)],
+    ids=["larger root", "no root", "left end", "right end", "three roots in the cell"],
+)
+def test_a_wrong_estimate_is_refused_and_bisection_takes_over(monkeypatch, p, guess):
+    """The float estimate only proposes; the exact checks decide."""
+    a, b, width = F(1), F(2), F(1, 10**6)
+    monkeypatch.setattr(ep, "_float_smallest_root", lambda p, a, b: guess)
+    assert _jump_cell(_RootCounter(p), a, b, width) is None
+    assert ps._isolate_smallest_root(p, a, b, width) == ref.isolate_smallest_root(p, a, b, width)

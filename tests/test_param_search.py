@@ -43,6 +43,16 @@ def test_left_threshold_degenerate_for_large_w():
     assert ps.replay_threshold(th)
 
 
+@pytest.mark.parametrize("t", [F(1, 200), F(1, 7), F(47, 200), F(893, 1800), F(1, 2)])
+@pytest.mark.parametrize("w", [F(5, 3) + F(1, 1500), F(17, 10), F(7, 4), F(9, 5)])
+def test_degenerate_phi_at_domain_edge_is_the_certificate_value(t, w):
+    # left_threshold computes phi(5/3) as 5 (w - 5/3)^2 q(5/3)^2
+    th = ps.left_threshold(t, w, WIDTH)
+    assert th.degenerate
+    assert th.phi_lo == th.phi_hi == ps.left_certificate_value(t, w, F(5, 3)) > 0
+    assert ps.replay_threshold(th)
+
+
 def test_left_threshold_continuity_in_t():
     base = ps.left_threshold(F(1, 2), F(5, 3), WIDTH)
     near = ps.left_threshold(F(499, 1000), F(5, 3), WIDTH)
