@@ -29,8 +29,9 @@ CLAIM_NO_ROOT = "no-root"
 CLAIM_ONE_ROOT = "exactly-one-root"
 CLAIM_POSITIVE = "sign-constant-positive"
 CLAIM_NEGATIVE = "sign-constant-negative"
-# Used by count_roots when the Sturm count exceeds one; none of the four
-# claims above can express "n distinct roots" for n >= 2.
+# Used by count_roots when the Sturm count exceeds one, or is one without a
+# sign change (an even-multiplicity root); none of the four claims above can
+# express either.
 CLAIM_ROOT_COUNT = "root-count"
 
 _COUNT_CLAIMS = (CLAIM_NO_ROOT, CLAIM_ONE_ROOT, CLAIM_ROOT_COUNT)
@@ -470,7 +471,12 @@ class SignCertificate:
         )
 
     def replay(self) -> bool:
-        """Recompute the evidence from scratch and check it verbatim."""
+        """Recompute the evidence from scratch and check it verbatim.
+
+        The recomputed values must also prove the claim: a ``no-root`` claim
+        needs nonzero values at both closed endpoints, and an
+        ``exactly-one-root`` claim needs endpoint values of opposite sign.
+        """
         try:
             expected = _recompute_evidence(self.polynomial, self.claim, self.evidence)
         except (ExactPolyError, ValueError, ZeroDivisionError, KeyError):
@@ -512,10 +518,13 @@ def _recompute_evidence(p: Polynomial, claim: str, evidence: dict) -> dict:
         if not ok:
             raise SignClaimError("stored sign claim does not replay", witness)
     elif claim == CLAIM_NO_ROOT:
-        if count != 0:
+        # a root on a closed endpoint is a root of the interval too
+        if count != 0 or value_lo == 0 or value_hi == 0:
             raise ExactPolyError("no-root claim does not replay")
     elif claim == CLAIM_ONE_ROOT:
-        if count != 1:
+        # one distinct root and a strict sign change: an odd-multiplicity
+        # root inside, which no even-multiplicity touch can fake
+        if count != 1 or value_lo * value_hi >= 0:
             raise ExactPolyError("exactly-one-root claim does not replay")
     elif claim == CLAIM_ROOT_COUNT:
         pass
@@ -553,7 +562,9 @@ def count_roots(
 
     Endpoints that happen to be roots are nudged inward by shrinking
     rational steps (recorded in the evidence); if twelve decades of nudging
-    cannot clear them the input is reported as degenerate.  ``chain`` is
+    cannot clear them the input is reported as degenerate.  The claim is
+    ``exactly-one-root`` only when the single root changes p's sign between
+    the endpoints, ``root-count`` for any other nonzero count.  ``chain`` is
     p's Sturm chain when the caller already holds it.
     """
     if p.is_zero:
@@ -577,7 +588,7 @@ def count_roots(
     count, evidence = _count_evidence(p, lo, hi, chain)
     if count == 0:
         claim = CLAIM_NO_ROOT
-    elif count == 1:
+    elif count == 1 and sign_at(p, lo) != sign_at(p, hi):
         claim = CLAIM_ONE_ROOT
     else:
         claim = CLAIM_ROOT_COUNT

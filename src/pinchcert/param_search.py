@@ -13,6 +13,18 @@ first root over the branches, which Sturm machinery encloses exactly.
 For the upper endpoint the certificate is a single cubic, so its root is
 isolated directly.
 
+Left sweeps rest on an edge lemma.  At the domain edge the common term
+vanishes and phi(5/3) = 5 (w - 5/3)^2 q(5/3)^2, where the weight
+
+    q(5/3) = (1 + 15t/2)(w + 5/3) + 36/5 - 126t/5 - 10/3
+
+is bilinear in (t, w).  It is positive at the four corners of
+[0, 1/2] x [5/3, 9/5], hence on the whole rectangle, so every probe with
+w > 5/3 is degenerate with enclosure [5/3, 5/3].  :func:`optimize` checks
+the corners exactly once per left sweep and records such probes as dead
+keys: they rank and count as the degenerate probes they are, but no
+polynomial, Sturm chain or certificate is built for them unless one wins.
+
 Every probe, comparison and bisection step is exact rational arithmetic
 (a float root estimate may only propose the cell where a bisection ends,
 which exact checks then confirm); identical configurations produce
@@ -25,6 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from . import pinching_bounds as pb
 from .exact_poly import (
@@ -52,6 +65,7 @@ _X = Polynomial.x()
 
 DOMAIN_LO = pb.PINCH_DOMAIN.lo
 DOMAIN_HI = pb.PINCH_DOMAIN.hi
+_DEAD_LO = -DOMAIN_LO
 
 
 @dataclass(frozen=True)
@@ -154,7 +168,7 @@ def left_branch_polynomials(w, t) -> list[tuple[str, Polynomial, IntervalQ]]:
     common = (16 * t * (1 - t)) * _X * (3 * _X - 4) * (3 * _X - 5) * (5 * _X - 9)
     w_minus_x = Polynomial.linear(w, -1)
     q_at_x = Polynomial.linear(k0, c1 - 2)
-    q_at_53 = Polynomial.linear(F(5, 3) * c1 + k0, -2)
+    q_at_53 = edge_weight(t, w)
     c0_poly = Polynomial.linear(k0, -2)
 
     branches = [
@@ -172,6 +186,34 @@ def left_branch_polynomials(w, t) -> list[tuple[str, Polynomial, IntervalQ]]:
         p3 = common + 20 * c1 * _X * c0_poly * w_minus_x * w_minus_x
         branches.append(("sup-at-critical", p3, IntervalQ(seg_lo, seg_hi)))
     return branches
+
+
+def edge_weight(t, w) -> Polynomial:
+    """The weight q(S) = c1 S + c0(x) at S = 5/3, as a linear polynomial in x.
+
+    Its value at x = 5/3 is q(5/3) = (1 + 15t/2)(w + 5/3) + 36/5 - 126t/5 - 10/3,
+    whose square (times 5 (w - 5/3)^2) is phi(5/3).
+    """
+    c1, k0 = pb.weight_linear_coeffs(0, w, t)  # c0(x) = k0 - 2x
+    return Polynomial.linear(F(5, 3) * c1 + k0, -2)
+
+
+def edge_lemma() -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+    """Certify q(5/3) > 0 on [0, 1/2] x [5/3, 9/5]; returns (t, w, q(5/3)) per corner.
+
+    q(5/3) is bilinear in (t, w), so on the rectangle it is smallest at a
+    corner, and positive corners make it positive everywhere.  Then
+    phi(5/3) = 5 (w - 5/3)^2 q(5/3)^2 > 0 for every w > 5/3: each such probe
+    is degenerate.  Raises :class:`ExactPolyError` if a corner fails.
+    """
+    corners = tuple(
+        (t, w, edge_weight(t, w)(DOMAIN_LO))
+        for t in (F(0), F(1, 2)) for w in (DOMAIN_LO, DOMAIN_HI)
+    )
+    for t, w, q in corners:
+        if q <= 0:
+            raise ExactPolyError(f"edge lemma fails: q(5/3) = {q} at t = {t}, w = {w}")
+    return corners
 
 
 def left_certificate_value(t, w, x) -> Fraction:
@@ -316,8 +358,7 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
     # the (3x - 5) factor of the common term vanishes at 5/3, and the weight
     # supremum over S in [5/3, 5/3] is q(5/3)^2, so phi(5/3) is the square
     # 5 (w - 5/3)^2 q(5/3)^2
-    c1, k0 = pb.weight_linear_coeffs(0, w, t)  # c0(x) = k0 - 2x
-    q_at_53 = Polynomial.linear(F(5, 3) * c1 + k0, -2)
+    q_at_53 = edge_weight(t, w)
     q_start = q_at_53(DOMAIN_LO)
     phi_start = 5 * (w - DOMAIN_LO) ** 2 * q_start ** 2
     if phi_start > 0:
@@ -472,18 +513,7 @@ def _strength_key(side: str, th: ThresholdEnclosure) -> tuple:
     return (th.enclosure.hi, th.enclosure.lo, th.t, th.w)
 
 
-def _evaluate(side: str, t: Fraction, w: Fraction, width: Fraction,
-              cache: dict) -> ThresholdEnclosure:
-    key = (t, w)
-    if key not in cache:
-        if side == "left":
-            cache[key] = left_threshold(t, w, width)
-        else:
-            cache[key] = right_threshold(t, width)
-    return cache[key]
-
-
-def _trisect_candidates(values: list[Fraction], incumbent: Fraction) -> list[Fraction]:
+def _trisect_candidates(values: Iterable[Fraction], incumbent: Fraction) -> list[Fraction]:
     """Trisection probes of the grid gaps adjacent to the incumbent."""
     values = sorted(set(values))
     i = values.index(incumbent)
@@ -501,40 +531,62 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
     """Grid sweep plus exact trisection refinement around the incumbent.
 
     Deterministic: probes are exact rationals, results are compared exactly,
-    and ties break toward smaller t then smaller w.
+    and ties break toward smaller t then smaller w.  The incumbent is kept
+    as probes arrive.  On the left, probes with w > 5/3 are dead keys (see
+    :func:`edge_lemma`) ranked by their known enclosure [5/3, 5/3]; if one
+    wins, its enclosure is built after the refinement.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if side == "left":
+        edge_lemma()
     width = config.isolation_width
-    cache: dict = {}
-    w_values = list(config.w_grid) if side == "left" else [DOMAIN_HI]
-    probes_t = list(config.t_grid)
-    for t in probes_t:
+    live: dict[tuple[Fraction, Fraction], ThresholdEnclosure] = {}
+    dead: set[tuple[Fraction, Fraction]] = set()
+    best_key = best_tw = None
+
+    def probe(t: Fraction, w: Fraction) -> None:
+        nonlocal best_key, best_tw
+        tw = (t, w)
+        if side == "left" and w > DOMAIN_LO:
+            dead.add(tw)  # a repeat changes nothing: its key cannot beat itself
+            key = (_DEAD_LO, _DEAD_LO, t, w)  # _strength_key of [5/3, 5/3]
+        elif tw in live:
+            return
+        else:
+            if side == "left":
+                th = live[tw] = left_threshold(t, w, width)
+            else:
+                th = live[tw] = right_threshold(t, width)
+            key = _strength_key(side, th)
+        if best_key is None or key < best_key:
+            best_key, best_tw = key, tw
+
+    w_values = config.w_grid if side == "left" else (DOMAIN_HI,)
+    for t in config.t_grid:
         for w in w_values:
-            _evaluate(side, t, w, width, cache)
+            probe(t, w)
 
-    def incumbent() -> tuple[tuple[Fraction, Fraction], ThresholdEnclosure]:
-        best_key = min(cache, key=lambda k: _strength_key(side, cache[k]))
-        return best_key, cache[best_key]
-
+    # the probed t and w values: the grids plus every refinement probe
+    t_seen, w_seen = set(config.t_grid), set(w_values)
     for _ in range(config.refinement_rounds):
-        (t_best, w_best), _best = incumbent()
-        t_probes = sorted({k[0] for k in cache})
-        for t_new in _trisect_candidates(t_probes, t_best):
+        t_best, w_best = best_tw
+        for t_new in _trisect_candidates(t_seen, t_best):
             if 0 < t_new <= F(1, 2):
-                _evaluate(side, t_new, w_best, width, cache)
+                t_seen.add(t_new)
+                probe(t_new, w_best)
         if side == "left":
-            (t_best, w_best), _best = incumbent()
-            w_probes = sorted({k[1] for k in cache})
-            for w_new in _trisect_candidates(w_probes, w_best):
+            t_best, w_best = best_tw
+            for w_new in _trisect_candidates(w_seen, w_best):
                 if DOMAIN_LO <= w_new <= DOMAIN_HI:
-                    _evaluate(side, t_best, w_new, width, cache)
+                    w_seen.add(w_new)
+                    probe(t_best, w_new)
 
-    (t_best, w_best), best = incumbent()
+    t_best, w_best = best_tw
+    best = live[best_tw] if best_tw in live else left_threshold(t_best, w_best, width)
     rows = []
-    degenerate_count = 0
-    for (t, w) in sorted(cache):
-        th = cache[(t, w)]
+    degenerate_count = len(dead)
+    for (t, w), th in sorted(live.items(), key=lambda item: item[0]):
         if th.degenerate:
             degenerate_count += 1
             if side == "left":

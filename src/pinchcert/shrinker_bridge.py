@@ -38,6 +38,10 @@ _MODELS = {
     "calabi-s4": "Calabi sphere S^2(2*sqrt(10)) -> S^8(2) in R^9",
 }
 
+#: every verdict :func:`classify` returns: a model name, or one of the two
+#: outcomes that pin no model
+VERDICTS = (*_MODELS, "inconclusive", "hypotheses-not-met")
+
 # case table rows: (case id, range lo, range hi, needs-oscillation,
 #                   {constant value: (verdict, sub-label)})
 _CASES = (

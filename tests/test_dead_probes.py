@@ -1,0 +1,124 @@
+"""Left sweeps skip the probes the edge lemma proves degenerate.
+
+``param_search_reference`` is a frozen copy of the sweep that evaluated
+every (t, w) probe in full; the sweep that records w > 5/3 probes as dead
+keys must return the same optimum, table and degenerate count.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pinchcert import param_search as ps
+from pinchcert.exact_poly import ExactPolyError
+
+import param_search_reference as ref
+
+F = Fraction
+
+LO, HI = F(5, 3), F(9, 5)
+
+T_VALUES = st.builds(F, st.integers(1, 60), st.just(120))          # (0, 1/2]
+W_ABOVE_EDGE = st.builds(lambda k: LO + F(2, 15) * F(k, 48), st.integers(1, 48))
+
+
+@st.composite
+def sweep_configs(draw):
+    t_grid = sorted(set(draw(st.lists(T_VALUES, min_size=1, max_size=3))))
+    w_grid = set(draw(st.lists(W_ABOVE_EDGE, min_size=0, max_size=3)))
+    if draw(st.booleans()) or not w_grid:
+        w_grid.add(LO)
+    return ps.SweepConfig(
+        t_grid=tuple(t_grid), w_grid=tuple(sorted(w_grid)),
+        refinement_rounds=draw(st.integers(0, 2)),
+    )
+
+
+def _outcome(optimize, side, config):
+    try:
+        return optimize(side, config).to_json()
+    except ExactPolyError as err:
+        return ("ExactPolyError", str(err))
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=sweep_configs(), side=st.sampled_from(["left", "left", "right"]))
+def test_sweep_matches_the_full_evaluation_reference(config, side):
+    assert _outcome(ps.optimize, side, config) == _outcome(ref.optimize, side, config)
+
+
+def _q_at_edge(t, w):
+    # the paper's form of the weight at S = x = 5/3
+    return (1 + F(15, 2) * t) * (w + LO) + F(36, 5) - F(126, 5) * t - F(10, 3)
+
+
+def test_edge_lemma_holds_exactly_at_the_four_corners():
+    corners = ps.edge_lemma()
+    assert [(t, w) for t, w, _ in corners] == [(0, LO), (0, HI), (F(1, 2), LO), (F(1, 2), HI)]
+    for t, w, q in corners:
+        assert q == _q_at_edge(t, w) > 0
+    # bilinear in (t, w): the corner values pin it down on the rectangle
+    (_, _, q00), (_, _, q01), (_, _, q10), (_, _, q11) = corners
+    for t in (F(1, 7), F(1, 3), F(893, 1800)):
+        for w in (F(17, 10), F(7, 4), LO + F(1, 1500)):
+            s, u = 2 * t, (w - LO) / (HI - LO)
+            blend = (1 - s) * (1 - u) * q00 + (1 - s) * u * q01 + s * (1 - u) * q10 + s * u * q11
+            assert ps.edge_weight(t, w)(LO) == _q_at_edge(t, w) == blend
+
+
+def test_a_failing_corner_stops_the_left_sweep(monkeypatch):
+    real = ps.edge_weight
+    monkeypatch.setattr(ps, "edge_weight", lambda t, w: real(t, w) - 100)
+    config = ps.SweepConfig(t_grid=(F(1, 2),), w_grid=(LO,))
+    with pytest.raises(ExactPolyError, match="edge lemma"):
+        ps.optimize("left", config)
+    ps.optimize("right", config)  # the right sweep does not rest on the lemma
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=T_VALUES, w=st.fractions(min_value=LO, max_value=HI, max_denominator=10**4))
+def test_left_threshold_is_degenerate_at_the_edge_for_w_above_five_thirds(t, w):
+    if w == LO:
+        return
+    th = ps.left_threshold(t, w)
+    assert th.degenerate
+    assert th.enclosure.lo == th.enclosure.hi == LO
+    assert th.phi_lo == 5 * (w - LO) ** 2 * _q_at_edge(t, w) ** 2 > 0
+
+
+def _count_left_threshold_calls(monkeypatch):
+    calls = []
+    real = ps.left_threshold
+
+    def counting(t, w, width=F(1, 10**6)):
+        calls.append((t, w))
+        return real(t, w, width)
+
+    monkeypatch.setattr(ps, "left_threshold", counting)
+    return calls
+
+
+def test_left_threshold_runs_only_for_edge_probes(monkeypatch):
+    calls = _count_left_threshold_calls(monkeypatch)
+    config = ps.SweepConfig(
+        t_grid=(F(1, 10), F(1, 4), F(99, 200)),
+        w_grid=(LO, F(17, 10), F(7, 4), HI), refinement_rounds=2,
+    )
+    opt = ps.optimize("left", config)
+    assert opt.best_w == LO
+    assert calls and all(w == LO for _, w in calls)
+    assert len(calls) == len(set(calls))
+    assert opt.to_json() == ref.optimize("left", config).to_json()
+
+
+def test_a_dead_winner_is_evaluated_once_after_the_sweep(monkeypatch):
+    calls = _count_left_threshold_calls(monkeypatch)
+    config = ps.SweepConfig(
+        t_grid=(F(1, 10), F(3, 10)), w_grid=(F(17, 10), F(7, 4), HI), refinement_rounds=2,
+    )
+    opt = ps.optimize("left", config)
+    assert calls == [(opt.best_t, opt.best_w)] == [(F(1, 10), F(17, 10))]
+    assert opt.best.degenerate and opt.table == ()
+    assert opt.degenerate_count == 14
+    assert opt.to_json() == ref.optimize("left", config).to_json()

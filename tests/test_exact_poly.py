@@ -9,12 +9,14 @@ from pinchcert.exact_poly import (
     CLAIM_NO_ROOT,
     CLAIM_ONE_ROOT,
     CLAIM_POSITIVE,
+    CLAIM_ROOT_COUNT,
     DegenerateEndpointError,
     ExactPolyError,
     IntervalQ,
     Polynomial,
     SignCertificate,
     SignClaimError,
+    _count_evidence,
     certify_sign_on_interval,
     count_roots,
     isolate_root,
@@ -350,6 +352,39 @@ def test_tampered_certificate_fails_replay():
     evidence["variations_lo"] += 1
     bad2 = SignCertificate(cert.polynomial, cert.interval, cert.claim, evidence)
     assert not bad2.replay()
+
+
+def _forged_count_certificate(p: Polynomial, claim: str) -> SignCertificate:
+    # Sturm data recomputed honestly at the endpoints 1 and 2; only the
+    # claim is chosen by hand
+    iv = IntervalQ(F(1), F(2))
+    _, evidence = _count_evidence(p, iv.lo, iv.hi)
+    return SignCertificate(p, iv, claim, evidence)
+
+
+def test_no_root_claim_fails_replay_with_a_root_on_the_closed_endpoint():
+    cert = _forged_count_certificate(poly(-1, 1), CLAIM_NO_ROOT)
+    assert cert.evidence["root_count"] == 0 and cert.evidence["value_lo"] == "0/1"
+    assert not cert.replay()
+
+
+def test_one_root_claim_fails_replay_without_a_sign_change():
+    double = poly(F(-3, 2), 1) * poly(F(-3, 2), 1)
+    cert = _forged_count_certificate(double, CLAIM_ONE_ROOT)
+    assert cert.evidence["root_count"] == 1
+    assert cert.evidence["value_lo"] == cert.evidence["value_hi"] == "1/4"
+    assert not cert.replay()
+
+
+def test_count_roots_labels_a_lone_double_root_root_count():
+    double = poly(F(-3, 2), 1) * poly(F(-3, 2), 1)
+    n, cert = count_roots(double, IntervalQ(F(1), F(2)))
+    assert n == 1
+    assert cert.claim == CLAIM_ROOT_COUNT
+    assert cert.replay()
+    # with a sign change the same count keeps the one-root label
+    n, cert = count_roots(poly(F(-3, 2), 1), IntervalQ(F(1), F(2)))
+    assert n == 1 and cert.claim == CLAIM_ONE_ROOT and cert.replay()
 
 
 def test_replay_is_bit_for_bit_on_serialized_form():

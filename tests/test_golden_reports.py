@@ -1,9 +1,11 @@
 """Reports stay byte-identical across rewrites of the exact layer.
 
-The digests in ``golden_reports.json`` were taken from the Fraction-only
-exact core, before evaluation and Sturm counting moved to integers.  Every
-report byte except ``wall_time_ms`` is part of the reproducibility contract,
-so a faster core must reproduce them exactly.
+The first three digests in ``golden_reports.json`` were taken from the
+Fraction-only exact core, before evaluation and Sturm counting moved to
+integers; the three ``optimize-left-*`` sweeps after them were taken before
+left sweeps stopped evaluating the provably degenerate w > 5/3 probes.
+Every report byte except ``wall_time_ms`` is part of the reproducibility
+contract, so a faster core or sweep must reproduce them exactly.
 """
 
 import hashlib
@@ -33,6 +35,20 @@ def _left_config() -> ps.SweepConfig:
     )
 
 
+# no w = 5/3 in the grid: every probe is degenerate, so the winner's
+# enclosure is built after the sweep
+ALL_DEGENERATE = ps.SweepConfig(
+    t_grid=(Fraction(1, 10), Fraction(3, 10)),
+    w_grid=(Fraction(17, 10), Fraction(7, 4), Fraction(9, 5)),
+    refinement_rounds=2,
+)
+
+# both ends of the w axis at t = 1/2; w refinement probes the gap between them
+HALF_EDGES = ps.SweepConfig(
+    t_grid=(Fraction(1, 2),), w_grid=(Fraction(5, 3), Fraction(9, 5)), refinement_rounds=3
+)
+
+
 @pytest.mark.parametrize(
     "name, build",
     [
@@ -40,6 +56,10 @@ def _left_config() -> ps.SweepConfig:
         ("optimize-right-default",
          lambda: rc.cmd_optimize("right", ps.default_config("right"))),
         ("optimize-left-4t", lambda: rc.cmd_optimize("left", _left_config())),
+        ("optimize-left-default",
+         lambda: rc.cmd_optimize("left", ps.default_config("left"))),
+        ("optimize-left-all-degenerate", lambda: rc.cmd_optimize("left", ALL_DEGENERATE)),
+        ("optimize-left-half-edges", lambda: rc.cmd_optimize("left", HALF_EDGES)),
     ],
 )
 def test_report_bytes_match_golden_digest(name, build):

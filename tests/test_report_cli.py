@@ -1,12 +1,14 @@
 """Tests for the command-line front end and report schema."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pinchcert import report_cli as rc
 from pinchcert import param_search as ps
+from pinchcert import shrinker_bridge as sb
 from pinchcert.exact_poly import ExactPolyError, SignCertificate, rat
 from pinchcert.shrinker_bridge import ShrinkerPinchData
 
@@ -209,6 +211,29 @@ def test_classify_requires_bounds():
 def test_classify_rejects_inverted_bounds():
     code = rc.main(["classify", "--min", "1/2", "--max", "1/3"])
     assert code == rc.EXIT_USAGE
+
+
+def test_classification_total_fails_on_an_undocumented_verdict(monkeypatch):
+    data = ShrinkerPinchData(
+        a_circ_min=rat("1/3"), a_circ_max=rat("1/3"),
+        mean_curvature_nonvanishing=True, normalized_H_parallel=True,
+    )
+    assert rc.cmd_classify(data).all_passed
+    real = sb.classify
+    monkeypatch.setattr(sb, "classify", lambda d: replace(real(d), verdict="sphere-ish"))
+    assert rc.cmd_classify(data).failing() == ["classification-total"]
+
+
+def test_gap_bound_decreasing_check_replays_its_certificate(monkeypatch):
+    real = rc.certify_sign_on_interval
+
+    def forged(p, iv, sign):
+        cert = real(p, iv, sign)
+        evidence = dict(cert.evidence, witness_value="1/1")
+        return replace(cert, evidence=evidence)
+
+    monkeypatch.setattr(rc, "certify_sign_on_interval", forged)
+    assert "gap-bound-decreasing" in rc.cmd_certify().failing()
 
 
 # ---------------------------------------------------------------------------
