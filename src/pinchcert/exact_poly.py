@@ -476,12 +476,17 @@ class SignCertificate:
         The recomputed values must also prove the claim: a ``no-root`` claim
         needs nonzero values at both closed endpoints, and an
         ``exactly-one-root`` claim needs endpoint values of opposite sign.
+        Evidence that is missing, mistyped (a float, ``None``) or not in
+        canonical form replays ``False``; it never raises.
         """
         try:
             expected = _recompute_evidence(self.polynomial, self.claim, self.evidence)
-        except (ExactPolyError, ValueError, ZeroDivisionError, KeyError):
+        except (ExactPolyError, ValueError, ZeroDivisionError, KeyError, TypeError):
             return False
-        if expected != self.evidence:
+        # types too: a float 2.0 or a bool True compares equal to an int
+        if expected != self.evidence or any(
+            type(self.evidence[k]) is not type(v) for k, v in expected.items()
+        ):
             return False
         lo = rat(self.evidence["lo"])
         hi = rat(self.evidence["hi"])

@@ -4,7 +4,9 @@ The pinching domain for the third gap is the closed interval
 [5/3, 9/5] of values of S, the squared norm of the second fundamental
 form.  Every constructor here returns exact rationals or rational-coefficient
 polynomials; callers certify sign facts about them with
-:mod:`pinchcert.exact_poly`.
+:mod:`pinchcert.exact_poly`.  The constant polynomials (those without a
+parameter) are built once per process and shared: a :class:`Polynomial` is
+immutable, so only its integer evaluation form is filled in, once.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ def calabi_value(s: int) -> CalabiValue:
     return CalabiValue(s=s, K=K, S=S, ambient_dim=2 * s)
 
 
+@lru_cache(maxsize=None)
 def theta1() -> Polynomial:
     """Expanded cubic certificate for the lower pinching endpoint.
 
@@ -79,17 +82,20 @@ def theta2(t) -> Polynomial:
     return first + second
 
 
+@lru_cache(maxsize=None)
 def gap_numerator() -> Polynomial:
     """N(x) = 12x(9-5x)(3x-4) = -180x^3 + 564x^2 - 432x."""
     return 12 * _X * Polynomial.linear(9, -5) * (3 * _X - 4)
 
 
+@lru_cache(maxsize=None)
 def gap_denominator() -> Polynomial:
     """D(x) = 60x(3x-4) + 5((19/4)x - 9/20)^2."""
     sq = Polynomial.linear(F(-9, 20), F(19, 4))
     return 60 * _X * (3 * _X - 4) + 5 * sq * sq
 
 
+@lru_cache(maxsize=None)
 def gap_derivative_numerator() -> Polynomial:
     """N'D - N D', the numerator of the derivative of the gap bound.
 
@@ -129,6 +135,7 @@ def legacy_radicand_certificate() -> SignCertificate:
     return certify_sign_on_interval(_legacy_radicand_poly(), PINCH_DOMAIN, "positive")
 
 
+@lru_cache(maxsize=None)
 def _legacy_radicand_poly() -> Polynomial:
     base = Polynomial.linear(134, -114)
     return base * base + 864 * (3 * _X - 5) * Polynomial.linear(9, -5)
@@ -187,6 +194,17 @@ def compare_legacy_to_new(s_min) -> int:
     return legacy_gap_bound(s_min).compare_to(gap_lower_bound(s_min))
 
 
+@lru_cache(maxsize=None)
+def smax_numerator() -> Polynomial:
+    """108x(3x-4) + 5x((19/4)x - 9/20)^2, the numerator of :func:`smax_threshold`.
+
+    Built from its own formula rather than as N + x*D, so that the identity
+    smax(w) = w + N(w)/D(w) is a fact to check, not a definition.
+    """
+    sq = Polynomial.linear(F(-9, 20), F(19, 4))
+    return 108 * _X * (3 * _X - 4) + 5 * _X * sq * sq
+
+
 def smax_threshold(w) -> Fraction:
     """Supremum threshold: no pinched immersion has S_max below this value.
 
@@ -195,9 +213,7 @@ def smax_threshold(w) -> Fraction:
     """
     w = _require_domain(rat(w), "w")
     denominator_positive_certificate()
-    sq = Polynomial.linear(F(-9, 20), F(19, 4))
-    numerator = 108 * _X * (3 * _X - 4) + 5 * _X * sq * sq
-    return numerator(w) / gap_denominator()(w)
+    return smax_numerator()(w) / gap_denominator()(w)
 
 
 def middleref_value(x, w) -> Fraction:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 from dataclasses import dataclass, field
@@ -224,8 +225,6 @@ def cmd_certify() -> CertificationReport:
     )
 
     report.add_certificate("gap-denominator-positive", pb.denominator_positive_certificate())
-    import random
-
     rng = random.Random(9120)
     residuals_zero = True
     for _ in range(100):

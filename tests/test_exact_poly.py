@@ -387,6 +387,28 @@ def test_count_roots_labels_a_lone_double_root_root_count():
     assert n == 1 and cert.claim == CLAIM_ONE_ROOT and cert.replay()
 
 
+@pytest.mark.parametrize("key", ["lo", "hi", "witness"])
+@pytest.mark.parametrize("value", [1.7, None], ids=["float", "none"])
+def test_replay_rejects_mistyped_evidence_without_raising(key, value):
+    # rat() refuses floats and None with TypeError; replay must turn that
+    # into a rejection, for a sign certificate and for a count certificate
+    sign_cert = certify_sign_on_interval(poly(-1, 0, 0, 2), IntervalQ(F(1), F(3)), "positive")
+    _, count_cert = count_roots(poly(-2, 0, 1), IntervalQ(F(0), F(2)))
+    for cert in (sign_cert, count_cert):
+        assert cert.replay()
+        evidence = dict(cert.evidence, **{key: value})
+        assert SignCertificate(cert.polynomial, cert.interval, cert.claim, evidence).replay() is False
+
+
+def test_replay_rejects_an_int_field_given_as_float_or_bool():
+    _, cert = count_roots(poly(-2, 0, 1), IntervalQ(F(0), F(2)))
+    assert cert.evidence["root_count"] == 1
+    for value in (1.0, True):
+        evidence = dict(cert.evidence, root_count=value)
+        assert evidence == cert.evidence  # equal as Python values, not as evidence
+        assert SignCertificate(cert.polynomial, cert.interval, cert.claim, evidence).replay() is False
+
+
 def test_replay_is_bit_for_bit_on_serialized_form():
     p = poly(-1, 0, 0, 2)
     cert = certify_sign_on_interval(p, IntervalQ(F(1), F(3)), "positive")

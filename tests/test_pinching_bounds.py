@@ -229,6 +229,36 @@ def test_smax_threshold_identity_with_gap_bound():
         assert pb.smax_threshold(w) - w - pb.gap_lower_bound(w) == 0
 
 
+def test_smax_numerator_is_n_plus_x_d_as_a_polynomial():
+    # smax(w) = S(w)/D(w) with S = N + x*D coefficient for coefficient, so
+    # smax(w) - w - N(w)/D(w) vanishes at every w where D != 0, not only at
+    # the sampled points of the certify check
+    lhs = pb.smax_numerator()
+    rhs = pb.gap_numerator() + Polynomial.x() * pb.gap_denominator()
+    assert lhs.coeffs == rhs.coeffs
+
+
+CONSTANT_POLYNOMIALS = (
+    pb.theta1,
+    pb.gap_numerator,
+    pb.gap_denominator,
+    pb.gap_derivative_numerator,
+    pb._legacy_radicand_poly,
+    pb.smax_numerator,
+)
+
+
+@pytest.mark.parametrize("build", CONSTANT_POLYNOMIALS, ids=lambda f: f.__name__)
+def test_constant_polynomials_are_built_once(build):
+    first = build()
+    assert build() is first
+    # a cold rebuild gives an equal polynomial, so the shared one is not stale
+    build.cache_clear()
+    fresh = build()
+    assert fresh == first
+    assert build() is fresh
+
+
 # ---------------------------------------------------------------------------
 # generalized left certificate
 # ---------------------------------------------------------------------------

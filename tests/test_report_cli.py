@@ -2,14 +2,18 @@
 
 import json
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pinchcert import pinching_bounds as pb
 from pinchcert import report_cli as rc
 from pinchcert import param_search as ps
 from pinchcert import shrinker_bridge as sb
-from pinchcert.exact_poly import ExactPolyError, SignCertificate, rat
+from pinchcert.exact_poly import ExactPolyError, SignCertificate, rat, rat_str
 from pinchcert.shrinker_bridge import ShrinkerPinchData
 
 
@@ -61,6 +65,75 @@ def test_certify_certificates_replay_after_json_round_trip():
     for entry in data["certificates"]:
         cert = SignCertificate.from_json(entry["certificate"])
         assert cert.replay(), entry["label"]
+
+
+def test_certify_bytes_equal_with_cold_and_warm_polynomial_caches():
+    # the constant polynomials are shared across calls: a run that builds
+    # them and a run that reuses them must write the same report
+    for cached in vars(pb).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    cold = rc.cmd_certify().to_json_str(strip_wall_time=True)
+    warm = rc.cmd_certify().to_json_str(strip_wall_time=True)
+    assert cold == warm
+
+
+# unmutated, these replay True: see the round-trip test above
+@lru_cache(maxsize=None)
+def _reloaded_certify_certificates() -> tuple[dict, ...]:
+    data = json.loads(rc.cmd_certify().to_json_str())
+    return tuple(entry["certificate"] for entry in data["certificates"])
+
+
+MUTATIONS = ("rational", "non-canonical", "shift", "swap", "int", "float", "none")
+
+
+def _mutate(data, evidence: dict) -> dict:
+    kind = data.draw(st.sampled_from(MUTATIONS), label="kind")
+    if kind == "swap":
+        evidence["lo"], evidence["hi"] = evidence["hi"], evidence["lo"]
+        return evidence
+    if kind == "shift":
+        key = data.draw(st.sampled_from(["variations_lo", "variations_hi", "root_count"]),
+                        label="key")
+        evidence[key] += data.draw(st.integers(-3, 3).filter(bool), label="shift")
+        return evidence
+    key = data.draw(st.sampled_from(sorted(evidence)), label="key")
+    old = evidence[key]
+    if kind == "rational":
+        new = data.draw(
+            st.fractions(min_value=-4, max_value=4, max_denominator=10**6)
+            .map(rat_str).filter(lambda q: q != old),
+            label="rational",
+        )
+    elif kind == "non-canonical":
+        # the same value spelled another way: a common factor, or an int
+        # count written as a string
+        if isinstance(old, int):
+            new = str(old)
+        else:
+            k = data.draw(st.integers(2, 9), label="factor")
+            q = rat(old)
+            new = f"{q.numerator * k}/{q.denominator * k}"
+    elif kind == "int":
+        new = data.draw(st.integers(-5, 5).filter(lambda n: n != old), label="int")
+    elif kind == "float":
+        # the field's own value as a float compares equal to an int count
+        same = float(old if isinstance(old, int) else rat(old))
+        new = data.draw(st.one_of(st.just(same), st.floats()), label="float")
+    else:
+        new = None
+    evidence[key] = new
+    return evidence
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_replay_rejects_mutated_certify_evidence_without_raising(data):
+    entry = data.draw(st.sampled_from(_reloaded_certify_certificates()), label="certificate")
+    cert = SignCertificate.from_json(entry)
+    evidence = _mutate(data, dict(cert.evidence))
+    assert replace(cert, evidence=evidence).replay() is False
 
 
 def test_certify_exit_code_via_main(capsys, tmp_path):
