@@ -495,23 +495,8 @@ class SignCertificate:
 
 def _recompute_evidence(p: Polynomial, claim: str, evidence: dict) -> dict:
     """Rebuild the canonical evidence dict for ``claim`` at the recorded points."""
-    lo = rat(evidence["lo"])
-    hi = rat(evidence["hi"])
-    chain = sturm_sequence(p)
-    v_lo = _variations_at(chain, lo)
-    v_hi = _variations_at(chain, hi)
-    value_lo = p(lo)
-    value_hi = p(hi)
-    count = v_lo - v_hi
-    out = {
-        "lo": rat_str(lo),
-        "hi": rat_str(hi),
-        "variations_lo": v_lo,
-        "variations_hi": v_hi,
-        "root_count": count,
-        "value_lo": rat_str(value_lo),
-        "value_hi": rat_str(value_hi),
-    }
+    count, out = _count_evidence(p, rat(evidence["lo"]), rat(evidence["hi"]))
+    value_lo, value_hi = rat(out["value_lo"]), rat(out["value_hi"])
     if claim in _SIGN_CLAIMS:
         witness = rat(evidence["witness"])
         out["witness"] = rat_str(witness)
@@ -574,17 +559,6 @@ def count_roots(
     """
     if p.is_zero:
         raise ValueError("cannot count roots of the zero polynomial")
-    if p.degree == 0:
-        evidence = {
-            "lo": rat_str(iv.lo),
-            "hi": rat_str(iv.hi),
-            "variations_lo": 0,
-            "variations_hi": 0,
-            "root_count": 0,
-            "value_lo": rat_str(p(iv.lo)),
-            "value_hi": rat_str(p(iv.hi)),
-        }
-        return 0, SignCertificate(p, iv, CLAIM_NO_ROOT, evidence)
     span = iv.width if iv.width > 0 else Fraction(1)
     lo, _ = _nudge_endpoint(p, iv.lo, span, +1)
     hi, _ = _nudge_endpoint(p, iv.hi, span, -1)

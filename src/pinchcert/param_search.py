@@ -8,7 +8,8 @@ where M is the exact supremum of q(S)^2 x / S over S in [5/3, x].  Because
 the supremum is attained at one of finitely many rational candidates, phi is
 the pointwise maximum of at most three polynomial "branches"; the threshold
 (the largest x below which phi is negative) is therefore the smallest
-first root over the branches, which Sturm machinery encloses exactly.
+first root over the branches, which Sturm machinery encloses exactly.  phi
+and its branches live in :mod:`pinchcert.pinching_bounds`.
 
 For the upper endpoint the certificate is a single cubic, so its root is
 isolated directly.
@@ -24,6 +25,7 @@ w > 5/3 is degenerate with enclosure [5/3, 5/3].  :func:`optimize` checks
 the corners exactly once per left sweep and records such probes as dead
 keys: they rank and count as the degenerate probes they are, but no
 polynomial, Sturm chain or certificate is built for them unless one wins.
+Only w = 5/3 builds branches.
 
 Every probe, comparison and bisection step is exact rational arithmetic
 (a float root estimate may only propose the cell where a bisection ends,
@@ -61,8 +63,6 @@ from .exact_poly import (
 
 F = Fraction
 
-_X = Polynomial.x()
-
 DOMAIN_LO = pb.PINCH_DOMAIN.lo
 DOMAIN_HI = pb.PINCH_DOMAIN.hi
 _DEAD_LO = -DOMAIN_LO
@@ -91,6 +91,8 @@ class SweepConfig:
             raise ValueError("t grid must lie in (0, 1/2]")
         if not all(DOMAIN_LO <= w <= DOMAIN_HI for w in w_grid):
             raise ValueError("w grid must lie in [5/3, 9/5]")
+        if type(self.refinement_rounds) is not int:
+            raise ValueError(f"refinement_rounds must be an int, got {self.refinement_rounds!r}")
         if self.refinement_rounds < 0:
             raise ValueError("refinement_rounds must be nonnegative")
         if self.isolation_width <= 0:
@@ -109,7 +111,7 @@ class SweepConfig:
         return cls(
             t_grid=tuple(rat(t) for t in data["t_grid"]),
             w_grid=tuple(rat(w) for w in data["w_grid"]),
-            refinement_rounds=int(data.get("refinement_rounds", 0)),
+            refinement_rounds=data.get("refinement_rounds", 0),
             isolation_width=rat(data.get("isolation_width", F(1, 10**6))),
         )
 
@@ -154,8 +156,8 @@ class ThresholdEnclosure:
         }
 
 
-def left_branch_polynomials(w, t) -> list[tuple[str, Polynomial, IntervalQ]]:
-    """Polynomial branches of the lower-endpoint certificate.
+def left_branch_polynomials(t) -> list[tuple[str, Polynomial, IntervalQ]]:
+    """:func:`pinching_bounds.left_branch_forms` at t, with their segments.
 
     Returns (label, polynomial, applicability interval) triples; the
     certificate value at x is the max of the applicable branch values.
@@ -163,29 +165,16 @@ def left_branch_polynomials(w, t) -> list[tuple[str, Polynomial, IntervalQ]]:
     whole domain; the interior critical branch exists only where the
     stationary point c0(x)/c1 falls inside [5/3, x].
     """
-    w, t = rat(w), rat(t)
-    c1, k0 = pb.weight_linear_coeffs(0, w, t)  # c0(x) = k0 - 2x
-    common = (16 * t * (1 - t)) * _X * (3 * _X - 4) * (3 * _X - 5) * (5 * _X - 9)
-    w_minus_x = Polynomial.linear(w, -1)
-    q_at_x = Polynomial.linear(k0, c1 - 2)
-    q_at_53 = edge_weight(t, w)
-    c0_poly = Polynomial.linear(k0, -2)
-
-    branches = [
-        ("sup-at-x", common + 5 * w_minus_x * w_minus_x * q_at_x * q_at_x,
-         IntervalQ(DOMAIN_LO, DOMAIN_HI)),
-        ("sup-at-5/3", common + 3 * _X * w_minus_x * w_minus_x * q_at_53 * q_at_53,
-         IntervalQ(DOMAIN_LO, DOMAIN_HI)),
-    ]
+    t = rat(t)
+    c1, k0 = pb.weight_linear_coeffs(0, DOMAIN_LO, t)  # c0(x) = k0 - 2x
+    segments = dict.fromkeys(("sup-at-x", "sup-at-5/3"), pb.PINCH_DOMAIN)
     # critical branch applicability: 5/3 <= (k0 - 2x)/c1 <= x
-    x_upper = (k0 - F(5, 3) * c1) / 2
-    x_lower = k0 / (2 + c1)
-    seg_lo = max(DOMAIN_LO, x_lower)
-    seg_hi = min(DOMAIN_HI, x_upper)
+    seg_lo = max(DOMAIN_LO, k0 / (2 + c1))
+    seg_hi = min(DOMAIN_HI, (k0 - F(5, 3) * c1) / 2)
     if seg_lo <= seg_hi:
-        p3 = common + 20 * c1 * _X * c0_poly * w_minus_x * w_minus_x
-        branches.append(("sup-at-critical", p3, IntervalQ(seg_lo, seg_hi)))
-    return branches
+        segments["sup-at-critical"] = IntervalQ(seg_lo, seg_hi)
+    return [(label, pb.at_t(form, t), segments[label])
+            for label, form in pb.left_branch_forms() if label in segments]
 
 
 def edge_weight(t, w) -> Polynomial:
@@ -214,13 +203,6 @@ def edge_lemma() -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
         if q <= 0:
             raise ExactPolyError(f"edge lemma fails: q(5/3) = {q} at t = {t}, w = {w}")
     return corners
-
-
-def left_certificate_value(t, w, x) -> Fraction:
-    """The lower-endpoint certificate value phi(x); max over branch values."""
-    x, w, t = rat(x), rat(w), rat(t)
-    common = 16 * t * (1 - t) * x * (3 * x - 4) * (3 * x - 5) * (5 * x - 9)
-    return common + 5 * (w - x) ** 2 * pb.weight_sup_over_s(x, w, t)
 
 
 @dataclass
@@ -344,8 +326,8 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
 
     The threshold is the largest x such that the certificate stays negative
     on (5/3, x); pinching below it forces S to sit at the lower endpoint.
-    When the certificate is nonnegative already at the domain edge the
-    degenerate enclosure [5/3, 5/3] is returned.
+    For w > 5/3 (see :func:`edge_lemma`) the certificate is positive at the
+    domain edge, and the degenerate enclosure [5/3, 5/3] is returned.
     """
     t, w, width = rat(t), rat(w), rat(width)
     if not 0 < t <= F(1, 2):
@@ -355,28 +337,22 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
     if width <= 0:
         raise ValueError("width must be positive")
 
-    # the (3x - 5) factor of the common term vanishes at 5/3, and the weight
-    # supremum over S in [5/3, 5/3] is q(5/3)^2, so phi(5/3) is the square
-    # 5 (w - 5/3)^2 q(5/3)^2
-    q_at_53 = edge_weight(t, w)
-    q_start = q_at_53(DOMAIN_LO)
-    phi_start = 5 * (w - DOMAIN_LO) ** 2 * q_start ** 2
-    if phi_start > 0:
+    if w > DOMAIN_LO:
+        # phi(5/3) = 5 (w - 5/3)^2 q(5/3)^2 > 0 by the edge lemma, so it is
         # nonnegative at (and hence just above) the domain edge: no usable
         # region; a sign certificate for the linear weight factor q
         # witnesses the degeneracy cheaply.
         enclosure = IntervalQ(DOMAIN_LO, DOMAIN_LO)
-        sign = "positive" if q_start > 0 else "negative"
-        cert = certify_sign_on_interval(q_at_53, enclosure, sign)
+        cert = certify_sign_on_interval(edge_weight(t, w), enclosure, "positive")
+        phi = pb.left_certificate_value(DOMAIN_LO, w, t)
         return ThresholdEnclosure(
             side="left", t=t, w=w, enclosure=enclosure, certificate=cert,
-            degenerate=True, phi_lo=phi_start, phi_hi=phi_start,
+            degenerate=True, phi_lo=phi, phi_hi=phi,
         )
-    branches = left_branch_polynomials(w, t)
 
     crossings: list[tuple[Fraction, Fraction, _Crossing]] = []
     dossier: list[SignCertificate] = []
-    for label, p, seg in branches:
+    for label, p, seg in left_branch_polynomials(t):
         if p.is_zero:
             raise ExactPolyError(f"branch {label} degenerated to the zero polynomial")
         crossing = _first_nonneg(p, seg.lo, seg.hi, width / 2)
@@ -384,19 +360,7 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
         if crossing.kind != "none":
             crossings.append((crossing.lo, crossing.hi, crossing))
 
-    if not crossings:
-        # negative across the whole domain: threshold sits at the far edge
-        enclosure = IntervalQ(DOMAIN_HI, DOMAIN_HI)
-        label, p2, _ = branches[0]
-        _, evidence = _count_evidence(p2, DOMAIN_HI, DOMAIN_HI)
-        cert = SignCertificate(p2, enclosure, CLAIM_NO_ROOT, evidence)
-        return ThresholdEnclosure(
-            side="left", t=t, w=w, enclosure=enclosure, certificate=cert,
-            degenerate=True, support=tuple(dossier),
-            phi_lo=left_certificate_value(t, w, DOMAIN_HI),
-            phi_hi=left_certificate_value(t, w, DOMAIN_HI),
-        )
-
+    # never empty: at 9/5 sup-at-x or sup-at-5/3 is positive, as q(9/5) != q(5/3)
     crossings.sort(key=lambda item: (item[0], item[1]))
     lo, hi, winner = crossings[0]
     if winner.kind == "at-start" or winner.certificate is None:
@@ -404,8 +368,8 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
             "certificate becomes nonnegative at a branch segment boundary; "
             "no sign-change enclosure exists for these parameters"
         )
-    phi_lo = left_certificate_value(t, w, lo)
-    phi_hi = left_certificate_value(t, w, hi)
+    phi_lo = pb.left_certificate_value(lo, w, t)
+    phi_hi = pb.left_certificate_value(hi, w, t)
     if not (phi_lo < 0 < phi_hi):
         raise ExactPolyError(
             f"threshold enclosure failed the exact endpoint check: "
@@ -453,14 +417,17 @@ def replay_threshold(th: ThresholdEnclosure) -> bool:
     if not all(c.replay() for c in th.support):
         return False
     if th.degenerate:
-        if th.side == "left" and th.phi_lo is not None:
-            return left_certificate_value(th.t, th.w, th.enclosure.lo) == th.phi_lo
-        return True
+        # only the weakest claim of each side; on the left phi(5/3) > 0 too
+        if th.side == "right":
+            return th.enclosure.lo == th.enclosure.hi == DOMAIN_HI
+        phi = pb.left_certificate_value(DOMAIN_LO, th.w, th.t)
+        return (th.enclosure.lo == th.enclosure.hi == DOMAIN_LO
+                and th.phi_lo == th.phi_hi == phi > 0)
     if th.side == "right":
         p = pb.theta2(th.t)
         return p(th.enclosure.lo) > 0 > p(th.enclosure.hi)
-    phi_lo = left_certificate_value(th.t, th.w, th.enclosure.lo)
-    phi_hi = left_certificate_value(th.t, th.w, th.enclosure.hi)
+    phi_lo = pb.left_certificate_value(th.enclosure.lo, th.w, th.t)
+    phi_hi = pb.left_certificate_value(th.enclosure.hi, th.w, th.t)
     return phi_lo < 0 < phi_hi and phi_lo == th.phi_lo and phi_hi == th.phi_hi
 
 

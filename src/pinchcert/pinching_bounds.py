@@ -6,7 +6,8 @@ form.  Every constructor here returns exact rationals or rational-coefficient
 polynomials; callers certify sign facts about them with
 :mod:`pinchcert.exact_poly`.  The constant polynomials (those without a
 parameter) are built once per process and shared: a :class:`Polynomial` is
-immutable, so only its integer evaluation form is filled in, once.
+immutable, so only its integer evaluation form is filled in, once.  θ2 and
+the lower-endpoint branches are built once as forms in t (:func:`at_t`).
 """
 
 from __future__ import annotations
@@ -66,6 +67,30 @@ def theta1() -> Polynomial:
     return first + second
 
 
+def at_t(form: tuple[Polynomial, ...], t) -> Polynomial:
+    """A form (entry k is the polynomial in x at t^k) specialized at t; Horner in t."""
+    out = form[-1]
+    for coeff in reversed(form[:-1]):
+        out = out * t + coeff
+    return out
+
+
+def _affine_product(a, b) -> tuple:
+    """(a0 + a1 t)(b0 + b1 t) as its coefficients in t."""
+    (a0, a1), (b0, b1) = a, b
+    return (a0 * b0, a0 * b1 + a1 * b0, a1 * b1)
+
+
+@lru_cache(maxsize=None)
+def theta2_form() -> tuple[Polynomial, ...]:
+    """:func:`theta2` as a form in t."""
+    first = _affine_product((0, 40), (-1, 2))  # 40t(2t - 1)
+    amp = (F(36, 5), F(9, 5))  # (9/5)t + 36/5
+    cubic = _X * (3 * _X - 4) * (3 * _X - 5)
+    return tuple(a * cubic + b * Polynomial.linear(9, -5)
+                 for a, b in zip(first, _affine_product(amp, amp)))
+
+
 def theta2(t) -> Polynomial:
     """Cubic certificate for the upper pinching endpoint, parameter t in (0, 1/2].
 
@@ -76,10 +101,7 @@ def theta2(t) -> Polynomial:
     t = rat(t)
     if not 0 < t <= F(1, 2):
         raise ValueError(f"parameter t must satisfy 0 < t <= 1/2, got {t}")
-    first = (40 * t * (2 * t - 1)) * _X * (3 * _X - 4) * (3 * _X - 5)
-    amp = (F(9, 5) * t + F(36, 5)) ** 2
-    second = amp * Polynomial.linear(9, -5)
-    return first + second
+    return at_t(theta2_form(), t)
 
 
 @lru_cache(maxsize=None)
@@ -216,19 +238,6 @@ def smax_threshold(w) -> Fraction:
     return smax_numerator()(w) / gap_denominator()(w)
 
 
-def middleref_value(x, w) -> Fraction:
-    """The t = 1/2 endpoint certificate in closed form.
-
-    x(3x-4)(3x-5)(5x-9) + (5/4)(w-x)^2 ((11/4)x + (19/4)w - 27/5)^2.
-    Negative values rule x out as the supremum of S under the pinching
-    hypothesis with weight w.
-    """
-    x, w = rat(x), rat(w)
-    first = x * (3 * x - 4) * (3 * x - 5) * (5 * x - 9)
-    inner = F(11, 4) * x + F(19, 4) * w - F(27, 5)
-    return first + F(5, 4) * (w - x) ** 2 * inner**2
-
-
 def weight_linear_coeffs(x, w, t) -> tuple[Fraction, Fraction]:
     """Coefficients (c1, c0) of the linear weight q(S) = c1*S + c0.
 
@@ -269,17 +278,50 @@ def left_certificate(x, w, t) -> Fraction:
 
     16t(1-t) x(3x-4)(3x-5)(5x-9) + 5(w-x)^2 * M(x,w,t) where M is the exact
     supremum of q(S)^2 x/S over S in [5/3, x].  A negative value proves x is
-    not attainable as the supremum of S under the pinching hypothesis.  At
-    t = 1/2 this equals 4 * middleref_value(x, w) whenever the supremum sits
-    at S = x, which holds throughout the domain of interest.
+    not attainable as the supremum of S under the pinching hypothesis.
     """
     x, w, t = rat(x), rat(w), rat(t)
     if not 0 < t <= F(1, 2):
         raise ValueError(f"parameter t must satisfy 0 < t <= 1/2, got {t}")
     if not F(5, 3) <= w <= x <= F(9, 5):
         raise ValueError(f"need 5/3 <= w <= x <= 9/5, got w={w}, x={x}")
+    return left_certificate_value(x, w, t)
+
+
+def left_certificate_value(x, w, t) -> Fraction:
+    """:func:`left_certificate` without its domain checks; replay needs x = 5/3 < w."""
+    x, w, t = rat(x), rat(w), rat(t)
     common = 16 * t * (1 - t) * x * (3 * x - 4) * (3 * x - 5) * (5 * x - 9)
     return common + 5 * (w - x) ** 2 * weight_sup_over_s(x, w, t)
+
+
+@lru_cache(maxsize=None)
+def left_branch_forms() -> tuple[tuple[str, tuple[Polynomial, ...]], ...]:
+    """The branches of phi at w = 5/3 as (label, form in t) pairs, quadratic in t.
+
+    The supremum M sits at S = x, at S = 5/3 or at S = c0(x)/c1 (where
+    q = 2 c0), giving 5(w-x)^2 q(x)^2, 3x (w-x)^2 q(5/3)^2 or
+    20 c1 c0(x) x (w-x)^2 plus the common term; c1 and c0(x) = k0 - 2x are
+    affine in t.
+    """
+    (c1, k0), (c1_at_1, k0_at_1) = (weight_linear_coeffs(0, F(5, 3), t) for t in (0, 1))
+    dc1, c0 = c1_at_1 - c1, (k0 - 2 * _X, Polynomial.constant(k0_at_1 - k0))
+
+    def q(s):  # the weight c1 S + c0(x) at S = s
+        return (c0[0] + c1 * s, c0[1] + dc1 * s)
+
+    quartic = _X * (3 * _X - 4) * (3 * _X - 5) * (5 * _X - 9)
+    common = [c * quartic for c in _affine_product((0, 16), (1, -1))]
+
+    def branch(factor, a, b):  # common + factor (w - x)^2 a b
+        factor = factor * Polynomial.linear(F(5, 3), -1) ** 2
+        return tuple(c + factor * p for c, p in zip(common, _affine_product(a, b)))
+
+    return (
+        ("sup-at-x", branch(5, q(_X), q(_X))),
+        ("sup-at-5/3", branch(3 * _X, q(F(5, 3)), q(F(5, 3)))),
+        ("sup-at-critical", branch(20 * _X, (c1, dc1), c0)),
+    )
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,58 @@
+"""θ2 and the left branches are specializations of forms in t built once.
+
+``left_certificate_reference`` holds frozen copies of the builders that
+expanded every polynomial per call; the specializations must equal them
+coefficient for coefficient, with the same labels and segments.
+"""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings, strategies as st
+
+from pinchcert import param_search as ps
+from pinchcert import pinching_bounds as pb
+from pinchcert.exact_poly import sign_at
+
+import left_certificate_reference as ref
+
+F = Fraction
+
+LO, HI = F(5, 3), F(9, 5)
+
+# (0, 1/2]; the critical branch exists only for t between about 27/200 and 3/20
+T_VALUES = st.fractions(min_value=F(1, 10**6), max_value=F(1, 2), max_denominator=10**6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=T_VALUES)
+@example(t=F(1, 2))
+@example(t=F(1, 200))
+@example(t=F(7, 50))
+def test_specializations_equal_the_per_call_builders(t):
+    assert pb.theta2(t).coeffs == ref.theta2(t).coeffs
+    branches = ps.left_branch_polynomials(t)
+    mine = [(label, p.coeffs, seg) for label, p, seg in branches]
+    theirs = [(label, p.coeffs, seg) for label, p, seg in ref.left_branch_polynomials(LO, t)]
+    assert mine == theirs
+    # some full-domain branch is positive at 9/5, so a left threshold always
+    # finds a crossing and never sits at the far edge
+    full = [p for _, p, seg in branches if seg == pb.PINCH_DOMAIN]
+    assert len(full) == 2
+    assert any(sign_at(p, HI) > 0 for p in full)
+
+
+def test_the_critical_branch_is_covered():
+    labels = [label for label, _, _ in ps.left_branch_polynomials(F(7, 50))]
+    assert labels == ["sup-at-x", "sup-at-5/3", "sup-at-critical"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    t=T_VALUES,
+    w=st.fractions(min_value=LO, max_value=HI, max_denominator=10**4),
+    x=st.fractions(min_value=LO, max_value=HI, max_denominator=10**4),
+)
+def test_left_certificate_value_equals_the_reference(t, w, x):
+    assert pb.left_certificate_value(x, w, t) == ref.left_certificate_value(t, w, x)
+    if w <= x:
+        assert pb.left_certificate(x, w, t) == ref.left_certificate_value(t, w, x)

@@ -74,6 +74,8 @@ def test_a_failing_corner_stops_the_left_sweep(monkeypatch):
     with pytest.raises(ExactPolyError, match="edge lemma"):
         ps.optimize("left", config)
     ps.optimize("right", config)  # the right sweep does not rest on the lemma
+    with pytest.raises(ExactPolyError):  # a degenerate probe certifies q(5/3) > 0
+        ps.left_threshold(F(1, 2), HI)
 
 
 @settings(max_examples=40, deadline=None)

@@ -26,6 +26,8 @@ from pinchcert.exact_poly import (
     sturm_sequence,
 )
 
+import exact_reference as ref
+
 F = Fraction
 
 
@@ -244,6 +246,18 @@ def test_count_roots_degenerate_error():
     # case with a zero-width interval at a root instead
     with pytest.raises(DegenerateEndpointError):
         count_roots(Polynomial.x(), IntervalQ(F(0), F(0)))
+
+
+@pytest.mark.parametrize("c", [F(3), F(-2, 7)])
+@pytest.mark.parametrize("iv", [IntervalQ(F(5, 3), F(5, 3)), IntervalQ(F(-1), F(9, 5))])
+def test_count_roots_of_a_constant_matches_the_reference(c, iv):
+    # the general path needs no constant case: a nonzero constant is never
+    # nudged, its chain is [p] and its count is 0
+    p = Polynomial.constant(c)
+    n, cert = count_roots(p, iv)
+    assert (n, cert) == ref.count_roots(p, iv)
+    assert n == 0 and cert.claim == CLAIM_NO_ROOT
+    assert cert.replay()
 
 
 def test_count_roots_agrees_with_scan_oracle_on_random_polynomials():

@@ -1,5 +1,6 @@
 """Tests for the deterministic certificate-parameter sweeps."""
 
+from dataclasses import replace
 from fractions import Fraction
 import random
 
@@ -49,7 +50,7 @@ def test_degenerate_phi_at_domain_edge_is_the_certificate_value(t, w):
     # left_threshold computes phi(5/3) as 5 (w - 5/3)^2 q(5/3)^2
     th = ps.left_threshold(t, w, WIDTH)
     assert th.degenerate
-    assert th.phi_lo == th.phi_hi == ps.left_certificate_value(t, w, F(5, 3)) > 0
+    assert th.phi_lo == th.phi_hi == pb.left_certificate_value(F(5, 3), w, t) > 0
     assert ps.replay_threshold(th)
 
 
@@ -70,22 +71,16 @@ def test_left_threshold_domain_validation():
 
 def test_left_branch_max_equals_certificate_value():
     # the piecewise-polynomial branch maximum must agree with the direct
-    # supremum evaluation everywhere on the domain
+    # supremum evaluation everywhere on the domain; t = 7/50 has the
+    # critical branch
     rng = random.Random(42)
-    for t, w in [(F(1, 2), F(5, 3)), (F(1, 4), F(5, 3)), (F(3, 10), F(17, 10))]:
-        branches = ps.left_branch_polynomials(w, t)
+    w = F(5, 3)
+    for t in (F(1, 2), F(1, 4), F(7, 50)):
+        branches = ps.left_branch_polynomials(t)
         for _ in range(40):
             x = F(5, 3) + F(2, 15) * F(rng.randint(0, 10**5), 10**5)
             applicable = [p(x) for (_, p, seg) in branches if seg.contains(x)]
-            assert max(applicable) == ps.left_certificate_value(t, w, x)
-
-
-def test_left_certificate_value_matches_pinching_bounds():
-    rng = random.Random(7)
-    for _ in range(20):
-        t = F(rng.randint(1, 100), 200)
-        x = F(5, 3) + F(2, 15) * F(rng.randint(0, 10**4), 10**4)
-        assert ps.left_certificate_value(t, F(5, 3), x) == pb.left_certificate(x, F(5, 3), t)
+            assert max(applicable) == pb.left_certificate_value(x, w, t)
 
 
 def test_left_threshold_negativity_dossier_covers_initial_segment():
@@ -95,7 +90,7 @@ def test_left_threshold_negativity_dossier_covers_initial_segment():
     lo = th.enclosure.lo
     for k in range(1, 50):
         x = F(5, 3) + (lo - F(5, 3)) * F(k, 50)
-        assert ps.left_certificate_value(F(1, 2), F(5, 3), x) < 0
+        assert pb.left_certificate_value(x, F(5, 3), F(1, 2)) < 0
     assert all(c.replay() for c in th.support)
 
 
@@ -125,6 +120,7 @@ def test_right_threshold_no_root_at_half():
     assert th.enclosure.lo == th.enclosure.hi == F(9, 5)
     assert th.certificate.claim == "no-root"
     assert th.certificate.replay()
+    assert ps.replay_threshold(th)
 
 
 def test_right_threshold_t_eighth_is_weaker_than_quarter():
@@ -164,6 +160,28 @@ def test_replay_detects_tampered_enclosures():
         support=genuine.support,
     )
     assert not ps.replay_threshold(wrong_t)
+
+
+def test_replay_rejects_forged_degenerate_enclosures():
+    genuine = ps.left_threshold(F(1, 2), F(5, 3), WIDTH)
+    far_edge = ps.IntervalQ(F(9, 5), F(9, 5))
+    phi_far = pb.left_certificate_value(F(9, 5), F(5, 3), F(1, 2))
+    assert phi_far == F(50176, 10125) > 0
+    # the strongest left claim, backed by the positive value phi(9/5)
+    forged = replace(genuine, degenerate=True, enclosure=far_edge,
+                     phi_lo=phi_far, phi_hi=phi_far)
+    assert not ps.replay_threshold(forged)
+    # the same claim with no values at all
+    assert not ps.replay_threshold(replace(forged, phi_lo=None, phi_hi=None))
+    # the strongest right claim
+    quarter = ps.right_threshold(F(1, 4), WIDTH)
+    flipped = replace(quarter, degenerate=True, enclosure=ps.IntervalQ(F(5, 3), F(5, 3)))
+    assert not ps.replay_threshold(flipped)
+    # a genuine left degenerate enclosure with a wrong or missing value
+    degenerate = ps.left_threshold(F(1, 4), F(7, 4), WIDTH)
+    assert ps.replay_threshold(degenerate)
+    assert not ps.replay_threshold(replace(degenerate, phi_lo=degenerate.phi_lo + 1))
+    assert not ps.replay_threshold(replace(degenerate, phi_hi=None))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,17 @@ from pinchcert import pinching_bounds as pb
 F = Fraction
 
 
+def middleref_value(x, w) -> Fraction:
+    """The t = 1/2 endpoint certificate in closed form, an independent oracle.
+
+    x(3x-4)(3x-5)(5x-9) + (5/4)(w-x)^2 ((11/4)x + (19/4)w - 27/5)^2.
+    """
+    x, w = rat(x), rat(w)
+    first = x * (3 * x - 4) * (3 * x - 5) * (5 * x - 9)
+    inner = F(11, 4) * x + F(19, 4) * w - F(27, 5)
+    return first + F(5, 4) * (w - x) ** 2 * inner**2
+
+
 # ---------------------------------------------------------------------------
 # Calabi curvature values
 # ---------------------------------------------------------------------------
@@ -245,6 +256,8 @@ CONSTANT_POLYNOMIALS = (
     pb.gap_derivative_numerator,
     pb._legacy_radicand_poly,
     pb.smax_numerator,
+    pb.theta2_form,
+    pb.left_branch_forms,
 )
 
 
@@ -282,7 +295,7 @@ def test_left_certificate_equals_four_times_middleref_at_half():
         w = F(5, 3)
         x = w + (F(9, 5) - w) * F(rng.randint(0, 10**5), 10**5)
         cert = pb.left_certificate(x, w, F(1, 2))
-        assert cert == 4 * pb.middleref_value(x, w)
+        assert cert == 4 * middleref_value(x, w)
 
 
 def test_left_certificate_never_below_four_times_middleref():
@@ -291,7 +304,7 @@ def test_left_certificate_never_below_four_times_middleref():
         a, b = sorted(rng.randint(0, 10**5) for _ in range(2))
         w = F(5, 3) + F(2, 15) * F(a, 10**5)
         x = F(5, 3) + F(2, 15) * F(b, 10**5)
-        assert pb.left_certificate(x, w, F(1, 2)) >= 4 * pb.middleref_value(x, w)
+        assert pb.left_certificate(x, w, F(1, 2)) >= 4 * middleref_value(x, w)
 
 
 def test_left_certificate_domain_validation():
@@ -309,7 +322,7 @@ def test_middleref_factorization_through_theta1():
     rng = random.Random(5)
     for _ in range(25):
         x = F(5, 3) + F(2, 15) * F(rng.randint(0, 10**5), 10**5)
-        assert pb.middleref_value(x, F(5, 3)) == (3 * x - 5) * p(x)
+        assert middleref_value(x, F(5, 3)) == (3 * x - 5) * p(x)
 
 
 def test_weight_sup_is_a_true_supremum():

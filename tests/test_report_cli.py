@@ -184,6 +184,18 @@ def test_optimize_malformed_config_is_usage_error(tmp_path, capsys):
     assert code == rc.EXIT_USAGE
 
 
+@pytest.mark.parametrize("rounds", [1.9, True, "2"])
+def test_optimize_non_integer_refinement_rounds_is_usage_error(tmp_path, capsys, rounds):
+    # a float, a bool or a string is refused, not truncated to an int
+    path = small_config_file(tmp_path)
+    data = json.loads(path.read_text())
+    data["refinement_rounds"] = rounds
+    path.write_text(json.dumps(data))
+    code = rc.main(["optimize", "--side", "right", "--config", str(path)])
+    assert code == rc.EXIT_USAGE
+    assert "refinement_rounds" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # lab
 # ---------------------------------------------------------------------------
