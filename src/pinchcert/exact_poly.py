@@ -4,13 +4,14 @@ Polynomials have arbitrary-precision rational coefficients
 (`fractions.Fraction`).  Evaluation, Sturm chains and sign counting run on
 integers: a polynomial carries its coefficients scaled to integers, values at
 a/b come from homogeneous Horner, and chains are primitive integer
-pseudo-remainder sequences.  Root counts and sign claims are established by
-Sturm's theorem and packaged as :class:`SignCertificate` records whose
-evidence can be re-derived bit-for-bit from the stored polynomial and
-interval.  Floating point enters at one place only: a numpy root estimate
-proposes the final cell of a root isolation, and exact sign and Sturm checks
-confirm it (or bisection runs as if there had been no proposal), so no
-result depends on a float.
+pseudo-remainder sequences that a polynomial builds on first use and keeps.
+Root counts and sign claims are established by Sturm's theorem and packaged
+as :class:`SignCertificate` records.  One constructor builds every
+certificate and rebuilds it on replay, so it alone says which evidence
+proves which claim.  Floating point enters at one place only: a numpy root
+estimate proposes the final cell of a root isolation, and exact sign and
+Sturm checks confirm it (or bisection runs as if there had been no
+proposal), so no result depends on a float.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-Rational = Fraction
-
 CLAIM_NO_ROOT = "no-root"
 CLAIM_ONE_ROOT = "exactly-one-root"
 CLAIM_POSITIVE = "sign-constant-positive"
@@ -35,7 +34,8 @@ CLAIM_NEGATIVE = "sign-constant-negative"
 CLAIM_ROOT_COUNT = "root-count"
 
 _COUNT_CLAIMS = (CLAIM_NO_ROOT, CLAIM_ONE_ROOT, CLAIM_ROOT_COUNT)
-_SIGN_CLAIMS = (CLAIM_POSITIVE, CLAIM_NEGATIVE)
+# each sign claim with the strict sign it asserts
+_SIGN_CLAIMS = {CLAIM_POSITIVE: 1, CLAIM_NEGATIVE: -1}
 
 
 class ExactPolyError(Exception):
@@ -60,10 +60,13 @@ def rat(value) -> Fraction:
     Decimal strings such as ``"1.7075"`` become exact power-of-ten rationals
     (6830/4000 -> 683/400); ``"p/q"`` strings, ints and Fractions pass through
     exactly.  Binary floats are rejected: accepting them would contaminate
-    certificates with rounding already performed by the caller.
+    certificates with rounding already performed by the caller.  So are
+    bools: ``True`` is an int to Python but never a number a user meant.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError("cannot build an exact rational from bool")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -80,11 +83,12 @@ class Polynomial:
     """Dense univariate polynomial over Fraction, lowest degree first.
 
     Immutable.  The zero polynomial has an empty coefficient tuple and,
-    by convention here, degree -1.  The integer form used for evaluation is
-    derived from ``coeffs`` on first use and takes no part in equality.
+    by convention here, degree -1.  The integer form used for evaluation and
+    the Sturm chain are derived from ``coeffs`` on first use and take no
+    part in equality.
     """
 
-    __slots__ = ("coeffs", "_ints")
+    __slots__ = ("coeffs", "_ints", "_chain")
 
     def __init__(self, coeffs: Iterable):
         cs = [rat(c) for c in coeffs]
@@ -215,6 +219,18 @@ class Polynomial:
             object.__setattr__(self, "_ints", form)
         return form
 
+    def sturm_chain(self) -> tuple["Polynomial", ...]:
+        """:func:`sturm_sequence` of this polynomial, built on first use and
+        kept.  Only the members after p itself are stored, so a polynomial
+        holds no reference to itself.  Most polynomials never need a chain,
+        so the slot stays unset, costing construction nothing, until then."""
+        try:
+            tail = self._chain
+        except AttributeError:
+            tail = tuple(sturm_sequence(self)[1:])
+            object.__setattr__(self, "_chain", tail)
+        return (self, *tail)
+
     def __call__(self, x) -> Fraction:
         """Exact value at x = a/b: ``_homogeneous(ints, a, b) / (den * b^n)``."""
         x = rat(x)
@@ -291,11 +307,6 @@ def sign_at(p: Polynomial, x: Fraction) -> int:
     return _sign_at_ratio(p, x.numerator, x.denominator)
 
 
-def poly_eval(p: Polynomial, x) -> Fraction:
-    """Exact value of ``p`` at a rational point."""
-    return p(x)
-
-
 @dataclass(frozen=True)
 class IntervalQ:
     """Closed rational interval [lo, hi]."""
@@ -312,10 +323,6 @@ class IntervalQ:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
     def contains(self, x) -> bool:
         x = rat(x)
@@ -399,38 +406,36 @@ def sign_variations(values: Sequence) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _variations_at(chain: Sequence[Polynomial], x: Fraction) -> int:
-    return sign_variations([sign_at(q, x) for q in chain])
+def _variations_at(p: Polynomial, x: Fraction) -> int:
+    return sign_variations([sign_at(q, x) for q in p.sturm_chain()])
 
 
 class _RootCounter:
-    """Sturm chain of one polynomial, built once, for repeated range counts."""
+    """Repeated range counts of one polynomial's distinct roots."""
 
-    def __init__(self, p: Polynomial, chain: list[Polynomial] | None = None):
+    def __init__(self, p: Polynomial):
         self.p = p
-        self.chain = sturm_sequence(p) if chain is None else chain
-
-    def variations(self, x: Fraction) -> int:
-        return _variations_at(self.chain, x)
 
     def count(self, lo: Fraction, hi: Fraction) -> int:
         """Distinct roots in (lo, hi); endpoints must not be roots."""
-        return self.variations(lo) - self.variations(hi)
+        return _variations_at(self.p, lo) - _variations_at(self.p, hi)
 
 
-def _nudge_endpoint(p: Polynomial, x: Fraction, span: Fraction, inward: int) -> tuple[Fraction, bool]:
-    """Move an endpoint off a root by shrinking rational steps.
+def _nudge_endpoint(p: Polynomial, iv: IntervalQ, inward: int) -> Fraction:
+    """An end of ``iv`` moved off a root of p by shrinking rational steps.
 
-    Steps are ``span / 10**k`` for k = 6..12, taken toward the interior
-    (``inward`` is +1 for the lower endpoint, -1 for the upper).  Returns
-    (possibly moved point, whether a move happened).
+    ``inward`` is +1 for the lower end, -1 for the upper.  Steps are
+    ``span / 10**k`` for k = 6..12 toward the interior, where span is the
+    width of iv (1 if iv is a point); an end that is no root stays put.
     """
+    x = iv.lo if inward > 0 else iv.hi
     if sign_at(p, x) != 0:
-        return x, False
+        return x
+    span = iv.width if iv.width > 0 else Fraction(1)
     for k in range(6, 13):
         candidate = x + inward * span / 10**k
         if sign_at(p, candidate) != 0:
-            return candidate, True
+            return candidate
     raise DegenerateEndpointError(
         f"endpoint {x} is a root and all nudges 10^-6..10^-12 of the span hit roots"
     )
@@ -440,6 +445,7 @@ def _nudge_endpoint(p: Polynomial, x: Fraction, span: Fraction, inward: int) -> 
 class SignCertificate:
     """Exact-arithmetic proof record for a root-count or sign claim.
 
+    Built by :func:`_certificate` (or read back by :meth:`from_json`).
     ``evidence`` holds only ints and ``p/q`` strings, so the record is
     JSON-stable and :meth:`replay` can recompute every entry from the
     polynomial and interval and compare bit-for-bit.
@@ -471,107 +477,113 @@ class SignCertificate:
         )
 
     def replay(self) -> bool:
-        """Recompute the evidence from scratch and check it verbatim.
+        """Rebuild this certificate at its stored points and compare verbatim.
 
-        The recomputed values must also prove the claim: a ``no-root`` claim
-        needs nonzero values at both closed endpoints, and an
-        ``exactly-one-root`` claim needs endpoint values of opposite sign.
-        Evidence that is missing, mistyped (a float, ``None``) or not in
-        canonical form replays ``False``; it never raises.
+        The rebuild goes through :func:`_certificate`, so the evidence must
+        also prove the label, and starts from a fresh polynomial of the
+        stored coefficients, so no integer form or Sturm chain cached by the
+        builder is trusted.  Evidence that is missing, mistyped (a float,
+        ``None``) or not in canonical form replays ``False``; it never raises.
         """
+        evidence = self.evidence
         try:
-            expected = _recompute_evidence(self.polynomial, self.claim, self.evidence)
+            witness = rat(evidence["witness"]) if self.claim in _SIGN_CLAIMS else None
+            fresh = _certificate(
+                Polynomial(self.polynomial.coeffs), self.interval, self.claim,
+                rat(evidence["lo"]), rat(evidence["hi"]), witness,
+            )
         except (ExactPolyError, ValueError, ZeroDivisionError, KeyError, TypeError):
             return False
         # types too: a float 2.0 or a bool True compares equal to an int
-        if expected != self.evidence or any(
-            type(self.evidence[k]) is not type(v) for k, v in expected.items()
-        ):
-            return False
-        lo = rat(self.evidence["lo"])
-        hi = rat(self.evidence["hi"])
-        return self.interval.lo <= lo <= hi <= self.interval.hi
+        return fresh == self and all(
+            type(evidence[k]) is type(v) for k, v in fresh.evidence.items()
+        )
 
 
-def _recompute_evidence(p: Polynomial, claim: str, evidence: dict) -> dict:
-    """Rebuild the canonical evidence dict for ``claim`` at the recorded points."""
-    count, out = _count_evidence(p, rat(evidence["lo"]), rat(evidence["hi"]))
-    value_lo, value_hi = rat(out["value_lo"]), rat(out["value_hi"])
+def _certificate(p: Polynomial, iv: IntervalQ, claim: str | None, lo: Fraction,
+                 hi: Fraction, witness: Fraction | None = None) -> SignCertificate:
+    """The certificate that ``p`` satisfies ``claim`` on ``iv``, evidenced at
+    iv.lo <= lo <= hi <= iv.hi; the one place that says which evidence
+    proves which claim.
+
+    ``no-root`` needs no root in (lo, hi) and p nonzero at both points (a
+    root on a closed end is a root of the interval too); ``exactly-one-root``
+    one distinct root and values of strictly opposite sign, an odd root that
+    no even-multiplicity touch can fake; ``sign-constant-*`` no root and the
+    stated strict sign at lo, hi and ``witness``; ``root-count`` nothing
+    more than the count.  ``claim=None`` takes the one of the first two that
+    holds, else ``root-count``.  Raises :class:`ExactPolyError`
+    (:class:`SignClaimError`, with a counterexample, for a sign claim) when
+    the evidence does not prove the claim.
+    """
+    if not iv.lo <= lo <= hi <= iv.hi:
+        raise ValueError(f"evidence points {lo}, {hi} not in order inside [{iv.lo}, {iv.hi}]")
+    count, evidence, (s_lo, s_hi) = _count_evidence(p, lo, hi)
     if claim in _SIGN_CLAIMS:
-        witness = rat(evidence["witness"])
-        out["witness"] = rat_str(witness)
-        out["witness_value"] = rat_str(p(witness))
-        want_positive = claim == CLAIM_POSITIVE
-        ok = count == 0 and value_lo != 0 and value_hi != 0
-        for v in (value_lo, value_hi, p(witness)):
-            ok = ok and ((v > 0) == want_positive)
-        if not ok:
-            raise SignClaimError("stored sign claim does not replay", witness)
-    elif claim == CLAIM_NO_ROOT:
-        # a root on a closed endpoint is a root of the interval too
-        if count != 0 or value_lo == 0 or value_hi == 0:
-            raise ExactPolyError("no-root claim does not replay")
-    elif claim == CLAIM_ONE_ROOT:
-        # one distinct root and a strict sign change: an odd-multiplicity
-        # root inside, which no even-multiplicity touch can fake
-        if count != 1 or value_lo * value_hi >= 0:
-            raise ExactPolyError("exactly-one-root claim does not replay")
-    elif claim == CLAIM_ROOT_COUNT:
-        pass
+        want = _SIGN_CLAIMS[claim]
+        for x, s in zip((lo, hi, witness), (s_lo, s_hi, sign_at(p, witness))):
+            if s != want:
+                raise SignClaimError(f"claimed {claim} but p({x}) = {p(x)}", x)
+        if count != 0:
+            raise SignClaimError(
+                f"claimed {claim} but Sturm finds {count} interior root(s)",
+                _find_counterexample(p, iv, want > 0),
+            )
+        evidence["witness"] = rat_str(witness)
+        evidence["witness_value"] = rat_str(p(witness))
     else:
-        raise ValueError(f"unknown claim {claim!r}")
-    return out
+        if count == 0 and s_lo != 0 and s_hi != 0:
+            proven = CLAIM_NO_ROOT
+        elif count == 1 and s_lo * s_hi < 0:
+            proven = CLAIM_ONE_ROOT
+        else:
+            proven = CLAIM_ROOT_COUNT
+        if claim is None:
+            claim = proven
+        elif claim not in _COUNT_CLAIMS:
+            raise ValueError(f"unknown claim {claim!r}")
+        elif claim not in (proven, CLAIM_ROOT_COUNT):
+            raise ExactPolyError(f"{claim} claim fails on [{lo}, {hi}]: {count} root(s), "
+                                 f"end signs {s_lo} and {s_hi}")
+    return SignCertificate(p, iv, claim, evidence)
 
 
-def _count_evidence(
-    p: Polynomial, lo: Fraction, hi: Fraction, chain: list[Polynomial] | None = None
-) -> tuple[int, dict]:
-    """Sturm count of p on (lo, hi) with its evidence; ``chain`` is p's own
-    Sturm chain when the caller already holds it."""
-    if chain is None:
-        chain = sturm_sequence(p)
-    v_lo = _variations_at(chain, lo)
-    v_hi = _variations_at(chain, hi)
+def _count_evidence(p: Polynomial, lo: Fraction, hi: Fraction) -> tuple[int, dict, tuple[int, int]]:
+    """Sturm count of p on (lo, hi), its evidence, and the signs of p at lo and hi."""
+    v_lo = _variations_at(p, lo)
+    v_hi = _variations_at(p, hi)
     count = v_lo - v_hi
+    value_lo, value_hi = p(lo), p(hi)
     evidence = {
         "lo": rat_str(lo),
         "hi": rat_str(hi),
         "variations_lo": v_lo,
         "variations_hi": v_hi,
         "root_count": count,
-        "value_lo": rat_str(p(lo)),
-        "value_hi": rat_str(p(hi)),
+        "value_lo": rat_str(value_lo),
+        "value_hi": rat_str(value_hi),
     }
-    return count, evidence
+    n_lo, n_hi = value_lo.numerator, value_hi.numerator
+    return count, evidence, ((n_lo > 0) - (n_lo < 0), (n_hi > 0) - (n_hi < 0))
 
 
-def count_roots(
-    p: Polynomial, iv: IntervalQ, chain: list[Polynomial] | None = None
-) -> tuple[int, SignCertificate]:
+def count_roots(p: Polynomial, iv: IntervalQ) -> tuple[int, SignCertificate]:
     """Exact number of distinct real roots of ``p`` in the open interval.
 
     Endpoints that happen to be roots are nudged inward by shrinking
     rational steps (recorded in the evidence); if twelve decades of nudging
-    cannot clear them the input is reported as degenerate.  The claim is
-    ``exactly-one-root`` only when the single root changes p's sign between
-    the endpoints, ``root-count`` for any other nonzero count.  ``chain`` is
-    p's Sturm chain when the caller already holds it.
+    cannot clear them the input is reported as degenerate.  The certificate
+    carries the strongest count claim its evidence proves: ``no-root``,
+    ``exactly-one-root`` when the single root changes p's sign between the
+    ends, ``root-count`` for any other nonzero count.
     """
     if p.is_zero:
         raise ValueError("cannot count roots of the zero polynomial")
-    span = iv.width if iv.width > 0 else Fraction(1)
-    lo, _ = _nudge_endpoint(p, iv.lo, span, +1)
-    hi, _ = _nudge_endpoint(p, iv.hi, span, -1)
+    lo, hi = _nudge_endpoint(p, iv, +1), _nudge_endpoint(p, iv, -1)
     if lo > hi:
         raise DegenerateEndpointError("nudged endpoints crossed; interval too thin")
-    count, evidence = _count_evidence(p, lo, hi, chain)
-    if count == 0:
-        claim = CLAIM_NO_ROOT
-    elif count == 1 and sign_at(p, lo) != sign_at(p, hi):
-        claim = CLAIM_ONE_ROOT
-    else:
-        claim = CLAIM_ROOT_COUNT
-    return count, SignCertificate(p, iv, claim, evidence)
+    cert = _certificate(p, iv, None, lo, hi)
+    return cert.evidence["root_count"], cert
 
 
 def _offset_midpoint(p: Polynomial, lo: Fraction, hi: Fraction) -> Fraction:
@@ -620,7 +632,7 @@ def _float_smallest_root(p: Polynomial, a: Fraction, b: Fraction) -> float | Non
     return (lo + hi) / 2
 
 
-def _jump_cell(counter: _RootCounter, a: Fraction, b: Fraction,
+def _jump_cell(p: Polynomial, a: Fraction, b: Fraction,
                width: Fraction) -> tuple[Fraction, Fraction] | None:
     """The cell of :func:`_smallest_root_cell`'s bisection, guessed and confirmed.
 
@@ -631,7 +643,6 @@ def _jump_cell(counter: _RootCounter, a: Fraction, b: Fraction,
     of the cell lie in (a, lo], which then holds no root).  Returns None
     when any of this fails.
     """
-    p = counter.p
     guess = _float_smallest_root(p, a, b)
     if guess is None:
         return None
@@ -648,7 +659,7 @@ def _jump_cell(counter: _RootCounter, a: Fraction, b: Fraction,
     lo, hi = Fraction(lo_num, den), Fraction(lo_num + step, den)
     # the sign change puts a root in (lo, hi); if it is the only one in
     # (a, hi), it is the smallest and the cell holds no other
-    if counter.count(a, hi) != 1:
+    if _RootCounter(p).count(a, hi) != 1:
         return None
     for shift in range(depth - 1, -1, -1):
         prefix = j >> shift
@@ -657,7 +668,7 @@ def _jump_cell(counter: _RootCounter, a: Fraction, b: Fraction,
     return lo, hi
 
 
-def _smallest_root_cell(counter: _RootCounter, a: Fraction, b: Fraction,
+def _smallest_root_cell(p: Polynomial, a: Fraction, b: Fraction,
                         width: Fraction) -> tuple[Fraction, Fraction]:
     """Where bisection toward the smallest root of p in (a, b) stops.
 
@@ -668,10 +679,10 @@ def _smallest_root_cell(counter: _RootCounter, a: Fraction, b: Fraction,
     when that cannot be confirmed.  Requires p(a) != 0 != p(b) and a root
     in (a, b).
     """
-    cell = _jump_cell(counter, a, b, width)
+    cell = _jump_cell(p, a, b, width)
     if cell is not None:
         return cell
-    p = counter.p
+    counter = _RootCounter(p)
     while counter.count(a, b) > 1 or b - a > width:
         mid = (a + b) / 2
         if sign_at(p, mid) == 0:
@@ -683,40 +694,44 @@ def _smallest_root_cell(counter: _RootCounter, a: Fraction, b: Fraction,
     return a, b
 
 
-def isolate_root(
-    p: Polynomial, iv: IntervalQ, width, chain: list[Polynomial] | None = None
-) -> tuple[IntervalQ, SignCertificate]:
+def _enclose_smallest_root(p: Polynomial, a: Fraction, b: Fraction,
+                           width: Fraction) -> tuple[IntervalQ, SignCertificate]:
+    """The cell of :func:`_smallest_root_cell` with its exactly-one-root certificate.
+
+    The tail shared by :func:`isolate_root` and the branch isolation of
+    :mod:`pinchcert.param_search`.  Requires p(a) != 0 != p(b) and a root in
+    (a, b).  The cell holds one root, so the certificate fails (with
+    :class:`ExactPolyError`) only when that root has even multiplicity.
+    """
+    lo, hi = _smallest_root_cell(p, a, b, width)
+    enclosure = IntervalQ(lo, hi)
+    return enclosure, _certificate(p, enclosure, CLAIM_ONE_ROOT, lo, hi)
+
+
+def isolate_root(p: Polynomial, iv: IntervalQ, width) -> tuple[IntervalQ, SignCertificate]:
     """Shrink an interval known to contain exactly one root of ``p``.
 
     Exact bisection down to the requested width; the returned enclosure has
     endpoints of exactly opposite sign, so p(lo)*p(hi) < 0 as rationals.
-    With one root of odd multiplicity in the interval, keeping the half
-    that holds it is keeping the half whose ends differ in sign, so the
-    shared smallest-root kernel gives this bisection's cell.  ``chain`` is
-    p's Sturm chain when the caller already holds it.
+    The bisection starts from the nudged ends of the interval's
+    :func:`count_roots` certificate, whose ``exactly-one-root`` label
+    guarantees their sign change.  With one root of odd multiplicity in the
+    interval, keeping the half that holds it is keeping the half whose ends
+    differ in sign, so the shared smallest-root kernel gives this
+    bisection's cell.
     """
     width = rat(width)
     if width <= 0:
         raise ValueError("isolation width must be positive")
-    if chain is None and p.degree > 0:
-        chain = sturm_sequence(p)
-    count, _ = count_roots(p, iv, chain)
+    count, cert = count_roots(p, iv)
     if count != 1:
         raise ValueError(f"isolate_root requires exactly one root in the interval, found {count}")
-    span = iv.width if iv.width > 0 else Fraction(1)
-    lo, _ = _nudge_endpoint(p, iv.lo, span, +1)
-    hi, _ = _nudge_endpoint(p, iv.hi, span, -1)
-    if sign_at(p, lo) == sign_at(p, hi):
+    if cert.claim != CLAIM_ONE_ROOT:
         raise ExactPolyError(
             "single root without endpoint sign change (even multiplicity); "
             "cannot certify an enclosure by signs"
         )
-    lo, hi = _smallest_root_cell(_RootCounter(p, chain), lo, hi, width)
-    count, evidence = _count_evidence(p, lo, hi, chain)
-    if count != 1:
-        raise ExactPolyError("bisection lost the root (inconsistent Sturm data)")
-    enclosure = IntervalQ(lo, hi)
-    return enclosure, SignCertificate(p, enclosure, CLAIM_ONE_ROOT, evidence)
+    return _enclose_smallest_root(p, rat(cert.evidence["lo"]), rat(cert.evidence["hi"]), width)
 
 
 def _find_counterexample(p: Polynomial, iv: IntervalQ, want_positive: bool) -> Fraction:
@@ -740,32 +755,8 @@ def certify_sign_on_interval(p: Polynomial, iv: IntervalQ, sign: str) -> SignCer
     """
     if sign not in ("positive", "negative"):
         raise ValueError("sign must be 'positive' or 'negative'")
-    want_positive = sign == "positive"
-    claim = CLAIM_POSITIVE if want_positive else CLAIM_NEGATIVE
-
-    def _check(v: Fraction) -> bool:
-        return v != 0 and (v > 0) == want_positive
-
     if p.is_zero:
         raise SignClaimError("zero polynomial has no strict sign", iv.lo)
-    value_lo, value_hi = p(iv.lo), p(iv.hi)
-    if not _check(value_lo):
-        raise SignClaimError(f"claimed {sign} but p({iv.lo}) = {value_lo}", iv.lo)
-    if not _check(value_hi):
-        raise SignClaimError(f"claimed {sign} but p({iv.hi}) = {value_hi}", iv.hi)
-    if iv.width == 0:
-        witness = iv.lo
-    else:
-        witness = _offset_midpoint(p, iv.lo, iv.hi)
-    value_witness = p(witness)
-    if not _check(value_witness):
-        raise SignClaimError(f"claimed {sign} but p({witness}) = {value_witness}", witness)
-    count, evidence = _count_evidence(p, iv.lo, iv.hi)
-    if count != 0:
-        raise SignClaimError(
-            f"claimed {sign} but Sturm finds {count} interior root(s)",
-            _find_counterexample(p, iv, want_positive),
-        )
-    evidence["witness"] = rat_str(witness)
-    evidence["witness_value"] = rat_str(value_witness)
-    return SignCertificate(p, iv, claim, evidence)
+    witness = iv.lo if iv.width == 0 else _offset_midpoint(p, iv.lo, iv.hi)
+    claim = CLAIM_POSITIVE if sign == "positive" else CLAIM_NEGATIVE
+    return _certificate(p, iv, claim, iv.lo, iv.hi, witness)

@@ -30,8 +30,11 @@ Only w = 5/3 builds branches.
 Every probe, comparison and bisection step is exact rational arithmetic
 (a float root estimate may only propose the cell where a bisection ends,
 which exact checks then confirm); identical configurations produce
-bit-identical results.  Each branch's Sturm chain is built once and serves
-every count, isolation and certificate on it.
+bit-identical results.  Each branch polynomial builds its Sturm chain on
+first use and keeps it for every count, isolation and certificate on it.
+Every certificate here comes from :mod:`pinchcert.exact_poly`'s
+``count_roots``, ``certify_sign_on_interval`` or its shared isolation
+tail, which decide the labels.
 """
 
 from __future__ import annotations
@@ -39,27 +42,25 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from . import pinching_bounds as pb
 from .exact_poly import (
-    CLAIM_ONE_ROOT,
-    CLAIM_NO_ROOT,
     ExactPolyError,
     IntervalQ,
     Polynomial,
-    SignCertificate,
-    _count_evidence,
+    _enclose_smallest_root,
     _RootCounter,
-    _smallest_root_cell,
     certify_sign_on_interval,
     count_roots,
     isolate_root,
     rat,
     rat_str,
     sign_at,
-    sturm_sequence,
 )
+
+if TYPE_CHECKING:
+    from .exact_poly import SignCertificate
 
 F = Fraction
 
@@ -247,8 +248,9 @@ def _first_nonneg(p: Polynomial, u: Fraction, v: Fraction, width: Fraction) -> _
     exactly-one-root certificate for the enclosure of the branch's smallest
     root (endpoints of opposite sign).  When the segment starts at a root of
     p, the root factor is divided out exactly so that strict negativity of
-    the quotient certifies the sign of p on the initial sliver.  p's Sturm
-    chain is built once, after the cheap sign tests.
+    the quotient certifies the sign of p on the initial sliver.  p builds
+    its Sturm chain at its first count, after the cheap sign tests, and
+    keeps it for the rest.
     """
     if sign_at(p, u) > 0:
         return _Crossing(kind="at-start", lo=u, hi=u)
@@ -264,12 +266,10 @@ def _first_nonneg(p: Polynomial, u: Fraction, v: Fraction, width: Fraction) -> _
             return _Crossing(kind="at-start", lo=u, hi=u_in)
         # p = (x-u)^k g with (x-u)^k > 0 above u, so sign(p) = sign(g) there
         dossier.append(certify_sign_on_interval(g, IntervalQ(u, u_in), "negative"))
-        counter = _RootCounter(p)
     else:
-        counter = _RootCounter(p)
-        n_gap, cert_gap = count_roots(p, IntervalQ(u, u_in), counter.chain)
+        n_gap, cert_gap = count_roots(p, IntervalQ(u, u_in))
         if n_gap != 0:
-            enclosure, cert = _isolate_smallest_root(p, u, u_in, width, counter)
+            enclosure, cert = _isolate_smallest_root(p, u, u_in, width)
             return _Crossing(kind="root", lo=enclosure.lo, hi=enclosure.hi,
                              certificate=cert, dossier=(cert_gap,))
         dossier.append(cert_gap)
@@ -278,27 +278,20 @@ def _first_nonneg(p: Polynomial, u: Fraction, v: Fraction, width: Fraction) -> _
         v_in = v - (v - u) / 10**6
         while sign_at(p, v_in) == 0:
             v_in = (u_in + v_in) / 2
-    n = counter.count(u_in, v_in)
-    if n == 0:
-        _, evidence = _count_evidence(p, u_in, v_in, counter.chain)
-        cert = SignCertificate(p, IntervalQ(u_in, v_in), CLAIM_NO_ROOT, evidence)
-        dossier.append(cert)
+    # no end below is a root of p, so count_roots certifies at exactly these points
+    if _RootCounter(p).count(u_in, v_in) == 0:
+        dossier.append(count_roots(p, IntervalQ(u_in, v_in))[1])
         return _Crossing(kind="none", dossier=tuple(dossier))
-    enclosure, cert = _isolate_smallest_root(p, u_in, v_in, width, counter=counter)
+    enclosure, cert = _isolate_smallest_root(p, u_in, v_in, width)
     # dossier: no roots strictly below the enclosure, so p < 0 there
     if enclosure.lo > u_in:
-        _, ev = _count_evidence(p, u_in, enclosure.lo, counter.chain)
-        dossier.append(SignCertificate(p, IntervalQ(u_in, enclosure.lo), CLAIM_NO_ROOT, ev))
+        dossier.append(count_roots(p, IntervalQ(u_in, enclosure.lo))[1])
     return _Crossing(kind="root", lo=enclosure.lo, hi=enclosure.hi,
                      certificate=cert, dossier=tuple(dossier))
 
 
 def _isolate_smallest_root(
-    p: Polynomial,
-    a: Fraction,
-    b: Fraction,
-    width: Fraction,
-    counter: _RootCounter | None = None,
+    p: Polynomial, a: Fraction, b: Fraction, width: Fraction
 ) -> tuple[IntervalQ, SignCertificate]:
     """Enclose the smallest root of p in (a, b); requires p(a) != 0 != p(b).
 
@@ -307,18 +300,15 @@ def _isolate_smallest_root(
     kernel :func:`exact_poly._smallest_root_cell` jumps straight to the
     cell where that bisection stops whenever it can confirm it.
     """
-    counter = counter or _RootCounter(p)
-    if counter.count(a, b) < 1:
+    if _RootCounter(p).count(a, b) < 1:
         raise ValueError("no root to isolate")
-    a, b = _smallest_root_cell(counter, a, b, width)
-    if sign_at(p, a) * sign_at(p, b) >= 0:
-        # a single root without a sign change is an even-multiplicity touch
+    try:
+        return _enclose_smallest_root(p, a, b, width)
+    except ExactPolyError as err:
+        # the cell holds one root, so only an even-multiplicity touch fails
         raise ExactPolyError(
             "branch root has even multiplicity; no sign-change enclosure exists"
-        )
-    _, evidence = _count_evidence(p, a, b, counter.chain)
-    enclosure = IntervalQ(a, b)
-    return enclosure, SignCertificate(p, enclosure, CLAIM_ONE_ROOT, evidence)
+        ) from err
 
 
 def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
@@ -392,8 +382,7 @@ def right_threshold(t, width=F(1, 10**6)) -> ThresholdEnclosure:
     """
     t, width = rat(t), rat(width)
     p = pb.theta2(t)
-    chain = sturm_sequence(p)
-    n, count_cert = count_roots(p, pb.PINCH_DOMAIN, chain)
+    n, count_cert = count_roots(p, pb.PINCH_DOMAIN)
     if n == 0:
         return ThresholdEnclosure(
             side="right", t=t, w=DOMAIN_HI,
@@ -402,7 +391,7 @@ def right_threshold(t, width=F(1, 10**6)) -> ThresholdEnclosure:
         )
     if n != 1:
         raise ExactPolyError(f"expected at most one root in the domain, found {n}")
-    enclosure, cert = isolate_root(p, pb.PINCH_DOMAIN, width, chain)
+    enclosure, cert = isolate_root(p, pb.PINCH_DOMAIN, width)
     return ThresholdEnclosure(
         side="right", t=t, w=DOMAIN_HI, enclosure=enclosure,
         certificate=cert, degenerate=False, support=(count_cert,),
@@ -556,8 +545,6 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
     for (t, w), th in sorted(live.items(), key=lambda item: item[0]):
         if th.degenerate:
             degenerate_count += 1
-            if side == "left":
-                continue  # keep the table compact; count recorded instead
         rows.append((t, w, th.enclosure.lo, th.enclosure.hi, th.degenerate))
     return Optimum(
         side=side,

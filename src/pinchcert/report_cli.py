@@ -33,6 +33,7 @@ from .exact_poly import (
     isolate_root,
     rat,
     rat_str,
+    sign_at,
 )
 
 F = Fraction
@@ -161,42 +162,32 @@ def cmd_certify() -> CertificationReport:
     report = CertificationReport(command="certify", inputs={})
     domain = pb.PINCH_DOMAIN
 
-    theta1 = pb.theta1()
-    n1, cert_n1 = count_roots(theta1, domain)
-    report.add_certificate("theta1-root-count", cert_n1)
-    report.add_check("theta1-unique-root", n1 == 1, count=n1)
-
-    enc1, cert_e1 = isolate_root(theta1, domain, F(1, 10**6))
-    report.add_certificate("theta1-enclosure", cert_e1)
-    report.add_enclosure("theta1-root", enc1)
-    lo_ok = theta1(rat("1.7075")) < 0
-    hi_ok = theta1(rat("1.7076")) > 0
-    report.add_check(
-        "theta1-bracket",
-        lo_ok and hi_ok and rat("1.7075") < enc1.lo and enc1.hi < rat("1.7076"),
-        value_at_lower=rat_str(theta1(rat("1.7075"))),
-        value_at_upper=rat_str(theta1(rat("1.7076"))),
-        enclosure_lo=rat_str(enc1.lo),
-        enclosure_hi=rat_str(enc1.hi),
+    # (name, certificate cubic, extra check details, decimal bracket, sign
+    # of the cubic at the bracket's lower end)
+    thresholds = (
+        ("theta1", pb.theta1(), {}, ("1.7075", "1.7076"), -1),
+        ("theta2", pb.theta2(F(1, 4)), {"t": "1/4"}, ("1.7852", "1.7853"), 1),
     )
+    certified = []
+    for name, p, details, (lower, upper), lower_sign in thresholds:
+        n, cert_n = count_roots(p, domain)
+        report.add_certificate(f"{name}-root-count", cert_n)
+        report.add_check(f"{name}-unique-root", n == 1, count=n, **details)
 
-    theta2 = pb.theta2(F(1, 4))
-    n2, cert_n2 = count_roots(theta2, domain)
-    report.add_certificate("theta2-root-count", cert_n2)
-    report.add_check("theta2-unique-root", n2 == 1, count=n2, t="1/4")
-
-    enc2, cert_e2 = isolate_root(theta2, domain, F(1, 10**6))
-    report.add_certificate("theta2-enclosure", cert_e2)
-    report.add_enclosure("theta2-root", enc2)
-    report.add_check(
-        "theta2-bracket",
-        theta2(rat("1.7852")) > 0 > theta2(rat("1.7853"))
-        and rat("1.7852") < enc2.lo and enc2.hi < rat("1.7853"),
-        value_at_lower=rat_str(theta2(rat("1.7852"))),
-        value_at_upper=rat_str(theta2(rat("1.7853"))),
-        enclosure_lo=rat_str(enc2.lo),
-        enclosure_hi=rat_str(enc2.hi),
-    )
+        enc, cert_e = isolate_root(p, domain, F(1, 10**6))
+        report.add_certificate(f"{name}-enclosure", cert_e)
+        report.add_enclosure(f"{name}-root", enc)
+        a, b = rat(lower), rat(upper)
+        report.add_check(
+            f"{name}-bracket",
+            sign_at(p, a) == lower_sign == -sign_at(p, b) and a < enc.lo and enc.hi < b,
+            value_at_lower=rat_str(p(a)),
+            value_at_upper=rat_str(p(b)),
+            enclosure_lo=rat_str(enc.lo),
+            enclosure_hi=rat_str(enc.hi),
+        )
+        certified.append((cert_n, cert_e, enc))
+    (cert_n1, cert_e1, enc1), (cert_n2, cert_e2, enc2) = certified
 
     monotone_cert = certify_sign_on_interval(
         pb.gap_derivative_numerator(), domain, "negative"
@@ -422,10 +413,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--min", dest="a_min", default=None,
                        help="lower bound for |A_ring|^2, e.g. 5/12 or 0.45")
     p_cls.add_argument("--max", dest="a_max", default=None, help="upper bound")
+    # default None: given with --input, these would be silently overridden
     p_cls.add_argument("--h-nonvanishing", action=argparse.BooleanOptionalAction,
-                       default=True)
+                       default=None, help="without --input; default on")
     p_cls.add_argument("--h-parallel", action=argparse.BooleanOptionalAction,
-                       default=True)
+                       default=None, help="without --input; default on")
     return parser
 
 
@@ -444,14 +436,21 @@ def main(argv: list[str] | None = None) -> int:
                              csv_path=args.csv)
         elif args.subcommand == "classify":
             if args.input is not None:
+                for flag, value, key in (
+                    ("h-nonvanishing", args.h_nonvanishing, "mean_curvature_nonvanishing"),
+                    ("h-parallel", args.h_parallel, "normalized_H_parallel"),
+                ):
+                    if value is not None:
+                        raise ValueError(f"--{'' if value else 'no-'}{flag} cannot be "
+                                         f"combined with --input; set {key} in the file")
                 with open(args.input, "r", encoding="utf-8") as fh:
                     data = sb.ShrinkerPinchData.from_json(json.load(fh))
             elif args.a_min is not None and args.a_max is not None:
                 data = sb.ShrinkerPinchData(
                     a_circ_min=rat(args.a_min),
                     a_circ_max=rat(args.a_max),
-                    mean_curvature_nonvanishing=args.h_nonvanishing,
-                    normalized_H_parallel=args.h_parallel,
+                    mean_curvature_nonvanishing=args.h_nonvanishing is not False,
+                    normalized_H_parallel=args.h_parallel is not False,
                 )
             else:
                 print("classify needs --input or both --min and --max", file=sys.stderr)
@@ -469,9 +468,13 @@ def main(argv: list[str] | None = None) -> int:
     report.wall_time_ms = int((time.perf_counter() - started) * 1000)
     print(report.render_markdown())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json_str())
-            fh.write("\n")
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json_str())
+                fh.write("\n")
+        except OSError as err:
+            print(f"usage error: {err}", file=sys.stderr)
+            return EXIT_USAGE
     if not report.all_passed:
         print(f"certification failure: {', '.join(report.failing())}", file=sys.stderr)
         return EXIT_CERTIFICATION_FAILURE

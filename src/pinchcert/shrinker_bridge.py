@@ -85,11 +85,16 @@ class ShrinkerPinchData:
 
     @classmethod
     def from_json(cls, data: dict) -> "ShrinkerPinchData":
+        """Inverse of :meth:`to_json`; the two hypotheses must be JSON
+        booleans, since a string such as ``"false"`` is truthy."""
+        for key in ("mean_curvature_nonvanishing", "normalized_H_parallel"):
+            if not isinstance(data[key], bool):
+                raise TypeError(f"{key} must be a JSON boolean, got {data[key]!r}")
         return cls(
             a_circ_min=rat(data["a_circ_min"]),
             a_circ_max=rat(data["a_circ_max"]),
-            mean_curvature_nonvanishing=bool(data["mean_curvature_nonvanishing"]),
-            normalized_H_parallel=bool(data["normalized_H_parallel"]),
+            mean_curvature_nonvanishing=data["mean_curvature_nonvanishing"],
+            normalized_H_parallel=data["normalized_H_parallel"],
         )
 
 

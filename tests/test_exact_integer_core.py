@@ -21,7 +21,6 @@ from pinchcert.exact_poly import (
     Polynomial,
     _count_evidence,
     _jump_cell,
-    _RootCounter,
     count_roots,
     isolate_root,
     sign_at,
@@ -111,11 +110,15 @@ def test_integer_form_stays_out_of_equality_and_hash():
     assert Polynomial(())(F(5, 3)) == 0
 
 
-def test_count_evidence_with_a_given_chain_matches_a_fresh_one():
+def test_kept_chain_matches_a_fresh_one_and_stays_out_of_equality():
     p = from_roots([F(7, 4), F(3, 2)], extra=[F(1, 2)])
-    chain = sturm_sequence(p)
-    assert _count_evidence(p, F(1), F(2), chain) == _count_evidence(p, F(1), F(2))
-    assert count_roots(p, IntervalQ(1, 2), chain)[1] == count_roots(p, IntervalQ(1, 2))[1]
+    assert p.sturm_chain() == tuple(sturm_sequence(p))
+    assert p.sturm_chain()[0] is p
+    assert all(q is not p for q in p._chain)  # the kept tail: no reference cycle
+    fresh = Polynomial(p.coeffs)
+    assert fresh == p and hash(fresh) == hash(p)
+    assert _count_evidence(p, F(1), F(2)) == _count_evidence(fresh, F(1), F(2))
+    assert count_roots(p, IntervalQ(1, 2)) == count_roots(fresh, IntervalQ(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +188,13 @@ def test_explicit_cases_match_reference(p, iv, width, why):
 @pytest.mark.parametrize("p, iv, width, why", FALLBACK_CASES, ids=[c[3] for c in FALLBACK_CASES])
 def test_fallback_cases_are_not_jumped(p, iv, width, why):
     a, b = smallest_args(p, iv)
-    assert _jump_cell(_RootCounter(p), a, b, width) is None
+    assert _jump_cell(p, a, b, width) is None
 
 
 def test_jump_lands_on_the_bisection_cell_for_a_simple_root():
     p = from_roots([F(13, 10), F(17, 10)], extra=[F(1, 3)])
     a, b = F(1), F(2)
-    cell = _jump_cell(_RootCounter(p), a, b, F(1, 10**6))
+    cell = _jump_cell(p, a, b, F(1, 10**6))
     assert cell is not None
     expected, _ = ref.isolate_smallest_root(p, a, b, F(1, 10**6))
     assert cell == (expected.lo, expected.hi)
@@ -211,5 +214,5 @@ def test_a_wrong_estimate_is_refused_and_bisection_takes_over(monkeypatch, p, gu
     """The float estimate only proposes; the exact checks decide."""
     a, b, width = F(1), F(2), F(1, 10**6)
     monkeypatch.setattr(ep, "_float_smallest_root", lambda p, a, b: guess)
-    assert _jump_cell(_RootCounter(p), a, b, width) is None
+    assert _jump_cell(p, a, b, width) is None
     assert ps._isolate_smallest_root(p, a, b, width) == ref.isolate_smallest_root(p, a, b, width)

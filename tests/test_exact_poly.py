@@ -20,7 +20,6 @@ from pinchcert.exact_poly import (
     certify_sign_on_interval,
     count_roots,
     isolate_root,
-    poly_eval,
     rat,
     rat_str,
     sturm_sequence,
@@ -122,7 +121,7 @@ def test_degree_of_product():
 
 def test_zero_polynomial_eval():
     z = Polynomial.zero()
-    assert poly_eval(z, F(22, 7)) == 0
+    assert z(F(22, 7)) == 0
     assert z.is_zero and z.degree == -1
 
 
@@ -372,7 +371,7 @@ def _forged_count_certificate(p: Polynomial, claim: str) -> SignCertificate:
     # Sturm data recomputed honestly at the endpoints 1 and 2; only the
     # claim is chosen by hand
     iv = IntervalQ(F(1), F(2))
-    _, evidence = _count_evidence(p, iv.lo, iv.hi)
+    _, evidence, _ = _count_evidence(p, iv.lo, iv.hi)
     return SignCertificate(p, iv, claim, evidence)
 
 
@@ -421,6 +420,17 @@ def test_replay_rejects_an_int_field_given_as_float_or_bool():
         evidence = dict(cert.evidence, root_count=value)
         assert evidence == cert.evidence  # equal as Python values, not as evidence
         assert SignCertificate(cert.polynomial, cert.interval, cert.claim, evidence).replay() is False
+
+
+def test_replay_trusts_no_form_cached_on_the_stored_polynomial():
+    # replay starts from the stored coefficients, as a JSON reload does, so
+    # a corrupted cache on the builder's polynomial changes nothing
+    p = poly(-2, 0, 1)
+    _, cert = count_roots(p, IntervalQ(F(0), F(2)))
+    object.__setattr__(p, "_ints", ((1, 0, 1), 1))  # the integer form of x^2 + 1
+    object.__setattr__(p, "_chain", ())
+    assert count_roots(p, IntervalQ(F(0), F(2)))[1] != cert
+    assert cert.replay()
 
 
 def test_replay_is_bit_for_bit_on_serialized_form():

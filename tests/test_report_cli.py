@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pinchcert import exact_poly as ep
 from pinchcert import pinching_bounds as pb
 from pinchcert import report_cli as rc
 from pinchcert import param_search as ps
@@ -76,6 +77,22 @@ def test_certify_bytes_equal_with_cold_and_warm_polynomial_caches():
     cold = rc.cmd_certify().to_json_str(strip_wall_time=True)
     warm = rc.cmd_certify().to_json_str(strip_wall_time=True)
     assert cold == warm
+
+
+def test_each_sturm_chain_is_built_once(monkeypatch):
+    # a polynomial keeps its chain: a warm certify builds one for θ2 at
+    # t = 1/4 and one per replayed certificate (replay starts from a fresh
+    # polynomial), and a right probe builds one for its θ2
+    rc.cmd_certify()
+    built = []
+    real = ep.sturm_sequence
+    monkeypatch.setattr(ep, "sturm_sequence", lambda p: built.append(p) or real(p))
+    report = rc.cmd_certify()
+    assert len(report.certificates) == 7
+    assert len(built) == 9
+    built.clear()
+    ps.right_threshold(rat("3/10"))
+    assert len(built) == 1
 
 
 # unmutated, these replay True: see the round-trip test above
@@ -148,6 +165,13 @@ def test_certify_exit_code_via_main(capsys, tmp_path):
     assert isinstance(payload["wall_time_ms"], int)
 
 
+def test_unwritable_json_path_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    code = rc.main(["--json", str(out), "classify", "--min", "1/3", "--max", "1/3"])
+    assert code == rc.EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # optimize
 # ---------------------------------------------------------------------------
@@ -194,6 +218,17 @@ def test_optimize_non_integer_refinement_rounds_is_usage_error(tmp_path, capsys,
     code = rc.main(["optimize", "--side", "right", "--config", str(path)])
     assert code == rc.EXIT_USAGE
     assert "refinement_rounds" in capsys.readouterr().err
+
+
+def test_optimize_bool_isolation_width_is_usage_error(tmp_path, capsys):
+    # true is an int to Python; as a width it would silently mean 1
+    path = small_config_file(tmp_path)
+    data = json.loads(path.read_text())
+    data["isolation_width"] = True
+    path.write_text(json.dumps(data))
+    code = rc.main(["optimize", "--side", "right", "--config", str(path)])
+    assert code == rc.EXIT_USAGE
+    assert "bool" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +315,40 @@ def test_classify_input_file(tmp_path, capsys):
     code = rc.main(["classify", "--input", str(path)])
     assert code == rc.EXIT_OK
     assert "veronese" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_classify_input_hypothesis_must_be_a_json_boolean(tmp_path, capsys, value):
+    # "false" is truthy; it must not count as the hypothesis holding
+    payload = ShrinkerPinchData(
+        a_circ_min=rat("5/12"), a_circ_max=rat("5/12"),
+        mean_curvature_nonvanishing=True, normalized_H_parallel=True,
+    ).to_json()
+    payload["mean_curvature_nonvanishing"] = value
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(payload))
+    code = rc.main(["classify", "--input", str(path)])
+    assert code == rc.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "mean_curvature_nonvanishing" in captured.err
+    assert "calabi" not in captured.out
+
+
+@pytest.mark.parametrize("flag, key", [
+    ("--no-h-parallel", "normalized_H_parallel"),
+    ("--h-nonvanishing", "mean_curvature_nonvanishing"),
+])
+def test_classify_hypothesis_flag_with_input_is_usage_error(tmp_path, capsys, flag, key):
+    payload = ShrinkerPinchData(
+        a_circ_min=rat("1/3"), a_circ_max=rat("1/3"),
+        mean_curvature_nonvanishing=True, normalized_H_parallel=True,
+    ).to_json()
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(payload))
+    code = rc.main(["classify", "--input", str(path), flag])
+    assert code == rc.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert flag in err and key in err
 
 
 def test_classify_hypotheses_flags(capsys):
