@@ -698,7 +698,7 @@ def _enclose_smallest_root(p: Polynomial, a: Fraction, b: Fraction,
                            width: Fraction) -> tuple[IntervalQ, SignCertificate]:
     """The cell of :func:`_smallest_root_cell` with its exactly-one-root certificate.
 
-    The tail shared by :func:`isolate_root` and the branch isolation of
+    The tail shared by :func:`isolate_counted_root` and the branch isolation of
     :mod:`pinchcert.param_search`.  Requires p(a) != 0 != p(b) and a root in
     (a, b).  The cell holds one root, so the certificate fails (with
     :class:`ExactPolyError`) only when that root has even multiplicity.
@@ -711,27 +711,37 @@ def _enclose_smallest_root(p: Polynomial, a: Fraction, b: Fraction,
 def isolate_root(p: Polynomial, iv: IntervalQ, width) -> tuple[IntervalQ, SignCertificate]:
     """Shrink an interval known to contain exactly one root of ``p``.
 
+    :func:`isolate_counted_root` of the interval's :func:`count_roots`
+    certificate.
+    """
+    return isolate_counted_root(count_roots(p, iv)[1], width)
+
+
+def isolate_counted_root(count_cert: SignCertificate, width) -> tuple[IntervalQ, SignCertificate]:
+    """Shrink the one root that a :func:`count_roots` certificate counts.
+
     Exact bisection down to the requested width; the returned enclosure has
     endpoints of exactly opposite sign, so p(lo)*p(hi) < 0 as rationals.
-    The bisection starts from the nudged ends of the interval's
-    :func:`count_roots` certificate, whose ``exactly-one-root`` label
-    guarantees their sign change.  With one root of odd multiplicity in the
-    interval, keeping the half that holds it is keeping the half whose ends
-    differ in sign, so the shared smallest-root kernel gives this
-    bisection's cell.
+    The bisection starts from the certificate's nudged ends, whose
+    ``exactly-one-root`` label guarantees their sign change, so a caller
+    that needs the count certificate anyway counts only once.  With one
+    root of odd multiplicity in the interval, keeping the half that holds
+    it is keeping the half whose ends differ in sign, so the shared
+    smallest-root kernel gives this bisection's cell.
     """
     width = rat(width)
     if width <= 0:
         raise ValueError("isolation width must be positive")
-    count, cert = count_roots(p, iv)
+    count = count_cert.evidence["root_count"]
     if count != 1:
         raise ValueError(f"isolate_root requires exactly one root in the interval, found {count}")
-    if cert.claim != CLAIM_ONE_ROOT:
+    if count_cert.claim != CLAIM_ONE_ROOT:
         raise ExactPolyError(
             "single root without endpoint sign change (even multiplicity); "
             "cannot certify an enclosure by signs"
         )
-    return _enclose_smallest_root(p, rat(cert.evidence["lo"]), rat(cert.evidence["hi"]), width)
+    lo, hi = (rat(count_cert.evidence[k]) for k in ("lo", "hi"))
+    return _enclose_smallest_root(count_cert.polynomial, lo, hi, width)
 
 
 def _find_counterexample(p: Polynomial, iv: IntervalQ, want_positive: bool) -> Fraction:

@@ -4,12 +4,12 @@ For the lower endpoint the certificate value at a probe x is
 
     phi(x) = 16 t (1-t) x (3x-4)(3x-5)(5x-9) + 5 (w-x)^2 M(x, w, t),
 
-where M is the exact supremum of q(S)^2 x / S over S in [5/3, x].  Because
-the supremum is attained at one of finitely many rational candidates, phi is
-the pointwise maximum of at most three polynomial "branches"; the threshold
-(the largest x below which phi is negative) is therefore the smallest
-first root over the branches, which Sturm machinery encloses exactly.  phi
-and its branches live in :mod:`pinchcert.pinching_bounds`.
+where M is the exact supremum of q(S)^2 x / S over S in [5/3, x].  The
+supremum sits at S = 5/3 or at S = x, so phi is the larger of two
+polynomial "branches"; the threshold (the largest x below which phi is
+negative) is therefore the smaller first root of the two, which Sturm
+machinery encloses exactly.  phi and its branches live in
+:mod:`pinchcert.pinching_bounds`.
 
 For the upper endpoint the certificate is a single cubic, so its root is
 isolated directly.
@@ -53,10 +53,9 @@ from .exact_poly import (
     _RootCounter,
     certify_sign_on_interval,
     count_roots,
-    isolate_root,
+    isolate_counted_root,
     rat,
     rat_str,
-    sign_at,
 )
 
 if TYPE_CHECKING:
@@ -157,27 +156,6 @@ class ThresholdEnclosure:
         }
 
 
-def left_branch_polynomials(t) -> list[tuple[str, Polynomial, IntervalQ]]:
-    """:func:`pinching_bounds.left_branch_forms` at t, with their segments.
-
-    Returns (label, polynomial, applicability interval) triples; the
-    certificate value at x is the max of the applicable branch values.
-    The two endpoint branches (supremum at S = 5/3 and at S = x) cover the
-    whole domain; the interior critical branch exists only where the
-    stationary point c0(x)/c1 falls inside [5/3, x].
-    """
-    t = rat(t)
-    c1, k0 = pb.weight_linear_coeffs(0, DOMAIN_LO, t)  # c0(x) = k0 - 2x
-    segments = dict.fromkeys(("sup-at-x", "sup-at-5/3"), pb.PINCH_DOMAIN)
-    # critical branch applicability: 5/3 <= (k0 - 2x)/c1 <= x
-    seg_lo = max(DOMAIN_LO, k0 / (2 + c1))
-    seg_hi = min(DOMAIN_HI, (k0 - F(5, 3) * c1) / 2)
-    if seg_lo <= seg_hi:
-        segments["sup-at-critical"] = IntervalQ(seg_lo, seg_hi)
-    return [(label, pb.at_t(form, t), segments[label])
-            for label, form in pb.left_branch_forms() if label in segments]
-
-
 def edge_weight(t, w) -> Polynomial:
     """The weight q(S) = c1 S + c0(x) at S = 5/3, as a linear polynomial in x.
 
@@ -206,88 +184,29 @@ def edge_lemma() -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
     return corners
 
 
-@dataclass
-class _Crossing:
-    """First point along a branch where the branch value becomes >= 0."""
+def _first_nonneg(p: Polynomial, width: Fraction) -> tuple[IntervalQ, SignCertificate,
+                                                              tuple[SignCertificate, ...]]:
+    """Enclose the first root of a left branch p above 5/3, with the
+    certificates that p < 0 below it.
 
-    kind: str                 # "none" | "at-start" | "root"
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-    certificate: SignCertificate | None = None
-    dossier: tuple[SignCertificate, ...] = ()
-
-
-def _nonzero_point_above(p: Polynomial, u: Fraction, v: Fraction) -> Fraction:
-    """Point u' slightly above u with p(u') != 0."""
-    delta = (v - u) / 10**6
-    for _ in range(10):
-        candidate = u + delta
-        if candidate < v and sign_at(p, candidate) != 0:
-            return candidate
-        delta /= 10
-    raise ExactPolyError(f"no nonzero point just above {u}")
-
-
-def _deflate_root(p: Polynomial, u: Fraction) -> Polynomial:
-    """Divide out every (x - u) factor; requires p(u) == 0."""
-    g = p
-    factor = Polynomial.linear(-u, 1)
-    while not g.is_zero:
-        q, r = g.divmod(factor)
-        if not r.is_zero:
-            break
-        g = q
-    return g
-
-
-def _first_nonneg(p: Polynomial, u: Fraction, v: Fraction, width: Fraction) -> _Crossing:
-    """Locate the first x in (u, v) where p(x) >= 0.
-
-    The returned data is backed by exact certificates: "none" carries a
-    no-root certificate over the whole segment, "root" carries an
-    exactly-one-root certificate for the enclosure of the branch's smallest
-    root (endpoints of opposite sign).  When the segment starts at a root of
-    p, the root factor is divided out exactly so that strict negativity of
-    the quotient certifies the sign of p on the initial sliver.  p builds
-    its Sturm chain at its first count, after the cheap sign tests, and
-    keeps it for the rest.
+    A branch vanishes at 5/3 to exactly first order with negative slope and
+    is positive at 9/5 (see :func:`pinching_bounds.left_branch_forms`).  So
+    (x - 5/3) is divided out once, and the quotient, whose sign is p's above
+    5/3, is certified negative on a sliver [5/3, u]; the first root in
+    (u, 9/5) is isolated; a count on (u, enclosure.lo) shows no root before
+    it.  A branch that broke the lemma would fail the division check, the
+    quotient's sign certificate or the isolation.  p builds its Sturm chain
+    at the isolation and keeps it for the count.
     """
-    if sign_at(p, u) > 0:
-        return _Crossing(kind="at-start", lo=u, hi=u)
-    u_in = _nonzero_point_above(p, u, v)
-    if sign_at(p, u_in) > 0:
-        return _Crossing(kind="at-start", lo=u, hi=u_in)
-    dossier = []
-    # certify p < 0 on the sliver (u, u_in]
-    if sign_at(p, u) == 0:
-        g = _deflate_root(p, u)
-        if sign_at(g, u) > 0:
-            # p = (x-u)^k g turns positive immediately above u
-            return _Crossing(kind="at-start", lo=u, hi=u_in)
-        # p = (x-u)^k g with (x-u)^k > 0 above u, so sign(p) = sign(g) there
-        dossier.append(certify_sign_on_interval(g, IntervalQ(u, u_in), "negative"))
-    else:
-        n_gap, cert_gap = count_roots(p, IntervalQ(u, u_in))
-        if n_gap != 0:
-            enclosure, cert = _isolate_smallest_root(p, u, u_in, width)
-            return _Crossing(kind="root", lo=enclosure.lo, hi=enclosure.hi,
-                             certificate=cert, dossier=(cert_gap,))
-        dossier.append(cert_gap)
-    v_in = v
-    if sign_at(p, v_in) == 0:
-        v_in = v - (v - u) / 10**6
-        while sign_at(p, v_in) == 0:
-            v_in = (u_in + v_in) / 2
-    # no end below is a root of p, so count_roots certifies at exactly these points
-    if _RootCounter(p).count(u_in, v_in) == 0:
-        dossier.append(count_roots(p, IntervalQ(u_in, v_in))[1])
-        return _Crossing(kind="none", dossier=tuple(dossier))
-    enclosure, cert = _isolate_smallest_root(p, u_in, v_in, width)
-    # dossier: no roots strictly below the enclosure, so p < 0 there
-    if enclosure.lo > u_in:
-        dossier.append(count_roots(p, IntervalQ(u_in, enclosure.lo))[1])
-    return _Crossing(kind="root", lo=enclosure.lo, hi=enclosure.hi,
-                     certificate=cert, dossier=tuple(dossier))
+    u = DOMAIN_LO + (DOMAIN_HI - DOMAIN_LO) / 10**6
+    g, r = p.divmod(Polynomial.linear(-DOMAIN_LO, 1))
+    if not r.is_zero:
+        raise ExactPolyError(f"left branch does not vanish at {DOMAIN_LO}")
+    dossier = [certify_sign_on_interval(g, IntervalQ(DOMAIN_LO, u), "negative")]
+    enclosure, cert = _isolate_smallest_root(p, u, DOMAIN_HI, width)
+    if enclosure.lo > u:
+        dossier.append(count_roots(p, IntervalQ(u, enclosure.lo))[1])
+    return enclosure, cert, tuple(dossier)
 
 
 def _isolate_smallest_root(
@@ -340,24 +259,16 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
             degenerate=True, phi_lo=phi, phi_hi=phi,
         )
 
-    crossings: list[tuple[Fraction, Fraction, _Crossing]] = []
-    dossier: list[SignCertificate] = []
-    for label, p, seg in left_branch_polynomials(t):
-        if p.is_zero:
-            raise ExactPolyError(f"branch {label} degenerated to the zero polynomial")
-        crossing = _first_nonneg(p, seg.lo, seg.hi, width / 2)
-        dossier.extend(crossing.dossier)
-        if crossing.kind != "none":
-            crossings.append((crossing.lo, crossing.hi, crossing))
-
-    # never empty: at 9/5 sup-at-x or sup-at-5/3 is positive, as q(9/5) != q(5/3)
-    crossings.sort(key=lambda item: (item[0], item[1]))
-    lo, hi, winner = crossings[0]
-    if winner.kind == "at-start" or winner.certificate is None:
-        raise ExactPolyError(
-            "certificate becomes nonnegative at a branch segment boundary; "
-            "no sign-change enclosure exists for these parameters"
-        )
+    crossings = []
+    support: list[SignCertificate] = []
+    for _, form in pb.left_branch_forms():
+        enclosure, cert, dossier = _first_nonneg(pb.at_t(form, t), width / 2)
+        support.extend(dossier)
+        crossings.append((enclosure, cert))
+    # phi is the larger branch, so its threshold is the earlier first root;
+    # min keeps the first of equal keys, so a tie goes to sup-at-x
+    enclosure, cert = min(crossings, key=lambda c: (c[0].lo, c[0].hi))
+    lo, hi = enclosure.lo, enclosure.hi
     phi_lo = pb.left_certificate_value(lo, w, t)
     phi_hi = pb.left_certificate_value(hi, w, t)
     if not (phi_lo < 0 < phi_hi):
@@ -366,9 +277,8 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
             f"phi({lo}) = {phi_lo}, phi({hi}) = {phi_hi}"
         )
     return ThresholdEnclosure(
-        side="left", t=t, w=w, enclosure=IntervalQ(lo, hi),
-        certificate=winner.certificate, degenerate=False,
-        support=tuple(dossier), phi_lo=phi_lo, phi_hi=phi_hi,
+        side="left", t=t, w=w, enclosure=enclosure, certificate=cert,
+        degenerate=False, support=tuple(support), phi_lo=phi_lo, phi_hi=phi_hi,
     )
 
 
@@ -391,7 +301,7 @@ def right_threshold(t, width=F(1, 10**6)) -> ThresholdEnclosure:
         )
     if n != 1:
         raise ExactPolyError(f"expected at most one root in the domain, found {n}")
-    enclosure, cert = isolate_root(p, pb.PINCH_DOMAIN, width)
+    enclosure, cert = isolate_counted_root(count_cert, width)
     return ThresholdEnclosure(
         side="right", t=t, w=DOMAIN_HI, enclosure=enclosure,
         certificate=cert, degenerate=False, support=(count_cert,),

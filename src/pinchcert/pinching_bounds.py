@@ -12,7 +12,6 @@ the lower-endpoint branches are built once as forms in t (:func:`at_t`).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -253,24 +252,13 @@ def weight_linear_coeffs(x, w, t) -> tuple[Fraction, Fraction]:
 def weight_sup_over_s(x, w, t) -> Fraction:
     """Exact supremum of q(S)^2 * x / S over S in [5/3, x].
 
-    The derivative numerator factors as (c1 S + c0)(c1 S - c0), so the only
-    interior critical points are S = +-c0/c1; the supremum is attained at a
-    rational candidate and is returned exactly.
+    For S > 0, q(S)^2 / S = c1^2 S + 2 c1 c0 + c0^2 / S is convex, so its
+    only interior critical point, S = c0/c1, is a minimum: the supremum sits
+    at S = 5/3 or at S = x.
     """
     x, w, t = rat(x), rat(w), rat(t)
     c1, c0 = weight_linear_coeffs(x, w, t)
-    candidates = [F(5, 3), x]
-    if c1 != 0:
-        crit = c0 / c1
-        if F(5, 3) <= crit <= x:
-            candidates.append(crit)
-    best = None
-    for s in candidates:
-        q = c1 * s + c0
-        g = q * q * x / s
-        if best is None or g > best:
-            best = g
-    return best
+    return max((c1 * s + c0) ** 2 * x / s for s in (F(5, 3), x))
 
 
 def left_certificate(x, w, t) -> Fraction:
@@ -297,12 +285,15 @@ def left_certificate_value(x, w, t) -> Fraction:
 
 @lru_cache(maxsize=None)
 def left_branch_forms() -> tuple[tuple[str, tuple[Polynomial, ...]], ...]:
-    """The branches of phi at w = 5/3 as (label, form in t) pairs, quadratic in t.
+    """The two branches of phi at w = 5/3 as (label, form in t) pairs, quadratic in t.
 
-    The supremum M sits at S = x, at S = 5/3 or at S = c0(x)/c1 (where
-    q = 2 c0), giving 5(w-x)^2 q(x)^2, 3x (w-x)^2 q(5/3)^2 or
-    20 c1 c0(x) x (w-x)^2 plus the common term; c1 and c0(x) = k0 - 2x are
-    affine in t.
+    The supremum M sits at S = x or at S = 5/3 (:func:`weight_sup_over_s`),
+    giving 5(w-x)^2 q(x)^2 or 3x (w-x)^2 q(5/3)^2 plus the common term, so
+    phi is the larger branch on the whole domain; c1 and c0(x) = k0 - 2x are
+    affine in t.  Each branch vanishes at 5/3 to first order, with slope
+    -160t(1-t)/3, and is positive at 9/5, where "sup-at-x" is
+    5 (2/15)^2 (106/15 + 4t/5)^2 and "sup-at-5/3" is
+    (27/5) (2/15)^2 (104/15 - t/5)^2.
     """
     (c1, k0), (c1_at_1, k0_at_1) = (weight_linear_coeffs(0, F(5, 3), t) for t in (0, 1))
     dc1, c0 = c1_at_1 - c1, (k0 - 2 * _X, Polynomial.constant(k0_at_1 - k0))
@@ -313,15 +304,11 @@ def left_branch_forms() -> tuple[tuple[str, tuple[Polynomial, ...]], ...]:
     quartic = _X * (3 * _X - 4) * (3 * _X - 5) * (5 * _X - 9)
     common = [c * quartic for c in _affine_product((0, 16), (1, -1))]
 
-    def branch(factor, a, b):  # common + factor (w - x)^2 a b
+    def branch(factor, s):  # common + factor (w - x)^2 q(s)^2
         factor = factor * Polynomial.linear(F(5, 3), -1) ** 2
-        return tuple(c + factor * p for c, p in zip(common, _affine_product(a, b)))
+        return tuple(c + factor * p for c, p in zip(common, _affine_product(q(s), q(s))))
 
-    return (
-        ("sup-at-x", branch(5, q(_X), q(_X))),
-        ("sup-at-5/3", branch(3 * _X, q(F(5, 3)), q(F(5, 3)))),
-        ("sup-at-critical", branch(20 * _X, (c1, dc1), c0)),
-    )
+    return (("sup-at-x", branch(5, _X)), ("sup-at-5/3", branch(3 * _X, F(5, 3))))
 
 
 @dataclass(frozen=True)
@@ -342,9 +329,6 @@ class ThresholdReport:
             "parameters": {k: rat_str(rat(v)) for k, v in self.parameters.items()},
             "conclusion": self.conclusion,
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def render_markdown_table(reports: list[ThresholdReport]) -> str:

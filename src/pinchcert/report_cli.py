@@ -30,7 +30,7 @@ from .exact_poly import (
     SignCertificate,
     certify_sign_on_interval,
     count_roots,
-    isolate_root,
+    isolate_counted_root,
     rat,
     rat_str,
     sign_at,
@@ -174,7 +174,7 @@ def cmd_certify() -> CertificationReport:
         report.add_certificate(f"{name}-root-count", cert_n)
         report.add_check(f"{name}-unique-root", n == 1, count=n, **details)
 
-        enc, cert_e = isolate_root(p, domain, F(1, 10**6))
+        enc, cert_e = isolate_counted_root(cert_n, F(1, 10**6))
         report.add_certificate(f"{name}-enclosure", cert_e)
         report.add_enclosure(f"{name}-root", enc)
         a, b = rat(lower), rat(upper)
@@ -411,8 +411,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--input", metavar="PATH", default=None,
                        help="JSON file with the pinching data")
     p_cls.add_argument("--min", dest="a_min", default=None,
-                       help="lower bound for |A_ring|^2, e.g. 5/12 or 0.45")
-    p_cls.add_argument("--max", dest="a_max", default=None, help="upper bound")
+                       help="lower bound for |A_ring|^2 without --input, e.g. 5/12 or 0.45")
+    p_cls.add_argument("--max", dest="a_max", default=None, help="upper bound without --input")
     # default None: given with --input, these would be silently overridden
     p_cls.add_argument("--h-nonvanishing", action=argparse.BooleanOptionalAction,
                        default=None, help="without --input; default on")
@@ -437,11 +437,13 @@ def main(argv: list[str] | None = None) -> int:
         elif args.subcommand == "classify":
             if args.input is not None:
                 for flag, value, key in (
+                    ("min", args.a_min, "a_circ_min"),
+                    ("max", args.a_max, "a_circ_max"),
                     ("h-nonvanishing", args.h_nonvanishing, "mean_curvature_nonvanishing"),
                     ("h-parallel", args.h_parallel, "normalized_H_parallel"),
                 ):
                     if value is not None:
-                        raise ValueError(f"--{'' if value else 'no-'}{flag} cannot be "
+                        raise ValueError(f"--{'no-' if value is False else ''}{flag} cannot be "
                                          f"combined with --input; set {key} in the file")
                 with open(args.input, "r", encoding="utf-8") as fh:
                     data = sb.ShrinkerPinchData.from_json(json.load(fh))

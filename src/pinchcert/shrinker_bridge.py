@@ -12,7 +12,6 @@ All thresholds are exact rationals; interval membership is decided exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -117,9 +116,6 @@ class Classification:
             "possible_models": list(self.possible_models),
         }
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
 
 def spherical_to_shrinker(s_unit) -> Fraction:
     """Unit-sphere S to the shrinker-scale traceless norm: divide by 4."""
@@ -150,13 +146,6 @@ class OscillationThresholds:
     spherical: Fraction
     shrinker: Fraction
     conjectural: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "spherical": rat_str(self.spherical),
-            "shrinker": rat_str(self.shrinker),
-            "conjectural": rat_str(self.conjectural),
-        }
 
 
 def oscillation_threshold() -> OscillationThresholds:

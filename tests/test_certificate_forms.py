@@ -2,14 +2,13 @@
 
 ``left_certificate_reference`` holds frozen copies of the builders that
 expanded every polynomial per call; the specializations must equal them
-coefficient for coefficient, with the same labels and segments.
+coefficient for coefficient, with the same labels.
 """
 
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from pinchcert import param_search as ps
 from pinchcert import pinching_bounds as pb
 from pinchcert.exact_poly import sign_at
 
@@ -19,7 +18,8 @@ F = Fraction
 
 LO, HI = F(5, 3), F(9, 5)
 
-# (0, 1/2]; the critical branch exists only for t between about 27/200 and 3/20
+# (0, 1/2]; the reference builds its critical branch only for t between
+# about 27/200 and 3/20
 T_VALUES = st.fractions(min_value=F(1, 10**6), max_value=F(1, 2), max_denominator=10**6)
 
 
@@ -30,20 +30,27 @@ T_VALUES = st.fractions(min_value=F(1, 10**6), max_value=F(1, 2), max_denominato
 @example(t=F(7, 50))
 def test_specializations_equal_the_per_call_builders(t):
     assert pb.theta2(t).coeffs == ref.theta2(t).coeffs
-    branches = ps.left_branch_polynomials(t)
-    mine = [(label, p.coeffs, seg) for label, p, seg in branches]
-    theirs = [(label, p.coeffs, seg) for label, p, seg in ref.left_branch_polynomials(LO, t)]
+    mine = [(label, pb.at_t(form, t).coeffs) for label, form in pb.left_branch_forms()]
+    # the two full-domain branches; the critical one is below both (see
+    # test_left_threshold_two_branches)
+    theirs = [(label, p.coeffs) for label, p, seg in ref.left_branch_polynomials(LO, t)
+              if seg == pb.PINCH_DOMAIN]
     assert mine == theirs
-    # some full-domain branch is positive at 9/5, so a left threshold always
-    # finds a crossing and never sits at the far edge
-    full = [p for _, p, seg in branches if seg == pb.PINCH_DOMAIN]
-    assert len(full) == 2
-    assert any(sign_at(p, HI) > 0 for p in full)
+    # every branch is positive at 9/5, so a left threshold always finds a
+    # crossing and never sits at the far edge
+    assert all(sign_at(pb.at_t(form, t), HI) > 0 for _, form in pb.left_branch_forms())
 
 
 def test_the_critical_branch_is_covered():
-    labels = [label for label, _, _ in ps.left_branch_polynomials(F(7, 50))]
-    assert labels == ["sup-at-x", "sup-at-5/3", "sup-at-critical"]
+    # at t = 7/50 the reference builds the critical branch; on its segment
+    # the larger of the two end branches is phi, and the critical one is no larger
+    branches = {label: (p, seg) for label, p, seg in ref.left_branch_polynomials(LO, F(7, 50))}
+    assert list(branches) == ["sup-at-x", "sup-at-5/3", "sup-at-critical"]
+    critical, seg = branches.pop("sup-at-critical")
+    for k in range(101):
+        x = seg.lo + seg.width * F(k, 100)
+        top = max(p(x) for p, _ in branches.values())
+        assert critical(x) <= top == ref.left_certificate_value(F(7, 50), LO, x)
 
 
 @settings(max_examples=100, deadline=None)

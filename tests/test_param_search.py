@@ -70,17 +70,16 @@ def test_left_threshold_domain_validation():
 
 
 def test_left_branch_max_equals_certificate_value():
-    # the piecewise-polynomial branch maximum must agree with the direct
-    # supremum evaluation everywhere on the domain; t = 7/50 has the
-    # critical branch
+    # the larger of the two branches must agree with the direct supremum
+    # evaluation everywhere on the domain, including where the weight's
+    # critical point c0/c1 lies in [5/3, x] (t = 7/50)
     rng = random.Random(42)
     w = F(5, 3)
     for t in (F(1, 2), F(1, 4), F(7, 50)):
-        branches = ps.left_branch_polynomials(t)
+        branches = [pb.at_t(form, t) for _, form in pb.left_branch_forms()]
         for _ in range(40):
             x = F(5, 3) + F(2, 15) * F(rng.randint(0, 10**5), 10**5)
-            applicable = [p(x) for (_, p, seg) in branches if seg.contains(x)]
-            assert max(applicable) == pb.left_certificate_value(x, w, t)
+            assert max(p(x) for p in branches) == pb.left_certificate_value(x, w, t)
 
 
 def test_left_threshold_negativity_dossier_covers_initial_segment():

@@ -281,7 +281,7 @@ def test_exact_core_failure_exits_1_naming_the_item(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ExactPolyError("theta1: isolation found no sign change")
 
-    monkeypatch.setattr(rc, "isolate_root", broken)
+    monkeypatch.setattr(rc, "isolate_counted_root", broken)
     code = rc.main(["certify"])
     assert code == rc.EXIT_CERTIFICATION_FAILURE
     assert ("certification failure: certify: theta1: isolation found no sign change"
@@ -349,6 +349,25 @@ def test_classify_hypothesis_flag_with_input_is_usage_error(tmp_path, capsys, fl
     assert code == rc.EXIT_USAGE
     err = capsys.readouterr().err
     assert flag in err and key in err
+
+
+@pytest.mark.parametrize("bounds, flag, key", [
+    (["--min", "0", "--max", "0"], "--min", "a_circ_min"),
+    (["--max", "0"], "--max", "a_circ_max"),
+])
+def test_classify_bound_flag_with_input_is_usage_error(tmp_path, capsys, bounds, flag, key):
+    # the file's bounds would win silently; a veronese file must not classify
+    payload = ShrinkerPinchData(
+        a_circ_min=rat("1/3"), a_circ_max=rat("1/3"),
+        mean_curvature_nonvanishing=True, normalized_H_parallel=True,
+    ).to_json()
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(payload))
+    code = rc.main(["classify", "--input", str(path), *bounds])
+    assert code == rc.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert flag in captured.err and key in captured.err
+    assert "veronese" not in captured.out
 
 
 def test_classify_hypotheses_flags(capsys):
