@@ -8,10 +8,9 @@ pseudo-remainder sequences that a polynomial builds on first use and keeps.
 Root counts and sign claims are established by Sturm's theorem and packaged
 as :class:`SignCertificate` records.  One constructor builds every
 certificate and rebuilds it on replay, so it alone says which evidence
-proves which claim.  Floating point enters at one place only: a numpy root
-estimate proposes the final cell of a root isolation, and exact sign and
-Sturm checks confirm it (or bisection runs as if there had been no
-proposal), so no result depends on a float.
+proves which claim.  No float enters this module: root isolation proposes
+its final dyadic cell by exact signs alone, and Sturm checks confirm the
+proposal (or bisection runs as if there had been none).
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
-
-import numpy as np
 
 CLAIM_NO_ROOT = "no-root"
 CLAIM_ONE_ROOT = "exactly-one-root"
@@ -83,12 +80,12 @@ class Polynomial:
     """Dense univariate polynomial over Fraction, lowest degree first.
 
     Immutable.  The zero polynomial has an empty coefficient tuple and,
-    by convention here, degree -1.  The integer form used for evaluation and
-    the Sturm chain are derived from ``coeffs`` on first use and take no
-    part in equality.
+    by convention here, degree -1.  The integer form used for evaluation,
+    the Sturm chain and the hash are derived from ``coeffs`` on first use
+    and take no part in equality.
     """
 
-    __slots__ = ("coeffs", "_ints", "_chain")
+    __slots__ = ("coeffs", "_ints", "_chain", "_hash")
 
     def __init__(self, coeffs: Iterable):
         cs = [rat(c) for c in coeffs]
@@ -139,7 +136,12 @@ class Polynomial:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.coeffs)
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -527,7 +529,7 @@ def _certificate(p: Polynomial, iv: IntervalQ, claim: str | None, lo: Fraction,
         if count != 0:
             raise SignClaimError(
                 f"claimed {claim} but Sturm finds {count} interior root(s)",
-                _find_counterexample(p, iv, want > 0),
+                _find_counterexample(p, lo, hi, want),
             )
         evidence["witness"] = rat_str(witness)
         evidence["witness_value"] = rat_str(p(witness))
@@ -610,49 +612,63 @@ def _bisection_depth(span: Fraction, width: Fraction) -> int:
     return d
 
 
-def _float_smallest_root(p: Polynomial, a: Fraction, b: Fraction) -> float | None:
-    """Float estimate of the first sign change of p in [a, b], if numpy sees one.
+#: the sign search of :func:`_propose_cell` first scans 2^4 coarse cells
+_COARSE_LEVELS = 4
 
-    Each pass samples the bracket at 256 points and keeps the first sign
-    change; five passes shrink it by 2^40.  A root of even multiplicity, or
-    two roots between neighbouring samples, is passed over.
+
+def _propose_cell(p: Polynomial, base: int, step: int, den: int, depth: int) -> int | None:
+    """Index j of a grid cell where p changes sign, found by exact signs.
+
+    The grid has points (base + i * step) / den for i = 0 .. 2^depth.  The
+    first of 2^4 + 1 coarse grid points, left to right, whose sign differs
+    from the sign at point 0 closes a coarse cell, and sign bisection inside
+    it narrows that cell to one grid cell (j, j + 1).  Returns None when no
+    coarse point differs or the search meets a grid point that is a root.
     """
-    try:
-        coeffs = [float(c) for c in reversed(p.coeffs)]
-        lo, hi = float(a), float(b)
-    except OverflowError:
+    s_a = _sign_at_ratio(p, base, den)
+    if s_a == 0:
         return None
-    for _ in range(5):
-        xs = np.linspace(lo, hi, 257)
-        signs = np.sign(np.polyval(coeffs, xs))
-        change = np.flatnonzero(signs[:-1] * signs[1:] <= 0)
-        if not change.size:
+    coarse = 1 << max(depth - _COARSE_LEVELS, 0)
+    for k in range(coarse, (1 << depth) + 1, coarse):
+        s = _sign_at_ratio(p, base + k * step, den)
+        if s != s_a:
+            break
+    else:
+        return None
+    if s == 0:
+        return None
+    # p has the sign s_a at point j and the other sign at point j + n
+    j, n = k - coarse, coarse
+    while n > 1:
+        n >>= 1
+        s = _sign_at_ratio(p, base + (j + n) * step, den)
+        if s == 0:
             return None
-        lo, hi = xs[change[0]], xs[change[0] + 1]
-    return (lo + hi) / 2
+        if s == s_a:
+            j += n
+    return j
 
 
 def _jump_cell(p: Polynomial, a: Fraction, b: Fraction,
                width: Fraction) -> tuple[Fraction, Fraction] | None:
-    """The cell of :func:`_smallest_root_cell`'s bisection, guessed and confirmed.
+    """The cell of :func:`_smallest_root_cell`'s bisection, proposed and confirmed.
 
-    A float estimate of the smallest root picks the dyadic cell (lo, hi) of
-    (a, b) at the depth the width demands.  Bisection stops in that cell
-    exactly when its endpoints have opposite signs, (a, hi) holds one root,
-    and no midpoint where bisection moved b down is a root (midpoints left
-    of the cell lie in (a, lo], which then holds no root).  Returns None
-    when any of this fails.
+    :func:`_propose_cell` picks the dyadic cell (lo, hi) of (a, b) at the
+    depth the width demands by exact signs alone.  Bisection stops in that
+    cell exactly when its endpoints have opposite signs, (a, hi) holds one
+    root, and no midpoint where bisection moved b down is a root (midpoints
+    left of the cell lie in (a, lo], which then holds no root).  Returns
+    None when any of this fails.
     """
-    guess = _float_smallest_root(p, a, b)
-    if guess is None:
-        return None
     span = b - a
     depth = _bisection_depth(span, width)
-    j = min(max(floor((guess - float(a)) / float(span) * (1 << depth)), 0), (1 << depth) - 1)
     # grid point i of the bisection at this depth is (base + i * step) / den
     den = a.denominator * span.denominator << depth
     base = a.numerator * span.denominator << depth
     step = span.numerator * a.denominator
+    j = _propose_cell(p, base, step, den, depth)
+    if j is None:
+        return None
     lo_num = base + j * step
     if _sign_at_ratio(p, lo_num, den) * _sign_at_ratio(p, lo_num + step, den) >= 0:
         return None
@@ -675,9 +691,9 @@ def _smallest_root_cell(p: Polynomial, a: Fraction, b: Fraction,
     Bisection keeps the half of the current cell that holds the smallest
     root (a midpoint that is itself a root is replaced by a nearby
     non-root), until the cell is at most ``width`` wide and holds one root.
-    The cell is first taken from :func:`_jump_cell`; bisection runs only
-    when that cannot be confirmed.  Requires p(a) != 0 != p(b) and a root
-    in (a, b).
+    The cell is first taken from :func:`_jump_cell`, which proposes it by
+    exact signs; bisection runs only when Sturm cannot confirm it.  Requires
+    p(a) != 0 != p(b) and a root in (a, b).
     """
     cell = _jump_cell(p, a, b, width)
     if cell is not None:
@@ -744,15 +760,36 @@ def isolate_counted_root(count_cert: SignCertificate, width) -> tuple[IntervalQ,
     return _enclose_smallest_root(count_cert.polynomial, lo, hi, width)
 
 
-def _find_counterexample(p: Polynomial, iv: IntervalQ, want_positive: bool) -> Fraction:
-    """Locate a rational point in [lo, hi] violating the requested sign."""
-    for n in (2, 16, 128, 1024, 8192):
-        for k in range(n + 1):
-            x = iv.lo + iv.width * Fraction(k, n)
-            v = sign_at(p, x)
-            if v == 0 or (v > 0) != want_positive:
-                return x
-    raise ExactPolyError("sign claim is false but no counterexample was located")
+def _find_counterexample(p: Polynomial, lo: Fraction, hi: Fraction, want: int) -> Fraction:
+    """A rational point of [lo, hi] where p does not have the strict sign ``want``.
+
+    Requires p(lo) and p(hi) of sign ``want`` and a root in (lo, hi).  The
+    roots are taken left to right by the shared smallest-root kernel.  A
+    root of odd multiplicity flips p's sign, so the right end of its cell is
+    a counterexample.  An even-multiplicity touch keeps the sign; if it is
+    rational, its denominator divides p's integer leading coefficient L, so
+    in a cell narrower than 1/L^2 it is the only fraction of denominator at
+    most L, and it is the counterexample.  Raises :class:`ExactPolyError`
+    when every root is a touch at an irrational point, such as (x^2 - 2)^2
+    on [1, 2]: then no rational point violates the claim.
+    """
+    lead = abs(p.integer_form()[0][-1])
+    fine = Fraction(1, 2 * lead * lead)
+    counter = _RootCounter(p)
+    a = lo
+    while counter.count(a, hi):
+        c_lo, c_hi = _smallest_root_cell(p, a, hi, hi - a)
+        if sign_at(p, c_hi) != want:
+            return c_hi
+        c_lo, c_hi = _smallest_root_cell(p, c_lo, c_hi, fine)
+        touch = ((c_lo + c_hi) / 2).limit_denominator(lead)
+        if c_lo < touch < c_hi and sign_at(p, touch) == 0:
+            return touch
+        a = c_hi
+    raise ExactPolyError(
+        "sign claim is false only at even-multiplicity touches at irrational "
+        "points, so no rational counterexample exists"
+    )
 
 
 def certify_sign_on_interval(p: Polynomial, iv: IntervalQ, sign: str) -> SignCertificate:
@@ -761,7 +798,9 @@ def certify_sign_on_interval(p: Polynomial, iv: IntervalQ, sign: str) -> SignCer
     Evidence: zero roots in the interior by Sturm count, plus exact
     evaluations of the stated sign at both endpoints and one interior point.
     Raises :class:`SignClaimError` carrying a rational counterexample when
-    the claim is false.
+    the claim is false, and :class:`ExactPolyError` in the one case without
+    a rational counterexample: p vanishes in the interval only at
+    even-multiplicity touches at irrational points.
     """
     if sign not in ("positive", "negative"):
         raise ValueError("sign must be 'positive' or 'negative'")

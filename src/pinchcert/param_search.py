@@ -22,16 +22,18 @@ vanishes and phi(5/3) = 5 (w - 5/3)^2 q(5/3)^2, where the weight
 is bilinear in (t, w).  It is positive at the four corners of
 [0, 1/2] x [5/3, 9/5], hence on the whole rectangle, so every probe with
 w > 5/3 is degenerate with enclosure [5/3, 5/3].  :func:`optimize` checks
-the corners exactly once per left sweep and records such probes as dead
-keys: they rank and count as the degenerate probes they are, but no
-polynomial, Sturm chain or certificate is built for them unless one wins.
-Only w = 5/3 builds branches.
+the corners exactly once per left sweep and then counts such probes: they
+rank and count as the degenerate probes they are, but no polynomial, Sturm
+chain, certificate or per-pair key is built for them, and only the
+smallest of the grid's dead pairs competes for the incumbent.  Only
+w = 5/3 builds branches.
 
-Every probe, comparison and bisection step is exact rational arithmetic
-(a float root estimate may only propose the cell where a bisection ends,
-which exact checks then confirm); identical configurations produce
-bit-identical results.  Each branch polynomial builds its Sturm chain on
-first use and keeps it for every count, isolation and certificate on it.
+Every probe, comparison and bisection step is exact rational or integer
+arithmetic, with no float anywhere (a bisection's final cell is proposed
+by exact signs and confirmed by Sturm counts); identical configurations
+produce bit-identical results.  Each branch polynomial builds its Sturm
+chain on first use and keeps it for every count, isolation and certificate
+on it.
 Every certificate here comes from :mod:`pinchcert.exact_poly`'s
 ``count_roots``, ``certify_sign_on_interval`` or its shared isolation
 tail, which decide the labels.
@@ -40,9 +42,10 @@ tail, which decide the labels.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Sequence
 
 from . import pinching_bounds as pb
 from .exact_poly import (
@@ -379,10 +382,10 @@ def _strength_key(side: str, th: ThresholdEnclosure) -> tuple:
     return (th.enclosure.hi, th.enclosure.lo, th.t, th.w)
 
 
-def _trisect_candidates(values: Iterable[Fraction], incumbent: Fraction) -> list[Fraction]:
-    """Trisection probes of the grid gaps adjacent to the incumbent."""
-    values = sorted(set(values))
-    i = values.index(incumbent)
+def _trisect_candidates(values: Sequence[Fraction], incumbent: Fraction) -> list[Fraction]:
+    """Trisection probes of the gaps next to the incumbent among ``values``,
+    which are sorted and distinct and hold the incumbent."""
+    i = bisect_left(values, incumbent)
     out = []
     if i > 0:
         gap = incumbent - values[i - 1]
@@ -393,14 +396,20 @@ def _trisect_candidates(values: Iterable[Fraction], incumbent: Fraction) -> list
     return out
 
 
+def _distinct(grid: Sequence[Fraction]) -> list[Fraction]:
+    """A sorted grid without its repeats; equality tests only, no hashing."""
+    return [v for i, v in enumerate(grid) if i == 0 or v != grid[i - 1]]
+
+
 def optimize(side: str, config: SweepConfig) -> Optimum:
     """Grid sweep plus exact trisection refinement around the incumbent.
 
     Deterministic: probes are exact rationals, results are compared exactly,
     and ties break toward smaller t then smaller w.  The incumbent is kept
-    as probes arrive.  On the left, probes with w > 5/3 are dead keys (see
-    :func:`edge_lemma`) ranked by their known enclosure [5/3, 5/3]; if one
-    wins, its enclosure is built after the refinement.
+    as probes arrive.  On the left, probes with w > 5/3 are dead (see
+    :func:`edge_lemma`): they are counted, and ranked by their known
+    enclosure [5/3, 5/3]; if one wins, its enclosure is built after the
+    refinement.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -408,50 +417,61 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
         edge_lemma()
     width = config.isolation_width
     live: dict[tuple[Fraction, Fraction], ThresholdEnclosure] = {}
-    dead: set[tuple[Fraction, Fraction]] = set()
+    dead = 0
     best_key = best_tw = None
 
-    def probe(t: Fraction, w: Fraction) -> None:
+    def consider(key: tuple, tw: tuple[Fraction, Fraction]) -> None:
         nonlocal best_key, best_tw
-        tw = (t, w)
-        if side == "left" and w > DOMAIN_LO:
-            dead.add(tw)  # a repeat changes nothing: its key cannot beat itself
-            key = (_DEAD_LO, _DEAD_LO, t, w)  # _strength_key of [5/3, 5/3]
-        elif tw in live:
-            return
-        else:
-            if side == "left":
-                th = live[tw] = left_threshold(t, w, width)
-            else:
-                th = live[tw] = right_threshold(t, width)
-            key = _strength_key(side, th)
         if best_key is None or key < best_key:
             best_key, best_tw = key, tw
 
-    w_values = config.w_grid if side == "left" else (DOMAIN_HI,)
-    for t in config.t_grid:
-        for w in w_values:
-            probe(t, w)
+    def probe(t: Fraction, w: Fraction) -> None:
+        nonlocal dead
+        if side == "left" and w > DOMAIN_LO:
+            dead += 1  # callers pass only pairs new to the sweep
+            consider((_DEAD_LO, _DEAD_LO, t, w), (t, w))  # _strength_key of [5/3, 5/3]
+        elif (t, w) not in live:
+            if side == "left":
+                th = live[t, w] = left_threshold(t, w, width)
+            else:
+                th = live[t, w] = right_threshold(t, width)
+            consider(_strength_key(side, th), (t, w))
 
-    # the probed t and w values: the grids plus every refinement probe
-    t_seen, w_seen = set(config.t_grid), set(w_values)
+    # the probed t and w values, sorted and distinct: the grids plus every
+    # refinement probe
+    t_seen = _distinct(config.t_grid)
+    w_seen = _distinct(config.w_grid) if side == "left" else [DOMAIN_HI]
+    # only the smallest w can be live: 5/3 on the left, 9/5 on the right
+    live_w = w_seen[:1] if side == "right" or w_seen[0] == DOMAIN_LO else []
+    dead_w = w_seen[len(live_w):]
+    for t in config.t_grid:
+        for w in live_w:
+            probe(t, w)
+    if dead_w:
+        # the grid's dead pairs, each (t, w) once, share the enclosure
+        # [5/3, 5/3], so the smallest pair stands for all of them
+        probe(t_seen[0], dead_w[0])
+        dead += len(t_seen) * len(dead_w) - 1
+
+    # a trisection point lies strictly inside a gap of the values seen, so
+    # every refinement probe is a pair new to the sweep
     for _ in range(config.refinement_rounds):
         t_best, w_best = best_tw
         for t_new in _trisect_candidates(t_seen, t_best):
             if 0 < t_new <= F(1, 2):
-                t_seen.add(t_new)
+                insort(t_seen, t_new)
                 probe(t_new, w_best)
         if side == "left":
             t_best, w_best = best_tw
             for w_new in _trisect_candidates(w_seen, w_best):
                 if DOMAIN_LO <= w_new <= DOMAIN_HI:
-                    w_seen.add(w_new)
+                    insort(w_seen, w_new)
                     probe(t_best, w_new)
 
     t_best, w_best = best_tw
     best = live[best_tw] if best_tw in live else left_threshold(t_best, w_best, width)
     rows = []
-    degenerate_count = len(dead)
+    degenerate_count = dead
     for (t, w), th in sorted(live.items(), key=lambda item: item[0]):
         if th.degenerate:
             degenerate_count += 1

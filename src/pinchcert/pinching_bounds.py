@@ -15,11 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .exact_poly import (
     IntervalQ,
     Polynomial,
     SignCertificate,
+    _homogeneous,
     certify_sign_on_interval,
     rat,
     rat_str,
@@ -67,11 +69,29 @@ def theta1() -> Polynomial:
 
 
 def at_t(form: tuple[Polynomial, ...], t) -> Polynomial:
-    """A form (entry k is the polynomial in x at t^k) specialized at t; Horner in t."""
-    out = form[-1]
-    for coeff in reversed(form[:-1]):
-        out = out * t + coeff
-    return out
+    """A form (entry k is the polynomial in x at t^k) specialized at t.
+
+    Coefficient i at t = a/b is column i of :func:`_integer_columns` at a/b,
+    by the integer Horner of :func:`exact_poly._homogeneous`.
+    """
+    t = rat(t)
+    columns, den = _integer_columns(form)
+    a, b = t.numerator, t.denominator
+    scale = den * b ** (len(form) - 1)
+    return Polynomial(F(_homogeneous(column, a, b), scale) for column in columns)
+
+
+@lru_cache(maxsize=None)
+def _integer_columns(form: tuple[Polynomial, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``(columns, den)``: column i holds den times the coefficients of x^i
+    in t, lowest power first; den is the lcm of every entry's denominator."""
+    entries = [p.integer_form() for p in form]
+    den = lcm(*(d for _, d in entries))
+    n = max(len(ints) for ints, _ in entries)
+    return tuple(
+        tuple(ints[i] * (den // d) if i < len(ints) else 0 for ints, d in entries)
+        for i in range(n)
+    ), den
 
 
 def _affine_product(a, b) -> tuple:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from pinchcert import pinching_bounds as pb
-from pinchcert.exact_poly import sign_at
+from pinchcert.exact_poly import Polynomial, sign_at
 
 import left_certificate_reference as ref
 
@@ -63,3 +63,26 @@ def test_left_certificate_value_equals_the_reference(t, w, x):
     assert pb.left_certificate_value(x, w, t) == ref.left_certificate_value(t, w, x)
     if w <= x:
         assert pb.left_certificate(x, w, t) == ref.left_certificate_value(t, w, x)
+
+
+def fraction_horner(form, t):
+    """Frozen copy of the Fraction Horner in t that ``at_t`` replaced."""
+    out = form[-1]
+    for coeff in reversed(form[:-1]):
+        out = out * t + coeff
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=st.fractions(min_value=F(1, 10**12), max_value=F(1, 2), max_denominator=10**12))
+@example(t=F(1, 2))
+@example(t=F(1, 10**12))
+@example(t=F(999999999999, 2 * 10**12))
+def test_integer_specialization_equals_fraction_horner(t):
+    forms = [pb.theta2_form()] + [form for _, form in pb.left_branch_forms()]
+    for form in forms:
+        assert pb.at_t(form, t).coeffs == fraction_horner(form, t).coeffs
+    x = Polynomial.x()
+    literal = (40 * t * (2 * t - 1) * x * (3 * x - 4) * (3 * x - 5)
+               + (F(9, 5) * t + F(36, 5)) ** 2 * Polynomial.linear(9, -5))
+    assert pb.theta2(t) == literal

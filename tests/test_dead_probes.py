@@ -23,14 +23,20 @@ T_VALUES = st.builds(F, st.integers(1, 60), st.just(120))          # (0, 1/2]
 W_ABOVE_EDGE = st.builds(lambda k: LO + F(2, 15) * F(k, 48), st.integers(1, 48))
 
 
+def _with_repeats(draw, values: list) -> tuple:
+    """The values, sorted, with up to two of them drawn again: a grid may
+    repeat a value, and the sweep counts each dead (t, w) pair once."""
+    return tuple(sorted(values + draw(st.lists(st.sampled_from(values), max_size=2))))
+
+
 @st.composite
 def sweep_configs(draw):
-    t_grid = sorted(set(draw(st.lists(T_VALUES, min_size=1, max_size=3))))
-    w_grid = set(draw(st.lists(W_ABOVE_EDGE, min_size=0, max_size=3)))
+    t_grid = draw(st.lists(T_VALUES, min_size=1, max_size=3))
+    w_grid = draw(st.lists(W_ABOVE_EDGE, min_size=0, max_size=3))
     if draw(st.booleans()) or not w_grid:
-        w_grid.add(LO)
+        w_grid.append(LO)
     return ps.SweepConfig(
-        t_grid=tuple(t_grid), w_grid=tuple(sorted(w_grid)),
+        t_grid=_with_repeats(draw, t_grid), w_grid=_with_repeats(draw, w_grid),
         refinement_rounds=draw(st.integers(0, 2)),
     )
 

@@ -6,7 +6,12 @@ enclosures and evidence, same errors.  Explicit cases force the isolation
 kernel off its jump to the final cell and onto plain bisection.
 """
 
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +33,7 @@ from pinchcert.exact_poly import (
 )
 
 F = Fraction
+LO = F(5, 3)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=60)
 points = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
@@ -204,15 +210,61 @@ TWO_ROOTS = from_roots([F(13, 10), F(17, 10)], extra=[F(1, 3)])
 THREE_CLOSE_ROOTS = from_roots([F(7, 5), F(7, 5) + F(1, 10**8), F(7, 5) + F(2, 10**8)])
 
 
+def grid_index(a, b, width, x):
+    """Index of the cell of (a, b)'s bisection grid holding x, clamped to the grid."""
+    cells = 1 << ep._bisection_depth(b - a, width)
+    return min(max(math.floor((x - a) / (b - a) * cells), 0), cells - 1)
+
+
 @pytest.mark.parametrize(
     "p, guess",
-    [(TWO_ROOTS, 1.7), (TWO_ROOTS, 1.5), (TWO_ROOTS, 1.0), (TWO_ROOTS, 2.0),
-     (THREE_CLOSE_ROOTS, 1.4)],
+    [(TWO_ROOTS, F(17, 10)), (TWO_ROOTS, F(3, 2)), (TWO_ROOTS, F(1)), (TWO_ROOTS, F(2)),
+     (THREE_CLOSE_ROOTS, F(7, 5))],
     ids=["larger root", "no root", "left end", "right end", "three roots in the cell"],
 )
 def test_a_wrong_estimate_is_refused_and_bisection_takes_over(monkeypatch, p, guess):
-    """The float estimate only proposes; the exact checks decide."""
+    """The sign search only proposes; the exact confirmations decide."""
     a, b, width = F(1), F(2), F(1, 10**6)
-    monkeypatch.setattr(ep, "_float_smallest_root", lambda p, a, b: guess)
+    j = grid_index(a, b, width, guess)
+    monkeypatch.setattr(ep, "_propose_cell", lambda p, base, step, den, depth: j)
     assert _jump_cell(p, a, b, width) is None
     assert ps._isolate_smallest_root(p, a, b, width) == ref.isolate_smallest_root(p, a, b, width)
+
+
+def test_coefficients_beyond_float_range_now_jump():
+    p = from_roots([F(13, 10)], scale=F(10**400))
+    a, b, width = F(1), F(2), F(1, 10**6)
+    cell = _jump_cell(p, a, b, width)
+    expected, _ = ref.isolate_smallest_root(p, a, b, width)
+    assert cell == (expected.lo, expected.hi)
+
+
+def test_every_default_grid_probe_takes_the_jump(monkeypatch):
+    """No isolation of a default sweep probe falls back to count bisection."""
+    cells = []
+    real = ep._jump_cell
+
+    def recording(p, a, b, width):
+        cells.append(real(p, a, b, width))
+        return cells[-1]
+
+    monkeypatch.setattr(ep, "_jump_cell", recording)
+    t_grid = ps.default_config("right").t_grid
+    right = [ps.right_threshold(t) for t in t_grid]
+    assert len(cells) == sum(not th.degenerate for th in right) == 99  # t = 1/2 has no root
+    for t in t_grid:
+        ps.left_threshold(t, LO)
+    assert len(cells) == 99 + 2 * len(t_grid)
+    assert None not in cells
+
+
+def test_the_exact_layer_imports_no_numpy():
+    code = ("import sys; import pinchcert.exact_poly, pinchcert.pinching_bounds, "
+            "pinchcert.param_search, pinchcert.shrinker_bridge; "
+            "print('numpy' in sys.modules)")
+    src = str(Path(ep.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -445,3 +445,30 @@ def test_rat_str_canonical():
     assert rat_str(F(5, 3)) == "5/3"
     assert rat_str(F(4)) == "4/1"
     assert rat_str(F(-1, 220)) == "-1/220"
+
+
+def test_a_narrow_violation_is_found_by_sturm():
+    # negative only on (r, r + 10^-12), which no fixed sampling grid hits
+    r = F(1, 3) + F(1, 10**9)
+    p = (Polynomial.x() - r) * (Polynomial.x() - r - F(1, 10**12))
+    with pytest.raises(SignClaimError) as err:
+        certify_sign_on_interval(p, IntervalQ(F(0), F(2)), "positive")
+    x = err.value.counterexample
+    assert 0 <= x <= 2 and p(x) <= 0
+
+
+def test_a_rational_touch_is_its_own_counterexample():
+    p = poly(F(-1, 3), 1) ** 2 * poly(1, 0, 1)  # (x - 1/3)^2 (x^2 + 1)
+    with pytest.raises(SignClaimError) as err:
+        certify_sign_on_interval(p, IntervalQ(F(0), F(1)), "positive")
+    assert err.value.counterexample == F(1, 3)
+    with pytest.raises(SignClaimError) as err:
+        certify_sign_on_interval(-p, IntervalQ(F(0), F(1)), "negative")
+    assert err.value.counterexample == F(1, 3)
+
+
+def test_an_irrational_touch_has_no_rational_counterexample():
+    p = poly(-2, 0, 1) ** 2  # (x^2 - 2)^2 vanishes on [1, 2] only at sqrt(2)
+    with pytest.raises(ExactPolyError, match="irrational") as err:
+        certify_sign_on_interval(p, IntervalQ(F(1), F(2)), "positive")
+    assert not isinstance(err.value, SignClaimError)
