@@ -221,17 +221,24 @@ class Polynomial:
             object.__setattr__(self, "_ints", form)
         return form
 
-    def sturm_chain(self) -> tuple["Polynomial", ...]:
-        """:func:`sturm_sequence` of this polynomial, built on first use and
-        kept.  Only the members after p itself are stored, so a polynomial
-        holds no reference to itself.  Most polynomials never need a chain,
-        so the slot stays unset, costing construction nothing, until then."""
+    def _sturm(self) -> tuple[tuple["Polynomial", ...], tuple[tuple[int, ...], ...]]:
+        """``(tail, ints)``: the members of :func:`sturm_sequence` after p
+        itself, and the integer coefficient tuples of every member, p's
+        first.  Built on first use and kept; storing only the tail, a
+        polynomial holds no reference to itself.  Most polynomials never
+        need a chain, so the slot stays unset, costing construction nothing,
+        until then."""
         try:
-            tail = self._chain
+            return self._chain
         except AttributeError:
-            tail = tuple(sturm_sequence(self)[1:])
-            object.__setattr__(self, "_chain", tail)
-        return (self, *tail)
+            chain = sturm_sequence(self)
+            kept = (tuple(chain[1:]), tuple(q.integer_form()[0] for q in chain))
+            object.__setattr__(self, "_chain", kept)
+            return kept
+
+    def sturm_chain(self) -> tuple["Polynomial", ...]:
+        """:func:`sturm_sequence` of this polynomial, kept (see :meth:`_sturm`)."""
+        return (self, *self._sturm()[0])
 
     def __call__(self, x) -> Fraction:
         """Exact value at x = a/b: ``_homogeneous(ints, a, b) / (den * b^n)``."""
@@ -339,10 +346,15 @@ class IntervalQ:
 
 
 def _primitive_ints(cs: Sequence[int]) -> Polynomial:
-    """The polynomial with coefficients ``cs`` divided by their positive gcd."""
+    """The polynomial with coefficients ``cs`` divided by their positive gcd.
+
+    ``cs`` ends in a nonzero entry, so the member is built from its
+    integers directly, with its integer form already filled in.
+    """
     g = gcd(*cs)
     ints = tuple(c // g for c in cs)
-    q = Polynomial(ints)
+    q = object.__new__(Polynomial)
+    object.__setattr__(q, "coeffs", tuple(map(Fraction, ints)))
     object.__setattr__(q, "_ints", (ints, 1))
     return q
 
@@ -402,14 +414,18 @@ def sturm_sequence(p: Polynomial) -> list[Polynomial]:
     return chain
 
 
-def sign_variations(values: Sequence) -> int:
-    """Sign changes in a sequence, zeros skipped."""
-    signs = [v > 0 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 def _variations_at(p: Polynomial, x: Fraction) -> int:
-    return sign_variations([sign_at(q, x) for q in p.sturm_chain()])
+    """Sign changes of p's Sturm chain at x, zeros skipped, in one pass
+    over the chain's integer forms."""
+    a, b = x.numerator, x.denominator
+    changes, last = 0, 0
+    for ints in p._sturm()[1]:
+        v = _homogeneous(ints, a, b)
+        if v:
+            if (v > 0) != (last > 0) and last:
+                changes += 1
+            last = v
+    return changes
 
 
 class _RootCounter:

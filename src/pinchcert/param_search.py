@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import pinching_bounds as pb
 from .exact_poly import (
+    CLAIM_ONE_ROOT,
     ExactPolyError,
     IntervalQ,
     Polynomial,
@@ -187,25 +188,27 @@ def edge_lemma() -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
     return corners
 
 
-def _first_nonneg(p: Polynomial, width: Fraction) -> tuple[IntervalQ, SignCertificate,
-                                                              tuple[SignCertificate, ...]]:
+#: the sliver [5/3, u] on which a left branch's quotient is certified negative
+_SLIVER = IntervalQ(DOMAIN_LO, DOMAIN_LO + (DOMAIN_HI - DOMAIN_LO) / 10**6)
+
+
+def _first_nonneg(p: Polynomial, g: Polynomial, width: Fraction) -> tuple[
+        IntervalQ, SignCertificate, tuple[SignCertificate, ...]]:
     """Enclose the first root of a left branch p above 5/3, with the
-    certificates that p < 0 below it.
+    certificates that p < 0 below it; g is p / (x - 5/3).
 
     A branch vanishes at 5/3 to exactly first order with negative slope and
     is positive at 9/5 (see :func:`pinching_bounds.left_branch_forms`).  So
-    (x - 5/3) is divided out once, and the quotient, whose sign is p's above
-    5/3, is certified negative on a sliver [5/3, u]; the first root in
+    the quotient g, specialized from its cached form
+    (:func:`pinching_bounds.left_quotient_forms`) and of p's sign above
+    5/3, is certified negative on the sliver [5/3, u]; the first root in
     (u, 9/5) is isolated; a count on (u, enclosure.lo) shows no root before
-    it.  A branch that broke the lemma would fail the division check, the
-    quotient's sign certificate or the isolation.  p builds its Sturm chain
-    at the isolation and keeps it for the count.
+    it.  A branch that broke the lemma would fail the quotient forms'
+    division check, g's sign certificate or the isolation.  p builds its
+    Sturm chain at the isolation and keeps it for the count.
     """
-    u = DOMAIN_LO + (DOMAIN_HI - DOMAIN_LO) / 10**6
-    g, r = p.divmod(Polynomial.linear(-DOMAIN_LO, 1))
-    if not r.is_zero:
-        raise ExactPolyError(f"left branch does not vanish at {DOMAIN_LO}")
-    dossier = [certify_sign_on_interval(g, IntervalQ(DOMAIN_LO, u), "negative")]
+    u = _SLIVER.hi
+    dossier = [certify_sign_on_interval(g, _SLIVER, "negative")]
     enclosure, cert = _isolate_smallest_root(p, u, DOMAIN_HI, width)
     if enclosure.lo > u:
         dossier.append(count_roots(p, IntervalQ(u, enclosure.lo))[1])
@@ -264,8 +267,9 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
 
     crossings = []
     support: list[SignCertificate] = []
-    for _, form in pb.left_branch_forms():
-        enclosure, cert, dossier = _first_nonneg(pb.at_t(form, t), width / 2)
+    for (_, form), quotient in zip(pb.left_branch_forms(), pb.left_quotient_forms()):
+        enclosure, cert, dossier = _first_nonneg(pb.at_t(form, t), pb.at_t(quotient, t),
+                                                 width / 2)
         support.extend(dossier)
         crossings.append((enclosure, cert))
     # phi is the larger branch, so its threshold is the earlier first root;
@@ -294,6 +298,10 @@ def right_threshold(t, width=F(1, 10**6)) -> ThresholdEnclosure:
     returned together with the no-root certificate.
     """
     t, width = rat(t), rat(width)
+    if not 0 < t <= F(1, 2):
+        raise ValueError(f"parameter t must satisfy 0 < t <= 1/2, got {t}")
+    if width <= 0:
+        raise ValueError("width must be positive")
     p = pb.theta2(t)
     n, count_cert = count_roots(p, pb.PINCH_DOMAIN)
     if n == 0:
@@ -313,23 +321,51 @@ def right_threshold(t, width=F(1, 10**6)) -> ThresholdEnclosure:
 
 
 def replay_threshold(th: ThresholdEnclosure) -> bool:
-    """Re-derive every certified fact backing a threshold enclosure."""
+    """Re-derive every certified fact backing a threshold enclosure: its
+    certificates' replays and :func:`enclosure_holds`."""
     if not th.certificate.replay():
         return False
     if not all(c.replay() for c in th.support):
         return False
+    return enclosure_holds(th)
+
+
+def enclosure_holds(th: ThresholdEnclosure) -> bool:
+    """The facts of a threshold enclosure beyond its certificates' replays.
+
+    A degenerate enclosure holds only the weakest claim of its side; on the
+    left phi(5/3) > 0 too.  A right enclosure at w = 9/5 must carry θ2(t)'s
+    values at its ends, of opposite sign, an exactly-one-root certificate of
+    θ2(t) on the enclosure, and as support one exactly-one-root count of
+    θ2(t) on [5/3, 9/5].  A left enclosure at w = 5/3 must carry an
+    exactly-one-root certificate of one of the two branches at t on the
+    enclosure, and phi's values at its ends, of opposite sign.  Which
+    support certificates a left enclosure carries is not checked.  An
+    unknown side or a t outside (0, 1/2] holds nothing.
+    """
+    if th.side not in ("left", "right") or not 0 < th.t <= F(1, 2):
+        return False
+    lo, hi = th.enclosure.lo, th.enclosure.hi
     if th.degenerate:
-        # only the weakest claim of each side; on the left phi(5/3) > 0 too
         if th.side == "right":
-            return th.enclosure.lo == th.enclosure.hi == DOMAIN_HI
+            return lo == hi == DOMAIN_HI
         phi = pb.left_certificate_value(DOMAIN_LO, th.w, th.t)
-        return (th.enclosure.lo == th.enclosure.hi == DOMAIN_LO
-                and th.phi_lo == th.phi_hi == phi > 0)
+        return lo == hi == DOMAIN_LO and th.phi_lo == th.phi_hi == phi > 0
+    cert = th.certificate
+    if cert.claim != CLAIM_ONE_ROOT or cert.interval != th.enclosure:
+        return False
     if th.side == "right":
         p = pb.theta2(th.t)
-        return p(th.enclosure.lo) > 0 > p(th.enclosure.hi)
-    phi_lo = pb.left_certificate_value(th.enclosure.lo, th.w, th.t)
-    phi_hi = pb.left_certificate_value(th.enclosure.hi, th.w, th.t)
+        phi_lo, phi_hi = p(lo), p(hi)
+        return (th.w == DOMAIN_HI and cert.polynomial == p and phi_lo > 0 > phi_hi
+                and (phi_lo, phi_hi) == (th.phi_lo, th.phi_hi)
+                and [(c.claim, c.polynomial, c.interval) for c in th.support]
+                == [(CLAIM_ONE_ROOT, p, pb.PINCH_DOMAIN)])
+    if th.w != DOMAIN_LO or all(cert.polynomial != pb.at_t(form, th.t)
+                                for _, form in pb.left_branch_forms()):
+        return False
+    phi_lo = pb.left_certificate_value(lo, th.w, th.t)
+    phi_hi = pb.left_certificate_value(hi, th.w, th.t)
     return phi_lo < 0 < phi_hi and phi_lo == th.phi_lo and phi_hi == th.phi_hi
 
 

@@ -6,8 +6,9 @@ form.  Every constructor here returns exact rationals or rational-coefficient
 polynomials; callers certify sign facts about them with
 :mod:`pinchcert.exact_poly`.  The constant polynomials (those without a
 parameter) are built once per process and shared: a :class:`Polynomial` is
-immutable, so only its integer evaluation form is filled in, once.  θ2 and
-the lower-endpoint branches are built once as forms in t (:func:`at_t`).
+immutable, so only its integer evaluation form is filled in, once.  θ2,
+the lower-endpoint branches and their quotients by x - 5/3 are built once
+as forms in t (:func:`at_t`).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from functools import lru_cache
 from math import lcm
 
 from .exact_poly import (
+    ExactPolyError,
     IntervalQ,
     Polynomial,
     SignCertificate,
@@ -257,28 +259,45 @@ def smax_threshold(w) -> Fraction:
     return smax_numerator()(w) / gap_denominator()(w)
 
 
+def _weight_ints(x: Fraction, w: Fraction, t: Fraction) -> tuple[int, int, int]:
+    """``(C1, C0, den)`` with c1 = C1/den and c0 = C0/den (see
+    :func:`weight_linear_coeffs`), over den = 10 t_d w_d x_d for
+    x = x_n/x_d, w = w_n/w_d, t = t_n/t_d."""
+    xn, xd = x.numerator, x.denominator
+    wn, wd = w.numerator, w.denominator
+    tn, td = t.numerator, t.denominator
+    c1 = 5 * (2 * td + 15 * tn) * xd  # 10 t_d x_d (2 + 15t)/2, before the factor w_d
+    c0 = c1 * wn + 4 * wd * (18 * td * xd - 5 * td * xn - 63 * tn * xd)
+    return c1 * wd, c0, 10 * td * wd * xd
+
+
 def weight_linear_coeffs(x, w, t) -> tuple[Fraction, Fraction]:
     """Coefficients (c1, c0) of the linear weight q(S) = c1*S + c0.
 
     q is the factor whose square, divided by S, is maximized when bounding
     the Laplacian term; c1 = (2+15t)/2 and c0 = c1*w + 36/5 - 2x - (126/5)t.
     """
-    x, w, t = rat(x), rat(w), rat(t)
-    c1 = (2 + 15 * t) / 2
-    c0 = c1 * w + F(36, 5) - 2 * x - F(126, 5) * t
-    return c1, c0
+    c1, c0, den = _weight_ints(rat(x), rat(w), rat(t))
+    return F(c1, den), F(c0, den)
 
 
 def weight_sup_over_s(x, w, t) -> Fraction:
-    """Exact supremum of q(S)^2 * x / S over S in [5/3, x].
+    """Exact supremum of q(S)^2 * x / S over S in [5/3, x], for x > 0.
 
     For S > 0, q(S)^2 / S = c1^2 S + 2 c1 c0 + c0^2 / S is convex, so its
     only interior critical point, S = c0/c1, is a minimum: the supremum sits
-    at S = 5/3 or at S = x.
+    at S = 5/3 or at S = x.  With q = (C1 S + C0)/den the two candidates are
+    (5 C1 + 3 C0)^2 x_n / (15 x_d den^2) and (C1 x_n + C0 x_d)^2 / (x_d den)^2;
+    they are compared on integers, and only the larger becomes a Fraction.
     """
-    x, w, t = rat(x), rat(w), rat(t)
-    c1, c0 = weight_linear_coeffs(x, w, t)
-    return max((c1 * s + c0) ** 2 * x / s for s in (F(5, 3), x))
+    x = rat(x)
+    c1, c0, den = _weight_ints(x, rat(w), rat(t))
+    xn, xd = x.numerator, x.denominator
+    at_53 = (5 * c1 + 3 * c0) ** 2 * xn  # over 15 x_d den^2
+    at_x = (c1 * xn + c0 * xd) ** 2  # over x_d^2 den^2
+    if at_53 * xd > 15 * at_x:
+        return F(at_53, 15 * xd * den * den)
+    return F(at_x, (xd * den) ** 2)
 
 
 def left_certificate(x, w, t) -> Fraction:
@@ -297,10 +316,23 @@ def left_certificate(x, w, t) -> Fraction:
 
 
 def left_certificate_value(x, w, t) -> Fraction:
-    """:func:`left_certificate` without its domain checks; replay needs x = 5/3 < w."""
+    """:func:`left_certificate` without its domain checks; replay needs x = 5/3 < w.
+
+    The common term 16t(1-t) x(3x-4)(3x-5)(5x-9) and 5(w-x)^2 M are summed
+    over one integer denominator, with M from :func:`weight_sup_over_s`.
+    """
     x, w, t = rat(x), rat(w), rat(t)
-    common = 16 * t * (1 - t) * x * (3 * x - 4) * (3 * x - 5) * (5 * x - 9)
-    return common + 5 * (w - x) ** 2 * weight_sup_over_s(x, w, t)
+    xn, xd = x.numerator, x.denominator
+    wn, wd = w.numerator, w.denominator
+    tn, td = t.numerator, t.denominator
+    # common = c / (t_d x_d^2)^2
+    c = 16 * tn * (td - tn) * xn * (3 * xn - 4 * xd) * (3 * xn - 5 * xd) * (5 * xn - 9 * xd)
+    m = weight_sup_over_s(x, w, t)
+    # 5 (w - x)^2 M = 5 (w_n x_d - x_n w_d)^2 m_n / ((w_d x_d)^2 m_d)
+    gap = wn * xd - xn * wd
+    common_den = td * xd * xd
+    return F(c * (wd * wd * m.denominator) + 5 * gap * gap * m.numerator * common_den * td,
+             common_den * common_den * wd * wd * m.denominator)
 
 
 @lru_cache(maxsize=None)
@@ -329,6 +361,28 @@ def left_branch_forms() -> tuple[tuple[str, tuple[Polynomial, ...]], ...]:
         return tuple(c + factor * p for c, p in zip(common, _affine_product(q(s), q(s))))
 
     return (("sup-at-x", branch(5, _X)), ("sup-at-5/3", branch(3 * _X, F(5, 3))))
+
+
+@lru_cache(maxsize=None)
+def left_quotient_forms() -> tuple[tuple[Polynomial, ...], ...]:
+    """Each form of :func:`left_branch_forms`, in order, divided by x - 5/3.
+
+    Every entry of both forms vanishes at 5/3, so each is divided once,
+    with a zero-remainder check; division is linear in t, so a quotient
+    form at t (:func:`at_t`) is the branch at t divided by x - 5/3.  Raises
+    :class:`ExactPolyError` if an entry leaves a remainder.
+    """
+    divisor = Polynomial.linear(-PINCH_DOMAIN.lo, 1)
+    quotients = []
+    for label, form in left_branch_forms():
+        entries = []
+        for entry in form:
+            q, r = entry.divmod(divisor)
+            if not r.is_zero:
+                raise ExactPolyError(f"left branch {label} does not vanish at {PINCH_DOMAIN.lo}")
+            entries.append(q)
+        quotients.append(tuple(entries))
+    return tuple(quotients)
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,9 @@ def test_kept_chain_matches_a_fresh_one_and_stays_out_of_equality():
     p = from_roots([F(7, 4), F(3, 2)], extra=[F(1, 2)])
     assert p.sturm_chain() == tuple(sturm_sequence(p))
     assert p.sturm_chain()[0] is p
-    assert all(q is not p for q in p._chain)  # the kept tail: no reference cycle
+    tail, ints = p._chain
+    assert all(q is not p for q in tail)  # the kept tail: no reference cycle
+    assert ints == tuple(q.integer_form()[0] for q in p.sturm_chain())
     fresh = Polynomial(p.coeffs)
     assert fresh == p and hash(fresh) == hash(p)
     assert _count_evidence(p, F(1), F(2)) == _count_evidence(fresh, F(1), F(2))

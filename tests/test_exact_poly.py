@@ -427,8 +427,11 @@ def test_replay_trusts_no_form_cached_on_the_stored_polynomial():
     # a corrupted cache on the builder's polynomial changes nothing
     p = poly(-2, 0, 1)
     _, cert = count_roots(p, IntervalQ(F(0), F(2)))
-    object.__setattr__(p, "_ints", ((1, 0, 1), 1))  # the integer form of x^2 + 1
-    object.__setattr__(p, "_chain", ())
+    # the integer form and the kept Sturm chain (members and the integer
+    # tuples the variation count reads) of x^2 + 1
+    decoy = poly(1, 0, 1)
+    object.__setattr__(p, "_ints", decoy.integer_form())
+    object.__setattr__(p, "_chain", decoy._sturm())
     assert count_roots(p, IntervalQ(F(0), F(2)))[1] != cert
     assert cert.replay()
 

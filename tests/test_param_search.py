@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from pinchcert.exact_poly import rat
+from pinchcert.exact_poly import Polynomial, count_roots, rat
 from pinchcert import param_search as ps
 from pinchcert import pinching_bounds as pb
 
@@ -181,6 +181,70 @@ def test_replay_rejects_forged_degenerate_enclosures():
     assert ps.replay_threshold(degenerate)
     assert not ps.replay_threshold(replace(degenerate, phi_lo=degenerate.phi_lo + 1))
     assert not ps.replay_threshold(replace(degenerate, phi_hi=None))
+
+
+def _decoy(enclosure: ps.IntervalQ):
+    """A genuine exactly-one-root certificate on ``enclosure``, of x - mid."""
+    mid = (enclosure.lo + enclosure.hi) / 2
+    return count_roots(Polynomial.linear(-mid, 1), enclosure)[1]
+
+
+def test_replay_binds_a_right_enclosure_to_its_evidence():
+    genuine = ps.right_threshold(F(1, 4), WIDTH)
+    other = ps.right_threshold(F(1, 8), WIDTH)
+    p = pb.theta2(F(1, 4))
+    part = count_roots(p, ps.IntervalQ(F(5, 3), F(179, 100)))[1]
+    assert ps.replay_threshold(genuine) and part.claim == "exactly-one-root"
+    forgeries = {
+        "phi_lo": replace(genuine, phi_lo=genuine.phi_lo + 1),
+        "phi_hi": replace(genuine, phi_hi=genuine.phi_hi - 1),
+        "no values": replace(genuine, phi_lo=None, phi_hi=None),
+        "w": replace(genuine, w=F(17, 10)),
+        "other t": replace(genuine, certificate=other.certificate, support=other.support),
+        "other polynomial": replace(genuine, certificate=_decoy(genuine.enclosure)),
+        "no support": replace(genuine, support=()),
+        "support off the domain": replace(genuine, support=(part,)),
+    }
+    for name, forged in forgeries.items():
+        assert forged.certificate.replay() and all(c.replay() for c in forged.support)
+        assert not ps.replay_threshold(forged), name
+
+
+def test_replay_binds_a_left_enclosure_to_its_certificate():
+    genuine = ps.left_threshold(F(1, 2), F(5, 3), WIDTH)
+    other = ps.left_threshold(F(1, 4), F(5, 3), WIDTH)
+    assert ps.replay_threshold(genuine) and other.enclosure != genuine.enclosure
+    forgeries = {
+        "other t": replace(genuine, certificate=other.certificate, support=other.support),
+        "other polynomial": replace(genuine, certificate=_decoy(genuine.enclosure)),
+    }
+    for name, forged in forgeries.items():
+        assert forged.certificate.replay() and all(c.replay() for c in forged.support)
+        assert not ps.replay_threshold(forged), name
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("t", [F(0), F(3, 5)])
+def test_replay_rejects_a_parameter_or_side_outside_its_range(side, t):
+    genuine = (ps.left_threshold(F(1, 4), F(5, 3), WIDTH) if side == "left"
+               else ps.right_threshold(F(1, 4), WIDTH))
+    assert ps.replay_threshold(genuine)
+    assert ps.replay_threshold(replace(genuine, t=t)) is False
+    assert ps.replay_threshold(replace(genuine, side="up")) is False
+
+
+@pytest.mark.parametrize("t", [F(1, 2), F(1, 4)])
+@pytest.mark.parametrize("width", [0, F(-1, 10)])
+def test_right_threshold_checks_its_width_first(t, width):
+    # at t = 1/2 there is no root to isolate, so the width was never read
+    with pytest.raises(ValueError, match="width must be positive"):
+        ps.right_threshold(t, width)
+
+
+@pytest.mark.parametrize("t", [0, F(-1, 4), F(3, 5)])
+def test_right_threshold_checks_its_parameter_first(t):
+    with pytest.raises(ValueError, match="parameter t must satisfy"):
+        ps.right_threshold(t, 0)
 
 
 # ---------------------------------------------------------------------------

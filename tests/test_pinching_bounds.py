@@ -258,6 +258,7 @@ CONSTANT_POLYNOMIALS = (
     pb.smax_numerator,
     pb.theta2_form,
     pb.left_branch_forms,
+    pb.left_quotient_forms,
 )
 
 

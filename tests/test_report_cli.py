@@ -95,6 +95,38 @@ def test_each_sturm_chain_is_built_once(monkeypatch):
     assert len(built) == 1
 
 
+SIDE_CONFIGS = {
+    "left": ps.SweepConfig(t_grid=(rat("1/8"), rat("1/4")), w_grid=(rat("5/3"),)),
+    "right": ps.SweepConfig(t_grid=(rat("1/8"), rat("1/4")), w_grid=(rat("9/5"),)),
+}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_optimize_replays_each_embedded_certificate_once(monkeypatch, side):
+    calls = []
+    real = SignCertificate.replay
+    monkeypatch.setattr(SignCertificate, "replay", lambda self: calls.append(self) or real(self))
+    report = rc.cmd_optimize(side, SIDE_CONFIGS[side])
+    assert report.failing() == []
+    assert len(calls) == len(report.certificates) > 1
+
+
+SLIVER = ps.IntervalQ(rat("5/3"), rat("5/3") + rat("2/15") / 10**6)
+
+
+@pytest.mark.parametrize("side, interval", [("left", SLIVER), ("right", pb.PINCH_DOMAIN)])
+def test_one_failing_embedded_certificate_fails_both_replay_checks(monkeypatch, side, interval):
+    # the support certificate on ``interval``: the sliver's sign certificate
+    # on the left, the count on the whole domain on the right
+    real = SignCertificate.replay
+    monkeypatch.setattr(SignCertificate, "replay",
+                        lambda self: self.interval != interval and real(self))
+    report = rc.cmd_optimize(side, SIDE_CONFIGS[side])
+    assert any(entry["certificate"]["interval"] == interval.to_json()
+               for entry in report.certificates)
+    assert report.failing() == ["threshold-replay", "certificate-replay"]
+
+
 # unmutated, these replay True: see the round-trip test above
 @lru_cache(maxsize=None)
 def _reloaded_certify_certificates() -> tuple[dict, ...]:
