@@ -49,7 +49,9 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import pinching_bounds as pb
 from .exact_poly import (
+    CLAIM_NO_ROOT,
     CLAIM_ONE_ROOT,
+    CLAIM_POSITIVE,
     ExactPolyError,
     IntervalQ,
     Polynomial,
@@ -333,8 +335,11 @@ def replay_threshold(th: ThresholdEnclosure) -> bool:
 def enclosure_holds(th: ThresholdEnclosure) -> bool:
     """The facts of a threshold enclosure beyond its certificates' replays.
 
-    A degenerate enclosure holds only the weakest claim of its side; on the
-    left phi(5/3) > 0 too.  A right enclosure at w = 9/5 must carry θ2(t)'s
+    A degenerate enclosure holds only the weakest claim of its side, with no
+    support: on the right at w = 9/5, with θ2(t)'s no-root count on
+    [5/3, 9/5] and no values; on the left at w in (5/3, 9/5], with the
+    positive certificate of edge_weight(t, w) on [5/3, 5/3] and phi(5/3) > 0
+    as both values.  A right enclosure at w = 9/5 must carry θ2(t)'s
     values at its ends, of opposite sign, an exactly-one-root certificate of
     θ2(t) on the enclosure, and as support one exactly-one-root count of
     θ2(t) on [5/3, 9/5].  A left enclosure at w = 5/3 must carry an
@@ -346,12 +351,21 @@ def enclosure_holds(th: ThresholdEnclosure) -> bool:
     if th.side not in ("left", "right") or not 0 < th.t <= F(1, 2):
         return False
     lo, hi = th.enclosure.lo, th.enclosure.hi
-    if th.degenerate:
-        if th.side == "right":
-            return lo == hi == DOMAIN_HI
-        phi = pb.left_certificate_value(DOMAIN_LO, th.w, th.t)
-        return lo == hi == DOMAIN_LO and th.phi_lo == th.phi_hi == phi > 0
     cert = th.certificate
+    if th.degenerate:
+        if th.support:
+            return False
+        if th.side == "right":
+            return (lo == hi == th.w == DOMAIN_HI and cert.claim == CLAIM_NO_ROOT
+                    and cert.polynomial == pb.theta2(th.t)
+                    and cert.interval == pb.PINCH_DOMAIN
+                    and th.phi_lo is None and th.phi_hi is None)
+        if not (lo == hi == DOMAIN_LO < th.w <= DOMAIN_HI and cert.claim == CLAIM_POSITIVE
+                and cert.interval == th.enclosure
+                and cert.polynomial == edge_weight(th.t, th.w)):
+            return False
+        phi = pb.left_certificate_value(DOMAIN_LO, th.w, th.t)
+        return th.phi_lo == th.phi_hi == phi > 0
     if cert.claim != CLAIM_ONE_ROOT or cert.interval != th.enclosure:
         return False
     if th.side == "right":

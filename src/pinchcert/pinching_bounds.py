@@ -242,7 +242,9 @@ def smax_numerator() -> Polynomial:
     """108x(3x-4) + 5x((19/4)x - 9/20)^2, the numerator of :func:`smax_threshold`.
 
     Built from its own formula rather than as N + x*D, so that the identity
-    smax(w) = w + N(w)/D(w) is a fact to check, not a definition.
+    smax(w) = w + N(w)/D(w) is a fact to check, not a definition: every
+    ``certify`` report checks it as a polynomial identity
+    (``smax-threshold-identity``).
     """
     sq = Polynomial.linear(F(-9, 20), F(19, 4))
     return 108 * _X * (3 * _X - 4) + 5 * _X * sq * sq

@@ -4,6 +4,9 @@ The first three digests in ``golden_reports.json`` were taken from the
 Fraction-only exact core, before evaluation and Sturm counting moved to
 integers; the three ``optimize-left-*`` sweeps after them were taken before
 left sweeps stopped evaluating the provably degenerate w > 5/3 probes.
+The ``certify`` digest was retaken once, when its sampled
+``smax-threshold-identity-100`` check became the exact polynomial identity
+``smax-threshold-identity``; every other byte of that report was unchanged.
 Every report byte except ``wall_time_ms`` is part of the reproducibility
 contract, so a faster core or sweep must reproduce them exactly.
 """

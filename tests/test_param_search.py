@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from pinchcert.exact_poly import Polynomial, count_roots, rat
+from pinchcert.exact_poly import Polynomial, certify_sign_on_interval, count_roots, rat
 from pinchcert import param_search as ps
 from pinchcert import pinching_bounds as pb
 
@@ -181,6 +181,38 @@ def test_replay_rejects_forged_degenerate_enclosures():
     assert ps.replay_threshold(degenerate)
     assert not ps.replay_threshold(replace(degenerate, phi_lo=degenerate.phi_lo + 1))
     assert not ps.replay_threshold(replace(degenerate, phi_hi=None))
+
+
+def test_replay_binds_a_degenerate_enclosure_to_its_certificate():
+    right = ps.right_threshold(F(1, 2), WIDTH)
+    left = ps.left_threshold(F(1, 4), F(7, 4), WIDTH)
+    edge = ps.IntervalQ(F(5, 3), F(5, 3))
+    assert right.degenerate and left.degenerate
+    assert ps.replay_threshold(right) and ps.replay_threshold(left)
+    quarter = ps.right_threshold(F(1, 4), WIDTH)
+    forgeries = {
+        "right, no-root count of x - 3": replace(
+            right, certificate=count_roots(Polynomial.linear(-3, 1), pb.PINCH_DOMAIN)[1]),
+        "right, one-root count of θ2(1/4)": replace(right, certificate=quarter.support[0]),
+        "right, θ2(1/2) off the domain": replace(
+            right, certificate=count_roots(pb.theta2(F(1, 2)), ps.IntervalQ(F(5, 3), F(7, 4)))[1]),
+        "right, with support": replace(right, support=quarter.support),
+        "right, with values": replace(right, phi_lo=F(1), phi_hi=F(1)),
+        "left, positive constant 1": replace(
+            left, certificate=certify_sign_on_interval(Polynomial.constant(1), edge, "positive")),
+        "left, edge weight at t = 1/3": replace(
+            left, certificate=ps.left_threshold(F(1, 3), F(7, 4), WIDTH).certificate),
+        "left, edge weight on the domain": replace(left, certificate=certify_sign_on_interval(
+            ps.edge_weight(F(1, 4), F(7, 4)), pb.PINCH_DOMAIN, "positive")),
+        "left, with support": replace(left, support=quarter.support),
+    }
+    for name, forged in forgeries.items():
+        assert forged.certificate.replay() and all(c.replay() for c in forged.support)
+        assert not ps.replay_threshold(forged), name
+    # a relabelled certificate no longer replays, and its claim alone fails
+    for th in (right, left):
+        assert not ps.enclosure_holds(
+            replace(th, certificate=replace(th.certificate, claim="root-count")))
 
 
 def _decoy(enclosure: ps.IntervalQ):

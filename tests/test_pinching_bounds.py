@@ -243,7 +243,7 @@ def test_smax_threshold_identity_with_gap_bound():
 def test_smax_numerator_is_n_plus_x_d_as_a_polynomial():
     # smax(w) = S(w)/D(w) with S = N + x*D coefficient for coefficient, so
     # smax(w) - w - N(w)/D(w) vanishes at every w where D != 0, not only at
-    # the sampled points of the certify check
+    # sampled points; certify's smax-threshold-identity check states the same
     lhs = pb.smax_numerator()
     rhs = pb.gap_numerator() + Polynomial.x() * pb.gap_denominator()
     assert lhs.coeffs == rhs.coeffs

@@ -79,6 +79,50 @@ def test_certify_bytes_equal_with_cold_and_warm_polynomial_caches():
     assert cold == warm
 
 
+CERTIFY_CHECKS = [
+    "theta1-unique-root", "theta1-bracket", "theta2-unique-root", "theta2-bracket",
+    "gap-bound-decreasing", "gap-at-17853", "legacy-bound-dominated-9pts",
+    "smax-threshold-identity", "shrinker-scale-consistency", "certificate-replay",
+]
+CERTIFY_CERTIFICATES = [
+    "theta1-root-count", "theta1-enclosure", "theta2-root-count", "theta2-enclosure",
+    "gap-bound-decreasing", "legacy-radicand-positive", "gap-denominator-positive",
+]
+
+
+def test_certify_layout():
+    data = rc.cmd_certify().to_json_dict()
+    assert [c["label"] for c in data["checks"]] == CERTIFY_CHECKS
+    assert [c["label"] for c in data["certificates"]] == CERTIFY_CERTIFICATES
+
+
+def test_certify_replays_each_embedded_certificate_once(monkeypatch):
+    calls = []
+    real = SignCertificate.replay
+    monkeypatch.setattr(SignCertificate, "replay", lambda self: calls.append(self) or real(self))
+    report = rc.cmd_certify()
+    assert report.failing() == []
+    assert len(calls) == len(report.certificates)
+
+
+def test_smax_identity_is_rederived_from_the_reloaded_report():
+    data = json.loads(rc.cmd_certify().to_json_str())
+    (check,) = [c for c in data["checks"] if c["label"] == "smax-threshold-identity"]
+    details = check["details"]
+    lhs, rhs = (ep.Polynomial.from_json(details[k]) for k in ("smax_numerator", "n_plus_x_times_d"))
+    assert check["passed"] and lhs == rhs
+    assert details["smax_numerator"] == details["n_plus_x_times_d"] == pb.smax_numerator().to_json()
+    assert "gap-denominator-positive" in details["requires"]
+
+
+def test_certify_fails_the_smax_identity_for_a_perturbed_numerator(monkeypatch, capsys):
+    perturbed = pb.smax_numerator() + ep.Polynomial([0, 0, 0, rat("1/1000000")])
+    monkeypatch.setattr(pb, "smax_numerator", lambda: perturbed)
+    assert rc.cmd_certify().failing() == ["smax-threshold-identity"]
+    assert rc.main(["certify"]) == rc.EXIT_CERTIFICATION_FAILURE
+    assert "smax-threshold-identity" in capsys.readouterr().err
+
+
 def test_each_sturm_chain_is_built_once(monkeypatch):
     # a polynomial keeps its chain: a warm certify builds one for θ2 at
     # t = 1/4 and one per replayed certificate (replay starts from a fresh
@@ -89,7 +133,7 @@ def test_each_sturm_chain_is_built_once(monkeypatch):
     monkeypatch.setattr(ep, "sturm_sequence", lambda p: built.append(p) or real(p))
     report = rc.cmd_certify()
     assert len(report.certificates) == 7
-    assert len(built) == 9
+    assert len(built) == 8
     built.clear()
     ps.right_threshold(rat("3/10"))
     assert len(built) == 1
