@@ -9,8 +9,10 @@ Root counts and sign claims are established by Sturm's theorem and packaged
 as :class:`SignCertificate` records.  One constructor builds every
 certificate and rebuilds it on replay, so it alone says which evidence
 proves which claim.  No float enters this module: root isolation proposes
-its final dyadic cell by exact signs alone, and Sturm checks confirm the
-proposal (or bisection runs as if there had been none).
+its final dyadic cell by Illinois regula falsi on exact integer values, and
+the proposal is confirmed by its end signs alone when a Sturm count has
+found a single root, by Sturm checks otherwise (or bisection runs as if
+there had been none).
 """
 
 from __future__ import annotations
@@ -595,13 +597,20 @@ def count_roots(p: Polynomial, iv: IntervalQ) -> tuple[int, SignCertificate]:
     ``exactly-one-root`` when the single root changes p's sign between the
     ends, ``root-count`` for any other nonzero count.
     """
+    cert = _certificate(p, iv, None, *nudged_ends(p, iv))
+    return cert.evidence["root_count"], cert
+
+
+def nudged_ends(p: Polynomial, iv: IntervalQ) -> tuple[Fraction, Fraction]:
+    """The ends at which :func:`count_roots` counts: each moved off a root of
+    p (see :func:`_nudge_endpoint`), raising :class:`DegenerateEndpointError`
+    when that fails or the moved ends cross."""
     if p.is_zero:
         raise ValueError("cannot count roots of the zero polynomial")
     lo, hi = _nudge_endpoint(p, iv, +1), _nudge_endpoint(p, iv, -1)
     if lo > hi:
         raise DegenerateEndpointError("nudged endpoints crossed; interval too thin")
-    cert = _certificate(p, iv, None, lo, hi)
-    return cert.evidence["root_count"], cert
+    return lo, hi
 
 
 def _offset_midpoint(p: Polynomial, lo: Fraction, hi: Fraction) -> Fraction:
@@ -628,53 +637,90 @@ def _bisection_depth(span: Fraction, width: Fraction) -> int:
     return d
 
 
-#: the sign search of :func:`_propose_cell` first scans 2^4 coarse cells
+#: without a known single root, :func:`_propose_cell` first scans 2^4 coarse cells
 _COARSE_LEVELS = 4
 
 
-def _propose_cell(p: Polynomial, base: int, step: int, den: int, depth: int) -> int | None:
+def _propose_cell(p: Polynomial, base: int, step: int, den: int, depth: int,
+                  one_root: bool) -> int | None:
     """Index j of a grid cell where p changes sign, found by exact signs.
 
-    The grid has points (base + i * step) / den for i = 0 .. 2^depth.  The
-    first of 2^4 + 1 coarse grid points, left to right, whose sign differs
-    from the sign at point 0 closes a coarse cell, and sign bisection inside
-    it narrows that cell to one grid cell (j, j + 1).  Returns None when no
-    coarse point differs or the search meets a grid point that is a root.
+    The grid has points (base + i * step) / den for i = 0 .. 2^depth.  With
+    ``one_root`` (the caller counted exactly one root between the grid's
+    ends) the bracket is the whole grid; otherwise it is the first of 2^4
+    coarse cells, left to right, whose end signs differ.  Illinois regula
+    falsi (Dowell & Jarratt 1971) narrows the bracket to one grid cell
+    (j, j + 1).  Its values are the integers of :func:`_homogeneous`: every
+    grid point shares the denominator den, so they are p's values times one
+    positive constant, and the secant through them is p's secant.  A
+    bisection step replaces the secant whenever two steps in a row have not
+    halved the bracket.  Returns None when the bracket has no sign change
+    or the search meets a grid point that is a root.
     """
-    s_a = _sign_at_ratio(p, base, den)
-    if s_a == 0:
+    ints = p.integer_form()[0]
+
+    def value(i: int) -> int:
+        return _homogeneous(ints, base + i * step, den)
+
+    f_lo = value(0)
+    if not f_lo:
         return None
-    coarse = 1 << max(depth - _COARSE_LEVELS, 0)
-    for k in range(coarse, (1 << depth) + 1, coarse):
-        s = _sign_at_ratio(p, base + k * step, den)
-        if s != s_a:
-            break
+    positive = f_lo > 0  # the sign at the bracket's lower end
+    n = 1 << depth
+    j_lo = 0
+    if one_root:
+        j_hi, f_hi = n, value(n)
     else:
-        return None
-    if s == 0:
-        return None
-    # p has the sign s_a at point j and the other sign at point j + n
-    j, n = k - coarse, coarse
-    while n > 1:
-        n >>= 1
-        s = _sign_at_ratio(p, base + (j + n) * step, den)
-        if s == 0:
+        coarse = 1 << max(depth - _COARSE_LEVELS, 0)
+        for j_hi in range(coarse, n + 1, coarse):
+            f_hi = value(j_hi)
+            if not f_hi or (f_hi > 0) != positive:
+                break
+            j_lo, f_lo = j_hi, f_hi
+        else:
             return None
-        if s == s_a:
-            j += n
-    return j
+    if not f_hi or (f_hi > 0) == positive:
+        return None
+    # moved: the end the last step replaced (-1 lower, 1 upper); mark: the
+    # bracket's length when it last halved; steps: secant steps since then
+    moved, mark, steps = 0, j_hi - j_lo, 0
+    while j_hi - j_lo > 1:
+        if steps == 2:
+            j = (j_lo + j_hi) >> 1
+        else:
+            j = j_lo + f_lo * (j_hi - j_lo) // (f_lo - f_hi)
+            j = min(max(j, j_lo + 1), j_hi - 1)
+        v = value(j)
+        if not v:
+            return None
+        # Illinois: an end that stays twice has its value halved (never to 0)
+        if (v > 0) == positive:
+            if moved < 0:
+                f_hi = f_hi // 2 or f_hi
+            j_lo, f_lo, moved = j, v, -1
+        else:
+            if moved > 0:
+                f_lo = f_lo // 2 or f_lo
+            j_hi, f_hi, moved = j, v, 1
+        steps += 1
+        if 2 * (j_hi - j_lo) <= mark or steps == 3:
+            mark, steps = j_hi - j_lo, 0
+    return j_lo
 
 
-def _jump_cell(p: Polynomial, a: Fraction, b: Fraction,
-               width: Fraction) -> tuple[Fraction, Fraction] | None:
+def _jump_cell(p: Polynomial, a: Fraction, b: Fraction, width: Fraction,
+               one_root: bool) -> tuple[Fraction, Fraction] | None:
     """The cell of :func:`_smallest_root_cell`'s bisection, proposed and confirmed.
 
     :func:`_propose_cell` picks the dyadic cell (lo, hi) of (a, b) at the
-    depth the width demands by exact signs alone.  Bisection stops in that
-    cell exactly when its endpoints have opposite signs, (a, hi) holds one
-    root, and no midpoint where bisection moved b down is a root (midpoints
-    left of the cell lie in (a, lo], which then holds no root).  Returns
-    None when any of this fails.
+    depth the width demands by exact signs alone.  Its ends must have
+    opposite signs, so the cell holds a root.  With ``one_root`` (the caller
+    counted exactly one root in (a, b)) that root is the only one, no grid
+    point is a root, and bisection stops in this cell: nothing more is
+    checked.  Otherwise bisection stops there exactly when (a, hi) holds
+    one root and no midpoint where bisection moved b down is a root
+    (midpoints left of the cell lie in (a, lo], which then holds no root).
+    Returns None when any of this fails.
     """
     span = b - a
     depth = _bisection_depth(span, width)
@@ -682,13 +728,15 @@ def _jump_cell(p: Polynomial, a: Fraction, b: Fraction,
     den = a.denominator * span.denominator << depth
     base = a.numerator * span.denominator << depth
     step = span.numerator * a.denominator
-    j = _propose_cell(p, base, step, den, depth)
-    if j is None:
+    j = _propose_cell(p, base, step, den, depth, one_root)
+    if j is None or not 0 <= j < 1 << depth:
         return None
     lo_num = base + j * step
     if _sign_at_ratio(p, lo_num, den) * _sign_at_ratio(p, lo_num + step, den) >= 0:
         return None
     lo, hi = Fraction(lo_num, den), Fraction(lo_num + step, den)
+    if one_root:
+        return lo, hi
     # the sign change puts a root in (lo, hi); if it is the only one in
     # (a, hi), it is the smallest and the cell holds no other
     if _RootCounter(p).count(a, hi) != 1:
@@ -700,18 +748,19 @@ def _jump_cell(p: Polynomial, a: Fraction, b: Fraction,
     return lo, hi
 
 
-def _smallest_root_cell(p: Polynomial, a: Fraction, b: Fraction,
-                        width: Fraction) -> tuple[Fraction, Fraction]:
+def _smallest_root_cell(p: Polynomial, a: Fraction, b: Fraction, width: Fraction,
+                        one_root: bool = False) -> tuple[Fraction, Fraction]:
     """Where bisection toward the smallest root of p in (a, b) stops.
 
     Bisection keeps the half of the current cell that holds the smallest
     root (a midpoint that is itself a root is replaced by a nearby
     non-root), until the cell is at most ``width`` wide and holds one root.
     The cell is first taken from :func:`_jump_cell`, which proposes it by
-    exact signs; bisection runs only when Sturm cannot confirm it.  Requires
-    p(a) != 0 != p(b) and a root in (a, b).
+    exact signs; bisection runs only when the jump cannot be confirmed.
+    Requires p(a) != 0 != p(b) and a root in (a, b); ``one_root`` says that
+    a Sturm count found exactly one.
     """
-    cell = _jump_cell(p, a, b, width)
+    cell = _jump_cell(p, a, b, width, one_root)
     if cell is not None:
         return cell
     counter = _RootCounter(p)
@@ -726,18 +775,27 @@ def _smallest_root_cell(p: Polynomial, a: Fraction, b: Fraction,
     return a, b
 
 
-def _enclose_smallest_root(p: Polynomial, a: Fraction, b: Fraction,
-                           width: Fraction) -> tuple[IntervalQ, SignCertificate]:
-    """The cell of :func:`_smallest_root_cell` with its exactly-one-root certificate.
+def _counted_root_cell(p: Polynomial, lo: Fraction, hi: Fraction,
+                       width: Fraction) -> IntervalQ:
+    """The isolating cell of the one root that a Sturm count found in (lo, hi).
 
-    The tail shared by :func:`isolate_counted_root` and the branch isolation of
-    :mod:`pinchcert.param_search`.  Requires p(a) != 0 != p(b) and a root in
-    (a, b).  The cell holds one root, so the certificate fails (with
-    :class:`ExactPolyError`) only when that root has even multiplicity.
+    Raises :class:`ExactPolyError` unless p(lo) and p(hi) have opposite
+    signs (a lone root without a sign change has even multiplicity).  With
+    one root of odd multiplicity, keeping the half that holds it is keeping
+    the half whose ends differ in sign, so the shared smallest-root kernel
+    gives the bisection's cell.
     """
-    lo, hi = _smallest_root_cell(p, a, b, width)
-    enclosure = IntervalQ(lo, hi)
-    return enclosure, _certificate(p, enclosure, CLAIM_ONE_ROOT, lo, hi)
+    if sign_at(p, lo) * sign_at(p, hi) >= 0:
+        raise ExactPolyError(
+            "single root without endpoint sign change (even multiplicity); "
+            "cannot certify an enclosure by signs"
+        )
+    return IntervalQ(*_smallest_root_cell(p, lo, hi, width, one_root=True))
+
+
+def one_root_certificate(p: Polynomial, enclosure: IntervalQ) -> SignCertificate:
+    """The ``exactly-one-root`` certificate of p on an isolating cell."""
+    return _certificate(p, enclosure, CLAIM_ONE_ROOT, enclosure.lo, enclosure.hi)
 
 
 def isolate_root(p: Polynomial, iv: IntervalQ, width) -> tuple[IntervalQ, SignCertificate]:
@@ -752,14 +810,11 @@ def isolate_root(p: Polynomial, iv: IntervalQ, width) -> tuple[IntervalQ, SignCe
 def isolate_counted_root(count_cert: SignCertificate, width) -> tuple[IntervalQ, SignCertificate]:
     """Shrink the one root that a :func:`count_roots` certificate counts.
 
-    Exact bisection down to the requested width; the returned enclosure has
-    endpoints of exactly opposite sign, so p(lo)*p(hi) < 0 as rationals.
-    The bisection starts from the certificate's nudged ends, whose
-    ``exactly-one-root`` label guarantees their sign change, so a caller
-    that needs the count certificate anyway counts only once.  With one
-    root of odd multiplicity in the interval, keeping the half that holds
-    it is keeping the half whose ends differ in sign, so the shared
-    smallest-root kernel gives this bisection's cell.
+    The returned enclosure has endpoints of exactly opposite sign, so
+    p(lo)*p(hi) < 0 as rationals, and is at most ``width`` wide.  The search
+    starts from the certificate's nudged ends and takes its count as the
+    single-root fact of :func:`_counted_root_cell`, so a caller that needs
+    the count certificate anyway counts only once.
     """
     width = rat(width)
     if width <= 0:
@@ -767,13 +822,10 @@ def isolate_counted_root(count_cert: SignCertificate, width) -> tuple[IntervalQ,
     count = count_cert.evidence["root_count"]
     if count != 1:
         raise ValueError(f"isolate_root requires exactly one root in the interval, found {count}")
-    if count_cert.claim != CLAIM_ONE_ROOT:
-        raise ExactPolyError(
-            "single root without endpoint sign change (even multiplicity); "
-            "cannot certify an enclosure by signs"
-        )
+    p = count_cert.polynomial
     lo, hi = (rat(count_cert.evidence[k]) for k in ("lo", "hi"))
-    return _enclose_smallest_root(count_cert.polynomial, lo, hi, width)
+    enclosure = _counted_root_cell(p, lo, hi, width)
+    return enclosure, one_root_certificate(p, enclosure)
 
 
 def _find_counterexample(p: Polynomial, lo: Fraction, hi: Fraction, want: int) -> Fraction:

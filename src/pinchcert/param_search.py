@@ -30,13 +30,21 @@ w = 5/3 builds branches.
 
 Every probe, comparison and bisection step is exact rational or integer
 arithmetic, with no float anywhere (a bisection's final cell is proposed
-by exact signs and confirmed by Sturm counts); identical configurations
-produce bit-identical results.  Each branch polynomial builds its Sturm
-chain on first use and keeps it for every count, isolation and certificate
-on it.
-Every certificate here comes from :mod:`pinchcert.exact_poly`'s
-``count_roots``, ``certify_sign_on_interval`` or its shared isolation
-tail, which decide the labels.
+by exact regula falsi and confirmed by exact signs and, where no count
+has found a single root, Sturm counts); identical configurations produce
+bit-identical results.  Each branch polynomial builds its Sturm chain on
+first use and keeps it for every count, isolation and certificate on it.
+
+A sweep ranks its probes on bare enclosures: one cell function per side
+(:func:`_left_cell`, :func:`_right_cell`) checks every fact an enclosure
+rests on and raises where the certified version would, but builds no
+certificate beyond the left sliver facts.  :func:`left_threshold` and
+:func:`right_threshold` are the same cell functions plus certificates, and
+:func:`optimize` calls one of them once, for the winner.  Every
+certificate here comes from :mod:`pinchcert.exact_poly`'s ``count_roots``,
+``certify_sign_on_interval`` or ``one_root_certificate``, which decide the
+labels.  Replay binds a left enclosure's support to the branches at its t
+(:func:`_left_support_holds`).
 """
 
 from __future__ import annotations
@@ -45,23 +53,27 @@ import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import pinching_bounds as pb
 from .exact_poly import (
+    CLAIM_NEGATIVE,
     CLAIM_NO_ROOT,
     CLAIM_ONE_ROOT,
     CLAIM_POSITIVE,
     ExactPolyError,
     IntervalQ,
     Polynomial,
-    _enclose_smallest_root,
+    _counted_root_cell,
     _RootCounter,
+    _smallest_root_cell,
     certify_sign_on_interval,
     count_roots,
-    isolate_counted_root,
+    nudged_ends,
+    one_root_certificate,
     rat,
     rat_str,
+    sign_at,
 )
 
 if TYPE_CHECKING:
@@ -71,7 +83,6 @@ F = Fraction
 
 DOMAIN_LO = pb.PINCH_DOMAIN.lo
 DOMAIN_HI = pb.PINCH_DOMAIN.hi
-_DEAD_LO = -DOMAIN_LO
 
 
 @dataclass(frozen=True)
@@ -192,50 +203,89 @@ def edge_lemma() -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
 
 #: the sliver [5/3, u] on which a left branch's quotient is certified negative
 _SLIVER = IntervalQ(DOMAIN_LO, DOMAIN_LO + (DOMAIN_HI - DOMAIN_LO) / 10**6)
+#: the enclosure of every degenerate left probe
+_EDGE = IntervalQ(DOMAIN_LO, DOMAIN_LO)
 
 
-def _first_nonneg(p: Polynomial, g: Polynomial, width: Fraction) -> tuple[
-        IntervalQ, SignCertificate, tuple[SignCertificate, ...]]:
-    """Enclose the first root of a left branch p above 5/3, with the
-    certificates that p < 0 below it; g is p / (x - 5/3).
+class _Cell(NamedTuple):
+    """A probe's bare enclosure, without certificates: what :func:`optimize`
+    ranks (by :func:`_strength_key`) and tabulates."""
 
-    A branch vanishes at 5/3 to exactly first order with negative slope and
-    is positive at 9/5 (see :func:`pinching_bounds.left_branch_forms`).  So
-    the quotient g, specialized from its cached form
-    (:func:`pinching_bounds.left_quotient_forms`) and of p's sign above
-    5/3, is certified negative on the sliver [5/3, u]; the first root in
-    (u, 9/5) is isolated; a count on (u, enclosure.lo) shows no root before
-    it.  A branch that broke the lemma would fail the quotient forms'
-    division check, g's sign certificate or the isolation.  p builds its
-    Sturm chain at the isolation and keeps it for the count.
-    """
-    u = _SLIVER.hi
-    dossier = [certify_sign_on_interval(g, _SLIVER, "negative")]
-    enclosure, cert = _isolate_smallest_root(p, u, DOMAIN_HI, width)
-    if enclosure.lo > u:
-        dossier.append(count_roots(p, IntervalQ(u, enclosure.lo))[1])
-    return enclosure, cert, tuple(dossier)
+    t: Fraction
+    w: Fraction
+    enclosure: IntervalQ
+    degenerate: bool
 
 
-def _isolate_smallest_root(
-    p: Polynomial, a: Fraction, b: Fraction, width: Fraction
-) -> tuple[IntervalQ, SignCertificate]:
+def _smallest_root_enclosure(p: Polynomial, a: Fraction, b: Fraction,
+                             width: Fraction) -> IntervalQ:
     """Enclose the smallest root of p in (a, b); requires p(a) != 0 != p(b).
 
     Count-driven bisection keeps the leftmost root bracketed until exactly
     one remains, then sign bisection tightens to the requested width; the
     kernel :func:`exact_poly._smallest_root_cell` jumps straight to the
-    cell where that bisection stops whenever it can confirm it.
+    cell where that bisection stops whenever it can confirm it, by end signs
+    alone when the count finds one root.  The enclosure's ends are checked
+    to differ in sign, so its exactly-one-root certificate cannot fail.
     """
-    if _RootCounter(p).count(a, b) < 1:
+    count = _RootCounter(p).count(a, b)
+    if count < 1:
         raise ValueError("no root to isolate")
-    try:
-        return _enclose_smallest_root(p, a, b, width)
-    except ExactPolyError as err:
-        # the cell holds one root, so only an even-multiplicity touch fails
+    lo, hi = _smallest_root_cell(p, a, b, width, one_root=count == 1)
+    # the cell holds one root, so only an even-multiplicity touch fails
+    if sign_at(p, lo) * sign_at(p, hi) >= 0:
         raise ExactPolyError(
             "branch root has even multiplicity; no sign-change enclosure exists"
-        ) from err
+        )
+    return IntervalQ(lo, hi)
+
+
+def _isolate_smallest_root(
+    p: Polynomial, a: Fraction, b: Fraction, width: Fraction
+) -> tuple[IntervalQ, SignCertificate]:
+    """:func:`_smallest_root_enclosure` with its exactly-one-root certificate."""
+    enclosure = _smallest_root_enclosure(p, a, b, width)
+    return enclosure, one_root_certificate(p, enclosure)
+
+
+def _left_cell(t: Fraction, width: Fraction) -> tuple[
+        _Cell, Fraction, Fraction, Polynomial, list[tuple[IntervalQ, Polynomial, SignCertificate]]]:
+    """The bare enclosure at (t, 5/3), every fact it rests on checked.
+
+    Each branch p vanishes at 5/3 to exactly first order with negative
+    slope and is positive at 9/5 (see
+    :func:`pinching_bounds.left_branch_forms`).  So, per branch in order,
+    the quotient g = p / (x - 5/3), specialized from its cached form
+    (:func:`pinching_bounds.left_quotient_forms`) and of p's sign above
+    5/3, is certified negative on the sliver [5/3, u], and the smallest root
+    of p in (u, 9/5) is isolated (a count finds it, and its cell's ends
+    differ in sign).  phi is the larger branch, so its threshold is the
+    earlier first root; phi's values at that cell's ends must have opposite
+    signs.  A branch that broke the lemma would fail the quotient forms'
+    division check, g's sign certificate or the isolation.  Raises exactly
+    where :func:`left_threshold` raises.
+
+    Returns the cell and what :func:`left_threshold` packages: phi at the
+    enclosure's ends, the branch whose root it encloses, and per branch its
+    own enclosure, the branch at t and the sliver certificate.
+    """
+    u = _SLIVER.hi
+    branches = []
+    for (_, form), quotient in zip(pb.left_branch_forms(), pb.left_quotient_forms()):
+        p, g = pb.at_t(form, t), pb.at_t(quotient, t)
+        sliver = certify_sign_on_interval(g, _SLIVER, "negative")
+        branches.append((_smallest_root_enclosure(p, u, DOMAIN_HI, width / 2), p, sliver))
+    # min keeps the first of equal keys, so a tie goes to sup-at-x
+    enclosure, p, _ = min(branches, key=lambda c: (c[0].lo, c[0].hi))
+    lo, hi = enclosure.lo, enclosure.hi
+    phi_lo = pb.left_certificate_value(lo, DOMAIN_LO, t)
+    phi_hi = pb.left_certificate_value(hi, DOMAIN_LO, t)
+    if not (phi_lo < 0 < phi_hi):
+        raise ExactPolyError(
+            f"threshold enclosure failed the exact endpoint check: "
+            f"phi({lo}) = {phi_lo}, phi({hi}) = {phi_hi}"
+        )
+    return _Cell(t, DOMAIN_LO, enclosure, False), phi_lo, phi_hi, p, branches
 
 
 def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
@@ -244,7 +294,12 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
     The threshold is the largest x such that the certificate stays negative
     on (5/3, x); pinching below it forces S to sit at the lower endpoint.
     For w > 5/3 (see :func:`edge_lemma`) the certificate is positive at the
-    domain edge, and the degenerate enclosure [5/3, 5/3] is returned.
+    domain edge, and the degenerate enclosure [5/3, 5/3] is returned.  At
+    w = 5/3 this is :func:`_left_cell` with its certificates: the winning
+    branch's exactly-one-root certificate, and as support, per branch, the
+    sliver certificate and, unless the branch's first root lies in the
+    first cell above u, the no-root count of the branch on [u, x], x the
+    lower end of its own enclosure.
     """
     t, w, width = rat(t), rat(w), rat(width)
     if not 0 < t <= F(1, 2):
@@ -259,36 +314,44 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
         # nonnegative at (and hence just above) the domain edge: no usable
         # region; a sign certificate for the linear weight factor q
         # witnesses the degeneracy cheaply.
-        enclosure = IntervalQ(DOMAIN_LO, DOMAIN_LO)
-        cert = certify_sign_on_interval(edge_weight(t, w), enclosure, "positive")
+        cert = certify_sign_on_interval(edge_weight(t, w), _EDGE, "positive")
         phi = pb.left_certificate_value(DOMAIN_LO, w, t)
         return ThresholdEnclosure(
-            side="left", t=t, w=w, enclosure=enclosure, certificate=cert,
+            side="left", t=t, w=w, enclosure=_EDGE, certificate=cert,
             degenerate=True, phi_lo=phi, phi_hi=phi,
         )
 
-    crossings = []
+    cell, phi_lo, phi_hi, winner, branches = _left_cell(t, width)
+    u = _SLIVER.hi
     support: list[SignCertificate] = []
-    for (_, form), quotient in zip(pb.left_branch_forms(), pb.left_quotient_forms()):
-        enclosure, cert, dossier = _first_nonneg(pb.at_t(form, t), pb.at_t(quotient, t),
-                                                 width / 2)
-        support.extend(dossier)
-        crossings.append((enclosure, cert))
-    # phi is the larger branch, so its threshold is the earlier first root;
-    # min keeps the first of equal keys, so a tie goes to sup-at-x
-    enclosure, cert = min(crossings, key=lambda c: (c[0].lo, c[0].hi))
-    lo, hi = enclosure.lo, enclosure.hi
-    phi_lo = pb.left_certificate_value(lo, w, t)
-    phi_hi = pb.left_certificate_value(hi, w, t)
-    if not (phi_lo < 0 < phi_hi):
-        raise ExactPolyError(
-            f"threshold enclosure failed the exact endpoint check: "
-            f"phi({lo}) = {phi_lo}, phi({hi}) = {phi_hi}"
-        )
+    for own, p, sliver in branches:
+        support.append(sliver)
+        if own.lo > u:
+            support.append(count_roots(p, IntervalQ(u, own.lo))[1])
     return ThresholdEnclosure(
-        side="left", t=t, w=w, enclosure=enclosure, certificate=cert,
+        side="left", t=t, w=w, enclosure=cell.enclosure,
+        certificate=one_root_certificate(winner, cell.enclosure),
         degenerate=False, support=tuple(support), phi_lo=phi_lo, phi_hi=phi_hi,
     )
+
+
+def _right_cell(t: Fraction, width: Fraction) -> tuple[_Cell, Polynomial]:
+    """The bare enclosure of θ2(t)'s root in the domain, every fact it rests
+    on checked, and θ2(t).
+
+    θ2(t)'s roots are counted at :func:`exact_poly.count_roots`' nudged
+    ends of [5/3, 9/5]; with none the cell is the degenerate [9/5, 9/5], and
+    a single root must change sign there.  Raises exactly where
+    :func:`right_threshold` raises.
+    """
+    p = pb.theta2(t)
+    lo, hi = nudged_ends(p, pb.PINCH_DOMAIN)
+    n = _RootCounter(p).count(lo, hi)
+    if n == 0:
+        return _Cell(t, DOMAIN_HI, IntervalQ(DOMAIN_HI, DOMAIN_HI), True), p
+    if n != 1:
+        raise ExactPolyError(f"expected at most one root in the domain, found {n}")
+    return _Cell(t, DOMAIN_HI, _counted_root_cell(p, lo, hi, width), False), p
 
 
 def right_threshold(t, width=F(1, 10**6)) -> ThresholdEnclosure:
@@ -297,28 +360,27 @@ def right_threshold(t, width=F(1, 10**6)) -> ThresholdEnclosure:
     Encloses the unique root of the upper-endpoint cubic in [5/3, 9/5];
     pinching above the enclosure forces S to sit at the upper endpoint.
     With no interior root (t = 1/2) the degenerate enclosure [9/5, 9/5] is
-    returned together with the no-root certificate.
+    returned together with the no-root certificate.  This is
+    :func:`_right_cell` with its certificates: θ2(t)'s count on the domain,
+    and its exactly-one-root certificate on the enclosure.
     """
     t, width = rat(t), rat(width)
     if not 0 < t <= F(1, 2):
         raise ValueError(f"parameter t must satisfy 0 < t <= 1/2, got {t}")
     if width <= 0:
         raise ValueError("width must be positive")
-    p = pb.theta2(t)
-    n, count_cert = count_roots(p, pb.PINCH_DOMAIN)
-    if n == 0:
+    cell, p = _right_cell(t, width)
+    count_cert = count_roots(p, pb.PINCH_DOMAIN)[1]
+    enclosure = cell.enclosure
+    if cell.degenerate:
         return ThresholdEnclosure(
-            side="right", t=t, w=DOMAIN_HI,
-            enclosure=IntervalQ(DOMAIN_HI, DOMAIN_HI),
+            side="right", t=t, w=DOMAIN_HI, enclosure=enclosure,
             certificate=count_cert, degenerate=True,
         )
-    if n != 1:
-        raise ExactPolyError(f"expected at most one root in the domain, found {n}")
-    enclosure, cert = isolate_counted_root(count_cert, width)
     return ThresholdEnclosure(
         side="right", t=t, w=DOMAIN_HI, enclosure=enclosure,
-        certificate=cert, degenerate=False, support=(count_cert,),
-        phi_lo=p(enclosure.lo), phi_hi=p(enclosure.hi),
+        certificate=one_root_certificate(p, enclosure), degenerate=False,
+        support=(count_cert,), phi_lo=p(enclosure.lo), phi_hi=p(enclosure.hi),
     )
 
 
@@ -344,9 +406,9 @@ def enclosure_holds(th: ThresholdEnclosure) -> bool:
     θ2(t) on the enclosure, and as support one exactly-one-root count of
     θ2(t) on [5/3, 9/5].  A left enclosure at w = 5/3 must carry an
     exactly-one-root certificate of one of the two branches at t on the
-    enclosure, and phi's values at its ends, of opposite sign.  Which
-    support certificates a left enclosure carries is not checked.  An
-    unknown side or a t outside (0, 1/2] holds nothing.
+    enclosure, and phi's values at its ends, of opposite sign, and the
+    support :func:`left_threshold` gives it (see :func:`_left_support_holds`).
+    An unknown side or a t outside (0, 1/2] holds nothing.
     """
     if th.side not in ("left", "right") or not 0 < th.t <= F(1, 2):
         return False
@@ -380,7 +442,36 @@ def enclosure_holds(th: ThresholdEnclosure) -> bool:
         return False
     phi_lo = pb.left_certificate_value(lo, th.w, th.t)
     phi_hi = pb.left_certificate_value(hi, th.w, th.t)
-    return phi_lo < 0 < phi_hi and phi_lo == th.phi_lo and phi_hi == th.phi_hi
+    return (phi_lo < 0 < phi_hi and phi_lo == th.phi_lo and phi_hi == th.phi_hi
+            and _left_support_holds(th))
+
+
+def _left_support_holds(th: ThresholdEnclosure) -> bool:
+    """Whether a left enclosure's support shows phi < 0 on (5/3, enclosure.lo).
+
+    Per branch, in :func:`pinching_bounds.left_branch_forms` order, the
+    support must hold the negative certificate of the branch's quotient at t
+    on the sliver [5/3, u] (the branch is negative on (5/3, u]), then either
+    a no-root count of the branch at t on [u, x] with x >= enclosure.lo, or
+    nothing, which suffices only when enclosure.lo = u.  Nothing may follow.
+    """
+    u = _SLIVER.hi
+    rest = list(th.support)
+    for (_, form), quotient in zip(pb.left_branch_forms(), pb.left_quotient_forms()):
+        if not rest:
+            return False
+        sliver = rest.pop(0)
+        if (sliver.claim, sliver.polynomial, sliver.interval) != (
+                CLAIM_NEGATIVE, pb.at_t(quotient, th.t), _SLIVER):
+            return False
+        if rest and rest[0].claim == CLAIM_NO_ROOT:
+            count = rest.pop(0)
+            if (count.polynomial != pb.at_t(form, th.t) or count.interval.lo != u
+                    or count.interval.hi < th.enclosure.lo):
+                return False
+        elif th.enclosure.lo != u:
+            return False
+    return not rest
 
 
 @dataclass(frozen=True)
@@ -421,7 +512,7 @@ class Optimum:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def _strength_key(side: str, th: ThresholdEnclosure) -> tuple:
+def _strength_key(side: str, th: ThresholdEnclosure | _Cell) -> tuple:
     """Sort key: stronger thresholds first, then smallest t, then smallest w.
 
     The usable constant of a left enclosure is its lower end (larger is
@@ -456,36 +547,38 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
 
     Deterministic: probes are exact rationals, results are compared exactly,
     and ties break toward smaller t then smaller w.  The incumbent is kept
-    as probes arrive.  On the left, probes with w > 5/3 are dead (see
-    :func:`edge_lemma`): they are counted, and ranked by their known
-    enclosure [5/3, 5/3]; if one wins, its enclosure is built after the
-    refinement.
+    as probes arrive.  Live probes are ranked on their bare cells
+    (:func:`_left_cell`, :func:`_right_cell`), which check every fact but
+    build no certificate beyond the left sliver facts.  On the left, probes
+    with w > 5/3 are dead (see :func:`edge_lemma`): they are counted, and
+    ranked by their known enclosure [5/3, 5/3].  After the refinement the
+    winner alone is certified, by :func:`left_threshold` or
+    :func:`right_threshold`.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if side == "left":
         edge_lemma()
     width = config.isolation_width
-    live: dict[tuple[Fraction, Fraction], ThresholdEnclosure] = {}
+    cell_at = _left_cell if side == "left" else _right_cell
+    live: dict[tuple[Fraction, Fraction], _Cell] = {}
     dead = 0
     best_key = best_tw = None
 
-    def consider(key: tuple, tw: tuple[Fraction, Fraction]) -> None:
+    def consider(cell: _Cell) -> None:
         nonlocal best_key, best_tw
+        key = _strength_key(side, cell)
         if best_key is None or key < best_key:
-            best_key, best_tw = key, tw
+            best_key, best_tw = key, (cell.t, cell.w)
 
     def probe(t: Fraction, w: Fraction) -> None:
         nonlocal dead
         if side == "left" and w > DOMAIN_LO:
             dead += 1  # callers pass only pairs new to the sweep
-            consider((_DEAD_LO, _DEAD_LO, t, w), (t, w))  # _strength_key of [5/3, 5/3]
+            consider(_Cell(t, w, _EDGE, True))
         elif (t, w) not in live:
-            if side == "left":
-                th = live[t, w] = left_threshold(t, w, width)
-            else:
-                th = live[t, w] = right_threshold(t, width)
-            consider(_strength_key(side, th), (t, w))
+            live[t, w] = cell_at(t, width)[0]
+            consider(live[t, w])
 
     # the probed t and w values, sorted and distinct: the grids plus every
     # refinement probe
@@ -519,13 +612,16 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
                     probe(t_best, w_new)
 
     t_best, w_best = best_tw
-    best = live[best_tw] if best_tw in live else left_threshold(t_best, w_best, width)
+    # only the winner is certified, by the same cell function
+    if side == "left":
+        best = left_threshold(t_best, w_best, width)
+    else:
+        best = right_threshold(t_best, width)
     rows = []
     degenerate_count = dead
-    for (t, w), th in sorted(live.items(), key=lambda item: item[0]):
-        if th.degenerate:
-            degenerate_count += 1
-        rows.append((t, w, th.enclosure.lo, th.enclosure.hi, th.degenerate))
+    for (t, w), cell in sorted(live.items(), key=lambda item: item[0]):
+        degenerate_count += cell.degenerate
+        rows.append((t, w, cell.enclosure.lo, cell.enclosure.hi, cell.degenerate))
     return Optimum(
         side=side,
         best_t=t_best,

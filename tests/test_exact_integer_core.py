@@ -3,7 +3,9 @@
 Evaluation, Sturm chains and both isolators must agree with
 ``tests/exact_reference.py`` exactly: same values, same chain members, same
 enclosures and evidence, same errors.  Explicit cases force the isolation
-kernel off its jump to the final cell and onto plain bisection.
+kernel off its jump to the final cell and onto plain bisection, and wrong
+proposals of the final cell are refused on both of its paths: after a count
+of one root (end signs alone confirm) and without one.
 """
 
 import math
@@ -74,6 +76,11 @@ def outcome(fn, *args):
         return fn(*args)
     except (ExactPolyError, ValueError) as err:
         return type(err), str(err)
+
+
+def counts_one_root(p, a, b) -> bool:
+    """The single-root flag the callers pass: a count finds one root in (a, b)."""
+    return ep._RootCounter(p).count(a, b) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +164,34 @@ def test_isolate_smallest_root_matches_reference(p, iv, width):
     )
 
 
+# polynomials with exactly one root in (1, 2), roots outside it and an
+# irreducible quadratic factor
+single_root_cases = st.builds(
+    lambda inside, outside, scale, c: (from_roots([inside, *outside], scale, [c]), inside),
+    st.fractions(min_value=1, max_value=2, max_denominator=10**4).filter(lambda r: 1 < r < 2),
+    st.lists(st.one_of(st.fractions(min_value=-3, max_value=1, max_denominator=50),
+                       st.fractions(min_value=2, max_value=5, max_denominator=50))
+             .filter(lambda r: not 1 <= r <= 2), max_size=3),
+    st.fractions(min_value=F(1, 9), max_value=9, max_denominator=100).flatmap(
+        lambda s: st.sampled_from([s, -s])),
+    st.fractions(min_value=F(1, 10), max_value=3, max_denominator=10),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_root_cases, widths)
+def test_single_root_path_matches_reference(case, width):
+    """A count of one root sends both isolators down the single-root path."""
+    p, root = case
+    a, b = F(1), F(2)
+    assert counts_one_root(p, a, b)
+    got = ps._isolate_smallest_root(p, a, b, width)
+    assert got == ref.isolate_smallest_root(p, a, b, width)
+    assert got[0].lo < root < got[0].hi
+    assert outcome(isolate_root, p, IntervalQ(a, b), width) == outcome(
+        ref.isolate_root, p, IntervalQ(a, b), width)
+
+
 # (polynomial, interval, width, why the jump cannot be confirmed)
 FALLBACK_CASES = [
     (from_roots([F(7, 4)]), IntervalQ(1, 2), F(1, 10**6), "root on a dyadic midpoint"),
@@ -196,13 +231,13 @@ def test_explicit_cases_match_reference(p, iv, width, why):
 @pytest.mark.parametrize("p, iv, width, why", FALLBACK_CASES, ids=[c[3] for c in FALLBACK_CASES])
 def test_fallback_cases_are_not_jumped(p, iv, width, why):
     a, b = smallest_args(p, iv)
-    assert _jump_cell(p, a, b, width) is None
+    assert _jump_cell(p, a, b, width, counts_one_root(p, a, b)) is None
 
 
 def test_jump_lands_on_the_bisection_cell_for_a_simple_root():
     p = from_roots([F(13, 10), F(17, 10)], extra=[F(1, 3)])
     a, b = F(1), F(2)
-    cell = _jump_cell(p, a, b, F(1, 10**6))
+    cell = _jump_cell(p, a, b, F(1, 10**6), False)
     assert cell is not None
     expected, _ = ref.isolate_smallest_root(p, a, b, F(1, 10**6))
     assert cell == (expected.lo, expected.hi)
@@ -228,17 +263,41 @@ def test_a_wrong_estimate_is_refused_and_bisection_takes_over(monkeypatch, p, gu
     """The sign search only proposes; the exact confirmations decide."""
     a, b, width = F(1), F(2), F(1, 10**6)
     j = grid_index(a, b, width, guess)
-    monkeypatch.setattr(ep, "_propose_cell", lambda p, base, step, den, depth: j)
-    assert _jump_cell(p, a, b, width) is None
+    monkeypatch.setattr(ep, "_propose_cell", lambda p, base, step, den, depth, one_root: j)
+    assert _jump_cell(p, a, b, width, counts_one_root(p, a, b)) is None
     assert ps._isolate_smallest_root(p, a, b, width) == ref.isolate_smallest_root(p, a, b, width)
+
+
+# one root in (1, 2), and one just outside each end, inside the grid cell
+# that lies beyond it (the default-width grid on (1, 2) has cells 2^-20 wide)
+ONE_ROOT = from_roots([F(13, 10), 1 - F(1, 2**21), 2 + F(1, 2**21)], extra=[F(1, 3)])
+
+
+@pytest.mark.parametrize(
+    "index", [lambda cells: grid_index(F(1), F(2), F(1, 10**6), F(17, 10)),
+              lambda cells: 0, lambda cells: cells - 1, lambda cells: -1, lambda cells: cells],
+    ids=["no root", "left end", "right end", "below the grid", "above the grid"],
+)
+def test_a_wrong_proposal_on_the_single_root_path_is_refused(monkeypatch, index):
+    """With one root counted only the end signs confirm, and they refuse;
+    a cell beyond the grid is refused even where its end signs differ."""
+    a, b, width = F(1), F(2), F(1, 10**6)
+    assert counts_one_root(ONE_ROOT, a, b)
+    j = index(1 << ep._bisection_depth(b - a, width))
+    monkeypatch.setattr(ep, "_propose_cell", lambda p, base, step, den, depth, one_root: j)
+    assert _jump_cell(ONE_ROOT, a, b, width, True) is None
+    expected = ref.isolate_smallest_root(ONE_ROOT, a, b, width)
+    assert ps._isolate_smallest_root(ONE_ROOT, a, b, width) == expected
+    assert isolate_root(ONE_ROOT, IntervalQ(a, b), width) == ref.isolate_root(
+        ONE_ROOT, IntervalQ(a, b), width)
 
 
 def test_coefficients_beyond_float_range_now_jump():
     p = from_roots([F(13, 10)], scale=F(10**400))
     a, b, width = F(1), F(2), F(1, 10**6)
-    cell = _jump_cell(p, a, b, width)
     expected, _ = ref.isolate_smallest_root(p, a, b, width)
-    assert cell == (expected.lo, expected.hi)
+    for single in (True, False):
+        assert _jump_cell(p, a, b, width, single) == (expected.lo, expected.hi)
 
 
 def test_every_default_grid_probe_takes_the_jump(monkeypatch):
@@ -246,8 +305,8 @@ def test_every_default_grid_probe_takes_the_jump(monkeypatch):
     cells = []
     real = ep._jump_cell
 
-    def recording(p, a, b, width):
-        cells.append(real(p, a, b, width))
+    def recording(p, a, b, width, one_root):
+        cells.append(real(p, a, b, width, one_root))
         return cells[-1]
 
     monkeypatch.setattr(ep, "_jump_cell", recording)
@@ -270,3 +329,38 @@ def test_the_exact_layer_imports_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_default_grid_isolations_take_few_grid_evaluations(monkeypatch):
+    """Illinois regula falsi finds each default probe's final cell in a few
+    exact signs.  The bounds are the counts measured when it replaced the
+    dyadic scan and sign bisection, which took 31 per right isolation and
+    up to 22 per left branch; every default isolation has one root counted.
+    """
+    real_propose, real_homogeneous = ep._propose_cell, ep._homogeneous
+    evaluations = []
+
+    def counting(p, base, step, den, depth, one_root):
+        assert one_root
+        calls = []
+
+        def homogeneous(ints, a, b):
+            calls.append(a)
+            return real_homogeneous(ints, a, b)
+
+        monkeypatch.setattr(ep, "_homogeneous", homogeneous)
+        try:
+            return real_propose(p, base, step, den, depth, one_root)
+        finally:
+            monkeypatch.setattr(ep, "_homogeneous", real_homogeneous)
+            evaluations.append(len(calls))
+
+    monkeypatch.setattr(ep, "_propose_cell", counting)
+    for t in ps.default_config("right").t_grid:
+        ps.right_threshold(t)
+    right, evaluations[:] = list(evaluations), []
+    for t in ps.default_config("left").t_grid:
+        ps.left_threshold(t, LO)
+    left = evaluations
+    assert len(right) == 99 and max(right) <= 7 and sum(right) <= 625
+    assert len(left) == 200 and max(left) <= 29 and sum(left) <= 3361

@@ -255,6 +255,39 @@ def test_replay_binds_a_left_enclosure_to_its_certificate():
         assert not ps.replay_threshold(forged), name
 
 
+def test_replay_binds_a_left_enclosure_to_its_support():
+    genuine = ps.left_threshold(F(37, 200), F(5, 3), WIDTH)
+    assert ps.replay_threshold(genuine)
+    sliver_x, count_x, sliver_s, count_s = genuine.support
+    u, lo = count_x.interval.lo, genuine.enclosure.lo
+    sup_at_x = pb.at_t(pb.left_branch_forms()[0][1], genuine.t)
+    short = count_roots(sup_at_x, ps.IntervalQ(u, lo - F(1, 10**4)))[1]
+    other = ps.left_threshold(F(90, 200), F(5, 3), WIDTH).support
+    forgeries = {
+        "support of another t": replace(genuine, support=other),
+        "slivers of another t": replace(
+            genuine, support=(other[0], count_x, other[2], count_s)),
+        "no support": replace(genuine, support=()),
+        "branches swapped": replace(genuine, support=(sliver_s, count_s, sliver_x, count_x)),
+        "count ending below the enclosure": replace(
+            genuine, support=(sliver_x, short, sliver_s, count_s)),
+        "count of the other branch": replace(
+            genuine, support=(sliver_x, count_s, sliver_s, count_s)),
+        "a count missing": replace(genuine, support=(sliver_x, sliver_s, count_s)),
+        "a certificate too many": replace(genuine, support=genuine.support + (count_s,)),
+    }
+    assert short.claim == "no-root"
+    for name, forged in forgeries.items():
+        assert forged.certificate.replay() and all(c.replay() for c in forged.support)
+        assert not ps.enclosure_holds(forged), name
+        assert not ps.replay_threshold(forged), name
+
+
+def test_every_default_left_enclosure_replays():
+    for k in range(1, 101):
+        assert ps.replay_threshold(ps.left_threshold(F(k, 200), F(5, 3), WIDTH)), k
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("t", [F(0), F(3, 5)])
 def test_replay_rejects_a_parameter_or_side_outside_its_range(side, t):
