@@ -7,8 +7,8 @@ For the lower endpoint the certificate value at a probe x is
 where M is the exact supremum of q(S)^2 x / S over S in [5/3, x].  The
 supremum sits at S = 5/3 or at S = x, so phi is the larger of two
 polynomial "branches"; the threshold (the largest x below which phi is
-negative) is therefore the smaller first root of the two, which Sturm
-machinery encloses exactly.  phi and its branches live in
+negative) is therefore the smaller first root of the two, which exact
+signs enclose and Sturm certificates prove.  phi and its branches live in
 :mod:`pinchcert.pinching_bounds`.
 
 For the upper endpoint the certificate is a single cubic, so its root is
@@ -28,23 +28,39 @@ chain, certificate or per-pair key is built for them, and only the
 smallest of the grid's dead pairs competes for the incumbent.  Only
 w = 5/3 builds branches.
 
+Sweep probes rest on a monotonicity lemma as well.  θ2 and the quotients
+g = p / (x - 5/3) of both left branches are forms quadratic in t.  Let
+h0 + h1 t + h2 t^2 be a form's x-derivative.  At t = s/2 it is
+b0 (1-s)^2 + 2 b1 s(1-s) + b2 s^2, with the Bernstein coefficients
+
+    b0 = h0,   b1 = h0 + h1/4,   b2 = h0 + h1/2 + h2/4,
+
+a convex combination of them for s in [0, 1].  So when each b_k keeps a
+strict sign on [5/3, 9/5], the derivative keeps it on the whole box
+[5/3, 9/5] x [0, 1/2] (Garloff 1986; Farouki 2012).  :func:`monotone_lemma`
+certifies this, ∂θ2/∂x < 0 and ∂g/∂x > 0, once per form and process, and
+:func:`optimize` proves it before its first probe.  A monotone θ2(t) has a
+root in the domain exactly when its end signs differ, and a branch is
+negative on (5/3, x) exactly when its quotient is negative at x: so no
+probe builds a Sturm chain or counts roots.
+
 Every probe, comparison and bisection step is exact rational or integer
 arithmetic, with no float anywhere (a bisection's final cell is proposed
 by exact regula falsi and confirmed by exact signs and, where no count
 has found a single root, Sturm counts); identical configurations produce
 bit-identical results.  Each branch polynomial builds its Sturm chain on
-first use and keeps it for every count, isolation and certificate on it.
+first use and keeps it for every count and certificate on it.
 
 A sweep ranks its probes on bare enclosures: one cell function per side
 (:func:`_left_cell`, :func:`_right_cell`) checks every fact an enclosure
-rests on and raises where the certified version would, but builds no
-certificate beyond the left sliver facts.  :func:`left_threshold` and
-:func:`right_threshold` are the same cell functions plus certificates, and
-:func:`optimize` calls one of them once, for the winner.  Every
-certificate here comes from :mod:`pinchcert.exact_poly`'s ``count_roots``,
-``certify_sign_on_interval`` or ``one_root_certificate``, which decide the
-labels.  Replay binds a left enclosure's support to the branches at its t
-(:func:`_left_support_holds`).
+rests on, given the lemma, and raises where the certified version would,
+but builds no certificate.  :func:`left_threshold` and
+:func:`right_threshold` are the same cell functions plus certificates,
+which prove the enclosure without the lemma, and :func:`optimize` calls one
+of them once, for the winner.  Every certificate here comes from
+:mod:`pinchcert.exact_poly`'s ``count_roots``, ``certify_sign_on_interval``
+or ``one_root_certificate``, which decide the labels.  Replay binds a left
+enclosure's support to the branches at its t (:func:`_left_support_holds`).
 """
 
 from __future__ import annotations
@@ -53,6 +69,7 @@ import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import pinching_bounds as pb
@@ -64,7 +81,9 @@ from .exact_poly import (
     ExactPolyError,
     IntervalQ,
     Polynomial,
+    SignClaimError,
     _counted_root_cell,
+    # perfbench's tracer wraps _RootCounter.count through this module's name
     _RootCounter,
     _smallest_root_cell,
     certify_sign_on_interval,
@@ -201,6 +220,39 @@ def edge_lemma() -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
     return corners
 
 
+@lru_cache(maxsize=None)
+def monotone_lemma(form: tuple[Polynomial, ...], sign: str) -> tuple[SignCertificate, ...]:
+    """Certify that ∂form/∂x has the strict ``sign`` on [5/3, 9/5] x [0, 1/2].
+
+    ``form`` is quadratic in t (entry k is the polynomial in x at t^k).  With
+    h_k the x-derivative of entry k, the Bernstein coefficients over
+    t in [0, 1/2] are b0 = h0, b1 = h0 + h1/4 and b2 = h0 + h1/2 + h2/4, and
+    ∂form/∂x at t = s/2 is their convex combination
+    b0 (1-s)^2 + 2 b1 s(1-s) + b2 s^2.  Returns the sign certificates of
+    b0, b1, b2 on [5/3, 9/5]; raises :class:`ExactPolyError` if one fails.
+    Proved once per form and process, on first use.
+    """
+    h0, h1, h2 = (entry.derivative() for entry in form)
+    bernstein = (h0, h0 + F(1, 4) * h1, h0 + F(1, 2) * h1 + F(1, 4) * h2)
+    return tuple(certify_sign_on_interval(b, pb.PINCH_DOMAIN, sign) for b in bernstein)
+
+
+def _monotone_lemmas(side: str) -> None:
+    """Prove :func:`monotone_lemma` for the forms a ``side`` probe specializes:
+    θ2 decreasing on the right, both left quotients increasing on the left.
+    Raises :class:`ExactPolyError` naming the form that fails."""
+    if side == "right":
+        forms = [("theta2", pb.theta2_form(), "negative")]
+    else:
+        forms = [(f"{label} quotient", quotient, "positive")
+                 for (label, _), quotient in zip(pb.left_branch_forms(), pb.left_quotient_forms())]
+    for name, form, sign in forms:
+        try:
+            monotone_lemma(form, sign)
+        except ExactPolyError as err:
+            raise ExactPolyError(f"monotonicity lemma fails for the {name} form: {err}") from err
+
+
 #: the sliver [5/3, u] on which a left branch's quotient is certified negative
 _SLIVER = IntervalQ(DOMAIN_LO, DOMAIN_LO + (DOMAIN_HI - DOMAIN_LO) / 10**6)
 #: the enclosure of every degenerate left probe
@@ -217,16 +269,15 @@ class _Cell(NamedTuple):
     degenerate: bool
 
 
-def _smallest_root_enclosure(p: Polynomial, a: Fraction, b: Fraction,
-                             width: Fraction) -> IntervalQ:
-    """Enclose the smallest root of p in (a, b); requires p(a) != 0 != p(b).
+def _isolate_smallest_root(
+    p: Polynomial, a: Fraction, b: Fraction, width: Fraction
+) -> tuple[IntervalQ, SignCertificate]:
+    """Enclose the smallest root of p in (a, b), with its exactly-one-root
+    certificate; requires p(a) != 0 != p(b).
 
-    Count-driven bisection keeps the leftmost root bracketed until exactly
-    one remains, then sign bisection tightens to the requested width; the
-    kernel :func:`exact_poly._smallest_root_cell` jumps straight to the
-    cell where that bisection stops whenever it can confirm it, by end signs
-    alone when the count finds one root.  The enclosure's ends are checked
-    to differ in sign, so its exactly-one-root certificate cannot fail.
+    Probes no longer call this Sturm-counted isolation (the monotonicity
+    lemma makes the count unnecessary); it stays for perfbench's tracer,
+    which wraps it by name, and for the frozen references in the tests.
     """
     count = _RootCounter(p).count(a, b)
     if count < 1:
@@ -237,46 +288,46 @@ def _smallest_root_enclosure(p: Polynomial, a: Fraction, b: Fraction,
         raise ExactPolyError(
             "branch root has even multiplicity; no sign-change enclosure exists"
         )
-    return IntervalQ(lo, hi)
-
-
-def _isolate_smallest_root(
-    p: Polynomial, a: Fraction, b: Fraction, width: Fraction
-) -> tuple[IntervalQ, SignCertificate]:
-    """:func:`_smallest_root_enclosure` with its exactly-one-root certificate."""
-    enclosure = _smallest_root_enclosure(p, a, b, width)
+    enclosure = IntervalQ(lo, hi)
     return enclosure, one_root_certificate(p, enclosure)
 
 
 def _left_cell(t: Fraction, width: Fraction) -> tuple[
-        _Cell, Fraction, Fraction, Polynomial, list[tuple[IntervalQ, Polynomial, SignCertificate]]]:
-    """The bare enclosure at (t, 5/3), every fact it rests on checked.
+        _Cell, Fraction, Fraction, list[tuple[IntervalQ, Polynomial]]]:
+    """The bare enclosure at (t, 5/3), every fact it rests on checked, given
+    the monotonicity lemma.
 
-    Each branch p vanishes at 5/3 to exactly first order with negative
-    slope and is positive at 9/5 (see
-    :func:`pinching_bounds.left_branch_forms`).  So, per branch in order,
-    the quotient g = p / (x - 5/3), specialized from its cached form
-    (:func:`pinching_bounds.left_quotient_forms`) and of p's sign above
-    5/3, is certified negative on the sliver [5/3, u], and the smallest root
-    of p in (u, 9/5) is isolated (a count finds it, and its cell's ends
-    differ in sign).  phi is the larger branch, so its threshold is the
-    earlier first root; phi's values at that cell's ends must have opposite
-    signs.  A branch that broke the lemma would fail the quotient forms'
-    division check, g's sign certificate or the isolation.  Raises exactly
-    where :func:`left_threshold` raises.
+    Each branch p vanishes at 5/3 (see
+    :func:`pinching_bounds.left_branch_forms`), and its quotient
+    g = p / (x - 5/3), specialized from its cached form
+    (:func:`pinching_bounds.left_quotient_forms`), has p's sign above 5/3
+    and increases in x (:func:`monotone_lemma`).  So, per branch in order,
+    g must be negative at u (then p < 0 on (5/3, u]; else
+    :class:`SignClaimError`) and positive at 9/5, and the one root of g in
+    (u, 9/5), which is p's smallest there, is isolated on g; g has no small
+    values near u, unlike p, so regula falsi proposes the cell in a few
+    signs.  phi is the larger branch, so its threshold is the earlier first
+    root; phi's values at that cell's ends must have opposite signs.  No
+    Sturm chain is built.  Raises exactly where :func:`left_threshold` raises.
 
-    Returns the cell and what :func:`left_threshold` packages: phi at the
-    enclosure's ends, the branch whose root it encloses, and per branch its
-    own enclosure, the branch at t and the sliver certificate.
+    Returns the cell, phi at the enclosure's ends, and per branch its own
+    enclosure and its quotient at t.
     """
     u = _SLIVER.hi
     branches = []
-    for (_, form), quotient in zip(pb.left_branch_forms(), pb.left_quotient_forms()):
-        p, g = pb.at_t(form, t), pb.at_t(quotient, t)
-        sliver = certify_sign_on_interval(g, _SLIVER, "negative")
-        branches.append((_smallest_root_enclosure(p, u, DOMAIN_HI, width / 2), p, sliver))
+    for (label, _), quotient in zip(pb.left_branch_forms(), pb.left_quotient_forms()):
+        g = pb.at_t(quotient, t)
+        if sign_at(g, u) >= 0:
+            raise SignClaimError(
+                f"claimed sign-constant-negative on [{_SLIVER.lo}, {u}] but the {label} "
+                f"quotient at t = {t} is {g(u)} at {u}", u)
+        if sign_at(g, DOMAIN_HI) <= 0:
+            raise ExactPolyError(
+                f"the {label} quotient at t = {t} is {g(DOMAIN_HI)} at {DOMAIN_HI}, not positive")
+        cell = _smallest_root_cell(g, u, DOMAIN_HI, width / 2, one_root=True)
+        branches.append((IntervalQ(*cell), g))
     # min keeps the first of equal keys, so a tie goes to sup-at-x
-    enclosure, p, _ = min(branches, key=lambda c: (c[0].lo, c[0].hi))
+    enclosure = min((own for own, _ in branches), key=lambda c: (c.lo, c.hi))
     lo, hi = enclosure.lo, enclosure.hi
     phi_lo = pb.left_certificate_value(lo, DOMAIN_LO, t)
     phi_hi = pb.left_certificate_value(hi, DOMAIN_LO, t)
@@ -285,7 +336,7 @@ def _left_cell(t: Fraction, width: Fraction) -> tuple[
             f"threshold enclosure failed the exact endpoint check: "
             f"phi({lo}) = {phi_lo}, phi({hi}) = {phi_hi}"
         )
-    return _Cell(t, DOMAIN_LO, enclosure, False), phi_lo, phi_hi, p, branches
+    return _Cell(t, DOMAIN_LO, enclosure, False), phi_lo, phi_hi, branches
 
 
 def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
@@ -297,9 +348,11 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
     domain edge, and the degenerate enclosure [5/3, 5/3] is returned.  At
     w = 5/3 this is :func:`_left_cell` with its certificates: the winning
     branch's exactly-one-root certificate, and as support, per branch, the
-    sliver certificate and, unless the branch's first root lies in the
-    first cell above u, the no-root count of the branch on [u, x], x the
-    lower end of its own enclosure.
+    negative certificate of its quotient on the sliver [5/3, u] and, unless
+    the branch's first root lies in the first cell above u, the no-root
+    count of the branch on [u, x], x the lower end of its own enclosure.
+    These prove the enclosure without the monotonicity lemma; a count that
+    finds a root raises :class:`ExactPolyError`.
     """
     t, w, width = rat(t), rat(w), rat(width)
     if not 0 < t <= F(1, 2):
@@ -321,13 +374,21 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
             degenerate=True, phi_lo=phi, phi_hi=phi,
         )
 
-    cell, phi_lo, phi_hi, winner, branches = _left_cell(t, width)
+    cell, phi_lo, phi_hi, branches = _left_cell(t, width)
     u = _SLIVER.hi
     support: list[SignCertificate] = []
-    for own, p, sliver in branches:
-        support.append(sliver)
+    winner = None
+    for (label, form), (own, g) in zip(pb.left_branch_forms(), branches):
+        p = pb.at_t(form, t)
+        if winner is None and own == cell.enclosure:
+            winner = p  # the first of equal enclosures, as _left_cell's min
+        support.append(certify_sign_on_interval(g, _SLIVER, "negative"))
         if own.lo > u:
-            support.append(count_roots(p, IntervalQ(u, own.lo))[1])
+            n, count = count_roots(p, IntervalQ(u, own.lo))
+            if n:
+                raise ExactPolyError(f"the {label} branch at t = {t} has {n} root(s) "
+                                     f"in ({u}, {own.lo}), below its enclosure")
+            support.append(count)
     return ThresholdEnclosure(
         side="left", t=t, w=w, enclosure=cell.enclosure,
         certificate=one_root_certificate(winner, cell.enclosure),
@@ -337,20 +398,19 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
 
 def _right_cell(t: Fraction, width: Fraction) -> tuple[_Cell, Polynomial]:
     """The bare enclosure of θ2(t)'s root in the domain, every fact it rests
-    on checked, and θ2(t).
+    on checked given the monotonicity lemma, and θ2(t).
 
-    θ2(t)'s roots are counted at :func:`exact_poly.count_roots`' nudged
-    ends of [5/3, 9/5]; with none the cell is the degenerate [9/5, 9/5], and
-    a single root must change sign there.  Raises exactly where
-    :func:`right_threshold` raises.
+    θ2(t), specialized from :func:`pinching_bounds.theta2_form`, decreases
+    in x (:func:`monotone_lemma`), so it has one root between
+    :func:`exact_poly.count_roots`' nudged ends of [5/3, 9/5] when its signs
+    there differ and none otherwise, which gives the degenerate cell
+    [9/5, 9/5].  No Sturm chain is built and no root counted.  Raises
+    exactly where :func:`right_threshold` raises.
     """
-    p = pb.theta2(t)
+    p = pb.at_t(pb.theta2_form(), t)
     lo, hi = nudged_ends(p, pb.PINCH_DOMAIN)
-    n = _RootCounter(p).count(lo, hi)
-    if n == 0:
+    if sign_at(p, lo) == sign_at(p, hi):
         return _Cell(t, DOMAIN_HI, IntervalQ(DOMAIN_HI, DOMAIN_HI), True), p
-    if n != 1:
-        raise ExactPolyError(f"expected at most one root in the domain, found {n}")
     return _Cell(t, DOMAIN_HI, _counted_root_cell(p, lo, hi, width), False), p
 
 
@@ -362,7 +422,9 @@ def right_threshold(t, width=F(1, 10**6)) -> ThresholdEnclosure:
     With no interior root (t = 1/2) the degenerate enclosure [9/5, 9/5] is
     returned together with the no-root certificate.  This is
     :func:`_right_cell` with its certificates: θ2(t)'s count on the domain,
-    and its exactly-one-root certificate on the enclosure.
+    which must find as many roots as the cell (one, or none when
+    degenerate; else :class:`ExactPolyError`), and its exactly-one-root
+    certificate on the enclosure.
     """
     t, width = rat(t), rat(width)
     if not 0 < t <= F(1, 2):
@@ -370,7 +432,10 @@ def right_threshold(t, width=F(1, 10**6)) -> ThresholdEnclosure:
     if width <= 0:
         raise ValueError("width must be positive")
     cell, p = _right_cell(t, width)
-    count_cert = count_roots(p, pb.PINCH_DOMAIN)[1]
+    n, count_cert = count_roots(p, pb.PINCH_DOMAIN)
+    if n != (not cell.degenerate):
+        raise ExactPolyError(f"expected {int(not cell.degenerate)} root(s) of theta2({t}) "
+                             f"in the domain by its end signs, found {n}")
     enclosure = cell.enclosure
     if cell.degenerate:
         return ThresholdEnclosure(
@@ -547,9 +612,10 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
 
     Deterministic: probes are exact rationals, results are compared exactly,
     and ties break toward smaller t then smaller w.  The incumbent is kept
-    as probes arrive.  Live probes are ranked on their bare cells
-    (:func:`_left_cell`, :func:`_right_cell`), which check every fact but
-    build no certificate beyond the left sliver facts.  On the left, probes
+    as probes arrive.  The monotonicity lemma (:func:`monotone_lemma`) is
+    proved first.  Live probes are ranked on their bare cells
+    (:func:`_left_cell`, :func:`_right_cell`), which check every fact the
+    lemma leaves but build no certificate.  On the left, probes
     with w > 5/3 are dead (see :func:`edge_lemma`): they are counted, and
     ranked by their known enclosure [5/3, 5/3].  After the refinement the
     winner alone is certified, by :func:`left_threshold` or
@@ -559,6 +625,7 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if side == "left":
         edge_lemma()
+    _monotone_lemmas(side)
     width = config.isolation_width
     cell_at = _left_cell if side == "left" else _right_cell
     live: dict[tuple[Fraction, Fraction], _Cell] = {}

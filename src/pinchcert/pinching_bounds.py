@@ -118,6 +118,9 @@ def theta2(t) -> Polynomial:
     40t(2t-1) x(3x-4)(3x-5) + ((9/5)t + 36/5)^2 (9 - 5x); for t < 1/2 it is
     strictly decreasing on the pinching domain with one sign change, and its
     root is the threshold above which the upper-endpoint rigidity holds.
+    Sweep probes specialize :func:`theta2_form` directly, the form whose
+    monotonicity they rest on; replay, ``certify`` and the benchmark's
+    tracer, which wraps this name, use this checked entry point.
     """
     t = rat(t)
     if not 0 < t <= F(1, 2):

@@ -1,10 +1,11 @@
 """Sweeps rank probes on bare enclosures and certify only the winner.
 
-Every probe still checks each fact its enclosure rests on (a failing fact
-on a probe that does not win stops the sweep, and ``optimize`` exits 1
-naming it), but only the winner, rebuilt by ``left_threshold`` or
-``right_threshold``, builds certificates beyond the left probes' sliver
-facts.
+Every probe still checks each fact its enclosure rests on, given the
+monotonicity lemma that ``optimize`` proves first (a failing fact on a
+probe that does not win, or a failing lemma, stops the sweep, and
+``optimize`` exits 1 naming it), but only the winner, rebuilt by
+``left_threshold`` or ``right_threshold``, builds certificates or Sturm
+chains.
 """
 
 import json
@@ -35,27 +36,49 @@ def _count_certificates(monkeypatch) -> list:
     return built
 
 
+def _count_chains(monkeypatch) -> list:
+    """The polynomial of every Sturm chain built."""
+    built = []
+    real = ep.sturm_sequence
+
+    def counting(p):
+        built.append(p)
+        return real(p)
+
+    monkeypatch.setattr(ep, "sturm_sequence", counting)
+    return built
+
+
 def test_a_default_left_sweep_certifies_only_the_winner(monkeypatch):
+    ps._monotone_lemmas("left")  # proved once per process, not per sweep
     built = _count_certificates(monkeypatch)
+    chains = _count_chains(monkeypatch)
     report = rc.cmd_optimize("left", ps.default_config("left"))
     assert report.all_passed
     live = len(report.inputs["optimum"]["table"])
     support = report.inputs["optimum"]["best"]["support"]
-    # two sliver facts per live probe; the winner's certificate and support
+    # no probe builds a certificate; the winner's certificate and support
     # once when it is rebuilt and once more when cmd_optimize replays them
     assert (live, len(support)) == (108, 4)
-    assert len(built) == 2 * live + 2 * (1 + len(support)) == 226
-    assert built.count("sign-constant-negative") == 2 * live + 2 * 2
+    assert len(built) == 2 * (1 + len(support)) == 10
+    assert built.count("sign-constant-negative") == 2 * 2
     assert built.count("exactly-one-root") == 2
+    # the winner's two branches and two quotients, then one fresh chain per
+    # replayed certificate
+    assert len(chains) == 4 + 1 + len(support) == 9
 
 
 def test_a_default_right_sweep_certifies_only_the_winner(monkeypatch):
+    ps._monotone_lemmas("right")
     built = _count_certificates(monkeypatch)
+    chains = _count_chains(monkeypatch)
     report = rc.cmd_optimize("right", ps.default_config("right"))
     assert report.all_passed
     assert len(report.inputs["optimum"]["table"]) == 108
     # the winner's count and enclosure certificates, built once, replayed once
     assert built == [None, "exactly-one-root", "exactly-one-root", "exactly-one-root"]
+    # θ2 at the winner's t, then one fresh chain per replayed certificate
+    assert len(chains) == 1 + 2 == 3
 
 
 def _break_one_sliver(monkeypatch):
@@ -66,6 +89,14 @@ def _break_one_sliver(monkeypatch):
     monkeypatch.setattr(pb, "left_quotient_forms", lambda: (bumped, second))
 
 
+def _break_one_quotient_end(monkeypatch):
+    """The sup-at-x quotient form minus 10^6 (1 - 2t): still increasing in x
+    and unchanged at t = 1/2, negative at 9/5 at t = 1/200."""
+    first, second = pb.left_quotient_forms()
+    lowered = (first[0] - 10**6, first[1] + 2 * 10**6, *first[2:])
+    monkeypatch.setattr(pb, "left_quotient_forms", lambda: (lowered, second))
+
+
 def _break_one_endpoint_check(monkeypatch):
     """phi made positive at t = 1/200 only."""
     real = pb.left_certificate_value
@@ -73,23 +104,25 @@ def _break_one_endpoint_check(monkeypatch):
                         lambda x, w, t: abs(real(x, w, t)) if t == F(1, 200) else real(x, w, t))
 
 
-def _break_one_count(monkeypatch):
-    """θ2(1/200) replaced by a cubic with three roots in the domain."""
-    real = pb.theta2
-    three = Polynomial((1,))
-    for r in (F(17, 10), F(7, 4), F(177, 100)):
-        three = three * Polynomial.linear(-r, 1)
-    monkeypatch.setattr(pb, "theta2", lambda t: three if t == F(1, 200) else real(t))
+def _break_theta2_monotonicity(monkeypatch):
+    """θ2's form plus 10^4 (x - 7/4)^2 (1 - 4t): unchanged at t = 1/4, the
+    winner, but at t = 0 its x-derivative changes sign at x = 7/4."""
+    real = pb.theta2_form()
+    bump = 10**4 * Polynomial.linear(F(-7, 4), 1) ** 2
+    bumped = (real[0] + bump, real[1] - 4 * bump, real[2])
+    monkeypatch.setattr(pb, "theta2_form", lambda: bumped)
 
 
 @pytest.mark.parametrize(
     "side, breaks, error, message",
     [
         ("left", _break_one_sliver, SignClaimError, "claimed sign-constant-negative"),
+        ("left", _break_one_quotient_end, ExactPolyError, "not positive"),
         ("left", _break_one_endpoint_check, ExactPolyError, "exact endpoint check"),
-        ("right", _break_one_count, ExactPolyError, "found 3"),
+        ("right", _break_theta2_monotonicity, ExactPolyError,
+         "monotonicity lemma fails for the theta2 form"),
     ],
-    ids=["sliver sign", "phi endpoint check", "right count"],
+    ids=["sliver sign", "quotient end sign", "phi endpoint check", "theta2 monotonicity"],
 )
 def test_a_failing_fact_on_a_probe_that_does_not_win_stops_the_sweep(
         monkeypatch, tmp_path, capsys, side, breaks, error, message):
