@@ -5,6 +5,8 @@ Polynomials have arbitrary-precision rational coefficients
 integers: a polynomial carries its coefficients scaled to integers, values at
 a/b come from homogeneous Horner, and chains are primitive integer
 pseudo-remainder sequences that a polynomial builds on first use and keeps.
+Polynomials that arise as integers, such as chain members, are born from
+that integer form and build their Fractions only if something reads them.
 Root counts and sign claims are established by Sturm's theorem and packaged
 as :class:`SignCertificate` records.  One constructor builds every
 certificate and rebuilds it on replay, so it alone says which evidence
@@ -61,14 +63,22 @@ def rat(value) -> Fraction:
     exactly.  Binary floats are rejected: accepting them would contaminate
     certificates with rounding already performed by the caller.  So are
     bools: ``True`` is an int to Python but never a number a user meant.
+    A string of the exact ASCII shape ``-?[0-9]+(/[0-9]+)?``, the form
+    :func:`rat_str` writes, is parsed by ``int`` without ``Fraction``'s
+    regular expression; every other string goes to ``Fraction(str)``.
     """
+    if isinstance(value, str):
+        if value.isascii():
+            num, slash, den = value.partition("/")
+            # on ASCII, isdigit() accepts exactly [0-9]+
+            if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
+                return Fraction(int(num), int(den) if slash else 1)
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("cannot build an exact rational from bool")
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot build an exact rational from {type(value).__name__}")
 
@@ -82,19 +92,37 @@ class Polynomial:
     """Dense univariate polynomial over Fraction, lowest degree first.
 
     Immutable.  The zero polynomial has an empty coefficient tuple and,
-    by convention here, degree -1.  The integer form used for evaluation,
-    the Sturm chain and the hash are derived from ``coeffs`` on first use
-    and take no part in equality.
+    by convention here, degree -1.  A polynomial holds one or both of two
+    forms of the same value: ``coeffs``, its Fraction coefficients, and its
+    canonical integer form ``(ints, den)`` (:meth:`integer_form`), with den
+    the lcm of the coefficient denominators and ``ints[i] = den * coeffs[i]``.
+    One built from coefficients derives the integer form on first use; one
+    born from integers (:meth:`_from_integer_form`, used by Sturm chains and
+    by specializations of forms in t) builds ``coeffs`` the first time
+    something reads them.  Both forms are canonical, so equality and the
+    hash are equality of value whichever form came first; the hash is taken
+    of the integer form.  The Sturm chain is built on first use and kept.
     """
 
-    __slots__ = ("coeffs", "_ints", "_chain", "_hash")
+    __slots__ = ("_coeffs", "_ints", "_chain", "_hash")
 
     def __init__(self, coeffs: Iterable):
         cs = [rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_coeffs", tuple(cs))
         object.__setattr__(self, "_ints", None)
+
+    @classmethod
+    def _from_integer_form(cls, ints: tuple[int, ...], den: int) -> "Polynomial":
+        """The polynomial of integer form ``(ints, den)``, which must be
+        canonical: den > 0, ``ints`` without trailing zeros, and
+        gcd(*ints, den) == 1 (then den is the lcm of the denominators of
+        ``ints[i] / den``)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "_coeffs", None)
+        object.__setattr__(p, "_ints", (ints, den))
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -121,12 +149,24 @@ class Polynomial:
     # -- structure ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The Fraction coefficients, built from the integer form on first
+        read when the polynomial was born from integers."""
+        cs = self._coeffs
+        if cs is None:
+            ints, den = self._ints
+            cs = tuple(Fraction(c, den) for c in ints)
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        cs = self._coeffs
+        return len(cs if cs is not None else self._ints[0]) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.degree < 0
 
     @property
     def leading(self) -> Fraction:
@@ -135,13 +175,19 @@ class Polynomial:
         return self.coeffs[-1]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        """Equal values: equal coefficients when both are built, else equal
+        canonical integer forms, so no Fraction is built to compare."""
+        if not isinstance(other, Polynomial):
+            return False
+        if self._coeffs is not None and other._coeffs is not None:
+            return self._coeffs == other._coeffs
+        return self.integer_form() == other.integer_form()
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            h = hash(self.coeffs)
+            h = hash(self.integer_form())
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -215,11 +261,13 @@ class Polynomial:
 
     def integer_form(self) -> tuple[tuple[int, ...], int]:
         """``(ints, den)``: den is the lcm of the coefficient denominators and
-        ``ints[i] = den * coeffs[i]``.  Computed once, on first use."""
+        ``ints[i] = den * coeffs[i]``.  Given at birth or computed once, on
+        first use."""
         form = self._ints
         if form is None:
-            den = lcm(*(c.denominator for c in self.coeffs))
-            form = (tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den)
+            cs = self._coeffs
+            den = lcm(*(c.denominator for c in cs))
+            form = (tuple(c.numerator * (den // c.denominator) for c in cs), den)
             object.__setattr__(self, "_ints", form)
         return form
 
@@ -350,15 +398,11 @@ class IntervalQ:
 def _primitive_ints(cs: Sequence[int]) -> Polynomial:
     """The polynomial with coefficients ``cs`` divided by their positive gcd.
 
-    ``cs`` ends in a nonzero entry, so the member is built from its
-    integers directly, with its integer form already filled in.
+    ``cs`` ends in a nonzero entry, so the member is born from its integer
+    form ``(ints, 1)``; nothing reads its Fraction coefficients in a count.
     """
     g = gcd(*cs)
-    ints = tuple(c // g for c in cs)
-    q = object.__new__(Polynomial)
-    object.__setattr__(q, "coeffs", tuple(map(Fraction, ints)))
-    object.__setattr__(q, "_ints", (ints, 1))
-    return q
+    return Polynomial._from_integer_form(tuple(c // g for c in cs), 1)
 
 
 def _negated_pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -526,20 +570,27 @@ def _certificate(p: Polynomial, iv: IntervalQ, claim: str | None, lo: Fraction,
     iv.lo <= lo <= hi <= iv.hi; the one place that says which evidence
     proves which claim.
 
-    ``no-root`` needs no root in (lo, hi) and p nonzero at both points (a
-    root on a closed end is a root of the interval too); ``exactly-one-root``
-    one distinct root and values of strictly opposite sign, an odd root that
-    no even-multiplicity touch can fake; ``sign-constant-*`` no root and the
-    stated strict sign at lo, hi and ``witness``; ``root-count`` nothing
-    more than the count.  ``claim=None`` takes the one of the first two that
-    holds, else ``root-count``.  Raises :class:`ExactPolyError`
+    Every claim but ``root-count`` speaks of the whole closed interval, so
+    it needs its evidence at the interval's own ends, lo = iv.lo and
+    hi = iv.hi.  Then ``no-root`` needs no root in (lo, hi) and p nonzero
+    at both points (a root on a closed end is a root of the interval too);
+    ``exactly-one-root`` one distinct root and values of strictly opposite
+    sign, an odd root that no even-multiplicity touch can fake;
+    ``sign-constant-*`` no root and the stated strict sign at lo, hi and
+    ``witness``; ``root-count`` nothing more than the count, wherever it is
+    evidenced.  ``claim=None`` takes the one of the first two that holds,
+    else ``root-count``.  Raises :class:`ExactPolyError`
     (:class:`SignClaimError`, with a counterexample, for a sign claim) when
     the evidence does not prove the claim.
     """
     if not iv.lo <= lo <= hi <= iv.hi:
         raise ValueError(f"evidence points {lo}, {hi} not in order inside [{iv.lo}, {iv.hi}]")
+    at_ends = lo == iv.lo and hi == iv.hi
     count, evidence, (s_lo, s_hi) = _count_evidence(p, lo, hi)
     if claim in _SIGN_CLAIMS:
+        if not at_ends:
+            raise ExactPolyError(f"{claim} claim on [{iv.lo}, {iv.hi}] evidenced at "
+                                 f"{lo} and {hi}, not at its ends")
         want = _SIGN_CLAIMS[claim]
         for x, s in zip((lo, hi, witness), (s_lo, s_hi, sign_at(p, witness))):
             if s != want:
@@ -552,7 +603,9 @@ def _certificate(p: Polynomial, iv: IntervalQ, claim: str | None, lo: Fraction,
         evidence["witness"] = rat_str(witness)
         evidence["witness_value"] = rat_str(p(witness))
     else:
-        if count == 0 and s_lo != 0 and s_hi != 0:
+        if not at_ends:
+            proven = CLAIM_ROOT_COUNT
+        elif count == 0 and s_lo != 0 and s_hi != 0:
             proven = CLAIM_NO_ROOT
         elif count == 1 and s_lo * s_hi < 0:
             proven = CLAIM_ONE_ROOT
@@ -591,13 +644,16 @@ def count_roots(p: Polynomial, iv: IntervalQ) -> tuple[int, SignCertificate]:
     """Exact number of distinct real roots of ``p`` in the open interval.
 
     Endpoints that happen to be roots are nudged inward by shrinking
-    rational steps (recorded in the evidence); if twelve decades of nudging
-    cannot clear them the input is reported as degenerate.  The certificate
-    carries the strongest count claim its evidence proves: ``no-root``,
+    rational steps (:func:`nudged_ends`); if twelve decades of nudging
+    cannot clear them the input is reported as degenerate.  The closed
+    interval holds such an end root, so the certificate is then on the
+    nudged interval, where the count is the whole story.  It carries the
+    strongest count claim its evidence proves: ``no-root``,
     ``exactly-one-root`` when the single root changes p's sign between the
     ends, ``root-count`` for any other nonzero count.
     """
-    cert = _certificate(p, iv, None, *nudged_ends(p, iv))
+    lo, hi = nudged_ends(p, iv)
+    cert = _certificate(p, IntervalQ(lo, hi), None, lo, hi)
     return cert.evidence["root_count"], cert
 
 
@@ -812,9 +868,10 @@ def isolate_counted_root(count_cert: SignCertificate, width) -> tuple[IntervalQ,
 
     The returned enclosure has endpoints of exactly opposite sign, so
     p(lo)*p(hi) < 0 as rationals, and is at most ``width`` wide.  The search
-    starts from the certificate's nudged ends and takes its count as the
-    single-root fact of :func:`_counted_root_cell`, so a caller that needs
-    the count certificate anyway counts only once.
+    starts from the certificate's interval, whose ends are the nudged ends
+    it was counted at, and takes its count as the single-root fact of
+    :func:`_counted_root_cell`, so a caller that needs the count certificate
+    anyway counts only once.
     """
     width = rat(width)
     if width <= 0:
@@ -823,8 +880,7 @@ def isolate_counted_root(count_cert: SignCertificate, width) -> tuple[IntervalQ,
     if count != 1:
         raise ValueError(f"isolate_root requires exactly one root in the interval, found {count}")
     p = count_cert.polynomial
-    lo, hi = (rat(count_cert.evidence[k]) for k in ("lo", "hi"))
-    enclosure = _counted_root_cell(p, lo, hi, width)
+    enclosure = _counted_root_cell(p, count_cert.interval.lo, count_cert.interval.hi, width)
     return enclosure, one_root_certificate(p, enclosure)
 
 

@@ -401,11 +401,10 @@ def _right_cell(t: Fraction, width: Fraction) -> tuple[_Cell, Polynomial]:
     on checked given the monotonicity lemma, and θ2(t).
 
     θ2(t), specialized from :func:`pinching_bounds.theta2_form`, decreases
-    in x (:func:`monotone_lemma`), so it has one root between
-    :func:`exact_poly.count_roots`' nudged ends of [5/3, 9/5] when its signs
-    there differ and none otherwise, which gives the degenerate cell
-    [9/5, 9/5].  No Sturm chain is built and no root counted.  Raises
-    exactly where :func:`right_threshold` raises.
+    in x (:func:`monotone_lemma`), so it has one root on
+    :func:`_counted_domain` when its end signs differ and none otherwise,
+    which gives the degenerate cell [9/5, 9/5].  No Sturm chain is built and
+    no root counted.  Raises exactly where :func:`right_threshold` raises.
     """
     p = pb.at_t(pb.theta2_form(), t)
     lo, hi = nudged_ends(p, pb.PINCH_DOMAIN)
@@ -414,13 +413,21 @@ def _right_cell(t: Fraction, width: Fraction) -> tuple[_Cell, Polynomial]:
     return _Cell(t, DOMAIN_HI, _counted_root_cell(p, lo, hi, width), False), p
 
 
+def _counted_domain(p: Polynomial) -> IntervalQ:
+    """The interval of ``count_roots(p, [5/3, 9/5])``'s certificate: the
+    domain with its ends nudged off p's roots (:func:`exact_poly.nudged_ends`)."""
+    return IntervalQ(*nudged_ends(p, pb.PINCH_DOMAIN))
+
+
 def right_threshold(t, width=F(1, 10**6)) -> ThresholdEnclosure:
     """Certified enclosure of the upper-endpoint threshold at parameter t.
 
     Encloses the unique root of the upper-endpoint cubic in [5/3, 9/5];
     pinching above the enclosure forces S to sit at the upper endpoint.
     With no interior root (t = 1/2) the degenerate enclosure [9/5, 9/5] is
-    returned together with the no-root certificate.  This is
+    returned together with the no-root certificate; at t = 1/2 the root of
+    θ2(t) is 9/5 itself, so that certificate is on the domain with its upper
+    end nudged off the root (:func:`_counted_domain`).  This is
     :func:`_right_cell` with its certificates: θ2(t)'s count on the domain,
     which must find as many roots as the cell (one, or none when
     degenerate; else :class:`ExactPolyError`), and its exactly-one-root
@@ -464,12 +471,13 @@ def enclosure_holds(th: ThresholdEnclosure) -> bool:
 
     A degenerate enclosure holds only the weakest claim of its side, with no
     support: on the right at w = 9/5, with θ2(t)'s no-root count on
-    [5/3, 9/5] and no values; on the left at w in (5/3, 9/5], with the
+    [5/3, 9/5], its ends nudged off θ2(t)'s roots (:func:`_counted_domain`),
+    and no values; on the left at w in (5/3, 9/5], with the
     positive certificate of edge_weight(t, w) on [5/3, 5/3] and phi(5/3) > 0
     as both values.  A right enclosure at w = 9/5 must carry θ2(t)'s
     values at its ends, of opposite sign, an exactly-one-root certificate of
     θ2(t) on the enclosure, and as support one exactly-one-root count of
-    θ2(t) on [5/3, 9/5].  A left enclosure at w = 5/3 must carry an
+    θ2(t) on that nudged domain.  A left enclosure at w = 5/3 must carry an
     exactly-one-root certificate of one of the two branches at t on the
     enclosure, and phi's values at its ends, of opposite sign, and the
     support :func:`left_threshold` gives it (see :func:`_left_support_holds`).
@@ -483,9 +491,9 @@ def enclosure_holds(th: ThresholdEnclosure) -> bool:
         if th.support:
             return False
         if th.side == "right":
+            p = pb.theta2(th.t)
             return (lo == hi == th.w == DOMAIN_HI and cert.claim == CLAIM_NO_ROOT
-                    and cert.polynomial == pb.theta2(th.t)
-                    and cert.interval == pb.PINCH_DOMAIN
+                    and cert.polynomial == p and cert.interval == _counted_domain(p)
                     and th.phi_lo is None and th.phi_hi is None)
         if not (lo == hi == DOMAIN_LO < th.w <= DOMAIN_HI and cert.claim == CLAIM_POSITIVE
                 and cert.interval == th.enclosure
@@ -501,7 +509,7 @@ def enclosure_holds(th: ThresholdEnclosure) -> bool:
         return (th.w == DOMAIN_HI and cert.polynomial == p and phi_lo > 0 > phi_hi
                 and (phi_lo, phi_hi) == (th.phi_lo, th.phi_hi)
                 and [(c.claim, c.polynomial, c.interval) for c in th.support]
-                == [(CLAIM_ONE_ROOT, p, pb.PINCH_DOMAIN)])
+                == [(CLAIM_ONE_ROOT, p, _counted_domain(p))])
     if th.w != DOMAIN_LO or all(cert.polynomial != pb.at_t(form, th.t)
                                 for _, form in pb.left_branch_forms()):
         return False
@@ -628,7 +636,9 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
     _monotone_lemmas(side)
     width = config.isolation_width
     cell_at = _left_cell if side == "left" else _right_cell
-    live: dict[tuple[Fraction, Fraction], _Cell] = {}
+    # every probe is of a pair new to the sweep, so live cells need no
+    # lookup by (t, w) and no Fraction is hashed
+    live: list[_Cell] = []
     dead = 0
     best_key = best_tw = None
 
@@ -641,11 +651,11 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
     def probe(t: Fraction, w: Fraction) -> None:
         nonlocal dead
         if side == "left" and w > DOMAIN_LO:
-            dead += 1  # callers pass only pairs new to the sweep
+            dead += 1
             consider(_Cell(t, w, _EDGE, True))
-        elif (t, w) not in live:
-            live[t, w] = cell_at(t, width)[0]
-            consider(live[t, w])
+        else:
+            live.append(cell_at(t, width)[0])
+            consider(live[-1])
 
     # the probed t and w values, sorted and distinct: the grids plus every
     # refinement probe
@@ -654,7 +664,7 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
     # only the smallest w can be live: 5/3 on the left, 9/5 on the right
     live_w = w_seen[:1] if side == "right" or w_seen[0] == DOMAIN_LO else []
     dead_w = w_seen[len(live_w):]
-    for t in config.t_grid:
+    for t in t_seen:
         for w in live_w:
             probe(t, w)
     if dead_w:
@@ -686,9 +696,9 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
         best = right_threshold(t_best, width)
     rows = []
     degenerate_count = dead
-    for (t, w), cell in sorted(live.items(), key=lambda item: item[0]):
+    for cell in sorted(live, key=lambda cell: (cell.t, cell.w)):
         degenerate_count += cell.degenerate
-        rows.append((t, w, cell.enclosure.lo, cell.enclosure.hi, cell.degenerate))
+        rows.append((cell.t, cell.w, cell.enclosure.lo, cell.enclosure.hi, cell.degenerate))
     return Optimum(
         side=side,
         best_t=t_best,

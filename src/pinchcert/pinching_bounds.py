@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .exact_poly import (
     ExactPolyError,
@@ -74,13 +74,21 @@ def at_t(form: tuple[Polynomial, ...], t) -> Polynomial:
     """A form (entry k is the polynomial in x at t^k) specialized at t.
 
     Coefficient i at t = a/b is column i of :func:`_integer_columns` at a/b,
-    by the integer Horner of :func:`exact_poly._homogeneous`.
+    by the integer Horner of :func:`exact_poly._homogeneous`, over the
+    scale den * b^(len(form) - 1).  The values, their trailing zeros
+    stripped, and the scale, divided by their one gcd, are the polynomial's
+    canonical integer form, and it is born from that form: no Fraction is
+    built.
     """
     t = rat(t)
     columns, den = _integer_columns(form)
     a, b = t.numerator, t.denominator
+    values = [_homogeneous(column, a, b) for column in columns]
+    while values and not values[-1]:
+        values.pop()
     scale = den * b ** (len(form) - 1)
-    return Polynomial(F(_homogeneous(column, a, b), scale) for column in columns)
+    g = gcd(*values, scale)
+    return Polynomial._from_integer_form(tuple(v // g for v in values), scale // g)
 
 
 @lru_cache(maxsize=None)

@@ -236,7 +236,35 @@ def test_count_roots_nudges_endpoint_roots():
     assert n == 0
     assert rat(cert.evidence["lo"]) > 0
     assert rat(cert.evidence["hi"]) < 1
+    # the certificate is on the nudged interval, which holds no root
+    assert cert.interval == IntervalQ(rat(cert.evidence["lo"]), rat(cert.evidence["hi"]))
+    assert cert.claim == CLAIM_NO_ROOT
     assert cert.replay()
+
+
+def test_a_root_on_a_closed_end_is_never_certified_away():
+    # x - 1 has its root on the lower end of [1, 2]: the closed interval
+    # holds one root, so no certificate may say no-root on [1, 2]
+    p = poly(-1, 1)
+    n, cert = count_roots(p, IntervalQ(F(1), F(2)))
+    assert n == 0 and cert.claim == CLAIM_NO_ROOT
+    assert cert.evidence["lo"] == "1000001/1000000"
+    assert cert.interval == IntervalQ(F(1000001, 1000000), F(2))
+    assert cert.replay()
+    # the same evidence relabelled onto [1, 2]: its points are not the
+    # interval's ends, so it proves only a root count there
+    forged = SignCertificate(p, IntervalQ(F(1), F(2)), CLAIM_NO_ROOT, cert.evidence)
+    assert not forged.replay()
+    assert SignCertificate(p, forged.interval, CLAIM_ROOT_COUNT, cert.evidence).replay()
+
+
+def test_a_sign_claim_needs_its_evidence_at_the_interval_ends():
+    # x is positive on [1/2, 1] but not on [0, 1]
+    p = poly(0, 1)
+    inner = certify_sign_on_interval(p, IntervalQ(F(1, 2), F(1)), "positive")
+    assert inner.replay()
+    forged = SignCertificate(p, IntervalQ(F(0), F(1)), CLAIM_POSITIVE, inner.evidence)
+    assert not forged.replay()
 
 
 def test_count_roots_degenerate_error():

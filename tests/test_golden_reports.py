@@ -9,6 +9,13 @@ The ``certify`` digest was retaken once, when its sampled
 ``smax-threshold-identity``; every other byte of that report was unchanged.
 Every report byte except ``wall_time_ms`` is part of the reproducibility
 contract, so a faster core or sweep must reproduce them exactly.
+
+``thresholds-per-t`` pins the certified thresholds themselves, one per
+default t: one sha256 over the JSON of ``right_threshold(k/200)`` for
+k = 1..99 and of ``left_threshold(k/200, 5/3)`` for k = 1..100, taken before
+polynomials were born from their integer forms.  ``right_threshold(1/2)``
+is left out: its certificate moved to the nudged domain when ``count_roots``
+stopped labelling a closed interval with a root on an end ``no-root``.
 """
 
 import hashlib
@@ -67,3 +74,12 @@ HALF_EDGES = ps.SweepConfig(
 )
 def test_report_bytes_match_golden_digest(name, build):
     assert _digest(build()) == GOLDEN[name]
+
+
+def test_per_threshold_bytes_match_golden_digest():
+    thresholds = [ps.right_threshold(Fraction(k, 200)) for k in range(1, 100)]
+    thresholds += [ps.left_threshold(Fraction(k, 200), Fraction(5, 3)) for k in range(1, 101)]
+    h = hashlib.sha256()
+    for th in thresholds:
+        h.update(json.dumps(th.to_json(), sort_keys=True).encode())
+    assert h.hexdigest() == GOLDEN["thresholds-per-t"]

@@ -183,6 +183,26 @@ def test_replay_rejects_forged_degenerate_enclosures():
     assert not ps.replay_threshold(replace(degenerate, phi_hi=None))
 
 
+def test_the_degenerate_right_certificate_is_on_the_nudged_domain():
+    # θ2(1/2) is linear with its root at 9/5 itself, so the closed domain
+    # holds a root: the no-root count is certified on the domain with its
+    # upper end nudged inward, the interval its evidence is taken at
+    p = pb.theta2(F(1, 2))
+    assert p.degree == 1 and p(F(9, 5)) == 0
+    th = ps.right_threshold(F(1, 2), WIDTH)
+    nudged = ps.IntervalQ(F(5, 3), F(9, 5) - F(2, 15) / 10**6)
+    assert th.degenerate and th.certificate.claim == "no-root"
+    assert th.certificate.interval == nudged == ps.IntervalQ(F(5, 3), F(13499999, 7500000))
+    assert (th.certificate.evidence["lo"], th.certificate.evidence["hi"]) == (
+        "5/3", "13499999/7500000")
+    assert ps.replay_threshold(th)
+    # the parent's certificate, the same evidence on the closed domain
+    on_domain = replace(th.certificate, interval=pb.PINCH_DOMAIN)
+    assert not on_domain.replay()
+    assert not ps.replay_threshold(replace(th, certificate=on_domain))
+    assert not ps.enclosure_holds(replace(th, certificate=on_domain))
+
+
 def test_replay_binds_a_degenerate_enclosure_to_its_certificate():
     right = ps.right_threshold(F(1, 2), WIDTH)
     left = ps.left_threshold(F(1, 4), F(7, 4), WIDTH)
@@ -431,3 +451,17 @@ def test_optimum_table_rows_are_sorted_and_exact():
     for t, w, lo, hi, deg in opt.table:
         th = ps.right_threshold(t, F(1, 10**6))
         assert (th.enclosure.lo, th.enclosure.hi) == (lo, hi)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_repeated_grid_values_are_probed_once(side):
+    # a sorted grid may repeat a value; each distinct (t, w) is one row
+    w_grid = (F(5, 3), F(5, 3), F(7, 4)) if side == "left" else (F(9, 5), F(9, 5))
+    repeated = ps.SweepConfig(t_grid=(F(1, 8), F(1, 4), F(1, 4), F(1, 2)), w_grid=w_grid,
+                              refinement_rounds=2)
+    distinct = ps.SweepConfig(t_grid=(F(1, 8), F(1, 4), F(1, 2)),
+                              w_grid=tuple(sorted(set(w_grid))), refinement_rounds=2)
+    a, b = ps.optimize(side, repeated), ps.optimize(side, distinct)
+    assert a.table == b.table and a.degenerate_count == b.degenerate_count
+    assert a.to_json() == b.to_json()
+    assert len({(t, w) for t, w, *_ in a.table}) == len(a.table)
