@@ -17,6 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, REPORT_SCHEMA
 from . import calabi_lab as cl
@@ -41,6 +42,85 @@ F = Fraction
 EXIT_OK = 0
 EXIT_CERTIFICATION_FAILURE = 1
 EXIT_USAGE = 2
+
+_INFINITY = float("inf")
+
+
+def _json_scalar(value) -> str:
+    """JSON text of a leaf other than a string, as :mod:`json` writes it."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_json(value, pad: str, out: list[str]) -> None:
+    """Append the JSON text of ``value``, nested at indent ``pad``, to ``out``.
+
+    A plain recursive function, not a closure, so a call leaves no
+    reference cycle behind for the garbage collector.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        lead = "{\n" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(lead)
+            lead = sep
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(value[key], inner, out)
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        lead = "[\n" + inner
+        for item in value:
+            out.append(lead)
+            lead = sep
+            _write_json(item, inner, out)
+        out.append("\n" + pad + "]")
+    else:
+        out.append(_json_scalar(value))
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    With an indent, :mod:`json` leaves its C encoder for a pure-Python one
+    built of nested closures, which is about twice as slow and leaves
+    reference cycles behind on every call.  This writer escapes strings
+    with json's C ``encode_basestring_ascii`` and writes numbers, ``null``
+    and the booleans exactly as json does.  Unlike json it takes only
+    string keys, raising ``TypeError`` on any other; a self-containing
+    value raises ``RecursionError`` instead of json's ``ValueError``.
+    """
+    out: list[str] = []
+    _write_json(value, "", out)
+    return "".join(out)
 
 
 @dataclass
@@ -108,7 +188,7 @@ class CertificationReport:
         data = self.to_json_dict()
         if strip_wall_time:
             data.pop("wall_time_ms")
-        return json.dumps(data, sort_keys=True, indent=2)
+        return json_text(data)
 
     def render_markdown(self) -> str:
         lines = [

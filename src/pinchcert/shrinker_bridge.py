@@ -7,11 +7,14 @@ second-form norm by S = 4 |A_ring|^2.  The classifier applies the certified
 spherical thresholds (divided by 4) to user-supplied pinching bounds and
 names the rigid model surface when the case table pins it down.
 
-All thresholds are exact rationals; interval membership is decided exactly.
+All thresholds are exact rationals; interval membership is decided exactly,
+by integer cross-multiplication against the case table put on one common
+denominator at import.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,6 +59,31 @@ _CASES = (
      {F(5, 12): ("calabi-s3", "3c"), F(9, 20): ("calabi-s4", "3c")}),
 )
 
+#: common denominator of every range end and constant of ``_CASES`` and of
+#: the oscillation threshold
+_SCALE = math.lcm(
+    OSCILLATION_SHRINKER.denominator,
+    *(q.denominator for case in _CASES for q in (case[1], case[2], *case[4])),
+)
+
+
+def _scaled(q: Fraction) -> int:
+    """``q * _SCALE``, an integer for every rational of the case table."""
+    return q.numerator * (_SCALE // q.denominator)
+
+
+_OSCILLATION_SCALED = _scaled(OSCILLATION_SHRINKER)
+
+#: ``_CASES`` times ``_SCALE``: (case id, range lo, range hi,
+#: needs-oscillation, ((constant, verdict, sub-label, constant as p/q), ...)
+#: in increasing order of the constant)
+_SCALED_CASES = tuple(
+    (case_id, _scaled(range_lo), _scaled(range_hi), needs_osc,
+     tuple((_scaled(value), verdict, sub_label, rat_str(value))
+           for value, (verdict, sub_label) in sorted(constants.items())))
+    for case_id, range_lo, range_hi, needs_osc, constants in _CASES
+)
+
 
 @dataclass(frozen=True)
 class ShrinkerPinchData:
@@ -67,6 +95,11 @@ class ShrinkerPinchData:
     normalized_H_parallel: bool
 
     def __post_init__(self):
+        # a string such as "false" is truthy: it must not count as holding
+        for key in ("mean_curvature_nonvanishing", "normalized_H_parallel"):
+            value = getattr(self, key)
+            if not isinstance(value, bool):
+                raise TypeError(f"{key} must be a JSON boolean, got {value!r}")
         object.__setattr__(self, "a_circ_min", rat(self.a_circ_min))
         object.__setattr__(self, "a_circ_max", rat(self.a_circ_max))
         if not 0 <= self.a_circ_min <= self.a_circ_max:
@@ -85,13 +118,10 @@ class ShrinkerPinchData:
     @classmethod
     def from_json(cls, data: dict) -> "ShrinkerPinchData":
         """Inverse of :meth:`to_json`; the two hypotheses must be JSON
-        booleans, since a string such as ``"false"`` is truthy."""
-        for key in ("mean_curvature_nonvanishing", "normalized_H_parallel"):
-            if not isinstance(data[key], bool):
-                raise TypeError(f"{key} must be a JSON boolean, got {data[key]!r}")
+        booleans, which the constructor checks."""
         return cls(
-            a_circ_min=rat(data["a_circ_min"]),
-            a_circ_max=rat(data["a_circ_max"]),
+            a_circ_min=data["a_circ_min"],
+            a_circ_max=data["a_circ_max"],
             mean_curvature_nonvanishing=data["mean_curvature_nonvanishing"],
             normalized_H_parallel=data["normalized_H_parallel"],
         )
@@ -177,17 +207,23 @@ def classify(data: ShrinkerPinchData) -> Classification:
             possible_models=(),
         )
     lo, hi = data.a_circ_min, data.a_circ_max
-    applicable: list[tuple[str, list[tuple[Fraction, str, str]]]] = []
+    lo_den, hi_den = lo.denominator, hi.denominator
+    # a table entry c stands for c / _SCALE, and both denominators are
+    # positive: c / _SCALE <= lo iff c * lo_den <= lo_scaled
+    lo_scaled, hi_scaled = lo.numerator * _SCALE, hi.numerator * _SCALE
+    applicable: list[tuple[str, list[tuple[str, str, str]]]] = []
     labels: list[str] = []
-    for case_id, range_lo, range_hi, needs_osc, constants in _CASES:
-        if not (range_lo <= lo and hi <= range_hi):
+    for case_id, range_lo, range_hi, needs_osc, constants in _SCALED_CASES:
+        if not (range_lo * lo_den <= lo_scaled and hi_scaled <= range_hi * hi_den):
             continue
-        if needs_osc and hi - lo > OSCILLATION_SHRINKER:
+        # hi - lo > 1/880
+        if needs_osc and (hi_scaled * lo_den - lo_scaled * hi_den
+                          > _OSCILLATION_SCALED * lo_den * hi_den):
             continue
         admissible = [
-            (value, verdict, sub_label)
-            for value, (verdict, sub_label) in sorted(constants.items())
-            if lo <= value <= hi
+            (text, verdict, sub_label)
+            for value, verdict, sub_label, text in constants
+            if lo_scaled <= value * lo_den and value * hi_den <= hi_scaled
         ]
         applicable.append((case_id, admissible))
         if admissible:
@@ -207,10 +243,10 @@ def classify(data: ShrinkerPinchData) -> Classification:
     seen = set()
     all_labels = tuple(x for x in labels if not (x in seen or seen.add(x)))
     if len(admissible) == 1:
-        value, verdict, sub_label = admissible[0]
+        text, verdict, sub_label = admissible[0]
         return Classification(
             verdict=verdict,
-            model=f"|A_ring|^2 == {rat_str(value)}; {_MODELS[verdict]}",
+            model=f"|A_ring|^2 == {text}; {_MODELS[verdict]}",
             theorem_case=sub_label,
             applicable_cases=all_labels,
             possible_models=(verdict,),
@@ -225,7 +261,7 @@ def classify(data: ShrinkerPinchData) -> Classification:
             possible_models=(),
         )
     models = tuple(verdict for _, verdict, _ in admissible)
-    prose = " or ".join(f"|A_ring|^2 == {rat_str(v)} ({_MODELS[m]})" for v, m, _ in admissible)
+    prose = " or ".join(f"|A_ring|^2 == {t} ({_MODELS[m]})" for t, m, _ in admissible)
     return Classification(
         verdict="inconclusive",
         model=f"rigid but not pinned to one model: {prose}",

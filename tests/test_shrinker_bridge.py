@@ -167,6 +167,19 @@ def test_pinch_data_validation():
         data(F(-1, 10), F(1, 3))
 
 
+@pytest.mark.parametrize("key", ["mean_curvature_nonvanishing", "normalized_H_parallel"])
+@pytest.mark.parametrize("value", ["false", 1, None])
+def test_hypotheses_must_be_booleans(key, value):
+    # "false" and 1 are truthy: neither may count as the hypothesis holding
+    fields = {"a_circ_min": "5/12", "a_circ_max": "5/12",
+              "mean_curvature_nonvanishing": True, "normalized_H_parallel": True,
+              key: value}
+    with pytest.raises(TypeError, match=f"{key} must be a JSON boolean, got {value!r}"):
+        sb.ShrinkerPinchData(**fields)
+    with pytest.raises(TypeError, match=key):
+        sb.ShrinkerPinchData.from_json(fields)
+
+
 # ---------------------------------------------------------------------------
 # JSON interface and scan convenience path
 # ---------------------------------------------------------------------------
