@@ -10,13 +10,14 @@ covariant derivative of the second fundamental form by central differences
 of frame components transported through projection.
 
 Every step is array code over leading sample axes.  A scan evaluates its
-samples in blocks of SCAN_BLOCK, with one harmonic evaluation per stencil
-kind per block: the jet grids, the two complex-step grids of the Brioschi
-curvature and the four transported grids of the covariant derivative.
-Contractions are elementwise sums or einsum, never BLAS products, so a
-sample's values are bit-identical whichever block it lands in;
-fundamental_forms and covariant_derivative_h run the same kernel on one
-point.
+samples in blocks of SCAN_BLOCK, with three harmonic evaluations per block:
+the jet grids, the Brioschi curvature's theta- and phi-shifted complex-step
+grids stacked as one array, and the four transported grids of the covariant
+derivative.  Stencil points are built from trig on the 5-point theta and
+phi lines, not on whole 5x5 grids.  Contractions are elementwise sums or
+einsum, never BLAS products, so a sample's values are bit-identical
+whichever block it lands in; fundamental_forms and covariant_derivative_h
+run the same kernel on one point.
 
 Floating point is deliberate here; exactness lives in the certificate
 modules.  The identities these surfaces satisfy (constant S, |A|^2 = S^2/2,
@@ -36,6 +37,7 @@ import numpy as np
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 # 4th-order central stencils over offsets [-2, -1, 0, 1, 2]
+_OFFSETS = np.arange(-2, 3)
 _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
@@ -58,13 +60,14 @@ def _double_factorial(n: int) -> int:
     return out
 
 
-def _reduced_legendre(s: int, m: int, ct: np.ndarray) -> np.ndarray:
+def _reduced_legendre(s: int, m: int, ct: np.ndarray) -> np.ndarray | float:
     """P_s^m(ct) / (1-ct^2)^(m/2): polynomial part of the associated Legendre.
 
     Condon-Shortley-free.  Stable upward recursion in the degree; trivial
-    for the degrees used here (s <= 6).
+    for the degrees used here (s <= 6).  For s == m it is the constant
+    (2m-1)!!, returned as a float.
     """
-    pmm = np.full_like(ct, float(_double_factorial(2 * m - 1)))
+    pmm = float(_double_factorial(2 * m - 1))
     if s == m:
         return pmm
     pmm1 = ct * (2 * m + 1) * pmm
@@ -92,10 +95,11 @@ def _harmonic_components(s: int, points: np.ndarray) -> np.ndarray:
         if m == 0:
             out[..., s] = radial
         else:
-            coeff = math.sqrt(2.0 * math.factorial(s - m) / math.factorial(s + m))
-            out[..., s + m] = coeff * radial * a
-            out[..., s - m] = coeff * radial * b
-        a, b = a * x - b * y, a * y + b * x
+            scaled = math.sqrt(2.0 * math.factorial(s - m) / math.factorial(s + m)) * radial
+            out[..., s + m] = scaled * a
+            out[..., s - m] = scaled * b
+        if m < s:
+            a, b = a * x - b * y, a * y + b * x
     return out
 
 
@@ -162,15 +166,24 @@ def random_rotation(dim: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _chart_xyz(chart, st, ct, sp, cp) -> np.ndarray:
+    """Unit vectors (..., 3) from the sines and cosines of theta and phi.
+
+    Chart 1 is chart 0 cyclically rotated.  The factors and ``chart``
+    broadcast against each other.
+    """
+    x, y = st * cp, st * sp
+    zero = np.asarray(chart) == 0
+    return np.stack([np.where(zero, x, ct), np.where(zero, y, x), np.where(zero, ct, y)],
+                    axis=-1)
+
+
 def chart_point(chart, theta, phi) -> np.ndarray:
     """Chart coordinates to unit vectors; chart 1 is chart 0 cyclically rotated.
 
     ``chart`` may be an array that broadcasts against ``theta`` and ``phi``.
     """
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    xyz = np.stack([st * cp, st * sp, ct], axis=-1)
-    return np.where(np.asarray(chart)[..., None] == 0, xyz, xyz[..., [2, 0, 1]])
+    return _chart_xyz(chart, np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi))
 
 
 def chart_coords(chart, point) -> tuple[np.ndarray, np.ndarray]:
@@ -193,19 +206,25 @@ def _charted(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return charts, theta, phi
 
 
-def _stencil_uv(theta, phi, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Chart coordinates (..., 5, 5) of the 5x5 stencil around each (theta, phi)."""
-    offsets = np.arange(-2, 3) * h
-    theta = np.asarray(theta)[..., None, None]
-    phi = np.asarray(phi)[..., None, None]
-    return (theta + offsets[:, None] + 0.0 * offsets[None, :],
-            phi + 0.0 * offsets[:, None] + offsets[None, :])
+def _stencil_points(charts, theta, phi, h: float) -> np.ndarray:
+    """Unit vectors (..., 5, 5, 3) on the 5x5 stencils around chart points.
+
+    Row i moves theta by offset i and column j moves phi by offset j, so
+    sin and cos are taken on the 5-point lines only and their products
+    broadcast to the grid.  A complex centre keeps its imaginary part on
+    every point of its line.
+    """
+    offsets = _OFFSETS * h
+    theta_line = np.asarray(theta)[..., None] + offsets
+    phi_line = np.asarray(phi)[..., None] + offsets
+    return _chart_xyz(np.asarray(charts)[..., None, None],
+                      np.sin(theta_line)[..., :, None], np.cos(theta_line)[..., :, None],
+                      np.sin(phi_line)[..., None, :], np.cos(phi_line)[..., None, :])
 
 
 def _stencil_values(imm: Immersion, charts, theta, phi, h: float) -> np.ndarray:
     """Immersion values (..., 5, 5, C) on the stencils around chart points."""
-    return imm.evaluate(chart_point(np.asarray(charts)[..., None, None],
-                                    *_stencil_uv(theta, phi, h)))
+    return imm.evaluate(_stencil_points(charts, theta, phi, h))
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +278,14 @@ class _Jet:
 
 
 def _along(weights: np.ndarray, lines: np.ndarray) -> np.ndarray:
-    """Stencil weights applied along axis -2 of ``lines``, summed in order."""
+    """Stencil weights applied along axis -2 of ``lines``, summed in order.
+
+    Zero weights (D1's centre) are skipped.
+    """
     out = weights[0] * lines[..., 0, :]
     for k in range(1, len(weights)):
-        out += weights[k] * lines[..., k, :]
+        if weights[k]:
+            out += weights[k] * lines[..., k, :]
     return out
 
 
@@ -306,8 +329,9 @@ def _orthonormal_completion(position, e1, e2) -> tuple[np.ndarray, np.ndarray]:
     Two-pass modified Gram-Schmidt per sample: a column joins the normals
     when its residual norm exceeds 1e-4, until p = C - 3 have joined.  Slots
     a sample has not filled yet hold zero vectors, whose projections change
-    nothing, so each sample sees the arithmetic it would see alone.  Returns
-    the normals (n, p, C) and whether each sample reached full rank.
+    nothing, so each sample sees the arithmetic it would see alone; slots no
+    sample has filled are skipped.  Returns the normals (n, p, C) and
+    whether each sample reached full rank.
     """
     n, dim = position.shape
     p = dim - 3
@@ -318,10 +342,10 @@ def _orthonormal_completion(position, e1, e2) -> tuple[np.ndarray, np.ndarray]:
             break
         v = np.zeros((n, dim))
         v[:, idx] = 1.0
-        basis = [position, e1, e2] + [normals[:, k] for k in range(min(idx, p))]
+        basis = [position, e1, e2] + [normals[:, k] for k in range(count.max())]
         for _ in range(2):  # two-pass MGS keeps orthogonality near machine eps
             for b in basis:
-                v = v - _dot(v, b)[:, None] * b
+                v -= _dot(v, b)[:, None] * b
         norm = np.sqrt(_dot(v, v))
         take = np.flatnonzero((norm > 1e-4) & (count < p))
         normals[take, count[take]] = v[take] / norm[take, None]
@@ -340,17 +364,19 @@ def _second_form(jet: _Jet, coeffs: np.ndarray, normals: np.ndarray) -> np.ndarr
     d_uu, d_uv, d_vv = (d - _dot(d, pos)[..., None] * pos
                         for d in (jet.duu, jet.duv, jet.dvv))
     hess = ((d_uu, d_uv), (d_uv, d_vv))
-    rows = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            t00, t01, t10, t11 = (
-                (coeffs[..., i, a] * coeffs[..., j, b])[..., None] * hess[a][b]
-                for a in range(2) for b in range(2)
-            )
-            row.append(np.einsum("...pc,...c->...p", normals, t00 + t01 + t10 + t11))
-        rows.append(row)
-    return _matrix(rows)
+    ambient = {}
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        t00, t01, t10, t11 = (
+            (coeffs[..., i, a] * coeffs[..., j, b])[..., None] * hess[a][b]
+            for a in range(2) for b in range(2)
+        )
+        ambient[i, j] = t00 + t01 + t10 + t11
+        if (i, j) == (0, 1):
+            # (1, 0)'s term ab is (0, 1)'s term ba, bit for bit, since hess
+            # is symmetric; sum them in (1, 0)'s own order a, b
+            ambient[1, 0] = t00 + t10 + t01 + t11
+    return _matrix([[np.einsum("...pc,...c->...p", normals, ambient[i, j]) for j in range(2)]
+                    for i in range(2)])
 
 
 def _frames_and_forms(imm: Immersion, charts, theta, phi, step: float, first: int):
@@ -403,18 +429,20 @@ def fundamental_forms(imm: Immersion, point, step: float = DEFAULT_FD_STEP):
     return first_form[0], h[0], framed
 
 
-def _first_derivatives_complex_step(imm: Immersion, chart, theta: np.ndarray,
-                                    phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Chart first derivatives by complex-step (forward dual-number) evaluation.
+def _first_derivatives_complex_step(imm: Immersion, charts, theta, phi,
+                                    h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Chart first derivatives (..., 5, 5, C) on the stencils, by complex step.
 
     The chart map and the harmonic polynomials are entire, so
     Im f(x + i*eps)/eps recovers the derivative to machine precision with no
     subtractive cancellation; this keeps the eventual second differences of
-    the metric coefficients clean.
+    the metric coefficients clean.  The theta- and phi-shifted stencil points
+    go through one harmonic evaluation, stacked on a new leading axis.
     """
     eps = 1e-150
-    du = imm.evaluate(chart_point(chart, theta + 1j * eps, phi)).imag / eps
-    dv = imm.evaluate(chart_point(chart, theta, phi + 1j * eps)).imag / eps
+    shifted = np.stack([_stencil_points(charts, theta + 1j * eps, phi, h),
+                        _stencil_points(charts, theta, phi + 1j * eps, h)])
+    du, dv = imm.evaluate(shifted).imag / eps
     return du, dv
 
 
@@ -425,9 +453,7 @@ def _brioschi_curvature(imm: Immersion, charts, theta, phi, h: float) -> np.ndar
     derivatives (pointwise exact), their own derivatives from 4th-order real
     stencils; only one level of cancellation remains.
     """
-    du, dv = _first_derivatives_complex_step(
-        imm, np.asarray(charts)[..., None, None], *_stencil_uv(theta, phi, h)
-    )
+    du, dv = _first_derivatives_complex_step(imm, charts, theta, phi, h)
     metric = _local_jet(np.stack([_dot(du, du), _dot(du, dv), _dot(dv, dv)], axis=-1), h)
     e0, f0, g0 = np.moveaxis(metric.value, -1, 0)
     e_u, f_u, g_u = np.moveaxis(metric.du, -1, 0)
@@ -643,7 +669,9 @@ class GeometryScan:
 def _second_form_invariants(h: np.ndarray) -> dict:
     """Per-sample scan invariants of second forms h (n, p, 2, 2)."""
     a_mat = np.einsum("naij,nbij->nab", h, h)
-    prod = np.einsum("naij,nbjk->nabik", h, h)
+    # prod[n, a, b, i, k] = sum_j h[n, a, i, j] h[n, b, j, k], by broadcasting
+    h_a, h_b = h[:, :, None], h[:, None]
+    prod = h_a[..., :, :1] * h_b[..., :1, :] + h_a[..., :, 1:] * h_b[..., 1:, :]
     a_vec, b_vec = h[:, :, 0, 0], h[:, :, 0, 1]
     return {
         "S": _square_sum(h),

@@ -65,15 +65,19 @@ def rat(value) -> Fraction:
     bools: ``True`` is an int to Python but never a number a user meant.
     A string of the exact ASCII shape ``-?[0-9]+(/[0-9]+)?``, the form
     :func:`rat_str` writes, is parsed by ``int`` without ``Fraction``'s
-    regular expression; every other string goes to ``Fraction(str)``.
+    regular expression; every other string goes to ``Fraction(str)``.  A
+    zero denominator raises ``ValueError`` naming the string.
     """
     if isinstance(value, str):
-        if value.isascii():
-            num, slash, den = value.partition("/")
-            # on ASCII, isdigit() accepts exactly [0-9]+
-            if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
-                return Fraction(int(num), int(den) if slash else 1)
-        return Fraction(value)
+        try:
+            if value.isascii():
+                num, slash, den = value.partition("/")
+                # on ASCII, isdigit() accepts exactly [0-9]+
+                if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
+                    return Fraction(int(num), int(den) if slash else 1)
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):

@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -144,6 +144,14 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "SweepConfig":
+        """Inverse of :meth:`to_json`; refinement_rounds and isolation_width
+        may be left out, and a key :meth:`to_json` does not write is refused."""
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
+        missing = [key for key in ("t_grid", "w_grid") if key not in data]
+        if missing:
+            raise ValueError(f"config is missing {', '.join(map(repr, missing))}")
         return cls(
             t_grid=tuple(rat(t) for t in data["t_grid"]),
             w_grid=tuple(rat(w) for w in data["w_grid"]),

@@ -15,7 +15,7 @@ denominator at import.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .exact_poly import rat, rat_str
@@ -118,13 +118,12 @@ class ShrinkerPinchData:
     @classmethod
     def from_json(cls, data: dict) -> "ShrinkerPinchData":
         """Inverse of :meth:`to_json`; the two hypotheses must be JSON
-        booleans, which the constructor checks."""
-        return cls(
-            a_circ_min=data["a_circ_min"],
-            a_circ_max=data["a_circ_max"],
-            mean_curvature_nonvanishing=data["mean_curvature_nonvanishing"],
-            normalized_H_parallel=data["normalized_H_parallel"],
-        )
+        booleans, which the constructor checks.  Every field is required."""
+        names = [f.name for f in fields(cls)]
+        missing = [name for name in names if name not in data]
+        if missing:
+            raise ValueError(f"classify input is missing {', '.join(map(repr, missing))}")
+        return cls(**{name: data[name] for name in names})
 
 
 @dataclass(frozen=True)

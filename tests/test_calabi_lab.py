@@ -262,11 +262,51 @@ def test_dual_number_first_derivatives_match_stencils():
     ch = cl.chart_for_point(SAMPLE_POINT)
     th, ph = cl.chart_coords(ch, SAMPLE_POINT)
     jet = cl._local_jet(cl._stencil_values(imm, ch, th, ph, 1e-3), 1e-3)
-    du, dv = cl._first_derivatives_complex_step(
-        imm, ch, np.array([[th]]), np.array([[ph]])
-    )
-    assert np.max(np.abs(jet.du - du[0, 0])) < 1e-8
-    assert np.max(np.abs(jet.dv - dv[0, 0])) < 1e-8
+    du, dv = cl._first_derivatives_complex_step(imm, ch, th, ph, 1e-3)
+    assert du.shape == dv.shape == (5, 5, imm.n_components)
+    assert np.max(np.abs(jet.du - du[2, 2])) < 1e-8
+    assert np.max(np.abs(jet.dv - dv[2, 2])) < 1e-8
+
+
+def test_line_built_stencils_equal_chart_point_on_full_grids():
+    # sin and cos on the 5-point lines, broadcast, give the very floats that
+    # chart_point gives on the whole 5x5 grid, for either chart and for the
+    # real stencil and both complex steps
+    points = cl.fibonacci_sphere_points(60, seed=9)
+    own_charts, theta, phi = cl._charted(points)
+    assert set(own_charts.tolist()) == {0, 1}
+    h, step = 1e-3, 1j * 1e-150
+    offsets = np.arange(-2, 3) * h
+    theta_grid = np.broadcast_to((theta[:, None] + offsets)[:, :, None], (60, 5, 5))
+    phi_grid = np.broadcast_to((phi[:, None] + offsets)[:, None, :], (60, 5, 5))
+    # the complex step is added to the centre; on the full grid, after the offsets
+    shifts = (("real", theta, phi, theta_grid, phi_grid),
+              ("theta step", theta + step, phi, theta_grid + step, phi_grid),
+              ("phi step", theta, phi + step, theta_grid, phi_grid + step))
+    for charts in (own_charts, np.zeros(60, dtype=int), np.ones(60, dtype=int)):
+        for name, theta_c, phi_c, theta_full, phi_full in shifts:
+            lines = cl._stencil_points(charts, theta_c, phi_c, h)
+            full = cl.chart_point(charts[:, None, None], theta_full, phi_full)
+            assert lines.dtype == full.dtype and np.array_equal(lines, full), name
+
+
+def test_complex_step_is_one_stacked_evaluation(monkeypatch):
+    imm = cl.build_calabi_immersion(4).rotated(cl.random_rotation(9, seed=3))
+    charts, theta, phi = cl._charted(cl.fibonacci_sphere_points(30, seed=8))
+    h, eps = 1e-3, 1e-150
+    apart = [imm.evaluate(cl._stencil_points(charts, th, ph, h)).imag / eps
+             for th, ph in ((theta + 1j * eps, phi), (theta, phi + 1j * eps))]
+    calls = []
+    evaluate = cl.Immersion.evaluate
+    monkeypatch.setattr(cl.Immersion, "evaluate",
+                        lambda self, pts: calls.append(np.shape(pts)) or evaluate(self, pts))
+    du, dv = cl._first_derivatives_complex_step(imm, charts, theta, phi, h)
+    assert calls == [(2, 30, 5, 5, 3)]
+    assert np.array_equal(du, apart[0]) and np.array_equal(dv, apart[1])
+    # a derivative scan block: jets, the stacked complex steps, transports
+    calls.clear()
+    cl.geometry_scan(imm, 30, seed=8, with_derivatives=True)
+    assert calls == [(30, 5, 5, 3), (2, 30, 5, 5, 3), (4, 30, 5, 5, 3)]
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,14 @@ def test_rat_rejects_floats():
         rat(0.1)
 
 
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0", " 1/0", "\u0663/0"])
+def test_rat_names_a_zero_denominator(text):
+    # a ValueError, which the CLI maps to a usage error, not ZeroDivisionError
+    with pytest.raises(ValueError, match="zero denominator") as info:
+        rat(text)
+    assert repr(text) in str(info.value)
+
+
 def test_mul_and_cancellation():
     x = Polynomial.x()
     assert x * x == poly(0, 0, 1)

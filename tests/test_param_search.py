@@ -360,6 +360,23 @@ def test_sweep_config_json_roundtrip():
     assert ps.SweepConfig.from_json(cfg.to_json()) == cfg
 
 
+def test_sweep_config_refuses_unknown_keys():
+    data = ps.SweepConfig(t_grid=(F(1, 4),), w_grid=(F(9, 5),)).to_json()
+    assert ps.SweepConfig.from_json(data).to_json() == data
+    with pytest.raises(ValueError, match="'refinement_round'"):
+        ps.SweepConfig.from_json({**data, "refinement_round": 5})
+    with pytest.raises(ValueError, match="'a', 'z'"):
+        ps.SweepConfig.from_json({**data, "z": 1, "a": 2})
+
+
+@pytest.mark.parametrize("key", ["t_grid", "w_grid"])
+def test_sweep_config_names_a_missing_grid(key):
+    data = {"t_grid": ["1/4"], "w_grid": ["9/5"]}
+    del data[key]
+    with pytest.raises(ValueError, match=f"missing '{key}'"):
+        ps.SweepConfig.from_json(data)
+
+
 def test_default_config_contains_paper_parameters():
     left = ps.default_config("left")
     assert F(1, 2) in left.t_grid and F(5, 3) in left.w_grid

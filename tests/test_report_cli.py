@@ -1,6 +1,9 @@
 """Tests for the command-line front end and report schema."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from functools import lru_cache
 
@@ -460,6 +463,51 @@ def test_classify_requires_bounds():
 def test_classify_rejects_inverted_bounds():
     code = rc.main(["classify", "--min", "1/2", "--max", "1/3"])
     assert code == rc.EXIT_USAGE
+
+
+def _run_cli(*argv):
+    """Run the CLI in a fresh interpreter, so an uncaught exception shows."""
+    src_dir = os.path.dirname(os.path.dirname(rc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "pinchcert.report_cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_classify_zero_denominator_is_usage_error():
+    done = _run_cli("classify", "--min", "1/0", "--max", "1/2")
+    assert done.returncode == rc.EXIT_USAGE
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == ["usage error: zero denominator in '1/0'"]
+
+
+def test_config_zero_denominator_is_usage_error(tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"t_grid": ["1/0"], "w_grid": ["9/5"]}))
+    done = _run_cli("optimize", "--side", "right", "--config", str(path))
+    assert done.returncode == rc.EXIT_USAGE
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == ["usage error: zero denominator in '1/0'"]
+
+
+def test_config_unknown_key_is_usage_error(tmp_path, capsys):
+    # a misspelt knob used to be ignored, running the defaults with exit 0
+    path = small_config_file(tmp_path)
+    data = json.loads(path.read_text())
+    data["refinement_round"] = 5
+    path.write_text(json.dumps(data))
+    code = rc.main(["optimize", "--side", "right", "--config", str(path)])
+    assert code == rc.EXIT_USAGE
+    assert "'refinement_round'" in capsys.readouterr().err
+
+
+def test_classify_input_missing_field_is_named(tmp_path, capsys):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"a_circ_max": "1/3", "mean_curvature_nonvanishing": True,
+                                "normalized_H_parallel": True}))
+    code = rc.main(["classify", "--input", str(path)])
+    assert code == rc.EXIT_USAGE
+    assert capsys.readouterr().err.strip() == "usage error: classify input is missing 'a_circ_min'"
 
 
 def test_classification_total_fails_on_an_undocumented_verdict(monkeypatch):

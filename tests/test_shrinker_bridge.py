@@ -203,6 +203,15 @@ def test_pinch_data_json_round_trip():
     assert sb.ShrinkerPinchData.from_json(d.to_json()) == d
 
 
+@pytest.mark.parametrize("key", ["a_circ_min", "a_circ_max",
+                                 "mean_curvature_nonvanishing", "normalized_H_parallel"])
+def test_pinch_data_names_a_missing_field(key):
+    payload = data(F(5, 12), F(9, 20)).to_json()
+    del payload[key]
+    with pytest.raises(ValueError, match=f"missing '{key}'"):
+        sb.ShrinkerPinchData.from_json(payload)
+
+
 def test_classification_from_scan_names_the_calabi_spheres():
     from pinchcert import calabi_lab as cl
 
