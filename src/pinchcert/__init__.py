@@ -18,4 +18,4 @@ Subpackages:
 
 __version__ = "1.0.0"
 
-REPORT_SCHEMA = "pinchcert-report/1"
+REPORT_SCHEMA = "pinchcert-report/2"

@@ -11,10 +11,9 @@ Root counts and sign claims are established by Sturm's theorem and packaged
 as :class:`SignCertificate` records.  One constructor builds every
 certificate and rebuilds it on replay, so it alone says which evidence
 proves which claim.  No float enters this module: root isolation proposes
-its final dyadic cell by Illinois regula falsi on exact integer values, and
-the proposal is confirmed by its end signs alone when a Sturm count has
-found a single root, by Sturm checks otherwise (or bisection runs as if
-there had been none).
+its final dyadic cell by Illinois regula falsi on exact integer values
+when a Sturm count has found a single root, and the proposal's end signs
+alone confirm it; with more roots, Sturm-counted bisection finds the cell.
 """
 
 from __future__ import annotations
@@ -65,19 +64,26 @@ def rat(value) -> Fraction:
     bools: ``True`` is an int to Python but never a number a user meant.
     A string of the exact ASCII shape ``-?[0-9]+(/[0-9]+)?``, the form
     :func:`rat_str` writes, is parsed by ``int`` without ``Fraction``'s
-    regular expression; every other string goes to ``Fraction(str)``.  A
-    zero denominator raises ``ValueError`` naming the string.
+    regular expression; every other string goes to ``Fraction(str)``, but
+    only once it is ASCII without ``_``, ``e`` or ``E``: ``Fraction`` would
+    read ``"1_0/3"`` as 10/3, ``"٣/4"`` as 3/4, and build the huge integers
+    of ``"1e-10000000"``.  Such a string, and a zero denominator, raise
+    ``ValueError`` naming the string.
     """
     if isinstance(value, str):
+        if "_" in value or "e" in value or "E" in value:
+            raise ValueError(f"not a p/q or decimal rational: {value!r}")
         try:
             if value.isascii():
                 num, slash, den = value.partition("/")
                 # on ASCII, isdigit() accepts exactly [0-9]+
                 if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
                     return Fraction(int(num), int(den) if slash else 1)
-            return Fraction(value)
+                return Fraction(value)
+            Fraction(value)  # only so that a zero denominator is named as one
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
+        raise ValueError(f"not a p/q or decimal rational: {value!r}")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -697,25 +703,18 @@ def _bisection_depth(span: Fraction, width: Fraction) -> int:
     return d
 
 
-#: without a known single root, :func:`_propose_cell` first scans 2^4 coarse cells
-_COARSE_LEVELS = 4
+def _propose_cell(p: Polynomial, base: int, step: int, den: int, depth: int) -> int | None:
+    """Index j of the grid cell where p changes sign, found by exact signs.
 
-
-def _propose_cell(p: Polynomial, base: int, step: int, den: int, depth: int,
-                  one_root: bool) -> int | None:
-    """Index j of a grid cell where p changes sign, found by exact signs.
-
-    The grid has points (base + i * step) / den for i = 0 .. 2^depth.  With
-    ``one_root`` (the caller counted exactly one root between the grid's
-    ends) the bracket is the whole grid; otherwise it is the first of 2^4
-    coarse cells, left to right, whose end signs differ.  Illinois regula
-    falsi (Dowell & Jarratt 1971) narrows the bracket to one grid cell
+    The grid has points (base + i * step) / den for i = 0 .. 2^depth, and
+    the caller counted exactly one root between its ends.  Illinois regula
+    falsi (Dowell & Jarratt 1971) narrows the whole grid to one cell
     (j, j + 1).  Its values are the integers of :func:`_homogeneous`: every
     grid point shares the denominator den, so they are p's values times one
     positive constant, and the secant through them is p's secant.  A
     bisection step replaces the secant whenever two steps in a row have not
-    halved the bracket.  Returns None when the bracket has no sign change
-    or the search meets a grid point that is a root.
+    halved the bracket.  Returns None when the grid's ends have no sign
+    change or the search meets a grid point that is a root.
     """
     ints = p.integer_form()[0]
 
@@ -726,19 +725,8 @@ def _propose_cell(p: Polynomial, base: int, step: int, den: int, depth: int,
     if not f_lo:
         return None
     positive = f_lo > 0  # the sign at the bracket's lower end
-    n = 1 << depth
-    j_lo = 0
-    if one_root:
-        j_hi, f_hi = n, value(n)
-    else:
-        coarse = 1 << max(depth - _COARSE_LEVELS, 0)
-        for j_hi in range(coarse, n + 1, coarse):
-            f_hi = value(j_hi)
-            if not f_hi or (f_hi > 0) != positive:
-                break
-            j_lo, f_lo = j_hi, f_hi
-        else:
-            return None
+    j_lo, j_hi = 0, 1 << depth
+    f_hi = value(j_hi)
     if not f_hi or (f_hi > 0) == positive:
         return None
     # moved: the end the last step replaced (-1 lower, 1 upper); mark: the
@@ -768,19 +756,15 @@ def _propose_cell(p: Polynomial, base: int, step: int, den: int, depth: int,
     return j_lo
 
 
-def _jump_cell(p: Polynomial, a: Fraction, b: Fraction, width: Fraction,
-               one_root: bool) -> tuple[Fraction, Fraction] | None:
-    """The cell of :func:`_smallest_root_cell`'s bisection, proposed and confirmed.
+def _jump_cell(p: Polynomial, a: Fraction, b: Fraction,
+               width: Fraction) -> tuple[Fraction, Fraction] | None:
+    """The cell of :func:`_smallest_root_cell`'s bisection, for a single root.
 
-    :func:`_propose_cell` picks the dyadic cell (lo, hi) of (a, b) at the
-    depth the width demands by exact signs alone.  Its ends must have
-    opposite signs, so the cell holds a root.  With ``one_root`` (the caller
-    counted exactly one root in (a, b)) that root is the only one, no grid
-    point is a root, and bisection stops in this cell: nothing more is
-    checked.  Otherwise bisection stops there exactly when (a, hi) holds
-    one root and no midpoint where bisection moved b down is a root
-    (midpoints left of the cell lie in (a, lo], which then holds no root).
-    Returns None when any of this fails.
+    The caller counted exactly one root in (a, b).  :func:`_propose_cell`
+    picks the dyadic cell (lo, hi) of (a, b) at the depth the width demands
+    by exact signs alone.  Its ends must have opposite signs, so the cell
+    holds that root, no grid point is a root, and bisection stops in this
+    cell: nothing more is checked.  Returns None when this fails.
     """
     span = b - a
     depth = _bisection_depth(span, width)
@@ -788,24 +772,13 @@ def _jump_cell(p: Polynomial, a: Fraction, b: Fraction, width: Fraction,
     den = a.denominator * span.denominator << depth
     base = a.numerator * span.denominator << depth
     step = span.numerator * a.denominator
-    j = _propose_cell(p, base, step, den, depth, one_root)
+    j = _propose_cell(p, base, step, den, depth)
     if j is None or not 0 <= j < 1 << depth:
         return None
     lo_num = base + j * step
     if _sign_at_ratio(p, lo_num, den) * _sign_at_ratio(p, lo_num + step, den) >= 0:
         return None
-    lo, hi = Fraction(lo_num, den), Fraction(lo_num + step, den)
-    if one_root:
-        return lo, hi
-    # the sign change puts a root in (lo, hi); if it is the only one in
-    # (a, hi), it is the smallest and the cell holds no other
-    if _RootCounter(p).count(a, hi) != 1:
-        return None
-    for shift in range(depth - 1, -1, -1):
-        prefix = j >> shift
-        if not prefix & 1 and _sign_at_ratio(p, base + ((prefix + 1) << shift) * step, den) == 0:
-            return None
-    return lo, hi
+    return Fraction(lo_num, den), Fraction(lo_num + step, den)
 
 
 def _smallest_root_cell(p: Polynomial, a: Fraction, b: Fraction, width: Fraction,
@@ -815,14 +788,15 @@ def _smallest_root_cell(p: Polynomial, a: Fraction, b: Fraction, width: Fraction
     Bisection keeps the half of the current cell that holds the smallest
     root (a midpoint that is itself a root is replaced by a nearby
     non-root), until the cell is at most ``width`` wide and holds one root.
-    The cell is first taken from :func:`_jump_cell`, which proposes it by
-    exact signs; bisection runs only when the jump cannot be confirmed.
-    Requires p(a) != 0 != p(b) and a root in (a, b); ``one_root`` says that
-    a Sturm count found exactly one.
+    Requires p(a) != 0 != p(b) and a root in (a, b).  With ``one_root`` (a
+    Sturm count found exactly one) the cell is first taken from
+    :func:`_jump_cell`, which finds it by exact signs; Sturm-counted
+    bisection runs otherwise, and when the jump fails.
     """
-    cell = _jump_cell(p, a, b, width, one_root)
-    if cell is not None:
-        return cell
+    if one_root:
+        cell = _jump_cell(p, a, b, width)
+        if cell is not None:
+            return cell
     counter = _RootCounter(p)
     while counter.count(a, b) > 1 or b - a > width:
         mid = (a + b) / 2

@@ -46,10 +46,11 @@ probe builds a Sturm chain or counts roots.
 
 Every probe, comparison and bisection step is exact rational or integer
 arithmetic, with no float anywhere (a bisection's final cell is proposed
-by exact regula falsi and confirmed by exact signs and, where no count
-has found a single root, Sturm counts); identical configurations produce
-bit-identical results.  Each branch polynomial builds its Sturm chain on
-first use and keeps it for every count and certificate on it.
+by exact regula falsi and confirmed by exact signs where a count has
+found a single root, and found by Sturm-counted bisection otherwise);
+identical configurations produce bit-identical results.  Each branch
+polynomial builds its Sturm chain on first use and keeps it for every
+count and certificate on it.
 
 A sweep ranks its probes on bare enclosures: one cell function per side
 (:func:`_left_cell`, :func:`_right_cell`) checks every fact an enclosure
@@ -557,7 +558,12 @@ def _left_support_holds(th: ThresholdEnclosure) -> bool:
 
 @dataclass(frozen=True)
 class Optimum:
-    """Best certified threshold found by a sweep, with its full audit row set."""
+    """Best certified threshold found by a sweep, with its full audit row set.
+
+    :meth:`to_json` leaves out ``certificate``, which is
+    ``best.certificate``, and ``table``, whose rows a report writes once,
+    as the text of its sweep scan.
+    """
 
     side: str
     best_t: Fraction
@@ -574,18 +580,7 @@ class Optimum:
             "best_t": rat_str(self.best_t),
             "best_w": rat_str(self.best_w),
             "threshold": self.threshold.to_json(),
-            "certificate": self.certificate.to_json(),
             "best": self.best.to_json(),
-            "table": [
-                {
-                    "t": rat_str(t),
-                    "w": rat_str(w),
-                    "lo": rat_str(lo),
-                    "hi": rat_str(hi),
-                    "degenerate": deg,
-                }
-                for (t, w, lo, hi, deg) in self.table
-            ],
             "degenerate_count": self.degenerate_count,
         }
 

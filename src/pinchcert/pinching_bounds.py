@@ -400,10 +400,15 @@ def left_quotient_forms() -> tuple[tuple[Polynomial, ...], ...]:
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Human- and machine-readable record of one certified threshold."""
+    """Human- and machine-readable record of one certified threshold.
+
+    It cites its certificates by the labels of the report's top-level
+    entries, which hold each certificate once; :meth:`to_json` writes those
+    labels as the row's ``certificates``.
+    """
 
     name: str
-    certificates: tuple[SignCertificate, ...]
+    certificate_labels: tuple[str, ...]
     root_enclosure: IntervalQ | None
     parameters: dict = field(default_factory=dict)
     conclusion: str = ""
@@ -411,7 +416,7 @@ class ThresholdReport:
     def to_json(self) -> dict:
         return {
             "name": self.name,
-            "certificates": [c.to_json() for c in self.certificates],
+            "certificates": list(self.certificate_labels),
             "root_enclosure": self.root_enclosure.to_json() if self.root_enclosure else None,
             "parameters": {k: rat_str(rat(v)) for k, v in self.parameters.items()},
             "conclusion": self.conclusion,

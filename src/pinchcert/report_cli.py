@@ -1,8 +1,9 @@
 """Command-line front end: certification suites, sweeps, scans, classification.
 
 Every subcommand produces a :class:`CertificationReport` whose JSON form
-contains each certificate verbatim, so a report can be re-verified offline
-by replaying its certificates.  The markdown summary is rendered from the
+contains each certificate verbatim, once, in its top-level ``certificates``
+list (tables cite them by label), so a report can be re-verified offline
+by replaying that list.  The markdown summary is rendered from the
 same structures, never from side channels.
 
 Exit codes: 0 all certified / in tolerance, 1 certification failure,
@@ -255,7 +256,7 @@ def cmd_certify() -> CertificationReport:
         ("theta1", pb.theta1(), {}, ("1.7075", "1.7076"), -1),
         ("theta2", pb.theta2(F(1, 4)), {"t": "1/4"}, ("1.7852", "1.7853"), 1),
     )
-    certified = []
+    enclosures = []
     for name, p, details, (lower, upper), lower_sign in thresholds:
         n, cert_n = count_roots(p, domain)
         report.add_certificate(f"{name}-root-count", cert_n)
@@ -273,8 +274,8 @@ def cmd_certify() -> CertificationReport:
             enclosure_lo=rat_str(enc.lo),
             enclosure_hi=rat_str(enc.hi),
         )
-        certified.append((cert_n, cert_e, enc))
-    (cert_n1, cert_e1, enc1), (cert_n2, cert_e2, enc2) = certified
+        enclosures.append(enc)
+    enc1, enc2 = enclosures
 
     monotone_cert = certify_sign_on_interval(
         pb.gap_derivative_numerator(), domain, "negative"
@@ -335,21 +336,21 @@ def cmd_certify() -> CertificationReport:
     threshold_reports = [
         pb.ThresholdReport(
             name="lower endpoint rigidity",
-            certificates=(cert_n1, cert_e1),
+            certificate_labels=("theta1-root-count", "theta1-enclosure"),
             root_enclosure=enc1,
             parameters={"t": F(1, 2), "w": F(5, 3)},
             conclusion="pinching 5/3 <= S <= 1.7075 forces S == 5/3 (curvature 1/6)",
         ),
         pb.ThresholdReport(
             name="interior oscillation bound",
-            certificates=(monotone_cert,),
+            certificate_labels=("gap-bound-decreasing",),
             root_enclosure=None,
             parameters={},
             conclusion="S_max - S_min >= gap_lower_bound(S_min) > 1/220 up to 1.7853",
         ),
         pb.ThresholdReport(
             name="upper endpoint rigidity",
-            certificates=(cert_n2, cert_e2),
+            certificate_labels=("theta2-root-count", "theta2-enclosure"),
             root_enclosure=enc2,
             parameters={"t": F(1, 4), "w": F(9, 5)},
             conclusion="pinching 1.7853 <= S <= 9/5 forces S == 9/5 (curvature 1/10)",
@@ -557,7 +558,9 @@ def main(argv: list[str] | None = None) -> int:
             report = cmd_classify(data)
         else:  # pragma: no cover - argparse enforces the choices
             return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, ValueError, TypeError, KeyError) as err:
+    # RecursionError: json.load of an input nested too deeply
+    except (OSError, json.JSONDecodeError, RecursionError, ValueError, TypeError,
+            KeyError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (cl.FrameDegeneracyError, ExactPolyError) as err:

@@ -118,8 +118,12 @@ class ShrinkerPinchData:
     @classmethod
     def from_json(cls, data: dict) -> "ShrinkerPinchData":
         """Inverse of :meth:`to_json`; the two hypotheses must be JSON
-        booleans, which the constructor checks.  Every field is required."""
+        booleans, which the constructor checks.  Every field is required,
+        and a key :meth:`to_json` does not write is refused."""
         names = [f.name for f in fields(cls)]
+        unknown = sorted(set(data) - set(names))
+        if unknown:
+            raise ValueError(f"unknown classify input key(s): {', '.join(map(repr, unknown))}")
         missing = [name for name in names if name not in data]
         if missing:
             raise ValueError(f"classify input is missing {', '.join(map(repr, missing))}")

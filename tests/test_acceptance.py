@@ -103,14 +103,14 @@ def test_criterion_5_optimizer_dominance():
     cfg_left = ps.default_config("left")
     a_left = ps.optimize("left", cfg_left)
     b_left = ps.optimize("left", cfg_left)
-    assert a_left.to_json_str() == b_left.to_json_str()
+    assert a_left.to_json_str() == b_left.to_json_str() and a_left.table == b_left.table
     assert a_left.threshold.lo >= paper_left.enclosure.lo
     assert a_left.threshold.lo > rat("1.7075")
 
     cfg_right = ps.default_config("right")
     a_right = ps.optimize("right", cfg_right)
     b_right = ps.optimize("right", cfg_right)
-    assert a_right.to_json_str() == b_right.to_json_str()
+    assert a_right.to_json_str() == b_right.to_json_str() and a_right.table == b_right.table
     assert a_right.threshold.hi <= paper_right.enclosure.hi
     assert a_right.threshold.hi < rat("1.7853")
 

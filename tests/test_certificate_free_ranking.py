@@ -55,7 +55,7 @@ def test_a_default_left_sweep_certifies_only_the_winner(monkeypatch):
     chains = _count_chains(monkeypatch)
     report = rc.cmd_optimize("left", ps.default_config("left"))
     assert report.all_passed
-    live = len(report.inputs["optimum"]["table"])
+    live = len(report.scans[0]["table"].splitlines())
     support = report.inputs["optimum"]["best"]["support"]
     # no probe builds a certificate; the winner's certificate and support
     # once when it is rebuilt and once more when cmd_optimize replays them
@@ -74,7 +74,7 @@ def test_a_default_right_sweep_certifies_only_the_winner(monkeypatch):
     chains = _count_chains(monkeypatch)
     report = rc.cmd_optimize("right", ps.default_config("right"))
     assert report.all_passed
-    assert len(report.inputs["optimum"]["table"]) == 108
+    assert len(report.scans[0]["table"].splitlines()) == 108
     # the winner's count and enclosure certificates, built once, replayed once
     assert built == [None, "exactly-one-root", "exactly-one-root", "exactly-one-root"]
     # θ2 at the winner's t, then one fresh chain per replayed certificate

@@ -43,7 +43,8 @@ def sweep_configs(draw):
 
 def _outcome(optimize, side, config):
     try:
-        return optimize(side, config).to_json()
+        opt = optimize(side, config)
+        return opt.to_json(), opt.table
     except ExactPolyError as err:
         return ("ExactPolyError", str(err))
 
@@ -117,7 +118,7 @@ def test_left_threshold_runs_only_for_edge_probes(monkeypatch):
     assert opt.best_w == LO
     assert calls and all(w == LO for _, w in calls)
     assert len(calls) == len(set(calls))
-    assert opt.to_json() == ref.optimize("left", config).to_json()
+    assert (opt.to_json(), opt.table) == _outcome(ref.optimize, "left", config)
 
 
 def test_a_dead_winner_is_evaluated_once_after_the_sweep(monkeypatch):
@@ -129,4 +130,4 @@ def test_a_dead_winner_is_evaluated_once_after_the_sweep(monkeypatch):
     assert calls == [(opt.best_t, opt.best_w)] == [(F(1, 10), F(17, 10))]
     assert opt.best.degenerate and opt.table == ()
     assert opt.degenerate_count == 14
-    assert opt.to_json() == ref.optimize("left", config).to_json()
+    assert (opt.to_json(), opt.table) == _outcome(ref.optimize, "left", config)

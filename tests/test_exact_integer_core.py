@@ -230,14 +230,16 @@ def test_explicit_cases_match_reference(p, iv, width, why):
 
 @pytest.mark.parametrize("p, iv, width, why", FALLBACK_CASES, ids=[c[3] for c in FALLBACK_CASES])
 def test_fallback_cases_are_not_jumped(p, iv, width, why):
+    # more than one root goes straight to bisection; one is not jumped to
     a, b = smallest_args(p, iv)
-    assert _jump_cell(p, a, b, width, counts_one_root(p, a, b)) is None
+    assert not counts_one_root(p, a, b) or _jump_cell(p, a, b, width) is None
 
 
 def test_jump_lands_on_the_bisection_cell_for_a_simple_root():
     p = from_roots([F(13, 10), F(17, 10)], extra=[F(1, 3)])
-    a, b = F(1), F(2)
-    cell = _jump_cell(p, a, b, F(1, 10**6), False)
+    a, b = F(1), F(3, 2)
+    assert counts_one_root(p, a, b)
+    cell = _jump_cell(p, a, b, F(1, 10**6))
     assert cell is not None
     expected, _ = ref.isolate_smallest_root(p, a, b, F(1, 10**6))
     assert cell == (expected.lo, expected.hi)
@@ -260,12 +262,15 @@ def grid_index(a, b, width, x):
     ids=["larger root", "no root", "left end", "right end", "three roots in the cell"],
 )
 def test_a_wrong_estimate_is_refused_and_bisection_takes_over(monkeypatch, p, guess):
-    """The sign search only proposes; the exact confirmations decide."""
+    """With more than one root no estimate is asked for: bisection decides."""
     a, b, width = F(1), F(2), F(1, 10**6)
+    assert not counts_one_root(p, a, b)
     j = grid_index(a, b, width, guess)
-    monkeypatch.setattr(ep, "_propose_cell", lambda p, base, step, den, depth, one_root: j)
-    assert _jump_cell(p, a, b, width, counts_one_root(p, a, b)) is None
+    proposed = []
+    monkeypatch.setattr(ep, "_propose_cell",
+                        lambda p, base, step, den, depth: proposed.append(j) or j)
     assert ps._isolate_smallest_root(p, a, b, width) == ref.isolate_smallest_root(p, a, b, width)
+    assert proposed == []
 
 
 # one root in (1, 2), and one just outside each end, inside the grid cell
@@ -284,8 +289,8 @@ def test_a_wrong_proposal_on_the_single_root_path_is_refused(monkeypatch, index)
     a, b, width = F(1), F(2), F(1, 10**6)
     assert counts_one_root(ONE_ROOT, a, b)
     j = index(1 << ep._bisection_depth(b - a, width))
-    monkeypatch.setattr(ep, "_propose_cell", lambda p, base, step, den, depth, one_root: j)
-    assert _jump_cell(ONE_ROOT, a, b, width, True) is None
+    monkeypatch.setattr(ep, "_propose_cell", lambda p, base, step, den, depth: j)
+    assert _jump_cell(ONE_ROOT, a, b, width) is None
     expected = ref.isolate_smallest_root(ONE_ROOT, a, b, width)
     assert ps._isolate_smallest_root(ONE_ROOT, a, b, width) == expected
     assert isolate_root(ONE_ROOT, IntervalQ(a, b), width) == ref.isolate_root(
@@ -296,8 +301,7 @@ def test_coefficients_beyond_float_range_now_jump():
     p = from_roots([F(13, 10)], scale=F(10**400))
     a, b, width = F(1), F(2), F(1, 10**6)
     expected, _ = ref.isolate_smallest_root(p, a, b, width)
-    for single in (True, False):
-        assert _jump_cell(p, a, b, width, single) == (expected.lo, expected.hi)
+    assert _jump_cell(p, a, b, width) == (expected.lo, expected.hi)
 
 
 def test_every_default_grid_probe_takes_the_jump(monkeypatch):
@@ -305,8 +309,8 @@ def test_every_default_grid_probe_takes_the_jump(monkeypatch):
     cells = []
     real = ep._jump_cell
 
-    def recording(p, a, b, width, one_root):
-        cells.append(real(p, a, b, width, one_root))
+    def recording(p, a, b, width):
+        cells.append(real(p, a, b, width))
         return cells[-1]
 
     monkeypatch.setattr(ep, "_jump_cell", recording)
@@ -342,8 +346,7 @@ def test_default_grid_isolations_take_few_grid_evaluations(monkeypatch):
     real_propose, real_homogeneous = ep._propose_cell, ep._homogeneous
     evaluations = []
 
-    def counting(p, base, step, den, depth, one_root):
-        assert one_root
+    def counting(p, base, step, den, depth):
         calls = []
 
         def homogeneous(ints, a, b):
@@ -352,7 +355,7 @@ def test_default_grid_isolations_take_few_grid_evaluations(monkeypatch):
 
         monkeypatch.setattr(ep, "_homogeneous", homogeneous)
         try:
-            return real_propose(p, base, step, den, depth, one_root)
+            return real_propose(p, base, step, den, depth)
         finally:
             monkeypatch.setattr(ep, "_homogeneous", real_homogeneous)
             evaluations.append(len(calls))

@@ -1,6 +1,13 @@
 """Reports stay byte-identical across rewrites of the exact layer.
 
-The first three digests in ``golden_reports.json`` were taken from the
+``golden_reports.json`` pins each report twice.  Its ``pinchcert-report/2``
+block holds the sha256 of the bytes written today, where each certificate
+and the sweep table appear once.  The six digests at its top level pin the
+same reports in the ``pinchcert-report/1`` layout, which repeated them:
+:func:`reinflate` copies each repeated fact back from where ``/2`` keeps
+it, and the result must hash to the old digest, so no fact was lost.
+
+The first three ``/1`` digests in ``golden_reports.json`` were taken from the
 Fraction-only exact core, before evaluation and Sturm counting moved to
 integers; the three ``optimize-left-*`` sweeps after them were taken before
 left sweeps stopped evaluating the provably degenerate w > 5/3 probes.
@@ -39,6 +46,34 @@ def _digest(report) -> str:
     return hashlib.sha256(report.to_json_str(strip_wall_time=True).encode()).hexdigest()
 
 
+def _table_row(line: str) -> dict:
+    """One row of ``inputs.optimum.table`` in ``/1``, from its line in the
+    sweep scan's text: ``t=.. w=.. lo=.. hi=..``, then ``degenerate`` or nothing."""
+    words = line.split()
+    row = dict(word.split("=") for word in words[:4])
+    row["degenerate"] = words[4:] == ["degenerate"]
+    return row
+
+
+def reinflate(data: dict) -> dict:
+    """The ``pinchcert-report/1`` layout of a ``/2`` report's JSON, in place.
+
+    Each label of a certify table row becomes its certificate from the
+    top-level list, ``inputs.optimum`` gets back ``certificate`` (its
+    ``best.certificate``) and ``table`` (parsed from ``scans[0].table``).
+    """
+    by_label = {entry["label"]: entry["certificate"] for entry in data["certificates"]}
+    for scan in data["scans"]:
+        for row in scan.get("reports", []):
+            row["certificates"] = [by_label[label] for label in row["certificates"]]
+    optimum = data["inputs"].get("optimum")
+    if optimum is not None:
+        optimum["certificate"] = optimum["best"]["certificate"]
+        optimum["table"] = [_table_row(line) for line in data["scans"][0]["table"].splitlines()]
+    data["schema"] = "pinchcert-report/1"
+    return data
+
+
 def _left_config() -> ps.SweepConfig:
     return ps.SweepConfig(
         t_grid=LEFT_T, w_grid=ps.default_config("left").w_grid, refinement_rounds=1
@@ -59,7 +94,7 @@ HALF_EDGES = ps.SweepConfig(
 )
 
 
-@pytest.mark.parametrize(
+REPORTS = pytest.mark.parametrize(
     "name, build",
     [
         ("certify", rc.cmd_certify),
@@ -72,8 +107,18 @@ HALF_EDGES = ps.SweepConfig(
         ("optimize-left-half-edges", lambda: rc.cmd_optimize("left", HALF_EDGES)),
     ],
 )
+
+
+@REPORTS
 def test_report_bytes_match_golden_digest(name, build):
-    assert _digest(build()) == GOLDEN[name]
+    assert _digest(build()) == GOLDEN["pinchcert-report/2"][name]
+
+
+@REPORTS
+def test_reinflated_report_matches_its_report_1_digest(name, build):
+    data = json.loads(build().to_json_str(strip_wall_time=True))
+    text = rc.json_text(reinflate(data))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
 
 
 def test_per_threshold_bytes_match_golden_digest():

@@ -109,11 +109,12 @@ def test_sturm_members_equal_the_reference(p):
         assert_same_value(born, built)
 
 
-# rat's fast path takes exactly -?[0-9]+(/[0-9]+)?; everything else, signs,
-# spaces, underscores, decimals, exponents and non-ASCII digits, must fall
-# through to Fraction(str) with the same outcome, except that rat reports a
-# zero denominator as a ValueError where Fraction raises ZeroDivisionError.
-# At most 8 characters keep an exponent small enough to compute.
+# rat's fast path takes exactly -?[0-9]+(/[0-9]+)?; rat refuses with a
+# ValueError any string that is not ASCII or holds an underscore or an
+# exponent, which Fraction(str) would accept; everything else, signs,
+# spaces and decimals, must fall through to Fraction(str) with the same
+# outcome, except that rat reports a zero denominator as a ValueError where
+# Fraction raises ZeroDivisionError.
 ALPHABET = list("0123456789-+ _./e") + ["٣", "５", "१", " "]
 
 
@@ -127,8 +128,11 @@ def outcome(fn, s):
 
 
 def fraction_outcome(s):
-    """What rat must do with ``s``: Fraction(s)'s outcome, with a zero
-    denominator's ZeroDivisionError turned into a ValueError."""
+    """What rat must do with ``s``: a ValueError for non-ASCII, ``_``, ``e``
+    or ``E``, else Fraction(s)'s outcome, with a zero denominator's
+    ZeroDivisionError turned into a ValueError."""
+    if not s.isascii() or any(c in s for c in "_eE"):
+        return ValueError
     expected = outcome(Fraction, s)
     return ValueError if expected is ZeroDivisionError else expected
 
@@ -145,6 +149,7 @@ def test_rat_agrees_with_fraction_on_strings(s):
 
 
 @pytest.mark.parametrize("s", ["1/0", "", "-", "3/", "/3", "-0/7", "007/014", "12/-3", "1/2/3",
-                               "--1", "+1", " 1", "1 ", "1_0", "1.5", "1e3", "٣/4", "5/３"])
+                               "--1", "+1", " 1", "1 ", "1_0", "1.5", "1e3", "٣/4", "5/３",
+                               "1_0/3", "1E3", "1e-10000000", ".5", "5.", "-1.25"])
 def test_rat_agrees_with_fraction_on_edge_strings(s):
     assert outcome(rat, s) == fraction_outcome(s)

@@ -194,7 +194,7 @@ def test_left_isolations_on_the_quotient_take_few_evaluations(monkeypatch):
     real_propose, real_homogeneous = ep._propose_cell, ep._homogeneous
     evaluations = []
 
-    def counting(p, base, step, den, depth, one_root):
+    def counting(p, base, step, den, depth):
         calls = []
 
         def homogeneous(ints, a, b):
@@ -203,7 +203,7 @@ def test_left_isolations_on_the_quotient_take_few_evaluations(monkeypatch):
 
         monkeypatch.setattr(ep, "_homogeneous", homogeneous)
         try:
-            return real_propose(p, base, step, den, depth, one_root)
+            return real_propose(p, base, step, den, depth)
         finally:
             monkeypatch.setattr(ep, "_homogeneous", real_homogeneous)
             evaluations.append(len(calls))

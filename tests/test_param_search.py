@@ -447,7 +447,7 @@ def test_optimize_bit_identical_reruns():
     cfg = small_right_config(rounds=2)
     a = ps.optimize("right", cfg)
     b = ps.optimize("right", cfg)
-    assert a.to_json_str() == b.to_json_str()
+    assert a.to_json_str() == b.to_json_str() and a.table == b.table
 
 
 def test_optimize_refinement_never_hurts():

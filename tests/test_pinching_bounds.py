@@ -350,16 +350,16 @@ def test_weight_sup_is_a_true_supremum():
 
 
 def test_threshold_report_json_and_markdown():
-    cert = pb.denominator_positive_certificate()
     report = pb.ThresholdReport(
         name="gap-denominator-positive",
-        certificates=(cert,),
+        certificate_labels=("gap-denominator-positive",),
         root_enclosure=None,
         parameters={"w": F(5, 3)},
         conclusion="denominator never vanishes on the domain",
     )
     data = report.to_json()
     assert data["parameters"] == {"w": "5/3"}
+    assert data["certificates"] == ["gap-denominator-positive"]
     table = pb.render_markdown_table([report])
     assert "gap-denominator-positive" in table
     assert table.count("|") >= 12

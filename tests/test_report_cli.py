@@ -99,6 +99,43 @@ def test_certify_layout():
     assert [c["label"] for c in data["certificates"]] == CERTIFY_CERTIFICATES
 
 
+def _certificates_in(value, path=()):
+    """(path, certificate) for every certificate anywhere in a report's JSON."""
+    if isinstance(value, dict):
+        if {"polynomial", "interval", "claim", "evidence"} <= value.keys():
+            yield path, value
+            return
+        for key, item in value.items():
+            yield from _certificates_in(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _certificates_in(item, path + (i,))
+
+
+def test_certify_writes_each_certificate_once_and_tables_cite_labels():
+    data = json.loads(rc.cmd_certify().to_json_str())
+    labels = [entry["label"] for entry in data["certificates"]]
+    assert len(set(labels)) == len(labels)
+    cited = [label for scan in data["scans"] for row in scan.get("reports", [])
+             for label in row["certificates"]]
+    assert cited and all(labels.count(label) == 1 for label in cited)
+    # certificate-replay covers every certificate the report contains
+    found = list(_certificates_in(data))
+    assert [path[0] for path, _ in found] == ["certificates"] * len(labels)
+    (check,) = [c for c in data["checks"] if c["label"] == "certificate-replay"]
+    assert check["passed"] and check["details"]["certificates"] == len(found)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_optimize_repeats_only_the_winners_certificates_under_best(side):
+    data = json.loads(rc.cmd_optimize(side, SIDE_CONFIGS[side]).to_json_str())
+    optimum = data["inputs"]["optimum"]
+    assert "certificate" not in optimum and "table" not in optimum
+    top = [entry["certificate"] for entry in data["certificates"]]
+    copies = [cert for path, cert in _certificates_in(data) if path[0] != "certificates"]
+    assert copies == top
+
+
 def test_certify_replays_each_embedded_certificate_once(monkeypatch):
     calls = []
     real = SignCertificate.replay
@@ -239,7 +276,7 @@ def test_certify_exit_code_via_main(capsys, tmp_path):
     captured = capsys.readouterr()
     assert "all certified" in captured.out
     payload = json.loads(out.read_text())
-    assert payload["schema"] == "pinchcert-report/1"
+    assert payload["schema"] == "pinchcert-report/2"
     assert payload["command"] == "certify"
     assert isinstance(payload["wall_time_ms"], int)
 
@@ -508,6 +545,34 @@ def test_classify_input_missing_field_is_named(tmp_path, capsys):
     code = rc.main(["classify", "--input", str(path)])
     assert code == rc.EXIT_USAGE
     assert capsys.readouterr().err.strip() == "usage error: classify input is missing 'a_circ_min'"
+
+
+def test_classify_input_unknown_key_is_usage_error(tmp_path):
+    # a misspelt hypothesis used to be ignored, classifying with exit 0
+    payload = ShrinkerPinchData(
+        a_circ_min=rat("5/12"), a_circ_max=rat("5/12"),
+        mean_curvature_nonvanishing=True, normalized_H_parallel=True,
+    ).to_json()
+    payload["normalised_H_parallel"] = False
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(payload))
+    done = _run_cli("classify", "--input", str(path))
+    assert done.returncode == rc.EXIT_USAGE
+    assert "calabi" not in done.stdout
+    assert done.stderr.splitlines() == [
+        "usage error: unknown classify input key(s): 'normalised_H_parallel'"]
+
+
+@pytest.mark.parametrize("argv", [["classify", "--input"],
+                                  ["optimize", "--side", "left", "--config"]])
+def test_input_nested_too_deeply_is_usage_error(tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    done = _run_cli(*argv, str(path))
+    assert done.returncode == rc.EXIT_USAGE
+    assert "Traceback" not in done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("usage error: maximum recursion depth exceeded")
 
 
 def test_classification_total_fails_on_an_undocumented_verdict(monkeypatch):
