@@ -10,10 +10,14 @@ that integer form and build their Fractions only if something reads them.
 Root counts and sign claims are established by Sturm's theorem and packaged
 as :class:`SignCertificate` records.  One constructor builds every
 certificate and rebuilds it on replay, so it alone says which evidence
-proves which claim.  No float enters this module: root isolation proposes
-its final dyadic cell by Illinois regula falsi on exact integer values
-when a Sturm count has found a single root, and the proposal's end signs
-alone confirm it; with more roots, Sturm-counted bisection finds the cell.
+proves which claim.  Certificates are computed on integer forms: their
+values are reduced ``p/q`` strings of integer Horner values, and a
+certificate read back from JSON holds a polynomial born from the integer
+form of its coefficient strings.  No float enters this module: root
+isolation proposes its final dyadic cell by Illinois regula falsi on exact
+integer values when a Sturm count has found a single root, and the
+proposal's end signs alone confirm it; with more roots, Sturm-counted
+bisection finds the cell.
 """
 
 from __future__ import annotations
@@ -63,23 +67,20 @@ def rat(value) -> Fraction:
     certificates with rounding already performed by the caller.  So are
     bools: ``True`` is an int to Python but never a number a user meant.
     A string of the exact ASCII shape ``-?[0-9]+(/[0-9]+)?``, the form
-    :func:`rat_str` writes, is parsed by ``int`` without ``Fraction``'s
-    regular expression; every other string goes to ``Fraction(str)``, but
-    only once it is ASCII without ``_``, ``e`` or ``E``: ``Fraction`` would
-    read ``"1_0/3"`` as 10/3, ``"٣/4"`` as 3/4, and build the huge integers
-    of ``"1e-10000000"``.  Such a string, and a zero denominator, raise
-    ``ValueError`` naming the string.
+    :func:`rat_str` writes, is parsed by ``int`` (:func:`_split_ratio`)
+    without ``Fraction``'s regular expression; every other string goes to
+    ``Fraction(str)``, but only once it is ASCII without ``_``, ``e`` or
+    ``E``: ``Fraction`` would read ``"1_0/3"`` as 10/3, ``"٣/4"`` as 3/4,
+    and build the huge integers of ``"1e-10000000"``.  Such a string, and
+    a zero denominator, raise ``ValueError`` naming the string.
     """
     if isinstance(value, str):
         if "_" in value or "e" in value or "E" in value:
             raise ValueError(f"not a p/q or decimal rational: {value!r}")
         try:
             if value.isascii():
-                num, slash, den = value.partition("/")
-                # on ASCII, isdigit() accepts exactly [0-9]+
-                if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
-                    return Fraction(int(num), int(den) if slash else 1)
-                return Fraction(value)
+                pq = _split_ratio(value)
+                return Fraction(*pq) if pq else Fraction(value)
             Fraction(value)  # only so that a zero denominator is named as one
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
@@ -93,9 +94,40 @@ def rat(value) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {type(value).__name__}")
 
 
+def _split_ratio(value: str) -> tuple[int, int] | None:
+    """``(p, q)`` read by ``int`` from an ASCII string of the exact shape
+    ``-?[0-9]+(/[0-9]+)?`` (q = 1 without a slash, and q may be 0), else
+    None."""
+    num, slash, den = value.partition("/")
+    # on ASCII, isdigit() accepts exactly [0-9]+
+    if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
+        return int(num), int(den) if slash else 1
+    return None
+
+
+def _ratio(value) -> tuple[int, int]:
+    """The numerator and denominator of ``rat(value)``, read by ``int`` and
+    ``gcd`` without a Fraction when ``value`` is a string of
+    :func:`_split_ratio`'s shape with a nonzero denominator; every other
+    value goes through :func:`rat`, so exactly what it refuses is refused."""
+    pq = _split_ratio(value) if isinstance(value, str) and value.isascii() else None
+    if pq and pq[1]:
+        n, d = pq
+        g = gcd(n, d)
+        return n // g, d // g
+    q = rat(value)
+    return q.numerator, q.denominator
+
+
 def rat_str(q: Fraction) -> str:
     """Canonical ``p/q`` serialization (denominator always explicit)."""
     return f"{q.numerator}/{q.denominator}"
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """``rat_str(Fraction(n, d))`` for d > 0, without building the Fraction."""
+    g = gcd(n, d)
+    return f"{n // g}/{d // g}"
 
 
 class Polynomial:
@@ -341,11 +373,24 @@ class Polynomial:
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> list[str]:
-        return [rat_str(c) for c in self.coeffs]
+        """The coefficients as :func:`rat_str` strings, written from the
+        integer form when the polynomial was born from it."""
+        cs = self._coeffs
+        if cs is not None:
+            return [rat_str(c) for c in cs]
+        ints, den = self._ints
+        return [_ratio_str(c, den) for c in ints]
 
     @classmethod
     def from_json(cls, data: Sequence[str]) -> "Polynomial":
-        return cls(rat(c) for c in data)
+        """The polynomial of :meth:`to_json`'s coefficient strings, born from
+        its canonical integer form: each entry is read once by
+        :func:`_ratio`, and entries :func:`rat` refuses are refused."""
+        pairs = [_ratio(c) for c in data]
+        while pairs and not pairs[-1][0]:
+            pairs.pop()
+        den = lcm(*(d for _, d in pairs))
+        return cls._from_integer_form(tuple(n * (den // d) for n, d in pairs), den)
 
 
 def _homogeneous(ints: Sequence[int], a: int, b: int) -> int:
@@ -374,6 +419,17 @@ def _sign_at_ratio(p: Polynomial, a: int, b: int) -> int:
 def sign_at(p: Polynomial, x: Fraction) -> int:
     """Sign of p(x) (-1, 0 or 1), without building the value."""
     return _sign_at_ratio(p, x.numerator, x.denominator)
+
+
+def _value_at(p: Polynomial, x: Fraction) -> tuple[str, int]:
+    """``rat_str(p(x))`` and the sign of p(x), from one integer evaluation
+    and no Fraction."""
+    ints, den = p.integer_form()
+    if not ints:
+        return "0/1", 0
+    b = x.denominator
+    v = _homogeneous(ints, x.numerator, b)
+    return _ratio_str(v, den * b ** (len(ints) - 1)), (v > 0) - (v < 0)
 
 
 @dataclass(frozen=True)
@@ -554,18 +610,24 @@ class SignCertificate:
         """Rebuild this certificate at its stored points and compare verbatim.
 
         The rebuild goes through :func:`_certificate`, so the evidence must
-        also prove the label, and starts from a fresh polynomial of the
-        stored coefficients, so no integer form or Sturm chain cached by the
-        builder is trusted.  Evidence that is missing, mistyped (a float,
-        ``None``) or not in canonical form replays ``False``; it never raises.
+        also prove the label, and starts from a fresh polynomial: of the
+        stored coefficients when they were built, else of the stored integer
+        form (a polynomial read by :meth:`Polynomial.from_json` has only
+        that), so no Sturm chain cached by the builder, nor an integer form
+        cached beside built coefficients, is trusted.  Evidence that is
+        missing, mistyped (a float, ``None``) or not in canonical form
+        replays ``False``; it never raises.
         """
         evidence = self.evidence
+        stored = self.polynomial
+        if stored._coeffs is not None:
+            p = Polynomial(stored._coeffs)
+        else:
+            p = Polynomial._from_integer_form(*stored._ints)
         try:
             witness = rat(evidence["witness"]) if self.claim in _SIGN_CLAIMS else None
-            fresh = _certificate(
-                Polynomial(self.polynomial.coeffs), self.interval, self.claim,
-                rat(evidence["lo"]), rat(evidence["hi"]), witness,
-            )
+            fresh = _certificate(p, self.interval, self.claim,
+                                 rat(evidence["lo"]), rat(evidence["hi"]), witness)
         except (ExactPolyError, ValueError, ZeroDivisionError, KeyError, TypeError):
             return False
         # types too: a float 2.0 or a bool True compares equal to an int
@@ -602,7 +664,8 @@ def _certificate(p: Polynomial, iv: IntervalQ, claim: str | None, lo: Fraction,
             raise ExactPolyError(f"{claim} claim on [{iv.lo}, {iv.hi}] evidenced at "
                                  f"{lo} and {hi}, not at its ends")
         want = _SIGN_CLAIMS[claim]
-        for x, s in zip((lo, hi, witness), (s_lo, s_hi, sign_at(p, witness))):
+        witness_value, s_witness = _value_at(p, witness)
+        for x, s in zip((lo, hi, witness), (s_lo, s_hi, s_witness)):
             if s != want:
                 raise SignClaimError(f"claimed {claim} but p({x}) = {p(x)}", x)
         if count != 0:
@@ -611,7 +674,7 @@ def _certificate(p: Polynomial, iv: IntervalQ, claim: str | None, lo: Fraction,
                 _find_counterexample(p, lo, hi, want),
             )
         evidence["witness"] = rat_str(witness)
-        evidence["witness_value"] = rat_str(p(witness))
+        evidence["witness_value"] = witness_value
     else:
         if not at_ends:
             proven = CLAIM_ROOT_COUNT
@@ -632,22 +695,23 @@ def _certificate(p: Polynomial, iv: IntervalQ, claim: str | None, lo: Fraction,
 
 
 def _count_evidence(p: Polynomial, lo: Fraction, hi: Fraction) -> tuple[int, dict, tuple[int, int]]:
-    """Sturm count of p on (lo, hi), its evidence, and the signs of p at lo and hi."""
+    """Sturm count of p on (lo, hi), its evidence, and the signs of p at lo
+    and hi, taken with the value strings from one evaluation at each."""
     v_lo = _variations_at(p, lo)
     v_hi = _variations_at(p, hi)
     count = v_lo - v_hi
-    value_lo, value_hi = p(lo), p(hi)
+    value_lo, s_lo = _value_at(p, lo)
+    value_hi, s_hi = _value_at(p, hi)
     evidence = {
         "lo": rat_str(lo),
         "hi": rat_str(hi),
         "variations_lo": v_lo,
         "variations_hi": v_hi,
         "root_count": count,
-        "value_lo": rat_str(value_lo),
-        "value_hi": rat_str(value_hi),
+        "value_lo": value_lo,
+        "value_hi": value_hi,
     }
-    n_lo, n_hi = value_lo.numerator, value_hi.numerator
-    return count, evidence, ((n_lo > 0) - (n_lo < 0), (n_hi > 0) - (n_hi < 0))
+    return count, evidence, (s_lo, s_hi)
 
 
 def count_roots(p: Polynomial, iv: IntervalQ) -> tuple[int, SignCertificate]:

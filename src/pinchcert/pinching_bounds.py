@@ -8,7 +8,9 @@ polynomials; callers certify sign facts about them with
 parameter) are built once per process and shared: a :class:`Polynomial` is
 immutable, so only its integer evaluation form is filled in, once.  θ2,
 the lower-endpoint branches and their quotients by x - 5/3 are built once
-as forms in t (:func:`at_t`).
+as forms in t (:func:`at_t`).  Whether the new gap bound beats the legacy one
+is decided by the integer signs of two such constant polynomials
+(:func:`legacy_dominance_polynomials`), with no Fraction built.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .exact_poly import (
     certify_sign_on_interval,
     rat,
     rat_str,
+    sign_at,
 )
 
 F = Fraction
@@ -242,10 +245,35 @@ def legacy_gap_bound(s_min) -> LegacyGapBound:
     )
 
 
+@lru_cache(maxsize=None)
+def legacy_dominance_polynomials() -> tuple[Polynomial, Polynomial]:
+    """``(A, B)`` with A = 108N - (134 - 114x)D and B = A^2 - R D^2.
+
+    N/D is the new gap bound and (134 - 114x + sqrt(R))/108 the legacy one,
+    R the legacy radicand.  With D > 0 the new bound minus the legacy rational
+    part is A/(108D), so the new bound is the larger exactly when A > 0 and
+    B > 0, and the two are equal exactly when A >= 0 and B = 0.
+    """
+    n, d = gap_numerator(), gap_denominator()
+    a = 108 * n - Polynomial.linear(134, -114) * d
+    return a, a * a - _legacy_radicand_poly() * d * d
+
+
 def compare_legacy_to_new(s_min) -> int:
-    """-1 when the new gap bound beats the legacy one, 0 on ties, +1 otherwise."""
-    s_min = rat(s_min)
-    return legacy_gap_bound(s_min).compare_to(gap_lower_bound(s_min))
+    """-1 when the new gap bound beats the legacy one, 0 on ties, +1 otherwise.
+
+    Decided by the signs of :func:`legacy_dominance_polynomials` at s_min,
+    by integer Horner, given D > 0 and R > 0 on the domain (their
+    certificates); equals ``legacy_gap_bound(s_min).compare_to(
+    gap_lower_bound(s_min))`` without building a Fraction.
+    """
+    s_min = _require_domain(rat(s_min), "S_min")
+    denominator_positive_certificate()
+    legacy_radicand_certificate()
+    a, b = legacy_dominance_polynomials()
+    if sign_at(a, s_min) < 0:
+        return 1
+    return -sign_at(b, s_min)
 
 
 @lru_cache(maxsize=None)

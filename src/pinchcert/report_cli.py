@@ -303,7 +303,7 @@ def cmd_certify() -> CertificationReport:
 
     legacy_beaten = []
     for k in range(1, 10):
-        w = F(5, 3) + F(k, 10) * F(2, 15)
+        w = F(125 + k, 75)  # 5/3 + (k/10)(2/15)
         legacy_beaten.append(pb.compare_legacy_to_new(w) == -1)
     report.add_check(
         "legacy-bound-dominated-9pts", all(legacy_beaten),

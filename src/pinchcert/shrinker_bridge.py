@@ -100,12 +100,12 @@ class ShrinkerPinchData:
             value = getattr(self, key)
             if not isinstance(value, bool):
                 raise TypeError(f"{key} must be a JSON boolean, got {value!r}")
-        object.__setattr__(self, "a_circ_min", rat(self.a_circ_min))
-        object.__setattr__(self, "a_circ_max", rat(self.a_circ_max))
-        if not 0 <= self.a_circ_min <= self.a_circ_max:
-            raise ValueError(
-                f"need 0 <= min <= max, got [{self.a_circ_min}, {self.a_circ_max}]"
-            )
+        lo, hi = rat(self.a_circ_min), rat(self.a_circ_max)
+        object.__setattr__(self, "a_circ_min", lo)
+        object.__setattr__(self, "a_circ_max", hi)
+        # 0 <= lo <= hi, on integers: both denominators are positive
+        if not 0 <= lo.numerator * hi.denominator <= hi.numerator * lo.denominator:
+            raise ValueError(f"need 0 <= min <= max, got [{lo}, {hi}]")
 
     def to_json(self) -> dict:
         return {

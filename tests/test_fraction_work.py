@@ -4,26 +4,41 @@ Specializations of forms in t and Sturm members are born from their integer
 forms, and ``optimize`` keeps its live cells in a list, so once the
 monotonicity lemma is proved a default sweep hashes no ``Fraction`` and
 builds only the ones something reads.  ``classify`` decides on its integer
-case table and builds or compares none.  Constructions are counted through
+case table and builds or compares none.  A certificate read back from JSON is
+born from its integer form and replays on it, and the legacy-dominance check
+decides on integer signs.  Constructions are counted through
 ``Fraction.__new__`` and, on Python 3.12 and later, through
 ``Fraction._from_coprime_ints``, which builds arithmetic results there;
 comparisons through the five rich-comparison methods.
 """
 
+import json
 import sys
 from fractions import Fraction
 
 import pytest
 
 from pinchcert import param_search as ps
+from pinchcert import pinching_bounds as pb
 from pinchcert import report_cli as rc
 from pinchcert import shrinker_bridge as sb
+from pinchcert.exact_poly import SignCertificate
 
 #: Fractions built by one warm default right sweep (``optimize``), measured
-#: on CPython 3.10.13, 3.11.7 and 3.12.1 (918 on 3.11 while polynomials were
-#: built from Fractions); 3.12 converts the int operand of mixed int/Fraction
-#: arithmetic to a Fraction first
-RIGHT_SWEEP_FRACTIONS = {(3, 10): 476, (3, 11): 476, (3, 12): 490}
+#: on CPython 3.11.7 (918 while polynomials were built from Fractions, 476
+#: while certificate values were Fractions); 3.12 converts the int operand of
+#: mixed int/Fraction arithmetic to a Fraction first.  The 3.10 and 3.12
+#: entries were measured on 3.10.13 and 3.12.1 at 476 and 490 and moved by the
+#: same version-independent four: the certificate values now come as strings
+#: from integers
+RIGHT_SWEEP_FRACTIONS = {(3, 10): 472, (3, 11): 472, (3, 12): 486}
+
+#: Fractions built by a warm ``from_json(...).replay()`` of certify's seven
+#: certificates: per certificate the interval's two ends and the evidence
+#: points lo and hi, and the witness of each of the three sign claims, each
+#: one ``Fraction(int, int)`` on every Python version (75 on CPython 3.11.7
+#: while coefficients and values were Fractions)
+CERTIFY_REPLAY_FRACTIONS = 7 * 4 + 3
 
 
 def _count_fractions(monkeypatch) -> dict:
@@ -77,6 +92,25 @@ def test_a_warm_default_right_sweep_builds_the_measured_number_of_fractions(monk
     counts = _count_fractions(monkeypatch)
     ps.optimize("right", config)
     assert counts["built"] == want
+
+
+def test_a_warm_replay_of_certifys_certificates_builds_the_counted_fractions(monkeypatch):
+    report = json.loads(rc.cmd_certify().to_json_str())
+    entries = [entry["certificate"] for entry in report["certificates"]]
+    assert len(entries) == 7
+    assert all(SignCertificate.from_json(data).replay() for data in entries)
+    counts = _count_fractions(monkeypatch)
+    assert all(SignCertificate.from_json(data).replay() for data in entries)
+    assert counts["built"] == CERTIFY_REPLAY_FRACTIONS
+    assert counts["hashed"] == 0
+
+
+def test_a_warm_legacy_comparison_builds_no_fraction(monkeypatch):
+    points = [Fraction(125 + k, 75) for k in range(1, 10)] + [Fraction(5, 3), Fraction(9, 5)]
+    want = [pb.compare_legacy_to_new(s) for s in points]
+    counts = _count_fractions(monkeypatch)
+    assert [pb.compare_legacy_to_new(s) for s in points] == want
+    assert counts["built"] == 0 and counts["hashed"] == 0
 
 
 def test_a_warm_classify_builds_and_compares_no_fraction(monkeypatch):

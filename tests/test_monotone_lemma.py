@@ -14,6 +14,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,6 +32,7 @@ from pinchcert.exact_poly import (
     Polynomial,
     count_roots,
     isolate_counted_root,
+    sign_at,
 )
 
 F = Fraction
@@ -152,6 +154,40 @@ def _right_reference(t, width):
                                  phi_lo=p(enclosure.lo), phi_hi=p(enclosure.hi))
 
 
+#: the branch only the frozen reference builds
+CRITICAL = "sup-at-critical"
+
+
+def _endpoint_branch_reference(t, width):
+    """The frozen reference's threshold from its two endpoint branches.
+
+    Its critical branch is isolated on that branch's own segment, on a
+    different bisection grid, so its cell can start below the endpoint
+    branches' cell although its root lies above it: at t = 203/1350 and
+    width 1/1000 the cells are [1.690073, 1.690384] and [1.690104, 1.690365],
+    the roots 1.6903304 and 1.6903302.  Sorting cells by their lower ends
+    then picks the critical one, which says nothing about the threshold;
+    :func:`_assert_critical_root_not_below` checks that branch instead.
+    """
+    branches = left_ref.left_branch_polynomials
+    with mock.patch.object(left_ref, "left_branch_polynomials",
+                           lambda t: [b for b in branches(t) if b[0] != CRITICAL]):
+        return left_ref.left_threshold(t, LO, width)
+
+
+def _assert_critical_root_not_below(t, width, x):
+    """The reference's critical branch, where it applies, has no root in its
+    segment below x: it is negative on the segment up to x."""
+    for label, p, seg in left_ref.left_branch_polynomials(t):
+        if label != CRITICAL or seg.lo >= x:
+            continue
+        crossing = left_ref._first_nonneg(p, seg.lo, seg.hi, width / 2)
+        assert crossing.kind in ("none", "root")
+        # "root": p < 0 below the cell, and the cell's one root changes p's sign
+        assert crossing.kind == "none" or crossing.lo >= x or (
+            x < crossing.hi and sign_at(p, x) < 0)
+
+
 T_VALUES = st.one_of(
     st.fractions(min_value=F(1, 10**6), max_value=F(1, 2), max_denominator=10**6),
     # trisection probes of the default grid: denominators 600, 1800, 5400
@@ -168,6 +204,7 @@ T_VALUES = st.one_of(
 @example(t=F(893, 1800), width=WIDTH)
 @example(t=F(211, 900), width=WIDTH)
 @example(t=F(127, 5400), width=WIDTH)
+@example(t=F(203, 1350), width=F(1, 10**3))
 def test_probes_and_thresholds_match_the_sturm_references(t, width):
     ps._monotone_lemmas("left")
     ps._monotone_lemmas("right")
@@ -177,13 +214,13 @@ def test_probes_and_thresholds_match_the_sturm_references(t, width):
                                                    pb.theta2(t))
     assert ps.right_threshold(t, width) == right
 
-    left = left_ref.left_threshold(t, LO, width)
+    left = _endpoint_branch_reference(t, width)
     cell, phi_lo, phi_hi, _ = ps._left_cell(t, width)
     assert (cell.enclosure, phi_lo, phi_hi) == (left.enclosure, left.phi_lo, left.phi_hi)
     mine = ps.left_threshold(t, LO, width)
     assert (mine.enclosure, mine.certificate) == (left.enclosure, left.certificate)
-    # the reference's support also holds its critical branch's certificates
     assert [c for c in left.support if c in mine.support] == list(mine.support)
+    _assert_critical_root_not_below(t, width, mine.enclosure.lo)
     assert ps.replay_threshold(mine) and ps.replay_threshold(ps.right_threshold(t, width))
 
 

@@ -4,8 +4,16 @@ from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pinchcert.exact_poly import IntervalQ, Polynomial, certify_sign_on_interval, rat
+from pinchcert.exact_poly import (
+    CLAIM_NO_ROOT,
+    IntervalQ,
+    Polynomial,
+    certify_sign_on_interval,
+    count_roots,
+    rat,
+)
 from pinchcert import pinching_bounds as pb
 
 F = Fraction
@@ -227,6 +235,64 @@ def test_legacy_bound_exact_comparisons():
     assert interior.compare_to(F(1, 100)) == -1 and approx < 0.01
 
 
+def _legacy_reference(s) -> int:
+    """The comparison through the square-root-free legacy bound's fields."""
+    return pb.legacy_gap_bound(s).compare_to(pb.gap_lower_bound(s))
+
+
+# the nine points of certify's legacy-bound-dominated-9pts check, and both ends
+LEGACY_POINTS = [F(5, 3) + F(k, 10) * F(2, 15) for k in range(1, 10)] + [F(5, 3), F(9, 5)]
+
+
+@pytest.mark.parametrize("s", LEGACY_POINTS, ids=str)
+def test_legacy_comparison_on_integer_forms_matches_the_legacy_bound(s):
+    assert pb.compare_legacy_to_new(s) == _legacy_reference(s)
+
+
+def test_legacy_comparison_signs_at_the_ends():
+    # the new bound is the larger at 5/3 and ties the legacy one at 9/5,
+    # where both vanish
+    assert pb.compare_legacy_to_new(F(5, 3)) == -1
+    assert pb.compare_legacy_to_new(F(9, 5)) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=st.fractions(min_value=F(5, 3), max_value=F(9, 5), max_denominator=10**12))
+def test_legacy_comparison_matches_the_legacy_bound_on_sampled_rationals(s):
+    assert pb.compare_legacy_to_new(s) == _legacy_reference(s)
+
+
+@pytest.mark.parametrize("s", [F(8, 5), F(19, 10), "1.6666"])
+def test_legacy_comparison_refuses_points_outside_the_domain(s):
+    with pytest.raises(ValueError, match="outside the pinching domain"):
+        pb.compare_legacy_to_new(s)
+
+
+def test_legacy_dominance_polynomials_are_the_scaled_differences():
+    # A/(108 D) is the new bound less the legacy rational part, and B is
+    # (108 D)^2 times its square less the legacy radicand
+    a, b = pb.legacy_dominance_polynomials()
+    d = pb.gap_denominator()
+    for s in LEGACY_POINTS:
+        legacy = pb.legacy_gap_bound(s)
+        diff = pb.gap_lower_bound(s) - legacy.rational_part
+        assert a(s) == 108 * d(s) * diff
+        assert b(s) == (108 * d(s)) ** 2 * (diff * diff - legacy.radicand)
+
+
+def test_legacy_dominance_holds_on_the_whole_domain_by_its_algebra():
+    # 5x - 9 divides B, and neither A nor B / (5x - 9) has a root on the
+    # closed domain: A > 0 and B > 0 on [5/3, 9/5), with B = 0 at 9/5
+    a, b = pb.legacy_dominance_polynomials()
+    quotient, remainder = b.divmod(Polynomial.linear(-9, 5))
+    assert remainder.is_zero
+    for p in (a, quotient):
+        n, cert = count_roots(p, pb.PINCH_DOMAIN)
+        assert n == 0 and cert.claim == CLAIM_NO_ROOT and cert.interval == pb.PINCH_DOMAIN
+        assert cert.replay()
+    assert a(F(5, 3)) > 0 and quotient(F(5, 3)) < 0
+
+
 def test_smax_threshold_frozen_values():
     assert pb.smax_threshold(F(5, 3)) == F(5, 3) + F(150, 4261)
     assert pb.smax_threshold(F(9, 5)) == F(9, 5)
@@ -255,6 +321,7 @@ CONSTANT_POLYNOMIALS = (
     pb.gap_denominator,
     pb.gap_derivative_numerator,
     pb._legacy_radicand_poly,
+    pb.legacy_dominance_polynomials,
     pb.smax_numerator,
     pb.theta2_form,
     pb.left_branch_forms,
