@@ -8,12 +8,14 @@ pseudo-remainder sequences that a polynomial builds on first use and keeps.
 Polynomials that arise as integers, such as chain members, are born from
 that integer form and build their Fractions only if something reads them.
 Root counts and sign claims are established by Sturm's theorem and packaged
-as :class:`SignCertificate` records.  One constructor builds every
-certificate and rebuilds it on replay, so it alone says which evidence
-proves which claim.  Certificates are computed on integer forms: their
-values are reduced ``p/q`` strings of integer Horner values, and a
-certificate read back from JSON holds a polynomial born from the integer
-form of its coefficient strings.  No float enters this module: root
+as :class:`SignCertificate` records.  One integer kernel, :func:`_prove`,
+proves every certificate when it is built and again when it is replayed,
+so it alone says which evidence proves which claim.  It works on integer
+forms only: points are reduced ``(p, q)`` pairs, the Sturm chain is
+integer tuples from the one chain builder, and values are reduced ``p/q``
+strings of integer Horner values; a certificate read back from JSON holds
+a polynomial born from the integer form of its coefficient strings, and
+its replay builds no Fraction.  No float enters this module: root
 isolation proposes its final dyadic cell by Illinois regula falsi on exact
 integer values when a Sturm count has found a single root, and the
 proposal's end signs alone confirm it; with more roots, Sturm-counted
@@ -421,17 +423,6 @@ def sign_at(p: Polynomial, x: Fraction) -> int:
     return _sign_at_ratio(p, x.numerator, x.denominator)
 
 
-def _value_at(p: Polynomial, x: Fraction) -> tuple[str, int]:
-    """``rat_str(p(x))`` and the sign of p(x), from one integer evaluation
-    and no Fraction."""
-    ints, den = p.integer_form()
-    if not ints:
-        return "0/1", 0
-    b = x.denominator
-    v = _homogeneous(ints, x.numerator, b)
-    return _ratio_str(v, den * b ** (len(ints) - 1)), (v > 0) - (v < 0)
-
-
 @dataclass(frozen=True)
 class IntervalQ:
     """Closed rational interval [lo, hi]."""
@@ -461,14 +452,10 @@ class IntervalQ:
         return cls(rat(data[0]), rat(data[1]))
 
 
-def _primitive_ints(cs: Sequence[int]) -> Polynomial:
-    """The polynomial with coefficients ``cs`` divided by their positive gcd.
-
-    ``cs`` ends in a nonzero entry, so the member is born from its integer
-    form ``(ints, 1)``; nothing reads its Fraction coefficients in a count.
-    """
+def _primitive_ints(cs: Sequence[int]) -> tuple[int, ...]:
+    """``cs`` divided by their positive gcd."""
     g = gcd(*cs)
-    return Polynomial._from_integer_form(tuple(c // g for c in cs), 1)
+    return tuple(c // g for c in cs)
 
 
 def _negated_pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -497,8 +484,10 @@ def _negated_pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [-c for c in r] if negate else r
 
 
-def sturm_sequence(p: Polynomial) -> list[Polynomial]:
-    """Canonical Sturm chain of ``p``.
+def _sturm_ints(ints: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The Sturm chain of the polynomial with integer coefficients ``ints``,
+    as integer tuples, ``ints`` first; the one chain builder, of
+    :func:`sturm_sequence` and of replay.
 
     p0 = p, p1 = p', then p_{i+1} = -rem(p_{i-1}, p_i) until the remainder
     vanishes.  Each member after p0 is reduced to its positive-primitive
@@ -508,36 +497,46 @@ def sturm_sequence(p: Polynomial) -> list[Polynomial]:
     the primitive members are the same.  A repeated root shows up as a final
     element of positive degree (the gcd of p and p').
     """
-    if p.is_zero:
+    if not ints:
         raise ValueError("Sturm sequence of the zero polynomial is undefined")
-    chain = [p]
-    ints, _ = p.integer_form()
+    chain = [ints]
     if len(ints) < 2:
         return chain
-    chain.append(_primitive_ints([k * c for k, c in enumerate(ints) if k]))
-    prev = ints
+    prev, cur = ints, _primitive_ints([k * c for k, c in enumerate(ints) if k])
     while True:
-        cur = chain[-1].integer_form()[0]
+        chain.append(cur)
         r = _negated_pseudo_remainder(prev, cur)
         if not r:
-            break
-        chain.append(_primitive_ints(r))
-        prev = cur
-    return chain
+            return chain
+        prev, cur = cur, _primitive_ints(r)
+
+
+def sturm_sequence(p: Polynomial) -> list[Polynomial]:
+    """Canonical Sturm chain of ``p`` (:func:`_sturm_ints`): p itself, then
+    members born from their integer forms ``(ints, 1)``."""
+    chain = _sturm_ints(p.integer_form()[0])
+    return [p, *(Polynomial._from_integer_form(ints, 1) for ints in chain[1:])]
+
+
+def _variations_and_value(chain: Sequence[Sequence[int]], a: int, b: int) -> tuple[int, int]:
+    """Sign changes of a Sturm chain's integer members at a/b (b > 0),
+    zeros skipped, and the first member's homogeneous value there, whose
+    sign is the sign of p(a/b), in one pass."""
+    members = iter(chain)
+    first = last = _homogeneous(next(members), a, b)
+    changes = 0
+    for ints in members:
+        v = _homogeneous(ints, a, b)
+        if v:
+            if last and (v > 0) != (last > 0):
+                changes += 1
+            last = v
+    return changes, first
 
 
 def _variations_at(p: Polynomial, x: Fraction) -> int:
-    """Sign changes of p's Sturm chain at x, zeros skipped, in one pass
-    over the chain's integer forms."""
-    a, b = x.numerator, x.denominator
-    changes, last = 0, 0
-    for ints in p._sturm()[1]:
-        v = _homogeneous(ints, a, b)
-        if v:
-            if (v > 0) != (last > 0) and last:
-                changes += 1
-            last = v
-    return changes
+    """Sign changes of p's kept Sturm chain at x, zeros skipped."""
+    return _variations_and_value(p._sturm()[1], x.numerator, x.denominator)[0]
 
 
 class _RootCounter:
@@ -551,21 +550,24 @@ class _RootCounter:
         return _variations_at(self.p, lo) - _variations_at(self.p, hi)
 
 
-def _nudge_endpoint(p: Polynomial, iv: IntervalQ, inward: int) -> Fraction:
-    """An end of ``iv`` moved off a root of p by shrinking rational steps.
+def _nudge_endpoint(p: Polynomial, iv: IntervalQ, inward: int) -> tuple[Fraction, int]:
+    """An end of ``iv`` moved off a root of p by shrinking rational steps,
+    and the sign of p there.
 
     ``inward`` is +1 for the lower end, -1 for the upper.  Steps are
     ``span / 10**k`` for k = 6..12 toward the interior, where span is the
     width of iv (1 if iv is a point); an end that is no root stays put.
     """
     x = iv.lo if inward > 0 else iv.hi
-    if sign_at(p, x) != 0:
-        return x
+    s = sign_at(p, x)
+    if s:
+        return x, s
     span = iv.width if iv.width > 0 else Fraction(1)
     for k in range(6, 13):
         candidate = x + inward * span / 10**k
-        if sign_at(p, candidate) != 0:
-            return candidate
+        s = sign_at(p, candidate)
+        if s:
+            return candidate, s
     raise DegenerateEndpointError(
         f"endpoint {x} is a root and all nudges 10^-6..10^-12 of the span hit roots"
     )
@@ -578,7 +580,8 @@ class SignCertificate:
     Built by :func:`_certificate` (or read back by :meth:`from_json`).
     ``evidence`` holds only ints and ``p/q`` strings, so the record is
     JSON-stable and :meth:`replay` can recompute every entry from the
-    polynomial and interval and compare bit-for-bit.
+    polynomial and interval, through the same kernel :func:`_prove`, and
+    compare bit-for-bit.
     """
 
     polynomial: Polynomial
@@ -607,74 +610,118 @@ class SignCertificate:
         )
 
     def replay(self) -> bool:
-        """Rebuild this certificate at its stored points and compare verbatim.
+        """Prove the claim again at the stored points and compare the
+        evidence key by key, types included.
 
-        The rebuild goes through :func:`_certificate`, so the evidence must
-        also prove the label, and starts from a fresh polynomial: of the
-        stored coefficients when they were built, else of the stored integer
-        form (a polynomial read by :meth:`Polynomial.from_json` has only
-        that), so no Sturm chain cached by the builder, nor an integer form
-        cached beside built coefficients, is trusted.  Evidence that is
-        missing, mistyped (a float, ``None``) or not in canonical form
-        replays ``False``; it never raises.
+        The proof is :func:`_prove`'s, so the evidence must also prove the
+        label.  It starts from the integer form of the stored coefficients
+        when they were built, else from the stored integer form (a
+        polynomial read by :meth:`Polynomial.from_json` has only that), and
+        a Sturm chain built fresh from it by :func:`_sturm_ints`, so no chain
+        kept by the builder, nor an integer form kept beside built
+        coefficients, is trusted.  The points ``lo``, ``hi`` and, for a sign
+        claim, ``witness`` must be canonical ``p/q`` strings
+        (:func:`_canonical_ratio`).  Evidence that is missing, extra,
+        mistyped (a float, a bool, ``None``) or not in canonical form
+        replays ``False``; it never raises.  No Fraction, interval or
+        certificate is built.
         """
         evidence = self.evidence
-        stored = self.polynomial
-        if stored._coeffs is not None:
-            p = Polynomial(stored._coeffs)
+        cs = self.polynomial._coeffs
+        if cs is not None:
+            den = lcm(*(c.denominator for c in cs))
+            ints = tuple(c.numerator * (den // c.denominator) for c in cs)
         else:
-            p = Polynomial._from_integer_form(*stored._ints)
+            ints, den = self.polynomial._ints
         try:
-            witness = rat(evidence["witness"]) if self.claim in _SIGN_CLAIMS else None
-            fresh = _certificate(p, self.interval, self.claim,
-                                 rat(evidence["lo"]), rat(evidence["hi"]), witness)
+            witness = (_canonical_ratio(evidence["witness"])
+                       if self.claim in _SIGN_CLAIMS else None)
+            lo, hi = _canonical_ratio(evidence["lo"]), _canonical_ratio(evidence["hi"])
+            fresh, claim = _prove(_sturm_ints(ints), den, self.interval, self.claim,
+                                  lo, hi, witness)
         except (ExactPolyError, ValueError, ZeroDivisionError, KeyError, TypeError):
             return False
         # types too: a float 2.0 or a bool True compares equal to an int
-        return fresh == self and all(
-            type(evidence[k]) is type(v) for k, v in fresh.evidence.items()
+        return claim == self.claim and len(evidence) == len(fresh) and all(
+            type(evidence.get(k)) is type(v) and evidence[k] == v for k, v in fresh.items()
         )
+
+
+def _canonical_ratio(value) -> tuple[int, int]:
+    """``(p, q)`` of a string that is exactly :func:`rat_str` of p/q: ASCII
+    ``-?[0-9]+/[0-9]+`` with q > 0, p/q reduced, and no leading zero or
+    ``-0``.  Anything else raises ``ValueError``."""
+    pq = _split_ratio(value) if type(value) is str and value.isascii() else None
+    if pq is None or pq[1] <= 0 or gcd(*pq) != 1 or f"{pq[0]}/{pq[1]}" != value:
+        raise ValueError(f"not a canonical p/q string: {value!r}")
+    return pq
+
+
+def _pair(x: Fraction) -> tuple[int, int]:
+    return x.numerator, x.denominator
 
 
 def _certificate(p: Polynomial, iv: IntervalQ, claim: str | None, lo: Fraction,
                  hi: Fraction, witness: Fraction | None = None) -> SignCertificate:
     """The certificate that ``p`` satisfies ``claim`` on ``iv``, evidenced at
-    iv.lo <= lo <= hi <= iv.hi; the one place that says which evidence
-    proves which claim.
+    iv.lo <= lo <= hi <= iv.hi (and ``witness``): :func:`_prove` on p's kept
+    Sturm chain, which raises unless the evidence proves the claim."""
+    evidence, claim = _prove(p._sturm()[1], p.integer_form()[1], iv, claim, _pair(lo),
+                             _pair(hi), None if witness is None else _pair(witness))
+    return SignCertificate(p, iv, claim, evidence)
 
-    Every claim but ``root-count`` speaks of the whole closed interval, so
-    it needs its evidence at the interval's own ends, lo = iv.lo and
-    hi = iv.hi.  Then ``no-root`` needs no root in (lo, hi) and p nonzero
-    at both points (a root on a closed end is a root of the interval too);
-    ``exactly-one-root`` one distinct root and values of strictly opposite
-    sign, an odd root that no even-multiplicity touch can fake;
-    ``sign-constant-*`` no root and the stated strict sign at lo, hi and
-    ``witness``; ``root-count`` nothing more than the count, wherever it is
-    evidenced.  ``claim=None`` takes the one of the first two that holds,
-    else ``root-count``.  Raises :class:`ExactPolyError`
+
+def _prove(chain: Sequence[tuple[int, ...]], den: int, iv: IntervalQ, claim: str | None,
+           lo: tuple[int, int], hi: tuple[int, int],
+           witness: tuple[int, int] | None = None) -> tuple[dict, str]:
+    """The evidence that a polynomial satisfies ``claim`` on ``iv``, evidenced
+    at iv.lo <= lo <= hi <= iv.hi, and the claim it proves; the one place
+    that says which evidence proves which claim, for building and replay.
+
+    The polynomial is ``chain[0] / den``, its integer form, and ``chain`` its
+    Sturm chain as integer tuples (:func:`_sturm_ints`); points are reduced
+    pairs ``(a, b)`` with b > 0.  Every claim but ``root-count`` speaks of
+    the whole closed interval, so it needs its evidence at the interval's
+    own ends, lo = iv.lo and hi = iv.hi.  Then ``no-root`` needs no root in
+    (lo, hi) and p nonzero at both points (a root on a closed end is a root
+    of the interval too); ``exactly-one-root`` one distinct root and values
+    of strictly opposite sign, an odd root that no even-multiplicity touch
+    can fake; ``sign-constant-*`` no root and the stated strict sign at lo,
+    hi and ``witness``; ``root-count`` nothing more than the count, wherever
+    it is evidenced.  ``claim=None`` takes the one of the first two that
+    holds, else ``root-count``.  Raises :class:`ExactPolyError`
     (:class:`SignClaimError`, with a counterexample, for a sign claim) when
-    the evidence does not prove the claim.
+    the evidence does not prove the claim; only then is a Fraction built.
     """
-    if not iv.lo <= lo <= hi <= iv.hi:
-        raise ValueError(f"evidence points {lo}, {hi} not in order inside [{iv.lo}, {iv.hi}]")
-    at_ends = lo == iv.lo and hi == iv.hi
-    count, evidence, (s_lo, s_hi) = _count_evidence(p, lo, hi)
+    (a_lo, b_lo), (a_hi, b_hi) = lo, hi
+    iv_lo, iv_hi = _pair(iv.lo), _pair(iv.hi)
+    if not (iv_lo[0] * b_lo <= a_lo * iv_lo[1] and a_lo * b_hi <= a_hi * b_lo
+            and a_hi * iv_hi[1] <= iv_hi[0] * b_hi):
+        raise ValueError(f"evidence points {Fraction(*lo)}, {Fraction(*hi)} not in order "
+                         f"inside [{iv.lo}, {iv.hi}]")
+    at_ends = lo == iv_lo and hi == iv_hi
+    evidence, y_lo, y_hi = _counted(chain, den, lo, hi)
+    count = evidence["root_count"]
+    s_lo, s_hi = (y_lo > 0) - (y_lo < 0), (y_hi > 0) - (y_hi < 0)
     if claim in _SIGN_CLAIMS:
         if not at_ends:
             raise ExactPolyError(f"{claim} claim on [{iv.lo}, {iv.hi}] evidenced at "
-                                 f"{lo} and {hi}, not at its ends")
+                                 f"{Fraction(*lo)} and {Fraction(*hi)}, not at its ends")
         want = _SIGN_CLAIMS[claim]
-        witness_value, s_witness = _value_at(p, witness)
-        for x, s in zip((lo, hi, witness), (s_lo, s_hi, s_witness)):
-            if s != want:
-                raise SignClaimError(f"claimed {claim} but p({x}) = {p(x)}", x)
+        ints, n = chain[0], len(chain[0]) - 1
+        y_witness = _homogeneous(ints, *witness)
+        for (a, b), y in ((lo, y_lo), (hi, y_hi), (witness, y_witness)):
+            if (y > 0) - (y < 0) != want:
+                x = Fraction(a, b)
+                raise SignClaimError(f"claimed {claim} but p({x}) = {Fraction(y, den * b**n)}", x)
         if count != 0:
             raise SignClaimError(
                 f"claimed {claim} but Sturm finds {count} interior root(s)",
-                _find_counterexample(p, lo, hi, want),
+                _find_counterexample(Polynomial._from_integer_form(ints, den),
+                                     Fraction(*lo), Fraction(*hi), want),
             )
-        evidence["witness"] = rat_str(witness)
-        evidence["witness_value"] = witness_value
+        evidence["witness"] = f"{witness[0]}/{witness[1]}"
+        evidence["witness_value"] = _ratio_str(y_witness, den * witness[1] ** n)
     else:
         if not at_ends:
             proven = CLAIM_ROOT_COUNT
@@ -689,29 +736,37 @@ def _certificate(p: Polynomial, iv: IntervalQ, claim: str | None, lo: Fraction,
         elif claim not in _COUNT_CLAIMS:
             raise ValueError(f"unknown claim {claim!r}")
         elif claim not in (proven, CLAIM_ROOT_COUNT):
-            raise ExactPolyError(f"{claim} claim fails on [{lo}, {hi}]: {count} root(s), "
-                                 f"end signs {s_lo} and {s_hi}")
-    return SignCertificate(p, iv, claim, evidence)
+            raise ExactPolyError(f"{claim} claim fails on [{Fraction(*lo)}, {Fraction(*hi)}]: "
+                                 f"{count} root(s), end signs {s_lo} and {s_hi}")
+    return evidence, claim
+
+
+def _counted(chain: Sequence[tuple[int, ...]], den: int, lo: tuple[int, int],
+             hi: tuple[int, int]) -> tuple[dict, int, int]:
+    """The count evidence of :func:`_prove` at reduced pairs lo and hi, and
+    the polynomial's homogeneous values there, from one pass over the chain
+    per point."""
+    (a_lo, b_lo), (a_hi, b_hi) = lo, hi
+    v_lo, y_lo = _variations_and_value(chain, a_lo, b_lo)
+    v_hi, y_hi = _variations_and_value(chain, a_hi, b_hi)
+    n = len(chain[0]) - 1
+    evidence = {
+        "lo": f"{a_lo}/{b_lo}",
+        "hi": f"{a_hi}/{b_hi}",
+        "variations_lo": v_lo,
+        "variations_hi": v_hi,
+        "root_count": v_lo - v_hi,
+        "value_lo": _ratio_str(y_lo, den * b_lo ** n),
+        "value_hi": _ratio_str(y_hi, den * b_hi ** n),
+    }
+    return evidence, y_lo, y_hi
 
 
 def _count_evidence(p: Polynomial, lo: Fraction, hi: Fraction) -> tuple[int, dict, tuple[int, int]]:
     """Sturm count of p on (lo, hi), its evidence, and the signs of p at lo
-    and hi, taken with the value strings from one evaluation at each."""
-    v_lo = _variations_at(p, lo)
-    v_hi = _variations_at(p, hi)
-    count = v_lo - v_hi
-    value_lo, s_lo = _value_at(p, lo)
-    value_hi, s_hi = _value_at(p, hi)
-    evidence = {
-        "lo": rat_str(lo),
-        "hi": rat_str(hi),
-        "variations_lo": v_lo,
-        "variations_hi": v_hi,
-        "root_count": count,
-        "value_lo": value_lo,
-        "value_hi": value_hi,
-    }
-    return count, evidence, (s_lo, s_hi)
+    and hi (:func:`_counted` on p's kept chain)."""
+    evidence, y_lo, y_hi = _counted(p._sturm()[1], p.integer_form()[1], _pair(lo), _pair(hi))
+    return evidence["root_count"], evidence, ((y_lo > 0) - (y_lo < 0), (y_hi > 0) - (y_hi < 0))
 
 
 def count_roots(p: Polynomial, iv: IntervalQ) -> tuple[int, SignCertificate]:
@@ -735,12 +790,18 @@ def nudged_ends(p: Polynomial, iv: IntervalQ) -> tuple[Fraction, Fraction]:
     """The ends at which :func:`count_roots` counts: each moved off a root of
     p (see :func:`_nudge_endpoint`), raising :class:`DegenerateEndpointError`
     when that fails or the moved ends cross."""
+    lo, hi, _, _ = _signed_nudged_ends(p, iv)
+    return lo, hi
+
+
+def _signed_nudged_ends(p: Polynomial, iv: IntervalQ) -> tuple[Fraction, Fraction, int, int]:
+    """:func:`nudged_ends` and the signs of p there, which nudging found."""
     if p.is_zero:
         raise ValueError("cannot count roots of the zero polynomial")
-    lo, hi = _nudge_endpoint(p, iv, +1), _nudge_endpoint(p, iv, -1)
+    (lo, s_lo), (hi, s_hi) = _nudge_endpoint(p, iv, +1), _nudge_endpoint(p, iv, -1)
     if lo > hi:
         raise DegenerateEndpointError("nudged endpoints crossed; interval too thin")
-    return lo, hi
+    return lo, hi, s_lo, s_hi
 
 
 def _offset_midpoint(p: Polynomial, lo: Fraction, hi: Fraction) -> Fraction:

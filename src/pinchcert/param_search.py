@@ -22,10 +22,10 @@ vanishes and phi(5/3) = 5 (w - 5/3)^2 q(5/3)^2, where the weight
 is bilinear in (t, w).  It is positive at the four corners of
 [0, 1/2] x [5/3, 9/5], hence on the whole rectangle, so every probe with
 w > 5/3 is degenerate with enclosure [5/3, 5/3].  :func:`optimize` checks
-the corners exactly once per left sweep and then counts such probes: they
-rank and count as the degenerate probes they are, but no polynomial, Sturm
-chain, certificate or per-pair key is built for them, and only the
-smallest of the grid's dead pairs competes for the incumbent.  Only
+the corners once per process, before its first left sweep, and then counts
+such probes: they rank and count as the degenerate probes they are, but no
+polynomial, Sturm chain, certificate or per-pair key is built for them, and
+only the smallest of the grid's dead pairs competes for the incumbent.  Only
 w = 5/3 builds branches.
 
 Sweep probes rest on a monotonicity lemma as well.  θ2 and the quotients
@@ -56,12 +56,14 @@ A sweep ranks its probes on bare enclosures: one cell function per side
 (:func:`_left_cell`, :func:`_right_cell`) checks every fact an enclosure
 rests on, given the lemma, and raises where the certified version would,
 but builds no certificate.  :func:`left_threshold` and
-:func:`right_threshold` are the same cell functions plus certificates,
-which prove the enclosure without the lemma, and :func:`optimize` calls one
-of them once, for the winner.  Every certificate here comes from
-:mod:`pinchcert.exact_poly`'s ``count_roots``, ``certify_sign_on_interval``
-or ``one_root_certificate``, which decide the labels.  Replay binds a left
-enclosure's support to the branches at its t (:func:`_left_support_holds`).
+:func:`right_threshold` are the same cell functions plus one certificate
+step per side (:func:`_left_certificates`, :func:`_right_certificates`),
+whose certificates prove the enclosure without the lemma; :func:`optimize`
+keeps the winner's cell and runs only the certificate step on it.  Every
+certificate here comes from :mod:`pinchcert.exact_poly`'s ``count_roots``,
+``certify_sign_on_interval`` or ``one_root_certificate``, which decide the
+labels.  Replay binds a left enclosure's support to the branches at its t
+(:func:`_left_support_holds`).
 """
 
 from __future__ import annotations
@@ -83,9 +85,9 @@ from .exact_poly import (
     IntervalQ,
     Polynomial,
     SignClaimError,
-    _counted_root_cell,
     # perfbench's tracer wraps _RootCounter.count through this module's name
     _RootCounter,
+    _signed_nudged_ends,
     _smallest_root_cell,
     certify_sign_on_interval,
     count_roots,
@@ -211,6 +213,7 @@ def edge_weight(t, w) -> Polynomial:
     return Polynomial.linear(F(5, 3) * c1 + k0, -2)
 
 
+@lru_cache(maxsize=None)
 def edge_lemma() -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
     """Certify q(5/3) > 0 on [0, 1/2] x [5/3, 9/5]; returns (t, w, q(5/3)) per corner.
 
@@ -218,6 +221,7 @@ def edge_lemma() -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
     corner, and positive corners make it positive everywhere.  Then
     phi(5/3) = 5 (w - 5/3)^2 q(5/3)^2 > 0 for every w > 5/3: each such probe
     is degenerate.  Raises :class:`ExactPolyError` if a corner fails.
+    Proved once per process, on first use, as :func:`monotone_lemma` is.
     """
     corners = tuple(
         (t, w, edge_weight(t, w)(DOMAIN_LO))
@@ -383,7 +387,15 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
             degenerate=True, phi_lo=phi, phi_hi=phi,
         )
 
-    cell, phi_lo, phi_hi, branches = _left_cell(t, width)
+    return _left_certificates(*_left_cell(t, width))
+
+
+def _left_certificates(cell: _Cell, phi_lo: Fraction, phi_hi: Fraction,
+                       branches: list[tuple[IntervalQ, Polynomial]]) -> ThresholdEnclosure:
+    """:func:`left_threshold` at w = 5/3 from :func:`_left_cell`'s result:
+    the enclosure with its certificates, which :func:`left_threshold`
+    describes."""
+    t = cell.t
     u = _SLIVER.hi
     support: list[SignCertificate] = []
     winner = None
@@ -399,7 +411,7 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
                                      f"in ({u}, {own.lo}), below its enclosure")
             support.append(count)
     return ThresholdEnclosure(
-        side="left", t=t, w=w, enclosure=cell.enclosure,
+        side="left", t=t, w=DOMAIN_LO, enclosure=cell.enclosure,
         certificate=one_root_certificate(winner, cell.enclosure),
         degenerate=False, support=tuple(support), phi_lo=phi_lo, phi_hi=phi_hi,
     )
@@ -416,10 +428,13 @@ def _right_cell(t: Fraction, width: Fraction) -> tuple[_Cell, Polynomial]:
     no root counted.  Raises exactly where :func:`right_threshold` raises.
     """
     p = pb.at_t(pb.theta2_form(), t)
-    lo, hi = nudged_ends(p, pb.PINCH_DOMAIN)
-    if sign_at(p, lo) == sign_at(p, hi):
+    lo, hi, s_lo, s_hi = _signed_nudged_ends(p, pb.PINCH_DOMAIN)
+    if s_lo == s_hi:
         return _Cell(t, DOMAIN_HI, IntervalQ(DOMAIN_HI, DOMAIN_HI), True), p
-    return _Cell(t, DOMAIN_HI, _counted_root_cell(p, lo, hi, width), False), p
+    # nudged ends are no roots, so the signs are strictly opposite: the one
+    # root is of odd multiplicity, and bisection keeps the half that holds it
+    cell = _smallest_root_cell(p, lo, hi, width, one_root=True)
+    return _Cell(t, DOMAIN_HI, IntervalQ(*cell), False), p
 
 
 def _counted_domain(p: Polynomial) -> IntervalQ:
@@ -447,7 +462,14 @@ def right_threshold(t, width=F(1, 10**6)) -> ThresholdEnclosure:
         raise ValueError(f"parameter t must satisfy 0 < t <= 1/2, got {t}")
     if width <= 0:
         raise ValueError("width must be positive")
-    cell, p = _right_cell(t, width)
+    return _right_certificates(*_right_cell(t, width))
+
+
+def _right_certificates(cell: _Cell, p: Polynomial) -> ThresholdEnclosure:
+    """:func:`right_threshold` from :func:`_right_cell`'s result: the
+    enclosure with its certificates, which :func:`right_threshold`
+    describes."""
+    t = cell.t
     n, count_cert = count_roots(p, pb.PINCH_DOMAIN)
     if n != (not cell.degenerate):
         raise ExactPolyError(f"expected {int(not cell.degenerate)} root(s) of theta2({t}) "
@@ -614,8 +636,15 @@ def _trisect_candidates(values: Sequence[Fraction], incumbent: Fraction) -> list
 
 
 def _distinct(grid: Sequence[Fraction]) -> list[Fraction]:
-    """A sorted grid without its repeats; equality tests only, no hashing."""
-    return [v for i, v in enumerate(grid) if i == 0 or v != grid[i - 1]]
+    """A sorted grid without its repeats, compared as reduced (numerator,
+    denominator) pairs: no Fraction comparison and no hashing."""
+    out, last = [], None
+    for v in grid:
+        pair = (v.numerator, v.denominator)
+        if pair != last:
+            out.append(v)
+            last = pair
+    return out
 
 
 def optimize(side: str, config: SweepConfig) -> Optimum:
@@ -629,8 +658,9 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
     lemma leaves but build no certificate.  On the left, probes
     with w > 5/3 are dead (see :func:`edge_lemma`): they are counted, and
     ranked by their known enclosure [5/3, 5/3].  After the refinement the
-    winner alone is certified, by :func:`left_threshold` or
-    :func:`right_threshold`.
+    winner alone is certified: a live one from its own probe's cell, by the
+    certificate step of :func:`left_threshold` or :func:`right_threshold`,
+    a dead one by :func:`left_threshold`.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -643,22 +673,25 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
     # lookup by (t, w) and no Fraction is hashed
     live: list[_Cell] = []
     dead = 0
-    best_key = best_tw = None
+    # the incumbent's key, and what its probe found: the cell function's
+    # result, or a dead pair's cell alone
+    best_key = best = None
 
-    def consider(cell: _Cell) -> None:
-        nonlocal best_key, best_tw
-        key = _strength_key(side, cell)
+    def consider(found: tuple) -> None:
+        nonlocal best_key, best
+        key = _strength_key(side, found[0])
         if best_key is None or key < best_key:
-            best_key, best_tw = key, (cell.t, cell.w)
+            best_key, best = key, found
 
     def probe(t: Fraction, w: Fraction) -> None:
         nonlocal dead
         if side == "left" and w > DOMAIN_LO:
             dead += 1
-            consider(_Cell(t, w, _EDGE, True))
+            consider((_Cell(t, w, _EDGE, True),))
         else:
-            live.append(cell_at(t, width)[0])
-            consider(live[-1])
+            found = cell_at(t, width)
+            live.append(found[0])
+            consider(found)
 
     # the probed t and w values, sorted and distinct: the grids plus every
     # refinement probe
@@ -679,24 +712,26 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
     # a trisection point lies strictly inside a gap of the values seen, so
     # every refinement probe is a pair new to the sweep
     for _ in range(config.refinement_rounds):
-        t_best, w_best = best_tw
+        t_best, w_best = best[0].t, best[0].w
         for t_new in _trisect_candidates(t_seen, t_best):
             if 0 < t_new <= F(1, 2):
                 insort(t_seen, t_new)
                 probe(t_new, w_best)
         if side == "left":
-            t_best, w_best = best_tw
+            t_best, w_best = best[0].t, best[0].w
             for w_new in _trisect_candidates(w_seen, w_best):
                 if DOMAIN_LO <= w_new <= DOMAIN_HI:
                     insort(w_seen, w_new)
                     probe(t_best, w_new)
 
-    t_best, w_best = best_tw
-    # only the winner is certified, by the same cell function
-    if side == "left":
-        best = left_threshold(t_best, w_best, width)
+    t_best, w_best = best[0].t, best[0].w
+    # only the winner is certified, from the cell its probe found
+    if side == "right":
+        threshold = _right_certificates(*best)
+    elif w_best > DOMAIN_LO:
+        threshold = left_threshold(t_best, w_best, width)  # dead: no cell to reuse
     else:
-        best = right_threshold(t_best, width)
+        threshold = _left_certificates(*best)
     rows = []
     degenerate_count = dead
     for cell in sorted(live, key=lambda cell: (cell.t, cell.w)):
@@ -706,9 +741,9 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
         side=side,
         best_t=t_best,
         best_w=w_best,
-        threshold=best.enclosure,
-        certificate=best.certificate,
-        best=best,
+        threshold=threshold.enclosure,
+        certificate=threshold.certificate,
+        best=threshold,
         table=tuple(rows),
         degenerate_count=degenerate_count,
     )

@@ -3,9 +3,9 @@
 Every probe still checks each fact its enclosure rests on, given the
 monotonicity lemma that ``optimize`` proves first (a failing fact on a
 probe that does not win, or a failing lemma, stops the sweep, and
-``optimize`` exits 1 naming it), but only the winner, rebuilt by
-``left_threshold`` or ``right_threshold``, builds certificates or Sturm
-chains.
+``optimize`` exits 1 naming it), but only the winner, certified from its
+own cell by the certificate step of ``left_threshold`` or
+``right_threshold``, builds certificates or Sturm chains.
 """
 
 import json
@@ -24,28 +24,29 @@ LO = F(5, 3)
 
 
 def _count_certificates(monkeypatch) -> list:
-    """The claim of every certificate built, or rebuilt by a replay."""
+    """The claim of every certificate proved by the evidence kernel, when it
+    is built or when a replay proves it again."""
     built = []
-    real = ep._certificate
+    real = ep._prove
 
-    def counting(p, iv, claim, lo, hi, witness=None):
+    def counting(chain, den, iv, claim, lo, hi, witness=None):
         built.append(claim)
-        return real(p, iv, claim, lo, hi, witness)
+        return real(chain, den, iv, claim, lo, hi, witness)
 
-    monkeypatch.setattr(ep, "_certificate", counting)
+    monkeypatch.setattr(ep, "_prove", counting)
     return built
 
 
 def _count_chains(monkeypatch) -> list:
-    """The polynomial of every Sturm chain built."""
+    """The integer form of every Sturm chain built, by the one chain builder."""
     built = []
-    real = ep.sturm_sequence
+    real = ep._sturm_ints
 
-    def counting(p):
-        built.append(p)
-        return real(p)
+    def counting(ints):
+        built.append(ints)
+        return real(ints)
 
-    monkeypatch.setattr(ep, "sturm_sequence", counting)
+    monkeypatch.setattr(ep, "_sturm_ints", counting)
     return built
 
 
@@ -58,7 +59,7 @@ def test_a_default_left_sweep_certifies_only_the_winner(monkeypatch):
     live = len(report.scans[0]["table"].splitlines())
     support = report.inputs["optimum"]["best"]["support"]
     # no probe builds a certificate; the winner's certificate and support
-    # once when it is rebuilt and once more when cmd_optimize replays them
+    # once when it is certified and once more when cmd_optimize replays them
     assert (live, len(support)) == (108, 4)
     assert len(built) == 2 * (1 + len(support)) == 10
     assert built.count("sign-constant-negative") == 2 * 2

@@ -77,6 +77,7 @@ def test_edge_lemma_holds_exactly_at_the_four_corners():
 def test_a_failing_corner_stops_the_left_sweep(monkeypatch):
     real = ps.edge_weight
     monkeypatch.setattr(ps, "edge_weight", lambda t, w: real(t, w) - 100)
+    ps.edge_lemma.cache_clear()  # proved once per process: prove it again
     config = ps.SweepConfig(t_grid=(F(1, 2),), w_grid=(LO,))
     with pytest.raises(ExactPolyError, match="edge lemma"):
         ps.optimize("left", config)
@@ -108,8 +109,24 @@ def _count_left_threshold_calls(monkeypatch):
     return calls
 
 
-def test_left_threshold_runs_only_for_edge_probes(monkeypatch):
+def _count_left_probe_calls(monkeypatch):
+    """The (t, w) of every left_threshold call and of every left cell, which
+    is at w = 5/3; left_threshold computes its cell through the same name."""
     calls = _count_left_threshold_calls(monkeypatch)
+    real = ps._left_cell
+
+    def counting(t, width):
+        calls.append((t, LO))
+        return real(t, width)
+
+    monkeypatch.setattr(ps, "_left_cell", counting)
+    return calls
+
+
+def test_left_threshold_runs_only_for_edge_probes(monkeypatch):
+    # the sweep certifies its winner from the cell its probe found, so each
+    # edge pair's cell is computed once
+    calls = _count_left_probe_calls(monkeypatch)
     config = ps.SweepConfig(
         t_grid=(F(1, 10), F(1, 4), F(99, 200)),
         w_grid=(LO, F(17, 10), F(7, 4), HI), refinement_rounds=2,

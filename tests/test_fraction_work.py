@@ -5,9 +5,9 @@ forms, and ``optimize`` keeps its live cells in a list, so once the
 monotonicity lemma is proved a default sweep hashes no ``Fraction`` and
 builds only the ones something reads.  ``classify`` decides on its integer
 case table and builds or compares none.  A certificate read back from JSON is
-born from its integer form and replays on it, and the legacy-dominance check
-decides on integer signs.  Constructions are counted through
-``Fraction.__new__`` and, on Python 3.12 and later, through
+born from its integer form and replays on it without a Fraction, and the
+legacy-dominance check decides on integer signs.  Constructions are counted
+through ``Fraction.__new__`` and, on Python 3.12 and later, through
 ``Fraction._from_coprime_ints``, which builds arithmetic results there;
 comparisons through the five rich-comparison methods.
 """
@@ -22,7 +22,7 @@ from pinchcert import param_search as ps
 from pinchcert import pinching_bounds as pb
 from pinchcert import report_cli as rc
 from pinchcert import shrinker_bridge as sb
-from pinchcert.exact_poly import SignCertificate
+from pinchcert.exact_poly import IntervalQ, SignCertificate
 
 #: Fractions built by one warm default right sweep (``optimize``), measured
 #: on CPython 3.11.7 (918 while polynomials were built from Fractions, 476
@@ -30,15 +30,18 @@ from pinchcert.exact_poly import SignCertificate
 #: mixed int/Fraction arithmetic to a Fraction first.  The 3.10 and 3.12
 #: entries were measured on 3.10.13 and 3.12.1 at 476 and 490 and moved by the
 #: same version-independent four: the certificate values now come as strings
-#: from integers
-RIGHT_SWEEP_FRACTIONS = {(3, 10): 472, (3, 11): 472, (3, 12): 486}
+#: from integers.  All three moved by the same five again, measured on the
+#: same three versions, once the winner was certified from its own probe's
+#: cell instead of a second isolation of its root
+RIGHT_SWEEP_FRACTIONS = {(3, 10): 467, (3, 11): 467, (3, 12): 481}
 
 #: Fractions built by a warm ``from_json(...).replay()`` of certify's seven
-#: certificates: per certificate the interval's two ends and the evidence
-#: points lo and hi, and the witness of each of the three sign claims, each
-#: one ``Fraction(int, int)`` on every Python version (75 on CPython 3.11.7
-#: while coefficients and values were Fractions)
-CERTIFY_REPLAY_FRACTIONS = 7 * 4 + 3
+#: certificates: per certificate the interval's two ends, read by
+#: ``IntervalQ.from_json``, each one ``Fraction(int, int)`` on every Python
+#: version; replay itself builds none (31 while replay parsed the evidence
+#: points lo, hi and witness into Fractions, 75 on CPython 3.11.7 while
+#: coefficients and values were Fractions)
+CERTIFY_REPLAY_FRACTIONS = 7 * 2
 
 
 def _count_fractions(monkeypatch) -> dict:
@@ -103,6 +106,32 @@ def test_a_warm_replay_of_certifys_certificates_builds_the_counted_fractions(mon
     assert all(SignCertificate.from_json(data).replay() for data in entries)
     assert counts["built"] == CERTIFY_REPLAY_FRACTIONS
     assert counts["hashed"] == 0
+
+
+@pytest.mark.parametrize("command", ["certify", "left", "right"])
+def test_replay_builds_no_fraction_interval_or_certificate(monkeypatch, command):
+    # a report's certificates read back from JSON and, for a sweep, the
+    # winner's as built: replay proves on integers and compares evidence
+    if command == "certify":
+        report, certs = rc.cmd_certify(), []
+    else:
+        report = rc.cmd_optimize(command, ps.default_config(command))
+        best = ps.optimize(command, ps.default_config(command)).best
+        certs = [best.certificate, *best.support]
+    certs += [SignCertificate.from_json(entry["certificate"])
+              for entry in json.loads(report.to_json_str())["certificates"]]
+    records = []
+    for cls in (IntervalQ, SignCertificate):
+        real_init = cls.__init__
+
+        def init(self, *args, real_init=real_init, **kwargs):
+            records.append(type(self).__name__)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    counts = _count_fractions(monkeypatch)
+    assert all(cert.replay() for cert in certs)
+    assert (counts["built"], records) == (0, [])
 
 
 def test_a_warm_legacy_comparison_builds_no_fraction(monkeypatch):

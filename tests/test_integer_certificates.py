@@ -48,7 +48,8 @@ def _born(p: Polynomial) -> Polynomial:
 def test_integer_values_are_the_fraction_values(p, x):
     value = p(x)
     for q in (p, _born(p)):
-        assert ep._value_at(q, x) == (rat_str(value), (value > 0) - (value < 0))
+        _, evidence, (sign, _) = ep._count_evidence(q, x, x)
+        assert (evidence["value_lo"], sign) == (rat_str(value), (value > 0) - (value < 0))
 
 
 @settings(max_examples=200, deadline=None)

@@ -165,12 +165,12 @@ def test_certify_fails_the_smax_identity_for_a_perturbed_numerator(monkeypatch, 
 
 def test_each_sturm_chain_is_built_once(monkeypatch):
     # a polynomial keeps its chain: a warm certify builds one for θ2 at
-    # t = 1/4 and one per replayed certificate (replay starts from a fresh
-    # polynomial), and a right probe builds one for its θ2
+    # t = 1/4 and one per replayed certificate (replay builds a fresh chain
+    # from the stored integer form), and a right probe builds one for its θ2
     rc.cmd_certify()
     built = []
-    real = ep.sturm_sequence
-    monkeypatch.setattr(ep, "sturm_sequence", lambda p: built.append(p) or real(p))
+    real = ep._sturm_ints  # the one chain builder, of polynomials and of replay
+    monkeypatch.setattr(ep, "_sturm_ints", lambda ints: built.append(ints) or real(ints))
     report = rc.cmd_certify()
     assert len(report.certificates) == 7
     assert len(built) == 8
