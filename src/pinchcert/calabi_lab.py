@@ -3,7 +3,11 @@
 An immersion of degree s maps the unit 2-sphere into the unit sphere of
 dimension 2s through the 2s+1 real harmonics of degree s, scaled so the
 image lies on the unit sphere (the addition theorem makes the component
-sum of squares constant).  The induced geometry is sampled numerically:
+sum of squares constant).  The harmonics come from one exact table per
+degree, the integer coefficients over 2^s of the derivatives d^m/dz^m P_s
+of the Legendre polynomial, built on first use; each radial factor is a
+sum of the table's same-parity entries, normalization folded in, over
+powers of z computed once.  The induced geometry is sampled numerically:
 fundamental forms by 4th-order finite differences in rotated spherical
 charts, the intrinsic curvature by the Brioschi formula, and the first
 covariant derivative of the second fundamental form by central differences
@@ -14,10 +18,12 @@ samples in blocks of SCAN_BLOCK, with three harmonic evaluations per block:
 the jet grids, the Brioschi curvature's theta- and phi-shifted complex-step
 grids stacked as one array, and the four transported grids of the covariant
 derivative.  Stencil points are built from trig on the 5-point theta and
-phi lines, not on whole 5x5 grids.  Contractions are elementwise sums or
-einsum, never BLAS products, so a sample's values are bit-identical
-whichever block it lands in; fundamental_forms and covariant_derivative_h
-run the same kernel on one point.
+phi lines, not on whole 5x5 grids.  The normal frames complete {position,
+e1, e2} by ambient columns, each orthogonalized against the whole basis at
+once, twice (CGS2), in one zero-padded (n, C, C) basis array.  Contractions
+are elementwise sums or einsum, never BLAS products, so a sample's values
+are bit-identical whichever block it lands in; fundamental_forms and
+covariant_derivative_h run the same kernel on one point.
 
 Floating point is deliberate here; exactness lives in the certificate
 modules.  The identities these surfaces satisfy (constant S, |A|^2 = S^2/2,
@@ -27,6 +33,7 @@ rho_perp = S^2, B1 = S(3S-4)/2, 2K = 2 - S) act as the test oracles.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -52,54 +59,73 @@ class FrameDegeneracyError(RuntimeError):
     """Tangent or normal frame construction lost rank."""
 
 
-def _double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+@functools.lru_cache(maxsize=None)
+def _legendre_table(s: int) -> tuple[tuple[int, ...], ...]:
+    """Exact coefficients of d^m/dz^m P_s(z) for m = 0..s, over 2^s.
 
-
-def _reduced_legendre(s: int, m: int, ct: np.ndarray) -> np.ndarray | float:
-    """P_s^m(ct) / (1-ct^2)^(m/2): polynomial part of the associated Legendre.
-
-    Condon-Shortley-free.  Stable upward recursion in the degree; trivial
-    for the degrees used here (s <= 6).  For s == m it is the constant
-    (2m-1)!!, returned as a float.
+    Row m holds the integer numerators, in ascending powers of z, of the
+    m-th derivative of P_s = 2^-s sum_k (-1)^k C(s,k) C(2s-2k, s) z^(s-2k);
+    its entries whose power differs in parity from s - m are zero.  For
+    s <= 6 every numerator is far below 2^53, so each entry is exact in
+    float64.  Built on the first evaluation of degree s.
     """
-    pmm = float(_double_factorial(2 * m - 1))
-    if s == m:
-        return pmm
-    pmm1 = ct * (2 * m + 1) * pmm
-    if s == m + 1:
-        return pmm1
-    for l in range(m + 2, s + 1):
-        pll = ((2 * l - 1) * ct * pmm1 - (l + m - 1) * pmm) / (l - m)
-        pmm, pmm1 = pmm1, pll
-    return pmm1
+    row = [0] * (s + 1)
+    for k in range(s // 2 + 1):
+        row[s - 2 * k] = (-1) ** k * math.comb(s, k) * math.comb(2 * s - 2 * k, s)
+    table = [tuple(row)]
+    for _ in range(s):
+        row = [power * c for power, c in enumerate(row) if power]
+        table.append(tuple(row))
+    return tuple(table)
+
+
+@functools.lru_cache(maxsize=None)
+def _radial_terms(s: int) -> tuple[tuple[tuple[int, float], ...], ...]:
+    """Per order m = 0..s, the (power of z, float coefficient) pairs of the
+    normalized radial factor, highest power first and zero entries dropped.
+
+    The normalization sqrt(2 (s-m)!/(s+m)!) (1 for m = 0) is folded into
+    each coefficient of the exact table.
+    """
+    terms = []
+    for m, row in enumerate(_legendre_table(s)):
+        norm = 1.0 if m == 0 else math.sqrt(2.0 * math.factorial(s - m) / math.factorial(s + m))
+        terms.append(tuple((power, row[power] / 2**s * norm)
+                           for power in reversed(range(len(row))) if row[power]))
+    return tuple(terms)
 
 
 def _harmonic_components(s: int, points: np.ndarray) -> np.ndarray:
     """Normalized degree-s real harmonic vector at unit points (..., 3).
 
-    Components are ordered m = -s..s.  The combined normalization
+    Components are ordered m = -s..s.  Component +-m is the radial factor
+    d^m/dz^m P_s(z), a sum of same-parity powers of z computed once, times
+    the real or imaginary part of (x + iy)^m.  The normalization
     sqrt((s-|m|)!/(s+|m|)!) (times sqrt(2) for m != 0) makes the squared
     component sum identically 1, so no 4*pi factors appear anywhere.
     """
     x, y, z = points[..., 0], points[..., 1], points[..., 2]
     out = np.empty(points.shape[:-1] + (2 * s + 1,), dtype=points.dtype)
-    # (x + i y)^m accumulated by recurrence: a_m + i b_m
-    a, b = np.ones_like(x), np.zeros_like(x)
-    for m in range(0, s + 1):
-        radial = _reduced_legendre(s, m, z)
+    powers = [1.0, z]
+    for _ in range(2, s + 1):
+        powers.append(powers[-1] * z)
+    term = np.empty_like(z)
+    # (x + i y)^m accumulated by recurrence: a_m + i b_m, from m = 1
+    a, b = x, y
+    for m, ((power, coeff), *rest) in enumerate(_radial_terms(s)):
+        radial = coeff * powers[power]
+        for power, coeff in rest:
+            radial += np.multiply(coeff, powers[power], out=term) if power else coeff
         if m == 0:
             out[..., s] = radial
-        else:
-            scaled = math.sqrt(2.0 * math.factorial(s - m) / math.factorial(s + m)) * radial
-            out[..., s + m] = scaled * a
-            out[..., s - m] = scaled * b
+            continue
+        np.multiply(radial, a, out=out[..., s + m])
+        np.multiply(radial, b, out=out[..., s - m])
         if m < s:
-            a, b = a * x - b * y, a * y + b * x
+            a_next, b_next = a * x, a * y
+            a_next -= np.multiply(b, y, out=term)
+            b_next += np.multiply(b, x, out=term)
+            a, b = a_next, b_next
     return out
 
 
@@ -326,31 +352,31 @@ class FramedPoint:
 def _orthonormal_completion(position, e1, e2) -> tuple[np.ndarray, np.ndarray]:
     """Complete {position, e1, e2} by fixed ambient basis columns, in order.
 
-    Two-pass modified Gram-Schmidt per sample: a column joins the normals
-    when its residual norm exceeds 1e-4, until p = C - 3 have joined.  Slots
-    a sample has not filled yet hold zero vectors, whose projections change
-    nothing, so each sample sees the arithmetic it would see alone; slots no
-    sample has filled are skipped.  Returns the normals (n, p, C) and
+    Each column is orthogonalized against the whole current basis at once,
+    twice (classical Gram-Schmidt run twice, CGS2); it joins the normals
+    when its residual norm exceeds 1e-4, until p = C - 3 have joined.  The
+    basis lives in one (n, C, C) array whose unfilled slots are zero, and
+    every contraction runs over all C slots, so each sample sees the
+    arithmetic it would see alone.  Returns the normals (n, p, C) and
     whether each sample reached full rank.
     """
     n, dim = position.shape
     p = dim - 3
-    normals = np.zeros((n, p, dim))
+    basis = np.zeros((n, dim, dim))
+    basis[:, 0], basis[:, 1], basis[:, 2] = position, e1, e2
     count = np.zeros(n, dtype=int)
     for idx in range(dim):
         if np.all(count == p):
             break
-        v = np.zeros((n, dim))
-        v[:, idx] = 1.0
-        basis = [position, e1, e2] + [normals[:, k] for k in range(count.max())]
-        for _ in range(2):  # two-pass MGS keeps orthogonality near machine eps
-            for b in basis:
-                v -= _dot(v, b)[:, None] * b
+        # first pass on the unit column: its coefficients are the basis' entries
+        v = -np.einsum("nk,nkc->nc", basis[:, :, idx], basis)
+        v[:, idx] += 1.0
+        v -= np.einsum("nk,nkc->nc", np.einsum("nkc,nc->nk", basis, v), basis)
         norm = np.sqrt(_dot(v, v))
         take = np.flatnonzero((norm > 1e-4) & (count < p))
-        normals[take, count[take]] = v[take] / norm[take, None]
+        basis[take, 3 + count[take]] = v[take] / norm[take, None]
         count[take] += 1
-    return normals, count == p
+    return basis[:, 3:], count == p
 
 
 def _second_form(jet: _Jet, coeffs: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -710,13 +736,16 @@ def geometry_scan(imm: Immersion, n_samples: int, seed: int,
                   deriv_step: float = 1e-3) -> GeometryScan:
     """Sample S, A, rho_perp, |H|^2 and K at seeded low-discrepancy points.
 
-    Deterministic in the seed.  Samples go through the kernel in blocks of
-    SCAN_BLOCK, and each sample's values equal those of a scan of that
-    point alone.  A degenerate sample raises FrameDegeneracyError naming the
-    degree and the first failing sample index.
+    Deterministic in the seed, a non-negative integer.  Samples go through
+    the kernel in blocks of SCAN_BLOCK, and each sample's values equal those
+    of a scan of that point alone.  A degenerate sample raises
+    FrameDegeneracyError naming the degree and the first failing sample
+    index.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if with_derivatives:
         _check_deriv_step(deriv_step)
     else:

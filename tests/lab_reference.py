@@ -2,9 +2,12 @@
 
 These are the per-sample jets, frames, Brioschi curvature, transported
 second forms and scan loop exactly as they were before the lab evaluated
-whole blocks of samples at once.  Tests compare the batched
-``calabi_lab.geometry_scan`` with ``reference_scan`` under tolerances
-fixed from finite-difference round-off; nothing in ``src`` imports this.
+whole blocks of samples at once, and the harmonics by the upward Legendre
+recursion in the degree, run afresh for each order, as they were before
+the lab evaluated them from an exact coefficient table.  Tests compare the
+batched ``calabi_lab.geometry_scan`` with ``reference_scan`` under
+tolerances fixed from finite-difference round-off; nothing in ``src``
+imports this.
 """
 
 from __future__ import annotations
@@ -26,6 +29,68 @@ _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
 DEFAULT_FD_STEP = 1e-3
+
+
+def _double_factorial(n: int) -> int:
+    out = 1
+    while n > 1:
+        out *= n
+        n -= 2
+    return out
+
+
+def _reduced_legendre(s: int, m: int, ct: np.ndarray) -> np.ndarray | float:
+    """P_s^m(ct) / (1-ct^2)^(m/2): polynomial part of the associated Legendre.
+
+    Condon-Shortley-free.  Stable upward recursion in the degree; trivial
+    for the degrees used here (s <= 6).  For s == m it is the constant
+    (2m-1)!!, returned as a float.
+    """
+    pmm = float(_double_factorial(2 * m - 1))
+    if s == m:
+        return pmm
+    pmm1 = ct * (2 * m + 1) * pmm
+    if s == m + 1:
+        return pmm1
+    for l in range(m + 2, s + 1):
+        pll = ((2 * l - 1) * ct * pmm1 - (l + m - 1) * pmm) / (l - m)
+        pmm, pmm1 = pmm1, pll
+    return pmm1
+
+
+def harmonic_components(s: int, points: np.ndarray) -> np.ndarray:
+    """Normalized degree-s real harmonic vector at unit points (..., 3).
+
+    Components are ordered m = -s..s.  The combined normalization
+    sqrt((s-|m|)!/(s+|m|)!) (times sqrt(2) for m != 0) makes the squared
+    component sum identically 1.
+    """
+    x, y, z = points[..., 0], points[..., 1], points[..., 2]
+    out = np.empty(points.shape[:-1] + (2 * s + 1,), dtype=points.dtype)
+    # (x + i y)^m accumulated by recurrence: a_m + i b_m
+    a, b = np.ones_like(x), np.zeros_like(x)
+    for m in range(0, s + 1):
+        radial = _reduced_legendre(s, m, z)
+        if m == 0:
+            out[..., s] = radial
+        else:
+            scaled = math.sqrt(2.0 * math.factorial(s - m) / math.factorial(s + m)) * radial
+            out[..., s + m] = scaled * a
+            out[..., s - m] = scaled * b
+        if m < s:
+            a, b = a * x - b * y, a * y + b * x
+    return out
+
+
+def evaluate(imm: Immersion, points) -> np.ndarray:
+    """``imm`` at unit points by the frozen harmonics; complex inputs pass."""
+    points = np.asarray(points)
+    if not np.iscomplexobj(points):
+        points = points.astype(float)
+    values = harmonic_components(imm.s, points)
+    if imm.rotation is not None:
+        values = np.einsum("...c,dc->...d", values, imm.rotation)
+    return values
 
 
 def chart_point(chart: int, theta, phi) -> np.ndarray:
@@ -68,7 +133,7 @@ def _evaluate_grid(imm: Immersion, chart: int, theta: float, phi: float,
     tt = theta + offsets[:, None] + 0.0 * offsets[None, :]
     pp = phi + 0.0 * offsets[:, None] + offsets[None, :]
     pts = chart_point(chart, tt, pp)
-    return imm.evaluate(pts)
+    return evaluate(imm, pts)
 
 
 def _local_jet(imm: Immersion, chart: int, theta: float, phi: float,
@@ -200,8 +265,8 @@ def _first_derivatives_complex_step(imm: Immersion, chart: int,
     the metric coefficients clean.
     """
     eps = 1e-150
-    du = imm.evaluate(chart_point(chart, theta + 1j * eps, phi)).imag / eps
-    dv = imm.evaluate(chart_point(chart, theta, phi + 1j * eps)).imag / eps
+    du = evaluate(imm, chart_point(chart, theta + 1j * eps, phi)).imag / eps
+    dv = evaluate(imm, chart_point(chart, theta, phi + 1j * eps)).imag / eps
     return du, dv
 
 

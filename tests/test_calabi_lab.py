@@ -1,6 +1,7 @@
 """Tests for the spherical-harmonic immersion lab."""
 
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -56,6 +57,79 @@ def test_veronese_maps_into_the_four_sphere():
     assert imm.sphere_dim == 4
     _, h, _ = cl.fundamental_forms(imm, SAMPLE_POINT)
     assert abs(np.sum(h**2) - 4.0 / 3.0) < 1e-8
+
+
+def _poly_mul(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_legendre_table_satisfies_the_exact_addition_theorem(s):
+    # sum_m w_m (1 - z^2)^m (P_s^(m))^2 = 1 as polynomials in z, with w_0 = 1
+    # and w_m = 2 (s-m)!/(s+m)!, in exact arithmetic on the table's rows
+    table = cl._legendre_table(s)
+    assert len(table) == s + 1
+    total = [F(0)]
+    for m, row in enumerate(table):
+        assert len(row) == s - m + 1
+        assert all(isinstance(c, int) for c in row)
+        assert all(c == 0 for power, c in enumerate(row) if (s - m - power) % 2)
+        derivative = [F(c, 2**s) for c in row]
+        term = _poly_mul(derivative, derivative)
+        for _ in range(m):
+            term = _poly_mul(term, [F(1), F(0), F(-1)])
+        weight = 1 if m == 0 else F(2 * math.factorial(s - m), math.factorial(s + m))
+        total += [F(0)] * (len(term) - len(total))
+        total = [a + weight * b for a, b in zip(total, term)]
+    assert total == [1] + [0] * (len(total) - 1)
+
+
+def test_table_harmonics_match_the_frozen_recursion():
+    # the poles and the equator, where the radial sums cancel most, and
+    # seeded points, through the plain and a rotated immersion
+    pts = np.vstack([np.eye(3), -np.eye(3), cl.fibonacci_sphere_points(300, seed=30)])
+    directions = np.random.default_rng(31).standard_normal(pts.shape)
+    directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
+    eps = 1e-150
+    stepped = pts + 1j * eps * directions
+    for s in range(1, 7):
+        for imm in (cl.build_calabi_immersion(s),
+                    cl.build_calabi_immersion(s).rotated(cl.random_rotation(2 * s + 1, seed=s))):
+            assert np.max(np.abs(imm.evaluate(pts) - lab_reference.evaluate(imm, pts))) <= 1e-14
+            got, want = imm.evaluate(stepped), lab_reference.evaluate(imm, stepped)
+            assert np.max(np.abs(got.real - want.real)) <= 1e-14
+            # directional derivatives reach ~19 at s = 6; the monomial sums
+            # round to ~1e-15 of that scale, the bound is ten times wider
+            d_got, d_want = got.imag / eps, want.imag / eps
+            scale = max(1.0, np.max(np.abs(d_want)))
+            assert np.max(np.abs(d_got - d_want)) <= 1e-14 * scale, s
+
+
+def test_completion_skips_a_column_in_one_samples_span_only():
+    # ambient column 0 lies in span{position, e1, e2} for sample 0 only, so
+    # sample 0 fills its normal slots one column behind sample 1
+    dim = 9
+    rng = np.random.default_rng(33)
+
+    def frame(first):
+        q, _ = np.linalg.qr(np.column_stack([first, rng.standard_normal((dim, 2))]))
+        mix, _ = np.linalg.qr(rng.standard_normal((3, 3)))  # no row is column 0 itself
+        return (q @ mix).T
+
+    position, e1, e2 = np.stack([frame(np.eye(dim)[0]), frame(rng.standard_normal(dim))],
+                                axis=1)
+    normals, full_rank = cl._orthonormal_completion(position, e1, e2)
+    assert normals.shape == (2, dim - 3, dim) and full_rank.all()
+    for i in range(2):
+        ref, columns = lab_reference._orthonormal_completion(position[i], e1[i], e2[i], dim)
+        assert (0 in columns) == (i == 1)
+        assert np.max(np.abs(normals[i] - ref)) <= 1e-13
+        alone, _ = cl._orthonormal_completion(position[i:i + 1], e1[i:i + 1], e2[i:i + 1])
+        assert np.array_equal(normals[i], alone[0])
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +496,17 @@ def test_scan_rejects_bad_derivative_step_before_evaluating(monkeypatch):
     for bad in (0.1, 1e-5):
         with pytest.raises(ValueError):
             cl.geometry_scan(imm, 5, seed=0, with_derivatives=True, deriv_step=bad)
+
+
+def test_scan_rejects_a_bad_seed_before_evaluating(monkeypatch):
+    def fail(self, points):
+        raise AssertionError("evaluated before the seed was checked")
+
+    monkeypatch.setattr(cl.Immersion, "evaluate", fail)
+    imm = cl.build_calabi_immersion(2)
+    for bad in (-1, -2**70, 1.5, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            cl.geometry_scan(imm, 5, seed=bad)
 
 
 def test_degenerate_sample_names_degree_and_first_index():

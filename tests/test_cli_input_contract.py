@@ -4,8 +4,10 @@
 inputs, near misses (a misspelt key, a zero denominator, an exponent, a
 non-ASCII digit, a float or a bool where a rational belongs) and values of
 any JSON type.  A usage error (exit 2) is one stderr line naming the item.
-What a run may start is bounded: grids of at most 3 entries and
-``refinement_rounds`` of 0 to 2; the lab is not run.
+The lab's argv is drawn the same way: ``--s``, ``--samples``, ``--step``
+and ``--seed`` in and just outside their domains.  What a run may start is
+bounded: grids of at most 3 entries, ``refinement_rounds`` of 0 to 2 and
+lab scans of at most 3 samples.
 """
 
 import contextlib
@@ -140,3 +142,24 @@ def test_any_classify_input_exits_0_1_or_2(input_dir, data):
     path = input_dir / "data.json"
     path.write_text(json.dumps(data))
     _assert_contract(*_run_main(["classify", "--input", str(path)]))
+
+
+# the words each lab usage error uses to name its item
+LAB_ITEM_WORDS = {"s": "harmonic degree", "samples": "sample", "step": "step", "seed": "seed"}
+
+
+@CONTRACT
+@given(s=_mostly(st.integers(1, 6), st.integers(-2, 9)),
+       samples=_mostly(st.integers(1, 3), st.integers(-2, 3)),
+       step=_mostly(st.sampled_from(["1e-3", "0.01"]), st.sampled_from(["nan", "inf", "1e-5"])),
+       seed=st.one_of(st.integers(-3, 3), st.integers(-3, 2**70)))
+def test_any_lab_argv_exits_0_1_or_2(s, samples, step, seed):
+    code, err = _run_main(["lab", "--s", str(s), "--samples", str(samples),
+                           "--step", step, "--seed", str(seed)])
+    _assert_contract(code, err)
+    invalid = [item for item, bad in (("s", not 1 <= s <= 6), ("samples", samples < 1),
+                                      ("step", not 1e-4 <= float(step) <= 1e-2),
+                                      ("seed", seed < 0)) if bad]
+    assert (code == rc.EXIT_USAGE) == bool(invalid), err
+    if invalid:
+        assert any(LAB_ITEM_WORDS[item] in err for item in invalid), err
