@@ -1,25 +1,25 @@
 """Exact rational polynomial algebra with replayable sign certificates.
 
-Polynomials have arbitrary-precision rational coefficients
-(`fractions.Fraction`).  Evaluation, Sturm chains and sign counting run on
-integers: a polynomial carries its coefficients scaled to integers, values at
-a/b come from homogeneous Horner, and chains are primitive integer
-pseudo-remainder sequences that a polynomial builds on first use and keeps.
-Polynomials that arise as integers, such as chain members, are born from
-that integer form and build their Fractions only if something reads them.
-Root counts and sign claims are established by Sturm's theorem and packaged
-as :class:`SignCertificate` records.  One integer kernel, :func:`_prove`,
-proves every certificate when it is built and again when it is replayed,
-so it alone says which evidence proves which claim.  It works on integer
-forms only: points are reduced ``(p, q)`` pairs, the Sturm chain is
-integer tuples from the one chain builder, and values are reduced ``p/q``
-strings of integer Horner values; a certificate read back from JSON holds
-a polynomial born from the integer form of its coefficient strings, and
-its replay builds no Fraction.  No float enters this module: root
-isolation proposes its final dyadic cell by Illinois regula falsi on exact
-integer values when a Sturm count has found a single root, and the
-proposal's end signs alone confirm it; with more roots, Sturm-counted
-bisection finds the cell.
+Polynomials have exact rational coefficients and hold one form of them:
+the canonical integer form ``(ints, den)``, primitive together with its
+positive denominator, to which every constructor reduces at once.
+Arithmetic, evaluation, Sturm chains and sign counting run on those
+integers: values at a/b come from homogeneous Horner, and chains are
+primitive integer pseudo-remainder sequences that a polynomial builds on
+first use and keeps as integer tuples.  Fraction coefficients are derived
+only when something reads them.  Root counts and sign claims are
+established by Sturm's theorem and packaged as :class:`SignCertificate`
+records.  One integer kernel, :func:`_prove`, proves every certificate when
+it is built and again when it is replayed, so it alone says which evidence
+proves which claim.  It works on integer forms only: points are reduced
+``(p, q)`` pairs, the Sturm chain is integer tuples from the one chain
+builder, and values are reduced ``p/q`` strings of integer Horner values;
+a certificate read back from JSON holds the polynomial of its coefficient
+strings' integer form, and its replay builds no Fraction.  No float enters
+this module: root isolation proposes its final dyadic cell by Illinois
+regula falsi on exact integer values when a Sturm count has found a single
+root, and the proposal's end signs alone confirm it; with more roots,
+Sturm-counted bisection finds the cell.
 """
 
 from __future__ import annotations
@@ -132,40 +132,48 @@ def _ratio_str(n: int, d: int) -> str:
     return f"{n // g}/{d // g}"
 
 
-class Polynomial:
-    """Dense univariate polynomial over Fraction, lowest degree first.
+def _canonical(values: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """The canonical integer form of ``sum(values[i] x^i) / den``, den > 0:
+    trailing zeros stripped, then the values and den divided by their gcd.
+    Every polynomial's form is made here."""
+    values = list(values)
+    while values and not values[-1]:
+        values.pop()
+    g = gcd(den, *values)
+    if g == 1:
+        return tuple(values), den
+    return tuple(v // g for v in values), den // g
 
-    Immutable.  The zero polynomial has an empty coefficient tuple and,
-    by convention here, degree -1.  A polynomial holds one or both of two
-    forms of the same value: ``coeffs``, its Fraction coefficients, and its
-    canonical integer form ``(ints, den)`` (:meth:`integer_form`), with den
-    the lcm of the coefficient denominators and ``ints[i] = den * coeffs[i]``.
-    One built from coefficients derives the integer form on first use; one
-    born from integers (:meth:`_from_integer_form`, used by Sturm chains and
-    by specializations of forms in t) builds ``coeffs`` the first time
-    something reads them.  Both forms are canonical, so equality and the
-    hash are equality of value whichever form came first; the hash is taken
-    of the integer form.  The Sturm chain is built on first use and kept.
+
+class Polynomial:
+    """Dense univariate polynomial with rational coefficients, lowest degree first.
+
+    Immutable.  A polynomial holds one form of its value, the canonical
+    integer form ``(ints, den)`` (:meth:`integer_form`): coefficient i is
+    ``ints[i] / den``, den > 0, ``ints`` has no trailing zeros and
+    gcd(*ints, den) == 1, so den is the lcm of the coefficient denominators.
+    The zero polynomial is ``((), 1)`` and, by convention here, has degree
+    -1.  Every constructor reduces to this form at once (:func:`_canonical`),
+    arithmetic runs on the integers, and ``coeffs`` and ``leading`` are
+    Fractions derived from it on each read.  Equality and the hash are
+    those of the form.  The Sturm chain, as integer tuples, is built on
+    first use and kept.
     """
 
-    __slots__ = ("_coeffs", "_ints", "_chain", "_hash")
+    __slots__ = ("_form", "_chain", "_hash")
 
     def __init__(self, coeffs: Iterable):
         cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
-        object.__setattr__(self, "_ints", None)
+        den = lcm(*(c.denominator for c in cs))
+        object.__setattr__(
+            self, "_form", _canonical([c.numerator * (den // c.denominator) for c in cs], den))
 
     @classmethod
-    def _from_integer_form(cls, ints: tuple[int, ...], den: int) -> "Polynomial":
-        """The polynomial of integer form ``(ints, den)``, which must be
-        canonical: den > 0, ``ints`` without trailing zeros, and
-        gcd(*ints, den) == 1 (then den is the lcm of the denominators of
-        ``ints[i] / den``)."""
+    def _from_integer_form(cls, values: Sequence[int], den: int) -> "Polynomial":
+        """The polynomial ``sum(values[i] x^i) / den`` for den > 0, in the
+        canonical form of :func:`_canonical`."""
         p = object.__new__(cls)
-        object.__setattr__(p, "_coeffs", None)
-        object.__setattr__(p, "_ints", (ints, den))
+        object.__setattr__(p, "_form", _canonical(values, den))
         return p
 
     def __setattr__(self, name, value):
@@ -192,46 +200,39 @@ class Polynomial:
 
     # -- structure ----------------------------------------------------
 
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """``(ints, den)``, the canonical integer form (see the class)."""
+        return self._form
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The Fraction coefficients, built from the integer form on first
-        read when the polynomial was born from integers."""
-        cs = self._coeffs
-        if cs is None:
-            ints, den = self._ints
-            cs = tuple(Fraction(c, den) for c in ints)
-            object.__setattr__(self, "_coeffs", cs)
-        return cs
+        """The Fraction coefficients, derived from the integer form."""
+        ints, den = self._form
+        return tuple(Fraction(c, den) for c in ints)
 
     @property
     def degree(self) -> int:
-        cs = self._coeffs
-        return len(cs if cs is not None else self._ints[0]) - 1
+        return len(self._form[0]) - 1
 
     @property
     def is_zero(self) -> bool:
-        return self.degree < 0
+        return not self._form[0]
 
     @property
     def leading(self) -> Fraction:
-        if self.is_zero:
+        ints, den = self._form
+        if not ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(ints[-1], den)
 
     def __eq__(self, other) -> bool:
-        """Equal values: equal coefficients when both are built, else equal
-        canonical integer forms, so no Fraction is built to compare."""
-        if not isinstance(other, Polynomial):
-            return False
-        if self._coeffs is not None and other._coeffs is not None:
-            return self._coeffs == other._coeffs
-        return self.integer_form() == other.integer_form()
+        return isinstance(other, Polynomial) and self._form == other._form
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            h = hash(self.integer_form())
+            h = hash(self._form)
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -253,29 +254,31 @@ class Polynomial:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return Polynomial(x + y for x, y in zip(a, b))
+        (a, da), (b, db) = self._form, self._coerce(other)._form
+        den = lcm(da, db)
+        values = [c * (den // da) for c in a] + [0] * (len(b) - len(a))
+        scale = den // db
+        for i, c in enumerate(b):
+            values[i] += c * scale
+        return Polynomial._from_integer_form(values, den)
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
+        ints, den = self._form
+        return Polynomial._from_integer_form([-c for c in ints], den)
 
     def __mul__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if self.is_zero or other.is_zero:
+        (a, da), (b, db) = self._form, self._coerce(other)._form
+        if not a or not b:
             return Polynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return Polynomial._from_integer_form(out, da * db)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -303,57 +306,38 @@ class Polynomial:
 
     # -- calculus and evaluation ---------------------------------------
 
-    def integer_form(self) -> tuple[tuple[int, ...], int]:
-        """``(ints, den)``: den is the lcm of the coefficient denominators and
-        ``ints[i] = den * coeffs[i]``.  Given at birth or computed once, on
-        first use."""
-        form = self._ints
-        if form is None:
-            cs = self._coeffs
-            den = lcm(*(c.denominator for c in cs))
-            form = (tuple(c.numerator * (den // c.denominator) for c in cs), den)
-            object.__setattr__(self, "_ints", form)
-        return form
-
-    def _sturm(self) -> tuple[tuple["Polynomial", ...], tuple[tuple[int, ...], ...]]:
-        """``(tail, ints)``: the members of :func:`sturm_sequence` after p
-        itself, and the integer coefficient tuples of every member, p's
-        first.  Built on first use and kept; storing only the tail, a
-        polynomial holds no reference to itself.  Most polynomials never
-        need a chain, so the slot stays unset, costing construction nothing,
+    def _sturm(self) -> tuple[tuple[int, ...], ...]:
+        """The integer coefficient tuples of :func:`sturm_sequence`'s members,
+        p's first.  Built on first use and kept; most polynomials never need
+        a chain, so the slot stays unset, costing construction nothing,
         until then."""
         try:
             return self._chain
         except AttributeError:
-            chain = sturm_sequence(self)
-            kept = (tuple(chain[1:]), tuple(q.integer_form()[0] for q in chain))
+            kept = tuple(q._form[0] for q in sturm_sequence(self))
             object.__setattr__(self, "_chain", kept)
             return kept
-
-    def sturm_chain(self) -> tuple["Polynomial", ...]:
-        """:func:`sturm_sequence` of this polynomial, kept (see :meth:`_sturm`)."""
-        return (self, *self._sturm()[0])
 
     def __call__(self, x) -> Fraction:
         """Exact value at x = a/b: ``_homogeneous(ints, a, b) / (den * b^n)``."""
         x = rat(x)
-        ints, den = self.integer_form()
+        ints, den = self._form
         if not ints:
             return Fraction(0)
         b = x.denominator
         return Fraction(_homogeneous(ints, x.numerator, b), den * b ** (len(ints) - 1))
 
     def derivative(self) -> "Polynomial":
-        if self.degree < 1:
-            return Polynomial.zero()
-        return Polynomial(k * c for k, c in enumerate(self.coeffs) if k >= 1)
+        ints, den = self._form
+        return Polynomial._from_integer_form([k * c for k, c in enumerate(ints) if k], den)
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """Exact Euclidean division: self = q*other + r, deg r < deg other."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 1)
+        divisor = other.coeffs
+        quo = [Fraction(0)] * max(len(rem) - len(divisor) + 1, 1)
         d = other.degree
         lead = other.leading
         while len(rem) - 1 >= d and any(c != 0 for c in rem):
@@ -364,7 +348,7 @@ class Polynomial:
             shift = len(rem) - 1 - d
             factor = rem[-1] / lead
             quo[shift] = factor
-            for i, c in enumerate(other.coeffs):
+            for i, c in enumerate(divisor):
                 rem[shift + i] -= factor * c
             rem.pop()
         return Polynomial(quo), Polynomial(rem)
@@ -376,23 +360,18 @@ class Polynomial:
 
     def to_json(self) -> list[str]:
         """The coefficients as :func:`rat_str` strings, written from the
-        integer form when the polynomial was born from it."""
-        cs = self._coeffs
-        if cs is not None:
-            return [rat_str(c) for c in cs]
-        ints, den = self._ints
+        integer form."""
+        ints, den = self._form
         return [_ratio_str(c, den) for c in ints]
 
     @classmethod
     def from_json(cls, data: Sequence[str]) -> "Polynomial":
-        """The polynomial of :meth:`to_json`'s coefficient strings, born from
-        its canonical integer form: each entry is read once by
-        :func:`_ratio`, and entries :func:`rat` refuses are refused."""
+        """The polynomial of :meth:`to_json`'s coefficient strings: each entry
+        is read once by :func:`_ratio`, and entries :func:`rat` refuses are
+        refused."""
         pairs = [_ratio(c) for c in data]
-        while pairs and not pairs[-1][0]:
-            pairs.pop()
         den = lcm(*(d for _, d in pairs))
-        return cls._from_integer_form(tuple(n * (den // d) for n, d in pairs), den)
+        return cls._from_integer_form([n * (den // d) for n, d in pairs], den)
 
 
 def _homogeneous(ints: Sequence[int], a: int, b: int) -> int:
@@ -411,7 +390,7 @@ def _homogeneous(ints: Sequence[int], a: int, b: int) -> int:
 
 def _sign_at_ratio(p: Polynomial, a: int, b: int) -> int:
     """Sign of p(a/b) for integers a and b > 0, not necessarily coprime."""
-    ints, _ = p.integer_form()
+    ints = p._form[0]
     if not ints:
         return 0
     n = _homogeneous(ints, a, b)
@@ -513,8 +492,8 @@ def _sturm_ints(ints: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def sturm_sequence(p: Polynomial) -> list[Polynomial]:
     """Canonical Sturm chain of ``p`` (:func:`_sturm_ints`): p itself, then
-    members born from their integer forms ``(ints, 1)``."""
-    chain = _sturm_ints(p.integer_form()[0])
+    the members of integer forms ``(ints, 1)``."""
+    chain = _sturm_ints(p._form[0])
     return [p, *(Polynomial._from_integer_form(ints, 1) for ints in chain[1:])]
 
 
@@ -536,7 +515,7 @@ def _variations_and_value(chain: Sequence[Sequence[int]], a: int, b: int) -> tup
 
 def _variations_at(p: Polynomial, x: Fraction) -> int:
     """Sign changes of p's kept Sturm chain at x, zeros skipped."""
-    return _variations_and_value(p._sturm()[1], x.numerator, x.denominator)[0]
+    return _variations_and_value(p._sturm(), x.numerator, x.denominator)[0]
 
 
 class _RootCounter:
@@ -614,25 +593,17 @@ class SignCertificate:
         evidence key by key, types included.
 
         The proof is :func:`_prove`'s, so the evidence must also prove the
-        label.  It starts from the integer form of the stored coefficients
-        when they were built, else from the stored integer form (a
-        polynomial read by :meth:`Polynomial.from_json` has only that), and
-        a Sturm chain built fresh from it by :func:`_sturm_ints`, so no chain
-        kept by the builder, nor an integer form kept beside built
-        coefficients, is trusted.  The points ``lo``, ``hi`` and, for a sign
-        claim, ``witness`` must be canonical ``p/q`` strings
+        label.  It starts from the stored polynomial's integer form and a
+        Sturm chain built fresh from it by :func:`_sturm_ints`, so no chain
+        kept by the builder is trusted.  The points ``lo``, ``hi`` and, for a
+        sign claim, ``witness`` must be canonical ``p/q`` strings
         (:func:`_canonical_ratio`).  Evidence that is missing, extra,
         mistyped (a float, a bool, ``None``) or not in canonical form
         replays ``False``; it never raises.  No Fraction, interval or
         certificate is built.
         """
         evidence = self.evidence
-        cs = self.polynomial._coeffs
-        if cs is not None:
-            den = lcm(*(c.denominator for c in cs))
-            ints = tuple(c.numerator * (den // c.denominator) for c in cs)
-        else:
-            ints, den = self.polynomial._ints
+        ints, den = self.polynomial._form
         try:
             witness = (_canonical_ratio(evidence["witness"])
                        if self.claim in _SIGN_CLAIMS else None)
@@ -666,7 +637,7 @@ def _certificate(p: Polynomial, iv: IntervalQ, claim: str | None, lo: Fraction,
     """The certificate that ``p`` satisfies ``claim`` on ``iv``, evidenced at
     iv.lo <= lo <= hi <= iv.hi (and ``witness``): :func:`_prove` on p's kept
     Sturm chain, which raises unless the evidence proves the claim."""
-    evidence, claim = _prove(p._sturm()[1], p.integer_form()[1], iv, claim, _pair(lo),
+    evidence, claim = _prove(p._sturm(), p._form[1], iv, claim, _pair(lo),
                              _pair(hi), None if witness is None else _pair(witness))
     return SignCertificate(p, iv, claim, evidence)
 
@@ -765,21 +736,24 @@ def _counted(chain: Sequence[tuple[int, ...]], den: int, lo: tuple[int, int],
 def _count_evidence(p: Polynomial, lo: Fraction, hi: Fraction) -> tuple[int, dict, tuple[int, int]]:
     """Sturm count of p on (lo, hi), its evidence, and the signs of p at lo
     and hi (:func:`_counted` on p's kept chain)."""
-    evidence, y_lo, y_hi = _counted(p._sturm()[1], p.integer_form()[1], _pair(lo), _pair(hi))
+    evidence, y_lo, y_hi = _counted(p._sturm(), p._form[1], _pair(lo), _pair(hi))
     return evidence["root_count"], evidence, ((y_lo > 0) - (y_lo < 0), (y_hi > 0) - (y_hi < 0))
 
 
 def count_roots(p: Polynomial, iv: IntervalQ) -> tuple[int, SignCertificate]:
-    """Exact number of distinct real roots of ``p`` in the open interval.
+    """Exact number of distinct real roots of ``p`` on the certificate's
+    interval, and the certificate.
 
-    Endpoints that happen to be roots are nudged inward by shrinking
-    rational steps (:func:`nudged_ends`); if twelve decades of nudging
-    cannot clear them the input is reported as degenerate.  The closed
-    interval holds such an end root, so the certificate is then on the
-    nudged interval, where the count is the whole story.  It carries the
-    strongest count claim its evidence proves: ``no-root``,
-    ``exactly-one-root`` when the single root changes p's sign between the
-    ends, ``root-count`` for any other nonzero count.
+    That interval is ``iv`` with each end that is a root of p nudged inward
+    by shrinking rational steps (:func:`nudged_ends`); its ends are no
+    roots, so the count is the same on it open or closed, and when no end
+    of ``iv`` is a root it is ``iv``.  Otherwise the count leaves out the
+    end root and any root between it and the nudged end: (x - 1)(x - 1 -
+    10^-7) on [1, 2] counts 0, on [1 + 10^-6, 2].  If twelve decades of
+    nudging cannot clear an end the input is reported as degenerate.  The
+    certificate carries the strongest count claim its evidence proves:
+    ``no-root``, ``exactly-one-root`` when the single root changes p's sign
+    between the ends, ``root-count`` for any other nonzero count.
     """
     lo, hi = nudged_ends(p, iv)
     cert = _certificate(p, IntervalQ(lo, hi), None, lo, hi)
@@ -841,7 +815,7 @@ def _propose_cell(p: Polynomial, base: int, step: int, den: int, depth: int) -> 
     halved the bracket.  Returns None when the grid's ends have no sign
     change or the search meets a grid point that is a root.
     """
-    ints = p.integer_form()[0]
+    ints = p._form[0]
 
     def value(i: int) -> int:
         return _homogeneous(ints, base + i * step, den)
@@ -958,10 +932,11 @@ def one_root_certificate(p: Polynomial, enclosure: IntervalQ) -> SignCertificate
 
 
 def isolate_root(p: Polynomial, iv: IntervalQ, width) -> tuple[IntervalQ, SignCertificate]:
-    """Shrink an interval known to contain exactly one root of ``p``.
+    """Shrink the one root of ``p`` that :func:`count_roots` counts on ``iv``.
 
     :func:`isolate_counted_root` of the interval's :func:`count_roots`
-    certificate.
+    certificate, so the root is one in that certificate's interval, whose
+    ends are nudged off any root of p.
     """
     return isolate_counted_root(count_roots(p, iv)[1], width)
 
@@ -1000,7 +975,7 @@ def _find_counterexample(p: Polynomial, lo: Fraction, hi: Fraction, want: int) -
     when every root is a touch at an irrational point, such as (x^2 - 2)^2
     on [1, 2]: then no rational point violates the claim.
     """
-    lead = abs(p.integer_form()[0][-1])
+    lead = abs(p._form[0][-1])
     fine = Fraction(1, 2 * lead * lead)
     counter = _RootCounter(p)
     a = lo

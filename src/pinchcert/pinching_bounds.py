@@ -6,9 +6,9 @@ form.  Every constructor here returns exact rationals or rational-coefficient
 polynomials; callers certify sign facts about them with
 :mod:`pinchcert.exact_poly`.  The constant polynomials (those without a
 parameter) are built once per process and shared: a :class:`Polynomial` is
-immutable, so only its integer evaluation form is filled in, once.  θ2,
-the lower-endpoint branches and their quotients by x - 5/3 are built once
-as forms in t (:func:`at_t`).  Whether the new gap bound beats the legacy one
+immutable and holds only its canonical integer form.  θ2, the
+lower-endpoint branches and their quotients by x - 5/3 are built once as
+forms in t (:func:`at_t`).  Whether the new gap bound beats the legacy one
 is decided by the integer signs of two such constant polynomials
 (:func:`legacy_dominance_polynomials`), with no Fraction built.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .exact_poly import (
     ExactPolyError,
@@ -78,20 +78,14 @@ def at_t(form: tuple[Polynomial, ...], t) -> Polynomial:
 
     Coefficient i at t = a/b is column i of :func:`_integer_columns` at a/b,
     by the integer Horner of :func:`exact_poly._homogeneous`, over the
-    scale den * b^(len(form) - 1).  The values, their trailing zeros
-    stripped, and the scale, divided by their one gcd, are the polynomial's
-    canonical integer form, and it is born from that form: no Fraction is
-    built.
+    scale den * b^(len(form) - 1); the polynomial is made canonical from
+    those integers like any other, and no Fraction is built.
     """
     t = rat(t)
     columns, den = _integer_columns(form)
     a, b = t.numerator, t.denominator
-    values = [_homogeneous(column, a, b) for column in columns]
-    while values and not values[-1]:
-        values.pop()
-    scale = den * b ** (len(form) - 1)
-    g = gcd(*values, scale)
-    return Polynomial._from_integer_form(tuple(v // g for v in values), scale // g)
+    return Polynomial._from_integer_form([_homogeneous(column, a, b) for column in columns],
+                                         den * b ** (len(form) - 1))
 
 
 @lru_cache(maxsize=None)

@@ -480,8 +480,17 @@ def cmd_classify(data: sb.ShrinkerPinchData) -> CertificationReport:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses argv with a ``ValueError``, which :func:`main` reports as a
+    one-line usage error, where argparse would print its usage text and
+    exit; subparsers are made of this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pinchcert",
         description="certified pinching thresholds for minimal surfaces in "
                     "spheres, and the self-shrinker rigidity classifier",
@@ -520,10 +529,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    started = time.perf_counter()
     try:
+        args = _build_parser().parse_args(argv)
+        started = time.perf_counter()
         if args.subcommand == "certify":
             report = cmd_certify()
         elif args.subcommand == "optimize":

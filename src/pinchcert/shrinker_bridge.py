@@ -26,8 +26,6 @@ F = Fraction
 OSCILLATION_SPHERICAL = F(1, 220)
 #: same threshold on the shrinker scale (spherical / 4)
 OSCILLATION_SHRINKER = F(1, 880)
-#: oscillation equivalent to closing the full conjectured gap
-OSCILLATION_CONJECTURAL = F(2, 15)
 
 #: certified pinching constants on the shrinker scale (spherical / 4)
 LOWER_THRESHOLD_SHRINKER = F(683, 1600)    # 0.426875 = 1.7075 / 4
@@ -150,46 +148,6 @@ class Classification:
         }
 
 
-def spherical_to_shrinker(s_unit) -> Fraction:
-    """Unit-sphere S to the shrinker-scale traceless norm: divide by 4."""
-    s_unit = rat(s_unit)
-    if s_unit < 0:
-        raise ValueError(f"S must be nonnegative, got {s_unit}")
-    return s_unit / 4
-
-
-def shrinker_norms(a_r_sq) -> tuple[Fraction, Fraction]:
-    """Spherical |A|^2 and traceless |A_ring|^2 from the Euclidean |A_R|^2.
-
-    Both equal |A_R|^2 - 1/2: the mean curvature of a closed shrinker on the
-    radius-2 sphere has unit Euclidean norm, so the Gauss-equation shift and
-    the trace removal subtract the same 1/2.
-    """
-    a_r_sq = rat(a_r_sq)
-    if a_r_sq < F(1, 2):
-        raise ValueError(
-            f"|A_R|^2 must be >= 1/2 for a spherical shrinker, got {a_r_sq}"
-        )
-    value = a_r_sq - F(1, 2)
-    return value, value
-
-
-@dataclass(frozen=True)
-class OscillationThresholds:
-    spherical: Fraction
-    shrinker: Fraction
-    conjectural: Fraction
-
-
-def oscillation_threshold() -> OscillationThresholds:
-    """Rigidity oscillation bounds: 1/220 spherical, 1/880 shrinker, 2/15 conjectural."""
-    return OscillationThresholds(
-        spherical=OSCILLATION_SPHERICAL,
-        shrinker=OSCILLATION_SHRINKER,
-        conjectural=OSCILLATION_CONJECTURAL,
-    )
-
-
 def classify(data: ShrinkerPinchData) -> Classification:
     """Apply the rigidity case table to certified pinching bounds.
 
@@ -272,38 +230,3 @@ def classify(data: ShrinkerPinchData) -> Classification:
         applicable_cases=all_labels,
         possible_models=models,
     )
-
-
-def classify_json(payload: dict) -> dict:
-    """JSON-in / JSON-out wrapper around :func:`classify`."""
-    data = ShrinkerPinchData.from_json(payload)
-    return classify(data).to_json()
-
-
-def _snap(value: Fraction, tolerance: Fraction) -> Fraction:
-    """Nearest small-denominator rational within tolerance, else unchanged."""
-    candidate = value.limit_denominator(1024)
-    return candidate if abs(candidate - value) <= tolerance else value
-
-
-def classification_from_scan(scan, mean_curvature_nonvanishing: bool = True,
-                             normalized_H_parallel: bool = True,
-                             snap_tolerance=F(1, 10**6)) -> Classification:
-    """Classify a sampled immersion: rescale measured S to the shrinker scale.
-
-    Measured floats convert exactly to rationals (binary expansion) and are
-    then snapped to a nearby small-denominator rational within
-    ``snap_tolerance``; a measured 4/3 +- 1e-10 would otherwise straddle the
-    exact case boundary at 1/3.  Callers with certified bounds should build
-    :class:`ShrinkerPinchData` directly and skip the snapping.
-    """
-    snap_tolerance = rat(snap_tolerance)
-    s_min = _snap(F(float(min(scan.S))), 4 * snap_tolerance)
-    s_max = _snap(F(float(max(scan.S))), 4 * snap_tolerance)
-    data = ShrinkerPinchData(
-        a_circ_min=max(F(0), s_min / 4),
-        a_circ_max=max(F(0), s_max / 4),
-        mean_curvature_nonvanishing=mean_curvature_nonvanishing,
-        normalized_H_parallel=normalized_H_parallel,
-    )
-    return classify(data)

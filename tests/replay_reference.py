@@ -6,8 +6,11 @@ These are ``SignCertificate.replay`` (here the function :func:`replay`) and
 integer kernel came to prove and replay every certificate.  The only edits:
 the Sturm chain is built here, as integer tuples, once per count instead of
 being kept on the polynomial (replay always started from a fresh polynomial,
-so nothing kept was ever read), and ``_certificate`` returns a
-``SignCertificate`` built from this module's parts.  Nothing of the code
+so nothing kept was ever read); ``_certificate`` returns a
+``SignCertificate`` built from this module's parts; and :func:`replay`
+makes its fresh polynomial from the stored one's integer form, the only
+form a polynomial now holds, where it once chose between that form and
+built Fraction coefficients.  Nothing of the code
 under test runs here but ``Polynomial``'s constructors and integer form,
 ``IntervalQ``, ``SignCertificate`` as a record, ``rat``, ``rat_str`` and
 the counterexample search of a false sign claim.  Tests compare the library
@@ -183,11 +186,7 @@ def _certificate(p: Polynomial, iv: IntervalQ, claim: str | None, lo: Fraction,
 def replay(cert: SignCertificate) -> bool:
     """``cert.replay()`` as it was: rebuild at the stored points, compare verbatim."""
     evidence = cert.evidence
-    stored = cert.polynomial
-    if stored._coeffs is not None:
-        p = Polynomial(stored._coeffs)
-    else:
-        p = Polynomial._from_integer_form(*stored._ints)
+    p = Polynomial._from_integer_form(*cert.polynomial.integer_form())
     try:
         witness = rat(evidence["witness"]) if cert.claim in _SIGN_CLAIMS else None
         fresh = _certificate(p, cert.interval, cert.claim,

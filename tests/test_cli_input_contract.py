@@ -5,7 +5,9 @@ inputs, near misses (a misspelt key, a zero denominator, an exponent, a
 non-ASCII digit, a float or a bool where a rational belongs) and values of
 any JSON type.  A usage error (exit 2) is one stderr line naming the item.
 The lab's argv is drawn the same way: ``--s``, ``--samples``, ``--step``
-and ``--seed`` in and just outside their domains.  What a run may start is
+and ``--seed`` in and just outside their domains, as strings argparse
+cannot parse, and at times with an unknown flag; argparse's own refusals
+are usage errors of the same one-line shape.  What a run may start is
 bounded: grids of at most 3 entries, ``refinement_rounds`` of 0 to 2 and
 lab scans of at most 3 samples.
 """
@@ -148,15 +150,40 @@ def test_any_classify_input_exits_0_1_or_2(input_dir, data):
 LAB_ITEM_WORDS = {"s": "harmonic degree", "samples": "sample", "step": "step", "seed": "seed"}
 
 
+# strings int() refuses, so argparse refuses them for --s, --samples and --seed
+NON_INTEGERS = st.sampled_from(["abc", "1.5", "", "2e0", "0x3", "1/2"])
+UNKNOWN_FLAGS = st.sampled_from(["--bogus", "--S", "--verbose"])
+
+
+def _parses_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 @CONTRACT
-@given(s=_mostly(st.integers(1, 6), st.integers(-2, 9)),
-       samples=_mostly(st.integers(1, 3), st.integers(-2, 3)),
-       step=_mostly(st.sampled_from(["1e-3", "0.01"]), st.sampled_from(["nan", "inf", "1e-5"])),
-       seed=st.one_of(st.integers(-3, 3), st.integers(-3, 2**70)))
-def test_any_lab_argv_exits_0_1_or_2(s, samples, step, seed):
-    code, err = _run_main(["lab", "--s", str(s), "--samples", str(samples),
-                           "--step", step, "--seed", str(seed)])
+@given(s=_mostly(st.integers(1, 6), st.one_of(st.integers(-2, 9), NON_INTEGERS)),
+       samples=_mostly(st.integers(1, 3), st.one_of(st.integers(-2, 3), NON_INTEGERS)),
+       step=_mostly(st.sampled_from(["1e-3", "0.01"]),
+                    st.sampled_from(["nan", "inf", "1e-5", "abc", "1/100", ""])),
+       seed=st.one_of(st.integers(-3, 3), st.integers(-3, 2**70), NON_INTEGERS),
+       unknown=st.one_of(st.none(), st.none(), UNKNOWN_FLAGS))
+def test_any_lab_argv_exits_0_1_or_2(s, samples, step, seed, unknown):
+    argv = ["lab", "--s", str(s), "--samples", str(samples), "--step", step,
+            "--seed", str(seed)] + ([unknown] if unknown else [])
+    code, err = _run_main(argv)
     _assert_contract(code, err)
+    # what argparse itself refuses: a value int or float cannot parse, or an
+    # unknown flag; its message names the flag
+    refused = [f"argument --{item}: invalid" for item, value in
+               (("s", s), ("samples", samples), ("seed", seed)) if isinstance(value, str)]
+    refused += [] if _parses_as_float(step) else ["argument --step: invalid"]
+    refused += [f"unrecognized arguments: {unknown}"] if unknown else []
+    if refused:
+        assert code == rc.EXIT_USAGE and any(words in err for words in refused), err
+        return
     invalid = [item for item, bad in (("s", not 1 <= s <= 6), ("samples", samples < 1),
                                       ("step", not 1e-4 <= float(step) <= 1e-2),
                                       ("seed", seed < 0)) if bad]

@@ -116,7 +116,7 @@ def test_integer_chain_equals_reference_chain_with_repeated_roots(p):
 def test_integer_form_stays_out_of_equality_and_hash():
     p = Polynomial((F(1, 3), F(-2, 5), F(7, 2)))
     q = Polynomial((F(1, 3), F(-2, 5), F(7, 2)))
-    assert p(F(3, 7)) == ref.horner(p, F(3, 7))  # fills p's integer form only
+    assert p(F(3, 7)) == ref.horner(p, F(3, 7))  # read from p's integer form
     assert p.integer_form() == ((10, -12, 105), 30)
     assert p == q and hash(p) == hash(q)
     assert Polynomial(()).integer_form() == ((), 1)
@@ -125,11 +125,12 @@ def test_integer_form_stays_out_of_equality_and_hash():
 
 def test_kept_chain_matches_a_fresh_one_and_stays_out_of_equality():
     p = from_roots([F(7, 4), F(3, 2)], extra=[F(1, 2)])
-    assert p.sturm_chain() == tuple(sturm_sequence(p))
-    assert p.sturm_chain()[0] is p
-    tail, ints = p._chain
-    assert all(q is not p for q in tail)  # the kept tail: no reference cycle
-    assert ints == tuple(q.integer_form()[0] for q in p.sturm_chain())
+    kept = p._sturm()
+    assert p._chain is kept  # built once and kept
+    # only integer tuples, so the polynomial holds no reference to itself
+    assert all(type(ints) is tuple and all(type(c) is int for c in ints) for ints in kept)
+    assert kept == tuple(q.integer_form()[0] for q in sturm_sequence(p))
+    assert kept[0] == p.integer_form()[0]
     fresh = Polynomial(p.coeffs)
     assert fresh == p and hash(fresh) == hash(p)
     assert _count_evidence(p, F(1), F(2)) == _count_evidence(fresh, F(1), F(2))

@@ -266,6 +266,18 @@ def test_a_root_on_a_closed_end_is_never_certified_away():
     assert SignCertificate(p, forged.interval, CLAIM_ROOT_COUNT, cert.evidence).replay()
 
 
+def test_count_roots_counts_on_the_certificate_interval_not_the_open_one():
+    # (x - 1)(x - 1 - 10^-7) on [1, 2]: the open interval (1, 2) holds the
+    # root 1 + 10^-7, but the lower end is a root and its first nudge, to
+    # 1 + 10^-6, passes that root; the count is the one on the nudged
+    # interval, which the certificate names
+    p = poly(-1, 1) * Polynomial.linear(-1 - F(1, 10**7), 1)
+    n, cert = count_roots(p, IntervalQ(F(1), F(2)))
+    assert n == 0 and cert.claim == CLAIM_NO_ROOT
+    assert cert.interval == IntervalQ(F(1000001, 1000000), F(2))
+    assert cert.replay()
+
+
 def test_a_sign_claim_needs_its_evidence_at_the_interval_ends():
     # x is positive on [1/2, 1] but not on [0, 1]
     p = poly(0, 1)
@@ -459,14 +471,13 @@ def test_replay_rejects_an_int_field_given_as_float_or_bool():
 
 
 def test_replay_trusts_no_form_cached_on_the_stored_polynomial():
-    # replay starts from the stored coefficients, as a JSON reload does, so
-    # a corrupted cache on the builder's polynomial changes nothing
+    # replay builds its Sturm chain afresh from the stored integer form, as
+    # a JSON reload does, so a corrupted kept chain changes nothing
     p = poly(-2, 0, 1)
     _, cert = count_roots(p, IntervalQ(F(0), F(2)))
-    # the integer form and the kept Sturm chain (members and the integer
-    # tuples the variation count reads) of x^2 + 1
+    # the kept Sturm chain (the integer tuples the variation count reads)
+    # of x^2 + 1
     decoy = poly(1, 0, 1)
-    object.__setattr__(p, "_ints", decoy.integer_form())
     object.__setattr__(p, "_chain", decoy._sturm())
     assert count_roots(p, IntervalQ(F(0), F(2)))[1] != cert
     assert cert.replay()

@@ -1,10 +1,11 @@
-"""Polynomials born from their integer form agree with Fraction-built ones.
+"""Polynomials made from integers agree with Fraction-built ones.
 
-``pinching_bounds.at_t`` and the Sturm members are born from their canonical
-integer form ``(ints, den)`` and build their Fraction coefficients only when
-something reads them.  Against a polynomial built from Fractions of the same
-value, every observable must agree: ``coeffs``, ``integer_form()``, ``==``
-both ways, ``hash`` and ``to_json``.  ``rat``'s ASCII fast path must agree
+A polynomial holds only its canonical integer form ``(ints, den)``.
+``pinching_bounds.at_t`` and the Sturm members make it from integers, and
+the constructor from Fraction coefficients; both reduce through one helper.
+Against a polynomial built from Fractions of the same value, every
+observable must agree: ``coeffs``, ``integer_form()``, ``==`` both ways,
+``hash`` and ``to_json``.  ``rat``'s ASCII fast path must agree
 with ``Fraction(str)``, value or exception type, on every string.
 """
 
@@ -38,24 +39,22 @@ def all_forms():
 
 def assert_canonical(p: Polynomial) -> None:
     ints, den = p.integer_form()
+    assert type(den) is int and all(type(c) is int for c in ints)
     assert den > 0 and gcd(*ints, den) == 1
     assert not ints or ints[-1] != 0
 
 
 def assert_same_value(born: Polynomial, built: Polynomial) -> None:
-    """Every observable of an integer-born polynomial against a Fraction-built
-    one; the integer form and equality are checked before anything reads
-    ``born.coeffs``, then again after."""
-    assert born._coeffs is None  # born without Fractions
+    """Every observable of a polynomial made from integers against a
+    Fraction-built one."""
     assert born.integer_form() == built.integer_form()
     assert born.degree == built.degree and born.is_zero == built.is_zero
     assert born == built and built == born
     assert hash(born) == hash(built)
-    assert born._coeffs is None  # none of the above built a Fraction
     assert born.to_json() == built.to_json()
     assert born.coeffs == built.coeffs
-    assert born == built and built == born
     assert_canonical(born)
+    assert_canonical(built)
 
 
 T_VALUES = st.fractions(min_value=F(1, 10**9), max_value=F(1, 2), max_denominator=10**9)
@@ -84,11 +83,12 @@ def test_at_t_strips_trailing_zeros_and_reduces():
 
 
 def test_an_integer_born_polynomial_is_immutable():
+    assert "_coeffs" not in Polynomial.__slots__  # one form only
     p = pb.theta2(F(1, 4))
     with pytest.raises(AttributeError):
         p.coeffs = (F(1),)
     with pytest.raises(AttributeError):
-        p._ints = ((1,), 1)
+        p._form = ((1,), 1)
     assert p.coeffs == fraction_horner(pb.theta2_form(), F(1, 4)).coeffs
 
 

@@ -3,8 +3,8 @@
 ``exact_poly`` writes a certificate's ``value_lo``, ``value_hi`` and
 ``witness_value`` from the integer Horner value at each point, reduced,
 without building ``p(x)``; ``Polynomial.from_json`` reads coefficient
-strings straight into the canonical integer form, and ``to_json`` writes an
-integer-born polynomial from it.  Each must give exactly the strings and
+strings straight into the canonical integer form, and ``to_json`` writes
+every polynomial from that form.  Each must give exactly the strings and
 values the Fraction route gives, and ``from_json`` must accept and refuse
 exactly what ``rat`` does.
 """
@@ -37,7 +37,8 @@ polys = st.lists(big_rationals, min_size=2, max_size=7).filter(lambda cs: cs[-1]
 
 
 def _born(p: Polynomial) -> Polynomial:
-    """p born from its integer form, with no Fraction coefficients."""
+    """p made again by the integer constructor that ``from_json`` and
+    ``at_t`` use."""
     return Polynomial._from_integer_form(*p.integer_form())
 
 
@@ -82,10 +83,8 @@ def test_witness_values_are_the_fraction_values(p, ends):
 def test_json_round_trip_keeps_the_integer_form(p):
     data = p.to_json()
     back = Polynomial.from_json(data)
-    assert back._coeffs is None  # born from its integer form
     assert back == p and back.integer_form() == p.integer_form()
-    assert back.to_json() == data  # written from the integer form
-    assert back._coeffs is None
+    assert back.to_json() == data
     assert _born(p).to_json() == data
 
 
@@ -133,12 +132,9 @@ def test_a_trailing_zero_string_is_stripped():
 
 
 def test_replay_of_a_read_certificate_takes_no_kept_chain():
-    # the read polynomial has only its integer form; replay rebuilds from it,
-    # so a Sturm chain kept on the read polynomial (here that of x^2 + 1)
-    # changes nothing
+    # replay rebuilds the chain from the read polynomial's integer form, so
+    # a Sturm chain kept on it (here that of x^2 + 1) changes nothing
     _, cert = count_roots(Polynomial((-2, 0, 1)), IntervalQ(F(0), F(2)))
     read = SignCertificate.from_json(cert.to_json())
-    assert read.polynomial._coeffs is None
     object.__setattr__(read.polynomial, "_chain", Polynomial((1, 0, 1))._sturm())
     assert read.replay()
-    assert read.polynomial._coeffs is None

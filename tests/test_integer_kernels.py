@@ -101,18 +101,17 @@ def _sweep_polynomials():
 
 def test_sweep_chain_members_are_fractions_equal_to_the_reference():
     for p in _sweep_polynomials():
-        chain = p.sturm_chain()
-        assert chain == tuple(ref.sturm_sequence(p))
-        _, ints = p._chain
-        assert len(ints) == len(chain)
-        for q, q_ints in zip(chain, ints):
+        chain = ep.sturm_sequence(p)
+        assert chain == ref.sturm_sequence(p)
+        # the kept chain is the members' integer tuples
+        assert p._sturm() == tuple(q.integer_form()[0] for q in chain)
+        for q in chain:
             assert all(type(c) is Fraction for c in q.coeffs)
-            # a member built from its integers is the polynomial of its
+            # a member made from its integers is the polynomial of its
             # coefficients: same equality, hash and integer form
             fresh = Polynomial(q.coeffs)
             assert fresh == q and hash(fresh) == hash(q)
             assert q.integer_form() == fresh.integer_form()
-            assert q_ints == fresh.integer_form()[0]
 
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=60)

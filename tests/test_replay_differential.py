@@ -8,8 +8,8 @@ certificate or raise the same error, and its replay must return the same
 bool as the frozen replay, before and after one tampering: an evidence field
 dropped, added, or swapped for a float, a bool, ``None`` or another spelling
 of a rational, or an int field given as an equal float or bool; the claim
-or the interval swapped; a decoy integer form or Sturm chain kept on the
-stored polynomial; and each of these on a certificate read back from JSON
+or the interval swapped; a decoy Sturm chain kept on the stored
+polynomial; and each of these on a certificate read back from JSON
 as well.
 """
 
@@ -131,8 +131,6 @@ def tamperings(draw, cert: SignCertificate):
         interval = IntervalQ(*draw(st.sampled_from([(lo, hi) for lo, hi in ends if lo <= hi])))
     elif how == "decoy":
         decoy = Polynomial(draw(coefficients))
-        if polynomial._coeffs is not None:
-            object.__setattr__(polynomial, "_ints", decoy.integer_form())
         object.__setattr__(polynomial, "_chain", decoy._sturm())
     return SignCertificate(polynomial, interval, claim, evidence)
 

@@ -615,7 +615,29 @@ def test_failing_check_yields_exit_one(monkeypatch, capsys):
     assert "synthetic" in capsys.readouterr().err
 
 
-def test_usage_error_for_unknown_subcommand():
+def test_usage_error_for_unknown_subcommand(capsys):
+    assert rc.main(["frobnicate"]) == rc.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument subcommand: invalid choice: 'frobnicate'")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lab", "--s", "abc"], "argument --s: invalid int value: 'abc'"),
+    (["certify", "--bogus"], "unrecognized arguments: --bogus"),
+    (["optimize"], "the following arguments are required: --side"),
+])
+def test_argparse_refusals_are_one_line_usage_errors(capsys, argv, message):
+    # argparse's own refusals return 2 like every other usage error, with
+    # one stderr line and no usage text, instead of raising SystemExit
+    assert rc.main(argv) == rc.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["lab", "--help"]])
+def test_help_still_exits_zero(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        rc.main(["frobnicate"])
-    assert exc.value.code == rc.EXIT_USAGE
+        rc.main(argv)
+    assert exc.value.code == 0
+    assert "usage: pinchcert" in capsys.readouterr().out

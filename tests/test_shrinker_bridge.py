@@ -21,39 +21,8 @@ def data(lo, hi, h_nonvanishing=True, h_parallel=True):
 
 
 # ---------------------------------------------------------------------------
-# scale dictionary
+# scale constants
 # ---------------------------------------------------------------------------
-
-
-def test_spherical_to_shrinker_values():
-    assert sb.spherical_to_shrinker(F(5, 3)) == F(5, 12)
-    assert sb.spherical_to_shrinker(F(9, 5)) == F(9, 20)
-    assert sb.spherical_to_shrinker(0) == 0
-    with pytest.raises(ValueError):
-        sb.spherical_to_shrinker(F(-1, 3))
-
-
-def test_shrinker_norms_values():
-    assert sb.shrinker_norms(F(1, 2)) == (0, 0)
-    assert sb.shrinker_norms(F(5, 6)) == (F(1, 3), F(1, 3))
-    assert sb.shrinker_norms(F(19, 20)) == (F(9, 20), F(9, 20))
-    with pytest.raises(ValueError):
-        sb.shrinker_norms(F(1, 4))
-
-
-def test_round_trip_between_scales():
-    for a_r_sq in (F(1, 2), F(5, 6), F(11, 12), F(19, 20)):
-        _, a_circ = sb.shrinker_norms(a_r_sq)
-        s_unit = 4 * a_circ
-        assert sb.spherical_to_shrinker(s_unit) == a_circ
-
-
-def test_oscillation_thresholds():
-    osc = sb.oscillation_threshold()
-    assert osc.spherical == F(1, 220)
-    assert osc.shrinker == F(1, 880)
-    assert osc.conjectural == F(2, 15)
-    assert osc.shrinker * 4 == osc.spherical
 
 
 def test_threshold_scale_consistency_with_spherical_constants():
@@ -181,21 +150,8 @@ def test_hypotheses_must_be_booleans(key, value):
 
 
 # ---------------------------------------------------------------------------
-# JSON interface and scan convenience path
+# JSON interface
 # ---------------------------------------------------------------------------
-
-
-def test_classify_json_round_trip():
-    payload = {
-        "a_circ_min": "1/3",
-        "a_circ_max": "1/3",
-        "mean_curvature_nonvanishing": True,
-        "normalized_H_parallel": True,
-    }
-    out = sb.classify_json(payload)
-    assert out["verdict"] == "veronese"
-    assert out["theorem_case"] == "1b"
-    assert "Veronese" in out["model"]
 
 
 def test_pinch_data_json_round_trip():
@@ -212,19 +168,14 @@ def test_pinch_data_names_a_missing_field(key):
         sb.ShrinkerPinchData.from_json(payload)
 
 
-def test_classification_from_scan_names_the_calabi_spheres():
-    from pinchcert import calabi_lab as cl
-
-    for s, verdict in ((2, "veronese"), (3, "calabi-s3"), (4, "calabi-s4")):
-        imm = cl.build_calabi_immersion(s)
-        scan = cl.geometry_scan(imm, 30, seed=21)
-        c = sb.classification_from_scan(scan)
-        assert c.verdict == verdict, f"s={s}: {c}"
+# ---------------------------------------------------------------------------
+# certified spherical scale
+# ---------------------------------------------------------------------------
 
 
 def test_shrinker_thresholds_match_certified_spherical_scale():
     # the classifier's constants are exactly the certified spherical ones / 4
     assert sb.LOWER_THRESHOLD_SHRINKER == rat("1.7075") / 4
     assert sb.UPPER_THRESHOLD_SHRINKER == rat("1.7853") / 4
-    assert sb.spherical_to_shrinker(pb.calabi_value(3).S) == F(5, 12)
-    assert sb.spherical_to_shrinker(pb.calabi_value(4).S) == F(9, 20)
+    assert pb.calabi_value(3).S / 4 == F(5, 12)
+    assert pb.calabi_value(4).S / 4 == F(9, 20)
