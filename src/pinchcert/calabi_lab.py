@@ -3,25 +3,27 @@
 An immersion of degree s maps the unit 2-sphere into the unit sphere of
 dimension 2s through the 2s+1 real harmonics of degree s, scaled so the
 image lies on the unit sphere (the addition theorem makes the component
-sum of squares constant).  The harmonics come from one exact table per
-degree, the integer coefficients over 2^s of the derivatives d^m/dz^m P_s
-of the Legendre polynomial, built on first use; each radial factor is a
-sum of the table's same-parity entries, normalization folded in, over
-powers of z computed once.  The induced geometry is sampled numerically:
-fundamental forms by 4th-order finite differences in rotated spherical
-charts, the intrinsic curvature by the Brioschi formula, and the first
-covariant derivative of the second fundamental form by central differences
-of frame components transported through projection.
+sum of squares constant).  Harmonic m is the real or imaginary part of
+w^m R_m(z), w = x + iy, with R_m the normalized m-th derivative of the
+Legendre polynomial P_s; its coefficients come from one exact table per
+degree, the integer coefficients over 2^s of d^m/dz^m P_s, built on first
+use.
 
-Every step is array code over leading sample axes.  A scan evaluates its
-samples in blocks of SCAN_BLOCK, with three harmonic evaluations per block:
-the jet grids, the Brioschi curvature's theta- and phi-shifted complex-step
-grids stacked as one array, and the four transported grids of the covariant
-derivative.  Stencil points are built from trig on the 5-point theta and
-phi lines, not on whole 5x5 grids.  The normal frames complete {position,
-e1, e2} by ambient columns, each orthogonalized against the whole basis at
-once, twice (CGS2), in one zero-padded (n, C, C) basis array.  Contractions
-are elementwise sums or einsum, never BLAS products, so a sample's values
+The geometry is computed from exact derivatives, not sampled by finite
+differences.  Row m + 1 of the table is the z-derivative of row m, and
+w^m is holomorphic, so d/dx w^m = m w^(m-1) and d/dy w^m = i m w^(m-1);
+the chain rule through the chart's trig derivatives (Taylor composition)
+then gives the ten chart derivatives of order 0..3 of the immersion at
+each sample, its 3-jet.  Every scan field is algebra on one 10x10 Gram
+matrix of those fields: the first form, the Christoffel symbols, the Gram
+matrix of the normal parts, hence <h_ij, h_kl> in the orthonormal frame
+e1 = f_u/|f_u|, e2, the Brioschi curvature, and |grad h|^2 from
+grad h_ijk = (f_ijk)^perp - Gamma^l_ij h_lk - Gamma^l_ki h_lj - Gamma^l_kj h_il.
+No normal frame is built, and the identities hold to rounding.
+
+A scan evaluates its samples in blocks of SCAN_BLOCK, as arrays whose
+last axis runs over the block's samples.  Every sum over a small axis
+runs elementwise in index order, never through BLAS, so a sample's values
 are bit-identical whichever block it lands in; fundamental_forms and
 covariant_derivative_h run the same kernel on one point.
 
@@ -43,20 +45,17 @@ import numpy as np
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
-# 4th-order central stencils over offsets [-2, -1, 0, 1, 2]
-_OFFSETS = np.arange(-2, 3)
-_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-
-DEFAULT_FD_STEP = 1e-3
-
 #: samples per vectorized pass; fixed, so memory stays flat in the sample
 #: count and no value depends on how many samples a scan asks for
 SCAN_BLOCK = 128
 
+#: the most samples one scan takes; larger counts are refused before
+#: anything is allocated
+MAX_SAMPLES = 1_000_000
+
 
 class FrameDegeneracyError(RuntimeError):
-    """Tangent or normal frame construction lost rank."""
+    """The induced metric of a sample is singular."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,53 +78,62 @@ def _legendre_table(s: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
+# Taylor terms dw^k dz^c / (k! c!) of the harmonics about a point (w, z),
+# up to order 3
+_TYPES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
+_TYPE_K, _TYPE_C = (np.array(column) for column in zip(*_TYPES))
+
+_comb = np.frompyfunc(math.comb, 2, 1)
+
+
 @functools.lru_cache(maxsize=None)
-def _radial_terms(s: int) -> tuple[tuple[tuple[int, float], ...], ...]:
-    """Per order m = 0..s, the (power of z, float coefficient) pairs of the
-    normalized radial factor, highest power first and zero entries dropped.
+def _taylor_tables(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float tables for the Taylor coefficients of the degree-s harmonics.
 
-    The normalization sqrt(2 (s-m)!/(s+m)!) (1 for m = 0) is folded into
-    each coefficient of the exact table.
+    ``radial[c, p, m]`` is the coefficient of z^p in R_m^(c)(z) / c!, where
+    R_m is row m of the exact table over 2^s times the normalization
+    sqrt(2 (s-m)!/(s+m)!) (1 for m = 0): its c-th derivative is row m + c
+    with the same factor, zero past row s.  ``binomial[k, m]`` is C(m, k),
+    the k-th w-derivative of w^m over k! being C(m, k) w^(m-k), and
+    ``where[k, m]`` is the place of w^(m-k) in a row of powers of w led by
+    three zeros.
     """
-    terms = []
-    for m, row in enumerate(_legendre_table(s)):
+    radial = np.zeros((4, s + 1, s + 1))
+    table = _legendre_table(s)
+    for m in range(s + 1):
         norm = 1.0 if m == 0 else math.sqrt(2.0 * math.factorial(s - m) / math.factorial(s + m))
-        terms.append(tuple((power, row[power] / 2**s * norm)
-                           for power in reversed(range(len(row))) if row[power]))
-    return tuple(terms)
+        for c in range(min(3, s - m) + 1):
+            for power, coeff in enumerate(table[m + c]):
+                radial[c, power, m] = coeff / 2**s * norm / math.factorial(c)
+    k, m = np.indices((4, s + 1))
+    return radial, _comb(m, k).astype(float), m - k + 3
 
 
-def _harmonic_components(s: int, points: np.ndarray) -> np.ndarray:
-    """Normalized degree-s real harmonic vector at unit points (..., 3).
+def _taylor_coefficients(s: int, w: np.ndarray, z: np.ndarray, n_types: int) -> np.ndarray:
+    """(n_types, s+1, n) complex: d^k/dw^k d^c/dz^c (w^m R_m(z)) / (k! c!)
+    at n points (w, z), for the first n_types (k, c) of _TYPES and the
+    orders m = 0..s.  R_m is evaluated by Horner's rule."""
+    radial_table, binomial, where = _taylor_tables(s)
+    top = int(_TYPE_K[n_types - 1] + _TYPE_C[n_types - 1])
+    table = radial_table[:top + 1, :, :, None]
+    radial = table[:, s] + 0.0 * z
+    for power in range(s - 1, -1, -1):
+        radial = radial * z + table[:, power]
+    powers = np.zeros((s + 4, len(w)), dtype=complex)
+    powers[3] = 1.0
+    for power in range(1, s + 1):
+        powers[3 + power] = powers[2 + power] * w
+    w_part = binomial[:top + 1, :, None] * powers[where[:top + 1]]
+    return w_part[_TYPE_K[:n_types]] * radial[_TYPE_C[:n_types]]
 
-    Components are ordered m = -s..s.  Component +-m is the radial factor
-    d^m/dz^m P_s(z), a sum of same-parity powers of z computed once, times
-    the real or imaginary part of (x + iy)^m.  The normalization
-    sqrt((s-|m|)!/(s+|m|)!) (times sqrt(2) for m != 0) makes the squared
-    component sum identically 1, so no 4*pi factors appear anywhere.
-    """
-    x, y, z = points[..., 0], points[..., 1], points[..., 2]
-    out = np.empty(points.shape[:-1] + (2 * s + 1,), dtype=points.dtype)
-    powers = [1.0, z]
-    for _ in range(2, s + 1):
-        powers.append(powers[-1] * z)
-    term = np.empty_like(z)
-    # (x + i y)^m accumulated by recurrence: a_m + i b_m, from m = 1
-    a, b = x, y
-    for m, ((power, coeff), *rest) in enumerate(_radial_terms(s)):
-        radial = coeff * powers[power]
-        for power, coeff in rest:
-            radial += np.multiply(coeff, powers[power], out=term) if power else coeff
-        if m == 0:
-            out[..., s] = radial
-            continue
-        np.multiply(radial, a, out=out[..., s + m])
-        np.multiply(radial, b, out=out[..., s - m])
-        if m < s:
-            a_next, b_next = a * x, a * y
-            a_next -= np.multiply(b, y, out=term)
-            b_next += np.multiply(b, x, out=term)
-            a, b = a_next, b_next
+
+def _real_layout(s: int, values: np.ndarray) -> np.ndarray:
+    """Complex harmonics (..., s+1, n) of orders m = 0..s to the 2s+1 real
+    components (..., 2s+1, n) ordered m = -s..s: the real part for m >= 0,
+    the imaginary part of order |m| for m < 0."""
+    out = np.empty(values.shape[:-2] + (2 * s + 1, values.shape[-1]))
+    out[..., s:, :] = values.real
+    out[..., :s, :] = values.imag[..., :0:-1, :]
     return out
 
 
@@ -138,19 +146,27 @@ class Immersion:
     sphere_dim: int
     rotation: np.ndarray | None = None
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Ambient unit vectors at unit points of the domain sphere.
+    def _rotate(self, values: np.ndarray) -> np.ndarray:
+        """The rotation applied to components (..., C, n), summed in index
+        order per sample."""
+        if self.rotation is None:
+            return values
+        return sum(self.rotation[:, c, None] * values[..., c, None, :]
+                   for c in range(self.n_components))
 
-        Complex inputs pass through untouched so complex-step (dual-number)
-        differentiation of the chart composition works.
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """Ambient unit vectors (..., C) at unit points (..., 3) of the domain
+        sphere.
+
+        The normalization sqrt((s-|m|)!/(s+|m|)!) (times sqrt(2) for m != 0)
+        makes the squared component sum identically 1, so no 4*pi factors
+        appear anywhere.
         """
-        points = np.asarray(points)
-        if not np.iscomplexobj(points):
-            points = points.astype(float)
-        values = _harmonic_components(self.s, points)
-        if self.rotation is not None:
-            values = np.einsum("...c,dc->...d", values, self.rotation)
-        return values
+        points = np.asarray(points, dtype=float)
+        x, y, z = points.reshape(-1, 3).T
+        values = _taylor_coefficients(self.s, x + 1j * y, z, 1)[0]
+        components = self._rotate(_real_layout(self.s, values))
+        return components.T.reshape(points.shape[:-1] + (self.n_components,))
 
     def rotated(self, rotation: np.ndarray) -> "Immersion":
         """Same immersion post-composed with an ambient rotation."""
@@ -188,7 +204,7 @@ def random_rotation(dim: int, seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# charts and stencils
+# charts
 # ---------------------------------------------------------------------------
 
 
@@ -232,362 +248,249 @@ def _charted(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return charts, theta, phi
 
 
-def _stencil_points(charts, theta, phi, h: float) -> np.ndarray:
-    """Unit vectors (..., 5, 5, 3) on the 5x5 stencils around chart points.
+# ---------------------------------------------------------------------------
+# 3-jets
+# ---------------------------------------------------------------------------
 
-    Row i moves theta by offset i and column j moves phi by offset j, so
-    sin and cos are taken on the 5-point lines only and their products
-    broadcast to the grid.  A complex centre keeps its imaginary part on
-    every point of its line.
+#: the ten chart derivatives of a 3-jet as sorted tuples of directions
+#: (0 = theta = u, 1 = phi = v): f, f_u, f_v, f_uu, f_uv, f_vv, f_uuu,
+#: f_uuv, f_uvv, f_vvv
+JETS = ((), (0,), (1,), (0, 0), (0, 1), (1, 1), (0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1))
+_JET_INDEX = {jet: i for i, jet in enumerate(JETS)}
+_THETA_ORDER = np.array([jet.count(0) for jet in JETS])
+_PHI_ORDER = np.array([jet.count(1) for jet in JETS])
+# the first-order factors of the rows of order 2
+_FIRST, _SECOND = (np.array([_JET_INDEX[jet[i:i + 1]] for jet in JETS[3:6]]) for i in (0, 1))
+# for the rows of order 3 and each position p: the first-order row of
+# position p and the second-order row of the other two positions
+_SINGLE = np.array([[_JET_INDEX[jet[p:p + 1]] for p in range(3)] for jet in JETS[6:]])
+_PAIR = np.array([[_JET_INDEX[jet[:p] + jet[p + 1:]] for p in range(3)] for jet in JETS[6:]])
+
+
+def _chart_jets(charts, theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """3-jets (10, n) of w = x + iy and z along the chart maps.
+
+    The a-th derivative of sin is entry a of the cycle (sin, cos, -sin,
+    -cos, sin) and that of cos is entry a + 1, so a chart derivative of
+    sin(theta) cos(phi) is a product of two entries, and cos(theta) has
+    no phi derivative; the chart formula itself is chart_point's.
     """
-    offsets = _OFFSETS * h
-    theta_line = np.asarray(theta)[..., None] + offsets
-    phi_line = np.asarray(phi)[..., None] + offsets
-    return _chart_xyz(np.asarray(charts)[..., None, None],
-                      np.sin(theta_line)[..., :, None], np.cos(theta_line)[..., :, None],
-                      np.sin(phi_line)[..., None, :], np.cos(phi_line)[..., None, :])
+    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    theta_cycle = np.stack([st, ct, -st, -ct, st])
+    phi_cycle = np.stack([sp, cp, -sp, -cp, sp])
+    xyz = _chart_xyz(charts, theta_cycle[_THETA_ORDER],
+                     theta_cycle[_THETA_ORDER + 1] * (_PHI_ORDER == 0)[:, None],
+                     phi_cycle[_PHI_ORDER], phi_cycle[_PHI_ORDER + 1])
+    return xyz[..., 0] + 1j * xyz[..., 1], xyz[..., 2]
 
 
-def _stencil_values(imm: Immersion, charts, theta, phi, h: float) -> np.ndarray:
-    """Immersion values (..., 5, 5, C) on the stencils around chart points."""
-    return imm.evaluate(_stencil_points(charts, theta, phi, h))
+def _monomial_jets(w: np.ndarray, z: np.ndarray) -> tuple[tuple, tuple, tuple]:
+    """Per order 1, 2, 3: the 3-jets of dw^k dz^c at the rows of that order,
+    for the (k, c) of _TYPES with 1 <= k + c <= order (Faa di Bruno).
+
+    dw and dz vanish at the point, so at a row of order 2, ij, the jet of
+    dw dz is w_i z_j + z_i w_j, and at a row of order 3, ijk, each term
+    splits the positions into a single p and the pair left over, or into
+    three singles.
+    """
+    wi, wj, zi, zj = w[_FIRST], w[_SECOND], z[_FIRST], z[_SECOND]
+    order2 = (w[3:6], z[3:6], 2.0 * wi * wj, wi * zj + zi * wj, 2.0 * zi * zj)
+    w1, w2, z1, z2 = w[_SINGLE], w[_PAIR], z[_SINGLE], z[_PAIR]
+    (wa, wb, wc), (za, zb, zc) = np.moveaxis(w1, 1, 0), np.moveaxis(z1, 1, 0)
+    order3 = (w[6:], z[6:],
+              2.0 * (w1 * w2).sum(axis=1),
+              (w1 * z2 + w2 * z1).sum(axis=1),
+              2.0 * (z1 * z2).sum(axis=1),
+              6.0 * wa * wb * wc,
+              2.0 * (wa * wb * zc + wa * zb * wc + za * wb * wc),
+              2.0 * (wa * zb * zc + za * wb * zc + za * zb * wc),
+              6.0 * za * zb * zc)
+    return (w[1:3], z[1:3]), order2, order3
+
+
+def _immersion_jets(imm: Immersion, charts, theta, phi) -> np.ndarray:
+    """The ten chart derivatives (10, C, n) of the immersion at n chart points.
+
+    Taylor composition: the harmonics' 3-jet is the sum over (k, c) of their
+    Taylor coefficient at (w, z) times the 3-jet of dw^k dz^c, dw and dz
+    being the chart's w and z less their values at the point.
+    """
+    w, z = _chart_jets(charts, theta, phi)
+    coeffs = _taylor_coefficients(imm.s, w[0], z[0], len(_TYPES))
+    values = np.empty((len(JETS),) + coeffs.shape[1:], dtype=complex)
+    values[0] = coeffs[0]
+    for rows, monomials in zip((slice(1, 3), slice(3, 6), slice(6, 10)), _monomial_jets(w, z)):
+        values[rows] = sum(jet[:, None] * coeffs[t] for t, jet in enumerate(monomials, 1))
+    return imm._rotate(_real_layout(imm.s, values))
 
 
 # ---------------------------------------------------------------------------
-# array helpers: every contraction is elementwise or einsum, never a BLAS
-# product, so a sample's arithmetic does not depend on the block around it
+# geometry from the Gram matrix of a 3-jet
 # ---------------------------------------------------------------------------
+#
+# Arrays carry the sample axis last.  Every sum over a small axis runs in
+# index order, elementwise, never through BLAS, so a sample's values are
+# bit-identical whichever block it lands in.
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner products over the last axis, broadcasting the leading ones."""
-    return np.einsum("...c,...c->...", a, b)
+def _product(t: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Stacked matrix products (r, k, n) x (k, q, n) -> (r, q, n)."""
+    return sum(t[:, i, None] * m[i] for i in range(t.shape[1]))
 
 
-def _square_sum(x: np.ndarray) -> np.ndarray:
-    """Sum of squares over every axis but the first."""
-    return np.sum(x**2, axis=tuple(range(1, x.ndim)))
-
-
-def _matrix(rows) -> np.ndarray:
-    """Nested lists of equally shaped arrays to stacked (..., r, c) matrices."""
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+def _det3(m) -> np.ndarray:
+    """Determinants of 3x3 matrices given as nested rows of sample arrays."""
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
 def _require(ok: np.ndarray, what: str, s: int, first: int) -> None:
-    """Raise FrameDegeneracyError naming the first sample whose flags fail.
+    """Raise FrameDegeneracyError naming the first sample whose flag fails.
 
-    Samples run along the last axis of ``ok``; ``first`` is the scan index
-    of the block's sample 0.
+    ``first`` is the scan index of the block's sample 0.
     """
-    per_sample = ok.reshape(-1, ok.shape[-1]).all(axis=0)
-    if not per_sample.all():
-        index = first + int(np.flatnonzero(~per_sample)[0])
+    if not ok.all():
+        index = first + int(np.flatnonzero(~ok)[0])
         raise FrameDegeneracyError(f"degree {s}: {what} at sample {index}")
 
 
-# ---------------------------------------------------------------------------
-# local jets
-# ---------------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _frame_tables(order: int) -> tuple[np.ndarray, ...]:
+    """C(q, t) and the powers of a, b and c in :func:`_frame_transform`."""
+    q, t = np.indices((order + 1, order + 1))
+    return _comb(q, t).astype(float)[:, :, None], order - q, np.maximum(q - t, 0), t
 
 
-@dataclass
-class _Jet:
-    """Value and chart derivatives at the centres of 5x5 stencil grids."""
-
-    value: np.ndarray    # (..., C)
-    du: np.ndarray
-    dv: np.ndarray
-    duu: np.ndarray
-    duv: np.ndarray
-    dvv: np.ndarray
+def _frame(e, f, det_g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, c) of the orthonormal frame e1 = a d_u, e2 = b d_u + c d_v:
+    e1 = f_u / |f_u|, and e2 the unit part of f_v orthogonal to it, for the
+    first form [[e, f], [f, g]] of determinant det_g."""
+    c = np.sqrt(e / det_g)
+    return 1.0 / np.sqrt(e), -f / e * c, c
 
 
-def _along(weights: np.ndarray, lines: np.ndarray) -> np.ndarray:
-    """Stencil weights applied along axis -2 of ``lines``, summed in order.
+def _frame_transform(a, b, c, order: int) -> np.ndarray:
+    """(order+1, order+1, n): row q gives the frame component
+    e1^(order-q) e2^q of a symmetric tensor from its chart components
+    u^(order-t) v^t, where e1 = a d_u and e2 = b d_u + c d_v; it is
+    a^(order-q) C(q, t) b^(q-t) c^t for t <= q."""
+    binomial, a_power, b_power, c_power = _frame_tables(order)
+    powers = [np.stack([np.ones_like(x), x, x * x, x * x * x]) for x in (a, b, c)]
+    return binomial * powers[0][a_power] * powers[1][b_power] * powers[2][c_power]
 
-    Zero weights (D1's centre) are skipped.
+
+def _covariant_table() -> np.ndarray:
+    """(6, 4, 3, 1) counts: entry [2 ij + l, r, lk] is how often
+    Gamma^l_ij h_lk enters grad h at the third-order row r, over the
+    three ways r splits into a pair ij and a single k."""
+    out = np.zeros((3, 2, 4, 3))
+    for r, (single, pair) in enumerate(zip(_SINGLE, _PAIR)):
+        for p in range(3):
+            k = JETS[single[p]][0]
+            for l in range(2):
+                out[pair[p] - 3, l, r, _JET_INDEX[tuple(sorted((l, k)))] - 3] += 1
+    return out.reshape(6, 4, 3, 1)
+
+
+_COVARIANT = _covariant_table()
+
+#: how often each distinct frame component e1^(3-q) e2^q of the symmetric
+#: tensor grad h appears among its eight ordered components
+_ORDERINGS = np.array([1.0, 3.0, 3.0, 1.0])[:, None]
+
+#: the pair ij at row 2i + j of the 4x4 second-form Gram, as a row of the
+#: 3x3 one over (11, 12, 22)
+_PAIR_ROWS = np.array([0, 1, 1, 2])
+
+
+def _second_form_invariants(gram: np.ndarray) -> dict:
+    """Scan invariants from Gram matrices (4, 4, n) <h_ij, h_kl> of second
+    forms in an orthonormal frame, the pair ij at row 2i + j.
+
+    With a = h_11, b = h_12 and d = h_11 - h_22, the commutator of two
+    normal components of h has d_x b_y - d_y b_x off the diagonal, so
+    rho_perp = 4(|d|^2 |b|^2 - (d.b)^2); |A|^2 = sum <h_ij, h_kl>^2.
     """
-    out = weights[0] * lines[..., 0, :]
-    for k in range(1, len(weights)):
-        if weights[k]:
-            out += weights[k] * lines[..., k, :]
-    return out
+    aa, ab, ac, bb, bc, cc = gram[0, 0], gram[0, 1], gram[0, 3], gram[1, 1], gram[1, 3], gram[3, 3]
+    d_d, d_b = aa - 2.0 * ac + cc, ab - bc
+    return {
+        "S": aa + 2.0 * bb + cc,
+        "A_norm_sq": aa * aa + cc * cc + 2.0 * ac * ac + 4.0 * (ab * ab + bc * bc + bb * bb),
+        "rho_perp": 4.0 * (d_d * bb - d_b * d_b),
+        "H_norm_sq": 0.25 * (aa + 2.0 * ac + cc),
+        "K_gauss": 1.0 + ac - bb,
+        "a_dot_b": ab,
+        "a_norm_sq": aa,
+        "b_norm_sq": bb,
+    }
 
 
-def _local_jet(grid: np.ndarray, h: float) -> _Jet:
-    """Jet of values (..., 5, 5, C) sampled on a stencil of step h."""
-    u_line, v_line = grid[..., :, 2, :], grid[..., 2, :, :]
-    return _Jet(
-        value=grid[..., 2, 2, :].copy(),  # a view would keep the whole grid alive
-        du=_along(_D1, u_line) / h,
-        dv=_along(_D1, v_line) / h,
-        duu=_along(_D2, u_line) / h**2,
-        duv=_along(_D1, _along(_D1, grid)) / h**2,
-        dvv=_along(_D2, v_line) / h**2,
-    )
+def _scan_block(imm: Immersion, points: np.ndarray, first: int = 0,
+                with_derivatives: bool = True) -> dict:
+    """GeometryScan fields of the domain points (n, 3) in one vectorized pass.
 
-
-# ---------------------------------------------------------------------------
-# frames and fundamental forms
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FramedPoint:
-    """Orthonormal frames at samples of the immersed surface.
-
-    Inside the scan every field carries a leading sample axis;
-    fundamental_forms returns one point's frames with that axis dropped.
+    ``first`` is the scan index of points[0], for error messages; B1 is
+    None without ``with_derivatives``.
     """
+    charts, theta, phi = _charted(points)
+    jets = _immersion_jets(imm, charts, theta, phi)
+    gram = sum(jets[:, None, c] * jets[None, :, c] for c in range(imm.n_components))
+    e, f, g = gram[1, 1], gram[1, 2], gram[2, 2]
+    det_g = e * g - f * f
+    _require(det_g > 1e-12 * e * g, "induced metric is singular", imm.s, first)
 
-    chart: np.ndarray | int
-    chart_uv: tuple                 # (theta, phi)
-    position: np.ndarray            # (..., C) ambient unit vector
-    tangent_frame: np.ndarray       # (..., 2, C) orthonormal
-    normal_frame: np.ndarray        # (..., p, C) orthonormal, p = C - 3
-    frame_chart_coeffs: np.ndarray  # (..., 2, 2): e_i = L[i,0] d_u + L[i,1] d_v
+    # <f_I, f_u> and <f_I, f_v> for the seven fields I of order 2 and 3,
+    # and the same raised by g^-1: on the rows of order 2, Gamma^l_ij
+    low_u, low_v = gram[3:, 1], gram[3:, 2]
+    up_u, up_v = (g * low_u - f * low_v) / det_g, (e * low_v - f * low_u) / det_g
+    # the Gram matrix of their parts normal to the surface in the sphere;
+    # the position is a unit vector orthogonal to the tangent plane
+    normal = (gram[3:, 3:] - up_u[:, None] * low_u - up_v[:, None] * low_v
+              - gram[3:, :1] * gram[0, 3:])
 
+    # <h_ij, h_kl> in the orthonormal frame
+    a, b, c = _frame(e, f, det_g)
+    frame2 = _frame_transform(a, b, c, 2)
+    h_gram = _product(_product(frame2, normal[:3, :3]), np.swapaxes(frame2, 0, 1))
+    h_gram = h_gram[_PAIR_ROWS][:, _PAIR_ROWS]
+    fields = _second_form_invariants(h_gram)
+    fields["charts"] = charts
+    fields["first_form"] = np.moveaxis(gram[1:3, 1:3], -1, 0)
+    fields["A_matrix"] = np.moveaxis(h_gram, -1, 0)
 
-def _orthonormal_completion(position, e1, e2) -> tuple[np.ndarray, np.ndarray]:
-    """Complete {position, e1, e2} by fixed ambient basis columns, in order.
+    # Brioschi, with Gamma_ij,l = <f_ij, f_l> standing for the first
+    # derivatives of the metric; in -E_vv/2 + F_uv - G_uu/2 =
+    # <f_uu, f_vv> - <f_uv, f_uv> the third-order terms cancel
+    (uu_u, uv_u, vv_u), (uu_v, uv_v, vv_v) = low_u[:3], low_v[:3]
+    m1 = ((gram[3, 5] - gram[4, 4], uu_u, uu_v), (vv_u, e, f), (vv_v, f, g))
+    m2 = ((0.0, uv_u, uv_v), (uv_u, e, f), (uv_v, f, g))
+    fields["K_induced"] = (_det3(m1) - _det3(m2)) / det_g**2
 
-    Each column is orthogonalized against the whole current basis at once,
-    twice (classical Gram-Schmidt run twice, CGS2); it joins the normals
-    when its residual norm exceeds 1e-4, until p = C - 3 have joined.  The
-    basis lives in one (n, C, C) array whose unfilled slots are zero, and
-    every contraction runs over all C slots, so each sample sees the
-    arithmetic it would see alone.  Returns the normals (n, p, C) and
-    whether each sample reached full rank.
-    """
-    n, dim = position.shape
-    p = dim - 3
-    basis = np.zeros((n, dim, dim))
-    basis[:, 0], basis[:, 1], basis[:, 2] = position, e1, e2
-    count = np.zeros(n, dtype=int)
-    for idx in range(dim):
-        if np.all(count == p):
-            break
-        # first pass on the unit column: its coefficients are the basis' entries
-        v = -np.einsum("nk,nkc->nc", basis[:, :, idx], basis)
-        v[:, idx] += 1.0
-        v -= np.einsum("nk,nkc->nc", np.einsum("nkc,nc->nk", basis, v), basis)
-        norm = np.sqrt(_dot(v, v))
-        take = np.flatnonzero((norm > 1e-4) & (count < p))
-        basis[take, 3 + count[take]] = v[take] / norm[take, None]
-        count[take] += 1
-    return basis[:, 3:], count == p
-
-
-def _second_form(jet: _Jet, coeffs: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Components (..., p, 2, 2) in the frame t_i = coeffs[i, a] d_a.
-
-    The ambient second derivatives are corrected for the sphere (component
-    along the position removed) and projected onto the normals, which also
-    discards the tangential Christoffel part.
-    """
-    pos = jet.value
-    d_uu, d_uv, d_vv = (d - _dot(d, pos)[..., None] * pos
-                        for d in (jet.duu, jet.duv, jet.dvv))
-    hess = ((d_uu, d_uv), (d_uv, d_vv))
-    ambient = {}
-    for i, j in ((0, 0), (0, 1), (1, 1)):
-        t00, t01, t10, t11 = (
-            (coeffs[..., i, a] * coeffs[..., j, b])[..., None] * hess[a][b]
-            for a in range(2) for b in range(2)
-        )
-        ambient[i, j] = t00 + t01 + t10 + t11
-        if (i, j) == (0, 1):
-            # (1, 0)'s term ab is (0, 1)'s term ba, bit for bit, since hess
-            # is symmetric; sum them in (1, 0)'s own order a, b
-            ambient[1, 0] = t00 + t10 + t01 + t11
-    return _matrix([[np.einsum("...pc,...c->...p", normals, ambient[i, j]) for j in range(2)]
-                    for i in range(2)])
+    fields["B1"] = None
+    if with_derivatives:
+        # grad h_ijk = (f_ijk)^perp - Gamma^l_ij h_lk - Gamma^l_ki h_lj
+        # - Gamma^l_kj h_il at the four rows of order 3, as combinations of
+        # the seven normal parts, then in the frame
+        christoffel = np.stack([up_u[:3], up_v[:3]], axis=1).reshape(6, -1)
+        covariant = -sum(_COVARIANT[p] * christoffel[p] for p in range(6))
+        frame3 = _frame_transform(a, b, c, 3)
+        rows = np.concatenate([_product(frame3, covariant), frame3], axis=1)
+        fields["B1"] = (_ORDERINGS * (_product(rows, normal) * rows).sum(axis=1)).sum(axis=0)
+    return fields
 
 
-def _frames_and_forms(imm: Immersion, charts, theta, phi, step: float, first: int):
-    """First forms (n, 2, 2), second forms (n, p, 2, 2) and frames of a block."""
-    jet = _local_jet(_stencil_values(imm, charts, theta, phi, step), step)
-    e_, f_, g_ = _dot(jet.du, jet.du), _dot(jet.du, jet.dv), _dot(jet.dv, jet.dv)
-    first_form = _matrix([[e_, f_], [f_, g_]])
-    nu = np.sqrt(e_)
-    _require(nu >= 1e-8, "vanishing first chart derivative", imm.s, first)
-    e1 = jet.du / nu[:, None]
-    along_e1 = _dot(jet.dv, e1)
-    v2 = jet.dv - along_e1[:, None] * e1
-    nv = np.sqrt(_dot(v2, v2))
-    _require(nv >= 1e-8, "tangent frame is rank deficient", imm.s, first)
-    e2 = v2 / nv[:, None]
-    # e1 = (1/nu) d_u ; e2 = (d_v - <d_v, e1> e1)/nv
-    coeffs = _matrix([[1.0 / nu, np.zeros_like(nu)],
-                      [-along_e1 / (nv * nu), 1.0 / nv]])
-
-    normals, full_rank = _orthonormal_completion(jet.value, e1, e2)
-    _require(full_rank, "normal completion lost rank", imm.s, first)
-    frames = FramedPoint(
-        chart=charts,
-        chart_uv=(theta, phi),
-        position=jet.value,
-        tangent_frame=np.stack([e1, e2], axis=-2),
-        normal_frame=normals,
-        frame_chart_coeffs=coeffs,
-    )
-    return first_form, _second_form(jet, coeffs, normals), frames
+def fundamental_forms(imm: Immersion, point) -> tuple[np.ndarray, np.ndarray]:
+    """First form (2, 2) in chart coordinates and the Gram matrix (4, 4)
+    <h_ij, h_kl> of the second form in the orthonormal frame, pair ij at
+    row 2i + j, at a domain point: the scan's kernel run on one point."""
+    fields = _scan_block(imm, np.asarray(point, dtype=float)[None], with_derivatives=False)
+    return fields["first_form"][0], fields["A_matrix"][0]
 
 
-def fundamental_forms(imm: Immersion, point, step: float = DEFAULT_FD_STEP):
-    """First and second fundamental forms at a domain point.
-
-    Returns (first_form 2x2 in chart coordinates, h of shape (p, 2, 2) in the
-    orthonormal frames, FramedPoint): the scan's kernel run on one point.
-    """
-    points = np.asarray(point, dtype=float)[None]
-    first_form, h, frames = _frames_and_forms(imm, *_charted(points), step, 0)
-    theta, phi = frames.chart_uv
-    framed = FramedPoint(
-        chart=int(frames.chart[0]),
-        chart_uv=(float(theta[0]), float(phi[0])),
-        position=frames.position[0],
-        tangent_frame=frames.tangent_frame[0],
-        normal_frame=frames.normal_frame[0],
-        frame_chart_coeffs=frames.frame_chart_coeffs[0],
-    )
-    return first_form[0], h[0], framed
-
-
-def _first_derivatives_complex_step(imm: Immersion, charts, theta, phi,
-                                    h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Chart first derivatives (..., 5, 5, C) on the stencils, by complex step.
-
-    The chart map and the harmonic polynomials are entire, so
-    Im f(x + i*eps)/eps recovers the derivative to machine precision with no
-    subtractive cancellation; this keeps the eventual second differences of
-    the metric coefficients clean.  The theta- and phi-shifted stencil points
-    go through one harmonic evaluation, stacked on a new leading axis.
-    """
-    eps = 1e-150
-    shifted = np.stack([_stencil_points(charts, theta + 1j * eps, phi, h),
-                        _stencil_points(charts, theta, phi + 1j * eps, h)])
-    du, dv = imm.evaluate(shifted).imag / eps
-    return du, dv
-
-
-def _brioschi_curvature(imm: Immersion, charts, theta, phi, h: float) -> np.ndarray:
-    """Intrinsic Gaussian curvature from first-form derivatives only.
-
-    Metric coefficients on a local 5x5 grid come from complex-step first
-    derivatives (pointwise exact), their own derivatives from 4th-order real
-    stencils; only one level of cancellation remains.
-    """
-    du, dv = _first_derivatives_complex_step(imm, charts, theta, phi, h)
-    metric = _local_jet(np.stack([_dot(du, du), _dot(du, dv), _dot(dv, dv)], axis=-1), h)
-    e0, f0, g0 = np.moveaxis(metric.value, -1, 0)
-    e_u, f_u, g_u = np.moveaxis(metric.du, -1, 0)
-    e_v, f_v, g_v = np.moveaxis(metric.dv, -1, 0)
-    e_vv, f_uv, g_uu = metric.dvv[..., 0], metric.duv[..., 1], metric.duu[..., 2]
-    m1 = _matrix([
-        [-0.5 * e_vv + f_uv - 0.5 * g_uu, 0.5 * e_u, f_u - 0.5 * e_v],
-        [f_v - 0.5 * g_u, e0, f0],
-        [0.5 * g_v, f0, g0],
-    ])
-    m2 = _matrix([
-        [np.zeros_like(e0), 0.5 * e_v, 0.5 * g_u],
-        [0.5 * e_v, e0, f0],
-        [0.5 * g_u, f0, g0],
-    ])
-    det_g = e0 * g0 - f0 * f0
-    return (np.linalg.det(m1) - np.linalg.det(m2)) / det_g**2
-
-
-# ---------------------------------------------------------------------------
-# covariant derivative of h
-# ---------------------------------------------------------------------------
-
-
-def _transported_h(imm: Immersion, frames: FramedPoint, theta, phi,
-                   h_fd: float, first: int) -> np.ndarray:
-    """Second-form components at chart points (theta, phi) in transported frames.
-
-    The base frames are projected onto the tangent/normal spaces of the
-    nearby points and re-orthonormalized in the recorded order; this
-    approximates parallel transport to second order, which the symmetric
-    central difference then cancels to first order overall.  ``theta`` and
-    ``phi`` may carry extra leading axes in front of the frames' sample axis.
-    """
-    jet = _local_jet(_stencil_values(imm, frames.chart, theta, phi, h_fd), h_fd)
-    position = jet.value
-    e_, f_, g_ = _dot(jet.du, jet.du), _dot(jet.du, jet.dv), _dot(jet.dv, jet.dv)
-    gram_inv = np.linalg.inv(_matrix([[e_, f_], [f_, g_]]))
-
-    def chart_components(v):
-        """c with c[0] d_u + c[1] d_v the tangent projection of v."""
-        g_u, g_v = _dot(jet.du, v), _dot(jet.dv, v)
-        return [gram_inv[..., a, 0] * g_u + gram_inv[..., a, 1] * g_v for a in range(2)]
-
-    def project_tangent(v):
-        c_u, c_v = chart_components(v)
-        return c_u[..., None] * jet.du + c_v[..., None] * jet.dv
-
-    def orthonormalized(vectors, what):
-        out = []
-        for v in vectors:
-            for t in out:
-                v = v - _dot(v, t)[..., None] * t
-            norm = np.sqrt(_dot(v, v))
-            _require(norm >= 1e-8, what, imm.s, first)
-            out.append(v / norm[..., None])
-        return out
-
-    tangents = orthonormalized(
-        [project_tangent(e) for e in np.moveaxis(frames.tangent_frame, -2, 0)],
-        "transported tangent frame degenerated",
-    )
-    normals = orthonormalized(
-        [n - _dot(n, position)[..., None] * position - project_tangent(n)
-         for n in np.moveaxis(frames.normal_frame, -2, 0)],
-        "transported normal frame degenerated",
-    )
-    # with no normals (s = 1) the base frame's empty array broadcasts
-    normals = np.stack(normals, axis=-2) if normals else frames.normal_frame
-    # chart components of the transported tangents: t_i = c[i, a] d_a
-    coeffs = _matrix([chart_components(t) for t in tangents])
-    return _second_form(jet, coeffs, normals)
-
-
-def _check_deriv_step(step: float) -> None:
-    if not 1e-4 <= step <= 1e-2:
-        raise ValueError(f"step must lie in [1e-4, 1e-2], got {step}")
-
-
-def _covariant_h(imm: Immersion, frames: FramedPoint, step: float,
-                 fd_step: float, first: int) -> np.ndarray:
-    """h_ijk (n, p, 2, 2, 2) indexed [sample, alpha, i, j, k].
-
-    Central differences of the second-form components along each tangent
-    direction; the four shifted stencils share one harmonic evaluation.
-    """
-    center = np.stack(frames.chart_uv, axis=-1)          # (n, 2)
-    delta = step * frames.frame_chart_coeffs             # row k: shift along e_k
-    shifted = np.stack([center + delta[:, 0], center - delta[:, 0],
-                        center + delta[:, 1], center - delta[:, 1]])
-    h_t = _transported_h(imm, frames, shifted[..., 0], shifted[..., 1], fd_step, first)
-    return np.stack([h_t[0] - h_t[1], h_t[2] - h_t[3]], axis=-1) / (2.0 * step)
-
-
-def covariant_derivative_h(imm: Immersion, point, step: float = 1e-3,
-                           fd_step: float = DEFAULT_FD_STEP):
-    """First covariant derivative components h_{ijk} and their squared norm.
-
-    Central differences of the second-form components along each tangent
-    direction, evaluated in projection-transported frames: the scan's
-    kernel run on one point.  Returns (h_ijk array of shape (p, 2, 2, 2)
-    indexed [alpha, i, j, k], B1).
-    """
-    _check_deriv_step(step)
-    points = np.asarray(point, dtype=float)[None]
-    _, _, frames = _frames_and_forms(imm, *_charted(points), fd_step, 0)
-    h_ijk = _covariant_h(imm, frames, step, fd_step, 0)
-    return h_ijk[0], float(_square_sum(h_ijk)[0])
+def covariant_derivative_h(imm: Immersion, point) -> float:
+    """B1 = |grad h|^2 at a domain point: the scan's kernel run on one point."""
+    return float(_scan_block(imm, np.asarray(point, dtype=float)[None])["B1"][0])
 
 
 # ---------------------------------------------------------------------------
@@ -612,12 +515,11 @@ class GeometryScan:
 
     s: int
     seed: int
-    fd_step: float
-    deriv_step: float | None
     sample_points: np.ndarray      # (n, 3)
     charts: np.ndarray             # (n,)
+    first_form: np.ndarray         # (n, 2, 2) in chart coordinates
     S: np.ndarray                  # (n,)
-    A_matrix: np.ndarray           # (n, p, p)
+    A_matrix: np.ndarray           # (n, 4, 4) <h_ij, h_kl> in the frame, ij at 2i + j
     A_norm_sq: np.ndarray          # (n,) Frobenius norm squared of A
     rho_perp: np.ndarray           # (n,)
     H_norm_sq: np.ndarray          # (n,)
@@ -676,8 +578,6 @@ class GeometryScan:
             "s": self.s,
             "seed": self.seed,
             "n_samples": self.n_samples,
-            "fd_step": repr(self.fd_step),
-            "deriv_step": repr(self.deriv_step) if self.deriv_step else None,
             "S": stats(self.S),
             "rho_perp": stats(self.rho_perp),
             "H_norm_sq": stats(self.H_norm_sq),
@@ -692,75 +592,31 @@ class GeometryScan:
         return json.dumps(self.summary(), sort_keys=True)
 
 
-def _second_form_invariants(h: np.ndarray) -> dict:
-    """Per-sample scan invariants of second forms h (n, p, 2, 2)."""
-    a_mat = np.einsum("naij,nbij->nab", h, h)
-    # prod[n, a, b, i, k] = sum_j h[n, a, i, j] h[n, b, j, k], by broadcasting
-    h_a, h_b = h[:, :, None], h[:, None]
-    prod = h_a[..., :, :1] * h_b[..., :1, :] + h_a[..., :, 1:] * h_b[..., 1:, :]
-    a_vec, b_vec = h[:, :, 0, 0], h[:, :, 0, 1]
-    return {
-        "S": _square_sum(h),
-        "A_matrix": a_mat,
-        "A_norm_sq": _square_sum(a_mat),
-        "rho_perp": _square_sum(prod - prod.swapaxes(1, 2)),  # [h_a, h_b]
-        "H_norm_sq": _square_sum(0.5 * (h[:, :, 0, 0] + h[:, :, 1, 1])),
-        "K_gauss": 1.0 + np.sum(h[:, :, 0, 0] * h[:, :, 1, 1] - h[:, :, 0, 1] ** 2, axis=-1),
-        "a_dot_b": _dot(a_vec, b_vec),
-        "a_norm_sq": _dot(a_vec, a_vec),
-        "b_norm_sq": _dot(b_vec, b_vec),
-    }
-
-
-def _scan_block(imm: Immersion, points: np.ndarray, fd_step: float,
-                deriv_step: float | None, first: int) -> dict:
-    """GeometryScan fields of the domain points (n, 3) in one vectorized pass.
-
-    ``first`` is the scan index of points[0], for error messages; B1 is
-    None when ``deriv_step`` is None.
-    """
-    charts, theta, phi = _charted(points)
-    _, h, frames = _frames_and_forms(imm, charts, theta, phi, fd_step, first)
-    fields = _second_form_invariants(h)
-    fields["charts"] = charts
-    fields["K_induced"] = _brioschi_curvature(imm, charts, theta, phi, fd_step)
-    fields["B1"] = None
-    if deriv_step is not None:
-        fields["B1"] = _square_sum(_covariant_h(imm, frames, deriv_step, fd_step, first))
-    return fields
-
-
 def geometry_scan(imm: Immersion, n_samples: int, seed: int,
-                  fd_step: float = DEFAULT_FD_STEP,
-                  with_derivatives: bool = False,
-                  deriv_step: float = 1e-3) -> GeometryScan:
-    """Sample S, A, rho_perp, |H|^2 and K at seeded low-discrepancy points.
+                  with_derivatives: bool = False) -> GeometryScan:
+    """Sample S, A, rho_perp, |H|^2, K and optionally B1 at seeded
+    low-discrepancy points.
 
-    Deterministic in the seed, a non-negative integer.  Samples go through
-    the kernel in blocks of SCAN_BLOCK, and each sample's values equal those
-    of a scan of that point alone.  A degenerate sample raises
-    FrameDegeneracyError naming the degree and the first failing sample
-    index.
+    Deterministic in the seed, a non-negative integer; the sample count
+    lies in 1..MAX_SAMPLES.  Samples go through the kernel in blocks of
+    SCAN_BLOCK, and each sample's values equal those of a scan of that
+    point alone.  A degenerate sample raises FrameDegeneracyError naming
+    the degree and the first failing sample index.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    if not 1 <= n_samples <= MAX_SAMPLES:
+        raise ValueError(f"sample count must lie in 1..{MAX_SAMPLES}, got {n_samples}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if with_derivatives:
-        _check_deriv_step(deriv_step)
-    else:
-        deriv_step = None
     points = fibonacci_sphere_points(n_samples, seed)
     blocks = [
-        _scan_block(imm, points[i:i + SCAN_BLOCK], fd_step, deriv_step, i)
+        _scan_block(imm, points[i:i + SCAN_BLOCK], i, with_derivatives)
         for i in range(0, n_samples, SCAN_BLOCK)
     ]
     fields = {
         name: None if value is None else np.concatenate([b[name] for b in blocks])
         for name, value in blocks[0].items()
     }
-    return GeometryScan(s=imm.s, seed=seed, fd_step=fd_step, deriv_step=deriv_step,
-                        sample_points=points, **fields)
+    return GeometryScan(s=imm.s, seed=seed, sample_points=points, **fields)
 
 
 # ---------------------------------------------------------------------------

@@ -425,16 +425,21 @@ def cmd_optimize(side: str, config: ps.SweepConfig) -> CertificationReport:
 # ---------------------------------------------------------------------------
 
 
-def cmd_lab(s: int, n_samples: int, seed: int, step: float,
+def cmd_lab(s: int, n_samples: int, seed: int, step: float | None = None,
             csv_path: str | None = None) -> CertificationReport:
+    """Scan the degree-s immersion at n_samples seeded points, with |grad h|^2,
+    and check the identities.
+
+    ``step`` is unused: the lab differentiates exactly and takes no step.
+    It stays the fourth positional parameter because the benchmark
+    harness passes one there.
+    """
     report = CertificationReport(
         command=f"lab --s {s}",
-        inputs={"s": s, "samples": n_samples, "seed": seed, "step": repr(step)},
+        inputs={"s": s, "samples": n_samples, "seed": seed},
     )
     imm = cl.build_calabi_immersion(s)
-    scan = cl.geometry_scan(
-        imm, n_samples, seed, with_derivatives=True, deriv_step=step
-    )
+    scan = cl.geometry_scan(imm, n_samples, seed, with_derivatives=True)
     identity_report = cl.verify_identities(scan)
     report.scans.append(
         {
@@ -507,10 +512,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_lab = sub.add_parser("lab", help="sample a harmonic immersion and verify identities")
     p_lab.add_argument("--s", type=int, required=True, help="harmonic degree (1..6)")
-    p_lab.add_argument("--samples", type=int, default=500)
+    p_lab.add_argument("--samples", type=int, default=500,
+                       help=f"sample count (1..{cl.MAX_SAMPLES})")
     p_lab.add_argument("--seed", type=int, default=0)
-    p_lab.add_argument("--step", type=float, default=1e-3,
-                       help="covariant-derivative step in [1e-4, 1e-2]")
     p_lab.add_argument("--csv", metavar="PATH", default=None,
                        help="write the per-sample scan table here")
 
@@ -538,8 +542,7 @@ def main(argv: list[str] | None = None) -> int:
             config = _load_config(args.side, args.config)
             report = cmd_optimize(args.side, config)
         elif args.subcommand == "lab":
-            report = cmd_lab(args.s, args.samples, args.seed, args.step,
-                             csv_path=args.csv)
+            report = cmd_lab(args.s, args.samples, args.seed, csv_path=args.csv)
         elif args.subcommand == "classify":
             if args.input is not None:
                 for flag, value, key in (

@@ -5,9 +5,10 @@ second forms and scan loop exactly as they were before the lab evaluated
 whole blocks of samples at once, and the harmonics by the upward Legendre
 recursion in the degree, run afresh for each order, as they were before
 the lab evaluated them from an exact coefficient table.  Tests compare the
-batched ``calabi_lab.geometry_scan`` with ``reference_scan`` under
-tolerances fixed from finite-difference round-off; nothing in ``src``
-imports this.
+``calabi_lab.geometry_scan``, which computes the same fields from exact
+3-jets, with ``reference_scan`` under tolerances that cover this
+reference's finite-difference truncation and round-off; nothing in
+``src`` imports this.
 """
 
 from __future__ import annotations
@@ -420,16 +421,14 @@ def reference_scan(imm: Immersion, n_samples: int, seed: int,
     if n_samples < 1:
         raise ValueError("need at least one sample")
     points = fibonacci_sphere_points(n_samples, seed)
-    p = imm.n_components - 3
     scan = GeometryScan(
         s=imm.s,
         seed=seed,
-        fd_step=fd_step,
-        deriv_step=deriv_step if with_derivatives else None,
         sample_points=points,
         charts=np.zeros(n_samples, dtype=int),
+        first_form=np.zeros((n_samples, 2, 2)),
         S=np.zeros(n_samples),
-        A_matrix=np.zeros((n_samples, p, p)),
+        A_matrix=np.zeros((n_samples, 4, 4)),
         A_norm_sq=np.zeros(n_samples),
         rho_perp=np.zeros(n_samples),
         H_norm_sq=np.zeros(n_samples),
@@ -443,11 +442,13 @@ def reference_scan(imm: Immersion, n_samples: int, seed: int,
 
     def work(i: int) -> None:
         point = points[i]
-        _, h, framed = fundamental_forms(imm, point, fd_step)
+        first_form, h, framed = fundamental_forms(imm, point, fd_step)
         scan.charts[i] = framed.chart
+        scan.first_form[i] = first_form
         scan.S[i] = np.sum(h**2)
+        # the Gram matrix <h_ij, h_kl> of the second form, pair ij at 2i + j
+        scan.A_matrix[i] = np.einsum("aij,akl->ijkl", h, h).reshape(4, 4)
         a_mat = np.einsum("aij,bij->ab", h, h)
-        scan.A_matrix[i] = a_mat
         scan.A_norm_sq[i] = np.sum(a_mat**2)
         rho = 0.0
         for alpha in range(h.shape[0]):

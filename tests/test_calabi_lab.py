@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import lab_reference
 from pinchcert import calabi_lab as cl
+from pinchcert.pinching_bounds import calabi_value
 
 
 def unit(v):
@@ -55,8 +56,8 @@ def test_veronese_maps_into_the_four_sphere():
     imm = cl.build_calabi_immersion(2)
     assert imm.n_components == 5
     assert imm.sphere_dim == 4
-    _, h, _ = cl.fundamental_forms(imm, SAMPLE_POINT)
-    assert abs(np.sum(h**2) - 4.0 / 3.0) < 1e-8
+    _, gram = cl.fundamental_forms(imm, SAMPLE_POINT)
+    assert abs(np.trace(gram) - 4.0 / 3.0) < 1e-12
 
 
 def _poly_mul(p, q):
@@ -92,44 +93,23 @@ def test_table_harmonics_match_the_frozen_recursion():
     # the poles and the equator, where the radial sums cancel most, and
     # seeded points, through the plain and a rotated immersion
     pts = np.vstack([np.eye(3), -np.eye(3), cl.fibonacci_sphere_points(300, seed=30)])
-    directions = np.random.default_rng(31).standard_normal(pts.shape)
-    directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
+    charts, theta, phi = cl._charted(pts)
     eps = 1e-150
-    stepped = pts + 1j * eps * directions
     for s in range(1, 7):
         for imm in (cl.build_calabi_immersion(s),
                     cl.build_calabi_immersion(s).rotated(cl.random_rotation(2 * s + 1, seed=s))):
             assert np.max(np.abs(imm.evaluate(pts) - lab_reference.evaluate(imm, pts))) <= 1e-14
-            got, want = imm.evaluate(stepped), lab_reference.evaluate(imm, stepped)
-            assert np.max(np.abs(got.real - want.real)) <= 1e-14
-            # directional derivatives reach ~19 at s = 6; the monomial sums
-            # round to ~1e-15 of that scale, the bound is ten times wider
-            d_got, d_want = got.imag / eps, want.imag / eps
-            scale = max(1.0, np.max(np.abs(d_want)))
-            assert np.max(np.abs(d_got - d_want)) <= 1e-14 * scale, s
-
-
-def test_completion_skips_a_column_in_one_samples_span_only():
-    # ambient column 0 lies in span{position, e1, e2} for sample 0 only, so
-    # sample 0 fills its normal slots one column behind sample 1
-    dim = 9
-    rng = np.random.default_rng(33)
-
-    def frame(first):
-        q, _ = np.linalg.qr(np.column_stack([first, rng.standard_normal((dim, 2))]))
-        mix, _ = np.linalg.qr(rng.standard_normal((3, 3)))  # no row is column 0 itself
-        return (q @ mix).T
-
-    position, e1, e2 = np.stack([frame(np.eye(dim)[0]), frame(rng.standard_normal(dim))],
-                                axis=1)
-    normals, full_rank = cl._orthonormal_completion(position, e1, e2)
-    assert normals.shape == (2, dim - 3, dim) and full_rank.all()
-    for i in range(2):
-        ref, columns = lab_reference._orthonormal_completion(position[i], e1[i], e2[i], dim)
-        assert (0 in columns) == (i == 1)
-        assert np.max(np.abs(normals[i] - ref)) <= 1e-13
-        alone, _ = cl._orthonormal_completion(position[i:i + 1], e1[i:i + 1], e2[i:i + 1])
-        assert np.array_equal(normals[i], alone[0])
+            # the kernel's value and first chart derivatives against complex
+            # steps of the frozen harmonics through the chart map
+            jets = cl._immersion_jets(imm, charts, theta, phi)
+            assert np.max(np.abs(jets[0].T - lab_reference.evaluate(imm, pts))) <= 1e-14
+            for row, (d_theta, d_phi) in ((1, (eps, 0.0)), (2, (0.0, eps))):
+                stepped = cl.chart_point(charts, theta + 1j * d_theta, phi + 1j * d_phi)
+                want = lab_reference.evaluate(imm, stepped).imag / eps
+                # chart derivatives reach ~19 at s = 6; the sums round to
+                # ~1e-15 of that scale, the bound is ten times wider
+                scale = max(1.0, np.max(np.abs(want)))
+                assert np.max(np.abs(jets[row].T - want)) <= 1e-14 * scale, (s, row)
 
 
 # ---------------------------------------------------------------------------
@@ -139,21 +119,21 @@ def test_completion_skips_a_column_in_one_samples_span_only():
 
 def test_degree_one_is_totally_geodesic():
     imm = cl.build_calabi_immersion(1)
-    _, h, framed = cl.fundamental_forms(imm, SAMPLE_POINT)
-    assert h.shape == (0, 2, 2)
-    assert framed.normal_frame.shape == (0, 3)
+    _, gram = cl.fundamental_forms(imm, SAMPLE_POINT)
+    assert gram.shape == (4, 4)
+    assert np.max(np.abs(gram)) < 1e-14
 
 
 def test_first_form_is_scaled_round_metric_at_degree_three():
     imm = cl.build_calabi_immersion(3)
-    first, _, framed = cl.fundamental_forms(imm, SAMPLE_POINT)
-    theta = framed.chart_uv[0]
+    first, _ = cl.fundamental_forms(imm, SAMPLE_POINT)
+    theta, _ = cl.chart_coords(cl.chart_for_point(SAMPLE_POINT), SAMPLE_POINT)
     expected = 6.0 * np.diag([1.0, math.sin(theta) ** 2])
-    assert np.max(np.abs(first - expected)) < 1e-8
+    assert np.max(np.abs(first - expected)) < 1e-12
     # seven components into the 6-sphere with induced curvature 1/6
     assert imm.n_components == 7 and imm.sphere_dim == 6
-    k = cl._brioschi_curvature(imm, framed.chart, *framed.chart_uv, 1e-3)
-    assert abs(k - 1.0 / 6.0) < 1e-7
+    k = cl._scan_block(imm, SAMPLE_POINT[None])["K_induced"][0]
+    assert abs(k - 1.0 / 6.0) < 1e-12
 
 
 def test_gram_matrix_is_symmetric_positive_semidefinite():
@@ -165,20 +145,30 @@ def test_gram_matrix_is_symmetric_positive_semidefinite():
 
 
 def test_frames_are_orthonormal():
+    # the frame e1 = a d_u, e2 = b d_u + c d_v, as the first-order frame
+    # transform L, makes the first form the identity: L g L^T = 1; the
+    # second-order transform is L's symmetric square
     imm = cl.build_calabi_immersion(4)
     for seed in (3, 4):
         for pt in cl.fibonacci_sphere_points(10, seed=seed):
-            _, _, fr = cl.fundamental_forms(imm, pt)
-            vectors = np.vstack([fr.position[None, :], fr.tangent_frame, fr.normal_frame])
-            gram = vectors @ vectors.T
-            assert np.max(np.abs(gram - np.eye(len(vectors)))) < 1e-10
+            first, _ = cl.fundamental_forms(imm, pt)
+            (e, f), (_, g) = first
+            abc = [np.array([x]) for x in cl._frame(e, f, e * g - f * f)]
+            frame = cl._frame_transform(*abc, 1)[..., 0]
+            assert np.max(np.abs(frame @ first @ frame.T - np.eye(2))) < 1e-12
+            # rows 11, 12, 22 over the chart columns uu, uv, vv
+            square = np.array([[frame[p, 0] * frame[q, 0],
+                                frame[p, 0] * frame[q, 1] + frame[p, 1] * frame[q, 0],
+                                frame[p, 1] * frame[q, 1]] for p, q in ((0, 0), (0, 1), (1, 1))])
+            assert np.max(np.abs(cl._frame_transform(*abc, 2)[..., 0] - square)) < 1e-15
 
 
 def test_second_form_symmetric_and_trace_free():
     imm = cl.build_calabi_immersion(3)
-    _, h, _ = cl.fundamental_forms(imm, SAMPLE_POINT)
-    assert np.max(np.abs(h[:, 0, 1] - h[:, 1, 0])) < 1e-9
-    assert np.max(np.abs(h[:, 0, 0] + h[:, 1, 1])) < 1e-7
+    _, gram = cl.fundamental_forms(imm, SAMPLE_POINT)
+    # h_12 and h_21 have the same inner products; |h_11 + h_22|^2 vanishes
+    assert np.array_equal(gram[1], gram[2]) and np.array_equal(gram[:, 1], gram[:, 2])
+    assert abs(gram[0, 0] + 2.0 * gram[0, 3] + gram[3, 3]) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -264,38 +254,21 @@ def test_verify_identities_flags_genuine_failures():
 # ---------------------------------------------------------------------------
 
 
-def test_covariant_derivative_step_domain():
-    imm = cl.build_calabi_immersion(2)
-    with pytest.raises(ValueError):
-        cl.covariant_derivative_h(imm, SAMPLE_POINT, step=1e-5)
-    with pytest.raises(ValueError):
-        cl.covariant_derivative_h(imm, SAMPLE_POINT, step=0.1)
-
-
 def test_covariant_derivative_vanishes_for_veronese():
     imm = cl.build_calabi_immersion(2)
-    _, b1 = cl.covariant_derivative_h(imm, SAMPLE_POINT, step=1e-3)
-    assert abs(b1) < 1e-4
+    assert abs(cl.covariant_derivative_h(imm, SAMPLE_POINT)) < 1e-12
 
 
 def test_covariant_derivative_degree_three_value():
     # constant-S surfaces satisfy B1 = S(3S-4)/2; at S = 5/3 that is 5/6
     imm = cl.build_calabi_immersion(3)
-    _, b1 = cl.covariant_derivative_h(imm, SAMPLE_POINT, step=1e-3)
-    assert abs(b1 - 5.0 / 6.0) < 1e-3
+    assert abs(cl.covariant_derivative_h(imm, SAMPLE_POINT) - 5.0 / 6.0) < 1e-12
 
 
 def test_covariant_derivative_degree_one_zero():
+    # the normal parts of a totally geodesic sphere are rounding noise
     imm = cl.build_calabi_immersion(1)
-    hijk, b1 = cl.covariant_derivative_h(imm, SAMPLE_POINT, step=1e-3)
-    assert hijk.shape == (0, 2, 2, 2)
-    assert b1 == 0.0
-
-
-def test_covariant_components_symmetric_in_ij():
-    imm = cl.build_calabi_immersion(4)
-    hijk, _ = cl.covariant_derivative_h(imm, SAMPLE_POINT, step=1e-3)
-    assert np.max(np.abs(hijk[:, 0, 1, :] - hijk[:, 1, 0, :])) < 1e-6
+    assert abs(cl.covariant_derivative_h(imm, SAMPLE_POINT)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -320,72 +293,74 @@ def test_random_rotation_is_orthogonal():
     assert abs(np.linalg.det(rot) - 1.0) < 1e-12
 
 
-def test_step_halving_improves_S_residual_by_factor_three():
-    imm = cl.build_calabi_immersion(4)
-    residuals = []
-    for h in (0.08, 0.04, 0.02):
-        _, hh, _ = cl.fundamental_forms(imm, SAMPLE_POINT, step=h)
-        residuals.append(abs(float(np.sum(hh**2)) - 1.8))
-    floor = 1e-10
-    for coarse, fine in zip(residuals, residuals[1:]):
-        assert fine < floor or coarse / fine >= 3.0
+# the identities of the Calabi spheres hold at every sample up to rounding:
+# the kernel differentiates exactly and truncates nothing
+EXACT_IDENTITY_TOLERANCE = 1e-11
 
 
-def test_dual_number_first_derivatives_match_stencils():
-    imm = cl.build_calabi_immersion(4)
-    ch = cl.chart_for_point(SAMPLE_POINT)
-    th, ph = cl.chart_coords(ch, SAMPLE_POINT)
-    jet = cl._local_jet(cl._stencil_values(imm, ch, th, ph, 1e-3), 1e-3)
-    du, dv = cl._first_derivatives_complex_step(imm, ch, th, ph, 1e-3)
-    assert du.shape == dv.shape == (5, 5, imm.n_components)
-    assert np.max(np.abs(jet.du - du[2, 2])) < 1e-8
-    assert np.max(np.abs(jet.dv - dv[2, 2])) < 1e-8
+@pytest.mark.parametrize("s", range(1, 7))
+def test_scan_meets_the_exact_identity_values(s):
+    imm = cl.build_calabi_immersion(s)
+    s_value = float(calabi_value(s).S)
+    for seed in (41, 42):
+        scan = cl.geometry_scan(imm, 100, seed, with_derivatives=True)
+        residuals = {
+            "S": scan.S - s_value,
+            "H_norm_sq": scan.H_norm_sq,
+            "A_norm_sq": scan.A_norm_sq - scan.S**2 / 2,
+            "rho_perp": scan.rho_perp - scan.S**2,
+            "gauss": 2.0 * scan.K_induced + scan.S - 2.0,
+            "K_induced - K_gauss": scan.K_induced - scan.K_gauss,
+            "B1": scan.B1 - scan.S * (3.0 * scan.S - 4.0) / 2.0,
+        }
+        for name, residual in residuals.items():
+            worst = np.max(np.abs(residual))
+            assert worst <= EXACT_IDENTITY_TOLERANCE, f"s={s} seed={seed} {name}: {worst:.2e}"
 
 
-def test_line_built_stencils_equal_chart_point_on_full_grids():
-    # sin and cos on the 5-point lines, broadcast, give the very floats that
-    # chart_point gives on the whole 5x5 grid, for either chart and for the
-    # real stencil and both complex steps
-    points = cl.fibonacci_sphere_points(60, seed=9)
-    own_charts, theta, phi = cl._charted(points)
-    assert set(own_charts.tolist()) == {0, 1}
-    h, step = 1e-3, 1j * 1e-150
-    offsets = np.arange(-2, 3) * h
-    theta_grid = np.broadcast_to((theta[:, None] + offsets)[:, :, None], (60, 5, 5))
-    phi_grid = np.broadcast_to((phi[:, None] + offsets)[:, None, :], (60, 5, 5))
-    # the complex step is added to the centre; on the full grid, after the offsets
-    shifts = (("real", theta, phi, theta_grid, phi_grid),
-              ("theta step", theta + step, phi, theta_grid + step, phi_grid),
-              ("phi step", theta, phi + step, theta_grid, phi_grid + step))
-    for charts in (own_charts, np.zeros(60, dtype=int), np.ones(60, dtype=int)):
-        for name, theta_c, phi_c, theta_full, phi_full in shifts:
-            lines = cl._stencil_points(charts, theta_c, phi_c, h)
-            full = cl.chart_point(charts[:, None, None], theta_full, phi_full)
-            assert lines.dtype == full.dtype and np.array_equal(lines, full), name
-
-
-def test_complex_step_is_one_stacked_evaluation(monkeypatch):
+def test_scan_block_is_one_jet_evaluation(monkeypatch):
+    # a block of samples makes one jet evaluation at its n points and no
+    # harmonic evaluation through Immersion.evaluate
     imm = cl.build_calabi_immersion(4).rotated(cl.random_rotation(9, seed=3))
-    charts, theta, phi = cl._charted(cl.fibonacci_sphere_points(30, seed=8))
-    h, eps = 1e-3, 1e-150
-    apart = [imm.evaluate(cl._stencil_points(charts, th, ph, h)).imag / eps
-             for th, ph in ((theta + 1j * eps, phi), (theta, phi + 1j * eps))]
     calls = []
-    evaluate = cl.Immersion.evaluate
-    monkeypatch.setattr(cl.Immersion, "evaluate",
-                        lambda self, pts: calls.append(np.shape(pts)) or evaluate(self, pts))
-    du, dv = cl._first_derivatives_complex_step(imm, charts, theta, phi, h)
-    assert calls == [(2, 30, 5, 5, 3)]
-    assert np.array_equal(du, apart[0]) and np.array_equal(dv, apart[1])
-    # a derivative scan block: jets, the stacked complex steps, transports
-    calls.clear()
+    jets = cl._immersion_jets
+
+    def counted(imm, charts, theta, phi):
+        calls.append(len(theta))
+        return jets(imm, charts, theta, phi)
+
+    def fail(self, points):
+        raise AssertionError("a scan evaluated the harmonics pointwise")
+
+    monkeypatch.setattr(cl, "_immersion_jets", counted)
+    monkeypatch.setattr(cl.Immersion, "evaluate", fail)
     cl.geometry_scan(imm, 30, seed=8, with_derivatives=True)
-    assert calls == [(30, 5, 5, 3), (2, 30, 5, 5, 3), (4, 30, 5, 5, 3)]
+    assert calls == [30]
+    calls.clear()
+    cl.geometry_scan(imm, 300, seed=8)
+    assert calls == [cl.SCAN_BLOCK, cl.SCAN_BLOCK, 300 - 2 * cl.SCAN_BLOCK]
 
 
 # ---------------------------------------------------------------------------
 # charts, sampling, serialization
 # ---------------------------------------------------------------------------
+
+
+def test_chart_jets_start_from_chart_point():
+    # the chart jets' values are chart_point's, bit for bit, for either
+    # chart, and their first derivatives are complex steps of chart_point
+    points = cl.fibonacci_sphere_points(60, seed=9)
+    own_charts, theta, phi = cl._charted(points)
+    assert set(own_charts.tolist()) == {0, 1}
+    eps = 1e-150
+    for charts in (own_charts, np.zeros(60, dtype=int), np.ones(60, dtype=int)):
+        w, z = cl._chart_jets(charts, theta, phi)
+        xyz = cl.chart_point(charts, theta, phi)
+        assert np.array_equal(w[0], xyz[:, 0] + 1j * xyz[:, 1]) and np.array_equal(z[0], xyz[:, 2])
+        for row, (d_theta, d_phi) in ((1, (eps, 0.0)), (2, (0.0, eps))):
+            d_xyz = cl.chart_point(charts, theta + 1j * d_theta, phi + 1j * d_phi).imag / eps
+            assert np.max(np.abs(w[row] - (d_xyz[:, 0] + 1j * d_xyz[:, 1]))) <= 1e-15
+            assert np.max(np.abs(z[row] - d_xyz[:, 2])) <= 1e-15
 
 
 def test_chart_selection_avoids_poles():
@@ -425,26 +400,29 @@ def test_scan_csv_and_summary():
     assert scan.to_json_str() == scan.to_json_str()
 
 
-SCAN_FIELDS = ("charts", "S", "A_matrix", "A_norm_sq", "rho_perp", "H_norm_sq",
-               "K_induced", "K_gauss", "a_dot_b", "a_norm_sq", "b_norm_sq", "B1")
+SCAN_FIELDS = ("charts", "first_form", "S", "A_matrix", "A_norm_sq", "rho_perp",
+               "H_norm_sq", "K_induced", "K_gauss", "a_dot_b", "a_norm_sq", "b_norm_sq", "B1")
 
 
 def test_batched_scan_matches_one_sample_scans():
     # 300 samples span two full blocks and a ragged tail
     assert 300 > 2 * cl.SCAN_BLOCK and 300 % cl.SCAN_BLOCK
-    for s in (1, 3, 6):
-        imm = cl.build_calabi_immersion(s)
+    rotated = cl.build_calabi_immersion(4).rotated(cl.random_rotation(9, seed=21))
+    for imm in (*(cl.build_calabi_immersion(s) for s in (1, 3, 6)), rotated):
+        s = imm.s
         scan = cl.geometry_scan(imm, 300, seed=20, with_derivatives=True)
         assert set(scan.charts.tolist()) == {0, 1}
         for i, point in enumerate(scan.sample_points):
-            single = cl._scan_block(imm, point[None], scan.fd_step, scan.deriv_step, i)
+            single = cl._scan_block(imm, point[None], i)
             for name in SCAN_FIELDS:
                 assert np.array_equal(getattr(scan, name)[i], single[name][0]), (s, i, name)
 
 
-# Bounds from finite-difference round-off, not from observed differences:
-# eps * sum|D2| / h^2 ~ 2.2e-16 * 5.3 / 1e-6 ~ 1.2e-9 for the second-form
-# quantities, and one more central difference over 2 * deriv_step for B1.
+# Bounds on the frozen reference's own error, not on observed differences:
+# its 4th-order stencils of step h = 1e-3 truncate at ~h^4 times sixth
+# derivatives and round at eps * sum|D2| / h^2 ~ 2.2e-16 * 5.3 / 1e-6 ~
+# 1.2e-9 for the second-form quantities, and B1 takes one more central
+# difference over 2 * deriv_step; the scan under test differentiates exactly.
 REFERENCE_TOLERANCES = {
     "S": 1e-8, "A_norm_sq": 1e-8, "rho_perp": 1e-8, "H_norm_sq": 1e-8,
     "K_gauss": 1e-8, "K_induced": 1e-8, "a_dot_b": 1e-8, "a_norm_sq": 1e-8,
@@ -476,9 +454,16 @@ def test_batched_scan_agrees_with_frozen_per_point_reference(s):
 def test_norm_and_normal_curvature_follow_from_second_form_vectors(ab):
     # trace-free h^alpha = [[a_alpha, b_alpha], [b_alpha, -a_alpha]]
     a, b = ab
-    h = np.stack([np.stack([a, b], -1), np.stack([b, -a], -1)], -2)[None]
-    inv = cl._second_form_invariants(h)
+    h = np.stack([np.stack([a, b], -1), np.stack([b, -a], -1)], -2)
+    gram = np.einsum("aij,akl->ijkl", h, h).reshape(4, 4)[..., None]
+    inv = cl._second_form_invariants(gram)
     s_val, a_sq, rho = inv["S"][0], inv["A_norm_sq"][0], inv["rho_perp"][0]
+    # against the definitions, on the components themselves
+    commutators = np.einsum("aij,bjk->abik", h, h)
+    assert abs(s_val - np.sum(h**2)) <= 1e-12 * max(1.0, s_val)
+    assert abs(a_sq - np.sum(np.einsum("aij,bij->ab", h, h) ** 2)) <= 1e-12 * max(1.0, s_val**2)
+    assert abs(rho - np.sum((commutators - commutators.swapaxes(0, 1)) ** 2)) \
+        <= 1e-12 * max(1.0, s_val**2)
     assume(s_val > 1e-100)
     scale = s_val**2
     a_defect = a_sq - s_val**2 / 2
@@ -487,22 +472,22 @@ def test_norm_and_normal_curvature_follow_from_second_form_vectors(ab):
     assert abs((rho - s_val**2) + 2 * a_defect) <= 1e-12 * scale
 
 
-def test_scan_rejects_bad_derivative_step_before_evaluating(monkeypatch):
-    def fail(self, points):
-        raise AssertionError("evaluated before the step was checked")
+def test_scan_rejects_a_bad_sample_count_before_allocating(monkeypatch):
+    def fail(*args):
+        raise AssertionError("sampled before the count was checked")
 
-    monkeypatch.setattr(cl.Immersion, "evaluate", fail)
+    monkeypatch.setattr(cl, "fibonacci_sphere_points", fail)
     imm = cl.build_calabi_immersion(2)
-    for bad in (0.1, 1e-5):
-        with pytest.raises(ValueError):
-            cl.geometry_scan(imm, 5, seed=0, with_derivatives=True, deriv_step=bad)
+    for bad in (0, -3, cl.MAX_SAMPLES + 1, 10**13):
+        with pytest.raises(ValueError, match="sample count"):
+            cl.geometry_scan(imm, bad, seed=0)
 
 
 def test_scan_rejects_a_bad_seed_before_evaluating(monkeypatch):
-    def fail(self, points):
+    def fail(*args):
         raise AssertionError("evaluated before the seed was checked")
 
-    monkeypatch.setattr(cl.Immersion, "evaluate", fail)
+    monkeypatch.setattr(cl, "_immersion_jets", fail)
     imm = cl.build_calabi_immersion(2)
     for bad in (-1, -2**70, 1.5, "3"):
         with pytest.raises(ValueError, match="seed"):
@@ -516,7 +501,7 @@ def test_degenerate_sample_names_degree_and_first_index():
         cl.geometry_scan(flat, 5, seed=0)
     # a block later in the scan reports its scan-wide index
     with pytest.raises(cl.FrameDegeneracyError, match=r"at sample 128$"):
-        cl._scan_block(flat, cl.fibonacci_sphere_points(3, seed=0), 1e-3, None, 128)
+        cl._scan_block(flat, cl.fibonacci_sphere_points(3, seed=0), 128)
 
 
 def test_scan_requires_samples():

@@ -371,11 +371,22 @@ def test_lab_rejects_out_of_range_degree():
     assert code == rc.EXIT_USAGE
 
 
-def test_lab_rejects_bad_step():
-    for step in ("0.5", "0.1"):
+def test_lab_rejects_bad_step(capsys):
+    # the lab differentiates exactly and takes no step: any --step is refused
+    for step in ("1e-3", "0.5", "0.1"):
         code = rc.main(["lab", "--s", "2", "--samples", "5", "--seed", "1",
                         "--step", step])
         assert code == rc.EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: unrecognized arguments: --step {step}\n"
+
+
+def test_lab_rejects_a_sample_count_outside_the_bound(capsys):
+    for samples in ("0", "1000001", "10000000000000"):
+        code = rc.main(["lab", "--s", "2", "--samples", samples, "--seed", "1"])
+        assert code == rc.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: sample count must lie in 1..1000000")
+        assert len(err.splitlines()) == 1
 
 
 def test_lab_frame_degeneracy_exits_1_naming_the_sample(monkeypatch, capsys):

@@ -1,4 +1,4 @@
-"""The one-form polynomial core against sympy, an oracle that shares no code.
+"""The exact core and the lab's jets against sympy, an oracle that shares no code.
 
 Every other reference in ``tests/`` is a copy of this repo's earlier code,
 so a mistake made before the copy would be pinned, not caught.  Here sympy
@@ -10,7 +10,14 @@ coefficients of about 100 bits:
 - ``count_roots``'s count is ``sympy.Poly.count_roots`` on the certificate's
   own closed interval, whose ends are never roots, for polynomials with
   roots drawn at the interval's ends and just inside and outside them;
-- each ``isolate_root`` enclosure holds exactly one root of ``real_roots``.
+- each ``isolate_root`` enclosure holds exactly one root of ``real_roots``;
+- θ1, θ2(t), N, D, N'D - ND' and the S_max numerator are the expansions of
+  the formulas their docstrings state, and the legacy-dominance B is
+  (5x - 9) times a polynomial that, like A, has no root on [5/3, 9/5].
+
+The lab's jet kernel is checked the same way: the degree-s immersion built
+from ``sympy.legendre`` and the chart map, differentiated symbolically, has
+the ten chart derivatives the kernel computes from its own table.
 
 sympy stays out of ``src``; these tests skip where it is not installed.
 """
@@ -18,6 +25,7 @@ sympy stays out of ``src``; these tests skip where it is not installed.
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -231,3 +239,83 @@ def test_each_enclosure_holds_exactly_one_real_root(case, width):
     roots = set(sympy.real_roots(sympy.Poly(to_sympy(p), X, domain="QQ")))
     assert sum(1 for r in roots if lo <= r <= hi) == 1
     assert enclosure.width <= width and cert.replay()
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the exact core
+
+def q(a: int, b: int = 1):
+    return sympy.Rational(a, b)
+
+
+def test_constant_polynomials_are_their_docstring_formulas():
+    x = X
+    assert_is(pb.theta1(), x * (3 * x - 4) * (5 * x - 9)
+              + q(5, 36) * (3 * x - 5) * (q(11, 4) * x + q(151, 60)) ** 2)
+    n = 12 * x * (9 - 5 * x) * (3 * x - 4)
+    d = 60 * x * (3 * x - 4) + 5 * (q(19, 4) * x - q(9, 20)) ** 2
+    assert_is(pb.gap_numerator(), n)
+    assert_is(pb.gap_numerator(), -180 * x**3 + 564 * x**2 - 432 * x)
+    assert_is(pb.gap_denominator(), d)
+    assert_is(pb.gap_derivative_numerator(), sympy.diff(n, x) * d - n * sympy.diff(d, x))
+    assert_is(pb.smax_numerator(), 108 * x * (3 * x - 4) + 5 * x * (q(19, 4) * x - q(9, 20)) ** 2)
+
+
+@pytest.mark.parametrize("t", [F(1, 4), F(4, 17), F(1, 2)])
+def test_theta2_is_its_docstring_formula(t):
+    x, tt = X, q(t.numerator, t.denominator)
+    assert_is(pb.theta2(t), 40 * tt * (2 * tt - 1) * x * (3 * x - 4) * (3 * x - 5)
+              + (q(9, 5) * tt + q(36, 5)) ** 2 * (9 - 5 * x))
+
+
+def test_legacy_dominance_b_factors_through_the_upper_end():
+    # B = (5x - 9) q with no remainder, and neither A nor q has a root on
+    # the closed pinching domain [5/3, 9/5]
+    a, b = pb.legacy_dominance_polynomials()
+    quotient, remainder = sympy.div(to_sympy(b), 5 * X - 9, X, domain="QQ")
+    assert remainder == 0
+    for poly in (to_sympy(a), quotient):
+        assert sympy.Poly(poly, X).count_roots(q(5, 3), q(9, 5)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the lab's 3-jets
+
+U, V = sympy.symbols("u v", real=True)
+
+
+def immersion_in_chart(s: int, chart: int) -> list:
+    """The degree-s immersion's 2s+1 components, ordered m = -s..s, as
+    sympy expressions in the chart coordinates (u, v) = (theta, phi), built
+    from sympy's Legendre polynomial and the chart map alone."""
+    xs, ys, zs = sympy.symbols("x y z", real=True)
+    legendre = sympy.legendre(s, zs)
+    components = {0: legendre}
+    for m in range(1, s + 1):
+        norm = sympy.sqrt(2 * sympy.factorial(s - m) / sympy.factorial(s + m))
+        re, im = sympy.expand((xs + sympy.I * ys) ** m).as_real_imag()
+        radial = norm * sympy.diff(legendre, zs, m)
+        components[m], components[-m] = radial * re, radial * im
+    st, ct, sp, cp = sympy.sin(U), sympy.cos(U), sympy.sin(V), sympy.cos(V)
+    point = (st * cp, st * sp, ct) if chart == 0 else (ct, st * cp, st * sp)
+    return [components[m].subs(dict(zip((xs, ys, zs), point))) for m in range(-s, s + 1)]
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_jets_are_sympys_chart_derivatives(s):
+    from pinchcert import calabi_lab as cl
+
+    points = {0: [(0.9, 0.3), (2.1, -2.6)], 1: [(0.7, 1.9), (2.3, -0.4)]}
+    imm = cl.build_calabi_immersion(s)
+    for chart, uv in points.items():
+        theta, phi = (np.array(column) for column in zip(*uv))
+        got = cl._immersion_jets(imm, np.full(len(uv), chart), theta, phi)
+        # each jet differentiates the one without its last direction
+        exprs = {(): immersion_in_chart(s, chart)}
+        for jet in cl.JETS[1:]:
+            exprs[jet] = [sympy.diff(c, (U, V)[jet[-1]]) for c in exprs[jet[:-1]]]
+        evaluate = sympy.lambdify((U, V), [exprs[jet] for jet in cl.JETS], "math")
+        want = np.moveaxis(np.array([evaluate(u, v) for u, v in uv], dtype=float), 0, -1)
+        for row, jet in enumerate(cl.JETS):
+            scale = max(1.0, np.max(np.abs(want[row])))
+            assert np.max(np.abs(got[row] - want[row])) <= 1e-12 * scale, (s, chart, jet)
