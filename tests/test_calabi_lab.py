@@ -112,6 +112,22 @@ def test_table_harmonics_match_the_frozen_recursion():
                 assert np.max(np.abs(jets[row].T - want)) <= 1e-14 * scale, (s, row)
 
 
+def test_dual_number_first_derivatives_match_stencils():
+    # the jet's first chart derivatives at one point against complex steps of
+    # the frozen harmonics through the chart map
+    imm = cl.build_calabi_immersion(4)
+    ch = cl.chart_for_point(SAMPLE_POINT)
+    th, ph = cl.chart_coords(ch, SAMPLE_POINT)
+    charts, theta, phi = np.array([ch]), np.array([th]), np.array([ph])
+    jets = cl._immersion_jets(imm, charts, theta, phi)
+    assert jets.shape == (10, imm.n_components, 1)
+    eps = 1e-150
+    du = lab_reference.evaluate(imm, cl.chart_point(charts, theta + 1j * eps, phi)).imag / eps
+    dv = lab_reference.evaluate(imm, cl.chart_point(charts, theta, phi + 1j * eps)).imag / eps
+    assert np.max(np.abs(jets[1].T - du)) < 1e-12
+    assert np.max(np.abs(jets[2].T - dv)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # fundamental forms
 # ---------------------------------------------------------------------------
