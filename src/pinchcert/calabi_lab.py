@@ -608,14 +608,16 @@ def geometry_scan(imm: Immersion, n_samples: int, seed: int,
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     points = fibonacci_sphere_points(n_samples, seed)
-    blocks = [
-        _scan_block(imm, points[i:i + SCAN_BLOCK], i, with_derivatives)
-        for i in range(0, n_samples, SCAN_BLOCK)
-    ]
-    fields = {
-        name: None if value is None else np.concatenate([b[name] for b in blocks])
-        for name, value in blocks[0].items()
-    }
+    # each block is copied into the scan's arrays and dropped: a kept block
+    # would pin its whole Gram matrix, of which first_form is a view
+    fields = {}
+    for i in range(0, n_samples, SCAN_BLOCK):
+        for name, value in _scan_block(imm, points[i:i + SCAN_BLOCK], i, with_derivatives).items():
+            if i == 0:
+                fields[name] = value if value is None else np.empty(
+                    (n_samples, *value.shape[1:]), value.dtype)
+            if value is not None:
+                fields[name][i:i + len(value)] = value
     return GeometryScan(s=imm.s, seed=seed, sample_points=points, **fields)
 
 

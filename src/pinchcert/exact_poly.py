@@ -19,15 +19,17 @@ strings' integer form, and its replay builds no Fraction.  No float enters
 this module: root isolation proposes its final dyadic cell by Illinois
 regula falsi on exact integer values when a Sturm count has found a single
 root, and the proposal's end signs alone confirm it; with more roots,
-Sturm-counted bisection finds the cell.
+Sturm-counted bisection finds the cell.  A :class:`Form` is a polynomial
+in (t, x), held as its polynomials in x at each power of t.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import zip_longest
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 CLAIM_NO_ROOT = "no-root"
@@ -400,6 +402,91 @@ def _sign_at_ratio(p: Polynomial, a: int, b: int) -> int:
 def sign_at(p: Polynomial, x: Fraction) -> int:
     """Sign of p(x) (-1, 0 or 1), without building the value."""
     return _sign_at_ratio(p, x.numerator, x.denominator)
+
+
+@dataclass(frozen=True)
+class Form:
+    """Polynomial in (t, x): ``rows[k]`` is the :class:`Polynomial` in x at
+    t^k, and the last row is nonzero.  In ``+``, ``-`` and ``*`` a rational,
+    or a polynomial in x right of the form, lifts to a form.  The integer
+    columns that :meth:`at` reads are made with the form."""
+
+    rows: tuple[Polynomial, ...] = ()
+    _columns: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = [Polynomial._coerce(r) for r in self.rows]
+        while rows and rows[-1].is_zero:
+            rows.pop()
+        forms = [r.integer_form() for r in rows]
+        den = lcm(*(d for _, d in forms))
+        # column i: den times the coefficients of x^i, lowest power of t first
+        columns = zip_longest(*(tuple(c * (den // d) for c in ints) for ints, d in forms),
+                              fillvalue=0)
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "_columns", (tuple(columns), den))
+
+    @staticmethod
+    def _lift(value) -> "Form":
+        return value if isinstance(value, Form) else Form((value,))
+
+    def __add__(self, other) -> "Form":
+        return Form(p + q for p, q in zip_longest(self.rows, self._lift(other).rows, fillvalue=0))
+
+    def __neg__(self) -> "Form":
+        return Form(-p for p in self.rows)
+
+    def __sub__(self, other) -> "Form":
+        return self + -self._lift(other)
+
+    def __rsub__(self, other) -> "Form":
+        return self._lift(other) - self
+
+    def __mul__(self, other) -> "Form":
+        a, b = self.rows, self._lift(other).rows
+        out = [0] * max(len(a) + len(b) - 1, 0)
+        for i, p in enumerate(a):
+            for j, q in enumerate(b):
+                out[i + j] = p * q + out[i + j]
+        return Form(out)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "Form":
+        if n < 0:
+            raise ValueError("negative form power")
+        result = Form((1,))
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def at(self, t) -> Polynomial:
+        """The polynomial in x at t = a/b: each column at a/b by the integer
+        Horner of :func:`_homogeneous`, over den * b^(len(rows) - 1), made
+        canonical from those integers; no Fraction is built."""
+        t = rat(t)
+        columns, den = self._columns
+        if not columns:
+            return Polynomial.zero()
+        a, b = t.numerator, t.denominator
+        return Polynomial._from_integer_form([_homogeneous(c, a, b) for c in columns],
+                                             den * b ** (len(self.rows) - 1))
+
+    def derivative(self) -> "Form":
+        """The x-derivative, row by row."""
+        return Form(p.derivative() for p in self.rows)
+
+    def bernstein(self, h) -> tuple[Polynomial, ...]:
+        """The Bernstein coefficients b_0..b_n in t over [0, h], n the t-degree:
+        b_j is the sum over k <= j of C(j, k) / C(n, k) h^k rows[k], and the
+        form at t = h s is the sum of C(n, j) s^j (1 - s)^(n - j) b_j.  The zero
+        form has the one coefficient 0."""
+        h = rat(h)
+        rows = self.rows or (Polynomial.zero(),)
+        n = len(rows) - 1
+        return tuple(sum((comb(j, k) * h**k / comb(n, k) * rows[k] for k in range(j + 1)),
+                         Polynomial.zero()) for j in range(n + 1))
 
 
 @dataclass(frozen=True)

@@ -29,16 +29,13 @@ only the smallest of the grid's dead pairs competes for the incumbent.  Only
 w = 5/3 builds branches.
 
 Sweep probes rest on a monotonicity lemma as well.  θ2 and the quotients
-g = p / (x - 5/3) of both left branches are forms quadratic in t.  Let
-h0 + h1 t + h2 t^2 be a form's x-derivative.  At t = s/2 it is
-b0 (1-s)^2 + 2 b1 s(1-s) + b2 s^2, with the Bernstein coefficients
-
-    b0 = h0,   b1 = h0 + h1/4,   b2 = h0 + h1/2 + h2/4,
-
-a convex combination of them for s in [0, 1].  So when each b_k keeps a
+g = p / (x - 5/3) of both left branches are forms in t.  For t in
+[0, 1/2] a form's x-derivative is a convex combination of its Bernstein
+coefficients in t over [0, 1/2]
+(:meth:`pinchcert.exact_poly.Form.bernstein`).  So when each keeps a
 strict sign on [5/3, 9/5], the derivative keeps it on the whole box
 [5/3, 9/5] x [0, 1/2] (Garloff 1986; Farouki 2012).  :func:`monotone_lemma`
-certifies this, ∂θ2/∂x < 0 and ∂g/∂x > 0, once per form and process, and
+certifies this, ∂θ2/∂x < 0 and ∂g/∂x > 0, once per side and process, and
 :func:`optimize` proves it before its first probe.  A monotone θ2(t) has a
 root in the domain exactly when its end signs differ, and a branch is
 negative on (5/3, x) exactly when its quotient is negative at x: so no
@@ -234,36 +231,29 @@ def edge_lemma() -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
 
 
 @lru_cache(maxsize=None)
-def monotone_lemma(form: tuple[Polynomial, ...], sign: str) -> tuple[SignCertificate, ...]:
-    """Certify that ∂form/∂x has the strict ``sign`` on [5/3, 9/5] x [0, 1/2].
+def monotone_lemma(side: str) -> tuple[SignCertificate, ...]:
+    """Certify that the forms a ``side`` probe specializes are monotone in x
+    on [5/3, 9/5] x [0, 1/2]: θ2 decreasing on the right, both left
+    quotients increasing on the left (see the module docstring).
 
-    ``form`` is quadratic in t (entry k is the polynomial in x at t^k).  With
-    h_k the x-derivative of entry k, the Bernstein coefficients over
-    t in [0, 1/2] are b0 = h0, b1 = h0 + h1/4 and b2 = h0 + h1/2 + h2/4, and
-    ∂form/∂x at t = s/2 is their convex combination
-    b0 (1-s)^2 + 2 b1 s(1-s) + b2 s^2.  Returns the sign certificates of
-    b0, b1, b2 on [5/3, 9/5]; raises :class:`ExactPolyError` if one fails.
-    Proved once per form and process, on first use.
+    Returns the sign certificates on [5/3, 9/5] of each form's
+    ``form.derivative().bernstein(1/2)``, form by form; raises
+    :class:`ExactPolyError` naming the form that fails.  Proved once per
+    side and process, on first use.
     """
-    h0, h1, h2 = (entry.derivative() for entry in form)
-    bernstein = (h0, h0 + F(1, 4) * h1, h0 + F(1, 2) * h1 + F(1, 4) * h2)
-    return tuple(certify_sign_on_interval(b, pb.PINCH_DOMAIN, sign) for b in bernstein)
-
-
-def _monotone_lemmas(side: str) -> None:
-    """Prove :func:`monotone_lemma` for the forms a ``side`` probe specializes:
-    θ2 decreasing on the right, both left quotients increasing on the left.
-    Raises :class:`ExactPolyError` naming the form that fails."""
     if side == "right":
         forms = [("theta2", pb.theta2_form(), "negative")]
     else:
         forms = [(f"{label} quotient", quotient, "positive")
-                 for (label, _), quotient in zip(pb.left_branch_forms(), pb.left_quotient_forms())]
+                 for label, _, quotient in pb.left_branch_forms()]
+    certificates = []
     for name, form, sign in forms:
         try:
-            monotone_lemma(form, sign)
+            certificates += [certify_sign_on_interval(b, pb.PINCH_DOMAIN, sign)
+                             for b in form.derivative().bernstein(F(1, 2))]
         except ExactPolyError as err:
             raise ExactPolyError(f"monotonicity lemma fails for the {name} form: {err}") from err
+    return tuple(certificates)
 
 
 #: the sliver [5/3, u] on which a left branch's quotient is certified negative
@@ -310,10 +300,9 @@ def _left_cell(t: Fraction, width: Fraction) -> tuple[
     """The bare enclosure at (t, 5/3), every fact it rests on checked, given
     the monotonicity lemma.
 
-    Each branch p vanishes at 5/3 (see
-    :func:`pinching_bounds.left_branch_forms`), and its quotient
-    g = p / (x - 5/3), specialized from its cached form
-    (:func:`pinching_bounds.left_quotient_forms`), has p's sign above 5/3
+    Each branch p vanishes at 5/3, and its quotient g = p / (x - 5/3),
+    specialized from its cached form (both from
+    :func:`pinching_bounds.left_branch_forms`), has p's sign above 5/3
     and increases in x (:func:`monotone_lemma`).  So, per branch in order,
     g must be negative at u (then p < 0 on (5/3, u]; else
     :class:`SignClaimError`) and positive at 9/5, and the one root of g in
@@ -328,8 +317,8 @@ def _left_cell(t: Fraction, width: Fraction) -> tuple[
     """
     u = _SLIVER.hi
     branches = []
-    for (label, _), quotient in zip(pb.left_branch_forms(), pb.left_quotient_forms()):
-        g = pb.at_t(quotient, t)
+    for label, _, quotient in pb.left_branch_forms():
+        g = quotient.at(t)
         if sign_at(g, u) >= 0:
             raise SignClaimError(
                 f"claimed sign-constant-negative on [{_SLIVER.lo}, {u}] but the {label} "
@@ -399,8 +388,8 @@ def _left_certificates(cell: _Cell, phi_lo: Fraction, phi_hi: Fraction,
     u = _SLIVER.hi
     support: list[SignCertificate] = []
     winner = None
-    for (label, form), (own, g) in zip(pb.left_branch_forms(), branches):
-        p = pb.at_t(form, t)
+    for (label, form, _), (own, g) in zip(pb.left_branch_forms(), branches):
+        p = form.at(t)
         if winner is None and own == cell.enclosure:
             winner = p  # the first of equal enclosures, as _left_cell's min
         support.append(certify_sign_on_interval(g, _SLIVER, "negative"))
@@ -427,7 +416,7 @@ def _right_cell(t: Fraction, width: Fraction) -> tuple[_Cell, Polynomial]:
     which gives the degenerate cell [9/5, 9/5].  No Sturm chain is built and
     no root counted.  Raises exactly where :func:`right_threshold` raises.
     """
-    p = pb.at_t(pb.theta2_form(), t)
+    p = pb.theta2_form().at(t)
     lo, hi, s_lo, s_hi = _signed_nudged_ends(p, pb.PINCH_DOMAIN)
     if s_lo == s_hi:
         return _Cell(t, DOMAIN_HI, IntervalQ(DOMAIN_HI, DOMAIN_HI), True), p
@@ -541,8 +530,8 @@ def enclosure_holds(th: ThresholdEnclosure) -> bool:
                 and (phi_lo, phi_hi) == (th.phi_lo, th.phi_hi)
                 and [(c.claim, c.polynomial, c.interval) for c in th.support]
                 == [(CLAIM_ONE_ROOT, p, _counted_domain(p))])
-    if th.w != DOMAIN_LO or all(cert.polynomial != pb.at_t(form, th.t)
-                                for _, form in pb.left_branch_forms()):
+    if th.w != DOMAIN_LO or all(cert.polynomial != form.at(th.t)
+                                for _, form, _ in pb.left_branch_forms()):
         return False
     phi_lo = pb.left_certificate_value(lo, th.w, th.t)
     phi_hi = pb.left_certificate_value(hi, th.w, th.t)
@@ -561,16 +550,16 @@ def _left_support_holds(th: ThresholdEnclosure) -> bool:
     """
     u = _SLIVER.hi
     rest = list(th.support)
-    for (_, form), quotient in zip(pb.left_branch_forms(), pb.left_quotient_forms()):
+    for _, form, quotient in pb.left_branch_forms():
         if not rest:
             return False
         sliver = rest.pop(0)
         if (sliver.claim, sliver.polynomial, sliver.interval) != (
-                CLAIM_NEGATIVE, pb.at_t(quotient, th.t), _SLIVER):
+                CLAIM_NEGATIVE, quotient.at(th.t), _SLIVER):
             return False
         if rest and rest[0].claim == CLAIM_NO_ROOT:
             count = rest.pop(0)
-            if (count.polynomial != pb.at_t(form, th.t) or count.interval.lo != u
+            if (count.polynomial != form.at(th.t) or count.interval.lo != u
                     or count.interval.hi < th.enclosure.lo):
                 return False
         elif th.enclosure.lo != u:
@@ -666,7 +655,7 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if side == "left":
         edge_lemma()
-    _monotone_lemmas(side)
+    monotone_lemma(side)
     width = config.isolation_width
     cell_at = _left_cell if side == "left" else _right_cell
     # every probe is of a pair new to the sweep, so live cells need no

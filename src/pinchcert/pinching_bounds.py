@@ -8,9 +8,10 @@ polynomials; callers certify sign facts about them with
 parameter) are built once per process and shared: a :class:`Polynomial` is
 immutable and holds only its canonical integer form.  θ2, the
 lower-endpoint branches and their quotients by x - 5/3 are built once as
-forms in t (:func:`at_t`).  Whether the new gap bound beats the legacy one
-is decided by the integer signs of two such constant polynomials
-(:func:`legacy_dominance_polynomials`), with no Fraction built.
+forms in t (:class:`~pinchcert.exact_poly.Form`), each from its own
+formula in the generators t and x.  Whether the new gap bound beats the
+legacy one is decided by the integer signs of two such constant
+polynomials (:func:`legacy_dominance_polynomials`), with no Fraction built.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .exact_poly import (
     ExactPolyError,
+    Form,
     IntervalQ,
     Polynomial,
     SignCertificate,
-    _homogeneous,
     certify_sign_on_interval,
     rat,
     rat_str,
@@ -73,48 +73,12 @@ def theta1() -> Polynomial:
     return first + second
 
 
-def at_t(form: tuple[Polynomial, ...], t) -> Polynomial:
-    """A form (entry k is the polynomial in x at t^k) specialized at t.
-
-    Coefficient i at t = a/b is column i of :func:`_integer_columns` at a/b,
-    by the integer Horner of :func:`exact_poly._homogeneous`, over the
-    scale den * b^(len(form) - 1); the polynomial is made canonical from
-    those integers like any other, and no Fraction is built.
-    """
-    t = rat(t)
-    columns, den = _integer_columns(form)
-    a, b = t.numerator, t.denominator
-    return Polynomial._from_integer_form([_homogeneous(column, a, b) for column in columns],
-                                         den * b ** (len(form) - 1))
-
-
 @lru_cache(maxsize=None)
-def _integer_columns(form: tuple[Polynomial, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """``(columns, den)``: column i holds den times the coefficients of x^i
-    in t, lowest power first; den is the lcm of every entry's denominator."""
-    entries = [p.integer_form() for p in form]
-    den = lcm(*(d for _, d in entries))
-    n = max(len(ints) for ints, _ in entries)
-    return tuple(
-        tuple(ints[i] * (den // d) if i < len(ints) else 0 for ints, d in entries)
-        for i in range(n)
-    ), den
-
-
-def _affine_product(a, b) -> tuple:
-    """(a0 + a1 t)(b0 + b1 t) as its coefficients in t."""
-    (a0, a1), (b0, b1) = a, b
-    return (a0 * b0, a0 * b1 + a1 * b0, a1 * b1)
-
-
-@lru_cache(maxsize=None)
-def theta2_form() -> tuple[Polynomial, ...]:
-    """:func:`theta2` as a form in t."""
-    first = _affine_product((0, 40), (-1, 2))  # 40t(2t - 1)
-    amp = (F(36, 5), F(9, 5))  # (9/5)t + 36/5
-    cubic = _X * (3 * _X - 4) * (3 * _X - 5)
-    return tuple(a * cubic + b * Polynomial.linear(9, -5)
-                 for a, b in zip(first, _affine_product(amp, amp)))
+def theta2_form() -> Form:
+    """:func:`theta2` as a form in t: its formula in the generators t and x."""
+    T, X = Form((0, 1)), Form((_X,))
+    return (40 * T * (2 * T - 1) * X * (3 * X - 4) * (3 * X - 5)
+            + (F(9, 5) * T + F(36, 5)) ** 2 * (9 - 5 * X))
 
 
 def theta2(t) -> Polynomial:
@@ -130,7 +94,7 @@ def theta2(t) -> Polynomial:
     t = rat(t)
     if not 0 < t <= F(1, 2):
         raise ValueError(f"parameter t must satisfy 0 < t <= 1/2, got {t}")
-    return at_t(theta2_form(), t)
+    return theta2_form().at(t)
 
 
 @lru_cache(maxsize=None)
@@ -371,53 +335,36 @@ def left_certificate_value(x, w, t) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def left_branch_forms() -> tuple[tuple[str, tuple[Polynomial, ...]], ...]:
-    """The two branches of phi at w = 5/3 as (label, form in t) pairs, quadratic in t.
+def left_branch_forms() -> tuple[tuple[str, Form, Form], ...]:
+    """The two branches of phi at w = 5/3 as (label, form, quotient) triples.
 
     The supremum M sits at S = x or at S = 5/3 (:func:`weight_sup_over_s`),
-    giving 5(w-x)^2 q(x)^2 or 3x (w-x)^2 q(5/3)^2 plus the common term, so
-    phi is the larger branch on the whole domain; c1 and c0(x) = k0 - 2x are
-    affine in t.  Each branch vanishes at 5/3 to first order, with slope
-    -160t(1-t)/3, and is positive at 9/5, where "sup-at-x" is
-    5 (2/15)^2 (106/15 + 4t/5)^2 and "sup-at-5/3" is
-    (27/5) (2/15)^2 (104/15 - t/5)^2.
+    so on the whole domain phi is the larger of
+
+        "sup-at-x":   16t(1-t) x(3x-4)(3x-5)(5x-9) + 5 (5/3 - x)^2 q(x)^2,
+        "sup-at-5/3": 16t(1-t) x(3x-4)(3x-5)(5x-9) + 3x (5/3 - x)^2 q(5/3)^2,
+
+    with q(S) = c1 S + c0, c1 = 1 + 15t/2, c0 = c1 (5/3) + 36/5 - 2x - 126t/5.
+    Each branch vanishes at 5/3 to first order, with slope -160t(1-t)/3, and
+    is positive at 9/5, where "sup-at-x" is 5 (2/15)^2 (106/15 + 4t/5)^2 and
+    "sup-at-5/3" is (27/5) (2/15)^2 (104/15 - t/5)^2.  The quotient is the
+    branch divided by x - 5/3 row by row, so at t it is the branch at t
+    divided; a row that leaves a remainder raises :class:`ExactPolyError`.
     """
-    (c1, k0), (c1_at_1, k0_at_1) = (weight_linear_coeffs(0, F(5, 3), t) for t in (0, 1))
-    dc1, c0 = c1_at_1 - c1, (k0 - 2 * _X, Polynomial.constant(k0_at_1 - k0))
-
-    def q(s):  # the weight c1 S + c0(x) at S = s
-        return (c0[0] + c1 * s, c0[1] + dc1 * s)
-
-    quartic = _X * (3 * _X - 4) * (3 * _X - 5) * (5 * _X - 9)
-    common = [c * quartic for c in _affine_product((0, 16), (1, -1))]
-
-    def branch(factor, s):  # common + factor (w - x)^2 q(s)^2
-        factor = factor * Polynomial.linear(F(5, 3), -1) ** 2
-        return tuple(c + factor * p for c, p in zip(common, _affine_product(q(s), q(s))))
-
-    return (("sup-at-x", branch(5, _X)), ("sup-at-5/3", branch(3 * _X, F(5, 3))))
-
-
-@lru_cache(maxsize=None)
-def left_quotient_forms() -> tuple[tuple[Polynomial, ...], ...]:
-    """Each form of :func:`left_branch_forms`, in order, divided by x - 5/3.
-
-    Every entry of both forms vanishes at 5/3, so each is divided once,
-    with a zero-remainder check; division is linear in t, so a quotient
-    form at t (:func:`at_t`) is the branch at t divided by x - 5/3.  Raises
-    :class:`ExactPolyError` if an entry leaves a remainder.
-    """
+    T, X = Form((0, 1)), Form((_X,))
+    c1 = 1 + F(15, 2) * T
+    c0 = c1 * F(5, 3) + F(36, 5) - 2 * X - F(126, 5) * T
+    common = 16 * T * (1 - T) * X * (3 * X - 4) * (3 * X - 5) * (5 * X - 9)
+    gap = (F(5, 3) - X) ** 2
     divisor = Polynomial.linear(-PINCH_DOMAIN.lo, 1)
-    quotients = []
-    for label, form in left_branch_forms():
-        entries = []
-        for entry in form:
-            q, r = entry.divmod(divisor)
-            if not r.is_zero:
-                raise ExactPolyError(f"left branch {label} does not vanish at {PINCH_DOMAIN.lo}")
-            entries.append(q)
-        quotients.append(tuple(entries))
-    return tuple(quotients)
+    triples = []
+    for label, form in (("sup-at-x", common + 5 * gap * (c1 * X + c0) ** 2),
+                        ("sup-at-5/3", common + 3 * X * gap * (c1 * F(5, 3) + c0) ** 2)):
+        rows = [row.divmod(divisor) for row in form.rows]
+        if any(not r.is_zero for _, r in rows):
+            raise ExactPolyError(f"left branch {label} does not vanish at {PINCH_DOMAIN.lo}")
+        triples.append((label, form, Form(q for q, _ in rows)))
+    return tuple(triples)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,11 @@ code that also built the interior critical branch ("sup-at-critical",
 the supremum of q(S)^2 x / S at S = c0/c1) and handled the crossing kinds
 only that branch could reach.  The one edit: ``left_branch_polynomials``
 reads the three-branch forms defined here rather than those of
-``pinching_bounds``, which dropped the critical branch.  They are kept as
+``pinching_bounds``, which dropped the critical branch.  The forms are
+tuples of polynomials, entry k at t^k; ``_affine_product``, ``at_t`` and
+``_integer_columns`` are verbatim copies of the ``pinching_bounds``
+helpers that served them, made here when ``pinching_bounds`` replaced
+them by ``exact_poly.Form``.  They are kept as
 a test oracle: the two-branch threshold must give the same enclosure,
 certificate and values, and the same support less the critical branch's
 certificates.  Do not edit them to track the library; nothing in ``src``
@@ -19,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from pinchcert import pinching_bounds as pb
 from pinchcert.exact_poly import (
@@ -27,6 +32,7 @@ from pinchcert.exact_poly import (
     Polynomial,
     SignCertificate,
     _RootCounter,
+    _homogeneous,
     certify_sign_on_interval,
     count_roots,
     rat,
@@ -43,8 +49,41 @@ from pinchcert.param_search import (
 F = Fraction
 
 _X = Polynomial.x()
-_affine_product = pb._affine_product
 weight_linear_coeffs = pb.weight_linear_coeffs
+
+
+def at_t(form: tuple[Polynomial, ...], t) -> Polynomial:
+    """A form (entry k is the polynomial in x at t^k) specialized at t.
+
+    Coefficient i at t = a/b is column i of :func:`_integer_columns` at a/b,
+    by the integer Horner of :func:`exact_poly._homogeneous`, over the
+    scale den * b^(len(form) - 1); the polynomial is made canonical from
+    those integers like any other, and no Fraction is built.
+    """
+    t = rat(t)
+    columns, den = _integer_columns(form)
+    a, b = t.numerator, t.denominator
+    return Polynomial._from_integer_form([_homogeneous(column, a, b) for column in columns],
+                                         den * b ** (len(form) - 1))
+
+
+@lru_cache(maxsize=None)
+def _integer_columns(form: tuple[Polynomial, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``(columns, den)``: column i holds den times the coefficients of x^i
+    in t, lowest power first; den is the lcm of every entry's denominator."""
+    entries = [p.integer_form() for p in form]
+    den = lcm(*(d for _, d in entries))
+    n = max(len(ints) for ints, _ in entries)
+    return tuple(
+        tuple(ints[i] * (den // d) if i < len(ints) else 0 for ints, d in entries)
+        for i in range(n)
+    ), den
+
+
+def _affine_product(a, b) -> tuple:
+    """(a0 + a1 t)(b0 + b1 t) as its coefficients in t."""
+    (a0, a1), (b0, b1) = a, b
+    return (a0 * b0, a0 * b1 + a1 * b0, a1 * b1)
 
 
 def weight_sup_over_s(x, w, t) -> Fraction:
@@ -116,7 +155,7 @@ def left_branch_polynomials(t) -> list[tuple[str, Polynomial, IntervalQ]]:
     seg_hi = min(DOMAIN_HI, (k0 - F(5, 3) * c1) / 2)
     if seg_lo <= seg_hi:
         segments["sup-at-critical"] = IntervalQ(seg_lo, seg_hi)
-    return [(label, pb.at_t(form, t), segments[label])
+    return [(label, at_t(form, t), segments[label])
             for label, form in left_branch_forms() if label in segments]
 
 

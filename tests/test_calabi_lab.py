@@ -1,6 +1,7 @@
 """Tests for the spherical-harmonic immersion lab."""
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -433,6 +434,21 @@ def test_batched_scan_matches_one_sample_scans():
             for name in SCAN_FIELDS:
                 assert np.array_equal(getattr(scan, name)[i], single[name][0]), (s, i, name)
 
+
+
+def test_scan_peak_memory_stays_near_its_arrays():
+    # a scan fills its arrays block by block; keeping every block until the
+    # end, each pinning its 10 x 10 Gram matrix, peaked at ~4.7x the arrays
+    imm = cl.build_calabi_immersion(6)
+    cl.geometry_scan(imm, 10, seed=1, with_derivatives=True)  # tables built once
+    tracemalloc.start()
+    try:
+        scan = cl.geometry_scan(imm, 5000, seed=1, with_derivatives=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(v.nbytes for v in vars(scan).values() if isinstance(v, np.ndarray))
+    assert peak <= 2 * arrays
 
 # Bounds on the frozen reference's own error, not on observed differences:
 # its 4th-order stencils of step h = 1e-3 truncate at ~h^4 times sixth

@@ -30,7 +30,7 @@ T_VALUES = st.fractions(min_value=F(1, 10**6), max_value=F(1, 2), max_denominato
 @example(t=F(7, 50))
 def test_specializations_equal_the_per_call_builders(t):
     assert pb.theta2(t).coeffs == ref.theta2(t).coeffs
-    mine = [(label, pb.at_t(form, t).coeffs) for label, form in pb.left_branch_forms()]
+    mine = [(label, form.at(t).coeffs) for label, form, _ in pb.left_branch_forms()]
     # the two full-domain branches; the critical one is below both (see
     # test_left_threshold_two_branches)
     theirs = [(label, p.coeffs) for label, p, seg in ref.left_branch_polynomials(LO, t)
@@ -38,7 +38,7 @@ def test_specializations_equal_the_per_call_builders(t):
     assert mine == theirs
     # every branch is positive at 9/5, so a left threshold always finds a
     # crossing and never sits at the far edge
-    assert all(sign_at(pb.at_t(form, t), HI) > 0 for _, form in pb.left_branch_forms())
+    assert all(sign_at(form.at(t), HI) > 0 for _, form, _ in pb.left_branch_forms())
 
 
 def test_the_critical_branch_is_covered():
@@ -65,10 +65,11 @@ def test_left_certificate_value_equals_the_reference(t, w, x):
         assert pb.left_certificate(x, w, t) == ref.left_certificate_value(t, w, x)
 
 
-def fraction_horner(form, t):
-    """Frozen copy of the Fraction Horner in t that ``at_t`` replaced."""
-    out = form[-1]
-    for coeff in reversed(form[:-1]):
+def fraction_horner(rows, t):
+    """Frozen copy of the Fraction Horner in t that the integer
+    specialization replaced, on a form's rows."""
+    out = rows[-1]
+    for coeff in reversed(rows[:-1]):
         out = out * t + coeff
     return out
 
@@ -79,9 +80,9 @@ def fraction_horner(form, t):
 @example(t=F(1, 10**12))
 @example(t=F(999999999999, 2 * 10**12))
 def test_integer_specialization_equals_fraction_horner(t):
-    forms = [pb.theta2_form()] + [form for _, form in pb.left_branch_forms()]
+    forms = [pb.theta2_form()] + [form for _, form, _ in pb.left_branch_forms()]
     for form in forms:
-        assert pb.at_t(form, t).coeffs == fraction_horner(form, t).coeffs
+        assert form.at(t).coeffs == fraction_horner(form.rows, t).coeffs
     x = Polynomial.x()
     literal = (40 * t * (2 * t - 1) * x * (3 * x - 4) * (3 * x - 5)
                + (F(9, 5) * t + F(36, 5)) ** 2 * Polynomial.linear(9, -5))

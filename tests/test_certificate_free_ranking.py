@@ -10,6 +10,7 @@ own cell by the certificate step of ``left_threshold`` or
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -17,7 +18,7 @@ from pinchcert import exact_poly as ep
 from pinchcert import param_search as ps
 from pinchcert import pinching_bounds as pb
 from pinchcert import report_cli as rc
-from pinchcert.exact_poly import ExactPolyError, Polynomial, SignClaimError
+from pinchcert.exact_poly import ExactPolyError, Form, Polynomial, SignClaimError
 
 F = Fraction
 LO = F(5, 3)
@@ -51,7 +52,7 @@ def _count_chains(monkeypatch) -> list:
 
 
 def test_a_default_left_sweep_certifies_only_the_winner(monkeypatch):
-    ps._monotone_lemmas("left")  # proved once per process, not per sweep
+    ps.monotone_lemma("left")  # proved once per process, not per sweep
     built = _count_certificates(monkeypatch)
     chains = _count_chains(monkeypatch)
     report = rc.cmd_optimize("left", ps.default_config("left"))
@@ -70,7 +71,7 @@ def test_a_default_left_sweep_certifies_only_the_winner(monkeypatch):
 
 
 def test_a_default_right_sweep_certifies_only_the_winner(monkeypatch):
-    ps._monotone_lemmas("right")
+    ps.monotone_lemma("right")
     built = _count_certificates(monkeypatch)
     chains = _count_chains(monkeypatch)
     report = rc.cmd_optimize("right", ps.default_config("right"))
@@ -82,20 +83,22 @@ def test_a_default_right_sweep_certifies_only_the_winner(monkeypatch):
     assert len(chains) == 1 + 2 == 3
 
 
+def _shift_sup_at_x_quotient(monkeypatch, shift):
+    (label, form, quotient), second = pb.left_branch_forms()
+    shifted = ((label, form, quotient + shift), second)
+    monkeypatch.setattr(pb, "left_branch_forms", lambda: shifted)
+
+
 def _break_one_sliver(monkeypatch):
     """The sup-at-x quotient form plus 10^6 (1 - 2t): unchanged at t = 1/2,
     positive on the sliver at t = 1/200."""
-    first, second = pb.left_quotient_forms()
-    bumped = (first[0] + 10**6, first[1] - 2 * 10**6, *first[2:])
-    monkeypatch.setattr(pb, "left_quotient_forms", lambda: (bumped, second))
+    _shift_sup_at_x_quotient(monkeypatch, 10**6 * (1 - 2 * Form((0, 1))))
 
 
 def _break_one_quotient_end(monkeypatch):
     """The sup-at-x quotient form minus 10^6 (1 - 2t): still increasing in x
     and unchanged at t = 1/2, negative at 9/5 at t = 1/200."""
-    first, second = pb.left_quotient_forms()
-    lowered = (first[0] - 10**6, first[1] + 2 * 10**6, *first[2:])
-    monkeypatch.setattr(pb, "left_quotient_forms", lambda: (lowered, second))
+    _shift_sup_at_x_quotient(monkeypatch, -(10**6) * (1 - 2 * Form((0, 1))))
 
 
 def _break_one_endpoint_check(monkeypatch):
@@ -107,11 +110,12 @@ def _break_one_endpoint_check(monkeypatch):
 
 def _break_theta2_monotonicity(monkeypatch):
     """θ2's form plus 10^4 (x - 7/4)^2 (1 - 4t): unchanged at t = 1/4, the
-    winner, but at t = 0 its x-derivative changes sign at x = 7/4."""
-    real = pb.theta2_form()
+    winner, but at t = 0 its x-derivative changes sign at x = 7/4.  The
+    lemma is cached per side, so it gets an empty cache for the test."""
     bump = 10**4 * Polynomial.linear(F(-7, 4), 1) ** 2
-    bumped = (real[0] + bump, real[1] - 4 * bump, real[2])
+    bumped = pb.theta2_form() + (1 - 4 * Form((0, 1))) * bump
     monkeypatch.setattr(pb, "theta2_form", lambda: bumped)
+    monkeypatch.setattr(ps, "monotone_lemma", lru_cache(ps.monotone_lemma.__wrapped__))
 
 
 @pytest.mark.parametrize(

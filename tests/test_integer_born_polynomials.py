@@ -1,7 +1,7 @@
 """Polynomials made from integers agree with Fraction-built ones.
 
 A polynomial holds only its canonical integer form ``(ints, den)``.
-``pinching_bounds.at_t`` and the Sturm members make it from integers, and
+``Form.at`` and the Sturm members make it from integers, and
 the constructor from Fraction coefficients; both reduce through one helper.
 Against a polynomial built from Fractions of the same value, every
 observable must agree: ``coeffs``, ``integer_form()``, ``==`` both ways,
@@ -16,25 +16,25 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pinchcert import pinching_bounds as pb
-from pinchcert.exact_poly import Polynomial, rat, sturm_sequence
+from pinchcert.exact_poly import Form, Polynomial, rat, sturm_sequence
 
 import exact_reference as ref
 
 F = Fraction
 
 
-def fraction_horner(form, t) -> Polynomial:
+def fraction_horner(form: Form, t) -> Polynomial:
     """The form at t by Fraction Horner in t, through Polynomial arithmetic."""
-    out = form[-1]
-    for coeff in reversed(form[:-1]):
+    out = form.rows[-1]
+    for coeff in reversed(form.rows[:-1]):
         out = out * t + coeff
     return out
 
 
 def all_forms():
     return ([("theta2", pb.theta2_form())]
-            + [(label, form) for label, form in pb.left_branch_forms()]
-            + [(f"quotient {i}", form) for i, form in enumerate(pb.left_quotient_forms())])
+            + [(label, form) for label, form, _ in pb.left_branch_forms()]
+            + [(f"{label} quotient", quotient) for label, _, quotient in pb.left_branch_forms()])
 
 
 def assert_canonical(p: Polynomial) -> None:
@@ -68,18 +68,20 @@ T_VALUES = st.fractions(min_value=F(1, 10**9), max_value=F(1, 2), max_denominato
 @example(t=F(1, 200))
 def test_at_t_equals_the_fraction_horner_reference(t):
     for _, form in all_forms():
-        assert_same_value(pb.at_t(form, t), fraction_horner(form, t))
+        assert_same_value(form.at(t), fraction_horner(form, t))
 
 
 def test_at_t_strips_trailing_zeros_and_reduces():
     # θ2(1/2) loses its cubic and quadratic terms: 40t(2t - 1) vanishes
     assert pb.theta2(F(1, 2)).integer_form() == ((59049, -32805), 100)  # 59049/100 - (6561/20) x
-    # an all-zero specialization is the zero polynomial, ((), 1)
+    # an all-zero specialization is the zero polynomial, ((), 1), and so is
+    # the zero form at any t
     x = Polynomial.x()
-    zero_at_half = pb.at_t((x, -2 * x), F(1, 2))
+    zero_at_half = Form((x, -2 * x)).at(F(1, 2))
     assert zero_at_half.is_zero and zero_at_half.integer_form() == ((), 1)
     assert zero_at_half == Polynomial.zero() and hash(zero_at_half) == hash(Polynomial.zero())
     assert zero_at_half.to_json() == [] and zero_at_half.coeffs == ()
+    assert Form((0, Polynomial.zero())).rows == () and Form(()).at(F(3, 7)) == Polynomial.zero()
 
 
 def test_an_integer_born_polynomial_is_immutable():

@@ -38,7 +38,7 @@ polys = st.lists(big_rationals, min_size=2, max_size=7).filter(lambda cs: cs[-1]
 
 def _born(p: Polynomial) -> Polynomial:
     """p made again by the integer constructor that ``from_json`` and
-    ``at_t`` use."""
+    ``Form.at`` use."""
     return Polynomial._from_integer_form(*p.integer_form())
 
 

@@ -60,22 +60,20 @@ def test_integer_phi_equals_the_fraction_formulas(x, w, t):
 @example(t=F(1, 200))
 def test_quotient_forms_specialize_to_the_branch_quotients(t):
     divisor = Polynomial.linear(-LO, 1)
-    forms, quotients = pb.left_branch_forms(), pb.left_quotient_forms()
-    assert len(forms) == len(quotients) == 2
-    for (_, form), quotient in zip(forms, quotients):
-        g, r = pb.at_t(form, t).divmod(divisor)
+    assert len(pb.left_branch_forms()) == 2
+    for _, form, quotient in pb.left_branch_forms():
+        g, r = form.at(t).divmod(divisor)
         assert r.is_zero
-        assert pb.at_t(quotient, t) == g
+        assert quotient.at(t) == g
 
 
 def test_a_branch_not_vanishing_at_five_thirds_fails_the_division_check(
         monkeypatch, tmp_path, capsys):
-    (label, form), other = pb.left_branch_forms()
-    broken = ((label, (form[0] + 1, *form[1:])), other)
-    monkeypatch.setattr(pb, "left_branch_forms", lambda: broken)
-    pb.left_quotient_forms.cache_clear()
-    with pytest.raises(ExactPolyError, match="does not vanish"):
-        pb.left_quotient_forms()
+    # the branches vanish at 5/3, not at a lower domain end moved to 17/10
+    monkeypatch.setattr(pb, "PINCH_DOMAIN", pb.IntervalQ(F(17, 10), HI))
+    monkeypatch.setattr(pb, "left_branch_forms", pb.left_branch_forms.__wrapped__)
+    with pytest.raises(ExactPolyError, match="left branch sup-at-x does not vanish at 17/10"):
+        pb.left_branch_forms()
     config = ps.SweepConfig(t_grid=(F(1, 4),), w_grid=(LO,))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config.to_json()))
@@ -93,10 +91,10 @@ def _sweep_polynomials():
     """θ2, both branches and both quotients at a few t, each built fresh."""
     for t in (F(1, 200), F(37, 200), F(1, 4), F(1, 2)):
         yield pb.theta2(t)
-        for _, form in pb.left_branch_forms():
-            yield pb.at_t(form, t)
-        for quotient in pb.left_quotient_forms():
-            yield pb.at_t(quotient, t)
+        for _, form, _ in pb.left_branch_forms():
+            yield form.at(t)
+        for _, _, quotient in pb.left_branch_forms():
+            yield quotient.at(t)
 
 
 def test_sweep_chain_members_are_fractions_equal_to_the_reference():

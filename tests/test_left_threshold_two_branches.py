@@ -75,7 +75,7 @@ def test_the_critical_branch_is_below_both_end_branches(t):
     w_minus_x = Polynomial.linear(LO, -1)
     branches = {label: p for label, p, _ in ref.left_branch_polynomials(t)}
     critical = ref.left_branch_forms()[2][1]
-    p3 = pb.at_t(critical, t)  # built on the whole domain, not only its segment
+    p3 = ref.at_t(critical, t)  # built on the whole domain, not only its segment
     assert branches.get("sup-at-critical", p3) == p3
     assert branches["sup-at-x"] - p3 == 5 * w_minus_x**2 * (c1 * _X - c0) ** 2
     assert branches["sup-at-5/3"] - p3 == 3 * _X * w_minus_x**2 * (F(5, 3) * c1 - c0) ** 2
@@ -83,14 +83,14 @@ def test_the_critical_branch_is_below_both_end_branches(t):
 
 def _in_t(form, x) -> tuple:
     """A form's coefficients in t at the point x."""
-    return tuple(entry(x) for entry in form)
+    return tuple(row(x) for row in form.rows)
 
 
 def test_end_branches_vanish_to_first_order_at_five_thirds():
     # p(5/3) = 0 and p'(5/3) = -160 t (1 - t) / 3 < 0 for every t in (0, 1/2]
-    for _, form in pb.left_branch_forms():
+    for _, form, _ in pb.left_branch_forms():
         assert _in_t(form, LO) == (0, 0, 0)
-        assert _in_t(tuple(entry.derivative() for entry in form), LO) == (
+        assert _in_t(form.derivative(), LO) == (
             0, F(-160, 3), F(160, 3))
 
 
@@ -99,7 +99,7 @@ def test_end_branches_at_nine_fifths_are_positive_squares():
     def square(scale, a, b):  # scale (a + b t)^2 as coefficients in t
         return (scale * a * a, 2 * scale * a * b, scale * b * b)
 
-    forms = dict(pb.left_branch_forms())
+    forms = {label: form for label, form, _ in pb.left_branch_forms()}
     assert list(forms) == ["sup-at-x", "sup-at-5/3"]
     assert _in_t(forms["sup-at-x"], HI) == square(5 * F(2, 15) ** 2, F(106, 15), F(4, 5))
     assert _in_t(forms["sup-at-5/3"], HI) == square(

@@ -1,11 +1,13 @@
 """The monotonicity lemma behind the sweep probes.
 
-θ2 and the two left quotients g = p / (x - 5/3) are forms quadratic in t;
-``param_search.monotone_lemma`` certifies the signs of the three Bernstein
+θ2 and the two left quotients g = p / (x - 5/3) are forms in t;
+``param_search.monotone_lemma`` certifies the signs of the Bernstein
 coefficients of each form's x-derivative over t in [0, 1/2], which proves
-∂θ2/∂x < 0 and ∂g/∂x > 0 on [5/3, 9/5] x [0, 1/2].  Given the lemma no
-probe builds a Sturm chain, and every probe and threshold must still equal
-the Sturm-counted references.
+∂θ2/∂x < 0 and ∂g/∂x > 0 on [5/3, 9/5] x [0, 1/2].  The lemma takes forms
+of any degree in t; forms cubic in t stand in for θ2 here, one that
+proves and one that does not.  Given the lemma no probe builds a Sturm
+chain, and every probe and threshold must still equal the Sturm-counted
+references.
 """
 
 import json
@@ -13,6 +15,8 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 from pathlib import Path
 from unittest import mock
 
@@ -28,6 +32,7 @@ from pinchcert.exact_poly import (
     CLAIM_NEGATIVE,
     CLAIM_POSITIVE,
     ExactPolyError,
+    Form,
     IntervalQ,
     Polynomial,
     count_roots,
@@ -40,11 +45,7 @@ LO, HI = F(5, 3), F(9, 5)
 WIDTH = F(1, 10**6)
 
 
-#: (name, form, sign, claim) of every form the lemma covers
-FORMS = [("theta2", pb.theta2_form(), "negative", CLAIM_NEGATIVE)] + [
-    (f"{label} quotient", quotient, "positive", CLAIM_POSITIVE)
-    for (label, _), quotient in zip(pb.left_branch_forms(), pb.left_quotient_forms())
-]
+T = Form((0, 1))
 
 
 def _bump(x0, scale=10**4) -> Polynomial:
@@ -52,51 +53,91 @@ def _bump(x0, scale=10**4) -> Polynomial:
     return scale * Polynomial.linear(-x0, 1) ** 2
 
 
-@pytest.mark.parametrize("name, form, sign, claim", FORMS, ids=[f[0] for f in FORMS])
-def test_bernstein_coefficients_give_the_derivative_exactly(name, form, sign, claim):
-    # b0 (1-s)^2 + 2 b1 s(1-s) + b2 s^2 = b0 + 2 (b1 - b0) s + (b0 - 2 b1 + b2) s^2
-    # must be h0 + (h1/2) s + (h2/4) s^2, ∂form/∂x at t = s/2, coefficient by coefficient
-    b0, b1, b2 = (c.polynomial for c in ps.monotone_lemma(form, sign))
-    h0, h1, h2 = (entry.derivative() for entry in form)
-    assert b0 == h0
-    assert 2 * (b1 - b0) == F(1, 2) * h1
-    assert b0 - 2 * b1 + b2 == F(1, 4) * h2
+def _fresh_lemma(monkeypatch):
+    """Give ``monotone_lemma``, cached per side, an empty cache until the
+    test ends, so that a patched form is proved."""
+    monkeypatch.setattr(ps, "monotone_lemma", lru_cache(ps.monotone_lemma.__wrapped__))
+
+
+def _only_form(monkeypatch, side, name, form):
+    """Make ``form`` the one form that ``side``'s lemma proves, under ``name``."""
+    if side == "right":
+        monkeypatch.setattr(pb, "theta2_form", lambda: form)
+    else:
+        triple = (name.removesuffix(" quotient"), None, form)
+        monkeypatch.setattr(pb, "left_branch_forms", lambda: (triple,))
+    _fresh_lemma(monkeypatch)
+
+
+#: (name, side, form, claim) of every form the lemma covers, and of θ2's
+#: form times 1 + t, cubic in t, which it must prove as well
+FORMS = [("theta2", "right", pb.theta2_form(), CLAIM_NEGATIVE)] + [
+    (f"{label} quotient", "left", quotient, CLAIM_POSITIVE)
+    for label, _, quotient in pb.left_branch_forms()
+] + [("theta2 times (1 + t)", "right", pb.theta2_form() * (1 + T), CLAIM_NEGATIVE)]
+
+
+@pytest.mark.parametrize("name, side, form, claim", FORMS, ids=[f[0] for f in FORMS])
+def test_bernstein_coefficients_give_the_derivative_exactly(monkeypatch, name, side, form, claim):
+    _only_form(monkeypatch, side, name, form)
+    derivative = form.derivative()
+    bernstein = derivative.bernstein(F(1, 2))
+    assert [(c.claim, c.polynomial, c.interval) for c in ps.monotone_lemma(side)] == [
+        (claim, b, pb.PINCH_DOMAIN) for b in bernstein]
+    # sum of C(n, j) s^j (1-s)^(n-j) b_j is ∂form/∂x at t = s/2
+    n = len(form.rows) - 1
+    assert len(bernstein) == n + 1
     for s in (F(0), F(1, 3), F(1, 2), F(5, 7), F(1)):
-        bernstein = (1 - s) ** 2 * b0 + 2 * s * (1 - s) * b1 + s**2 * b2
-        assert bernstein == pb.at_t(tuple(entry.derivative() for entry in form), s / 2)
+        combination = sum((comb(n, j) * s**j * (1 - s) ** (n - j) * b
+                           for j, b in enumerate(bernstein)), Polynomial.zero())
+        assert combination == derivative.at(s / 2)
 
 
 def test_all_nine_lemma_certificates_replay():
-    certificates = [c for _, form, sign, claim in FORMS
-                    for c in ps.monotone_lemma(form, sign)
-                    if (c.claim, c.interval) == (claim, pb.PINCH_DOMAIN)]
-    assert len(certificates) == 9
+    certificates = ps.monotone_lemma("right") + ps.monotone_lemma("left")
+    forms = [pb.theta2_form()] + [quotient for _, _, quotient in pb.left_branch_forms()]
+    assert [c.polynomial for c in certificates] == [
+        b for form in forms for b in form.derivative().bernstein(F(1, 2))]
+    assert [c.claim for c in certificates] == [CLAIM_NEGATIVE] * 3 + [CLAIM_POSITIVE] * 6
+    assert all(c.interval == pb.PINCH_DOMAIN for c in certificates)
     assert all(ep.SignCertificate.from_json(json.loads(c.to_json_str())).replay()
                for c in certificates)
 
 
 def test_theta2_bernstein_coefficients_are_the_sympy_checked_ones():
-    b0, b1, b2 = (c.polynomial for c in ps.monotone_lemma(pb.theta2_form(), "negative"))
+    b0, b1, b2 = (c.polynomial for c in ps.monotone_lemma("right"))
     assert b0 == Polynomial.constant(F(-1296, 5))
     assert b1 == F(-2, 5) * Polynomial((1229, -1350, 675))
     assert b2 == Polynomial.constant(F(-6561, 20))
 
 
 def _break_sup_at_53_quotient(monkeypatch):
-    first, second = pb.left_quotient_forms()
-    monkeypatch.setattr(pb, "left_quotient_forms",
-                        lambda: (first, (second[0] - _bump(F(7, 4)), *second[1:])))
+    first, (label, form, quotient) = pb.left_branch_forms()
+    broken = (first, (label, form, quotient - _bump(F(7, 4))))
+    monkeypatch.setattr(pb, "left_branch_forms", lambda: broken)
+    _fresh_lemma(monkeypatch)
 
 
 def _break_theta2(monkeypatch):
     real = pb.theta2_form()
-    monkeypatch.setattr(pb, "theta2_form", lambda: (real[0] + _bump(F(7, 4)), *real[1:]))
+    monkeypatch.setattr(pb, "theta2_form", lambda: real + _bump(F(7, 4)))
+    _fresh_lemma(monkeypatch)
+
+
+def _break_theta2_with_a_cubic(monkeypatch):
+    """θ2's form plus 10^5 t^3 (x - 7/4)^2, cubic in t: at t = 1/2 its
+    x-derivative is about -328 + 25000 (x - 7/4), which changes sign at
+    x ≈ 1.763, inside the box."""
+    real = pb.theta2_form()
+    monkeypatch.setattr(pb, "theta2_form", lambda: real + T**3 * _bump(F(7, 4), 10**5))
+    _fresh_lemma(monkeypatch)
 
 
 @pytest.mark.parametrize("side, breaks, name", [
     ("left", _break_sup_at_53_quotient, "sup-at-5/3 quotient"),
     ("right", _break_theta2, "theta2"),
-], ids=["left quotient", "theta2"])
+    ("right", _break_theta2_with_a_cubic, "theta2"),
+], ids=["left quotient", "theta2", "cubic theta2"])
 def test_a_form_that_is_not_monotone_stops_optimize(monkeypatch, tmp_path, capsys,
                                                     side, breaks, name):
     config = ps.SweepConfig(t_grid=(F(1, 4), F(1, 2)), w_grid=(LO if side == "left" else HI,))
@@ -111,18 +152,23 @@ def test_a_form_that_is_not_monotone_stops_optimize(monkeypatch, tmp_path, capsy
     assert message in capsys.readouterr().err
 
 
-def test_a_patched_form_is_proved_again_not_served_from_the_cache():
-    form = pb.theta2_form()
-    ps.monotone_lemma(form, "negative")
-    before = ps.monotone_lemma.cache_info()
-    assert ps.monotone_lemma(form, "negative") is ps.monotone_lemma(form, "negative")
+def test_the_lemma_is_proved_once_per_side(monkeypatch):
+    _fresh_lemma(monkeypatch)
+    right = ps.monotone_lemma("right")
+    assert ps.monotone_lemma("right") is right
+    ps.monotone_lemma("left")
+    info = ps.monotone_lemma.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+    # a proved side is served from the cache; an empty cache proves its form again
+    real = pb.theta2_form()
+    monkeypatch.setattr(pb, "theta2_form", lambda: real + _bump(F(7, 4)))
+    assert ps.monotone_lemma("right") is right
+    ps.monotone_lemma.cache_clear()
+    with pytest.raises(ExactPolyError, match="fails for the theta2 form"):
+        ps.monotone_lemma("right")
     # a constant in x leaves the derivative, and so the certificates, as they are
-    shifted = (form[0] + 1, *form[1:])
-    assert ps.monotone_lemma(shifted, "negative") == ps.monotone_lemma(form, "negative")
-    after = ps.monotone_lemma.cache_info()
-    assert after.misses == before.misses + 1
-    with pytest.raises(ExactPolyError):
-        ps.monotone_lemma((form[0] + _bump(F(7, 4)), *form[1:]), "negative")
+    monkeypatch.setattr(pb, "theta2_form", lambda: real + 1)
+    assert ps.monotone_lemma("right") == right
 
 
 def test_the_lemma_is_not_proved_at_import():
@@ -206,8 +252,8 @@ T_VALUES = st.one_of(
 @example(t=F(127, 5400), width=WIDTH)
 @example(t=F(203, 1350), width=F(1, 10**3))
 def test_probes_and_thresholds_match_the_sturm_references(t, width):
-    ps._monotone_lemmas("left")
-    ps._monotone_lemmas("right")
+    ps.monotone_lemma("left")
+    ps.monotone_lemma("right")
     right = _right_reference(t, width)
     cell, p = ps._right_cell(t, width)
     assert (cell.enclosure, cell.degenerate, p) == (right.enclosure, right.degenerate,
@@ -273,7 +319,6 @@ def test_thresholds_refuse_a_cell_their_counts_contradict(monkeypatch):
         cubic = Polynomial.constant(1)
         for r in roots:
             cubic = cubic * Polynomial.linear(-r, 1)
-        zero = Polynomial.zero()
-        monkeypatch.setattr(pb, "theta2_form", lambda cubic=cubic: (cubic, zero, zero))
+        monkeypatch.setattr(pb, "theta2_form", lambda cubic=cubic: Form((cubic,)))
         with pytest.raises(ExactPolyError, match=f"expected {expected} root.*found {found}"):
             ps.right_threshold(t)

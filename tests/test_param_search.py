@@ -76,7 +76,7 @@ def test_left_branch_max_equals_certificate_value():
     rng = random.Random(42)
     w = F(5, 3)
     for t in (F(1, 2), F(1, 4), F(7, 50)):
-        branches = [pb.at_t(form, t) for _, form in pb.left_branch_forms()]
+        branches = [form.at(t) for _, form, _ in pb.left_branch_forms()]
         for _ in range(40):
             x = F(5, 3) + F(2, 15) * F(rng.randint(0, 10**5), 10**5)
             assert max(p(x) for p in branches) == pb.left_certificate_value(x, w, t)
@@ -280,7 +280,7 @@ def test_replay_binds_a_left_enclosure_to_its_support():
     assert ps.replay_threshold(genuine)
     sliver_x, count_x, sliver_s, count_s = genuine.support
     u, lo = count_x.interval.lo, genuine.enclosure.lo
-    sup_at_x = pb.at_t(pb.left_branch_forms()[0][1], genuine.t)
+    sup_at_x = pb.left_branch_forms()[0][1].at(genuine.t)
     short = count_roots(sup_at_x, ps.IntervalQ(u, lo - F(1, 10**4)))[1]
     other = ps.left_threshold(F(90, 200), F(5, 3), WIDTH).support
     forgeries = {

@@ -325,7 +325,6 @@ CONSTANT_POLYNOMIALS = (
     pb.smax_numerator,
     pb.theta2_form,
     pb.left_branch_forms,
-    pb.left_quotient_forms,
 )
 
 

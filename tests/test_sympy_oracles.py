@@ -5,14 +5,18 @@ so a mistake made before the copy would be pinned, not caught.  Here sympy
 checks the canonical-integer-form core directly, over degrees 1..6 with
 coefficients of about 100 bits:
 
-- ``+``, ``-``, ``*``, ``derivative``, ``divmod`` and ``pinching_bounds.at_t``
-  agree with sympy's expansion, and each result is in canonical form;
+- ``+``, ``-``, ``*``, ``derivative`` and ``divmod`` agree with sympy's
+  expansion, and each result is in canonical form;
+- so do a ``Form``'s (a polynomial in t and x) ``+``, ``-``, ``*``, ``**``,
+  ``at``, ``derivative`` and ``bernstein``, on forms of t-degree 0..3, and
+  every certificate form's ``at``;
 - ``count_roots``'s count is ``sympy.Poly.count_roots`` on the certificate's
   own closed interval, whose ends are never roots, for polynomials with
   roots drawn at the interval's ends and just inside and outside them;
 - each ``isolate_root`` enclosure holds exactly one root of ``real_roots``;
-- θ1, θ2(t), N, D, N'D - ND' and the S_max numerator are the expansions of
-  the formulas their docstrings state, and the legacy-dominance B is
+- θ1, θ2(t), N, D, N'D - ND', the S_max numerator and both left branches
+  are the expansions of the formulas their docstrings state, each left
+  quotient is its branch divided by x - 5/3, and the legacy-dominance B is
   (5x - 9) times a polynomial that, like A, has no root on [5/3, 9/5].
 
 The lab's jet kernel is checked the same way: the degree-s immersion built
@@ -30,7 +34,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pinchcert import pinching_bounds as pb
-from pinchcert.exact_poly import IntervalQ, Polynomial, count_roots, isolate_root
+from pinchcert.exact_poly import Form, IntervalQ, Polynomial, count_roots, isolate_root
 
 sympy = pytest.importorskip("sympy")
 
@@ -108,15 +112,36 @@ def test_divmod_is_sympys(p, q):
     assert_is(remainder, want_r)
 
 
+# ---------------------------------------------------------------------------
+# forms in t
+
+# forms of t-degree 0..3 (and the zero form), rows as the operands above
+forms = st.lists(operands, max_size=4).map(Form)
+
+
 def all_forms():
-    return ([pb.theta2_form()] + [form for _, form in pb.left_branch_forms()]
-            + list(pb.left_quotient_forms()))
+    return [pb.theta2_form()] + [f for _, form, quotient in pb.left_branch_forms()
+                                 for f in (form, quotient)]
 
 
-def form_at(form, t):
+def form_to_sympy(form: Form):
+    return sum((to_sympy(row) * T**k for k, row in enumerate(form.rows)), sympy.Integer(0))
+
+
+def form_at(form: Form, t):
     """The form as a sympy polynomial in x and t, with t substituted."""
-    expr = sum((to_sympy(entry) * T**k for k, entry in enumerate(form)), sympy.Integer(0))
-    return expr.subs(T, sympy.Rational(t.numerator, t.denominator))
+    return form_to_sympy(form).subs(T, sympy.Rational(t.numerator, t.denominator))
+
+
+def assert_form_is(form: Form, expr) -> None:
+    """form is the polynomial in t and x sympy expanded: row k is the
+    coefficient of t^k, each in canonical form, and no trailing row is zero."""
+    rows = list(reversed(sympy.Poly(sympy.expand(expr), T).all_coeffs()))
+    while rows and rows[-1] == 0:
+        rows.pop()
+    assert len(form.rows) == len(rows)
+    for row, want in zip(form.rows, rows):
+        assert_is(row, want)
 
 
 T_VALUES = st.one_of(st.fractions(min_value=F(1, 10**9), max_value=F(1, 2),
@@ -128,13 +153,47 @@ T_VALUES = st.one_of(st.fractions(min_value=F(1, 10**9), max_value=F(1, 2),
 @example(t=F(1, 2))
 def test_at_t_of_every_form_is_sympys_substitution(t):
     for form in all_forms():
-        assert_is(pb.at_t(form, t), form_at(form, t))
+        assert_is(form.at(t), form_at(form, t))
 
 
 @settings(max_examples=60, deadline=None)
-@given(form=st.lists(operands, min_size=1, max_size=4).map(tuple), t=T_VALUES)
+@given(form=forms, t=T_VALUES)
+@example(form=Form(()), t=F(1, 3))
 def test_at_t_of_a_drawn_form_is_sympys_substitution(form, t):
-    assert_is(pb.at_t(form, t), form_at(form, t))
+    assert_is(form.at(t), form_at(form, t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=forms, g=forms, p=operands, c=big_rationals, n=st.integers(0, 3))
+def test_form_arithmetic_is_sympys(f, g, p, c, n):
+    a, b = form_to_sympy(f), form_to_sympy(g)
+    k, poly = sympy.Rational(c.numerator, c.denominator), to_sympy(p)
+    assert_form_is(f + g, a + b)
+    assert_form_is(f - g, a - b)
+    assert_form_is(f * g, a * b)
+    assert_form_is(-f, -a)
+    assert_form_is(f**n, a**n)
+    # rationals and polynomials in x lift to forms constant in t
+    assert_form_is(f + p, a + poly)
+    assert_form_is(c - f, k - a)
+    assert_form_is(c * f, k * a)
+    assert_form_is(f * p, a * poly)
+    assert_form_is(f.derivative(), sympy.diff(a, X))
+
+
+@settings(max_examples=60, deadline=None)
+@given(form=forms, h=big_rationals)
+@example(form=Form(()), h=F(1, 2))
+def test_bernstein_coefficients_are_sympys(form, h):
+    # sum_j b_j C(n, j) s^j (1 - s)^(n - j) is the form at t = h s
+    s = sympy.Symbol("s")
+    coefficients = form.bernstein(h)
+    n = len(coefficients) - 1
+    assert n == max(len(form.rows) - 1, 0)
+    combination = sum((to_sympy(b) * sympy.binomial(n, j) * s**j * (1 - s) ** (n - j)
+                       for j, b in enumerate(coefficients)), sympy.Integer(0))
+    at_hs = form_to_sympy(form).subs(T, sympy.Rational(h.numerator, h.denominator) * s)
+    assert sympy.expand(combination - at_hs) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +325,22 @@ def test_theta2_is_its_docstring_formula(t):
     x, tt = X, q(t.numerator, t.denominator)
     assert_is(pb.theta2(t), 40 * tt * (2 * tt - 1) * x * (3 * x - 4) * (3 * x - 5)
               + (q(9, 5) * tt + q(36, 5)) ** 2 * (9 - 5 * x))
+
+
+def test_left_branches_are_their_docstring_formulas():
+    x, t = X, T
+    c1 = 1 + q(15, 2) * t
+    c0 = c1 * q(5, 3) + q(36, 5) - 2 * x - q(126, 5) * t
+    common = 16 * t * (1 - t) * x * (3 * x - 4) * (3 * x - 5) * (5 * x - 9)
+    gap = (q(5, 3) - x) ** 2
+    formulas = {"sup-at-x": common + 5 * gap * (c1 * x + c0) ** 2,
+                "sup-at-5/3": common + 3 * x * gap * (c1 * q(5, 3) + c0) ** 2}
+    assert [label for label, _, _ in pb.left_branch_forms()] == list(formulas)
+    for label, form, quotient in pb.left_branch_forms():
+        assert_form_is(form, formulas[label])
+        want, remainder = sympy.div(sympy.expand(formulas[label]), x - q(5, 3), x)
+        assert sympy.expand(remainder) == 0
+        assert_form_is(quotient, want)
 
 
 def test_legacy_dominance_b_factors_through_the_upper_end():
