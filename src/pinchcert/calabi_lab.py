@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -534,36 +533,25 @@ class GeometryScan:
     def n_samples(self) -> int:
         return len(self.S)
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+    def write_csv(self, fh) -> None:
+        """Write one CSV row per sample to the text file ``fh``, SCAN_BLOCK
+        rows at a time, so that only one block's values are held at once.
+        Values are Python floats, whose ``str`` is their ``repr``: they read
+        back exactly."""
         header = ["index", "x", "y", "z", "chart", "S", "A_norm_sq", "rho_perp",
                   "H_norm_sq", "K_induced", "K_gauss", "a_dot_b", "a_norm_sq",
                   "b_norm_sq"]
+        columns = [*self.sample_points.T, self.charts, self.S, self.A_norm_sq,
+                   self.rho_perp, self.H_norm_sq, self.K_induced, self.K_gauss,
+                   self.a_dot_b, self.a_norm_sq, self.b_norm_sq]
         if self.B1 is not None:
             header.append("B1")
+            columns.append(self.B1)
+        writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(self.n_samples):
-            row = [
-                i,
-                repr(float(self.sample_points[i, 0])),
-                repr(float(self.sample_points[i, 1])),
-                repr(float(self.sample_points[i, 2])),
-                int(self.charts[i]),
-                repr(float(self.S[i])),
-                repr(float(self.A_norm_sq[i])),
-                repr(float(self.rho_perp[i])),
-                repr(float(self.H_norm_sq[i])),
-                repr(float(self.K_induced[i])),
-                repr(float(self.K_gauss[i])),
-                repr(float(self.a_dot_b[i])),
-                repr(float(self.a_norm_sq[i])),
-                repr(float(self.b_norm_sq[i])),
-            ]
-            if self.B1 is not None:
-                row.append(repr(float(self.B1[i])))
-            writer.writerow(row)
-        return buf.getvalue()
+        for i in range(0, self.n_samples, SCAN_BLOCK):
+            writer.writerows(zip(range(i, i + SCAN_BLOCK),
+                                 *(column[i:i + SCAN_BLOCK].tolist() for column in columns)))
 
     def summary(self) -> dict:
         def stats(arr):

@@ -254,8 +254,12 @@ class Polynomial:
         return "Polynomial(" + " + ".join(terms) + ")"
 
     # -- arithmetic ---------------------------------------------------
+    # an operand of another type, such as a Form, gets NotImplemented, so
+    # that Python tries its reflected method
 
     def __add__(self, other) -> "Polynomial":
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         (a, da), (b, db) = self._form, self._coerce(other)._form
         den = lcm(da, db)
         values = [c * (den // da) for c in a] + [0] * (len(b) - len(a))
@@ -265,6 +269,8 @@ class Polynomial:
         return Polynomial._from_integer_form(values, den)
 
     def __sub__(self, other) -> "Polynomial":
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         return self + (-self._coerce(other))
 
     def __neg__(self) -> "Polynomial":
@@ -272,6 +278,8 @@ class Polynomial:
         return Polynomial._from_integer_form([-c for c in ints], den)
 
     def __mul__(self, other) -> "Polynomial":
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         (a, da), (b, db) = self._form, self._coerce(other)._form
         if not a or not b:
             return Polynomial.zero()
@@ -286,6 +294,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __rsub__(self, other) -> "Polynomial":
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         return self._coerce(other) - self
 
     def __pow__(self, n: int) -> "Polynomial":
@@ -376,6 +386,10 @@ class Polynomial:
         return cls._from_integer_form([n * (den // d) for n, d in pairs], den)
 
 
+#: what Polynomial arithmetic takes: polynomials and what :func:`rat` reads
+_OPERANDS = (Polynomial, Fraction, int, str)
+
+
 def _homogeneous(ints: Sequence[int], a: int, b: int) -> int:
     """``sum(ints[i] * a^i * b^(n-i))`` with n = len(ints) - 1, by Horner.
 
@@ -407,9 +421,9 @@ def sign_at(p: Polynomial, x: Fraction) -> int:
 @dataclass(frozen=True)
 class Form:
     """Polynomial in (t, x): ``rows[k]`` is the :class:`Polynomial` in x at
-    t^k, and the last row is nonzero.  In ``+``, ``-`` and ``*`` a rational,
-    or a polynomial in x right of the form, lifts to a form.  The integer
-    columns that :meth:`at` reads are made with the form."""
+    t^k, and the last row is nonzero.  In ``+``, ``-`` and ``*`` a rational
+    or a polynomial in x, on either side of the form, lifts to a form.  The
+    integer columns that :meth:`at` reads are made with the form."""
 
     rows: tuple[Polynomial, ...] = ()
     _columns: tuple = field(init=False, repr=False, compare=False)

@@ -26,7 +26,7 @@ the corners once per process, before its first left sweep, and then counts
 such probes: they rank and count as the degenerate probes they are, but no
 polynomial, Sturm chain, certificate or per-pair key is built for them, and
 only the smallest of the grid's dead pairs competes for the incumbent.  Only
-w = 5/3 builds branches.
+w = 5/3 specializes the quotients.
 
 Sweep probes rest on a monotonicity lemma as well.  θ2 and the quotients
 g = p / (x - 5/3) of both left branches are forms in t.  For t in
@@ -45,9 +45,9 @@ Every probe, comparison and bisection step is exact rational or integer
 arithmetic, with no float anywhere (a bisection's final cell is proposed
 by exact regula falsi and confirmed by exact signs where a count has
 found a single root, and found by Sturm-counted bisection otherwise);
-identical configurations produce bit-identical results.  Each branch
-polynomial builds its Sturm chain on first use and keeps it for every
-count and certificate on it.
+identical configurations produce bit-identical results.  Each polynomial
+builds its Sturm chain on first use and keeps it for every count and
+certificate on it.
 
 A sweep ranks its probes on bare enclosures: one cell function per side
 (:func:`_left_cell`, :func:`_right_cell`) checks every fact an enclosure
@@ -59,8 +59,9 @@ whose certificates prove the enclosure without the lemma; :func:`optimize`
 keeps the winner's cell and runs only the certificate step on it.  Every
 certificate here comes from :mod:`pinchcert.exact_poly`'s ``count_roots``,
 ``certify_sign_on_interval`` or ``one_root_certificate``, which decide the
-labels.  Replay binds a left enclosure's support to the branches at its t
-(:func:`_left_support_holds`).
+labels.  A left enclosure rests on its two quotients alone (see
+:func:`left_threshold`), so the left path counts no roots; replay binds its
+support to the quotients at its t (:func:`_left_support_holds`).
 """
 
 from __future__ import annotations
@@ -256,7 +257,7 @@ def monotone_lemma(side: str) -> tuple[SignCertificate, ...]:
     return tuple(certificates)
 
 
-#: the sliver [5/3, u] on which a left branch's quotient is certified negative
+#: [5/3, u]: each left quotient must be negative at u, where its isolation starts
 _SLIVER = IntervalQ(DOMAIN_LO, DOMAIN_LO + (DOMAIN_HI - DOMAIN_LO) / 10**6)
 #: the enclosure of every degenerate left probe
 _EDGE = IntervalQ(DOMAIN_LO, DOMAIN_LO)
@@ -348,13 +349,13 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
     on (5/3, x); pinching below it forces S to sit at the lower endpoint.
     For w > 5/3 (see :func:`edge_lemma`) the certificate is positive at the
     domain edge, and the degenerate enclosure [5/3, 5/3] is returned.  At
-    w = 5/3 this is :func:`_left_cell` with its certificates: the winning
-    branch's exactly-one-root certificate, and as support, per branch, the
-    negative certificate of its quotient on the sliver [5/3, u] and, unless
-    the branch's first root lies in the first cell above u, the no-root
-    count of the branch on [u, x], x the lower end of its own enclosure.
-    These prove the enclosure without the monotonicity lemma; a count that
-    finds a root raises :class:`ExactPolyError`.
+    w = 5/3 this is :func:`_left_cell` with its certificates: the
+    exactly-one-root certificate of the winning branch's quotient on the
+    enclosure, and as support, per branch, the negative certificate of its
+    quotient on [5/3, x], x the lower end of its own enclosure.  A branch is
+    its quotient times x - 5/3 > 0 there, so these prove the enclosure
+    without the monotonicity lemma; a quotient that is not negative up to x
+    raises :class:`SignClaimError`.
     """
     t, w, width = rat(t), rat(w), rat(width)
     if not 0 < t <= F(1, 2):
@@ -384,25 +385,14 @@ def _left_certificates(cell: _Cell, phi_lo: Fraction, phi_hi: Fraction,
     """:func:`left_threshold` at w = 5/3 from :func:`_left_cell`'s result:
     the enclosure with its certificates, which :func:`left_threshold`
     describes."""
-    t = cell.t
-    u = _SLIVER.hi
-    support: list[SignCertificate] = []
-    winner = None
-    for (label, form, _), (own, g) in zip(pb.left_branch_forms(), branches):
-        p = form.at(t)
-        if winner is None and own == cell.enclosure:
-            winner = p  # the first of equal enclosures, as _left_cell's min
-        support.append(certify_sign_on_interval(g, _SLIVER, "negative"))
-        if own.lo > u:
-            n, count = count_roots(p, IntervalQ(u, own.lo))
-            if n:
-                raise ExactPolyError(f"the {label} branch at t = {t} has {n} root(s) "
-                                     f"in ({u}, {own.lo}), below its enclosure")
-            support.append(count)
+    # the first of equal enclosures wins, as in _left_cell's min
+    winner = next(g for own, g in branches if own == cell.enclosure)
+    support = tuple(certify_sign_on_interval(g, IntervalQ(DOMAIN_LO, own.lo), "negative")
+                    for own, g in branches)
     return ThresholdEnclosure(
-        side="left", t=t, w=DOMAIN_LO, enclosure=cell.enclosure,
+        side="left", t=cell.t, w=DOMAIN_LO, enclosure=cell.enclosure,
         certificate=one_root_certificate(winner, cell.enclosure),
-        degenerate=False, support=tuple(support), phi_lo=phi_lo, phi_hi=phi_hi,
+        degenerate=False, support=support, phi_lo=phi_lo, phi_hi=phi_hi,
     )
 
 
@@ -498,8 +488,8 @@ def enclosure_holds(th: ThresholdEnclosure) -> bool:
     values at its ends, of opposite sign, an exactly-one-root certificate of
     θ2(t) on the enclosure, and as support one exactly-one-root count of
     θ2(t) on that nudged domain.  A left enclosure at w = 5/3 must carry an
-    exactly-one-root certificate of one of the two branches at t on the
-    enclosure, and phi's values at its ends, of opposite sign, and the
+    exactly-one-root certificate of one of the two branch quotients at t on
+    the enclosure, phi's values at its ends, of opposite sign, and the
     support :func:`left_threshold` gives it (see :func:`_left_support_holds`).
     An unknown side or a t outside (0, 1/2] holds nothing.
     """
@@ -530,41 +520,28 @@ def enclosure_holds(th: ThresholdEnclosure) -> bool:
                 and (phi_lo, phi_hi) == (th.phi_lo, th.phi_hi)
                 and [(c.claim, c.polynomial, c.interval) for c in th.support]
                 == [(CLAIM_ONE_ROOT, p, _counted_domain(p))])
-    if th.w != DOMAIN_LO or all(cert.polynomial != form.at(th.t)
-                                for _, form, _ in pb.left_branch_forms()):
+    quotients = [quotient.at(th.t) for _, _, quotient in pb.left_branch_forms()]
+    if th.w != DOMAIN_LO or cert.polynomial not in quotients:
         return False
     phi_lo = pb.left_certificate_value(lo, th.w, th.t)
     phi_hi = pb.left_certificate_value(hi, th.w, th.t)
     return (phi_lo < 0 < phi_hi and phi_lo == th.phi_lo and phi_hi == th.phi_hi
-            and _left_support_holds(th))
+            and _left_support_holds(th, quotients))
 
 
-def _left_support_holds(th: ThresholdEnclosure) -> bool:
+def _left_support_holds(th: ThresholdEnclosure, quotients: list[Polynomial]) -> bool:
     """Whether a left enclosure's support shows phi < 0 on (5/3, enclosure.lo).
 
-    Per branch, in :func:`pinching_bounds.left_branch_forms` order, the
-    support must hold the negative certificate of the branch's quotient at t
-    on the sliver [5/3, u] (the branch is negative on (5/3, u]), then either
-    a no-root count of the branch at t on [u, x] with x >= enclosure.lo, or
-    nothing, which suffices only when enclosure.lo = u.  Nothing may follow.
+    phi is the larger branch and each branch is (x - 5/3) times its
+    quotient, so each quotient must be negative on [5/3, x] with
+    x >= enclosure.lo.  The support is one ``sign-constant-negative``
+    certificate per branch of its quotient at t (``quotients``) on such an
+    interval, in :func:`pinching_bounds.left_branch_forms` order.
     """
-    u = _SLIVER.hi
-    rest = list(th.support)
-    for _, form, quotient in pb.left_branch_forms():
-        if not rest:
-            return False
-        sliver = rest.pop(0)
-        if (sliver.claim, sliver.polynomial, sliver.interval) != (
-                CLAIM_NEGATIVE, quotient.at(th.t), _SLIVER):
-            return False
-        if rest and rest[0].claim == CLAIM_NO_ROOT:
-            count = rest.pop(0)
-            if (count.polynomial != form.at(th.t) or count.interval.lo != u
-                    or count.interval.hi < th.enclosure.lo):
-                return False
-        elif th.enclosure.lo != u:
-            return False
-    return not rest
+    return len(th.support) == len(quotients) and all(
+        c.claim == CLAIM_NEGATIVE and c.polynomial == g and c.interval.lo == DOMAIN_LO
+        and c.interval.hi >= th.enclosure.lo
+        for c, g in zip(th.support, quotients))
 
 
 @dataclass(frozen=True)

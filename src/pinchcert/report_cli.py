@@ -459,7 +459,7 @@ def cmd_lab(s: int, n_samples: int, seed: int, step: float | None = None,
         )
     if csv_path:
         with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(scan.to_csv())
+            scan.write_csv(fh)
     return report
 
 

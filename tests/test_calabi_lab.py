@@ -1,5 +1,6 @@
 """Tests for the spherical-harmonic immersion lab."""
 
+import io
 import math
 import tracemalloc
 from fractions import Fraction as F
@@ -407,14 +408,37 @@ def test_fibonacci_points_are_deterministic_and_unit():
 def test_scan_csv_and_summary():
     imm = cl.build_calabi_immersion(2)
     scan = cl.geometry_scan(imm, 8, seed=19, with_derivatives=True)
-    csv_text = scan.to_csv()
-    lines = csv_text.strip().splitlines()
+    buf = io.StringIO()
+    scan.write_csv(buf)
+    lines = buf.getvalue().strip().splitlines()
     assert len(lines) == 9
     assert lines[0].startswith("index,x,y,z,chart,S,")
     assert lines[0].endswith("B1")
     summary = scan.summary()
     assert summary["s"] == 2 and summary["n_samples"] == 8
     assert scan.to_json_str() == scan.to_json_str()
+
+
+def test_the_csv_is_written_in_blocks():
+    # 5,000 samples make about 1.3 MB of CSV; the writer holds one block of
+    # rows, not the whole text
+    scan = cl.geometry_scan(cl.build_calabi_immersion(6), 5000, seed=19, with_derivatives=True)
+
+    class Sink:
+        length = 0
+
+        def write(self, text):
+            self.length += len(text)
+
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        scan.write_csv(sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.length > 10**6
+    assert peak < sink.length / 4
 
 
 SCAN_FIELDS = ("charts", "first_form", "S", "A_matrix", "A_norm_sq", "rho_perp",

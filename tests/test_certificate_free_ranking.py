@@ -61,13 +61,13 @@ def test_a_default_left_sweep_certifies_only_the_winner(monkeypatch):
     support = report.inputs["optimum"]["best"]["support"]
     # no probe builds a certificate; the winner's certificate and support
     # once when it is certified and once more when cmd_optimize replays them
-    assert (live, len(support)) == (108, 4)
-    assert len(built) == 2 * (1 + len(support)) == 10
+    assert (live, len(support)) == (108, 2)
+    assert len(built) == 2 * (1 + len(support)) == 6
     assert built.count("sign-constant-negative") == 2 * 2
     assert built.count("exactly-one-root") == 2
-    # the winner's two branches and two quotients, then one fresh chain per
-    # replayed certificate
-    assert len(chains) == 4 + 1 + len(support) == 9
+    # the winner's two quotients, then one fresh chain per replayed
+    # certificate; no branch is specialized, so none builds a chain
+    assert len(chains) == 2 + 1 + len(support) == 5
 
 
 def test_a_default_right_sweep_certifies_only_the_winner(monkeypatch):

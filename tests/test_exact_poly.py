@@ -12,6 +12,7 @@ from pinchcert.exact_poly import (
     CLAIM_ROOT_COUNT,
     DegenerateEndpointError,
     ExactPolyError,
+    Form,
     IntervalQ,
     Polynomial,
     SignCertificate,
@@ -113,6 +114,29 @@ def test_mul_and_cancellation():
     p = poly(1, -2, 3)
     assert (p + (-p)).is_zero
     assert (p - p).is_zero
+
+
+@pytest.mark.parametrize("form", [
+    Form((0, 1)),
+    Form((poly(1, -2), poly(F(1, 3)), poly(0, 0, 5))),
+    Form((poly(F(-7, 2), 0, 1),)),
+])
+def test_a_polynomial_left_of_a_form_defers_to_it(form):
+    # Polynomial's operators return NotImplemented for a Form, so Python
+    # takes the form's reflected method
+    for p in (Polynomial.x(), poly(F(2, 9), -3, 0, 1), Polynomial.zero()):
+        assert p + form == form + p
+        assert p - form == -(form - p)
+        assert p * form == form * p
+        assert isinstance(p * form, Form)
+
+
+@pytest.mark.parametrize("other", [object(), 1.5, True])
+def test_a_polynomial_refuses_what_is_neither_rational_nor_form(other):
+    for op in (lambda p: p + other, lambda p: p - other, lambda p: p * other,
+               lambda p: other - p):
+        with pytest.raises(TypeError):
+            op(Polynomial.x())
 
 
 def test_expand_product_matches_hand_expansion():

@@ -23,6 +23,18 @@ k = 1..99 and of ``left_threshold(k/200, 5/3)`` for k = 1..100, taken before
 polynomials were born from their integer forms.  ``right_threshold(1/2)``
 is left out: its certificate moved to the nudged domain when ``count_roots``
 stopped labelling a closed interval with a root on an end ``no-root``.
+
+Seven digests were retaken when a left enclosure came to rest on its two
+quotients g = p / (x - 5/3) alone: ``/1`` and ``/2`` of
+``optimize-left-default``, ``optimize-left-4t`` and
+``optimize-left-half-edges``, and ``thresholds-per-t``.  Each branch's
+sliver certificate of g and no-root count of p became one negative
+certificate of g on [5/3, x], and the winner's exactly-one-root certificate
+moved from p to g.  With the certificates, ``inputs.optimum.best``'s
+certificate and support and the ``certificate-replay`` count set aside,
+those reports were byte-identical to the ones before, and every
+``right_threshold(k/200)`` was unchanged.  ``optimize-left-all-degenerate``
+certifies no live enclosure, so its digests stand.
 """
 
 import hashlib

@@ -3,9 +3,14 @@
 q(S)^2 / S is convex for S > 0, so the weight supremum M sits at S = 5/3 or
 at S = x and the interior critical branch is never the maximum of phi.
 ``left_threshold_reference`` holds the three-branch code that also built
-that branch; the two-branch threshold must match it in everything but the
-critical branch's support certificates.  The lemmas below are exact
-polynomial identities.
+that branch; the two-branch threshold must match it in its enclosure and
+values, and its certificates must be the reference's restated on the
+quotients g = p / (x - 5/3): the winner's exactly-one-root certificate on
+the winning quotient over the same enclosure, and per endpoint branch one
+negative certificate of g on [5/3, x] where the reference had g's sliver
+[5/3, u] and p's no-root count on [u, x].  The critical branch's
+certificates leave the support.  The lemmas below are exact polynomial
+identities.
 """
 
 from fractions import Fraction
@@ -14,7 +19,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from pinchcert import param_search as ps
 from pinchcert import pinching_bounds as pb
-from pinchcert.exact_poly import Polynomial
+from pinchcert.exact_poly import (
+    CLAIM_NEGATIVE,
+    CLAIM_NO_ROOT,
+    IntervalQ,
+    Polynomial,
+    certify_sign_on_interval,
+)
 
 import left_threshold_reference as ref
 
@@ -35,6 +46,29 @@ def _critical_polynomials(t) -> set:
     }
 
 
+def _merged(reference_support) -> tuple:
+    """The reference's support restated on the quotients: each branch's
+    sliver certificate of g on [5/3, u], with the no-root count of p on
+    [u, x] that may follow it, becomes g's negative certificate on [5/3, x]."""
+    merged = []
+    for c in reference_support:
+        if c.claim == CLAIM_NO_ROOT:
+            g, sliver = merged.pop()
+            assert c.polynomial == g * (_X - LO) and c.interval.lo == sliver.hi
+            merged.append((g, IntervalQ(LO, c.interval.hi)))
+        else:
+            assert c.claim == CLAIM_NEGATIVE and c.interval.lo == LO
+            merged.append((c.polynomial, c.interval))
+    return tuple(certify_sign_on_interval(g, iv, "negative") for g, iv in merged)
+
+
+def _assert_restated_on_quotients(mine, theirs):
+    """The winner's certificate is the reference's, on the quotient."""
+    assert (mine.certificate.claim, mine.certificate.interval) == (
+        theirs.certificate.claim, theirs.certificate.interval)
+    assert mine.certificate.polynomial * (_X - LO) == theirs.certificate.polynomial
+
+
 @settings(max_examples=60, deadline=None)
 @given(t=T_VALUES)
 @example(t=F(1, 200))
@@ -47,10 +81,10 @@ def test_two_branch_threshold_matches_the_three_branch_reference(t):
     mine = ps.left_threshold(t, LO)
     theirs = ref.left_threshold(t, LO)
     assert mine.enclosure == theirs.enclosure
-    assert mine.certificate == theirs.certificate
+    _assert_restated_on_quotients(mine, theirs)
     assert (mine.phi_lo, mine.phi_hi) == (theirs.phi_lo, theirs.phi_hi)
     critical = _critical_polynomials(t)
-    assert mine.support == tuple(c for c in theirs.support if c.polynomial not in critical)
+    assert mine.support == _merged(c for c in theirs.support if c.polynomial not in critical)
     assert ps.replay_threshold(mine)
 
 
@@ -58,8 +92,10 @@ def test_critical_crossing_certificates_leave_the_support():
     # at t = 3/20 the critical branch crosses inside its segment
     mine = ps.left_threshold(F(3, 20), LO)
     theirs = ref.left_threshold(F(3, 20), LO)
-    assert (len(theirs.support), len(mine.support)) == (6, 4)
-    assert mine.support == theirs.support[:4]
+    assert (len(theirs.support), len(mine.support)) == (6, 2)
+    # the two endpoint branches' sliver and count pairs come first
+    assert mine.support == _merged(theirs.support[:4])
+    assert [c.claim for c in theirs.support[:4]] == [CLAIM_NEGATIVE, CLAIM_NO_ROOT] * 2
 
 
 @settings(max_examples=40, deadline=None)

@@ -35,6 +35,7 @@ from pinchcert.exact_poly import (
     Form,
     IntervalQ,
     Polynomial,
+    SignClaimError,
     count_roots,
     isolate_counted_root,
     sign_at,
@@ -264,8 +265,19 @@ def test_probes_and_thresholds_match_the_sturm_references(t, width):
     cell, phi_lo, phi_hi, _ = ps._left_cell(t, width)
     assert (cell.enclosure, phi_lo, phi_hi) == (left.enclosure, left.phi_lo, left.phi_hi)
     mine = ps.left_threshold(t, LO, width)
-    assert (mine.enclosure, mine.certificate) == (left.enclosure, left.certificate)
-    assert [c for c in left.support if c in mine.support] == list(mine.support)
+    assert (mine.enclosure, mine.phi_lo, mine.phi_hi) == (left.enclosure, left.phi_lo,
+                                                         left.phi_hi)
+    # the certificates are on the quotients g = p / (x - 5/3): the winner's
+    # is the reference's on its quotient, and per branch g < 0 on [5/3, x]
+    # with x at least the enclosure's lower end
+    x_minus_lo = Polynomial.linear(-LO, 1)
+    assert (mine.certificate.claim, mine.certificate.interval) == (
+        left.certificate.claim, left.certificate.interval)
+    assert mine.certificate.polynomial * x_minus_lo == left.certificate.polynomial
+    quotients = [quotient.at(t) for _, _, quotient in pb.left_branch_forms()]
+    assert [(c.claim, c.polynomial, c.interval.lo) for c in mine.support] == [
+        (CLAIM_NEGATIVE, g, LO) for g in quotients]
+    assert all(c.interval.hi >= mine.enclosure.lo for c in mine.support)
     _assert_critical_root_not_below(t, width, mine.enclosure.lo)
     assert ps.replay_threshold(mine) and ps.replay_threshold(ps.right_threshold(t, width))
 
@@ -311,7 +323,8 @@ def test_thresholds_refuse_a_cell_their_counts_contradict(monkeypatch):
         return (lo + F(1, 100), hi + F(1, 100)) if p == loser else (lo, hi)
 
     monkeypatch.setattr(ps, "_smallest_root_cell", shifted)
-    with pytest.raises(ExactPolyError, match="below its enclosure"):
+    # the loser's quotient is positive at its shifted cell's lower end
+    with pytest.raises(SignClaimError, match=r"claimed sign-constant-negative but p\("):
         ps.left_threshold(t, LO)
 
     for roots, expected, found in (((F(17, 10), F(7, 4), F(177, 100)), 1, 3),

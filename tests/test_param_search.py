@@ -6,7 +6,13 @@ import random
 
 import pytest
 
-from pinchcert.exact_poly import Polynomial, certify_sign_on_interval, count_roots, rat
+from pinchcert.exact_poly import (
+    Polynomial,
+    certify_sign_on_interval,
+    count_roots,
+    one_root_certificate,
+    rat,
+)
 from pinchcert import param_search as ps
 from pinchcert import pinching_bounds as pb
 
@@ -276,27 +282,40 @@ def test_replay_binds_a_left_enclosure_to_its_certificate():
 
 
 def test_replay_binds_a_left_enclosure_to_its_support():
+    # the support is g < 0 on [5/3, x], x >= enclosure.lo, per branch quotient g
     genuine = ps.left_threshold(F(37, 200), F(5, 3), WIDTH)
     assert ps.replay_threshold(genuine)
-    sliver_x, count_x, sliver_s, count_s = genuine.support
-    u, lo = count_x.interval.lo, genuine.enclosure.lo
-    sup_at_x = pb.left_branch_forms()[0][1].at(genuine.t)
-    short = count_roots(sup_at_x, ps.IntervalQ(u, lo - F(1, 10**4)))[1]
-    other = ps.left_threshold(F(90, 200), F(5, 3), WIDTH).support
+    neg_x, neg_s = genuine.support
+    lo, x = genuine.enclosure.lo, neg_x.interval.hi
+    (_, form_x, quotient_x), (_, form_s, quotient_s) = pb.left_branch_forms()
+    g_x, p_x = quotient_x.at(genuine.t), form_x.at(genuine.t)
+    assert (neg_x.polynomial, neg_s.polynomial) == (g_x, quotient_s.at(genuine.t))
+    winner = (form_x if genuine.certificate.polynomial == g_x else form_s).at(genuine.t)
+    u = F(5, 3) + F(1, 10**4)
+
+    def negative(p, a, b):
+        return certify_sign_on_interval(p, ps.IntervalQ(a, b), "negative")
+
     forgeries = {
-        "support of another t": replace(genuine, support=other),
-        "slivers of another t": replace(
-            genuine, support=(other[0], count_x, other[2], count_s)),
+        "support of another t": replace(
+            genuine, support=ps.left_threshold(F(90, 200), F(5, 3), WIDTH).support),
+        "branches swapped": replace(genuine, support=(neg_s, neg_x)),
+        "interval starting above 5/3": replace(
+            genuine, support=(negative(g_x, u, x), neg_s)),
+        "interval ending below the enclosure": replace(
+            genuine, support=(negative(g_x, F(5, 3), lo - F(1, 10**4)), neg_s)),
+        "the branch in place of its quotient": replace(
+            genuine, support=(negative(p_x, u, x), neg_s)),
+        "a positive claim": replace(genuine, support=(
+            certify_sign_on_interval(-g_x, neg_x.interval, "positive"), neg_s)),
+        "a count in place of the sign claim": replace(
+            genuine, support=(count_roots(g_x, neg_x.interval)[1], neg_s)),
         "no support": replace(genuine, support=()),
-        "branches swapped": replace(genuine, support=(sliver_s, count_s, sliver_x, count_x)),
-        "count ending below the enclosure": replace(
-            genuine, support=(sliver_x, short, sliver_s, count_s)),
-        "count of the other branch": replace(
-            genuine, support=(sliver_x, count_s, sliver_s, count_s)),
-        "a count missing": replace(genuine, support=(sliver_x, sliver_s, count_s)),
-        "a certificate too many": replace(genuine, support=genuine.support + (count_s,)),
+        "a certificate missing": replace(genuine, support=(neg_x,)),
+        "a certificate too many": replace(genuine, support=genuine.support + (neg_s,)),
+        "the main certificate on the branch": replace(
+            genuine, certificate=one_root_certificate(winner, genuine.enclosure)),
     }
-    assert short.claim == "no-root"
     for name, forged in forgeries.items():
         assert forged.certificate.replay() and all(c.replay() for c in forged.support)
         assert not ps.enclosure_holds(forged), name

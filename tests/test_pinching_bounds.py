@@ -14,7 +14,9 @@ from pinchcert.exact_poly import (
     count_roots,
     rat,
 )
+from pinchcert import param_search as ps
 from pinchcert import pinching_bounds as pb
+from pinchcert import report_cli as rc
 
 F = Fraction
 
@@ -390,6 +392,27 @@ def test_middleref_factorization_through_theta1():
     for _ in range(25):
         x = F(5, 3) + F(2, 15) * F(rng.randint(0, 10**5), 10**5)
         assert middleref_value(x, F(5, 3)) == (3 * x - 5) * p(x)
+
+
+def test_theta1_is_the_sup_at_x_quotient_at_one_half():
+    # the paper's θ1 is the lower-endpoint certificate's winning branch at
+    # t = 1/2, divided by x - 5/3 and scaled by 1/12
+    quotients = {label: quotient for label, _, quotient in pb.left_branch_forms()}
+    g = quotients["sup-at-x"].at(F(1, 2))
+    assert 12 * pb.theta1() == g
+    # sup-at-x wins: its own enclosure is the threshold's
+    cell, _, _, branches = ps._left_cell(F(1, 2), F(1, 10**6))
+    assert list(quotients)[0] == "sup-at-x" and branches[0] == (cell.enclosure, g)
+    th = ps.left_threshold(F(1, 2), F(5, 3))
+    assert th.enclosure == cell.enclosure
+    # the winner's certificate is on that quotient, with θ1's integer coefficients
+    assert th.certificate.polynomial == g
+    assert th.certificate.polynomial.integer_form()[0] == pb.theta1().integer_form()[0]
+    # and its enclosure meets the one certify gives θ1's root
+    report = rc.cmd_certify()
+    (theta1_root,) = [IntervalQ.from_json(e["interval"]) for e in report.enclosures
+                      if e["label"] == "theta1-root"]
+    assert max(th.enclosure.lo, theta1_root.lo) <= min(th.enclosure.hi, theta1_root.hi)
 
 
 def test_weight_sup_is_a_true_supremum():

@@ -195,12 +195,14 @@ def test_optimize_replays_each_embedded_certificate_once(monkeypatch, side):
     assert len(calls) == len(report.certificates) > 1
 
 
-SLIVER = ps.IntervalQ(rat("5/3"), rat("5/3") + rat("2/15") / 10**6)
+#: [5/3, x] of the sup-at-x quotient's sign certificate in the support of
+#: the left sweep's winner, at t = 1/4
+LEFT_SUPPORT = ps.left_threshold(rat("1/4"), rat("5/3")).support[0].interval
 
 
-@pytest.mark.parametrize("side, interval", [("left", SLIVER), ("right", pb.PINCH_DOMAIN)])
+@pytest.mark.parametrize("side, interval", [("left", LEFT_SUPPORT), ("right", pb.PINCH_DOMAIN)])
 def test_one_failing_embedded_certificate_fails_both_replay_checks(monkeypatch, side, interval):
-    # the support certificate on ``interval``: the sliver's sign certificate
+    # the support certificate on ``interval``: a quotient's sign certificate
     # on the left, the count on the whole domain on the right
     real = SignCertificate.replay
     monkeypatch.setattr(SignCertificate, "replay",
