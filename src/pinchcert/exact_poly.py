@@ -682,6 +682,29 @@ class SignCertificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "SignCertificate":
+        """Inverse of :meth:`to_json`.  Raises ``ValueError`` naming the field
+        unless ``data`` is an object with exactly the keys ``polynomial`` (a
+        list of strings), ``interval`` (a list of two strings), ``claim`` (a
+        string) and ``evidence`` (an object): a string or an object would
+        otherwise be read entry by entry as if it were a list."""
+        keys = {"polynomial", "interval", "claim", "evidence"}
+        if not isinstance(data, dict):
+            raise ValueError(f"a certificate must be an object, got {data!r}")
+        if set(data) != keys:
+            raise ValueError(f"a certificate must have exactly the keys {sorted(keys)}, "
+                             f"got {list(data)}")
+        polynomial, interval = data["polynomial"], data["interval"]
+        if not (isinstance(polynomial, list) and all(isinstance(c, str) for c in polynomial)):
+            raise ValueError(
+                f"certificate polynomial must be a list of strings, got {polynomial!r}")
+        if not (isinstance(interval, list) and len(interval) == 2
+                and all(isinstance(c, str) for c in interval)):
+            raise ValueError(
+                f"certificate interval must be a list of two strings, got {interval!r}")
+        if not isinstance(data["claim"], str):
+            raise ValueError(f"certificate claim must be a string, got {data['claim']!r}")
+        if not isinstance(data["evidence"], dict):
+            raise ValueError(f"certificate evidence must be an object, got {data['evidence']!r}")
         return cls(
             polynomial=Polynomial.from_json(data["polynomial"]),
             interval=IntervalQ.from_json(data["interval"]),

@@ -8,8 +8,8 @@ where M is the exact supremum of q(S)^2 x / S over S in [5/3, x].  The
 supremum sits at S = 5/3 or at S = x, so phi is the larger of two
 polynomial "branches"; the threshold (the largest x below which phi is
 negative) is therefore the smaller first root of the two, which exact
-signs enclose and Sturm certificates prove.  phi and its branches live in
-:mod:`pinchcert.pinching_bounds`.
+signs enclose and Sturm certificates prove.  phi, its weight and its
+branches live in :mod:`pinchcert.pinching_bounds`.
 
 For the upper endpoint the certificate is a single cubic, so its root is
 isolated directly.
@@ -39,7 +39,9 @@ certifies this, ∂θ2/∂x < 0 and ∂g/∂x > 0, once per side and process, an
 :func:`optimize` proves it before its first probe.  A monotone θ2(t) has a
 root in the domain exactly when its end signs differ, and a branch is
 negative on (5/3, x) exactly when its quotient is negative at x: so no
-probe builds a Sturm chain or counts roots.
+probe builds a Sturm chain or counts roots.  Above 5/3 phi is (x - 5/3)
+times the larger quotient, so a left probe reads phi's end signs off the
+quotients' integer signs, and only the winner computes phi's values.
 
 Every probe, comparison and bisection step is exact rational or integer
 arithmetic, with no float anywhere (a bisection's final cell is proposed
@@ -146,13 +148,17 @@ class SweepConfig:
     @classmethod
     def from_json(cls, data: dict) -> "SweepConfig":
         """Inverse of :meth:`to_json`; refinement_rounds and isolation_width
-        may be left out, and a key :meth:`to_json` does not write is refused."""
+        may be left out, a key :meth:`to_json` does not write is refused, and
+        so is a grid that is not a list."""
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
         missing = [key for key in ("t_grid", "w_grid") if key not in data]
         if missing:
             raise ValueError(f"config is missing {', '.join(map(repr, missing))}")
+        for key in ("t_grid", "w_grid"):
+            if not isinstance(data[key], list):
+                raise ValueError(f"config {key!r} must be a list, got {data[key]!r}")
         return cls(
             t_grid=tuple(rat(t) for t in data["t_grid"]),
             w_grid=tuple(rat(w) for w in data["w_grid"]),
@@ -202,13 +208,14 @@ class ThresholdEnclosure:
 
 
 def edge_weight(t, w) -> Polynomial:
-    """The weight q(S) = c1 S + c0(x) at S = 5/3, as a linear polynomial in x.
+    """The weight q(S) = c1 S + c0(x) at S = 5/3, as a linear polynomial in x:
+    c1 (5/3) + c0 from :func:`pinching_bounds.weight_forms` at (t, w).
 
     Its value at x = 5/3 is q(5/3) = (1 + 15t/2)(w + 5/3) + 36/5 - 126t/5 - 10/3,
     whose square (times 5 (w - 5/3)^2) is phi(5/3).
     """
-    c1, k0 = pb.weight_linear_coeffs(0, w, t)  # c0(x) = k0 - 2x
-    return Polynomial.linear(F(5, 3) * c1 + k0, -2)
+    c1, c0 = pb.weight_forms(w)
+    return (c1 * DOMAIN_LO + c0).at(t)
 
 
 @lru_cache(maxsize=None)
@@ -296,8 +303,7 @@ def _isolate_smallest_root(
     return enclosure, one_root_certificate(p, enclosure)
 
 
-def _left_cell(t: Fraction, width: Fraction) -> tuple[
-        _Cell, Fraction, Fraction, list[tuple[IntervalQ, Polynomial]]]:
+def _left_cell(t: Fraction, width: Fraction) -> tuple[_Cell, list[tuple[IntervalQ, Polynomial]]]:
     """The bare enclosure at (t, 5/3), every fact it rests on checked, given
     the monotonicity lemma.
 
@@ -310,11 +316,13 @@ def _left_cell(t: Fraction, width: Fraction) -> tuple[
     (u, 9/5), which is p's smallest there, is isolated on g; g has no small
     values near u, unlike p, so regula falsi proposes the cell in a few
     signs.  phi is the larger branch, so its threshold is the earlier first
-    root; phi's values at that cell's ends must have opposite signs.  No
-    Sturm chain is built.  Raises exactly where :func:`left_threshold` raises.
+    root; above 5/3 phi is (x - 5/3) times the larger quotient, so every
+    quotient must be negative at that cell's lower end and one positive at
+    its upper end.
+    No Sturm chain or value of phi is built.  Raises exactly where
+    :func:`left_threshold` raises.
 
-    Returns the cell, phi at the enclosure's ends, and per branch its own
-    enclosure and its quotient at t.
+    Returns the cell and, per branch, its own enclosure and its quotient at t.
     """
     u = _SLIVER.hi
     branches = []
@@ -332,14 +340,18 @@ def _left_cell(t: Fraction, width: Fraction) -> tuple[
     # min keeps the first of equal keys, so a tie goes to sup-at-x
     enclosure = min((own for own, _ in branches), key=lambda c: (c.lo, c.hi))
     lo, hi = enclosure.lo, enclosure.hi
-    phi_lo = pb.left_certificate_value(lo, DOMAIN_LO, t)
-    phi_hi = pb.left_certificate_value(hi, DOMAIN_LO, t)
-    if not (phi_lo < 0 < phi_hi):
+    if not (all(sign_at(g, lo) < 0 for _, g in branches)
+            and any(sign_at(g, hi) > 0 for _, g in branches)):
         raise ExactPolyError(
-            f"threshold enclosure failed the exact endpoint check: "
-            f"phi({lo}) = {phi_lo}, phi({hi}) = {phi_hi}"
+            f"threshold enclosure failed the exact endpoint check at t = {t}: "
+            f"phi is not negative at {lo} and positive at {hi}"
         )
-    return _Cell(t, DOMAIN_LO, enclosure, False), phi_lo, phi_hi, branches
+    return _Cell(t, DOMAIN_LO, enclosure, False), branches
+
+
+def _phi(x: Fraction, quotients: Sequence[Polynomial]) -> Fraction:
+    """phi at x for w = 5/3: the larger branch, (x - 5/3) times its quotient at t."""
+    return max((x - DOMAIN_LO) * g(x) for g in quotients)
 
 
 def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
@@ -380,19 +392,21 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
     return _left_certificates(*_left_cell(t, width))
 
 
-def _left_certificates(cell: _Cell, phi_lo: Fraction, phi_hi: Fraction,
+def _left_certificates(cell: _Cell,
                        branches: list[tuple[IntervalQ, Polynomial]]) -> ThresholdEnclosure:
     """:func:`left_threshold` at w = 5/3 from :func:`_left_cell`'s result:
     the enclosure with its certificates, which :func:`left_threshold`
-    describes."""
+    describes, and phi at its ends from the quotients (:func:`_phi`)."""
     # the first of equal enclosures wins, as in _left_cell's min
     winner = next(g for own, g in branches if own == cell.enclosure)
     support = tuple(certify_sign_on_interval(g, IntervalQ(DOMAIN_LO, own.lo), "negative")
                     for own, g in branches)
+    quotients = [g for _, g in branches]
     return ThresholdEnclosure(
         side="left", t=cell.t, w=DOMAIN_LO, enclosure=cell.enclosure,
         certificate=one_root_certificate(winner, cell.enclosure),
-        degenerate=False, support=support, phi_lo=phi_lo, phi_hi=phi_hi,
+        degenerate=False, support=support,
+        phi_lo=_phi(cell.enclosure.lo, quotients), phi_hi=_phi(cell.enclosure.hi, quotients),
     )
 
 
@@ -523,8 +537,7 @@ def enclosure_holds(th: ThresholdEnclosure) -> bool:
     quotients = [quotient.at(th.t) for _, _, quotient in pb.left_branch_forms()]
     if th.w != DOMAIN_LO or cert.polynomial not in quotients:
         return False
-    phi_lo = pb.left_certificate_value(lo, th.w, th.t)
-    phi_hi = pb.left_certificate_value(hi, th.w, th.t)
+    phi_lo, phi_hi = _phi(lo, quotients), _phi(hi, quotients)
     return (phi_lo < 0 < phi_hi and phi_lo == th.phi_lo and phi_hi == th.phi_hi
             and _left_support_holds(th, quotients))
 

@@ -6,12 +6,13 @@ form.  Every constructor here returns exact rationals or rational-coefficient
 polynomials; callers certify sign facts about them with
 :mod:`pinchcert.exact_poly`.  The constant polynomials (those without a
 parameter) are built once per process and shared: a :class:`Polynomial` is
-immutable and holds only its canonical integer form.  θ2, the
-lower-endpoint branches and their quotients by x - 5/3 are built once as
-forms in t (:class:`~pinchcert.exact_poly.Form`), each from its own
-formula in the generators t and x.  Whether the new gap bound beats the
-legacy one is decided by the integer signs of two such constant
-polynomials (:func:`legacy_dominance_polynomials`), with no Fraction built.
+immutable and holds only its canonical integer form.  θ2, the weight q
+and the two branches of the lower-endpoint certificate phi are each
+written once, as a form in t (:class:`~pinchcert.exact_poly.Form`) from
+its formula in the generators t and x; phi's value, the weight's supremum
+and θ1 are read from them.  Whether the new gap bound beats the legacy one
+is decided by the integer signs of two constant polynomials
+(:func:`legacy_dominance_polynomials`), with no Fraction built.
 """
 
 from __future__ import annotations
@@ -65,12 +66,11 @@ def theta1() -> Polynomial:
 
     x(3x-4)(5x-9) + (5/36)(3x-5)((11/4)x + 151/60)^2; its unique root in the
     pinching domain is the threshold 1.7075... below which the lower-endpoint
-    rigidity holds.
+    rigidity holds.  It is the "sup-at-x" quotient of
+    :func:`left_branch_forms` at t = 1/2, divided by 12.
     """
-    first = _X * (3 * _X - 4) * (5 * _X - 9)
-    inner = Polynomial.linear(F(151, 60), F(11, 4))
-    second = F(5, 36) * (3 * _X - 5) * inner * inner
-    return first + second
+    quotient = next(q for label, _, q in left_branch_forms() if label == "sup-at-x")
+    return F(1, 12) * quotient.at(F(1, 2))
 
 
 @lru_cache(maxsize=None)
@@ -258,26 +258,21 @@ def smax_threshold(w) -> Fraction:
     return smax_numerator()(w) / gap_denominator()(w)
 
 
-def _weight_ints(x: Fraction, w: Fraction, t: Fraction) -> tuple[int, int, int]:
-    """``(C1, C0, den)`` with c1 = C1/den and c0 = C0/den (see
-    :func:`weight_linear_coeffs`), over den = 10 t_d w_d x_d for
-    x = x_n/x_d, w = w_n/w_d, t = t_n/t_d."""
-    xn, xd = x.numerator, x.denominator
-    wn, wd = w.numerator, w.denominator
-    tn, td = t.numerator, t.denominator
-    c1 = 5 * (2 * td + 15 * tn) * xd  # 10 t_d x_d (2 + 15t)/2, before the factor w_d
-    c0 = c1 * wn + 4 * wd * (18 * td * xd - 5 * td * xn - 63 * tn * xd)
-    return c1 * wd, c0, 10 * td * wd * xd
-
-
-def weight_linear_coeffs(x, w, t) -> tuple[Fraction, Fraction]:
-    """Coefficients (c1, c0) of the linear weight q(S) = c1*S + c0.
+def weight_forms(w) -> tuple[Form, Form]:
+    """(c1, c0) of the linear weight q(S) = c1*S + c0 at rational w, as forms in (t, x).
 
     q is the factor whose square, divided by S, is maximized when bounding
-    the Laplacian term; c1 = (2+15t)/2 and c0 = c1*w + 36/5 - 2x - (126/5)t.
+    the Laplacian term; c1 = 1 + 15t/2 and c0 = c1*w + 36/5 - 2x - 126t/5.
     """
-    c1, c0, den = _weight_ints(rat(x), rat(w), rat(t))
-    return F(c1, den), F(c0, den)
+    T, X = Form((0, 1)), Form((_X,))
+    c1 = 1 + F(15, 2) * T
+    return c1, c1 * rat(w) + F(36, 5) - 2 * X - F(126, 5) * T
+
+
+def _sup_candidates(c1, c0, x):
+    """q(S)^2 x / S at S = x and at S = 5/3, the two candidates for the
+    supremum M, from Fractions or forms alike."""
+    return (c1 * x + c0) ** 2, F(3, 5) * x * (c1 * F(5, 3) + c0) ** 2
 
 
 def weight_sup_over_s(x, w, t) -> Fraction:
@@ -285,18 +280,28 @@ def weight_sup_over_s(x, w, t) -> Fraction:
 
     For S > 0, q(S)^2 / S = c1^2 S + 2 c1 c0 + c0^2 / S is convex, so its
     only interior critical point, S = c0/c1, is a minimum: the supremum sits
-    at S = 5/3 or at S = x.  With q = (C1 S + C0)/den the two candidates are
-    (5 C1 + 3 C0)^2 x_n / (15 x_d den^2) and (C1 x_n + C0 x_d)^2 / (x_d den)^2;
-    they are compared on integers, and only the larger becomes a Fraction.
+    at S = 5/3 or at S = x.  It is the larger of q(x)^2 and (3x/5) q(5/3)^2,
+    with the weight of :func:`weight_forms` at (t, x).
     """
     x = rat(x)
-    c1, c0, den = _weight_ints(x, rat(w), rat(t))
-    xn, xd = x.numerator, x.denominator
-    at_53 = (5 * c1 + 3 * c0) ** 2 * xn  # over 15 x_d den^2
-    at_x = (c1 * xn + c0 * xd) ** 2  # over x_d^2 den^2
-    if at_53 * xd > 15 * at_x:
-        return F(at_53, 15 * xd * den * den)
-    return F(at_x, (xd * den) ** 2)
+    c1, c0 = (form.at(t)(x) for form in weight_forms(w))
+    return max(_sup_candidates(c1, c0, x))
+
+
+def phi_branches(w) -> tuple[tuple[str, Form], ...]:
+    """The two branches of phi at rational w as (label, form in (t, x)) pairs,
+    with q(S) = c1 S + c0 from :func:`weight_forms` at w:
+
+        "sup-at-x":   16t(1-t) x(3x-4)(3x-5)(5x-9) + 5 (w - x)^2 q(x)^2,
+        "sup-at-5/3": 16t(1-t) x(3x-4)(3x-5)(5x-9) + 3x (w - x)^2 q(5/3)^2.
+
+    phi, whose M is the supremum of :func:`weight_sup_over_s`, is the larger.
+    """
+    T, X = Form((0, 1)), Form((_X,))
+    common = 16 * T * (1 - T) * X * (3 * X - 4) * (3 * X - 5) * (5 * X - 9)
+    gap = 5 * (rat(w) - X) ** 2
+    at_x, at_53 = _sup_candidates(*weight_forms(w), X)
+    return ("sup-at-x", common + gap * at_x), ("sup-at-5/3", common + gap * at_53)
 
 
 def left_certificate(x, w, t) -> Fraction:
@@ -317,49 +322,26 @@ def left_certificate(x, w, t) -> Fraction:
 def left_certificate_value(x, w, t) -> Fraction:
     """:func:`left_certificate` without its domain checks; replay needs x = 5/3 < w.
 
-    The common term 16t(1-t) x(3x-4)(3x-5)(5x-9) and 5(w-x)^2 M are summed
-    over one integer denominator, with M from :func:`weight_sup_over_s`.
+    The larger of the two branches of :func:`phi_branches` at (t, x), whose
+    forms are built for w on every call.
     """
-    x, w, t = rat(x), rat(w), rat(t)
-    xn, xd = x.numerator, x.denominator
-    wn, wd = w.numerator, w.denominator
-    tn, td = t.numerator, t.denominator
-    # common = c / (t_d x_d^2)^2
-    c = 16 * tn * (td - tn) * xn * (3 * xn - 4 * xd) * (3 * xn - 5 * xd) * (5 * xn - 9 * xd)
-    m = weight_sup_over_s(x, w, t)
-    # 5 (w - x)^2 M = 5 (w_n x_d - x_n w_d)^2 m_n / ((w_d x_d)^2 m_d)
-    gap = wn * xd - xn * wd
-    common_den = td * xd * xd
-    return F(c * (wd * wd * m.denominator) + 5 * gap * gap * m.numerator * common_den * td,
-             common_den * common_den * wd * wd * m.denominator)
+    x = rat(x)
+    return max(form.at(t)(x) for _, form in phi_branches(w))
 
 
 @lru_cache(maxsize=None)
 def left_branch_forms() -> tuple[tuple[str, Form, Form], ...]:
-    """The two branches of phi at w = 5/3 as (label, form, quotient) triples.
+    """:func:`phi_branches` at w = 5/3 as (label, form, quotient) triples.
 
-    The supremum M sits at S = x or at S = 5/3 (:func:`weight_sup_over_s`),
-    so on the whole domain phi is the larger of
-
-        "sup-at-x":   16t(1-t) x(3x-4)(3x-5)(5x-9) + 5 (5/3 - x)^2 q(x)^2,
-        "sup-at-5/3": 16t(1-t) x(3x-4)(3x-5)(5x-9) + 3x (5/3 - x)^2 q(5/3)^2,
-
-    with q(S) = c1 S + c0, c1 = 1 + 15t/2, c0 = c1 (5/3) + 36/5 - 2x - 126t/5.
     Each branch vanishes at 5/3 to first order, with slope -160t(1-t)/3, and
     is positive at 9/5, where "sup-at-x" is 5 (2/15)^2 (106/15 + 4t/5)^2 and
     "sup-at-5/3" is (27/5) (2/15)^2 (104/15 - t/5)^2.  The quotient is the
     branch divided by x - 5/3 row by row, so at t it is the branch at t
     divided; a row that leaves a remainder raises :class:`ExactPolyError`.
     """
-    T, X = Form((0, 1)), Form((_X,))
-    c1 = 1 + F(15, 2) * T
-    c0 = c1 * F(5, 3) + F(36, 5) - 2 * X - F(126, 5) * T
-    common = 16 * T * (1 - T) * X * (3 * X - 4) * (3 * X - 5) * (5 * X - 9)
-    gap = (F(5, 3) - X) ** 2
     divisor = Polynomial.linear(-PINCH_DOMAIN.lo, 1)
     triples = []
-    for label, form in (("sup-at-x", common + 5 * gap * (c1 * X + c0) ** 2),
-                        ("sup-at-5/3", common + 3 * X * gap * (c1 * F(5, 3) + c0) ** 2)):
+    for label, form in phi_branches(F(5, 3)):
         rows = [row.divmod(divisor) for row in form.rows]
         if any(not r.is_zero for _, r in rows):
             raise ExactPolyError(f"left branch {label} does not vanish at {PINCH_DOMAIN.lo}")

@@ -4,13 +4,17 @@
 ``left_certificate_value`` below are verbatim copies of the builders that
 rebuilt every polynomial by ``Fraction`` convolution for each t (and, on
 the left, for each w), before they became specializations of forms in t
-built once.  They are kept as a test oracle: the specializations must give
-the same polynomials coefficient for coefficient.  Do not edit them to
-track the library; nothing in ``src`` imports this.
+built once.  The one edit: the weight coefficients and the weight
+supremum come from the frozen Fraction copies of ``phi_reference`` rather
+than from ``pinching_bounds``.  They are kept as a test oracle: the
+specializations must give the same polynomials coefficient for
+coefficient.  Do not edit them to track the library; nothing in ``src``
+imports this.
 """
 
 from fractions import Fraction
 
+import phi_reference as phi_ref
 from pinchcert import pinching_bounds as pb
 from pinchcert.exact_poly import IntervalQ, Polynomial, rat
 
@@ -48,7 +52,7 @@ def left_branch_polynomials(w, t) -> list[tuple[str, Polynomial, IntervalQ]]:
     stationary point c0(x)/c1 falls inside [5/3, x].
     """
     w, t = rat(w), rat(t)
-    c1, k0 = pb.weight_linear_coeffs(0, w, t)  # c0(x) = k0 - 2x
+    c1, k0 = phi_ref.weight_linear_coeffs(0, w, t)  # c0(x) = k0 - 2x
     common = (16 * t * (1 - t)) * _X * (3 * _X - 4) * (3 * _X - 5) * (5 * _X - 9)
     w_minus_x = Polynomial.linear(w, -1)
     q_at_x = Polynomial.linear(k0, c1 - 2)
@@ -78,7 +82,7 @@ def edge_weight(t, w) -> Polynomial:
     Its value at x = 5/3 is q(5/3) = (1 + 15t/2)(w + 5/3) + 36/5 - 126t/5 - 10/3,
     whose square (times 5 (w - 5/3)^2) is phi(5/3).
     """
-    c1, k0 = pb.weight_linear_coeffs(0, w, t)  # c0(x) = k0 - 2x
+    c1, k0 = phi_ref.weight_linear_coeffs(0, w, t)  # c0(x) = k0 - 2x
     return Polynomial.linear(F(5, 3) * c1 + k0, -2)
 
 
@@ -86,4 +90,4 @@ def left_certificate_value(t, w, x) -> Fraction:
     """The lower-endpoint certificate value phi(x); max over branch values."""
     x, w, t = rat(x), rat(w), rat(t)
     common = 16 * t * (1 - t) * x * (3 * x - 4) * (3 * x - 5) * (5 * x - 9)
-    return common + 5 * (w - x) ** 2 * pb.weight_sup_over_s(x, w, t)
+    return common + 5 * (w - x) ** 2 * phi_ref.weight_sup_over_s(x, w, t)

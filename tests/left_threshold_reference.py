@@ -5,9 +5,11 @@
 ``_first_nonneg`` and ``left_threshold`` below are verbatim copies of the
 code that also built the interior critical branch ("sup-at-critical",
 the supremum of q(S)^2 x / S at S = c0/c1) and handled the crossing kinds
-only that branch could reach.  The one edit: ``left_branch_polynomials``
+only that branch could reach.  The edits: ``left_branch_polynomials``
 reads the three-branch forms defined here rather than those of
-``pinching_bounds``, which dropped the critical branch.  The forms are
+``pinching_bounds``, which dropped the critical branch, and the weight
+coefficients and phi come from the frozen Fraction copies of
+``phi_reference`` rather than from ``pinching_bounds``.  The forms are
 tuples of polynomials, entry k at t^k; ``_affine_product``, ``at_t`` and
 ``_integer_columns`` are verbatim copies of the ``pinching_bounds``
 helpers that served them, made here when ``pinching_bounds`` replaced
@@ -25,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+import phi_reference as phi_ref
 from pinchcert import pinching_bounds as pb
 from pinchcert.exact_poly import (
     ExactPolyError,
@@ -49,7 +52,7 @@ from pinchcert.param_search import (
 F = Fraction
 
 _X = Polynomial.x()
-weight_linear_coeffs = pb.weight_linear_coeffs
+weight_linear_coeffs = phi_ref.weight_linear_coeffs
 
 
 def at_t(form: tuple[Polynomial, ...], t) -> Polynomial:
@@ -148,7 +151,7 @@ def left_branch_polynomials(t) -> list[tuple[str, Polynomial, IntervalQ]]:
     stationary point c0(x)/c1 falls inside [5/3, x].
     """
     t = rat(t)
-    c1, k0 = pb.weight_linear_coeffs(0, DOMAIN_LO, t)  # c0(x) = k0 - 2x
+    c1, k0 = phi_ref.weight_linear_coeffs(0, DOMAIN_LO, t)  # c0(x) = k0 - 2x
     segments = dict.fromkeys(("sup-at-x", "sup-at-5/3"), pb.PINCH_DOMAIN)
     # critical branch applicability: 5/3 <= (k0 - 2x)/c1 <= x
     seg_lo = max(DOMAIN_LO, k0 / (2 + c1))
@@ -266,7 +269,7 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
         # witnesses the degeneracy cheaply.
         enclosure = IntervalQ(DOMAIN_LO, DOMAIN_LO)
         cert = certify_sign_on_interval(edge_weight(t, w), enclosure, "positive")
-        phi = pb.left_certificate_value(DOMAIN_LO, w, t)
+        phi = phi_ref.left_certificate_value(DOMAIN_LO, w, t)
         return ThresholdEnclosure(
             side="left", t=t, w=w, enclosure=enclosure, certificate=cert,
             degenerate=True, phi_lo=phi, phi_hi=phi,
@@ -290,8 +293,8 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
             "certificate becomes nonnegative at a branch segment boundary; "
             "no sign-change enclosure exists for these parameters"
         )
-    phi_lo = pb.left_certificate_value(lo, w, t)
-    phi_hi = pb.left_certificate_value(hi, w, t)
+    phi_lo = phi_ref.left_certificate_value(lo, w, t)
+    phi_hi = phi_ref.left_certificate_value(hi, w, t)
     if not (phi_lo < 0 < phi_hi):
         raise ExactPolyError(
             f"threshold enclosure failed the exact endpoint check: "

@@ -5,8 +5,8 @@ below are verbatim copies of the :mod:`pinchcert.pinching_bounds` functions
 as they computed with ``Fraction`` operations throughout, before the weight
 supremum compared its candidates on integers and phi was summed over one
 integer denominator.  Each calls only the copies here, never the library.
-They are kept as a test oracle: the integer versions must return equal
-values.  Do not edit them to track the library; nothing in ``src`` imports
+They are kept as a test oracle: the library's versions, read from its
+forms in (t, x), must return equal values.  Do not edit them to track the library; nothing in ``src`` imports
 this.
 """
 

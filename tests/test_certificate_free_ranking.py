@@ -102,10 +102,17 @@ def _break_one_quotient_end(monkeypatch):
 
 
 def _break_one_endpoint_check(monkeypatch):
-    """phi made positive at t = 1/200 only."""
-    real = pb.left_certificate_value
-    monkeypatch.setattr(pb, "left_certificate_value",
-                        lambda x, w, t: abs(real(x, w, t)) if t == F(1, 200) else real(x, w, t))
+    """The sup-at-x quotient form made (x - a)^2 (x - 7/4) at t = 1/200 and
+    left unchanged at t = 1/2, a the lower end of the probe's enclosure,
+    which sup-at-5/3 sets there: still negative at the sliver's end and
+    positive at 9/5, with its one sign change at 7/4, but zero at a, where
+    phi must be negative."""
+    t = F(1, 200)
+    (label, form, quotient), second = pb.left_branch_forms()
+    a = ps._left_cell(t, F(1, 10**6))[0].enclosure.lo
+    touch = Polynomial.linear(-a, 1) ** 2 * Polynomial.linear(F(-7, 4), 1)
+    shift = F(100, 99) * (1 - 2 * Form((0, 1))) * (touch - quotient.at(t))
+    monkeypatch.setattr(pb, "left_branch_forms", lambda: ((label, form, quotient + shift), second))
 
 
 def _break_theta2_monotonicity(monkeypatch):

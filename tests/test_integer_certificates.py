@@ -138,3 +138,31 @@ def test_replay_of_a_read_certificate_takes_no_kept_chain():
     read = SignCertificate.from_json(cert.to_json())
     object.__setattr__(read.polynomial, "_chain", Polynomial((1, 0, 1))._sturm())
     assert read.replay()
+
+
+
+# count_roots' certificate of 1 + 2x on [0, 1] as JSON; read entry by entry,
+# the strings "12" and "01" would be 1 + 2x and [0, 1], and an object's keys
+# its entries, so each malformed shape below used to replay True
+_CERTIFICATE = count_roots(Polynomial([1, 2]), IntervalQ(0, 1))[1].to_json()
+#: per malformed shape, the certificate so changed and the field to be named
+MALFORMED = {
+    "strings": (dict(_CERTIFICATE, polynomial="12", interval="01"), "polynomial"),
+    "polynomial object": (dict(_CERTIFICATE, polynomial={"1": 0, "2": 0}), "polynomial"),
+    "polynomial of numbers": (dict(_CERTIFICATE, polynomial=[1, 2]), "polynomial"),
+    "interval string": (dict(_CERTIFICATE, interval="01"), "interval"),
+    "three interval ends": (dict(_CERTIFICATE, interval=["0/1", "1/1", "2/1"]), "interval"),
+    "claim null": (dict(_CERTIFICATE, claim=None), "claim"),
+    "evidence pairs": (dict(_CERTIFICATE, evidence=list(_CERTIFICATE["evidence"].items())),
+                       "evidence"),
+    "unknown key": (dict(_CERTIFICATE, note="x"), "keys"),
+    "missing key": ({k: v for k, v in _CERTIFICATE.items() if k != "claim"}, "keys"),
+    "a list": (list(_CERTIFICATE.items()), "object"),
+}
+
+
+@pytest.mark.parametrize("forged, field", MALFORMED.values(), ids=MALFORMED)
+def test_from_json_refuses_a_certificate_of_the_wrong_shape(forged, field):
+    assert SignCertificate.from_json(_CERTIFICATE).replay()
+    with pytest.raises(ValueError, match=field):
+        SignCertificate.from_json(forged)

@@ -1,6 +1,6 @@
 """The sweep's integer kernels against the Fraction code they replace.
 
-phi and the weight supremum compare and sum on integers
+phi, the weight and its supremum are read from forms in (t, x)
 (``phi_reference`` holds the Fraction formulas); a left branch's quotient by
 x - 5/3 is specialized from a form in t divided once; Sturm members are
 built from their primitive integers; and a variation count reads the
@@ -32,7 +32,7 @@ ts = st.fractions(min_value=F(1, BIG), max_value=F(1, 2), max_denominator=BIG)
 
 
 # ---------------------------------------------------------------------------
-# phi and the weight supremum on integers
+# phi, the weight and its supremum from the forms
 # ---------------------------------------------------------------------------
 
 
@@ -44,7 +44,8 @@ ts = st.fractions(min_value=F(1, BIG), max_value=F(1, 2), max_denominator=BIG)
 @example(x=F(10633, 6075), w=LO, t=F(7, 50))
 @example(x=F(171, 100), w=LO, t=F(3, 20))
 def test_integer_phi_equals_the_fraction_formulas(x, w, t):
-    assert pb.weight_linear_coeffs(x, w, t) == phi_ref.weight_linear_coeffs(x, w, t)
+    assert (tuple(form.at(t)(x) for form in pb.weight_forms(w))
+            == phi_ref.weight_linear_coeffs(x, w, t))
     assert pb.weight_sup_over_s(x, w, t) == phi_ref.weight_sup_over_s(x, w, t)
     assert pb.left_certificate_value(x, w, t) == phi_ref.left_certificate_value(x, w, t)
 

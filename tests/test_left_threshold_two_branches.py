@@ -28,6 +28,7 @@ from pinchcert.exact_poly import (
 )
 
 import left_threshold_reference as ref
+import phi_reference as phi_ref
 
 F = Fraction
 
@@ -106,7 +107,7 @@ def test_critical_crossing_certificates_leave_the_support():
 def test_the_critical_branch_is_below_both_end_branches(t):
     # end branch - critical branch is (w - x)^2 times a square, times x > 0
     # for sup-at-5/3: q(s)^2 / s - 4 c1 c0 = (c1 s - c0)^2 / s
-    c1, k0 = pb.weight_linear_coeffs(0, LO, t)
+    c1, k0 = phi_ref.weight_linear_coeffs(0, LO, t)
     c0 = k0 - 2 * _X
     w_minus_x = Polynomial.linear(LO, -1)
     branches = {label: p for label, p, _ in ref.left_branch_polynomials(t)}

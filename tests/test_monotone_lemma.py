@@ -262,8 +262,8 @@ def test_probes_and_thresholds_match_the_sturm_references(t, width):
     assert ps.right_threshold(t, width) == right
 
     left = _endpoint_branch_reference(t, width)
-    cell, phi_lo, phi_hi, _ = ps._left_cell(t, width)
-    assert (cell.enclosure, phi_lo, phi_hi) == (left.enclosure, left.phi_lo, left.phi_hi)
+    cell, _ = ps._left_cell(t, width)
+    assert cell.enclosure == left.enclosure
     mine = ps.left_threshold(t, LO, width)
     assert (mine.enclosure, mine.phi_lo, mine.phi_hi) == (left.enclosure, left.phi_lo,
                                                          left.phi_hi)
@@ -314,7 +314,7 @@ def test_thresholds_refuse_a_cell_their_counts_contradict(monkeypatch):
     """The winner's certificates prove its enclosure without the lemma: a
     cell that the lemma's failure made wrong is refused, not certified."""
     t = F(1, 4)
-    _, _, _, branches = ps._left_cell(t, WIDTH)
+    _, branches = ps._left_cell(t, WIDTH)
     loser = max(branches, key=lambda b: (b[0].lo, b[0].hi))[1]
     real = ps._smallest_root_cell
 

@@ -18,6 +18,8 @@ from pinchcert import param_search as ps
 from pinchcert import pinching_bounds as pb
 from pinchcert import report_cli as rc
 
+import phi_reference as phi_ref
+
 F = Fraction
 
 
@@ -401,7 +403,7 @@ def test_theta1_is_the_sup_at_x_quotient_at_one_half():
     g = quotients["sup-at-x"].at(F(1, 2))
     assert 12 * pb.theta1() == g
     # sup-at-x wins: its own enclosure is the threshold's
-    cell, _, _, branches = ps._left_cell(F(1, 2), F(1, 10**6))
+    cell, branches = ps._left_cell(F(1, 2), F(1, 10**6))
     assert list(quotients)[0] == "sup-at-x" and branches[0] == (cell.enclosure, g)
     th = ps.left_threshold(F(1, 2), F(5, 3))
     assert th.enclosure == cell.enclosure
@@ -423,7 +425,7 @@ def test_weight_sup_is_a_true_supremum():
         w = F(5, 3)
         x = F(5, 3) + F(2, 15) * F(rng.randint(1, 10**5), 10**5)
         sup = pb.weight_sup_over_s(x, w, t)
-        c1, c0 = pb.weight_linear_coeffs(x, w, t)
+        c1, c0 = phi_ref.weight_linear_coeffs(x, w, t)
         hit = False
         for k in range(201):
             s = F(5, 3) + (x - F(5, 3)) * F(k, 200)

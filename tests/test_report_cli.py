@@ -551,6 +551,19 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     assert "'refinement_round'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, grid", [("t_grid", {"1/4": None}), ("w_grid", {"5/3": 1}),
+                                       ("t_grid", "1/4"), ("w_grid", 5)],
+                         ids=["t object", "w object", "t string", "w number"])
+def test_config_grid_that_is_not_a_list_is_usage_error(tmp_path, capsys, key, grid):
+    # an object's keys used to be read as the grid, and a string's characters
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict({"t_grid": ["1/4"], "w_grid": ["5/3"]}, **{key: grid})))
+    code = rc.main(["optimize", "--side", "left", "--config", str(path)])
+    assert code == rc.EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ") and repr(key) in lines[0]
+
+
 def test_classify_input_missing_field_is_named(tmp_path, capsys):
     path = tmp_path / "data.json"
     path.write_text(json.dumps({"a_circ_max": "1/3", "mean_curvature_nonvanishing": True,
