@@ -5,8 +5,8 @@ the canonical integer form ``(ints, den)``, primitive together with its
 positive denominator, to which every constructor reduces at once.
 Arithmetic, evaluation, Sturm chains and sign counting run on those
 integers: values at a/b come from homogeneous Horner, and chains are
-primitive integer pseudo-remainder sequences that a polynomial builds on
-first use and keeps as integer tuples.  Fraction coefficients are derived
+primitive integer pseudo-remainder sequences of integer tuples, memoized
+by integer form (:func:`_sturm_ints`).  Fraction coefficients are derived
 only when something reads them.  Root counts and sign claims are
 established by Sturm's theorem and packaged as :class:`SignCertificate`
 records.  One integer kernel, :func:`_prove`, proves every certificate when
@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
@@ -44,6 +45,8 @@ CLAIM_ROOT_COUNT = "root-count"
 _COUNT_CLAIMS = (CLAIM_NO_ROOT, CLAIM_ONE_ROOT, CLAIM_ROOT_COUNT)
 # each sign claim with the strict sign it asserts
 _SIGN_CLAIMS = {CLAIM_POSITIVE: 1, CLAIM_NEGATIVE: -1}
+# chains kept: a CLI command needs at most 5, a 100-op perfbench sweep cycle 115
+_CHAIN_CACHE_SIZE = 256
 
 
 class ExactPolyError(Exception):
@@ -158,11 +161,11 @@ class Polynomial:
     -1.  Every constructor reduces to this form at once (:func:`_canonical`),
     arithmetic runs on the integers, and ``coeffs`` and ``leading`` are
     Fractions derived from it on each read.  Equality and the hash are
-    those of the form.  The Sturm chain, as integer tuples, is built on
-    first use and kept.
+    those of the form.  A polynomial holds no Sturm chain: :meth:`_sturm`
+    reads the memoized builder :func:`_sturm_ints`.
     """
 
-    __slots__ = ("_form", "_chain", "_hash")
+    __slots__ = ("_form", "_hash")
 
     def __init__(self, coeffs: Iterable):
         cs = [rat(c) for c in coeffs]
@@ -319,16 +322,8 @@ class Polynomial:
     # -- calculus and evaluation ---------------------------------------
 
     def _sturm(self) -> tuple[tuple[int, ...], ...]:
-        """The integer coefficient tuples of :func:`sturm_sequence`'s members,
-        p's first.  Built on first use and kept; most polynomials never need
-        a chain, so the slot stays unset, costing construction nothing,
-        until then."""
-        try:
-            return self._chain
-        except AttributeError:
-            kept = tuple(q._form[0] for q in sturm_sequence(self))
-            object.__setattr__(self, "_chain", kept)
-            return kept
+        """The Sturm chain of the integer form, from :func:`_sturm_ints`."""
+        return _sturm_ints(self._form[0])
 
     def __call__(self, x) -> Fraction:
         """Exact value at x = a/b: ``_homogeneous(ints, a, b) / (den * b^n)``."""
@@ -564,10 +559,12 @@ def _negated_pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [-c for c in r] if negate else r
 
 
-def _sturm_ints(ints: tuple[int, ...]) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=_CHAIN_CACHE_SIZE)
+def _sturm_ints(ints: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The Sturm chain of the polynomial with integer coefficients ``ints``,
-    as integer tuples, ``ints`` first; the one chain builder, of
-    :func:`sturm_sequence` and of replay.
+    as integer tuples, ``ints`` first: the one chain builder and the one
+    place a chain is kept, memoized by ``ints`` (a chain is a function of
+    it alone; shared, hence tuples), so a replay reads its builder's chain.
 
     p0 = p, p1 = p', then p_{i+1} = -rem(p_{i-1}, p_i) until the remainder
     vanishes.  Each member after p0 is reduced to its positive-primitive
@@ -581,13 +578,13 @@ def _sturm_ints(ints: tuple[int, ...]) -> list[tuple[int, ...]]:
         raise ValueError("Sturm sequence of the zero polynomial is undefined")
     chain = [ints]
     if len(ints) < 2:
-        return chain
+        return tuple(chain)
     prev, cur = ints, _primitive_ints([k * c for k, c in enumerate(ints) if k])
     while True:
         chain.append(cur)
         r = _negated_pseudo_remainder(prev, cur)
         if not r:
-            return chain
+            return tuple(chain)
         prev, cur = cur, _primitive_ints(r)
 
 
@@ -615,7 +612,7 @@ def _variations_and_value(chain: Sequence[Sequence[int]], a: int, b: int) -> tup
 
 
 def _variations_at(p: Polynomial, x: Fraction) -> int:
-    """Sign changes of p's kept Sturm chain at x, zeros skipped."""
+    """Sign changes of p's Sturm chain at x, zeros skipped."""
     return _variations_and_value(p._sturm(), x.numerator, x.denominator)[0]
 
 
@@ -717,11 +714,11 @@ class SignCertificate:
         evidence key by key, types included.
 
         The proof is :func:`_prove`'s, so the evidence must also prove the
-        label.  It starts from the stored polynomial's integer form and a
-        Sturm chain built fresh from it by :func:`_sturm_ints`, so no chain
-        kept by the builder is trusted.  The points ``lo``, ``hi`` and, for a
-        sign claim, ``witness`` must be canonical ``p/q`` strings
-        (:func:`_canonical_ratio`).  Evidence that is missing, extra,
+        label.  It starts from the stored polynomial's integer form and the
+        chain that the memoized builder :func:`_sturm_ints` gives for that
+        form; no polynomial holds a chain to trust.  The points ``lo``,
+        ``hi`` and, for a sign claim, ``witness`` must be canonical ``p/q``
+        strings (:func:`_canonical_ratio`).  Evidence that is missing, extra,
         mistyped (a float, a bool, ``None``) or not in canonical form
         replays ``False``; it never raises.  No Fraction, interval or
         certificate is built.
@@ -759,7 +756,7 @@ def _pair(x: Fraction) -> tuple[int, int]:
 def _certificate(p: Polynomial, iv: IntervalQ, claim: str | None, lo: Fraction,
                  hi: Fraction, witness: Fraction | None = None) -> SignCertificate:
     """The certificate that ``p`` satisfies ``claim`` on ``iv``, evidenced at
-    iv.lo <= lo <= hi <= iv.hi (and ``witness``): :func:`_prove` on p's kept
+    iv.lo <= lo <= hi <= iv.hi (and ``witness``): :func:`_prove` on p's
     Sturm chain, which raises unless the evidence proves the claim."""
     evidence, claim = _prove(p._sturm(), p._form[1], iv, claim, _pair(lo),
                              _pair(hi), None if witness is None else _pair(witness))
@@ -859,7 +856,7 @@ def _counted(chain: Sequence[tuple[int, ...]], den: int, lo: tuple[int, int],
 
 def _count_evidence(p: Polynomial, lo: Fraction, hi: Fraction) -> tuple[int, dict, tuple[int, int]]:
     """Sturm count of p on (lo, hi), its evidence, and the signs of p at lo
-    and hi (:func:`_counted` on p's kept chain)."""
+    and hi (:func:`_counted` on p's chain)."""
     evidence, y_lo, y_hi = _counted(p._sturm(), p._form[1], _pair(lo), _pair(hi))
     return evidence["root_count"], evidence, ((y_lo > 0) - (y_lo < 0), (y_hi > 0) - (y_hi < 0))
 

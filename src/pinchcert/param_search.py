@@ -148,8 +148,10 @@ class SweepConfig:
     @classmethod
     def from_json(cls, data: dict) -> "SweepConfig":
         """Inverse of :meth:`to_json`; refinement_rounds and isolation_width
-        may be left out, a key :meth:`to_json` does not write is refused, and
-        so is a grid that is not a list."""
+        may be left out, and a config that is not an object, a key it does
+        not write or a grid that is not a list is refused."""
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {data!r}")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
@@ -649,7 +651,7 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
     width = config.isolation_width
     cell_at = _left_cell if side == "left" else _right_cell
     # every probe is of a pair new to the sweep, so live cells need no
-    # lookup by (t, w) and no Fraction is hashed
+    # lookup while probing and no Fraction is hashed
     live: list[_Cell] = []
     dead = 0
     # the incumbent's key, and what its probe found: the cell function's
@@ -711,11 +713,11 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
         threshold = left_threshold(t_best, w_best, width)  # dead: no cell to reuse
     else:
         threshold = _left_certificates(*best)
-    rows = []
-    degenerate_count = dead
-    for cell in sorted(live, key=lambda cell: (cell.t, cell.w)):
-        degenerate_count += cell.degenerate
-        rows.append((cell.t, cell.w, cell.enclosure.lo, cell.enclosure.hi, cell.degenerate))
+    # the table in (t, w) order, without comparing Fractions: every live cell
+    # has the side's one live w, and t_seen holds each live t once, in order
+    by_t = {(cell.t.numerator, cell.t.denominator): cell for cell in live}
+    rows = [(c.t, c.w, c.enclosure.lo, c.enclosure.hi, c.degenerate) for c in
+            (by_t.get((t.numerator, t.denominator)) for t in t_seen) if c is not None]
     return Optimum(
         side=side,
         best_t=t_best,
@@ -724,5 +726,5 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
         certificate=threshold.certificate,
         best=threshold,
         table=tuple(rows),
-        degenerate_count=degenerate_count,
+        degenerate_count=dead + sum(cell.degenerate for cell in live),
     )

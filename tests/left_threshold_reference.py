@@ -28,6 +28,7 @@ from functools import lru_cache
 from math import lcm
 
 import phi_reference as phi_ref
+from left_certificate_reference import edge_weight
 from pinchcert import pinching_bounds as pb
 from pinchcert.exact_poly import (
     ExactPolyError,
@@ -46,7 +47,6 @@ from pinchcert.param_search import (
     DOMAIN_LO,
     ThresholdEnclosure,
     _isolate_smallest_root,
-    edge_weight,
 )
 
 F = Fraction

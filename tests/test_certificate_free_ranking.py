@@ -38,23 +38,10 @@ def _count_certificates(monkeypatch) -> list:
     return built
 
 
-def _count_chains(monkeypatch) -> list:
-    """The integer form of every Sturm chain built, by the one chain builder."""
-    built = []
-    real = ep._sturm_ints
-
-    def counting(ints):
-        built.append(ints)
-        return real(ints)
-
-    monkeypatch.setattr(ep, "_sturm_ints", counting)
-    return built
-
-
 def test_a_default_left_sweep_certifies_only_the_winner(monkeypatch):
     ps.monotone_lemma("left")  # proved once per process, not per sweep
     built = _count_certificates(monkeypatch)
-    chains = _count_chains(monkeypatch)
+    ep._sturm_ints.cache_clear()
     report = rc.cmd_optimize("left", ps.default_config("left"))
     assert report.all_passed
     live = len(report.scans[0]["table"].splitlines())
@@ -65,22 +52,23 @@ def test_a_default_left_sweep_certifies_only_the_winner(monkeypatch):
     assert len(built) == 2 * (1 + len(support)) == 6
     assert built.count("sign-constant-negative") == 2 * 2
     assert built.count("exactly-one-root") == 2
-    # the winner's two quotients, then one fresh chain per replayed
-    # certificate; no branch is specialized, so none builds a chain
-    assert len(chains) == 2 + 1 + len(support) == 5
+    # a chain is built on a cache miss alone: the winner's two quotients,
+    # whose chains its replays read again; no branch is specialized, so none
+    # builds a chain
+    assert ep._sturm_ints.cache_info().misses == 2
 
 
 def test_a_default_right_sweep_certifies_only_the_winner(monkeypatch):
     ps.monotone_lemma("right")
     built = _count_certificates(monkeypatch)
-    chains = _count_chains(monkeypatch)
+    ep._sturm_ints.cache_clear()
     report = rc.cmd_optimize("right", ps.default_config("right"))
     assert report.all_passed
     assert len(report.scans[0]["table"].splitlines()) == 108
     # the winner's count and enclosure certificates, built once, replayed once
     assert built == [None, "exactly-one-root", "exactly-one-root", "exactly-one-root"]
-    # θ2 at the winner's t, then one fresh chain per replayed certificate
-    assert len(chains) == 1 + 2 == 3
+    # θ2 at the winner's t, whose chain both replays read again
+    assert ep._sturm_ints.cache_info().misses == 1
 
 
 def _shift_sup_at_x_quotient(monkeypatch, shift):

@@ -124,15 +124,21 @@ def test_integer_form_stays_out_of_equality_and_hash():
 
 
 def test_kept_chain_matches_a_fresh_one_and_stays_out_of_equality():
+    # the chain is kept in the builder's cache, keyed by the integer form;
+    # a polynomial cannot hold one
     p = from_roots([F(7, 4), F(3, 2)], extra=[F(1, 2)])
+    with pytest.raises(AttributeError):
+        object.__setattr__(p, "_chain", ())
     kept = p._sturm()
-    assert p._chain is kept  # built once and kept
-    # only integer tuples, so the polynomial holds no reference to itself
+    assert p._sturm() is kept  # built once and kept
+    assert kept == ep._sturm_ints.__wrapped__(p.integer_form()[0])  # the uncached builder's
+    # only integer tuples, so the cache holds no reference to a polynomial
     assert all(type(ints) is tuple and all(type(c) is int for c in ints) for ints in kept)
     assert kept == tuple(q.integer_form()[0] for q in sturm_sequence(p))
     assert kept[0] == p.integer_form()[0]
     fresh = Polynomial(p.coeffs)
     assert fresh == p and hash(fresh) == hash(p)
+    assert fresh._sturm() is kept  # one chain per integer form
     assert _count_evidence(p, F(1), F(2)) == _count_evidence(fresh, F(1), F(2))
     assert count_roots(p, IntervalQ(1, 2)) == count_roots(fresh, IntervalQ(1, 2))
 

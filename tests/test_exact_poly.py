@@ -18,6 +18,7 @@ from pinchcert.exact_poly import (
     SignCertificate,
     SignClaimError,
     _count_evidence,
+    _sturm_ints,
     certify_sign_on_interval,
     count_roots,
     isolate_root,
@@ -495,15 +496,15 @@ def test_replay_rejects_an_int_field_given_as_float_or_bool():
 
 
 def test_replay_trusts_no_form_cached_on_the_stored_polynomial():
-    # replay builds its Sturm chain afresh from the stored integer form, as
-    # a JSON reload does, so a corrupted kept chain changes nothing
+    # a polynomial cannot hold a Sturm chain, and the chain cache is keyed
+    # by integer form, so with a decoy's chain (x^2 + 1) cached, replay still
+    # reads the stored form's chain, the one the uncached builder makes
     p = poly(-2, 0, 1)
     _, cert = count_roots(p, IntervalQ(F(0), F(2)))
-    # the kept Sturm chain (the integer tuples the variation count reads)
-    # of x^2 + 1
     decoy = poly(1, 0, 1)
-    object.__setattr__(p, "_chain", decoy._sturm())
-    assert count_roots(p, IntervalQ(F(0), F(2)))[1] != cert
+    with pytest.raises(AttributeError):
+        object.__setattr__(p, "_chain", decoy._sturm())
+    assert p._sturm() == _sturm_ints.__wrapped__(p.integer_form()[0]) != decoy._sturm()
     assert cert.replay()
 
 

@@ -132,12 +132,17 @@ def test_a_trailing_zero_string_is_stripped():
 
 
 def test_replay_of_a_read_certificate_takes_no_kept_chain():
-    # replay rebuilds the chain from the read polynomial's integer form, so
-    # a Sturm chain kept on it (here that of x^2 + 1) changes nothing
+    # the read polynomial cannot hold a Sturm chain, and replay reads the
+    # chain cached for its integer form, so a chain cached first for another
+    # form (that of x^2 + 1) changes nothing
     _, cert = count_roots(Polynomial((-2, 0, 1)), IntervalQ(F(0), F(2)))
     read = SignCertificate.from_json(cert.to_json())
-    object.__setattr__(read.polynomial, "_chain", Polynomial((1, 0, 1))._sturm())
+    with pytest.raises(AttributeError):
+        object.__setattr__(read.polynomial, "_chain", Polynomial((1, 0, 1))._sturm())
+    ep._sturm_ints.cache_clear()
+    Polynomial((1, 0, 1))._sturm()
     assert read.replay()
+    assert read.polynomial._sturm() == ep._sturm_ints.__wrapped__((-2, 0, 1))
 
 
 

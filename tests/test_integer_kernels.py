@@ -102,7 +102,7 @@ def test_sweep_chain_members_are_fractions_equal_to_the_reference():
     for p in _sweep_polynomials():
         chain = ep.sturm_sequence(p)
         assert chain == ref.sturm_sequence(p)
-        # the kept chain is the members' integer tuples
+        # the cached chain is the members' integer tuples
         assert p._sturm() == tuple(q.integer_form()[0] for q in chain)
         for q in chain:
             assert all(type(c) is Fraction for c in q.coeffs)

@@ -7,7 +7,9 @@ import random
 import pytest
 
 from pinchcert.exact_poly import (
+    CLAIM_ROOT_COUNT,
     Polynomial,
+    _certificate,
     certify_sign_on_interval,
     count_roots,
     one_root_certificate,
@@ -278,6 +280,28 @@ def test_replay_binds_a_left_enclosure_to_its_certificate():
     }
     for name, forged in forgeries.items():
         assert forged.certificate.replay() and all(c.replay() for c in forged.support)
+        assert not ps.replay_threshold(forged), name
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_replay_binds_the_main_certificate_to_the_enclosure_and_its_claim(side):
+    # each forgery replays and fails one half of the main certificate's
+    # check alone: its claim is exactly-one-root, its interval the enclosure
+    genuine = (ps.left_threshold(F(1, 4), F(5, 3), WIDTH) if side == "left"
+               else ps.right_threshold(F(1, 4), WIDTH))
+    assert ps.replay_threshold(genuine)
+    p, enclosure = genuine.certificate.polynomial, genuine.enclosure
+    lo, hi, step = enclosure.lo, enclosure.hi, F(1, 10**4)
+    forgeries = {
+        "one root on a wider interval": one_root_certificate(
+            p, ps.IntervalQ(lo - step, hi + step)),
+        "a root count on the enclosure, evidenced inside it": _certificate(
+            p, enclosure, CLAIM_ROOT_COUNT, (3 * lo + hi) / 4, (lo + 3 * hi) / 4),
+    }
+    for name, cert in forgeries.items():
+        assert cert.replay(), name
+        forged = replace(genuine, certificate=cert)
+        assert not ps.enclosure_holds(forged), name
         assert not ps.replay_threshold(forged), name
 
 

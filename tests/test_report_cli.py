@@ -163,20 +163,46 @@ def test_certify_fails_the_smax_identity_for_a_perturbed_numerator(monkeypatch, 
     assert "smax-threshold-identity" in capsys.readouterr().err
 
 
-def test_each_sturm_chain_is_built_once(monkeypatch):
-    # a polynomial keeps its chain: a warm certify builds one for θ2 at
-    # t = 1/4 and one per replayed certificate (replay builds a fresh chain
-    # from the stored integer form), and a right probe builds one for its θ2
-    rc.cmd_certify()
-    built = []
-    real = ep._sturm_ints  # the one chain builder, of polynomials and of replay
-    monkeypatch.setattr(ep, "_sturm_ints", lambda ints: built.append(ints) or real(ints))
+def test_each_sturm_chain_is_built_once():
+    # chains are memoized by integer form, so a chain is built on a cache
+    # miss alone: a certify from an empty cache builds one per distinct
+    # polynomial it counts on, its replays and those of the certificates
+    # read back from JSON build none, nor does a warm certify, and a right
+    # probe builds one for its θ2
+    ep._sturm_ints.cache_clear()
     report = rc.cmd_certify()
     assert len(report.certificates) == 7
-    assert len(built) == 8
-    built.clear()
+    assert ep._sturm_ints.cache_info().misses == 5
+    assert report.replay_certificates()
+    rc.cmd_certify()
+    assert ep._sturm_ints.cache_info().misses == 5
     ps.right_threshold(rat("3/10"))
-    assert len(built) == 1
+    assert ep._sturm_ints.cache_info().misses == 6
+
+
+def _replays(path) -> bool:
+    """README's replay recipe on the report at ``path``."""
+    report = json.loads(path.read_text())
+    return all(SignCertificate.from_json(entry["certificate"]).replay()
+               for entry in report["certificates"])
+
+
+@pytest.mark.parametrize("decoy", [False, True], ids=["warm", "decoy cached first"])
+def test_a_flipped_variation_count_fails_with_a_warm_chain_cache(tmp_path, decoy):
+    # one process writes the report and replays it, so every chain a replay
+    # of the forged report needs is cached; so is a decoy's, if asked
+    ep._sturm_ints.cache_clear()
+    if decoy:
+        ep.Polynomial((1, 0, 1))._sturm()
+    path = tmp_path / "out.json"
+    assert rc.main(["--json", str(path), "certify"]) == rc.EXIT_OK
+    assert _replays(path)
+    warm = ep._sturm_ints.cache_info().misses
+    report = json.loads(path.read_text())
+    report["certificates"][0]["certificate"]["evidence"]["variations_lo"] += 1
+    path.write_text(json.dumps(report))
+    assert not _replays(path)
+    assert ep._sturm_ints.cache_info().misses == warm  # no chain built afresh
 
 
 SIDE_CONFIGS = {
@@ -562,6 +588,18 @@ def test_config_grid_that_is_not_a_list_is_usage_error(tmp_path, capsys, key, gr
     assert code == rc.EXIT_USAGE
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage error: ") and repr(key) in lines[0]
+
+
+@pytest.mark.parametrize("config", [["1/4"], "t_grid", 5], ids=["list", "string", "number"])
+def test_config_that_is_not_an_object_is_usage_error(tmp_path, capsys, config):
+    # a list used to fail on its indexing, and a string's characters were
+    # named as unknown keys
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = rc.main(["optimize", "--side", "right", "--config", str(path)])
+    assert code == rc.EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        f"usage error: config must be a JSON object, got {config!r}"]
 
 
 def test_classify_input_missing_field_is_named(tmp_path, capsys):
