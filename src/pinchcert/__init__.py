@@ -19,3 +19,15 @@ Subpackages:
 __version__ = "1.0.0"
 
 REPORT_SCHEMA = "pinchcert-report/2"
+
+# The lab's sample bound and failure type live here, outside
+# :mod:`pinchcert.calabi_lab`, so the command line can name them without
+# importing the lab and numpy; ``calabi_lab`` exports both under these names.
+
+#: the most samples one lab scan takes; larger counts are refused before
+#: anything is allocated
+MAX_SAMPLES = 1_000_000
+
+
+class FrameDegeneracyError(RuntimeError):
+    """The induced metric of a lab sample is singular."""

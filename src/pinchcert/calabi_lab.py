@@ -42,19 +42,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# defined in the package, where the command line reads them without numpy
+from . import MAX_SAMPLES, FrameDegeneracyError
+
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 #: samples per vectorized pass; fixed, so memory stays flat in the sample
 #: count and no value depends on how many samples a scan asks for
 SCAN_BLOCK = 128
-
-#: the most samples one scan takes; larger counts are refused before
-#: anything is allocated
-MAX_SAMPLES = 1_000_000
-
-
-class FrameDegeneracyError(RuntimeError):
-    """The induced metric of a sample is singular."""
 
 
 @functools.lru_cache(maxsize=None)

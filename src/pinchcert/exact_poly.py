@@ -19,8 +19,11 @@ strings' integer form, and its replay builds no Fraction.  No float enters
 this module: root isolation proposes its final dyadic cell by Illinois
 regula falsi on exact integer values when a Sturm count has found a single
 root, and the proposal's end signs alone confirm it; with more roots,
-Sturm-counted bisection finds the cell.  A :class:`Form` is a polynomial
-in (t, x), held as its polynomials in x at each power of t.
+Sturm-counted bisection finds the cell.  The regula falsi runs on one
+integer grid per interval and width (:func:`_grid`, memoized): p's
+coefficients are prescaled once for the grid's denominator, so each value
+is one plain Horner pass at an integer grid point.  A :class:`Form` is a
+polynomial in (t, x), held as its polynomials in x at each power of t.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ _COUNT_CLAIMS = (CLAIM_NO_ROOT, CLAIM_ONE_ROOT, CLAIM_ROOT_COUNT)
 _SIGN_CLAIMS = {CLAIM_POSITIVE: 1, CLAIM_NEGATIVE: -1}
 # chains kept: a CLI command needs at most 5, a 100-op perfbench sweep cycle 115
 _CHAIN_CACHE_SIZE = 256
+# isolation grids kept: the probes of one sweep side share one grid
+_GRID_CACHE_SIZE = 64
 
 
 class ExactPolyError(Exception):
@@ -913,40 +918,72 @@ def _offset_midpoint(p: Polynomial, lo: Fraction, hi: Fraction) -> Fraction:
     raise ExactPolyError("could not find a non-root interior point")
 
 
-def _bisection_depth(span: Fraction, width: Fraction) -> int:
-    """Fewest halvings d with span / 2^d <= width."""
-    ratio = span / width
-    n, m = ratio.numerator, ratio.denominator
-    d = max(n.bit_length() - m.bit_length() - 1, 0)
-    while (m << d) < n:
-        d += 1
-    return d
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _grid(a_num: int, a_den: int, b_num: int, b_den: int,
+          w_num: int, w_den: int) -> tuple[int, int, int, int]:
+    """The bisection grid of (a, b) at the depth width w demands.
+
+    Takes a, b and w as reduced pairs and returns ``(base, step, den,
+    depth)``: grid point i is (base + i * step) / den for i = 0 .. 2^depth,
+    and depth is the fewest halvings that leave cells of (a, b) at most w
+    wide.  The span b - a is reduced, as its Fraction would be, so the grid
+    is the one bisection from a and b meets.  Integers only; the probes of
+    a sweep share their interval and width, so they share one grid.
+    """
+    span_num = b_num * a_den - a_num * b_den
+    span_den = a_den * b_den
+    g = gcd(span_num, span_den)
+    span_num, span_den = span_num // g, span_den // g
+    # the fewest d with span / 2^d <= w, i.e. n <= m * 2^d
+    n, m = span_num * w_den, span_den * w_num
+    depth = max(n.bit_length() - m.bit_length() - 1, 0)
+    while (m << depth) < n:
+        depth += 1
+    return (a_num * span_den << depth, span_num * a_den, a_den * span_den << depth, depth)
 
 
-def _propose_cell(p: Polynomial, base: int, step: int, den: int, depth: int) -> int | None:
+def _prescaled(ints: Sequence[int], den: int) -> tuple[int, ...]:
+    """p's integer coefficients, highest first, the k-th times den^(n-k).
+
+    :func:`_horner` on them at x is ``_homogeneous(ints, x, den)``: p(x/den)
+    times the positive integer den^n, for every integer x.
+    """
+    scaled, power = [], 1
+    for c in reversed(ints):
+        scaled.append(c * power)
+        power *= den
+    return tuple(scaled)
+
+
+def _horner(scaled: Sequence[int], x: int) -> int:
+    """``sum(scaled[i] * x^(n-i))``, coefficients highest first, by Horner."""
+    acc = 0
+    for c in scaled:
+        acc = acc * x + c
+    return acc
+
+
+def _propose_cell(scaled: Sequence[int], base: int, step: int, depth: int) -> int | None:
     """Index j of the grid cell where p changes sign, found by exact signs.
 
     The grid has points (base + i * step) / den for i = 0 .. 2^depth, and
-    the caller counted exactly one root between its ends.  Illinois regula
-    falsi (Dowell & Jarratt 1971) narrows the whole grid to one cell
-    (j, j + 1).  Its values are the integers of :func:`_homogeneous`: every
-    grid point shares the denominator den, so they are p's values times one
-    positive constant, and the secant through them is p's secant.  A
-    bisection step replaces the secant whenever two steps in a row have not
-    halved the bracket.  Returns None when the grid's ends have no sign
-    change or the search meets a grid point that is a root.
+    the caller counted exactly one root between its ends.  ``scaled`` is
+    p's :func:`_prescaled` coefficients for den, so a value at a grid
+    point is one :func:`_horner` pass at base + i * step, the integer of
+    :func:`_homogeneous`: every grid point shares the denominator den, so
+    the values are p's values times one positive constant, and the secant
+    through them is p's secant.  Illinois regula falsi (Dowell & Jarratt
+    1971) narrows the whole grid to one cell (j, j + 1); a bisection step
+    replaces the secant whenever two steps in a row have not halved the
+    bracket.  Returns None when the grid's ends have no sign change or the
+    search meets a grid point that is a root.
     """
-    ints = p._form[0]
-
-    def value(i: int) -> int:
-        return _homogeneous(ints, base + i * step, den)
-
-    f_lo = value(0)
+    f_lo = _horner(scaled, base)
     if not f_lo:
         return None
     positive = f_lo > 0  # the sign at the bracket's lower end
     j_lo, j_hi = 0, 1 << depth
-    f_hi = value(j_hi)
+    f_hi = _horner(scaled, base + j_hi * step)
     if not f_hi or (f_hi > 0) == positive:
         return None
     # moved: the end the last step replaced (-1 lower, 1 upper); mark: the
@@ -958,7 +995,7 @@ def _propose_cell(p: Polynomial, base: int, step: int, den: int, depth: int) -> 
         else:
             j = j_lo + f_lo * (j_hi - j_lo) // (f_lo - f_hi)
             j = min(max(j, j_lo + 1), j_hi - 1)
-        v = value(j)
+        v = _horner(scaled, base + j * step)
         if not v:
             return None
         # Illinois: an end that stays twice has its value halved (never to 0)
@@ -980,23 +1017,24 @@ def _jump_cell(p: Polynomial, a: Fraction, b: Fraction,
                width: Fraction) -> tuple[Fraction, Fraction] | None:
     """The cell of :func:`_smallest_root_cell`'s bisection, for a single root.
 
-    The caller counted exactly one root in (a, b).  :func:`_propose_cell`
-    picks the dyadic cell (lo, hi) of (a, b) at the depth the width demands
-    by exact signs alone.  Its ends must have opposite signs, so the cell
-    holds that root, no grid point is a root, and bisection stops in this
-    cell: nothing more is checked.  Returns None when this fails.
+    The caller counted exactly one root in (a, b).  On the integer
+    :func:`_grid` of (a, b) at the depth the width demands, with p's
+    coefficients prescaled once for the grid's denominator,
+    :func:`_propose_cell` picks the dyadic cell (lo, hi) by exact signs
+    alone.  Its ends, read by the same prescaled evaluator, must have
+    strictly opposite signs, so the cell holds that root, no grid point is
+    a root, and bisection stops in this cell: nothing more is checked.
+    Returns None when this fails.
     """
-    span = b - a
-    depth = _bisection_depth(span, width)
-    # grid point i of the bisection at this depth is (base + i * step) / den
-    den = a.denominator * span.denominator << depth
-    base = a.numerator * span.denominator << depth
-    step = span.numerator * a.denominator
-    j = _propose_cell(p, base, step, den, depth)
+    base, step, den, depth = _grid(a.numerator, a.denominator, b.numerator, b.denominator,
+                                   width.numerator, width.denominator)
+    scaled = _prescaled(p._form[0], den)
+    j = _propose_cell(scaled, base, step, depth)
     if j is None or not 0 <= j < 1 << depth:
         return None
     lo_num = base + j * step
-    if _sign_at_ratio(p, lo_num, den) * _sign_at_ratio(p, lo_num + step, den) >= 0:
+    v_lo, v_hi = _horner(scaled, lo_num), _horner(scaled, lo_num + step)
+    if not (v_lo < 0 < v_hi or v_hi < 0 < v_lo):
         return None
     return Fraction(lo_num, den), Fraction(lo_num + step, den)
 

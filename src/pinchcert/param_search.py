@@ -106,6 +106,12 @@ F = Fraction
 DOMAIN_LO = pb.PINCH_DOMAIN.lo
 DOMAIN_HI = pb.PINCH_DOMAIN.hi
 
+#: the most refinement rounds a sweep takes; larger counts are refused
+#: before any probe runs.  Each round adds up to four probes, whose t
+#: denominators grow about 1.6 bits a round, so 64 rounds take tens of
+#: milliseconds while an unbounded count never ends
+MAX_REFINEMENT_ROUNDS = 64
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -132,8 +138,9 @@ class SweepConfig:
             raise ValueError("w grid must lie in [5/3, 9/5]")
         if type(self.refinement_rounds) is not int:
             raise ValueError(f"refinement_rounds must be an int, got {self.refinement_rounds!r}")
-        if self.refinement_rounds < 0:
-            raise ValueError("refinement_rounds must be nonnegative")
+        if not 0 <= self.refinement_rounds <= MAX_REFINEMENT_ROUNDS:
+            raise ValueError(f"refinement_rounds must lie in 0..{MAX_REFINEMENT_ROUNDS}, "
+                             f"got {self.refinement_rounds}")
         if self.isolation_width <= 0:
             raise ValueError("isolation width must be positive")
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from . import __version__, REPORT_SCHEMA
-from . import calabi_lab as cl
+from . import MAX_SAMPLES, REPORT_SCHEMA, FrameDegeneracyError, __version__
 from . import param_search as ps
 from . import pinching_bounds as pb
 from . import shrinker_bridge as sb
@@ -432,8 +431,11 @@ def cmd_lab(s: int, n_samples: int, seed: int, step: float | None = None,
 
     ``step`` is unused: the lab differentiates exactly and takes no step.
     It stays the fourth positional parameter because the benchmark
-    harness passes one there.
+    harness passes one there.  The lab, and with it numpy, is imported
+    here, so the other commands never load it.
     """
+    from . import calabi_lab as cl
+
     report = CertificationReport(
         command=f"lab --s {s}",
         inputs={"s": s, "samples": n_samples, "seed": seed},
@@ -513,7 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lab = sub.add_parser("lab", help="sample a harmonic immersion and verify identities")
     p_lab.add_argument("--s", type=int, required=True, help="harmonic degree (1..6)")
     p_lab.add_argument("--samples", type=int, default=500,
-                       help=f"sample count (1..{cl.MAX_SAMPLES})")
+                       help=f"sample count (1..{MAX_SAMPLES})")
     p_lab.add_argument("--seed", type=int, default=0)
     p_lab.add_argument("--csv", metavar="PATH", default=None,
                        help="write the per-sample scan table here")
@@ -574,7 +576,7 @@ def main(argv: list[str] | None = None) -> int:
             KeyError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (cl.FrameDegeneracyError, ExactPolyError) as err:
+    except (FrameDegeneracyError, ExactPolyError) as err:
         print(f"certification failure: {args.subcommand}: {err}", file=sys.stderr)
         return EXIT_CERTIFICATION_FAILURE
 

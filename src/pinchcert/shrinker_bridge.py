@@ -116,8 +116,11 @@ class ShrinkerPinchData:
     @classmethod
     def from_json(cls, data: dict) -> "ShrinkerPinchData":
         """Inverse of :meth:`to_json`; the two hypotheses must be JSON
-        booleans, which the constructor checks.  Every field is required,
-        and a key :meth:`to_json` does not write is refused."""
+        booleans, which the constructor checks.  The input must be an
+        object, every field is required, and a key :meth:`to_json` does not
+        write is refused."""
+        if not isinstance(data, dict):
+            raise ValueError(f"classify input must be a JSON object, got {data!r}")
         names = [f.name for f in fields(cls)]
         unknown = sorted(set(data) - set(names))
         if unknown:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exact_reference as ref
@@ -171,22 +171,24 @@ def test_isolate_smallest_root_matches_reference(p, iv, width):
     )
 
 
-# polynomials with exactly one root in (1, 2), roots outside it and an
-# irreducible quadratic factor
+# polynomials with exactly one root in (1, 2), roots outside it and at most
+# one irreducible quadratic factor: degrees 1 to 6
 single_root_cases = st.builds(
-    lambda inside, outside, scale, c: (from_roots([inside, *outside], scale, [c]), inside),
+    lambda inside, outside, scale, c: (from_roots([inside, *outside], scale, c), inside),
     st.fractions(min_value=1, max_value=2, max_denominator=10**4).filter(lambda r: 1 < r < 2),
     st.lists(st.one_of(st.fractions(min_value=-3, max_value=1, max_denominator=50),
                        st.fractions(min_value=2, max_value=5, max_denominator=50))
              .filter(lambda r: not 1 <= r <= 2), max_size=3),
     st.fractions(min_value=F(1, 9), max_value=9, max_denominator=100).flatmap(
         lambda s: st.sampled_from([s, -s])),
-    st.fractions(min_value=F(1, 10), max_value=3, max_denominator=10),
+    st.lists(st.fractions(min_value=F(1, 10), max_value=3, max_denominator=10), max_size=1),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(single_root_cases, widths)
+@example((from_roots([F(13, 10)], F(-2, 3)), F(13, 10)), F(1, 10**6))  # degree 1
+@example((from_roots([F(1357, 1000), F(-1, 2)]), F(1357, 1000)), F(1, 1000))  # degree 2
 def test_single_root_path_matches_reference(case, width):
     """A count of one root sends both isolators down the single-root path."""
     p, root = case
@@ -256,9 +258,59 @@ TWO_ROOTS = from_roots([F(13, 10), F(17, 10)], extra=[F(1, 3)])
 THREE_CLOSE_ROOTS = from_roots([F(7, 5), F(7, 5) + F(1, 10**8), F(7, 5) + F(2, 10**8)])
 
 
+def grid_of(a, b, width):
+    """The integer isolation grid (base, step, den, depth) of (a, b) and the width."""
+    return ep._grid(a.numerator, a.denominator, b.numerator, b.denominator,
+                    width.numerator, width.denominator)
+
+
+def fraction_grid(a, b, width):
+    """The same grid as it was set up from Fractions, before it was built
+    from the integer pairs: the span b - a, its ratio to the width, and the
+    fewest halvings that bring the span under the width."""
+    span = b - a
+    ratio = span / width
+    n, m = ratio.numerator, ratio.denominator
+    depth = max(n.bit_length() - m.bit_length() - 1, 0)
+    while (m << depth) < n:
+        depth += 1
+    den = a.denominator * span.denominator << depth
+    base = a.numerator * span.denominator << depth
+    step = span.numerator * a.denominator
+    return base, step, den, depth
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(min_value=-3, max_value=3, max_denominator=10**6),
+       st.fractions(min_value=F(1, 10**4), max_value=5, max_denominator=10**4),
+       st.fractions(min_value=F(1, 10**9), max_value=8, max_denominator=10**9))
+@example(F(-7, 3), F(29, 6), F(1, 10**6))  # a negative a
+@example(F(5, 3), F(2, 15), F(2, 15))  # width equal to the span: depth 0
+@example(F(-1, 2), F(1, 7), F(3))  # width beyond the span: depth 0
+def test_integer_grid_equals_the_fraction_setup(a, span, width):
+    b = a + span
+    grid = grid_of(a, b, width)
+    assert grid == fraction_grid(a, b, width)
+    base, step, den, depth = grid
+    assert F(base, den) == a and F(base + (step << depth), den) == b
+    assert (depth == 0) == (width >= span)
+    assert F(step, den) <= width and (depth == 0 or F(2 * step, den) > width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys, st.integers(min_value=-10**12, max_value=10**12),
+       st.integers(min_value=1, max_value=10**12))
+def test_a_prescaled_horner_pass_is_the_homogeneous_value(p, x, den):
+    # the regula falsi values are the integers homogeneous Horner gives, so
+    # every step, cell and certificate is the one it was before
+    ints = p.integer_form()[0]
+    assert ep._horner(ep._prescaled(ints, den), x) == (
+        ep._homogeneous(ints, x, den) if ints else 0)
+
+
 def grid_index(a, b, width, x):
     """Index of the cell of (a, b)'s bisection grid holding x, clamped to the grid."""
-    cells = 1 << ep._bisection_depth(b - a, width)
+    cells = 1 << grid_of(a, b, width)[3]
     return min(max(math.floor((x - a) / (b - a) * cells), 0), cells - 1)
 
 
@@ -275,7 +327,7 @@ def test_a_wrong_estimate_is_refused_and_bisection_takes_over(monkeypatch, p, gu
     j = grid_index(a, b, width, guess)
     proposed = []
     monkeypatch.setattr(ep, "_propose_cell",
-                        lambda p, base, step, den, depth: proposed.append(j) or j)
+                        lambda scaled, base, step, depth: proposed.append(j) or j)
     assert ps._isolate_smallest_root(p, a, b, width) == ref.isolate_smallest_root(p, a, b, width)
     assert proposed == []
 
@@ -295,8 +347,8 @@ def test_a_wrong_proposal_on_the_single_root_path_is_refused(monkeypatch, index)
     a cell beyond the grid is refused even where its end signs differ."""
     a, b, width = F(1), F(2), F(1, 10**6)
     assert counts_one_root(ONE_ROOT, a, b)
-    j = index(1 << ep._bisection_depth(b - a, width))
-    monkeypatch.setattr(ep, "_propose_cell", lambda p, base, step, den, depth: j)
+    j = index(1 << grid_of(a, b, width)[3])
+    monkeypatch.setattr(ep, "_propose_cell", lambda scaled, base, step, depth: j)
     assert _jump_cell(ONE_ROOT, a, b, width) is None
     expected = ref.isolate_smallest_root(ONE_ROOT, a, b, width)
     assert ps._isolate_smallest_root(ONE_ROOT, a, b, width) == expected
@@ -332,16 +384,20 @@ def test_every_default_grid_probe_takes_the_jump(monkeypatch):
 
 def test_the_exact_layer_imports_no_numpy():
     # nor sympy: the monotonicity lemma is in-repo Fraction arithmetic, and
-    # sympy serves only as a test oracle
+    # sympy serves only as a test oracle; the command line imports the lab,
+    # and numpy with it, only to run the lab, so the exact commands load
+    # neither
     code = ("import sys; import pinchcert.exact_poly, pinchcert.pinching_bounds, "
-            "pinchcert.param_search, pinchcert.shrinker_bridge; "
-            "print([m for m in ('numpy', 'sympy') if m in sys.modules])")
+            "pinchcert.param_search, pinchcert.shrinker_bridge, pinchcert.report_cli as rc; "
+            "codes = [rc.main(argv) for argv in (['certify'], ['optimize', '--side', 'right'], "
+            "['classify', '--min', '5/12', '--max', '5/12'])]; "
+            "print(codes, [m for m in ('numpy', 'sympy') if m in sys.modules])")
     src = str(Path(ep.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
 def test_default_grid_isolations_take_few_grid_evaluations(monkeypatch):
@@ -350,21 +406,21 @@ def test_default_grid_isolations_take_few_grid_evaluations(monkeypatch):
     dyadic scan and sign bisection, which took 31 per right isolation and
     up to 22 per left branch; every default isolation has one root counted.
     """
-    real_propose, real_homogeneous = ep._propose_cell, ep._homogeneous
+    real_propose, real_horner = ep._propose_cell, ep._horner
     evaluations = []
 
-    def counting(p, base, step, den, depth):
+    def counting(scaled, base, step, depth):
         calls = []
 
-        def homogeneous(ints, a, b):
-            calls.append(a)
-            return real_homogeneous(ints, a, b)
+        def horner(cs, x):
+            calls.append(x)
+            return real_horner(cs, x)
 
-        monkeypatch.setattr(ep, "_homogeneous", homogeneous)
+        monkeypatch.setattr(ep, "_horner", horner)
         try:
-            return real_propose(p, base, step, den, depth)
+            return real_propose(scaled, base, step, depth)
         finally:
-            monkeypatch.setattr(ep, "_homogeneous", real_homogeneous)
+            monkeypatch.setattr(ep, "_horner", real_horner)
             evaluations.append(len(calls))
 
     monkeypatch.setattr(ep, "_propose_cell", counting)
@@ -374,5 +430,7 @@ def test_default_grid_isolations_take_few_grid_evaluations(monkeypatch):
     for t in ps.default_config("left").t_grid:
         ps.left_threshold(t, LO)
     left = evaluations
+    # each search reads at least its grid's two ends
+    assert min(right) >= 2 and min(left) >= 2
     assert len(right) == 99 and max(right) <= 7 and sum(right) <= 625
     assert len(left) == 200 and max(left) <= 29 and sum(left) <= 3361

@@ -32,15 +32,20 @@ from pinchcert.exact_poly import IntervalQ, SignCertificate
 #: same version-independent four: the certificate values now come as strings
 #: from integers.  All three moved by the same five again, measured on the
 #: same three versions, once the winner was certified from its own probe's
-#: cell instead of a second isolation of its root
-RIGHT_SWEEP_FRACTIONS = {(3, 10): 467, (3, 11): 467, (3, 12): 481}
+#: cell instead of a second isolation of its root.  All three moved by the
+#: same 214, measured on the same three versions and on 3.13.0, once the
+#: isolation grid came from integer pairs instead of Fraction subtraction
+#: and division (467, 467, 481 and 481 before)
+RIGHT_SWEEP_FRACTIONS = {(3, 10): 253, (3, 11): 253, (3, 12): 267, (3, 13): 267}
 
 #: Fractions built by one warm default left sweep (``optimize``), measured on
 #: CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 once a live probe read phi's end
 #: signs from its quotients' integer signs and only the winner computed
 #: phi's values (1792 on 3.10 and 3.11, 2026 on 3.12 and 3.13, while every
-#: live probe computed phi at both ends of its enclosure)
-LEFT_SWEEP_FRACTIONS = {(3, 10): 1372, (3, 11): 1372, (3, 12): 1606, (3, 13): 1606}
+#: live probe computed phi at both ends of its enclosure), then by the same
+#: 432 on all four once the isolation grid came from integer pairs (1372 on
+#: 3.10 and 3.11, 1606 on 3.12 and 3.13 before)
+LEFT_SWEEP_FRACTIONS = {(3, 10): 940, (3, 11): 940, (3, 12): 1174, (3, 13): 1174}
 
 #: Fractions built by a warm ``from_json(...).replay()`` of certify's seven
 #: certificates: per certificate the interval's two ends, read by

@@ -286,27 +286,27 @@ def test_left_isolations_on_the_quotient_take_few_evaluations(monkeypatch):
     """Regula falsi on g = p / (x - 5/3) has no tiny values near u to hug,
     as p had: over the default grid it took a mean of 16.8 and at most 29
     evaluations per branch on p; on g a mean of at most 10 and at most 12."""
-    real_propose, real_homogeneous = ep._propose_cell, ep._homogeneous
+    real_propose, real_horner = ep._propose_cell, ep._horner
     evaluations = []
 
-    def counting(p, base, step, den, depth):
+    def counting(scaled, base, step, depth):
         calls = []
 
-        def homogeneous(ints, a, b):
-            calls.append(a)
-            return real_homogeneous(ints, a, b)
+        def horner(cs, x):
+            calls.append(x)
+            return real_horner(cs, x)
 
-        monkeypatch.setattr(ep, "_homogeneous", homogeneous)
+        monkeypatch.setattr(ep, "_horner", horner)
         try:
-            return real_propose(p, base, step, den, depth)
+            return real_propose(scaled, base, step, depth)
         finally:
-            monkeypatch.setattr(ep, "_homogeneous", real_homogeneous)
+            monkeypatch.setattr(ep, "_horner", real_horner)
             evaluations.append(len(calls))
 
     monkeypatch.setattr(ep, "_propose_cell", counting)
     for t in ps.default_config("left").t_grid:
         ps._left_cell(t, WIDTH)
-    assert len(evaluations) == 200
+    assert len(evaluations) == 200 and min(evaluations) >= 2  # both grid ends, at least
     assert max(evaluations) <= 12 and sum(evaluations) <= 10 * len(evaluations)
 
 

@@ -391,6 +391,8 @@ def test_sweep_config_validation():
         ps.SweepConfig(t_grid=(F(1, 4),), w_grid=(F(1, 2),))
     with pytest.raises(ValueError):
         ps.SweepConfig(t_grid=(F(1, 4),), w_grid=(F(5, 3),), refinement_rounds=-1)
+    with pytest.raises(ValueError, match=r"refinement_rounds must lie in 0\.\.64, got 65"):
+        ps.SweepConfig(t_grid=(F(1, 4),), w_grid=(F(5, 3),), refinement_rounds=65)
 
 
 def test_sweep_config_json_roundtrip():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pinchcert import calabi_lab as cl
 from pinchcert import exact_poly as ep
 from pinchcert import pinching_bounds as pb
 from pinchcert import report_cli as rc
@@ -364,6 +365,28 @@ def test_optimize_non_integer_refinement_rounds_is_usage_error(tmp_path, capsys,
     assert "refinement_rounds" in capsys.readouterr().err
 
 
+def test_refinement_rounds_are_bounded_before_any_probe(tmp_path, capsys, monkeypatch):
+    # an unbounded count ran past any timeout: at the bound the sweep runs,
+    # one past it is refused before a probe is made
+    cells = []
+    real = ps._right_cell
+    monkeypatch.setattr(ps, "_right_cell", lambda t, width: cells.append(t) or real(t, width))
+    code = rc.main(["optimize", "--side", "right", "--config",
+                    str(small_config_file(tmp_path, ps.MAX_REFINEMENT_ROUNDS))])
+    assert code == rc.EXIT_OK and len(cells) > 3
+    capsys.readouterr()
+    cells.clear()
+    path = small_config_file(tmp_path)
+    data = json.loads(path.read_text())
+    data["refinement_rounds"] = ps.MAX_REFINEMENT_ROUNDS + 1
+    path.write_text(json.dumps(data))
+    code = rc.main(["optimize", "--side", "right", "--config", str(path)])
+    assert code == rc.EXIT_USAGE and cells == []
+    assert capsys.readouterr().err.splitlines() == [
+        f"usage error: refinement_rounds must lie in 0..{ps.MAX_REFINEMENT_ROUNDS}, "
+        f"got {ps.MAX_REFINEMENT_ROUNDS + 1}"]
+
+
 def test_optimize_bool_isolation_width_is_usage_error(tmp_path, capsys):
     # true is an int to Python; as a width it would silently mean 1
     path = small_config_file(tmp_path)
@@ -418,13 +441,13 @@ def test_lab_rejects_a_sample_count_outside_the_bound(capsys):
 
 
 def test_lab_frame_degeneracy_exits_1_naming_the_sample(monkeypatch, capsys):
-    build = rc.cl.build_calabi_immersion
+    build = cl.build_calabi_immersion
 
     def flattened(s):
         imm = build(s)
         return imm.rotated(np.zeros((imm.n_components, imm.n_components)))
 
-    monkeypatch.setattr(rc.cl, "build_calabi_immersion", flattened)
+    monkeypatch.setattr(cl, "build_calabi_immersion", flattened)
     code = rc.main(["lab", "--s", "3", "--samples", "5", "--seed", "1"])
     assert code == rc.EXIT_CERTIFICATION_FAILURE
     err = capsys.readouterr().err
@@ -600,6 +623,19 @@ def test_config_that_is_not_an_object_is_usage_error(tmp_path, capsys, config):
     assert code == rc.EXIT_USAGE
     assert capsys.readouterr().err.splitlines() == [
         f"usage error: config must be a JSON object, got {config!r}"]
+
+
+@pytest.mark.parametrize("data", [["a_circ_min", "a_circ_max"], "a_circ_min", 5],
+                         ids=["list", "string", "number"])
+def test_classify_input_that_is_not_an_object_is_usage_error(tmp_path, capsys, data):
+    # a list used to fail on its indexing, a string's characters were named
+    # as unknown keys, and a number was iterated
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    code = rc.main(["classify", "--input", str(path)])
+    assert code == rc.EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        f"usage error: classify input must be a JSON object, got {data!r}"]
 
 
 def test_classify_input_missing_field_is_named(tmp_path, capsys):
