@@ -1067,24 +1067,6 @@ def _smallest_root_cell(p: Polynomial, a: Fraction, b: Fraction, width: Fraction
     return a, b
 
 
-def _counted_root_cell(p: Polynomial, lo: Fraction, hi: Fraction,
-                       width: Fraction) -> IntervalQ:
-    """The isolating cell of the one root that a Sturm count found in (lo, hi).
-
-    Raises :class:`ExactPolyError` unless p(lo) and p(hi) have opposite
-    signs (a lone root without a sign change has even multiplicity).  With
-    one root of odd multiplicity, keeping the half that holds it is keeping
-    the half whose ends differ in sign, so the shared smallest-root kernel
-    gives the bisection's cell.
-    """
-    if sign_at(p, lo) * sign_at(p, hi) >= 0:
-        raise ExactPolyError(
-            "single root without endpoint sign change (even multiplicity); "
-            "cannot certify an enclosure by signs"
-        )
-    return IntervalQ(*_smallest_root_cell(p, lo, hi, width, one_root=True))
-
-
 def one_root_certificate(p: Polynomial, enclosure: IntervalQ) -> SignCertificate:
     """The ``exactly-one-root`` certificate of p on an isolating cell."""
     return _certificate(p, enclosure, CLAIM_ONE_ROOT, enclosure.lo, enclosure.hi)
@@ -1093,31 +1075,28 @@ def one_root_certificate(p: Polynomial, enclosure: IntervalQ) -> SignCertificate
 def isolate_root(p: Polynomial, iv: IntervalQ, width) -> tuple[IntervalQ, SignCertificate]:
     """Shrink the one root of ``p`` that :func:`count_roots` counts on ``iv``.
 
-    :func:`isolate_counted_root` of the interval's :func:`count_roots`
-    certificate, so the root is one in that certificate's interval, whose
-    ends are nudged off any root of p.
-    """
-    return isolate_counted_root(count_roots(p, iv)[1], width)
-
-
-def isolate_counted_root(count_cert: SignCertificate, width) -> tuple[IntervalQ, SignCertificate]:
-    """Shrink the one root that a :func:`count_roots` certificate counts.
-
-    The returned enclosure has endpoints of exactly opposite sign, so
-    p(lo)*p(hi) < 0 as rationals, and is at most ``width`` wide.  The search
-    starts from the certificate's interval, whose ends are the nudged ends
-    it was counted at, and takes its count as the single-root fact of
-    :func:`_counted_root_cell`, so a caller that needs the count certificate
-    anyway counts only once.
+    The search starts from that count's interval, whose ends are nudged off
+    any root of p, and must find p's values there of strictly opposite
+    sign: a lone root without a sign change has even multiplicity.  With
+    one root of odd multiplicity, keeping the half that holds it is keeping
+    the half whose ends differ in sign, so the shared smallest-root kernel
+    gives the bisection's cell.  The returned enclosure has ends of
+    exactly opposite sign and is at most ``width`` wide, and comes with its
+    exactly-one-root certificate.
     """
     width = rat(width)
     if width <= 0:
         raise ValueError("isolation width must be positive")
-    count = count_cert.evidence["root_count"]
+    count, count_cert = count_roots(p, iv)
     if count != 1:
         raise ValueError(f"isolate_root requires exactly one root in the interval, found {count}")
-    p = count_cert.polynomial
-    enclosure = _counted_root_cell(p, count_cert.interval.lo, count_cert.interval.hi, width)
+    lo, hi = count_cert.interval.lo, count_cert.interval.hi
+    if sign_at(p, lo) * sign_at(p, hi) >= 0:
+        raise ExactPolyError(
+            "single root without endpoint sign change (even multiplicity); "
+            "cannot certify an enclosure by signs"
+        )
+    enclosure = IntervalQ(*_smallest_root_cell(p, lo, hi, width, one_root=True))
     return enclosure, one_root_certificate(p, enclosure)
 
 

@@ -59,11 +59,14 @@ but builds no certificate.  :func:`left_threshold` and
 step per side (:func:`_left_certificates`, :func:`_right_certificates`),
 whose certificates prove the enclosure without the lemma; :func:`optimize`
 keeps the winner's cell and runs only the certificate step on it.  Every
-certificate here comes from :mod:`pinchcert.exact_poly`'s ``count_roots``,
-``certify_sign_on_interval`` or ``one_root_certificate``, which decide the
-labels.  A left enclosure rests on its two quotients alone (see
-:func:`left_threshold`), so the left path counts no roots; replay binds its
-support to the quotients at its t (:func:`_left_support_holds`).
+live enclosure rests on one ``sign-constant-negative`` certificate from
+:mod:`pinchcert.exact_poly`'s ``certify_sign_on_interval``, and its other
+end on an exact value of the opposite sign: θ2(t) negative on
+[enclosure.hi, 9/5], or the winning quotient negative on
+[5/3, enclosure.lo] with the other quotient's as support.  Only the
+degenerate right enclosure counts roots, with ``count_roots``; replay binds
+each certificate to its role (:func:`enclosure_holds`), and
+:func:`certificate_labels` names the roles.
 """
 
 from __future__ import annotations
@@ -79,7 +82,6 @@ from . import pinching_bounds as pb
 from .exact_poly import (
     CLAIM_NEGATIVE,
     CLAIM_NO_ROOT,
-    CLAIM_ONE_ROOT,
     CLAIM_POSITIVE,
     ExactPolyError,
     IntervalQ,
@@ -112,6 +114,11 @@ DOMAIN_HI = pb.PINCH_DOMAIN.hi
 #: milliseconds while an unbounded count never ends
 MAX_REFINEMENT_ROUNDS = 64
 
+#: the narrowest isolation width a sweep takes, checked before any probe
+#: runs: phi's values at the winner's ends, up to about five times as many
+#: digits as the width, must fit Python's 4300-digit int-to-string limit
+MIN_ISOLATION_WIDTH = F(1, 10**100)
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -141,8 +148,8 @@ class SweepConfig:
         if not 0 <= self.refinement_rounds <= MAX_REFINEMENT_ROUNDS:
             raise ValueError(f"refinement_rounds must lie in 0..{MAX_REFINEMENT_ROUNDS}, "
                              f"got {self.refinement_rounds}")
-        if self.isolation_width <= 0:
-            raise ValueError("isolation width must be positive")
+        if not self.isolation_width >= MIN_ISOLATION_WIDTH:
+            raise ValueError("isolation_width must be at least MIN_ISOLATION_WIDTH = 1/10**100")
 
     def to_json(self) -> dict:
         return {
@@ -370,13 +377,14 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
     on (5/3, x); pinching below it forces S to sit at the lower endpoint.
     For w > 5/3 (see :func:`edge_lemma`) the certificate is positive at the
     domain edge, and the degenerate enclosure [5/3, 5/3] is returned.  At
-    w = 5/3 this is :func:`_left_cell` with its certificates: the
-    exactly-one-root certificate of the winning branch's quotient on the
-    enclosure, and as support, per branch, the negative certificate of its
-    quotient on [5/3, x], x the lower end of its own enclosure.  A branch is
-    its quotient times x - 5/3 > 0 there, so these prove the enclosure
-    without the monotonicity lemma; a quotient that is not negative up to x
-    raises :class:`SignClaimError`.
+    w = 5/3 this is :func:`_left_cell` with its certificates: the negative
+    certificate of the winning branch's quotient on exactly
+    [5/3, enclosure.lo], and as support the other quotient's negative
+    certificate on [5/3, x], x the lower end of that branch's own
+    enclosure.  A branch is its quotient times x - 5/3 > 0 there, so these
+    prove phi < 0 on (5/3, enclosure.lo] without the monotonicity lemma,
+    and phi's positive value at enclosure.hi shows the enclosure is tight;
+    a quotient that is not negative up to x raises :class:`SignClaimError`.
     """
     t, w, width = rat(t), rat(w), rat(width)
     if not 0 < t <= F(1, 2):
@@ -406,16 +414,18 @@ def _left_certificates(cell: _Cell,
     """:func:`left_threshold` at w = 5/3 from :func:`_left_cell`'s result:
     the enclosure with its certificates, which :func:`left_threshold`
     describes, and phi at its ends from the quotients (:func:`_phi`)."""
-    # the first of equal enclosures wins, as in _left_cell's min
-    winner = next(g for own, g in branches if own == cell.enclosure)
-    support = tuple(certify_sign_on_interval(g, IntervalQ(DOMAIN_LO, own.lo), "negative")
-                    for own, g in branches)
+    lo, hi = cell.enclosure.lo, cell.enclosure.hi
+    # the winner: the first branch whose quotient is positive at hi, the rule
+    # enclosure_holds reads; on the isolation grid its own enclosure is the cell
+    i = next(i for i, (_, g) in enumerate(branches) if sign_at(g, hi) > 0)
+    negative = [certify_sign_on_interval(g, IntervalQ(DOMAIN_LO, lo if j == i else own.lo),
+                                         "negative")
+                for j, (own, g) in enumerate(branches)]
     quotients = [g for _, g in branches]
     return ThresholdEnclosure(
         side="left", t=cell.t, w=DOMAIN_LO, enclosure=cell.enclosure,
-        certificate=one_root_certificate(winner, cell.enclosure),
-        degenerate=False, support=support,
-        phi_lo=_phi(cell.enclosure.lo, quotients), phi_hi=_phi(cell.enclosure.hi, quotients),
+        certificate=negative.pop(i), degenerate=False, support=tuple(negative),
+        phi_lo=_phi(lo, quotients), phi_hi=_phi(hi, quotients),
     )
 
 
@@ -453,11 +463,11 @@ def right_threshold(t, width=F(1, 10**6)) -> ThresholdEnclosure:
     With no interior root (t = 1/2) the degenerate enclosure [9/5, 9/5] is
     returned together with the no-root certificate; at t = 1/2 the root of
     θ2(t) is 9/5 itself, so that certificate is on the domain with its upper
-    end nudged off the root (:func:`_counted_domain`).  This is
-    :func:`_right_cell` with its certificates: θ2(t)'s count on the domain,
-    which must find as many roots as the cell (one, or none when
-    degenerate; else :class:`ExactPolyError`), and its exactly-one-root
-    certificate on the enclosure.
+    end nudged off the root (:func:`_counted_domain`); the count must find
+    no root, else :class:`ExactPolyError`.  Otherwise this is
+    :func:`_right_cell` with one certificate: θ2(t) negative on exactly
+    [enclosure.hi, 9/5], with θ2(t)'s positive value at enclosure.lo
+    showing the enclosure is tight.
     """
     t, width = rat(t), rat(width)
     if not 0 < t <= F(1, 2):
@@ -471,21 +481,20 @@ def _right_certificates(cell: _Cell, p: Polynomial) -> ThresholdEnclosure:
     """:func:`right_threshold` from :func:`_right_cell`'s result: the
     enclosure with its certificates, which :func:`right_threshold`
     describes."""
-    t = cell.t
-    n, count_cert = count_roots(p, pb.PINCH_DOMAIN)
-    if n != (not cell.degenerate):
-        raise ExactPolyError(f"expected {int(not cell.degenerate)} root(s) of theta2({t}) "
-                             f"in the domain by its end signs, found {n}")
-    enclosure = cell.enclosure
+    t, enclosure = cell.t, cell.enclosure
     if cell.degenerate:
+        n, count_cert = count_roots(p, pb.PINCH_DOMAIN)
+        if n:
+            raise ExactPolyError(f"expected no root of theta2({t}) in the domain by its "
+                                 f"end signs, found {n}")
         return ThresholdEnclosure(
             side="right", t=t, w=DOMAIN_HI, enclosure=enclosure,
             certificate=count_cert, degenerate=True,
         )
     return ThresholdEnclosure(
         side="right", t=t, w=DOMAIN_HI, enclosure=enclosure,
-        certificate=one_root_certificate(p, enclosure), degenerate=False,
-        support=(count_cert,), phi_lo=p(enclosure.lo), phi_hi=p(enclosure.hi),
+        certificate=certify_sign_on_interval(p, IntervalQ(enclosure.hi, DOMAIN_HI), "negative"),
+        degenerate=False, phi_lo=p(enclosure.lo), phi_hi=p(enclosure.hi),
     )
 
 
@@ -507,14 +516,15 @@ def enclosure_holds(th: ThresholdEnclosure) -> bool:
     [5/3, 9/5], its ends nudged off θ2(t)'s roots (:func:`_counted_domain`),
     and no values; on the left at w in (5/3, 9/5], with the
     positive certificate of edge_weight(t, w) on [5/3, 5/3] and phi(5/3) > 0
-    as both values.  A right enclosure at w = 9/5 must carry θ2(t)'s
-    values at its ends, of opposite sign, an exactly-one-root certificate of
-    θ2(t) on the enclosure, and as support one exactly-one-root count of
-    θ2(t) on that nudged domain.  A left enclosure at w = 5/3 must carry an
-    exactly-one-root certificate of one of the two branch quotients at t on
-    the enclosure, phi's values at its ends, of opposite sign, and the
-    support :func:`left_threshold` gives it (see :func:`_left_support_holds`).
-    An unknown side or a t outside (0, 1/2] holds nothing.
+    as both values.  A live enclosure must carry its certificate
+    polynomial's values at its ends, of opposite sign, and one strict sign
+    claim: at w = 9/5, θ2(t) negative on exactly [enclosure.hi, 9/5], with
+    no support; at w = 5/3, the winning quotient at t (the first in
+    :func:`pinching_bounds.left_branch_forms` order positive at
+    enclosure.hi) negative on exactly [5/3, enclosure.lo], with the other
+    quotient negative on [5/3, x], x >= enclosure.lo, as its one support
+    (see :func:`left_threshold`).  An unknown side or a t outside (0, 1/2]
+    holds nothing.
     """
     if th.side not in ("left", "right") or not 0 < th.t <= F(1, 2):
         return False
@@ -534,36 +544,38 @@ def enclosure_holds(th: ThresholdEnclosure) -> bool:
             return False
         phi = pb.left_certificate_value(DOMAIN_LO, th.w, th.t)
         return th.phi_lo == th.phi_hi == phi > 0
-    if cert.claim != CLAIM_ONE_ROOT or cert.interval != th.enclosure:
+    if cert.claim != CLAIM_NEGATIVE:
         return False
     if th.side == "right":
         p = pb.theta2(th.t)
         phi_lo, phi_hi = p(lo), p(hi)
-        return (th.w == DOMAIN_HI and cert.polynomial == p and phi_lo > 0 > phi_hi
-                and (phi_lo, phi_hi) == (th.phi_lo, th.phi_hi)
-                and [(c.claim, c.polynomial, c.interval) for c in th.support]
-                == [(CLAIM_ONE_ROOT, p, _counted_domain(p))])
-    quotients = [quotient.at(th.t) for _, _, quotient in pb.left_branch_forms()]
-    if th.w != DOMAIN_LO or cert.polynomial not in quotients:
+        return (th.w == DOMAIN_HI and cert.polynomial == p and not th.support
+                and cert.interval == IntervalQ(hi, DOMAIN_HI) and phi_lo > 0 > phi_hi
+                and (phi_lo, phi_hi) == (th.phi_lo, th.phi_hi))
+    if th.w != DOMAIN_LO or len(th.support) != 1:
         return False
+    quotients = [quotient.at(th.t) for _, _, quotient in pb.left_branch_forms()]
     phi_lo, phi_hi = _phi(lo, quotients), _phi(hi, quotients)
-    return (phi_lo < 0 < phi_hi and phi_lo == th.phi_lo and phi_hi == th.phi_hi
-            and _left_support_holds(th, quotients))
+    if not (phi_lo < 0 < phi_hi and phi_lo == th.phi_lo and phi_hi == th.phi_hi):
+        return False
+    # phi(hi) > 0, so some quotient is positive at hi
+    winner = quotients.pop(next(i for i, g in enumerate(quotients) if sign_at(g, hi) > 0))
+    other, = th.support
+    return (cert.polynomial == winner and cert.interval == IntervalQ(DOMAIN_LO, lo)
+            and other.claim == CLAIM_NEGATIVE and [other.polynomial] == quotients
+            and other.interval.lo == DOMAIN_LO and other.interval.hi >= lo)
 
 
-def _left_support_holds(th: ThresholdEnclosure, quotients: list[Polynomial]) -> bool:
-    """Whether a left enclosure's support shows phi < 0 on (5/3, enclosure.lo).
-
-    phi is the larger branch and each branch is (x - 5/3) times its
-    quotient, so each quotient must be negative on [5/3, x] with
-    x >= enclosure.lo.  The support is one ``sign-constant-negative``
-    certificate per branch of its quotient at t (``quotients``) on such an
-    interval, in :func:`pinching_bounds.left_branch_forms` order.
-    """
-    return len(th.support) == len(quotients) and all(
-        c.claim == CLAIM_NEGATIVE and c.polynomial == g and c.interval.lo == DOMAIN_LO
-        and c.interval.hi >= th.enclosure.lo
-        for c, g in zip(th.support, quotients))
+def certificate_labels(th: ThresholdEnclosure) -> list[str]:
+    """A label per certificate of ``th``, the main one first, naming its
+    polynomial and claim, so that no two are equal."""
+    if th.side == "right":
+        return ["theta2-no-root-in-domain" if th.degenerate else "theta2-negative-above-enclosure"]
+    if th.degenerate:
+        return ["edge-weight-positive-at-5/3"]
+    return [next(f"{label}-quotient-negative" for label, _, quotient in pb.left_branch_forms()
+                 if quotient.at(th.t) == cert.polynomial)
+            for cert in (th.certificate, *th.support)]
 
 
 @dataclass(frozen=True)

@@ -46,12 +46,11 @@ def test_a_default_left_sweep_certifies_only_the_winner(monkeypatch):
     assert report.all_passed
     live = len(report.scans[0]["table"].splitlines())
     support = report.inputs["optimum"]["best"]["support"]
-    # no probe builds a certificate; the winner's certificate and support
-    # once when it is certified and once more when cmd_optimize replays them
-    assert (live, len(support)) == (108, 2)
-    assert len(built) == 2 * (1 + len(support)) == 6
-    assert built.count("sign-constant-negative") == 2 * 2
-    assert built.count("exactly-one-root") == 2
+    # no probe builds a certificate; the winner's certificate and support,
+    # one negative certificate per quotient, once when it is certified and
+    # once more when cmd_optimize replays them
+    assert (live, len(support)) == (108, 1)
+    assert built == ["sign-constant-negative"] * 2 * (1 + len(support))
     # a chain is built on a cache miss alone: the winner's two quotients,
     # whose chains its replays read again; no branch is specialized, so none
     # builds a chain
@@ -65,8 +64,8 @@ def test_a_default_right_sweep_certifies_only_the_winner(monkeypatch):
     report = rc.cmd_optimize("right", ps.default_config("right"))
     assert report.all_passed
     assert len(report.scans[0]["table"].splitlines()) == 108
-    # the winner's count and enclosure certificates, built once, replayed once
-    assert built == [None, "exactly-one-root", "exactly-one-root", "exactly-one-root"]
+    # the winner's one certificate, built once, replayed once
+    assert built == ["sign-constant-negative"] * 2
     # θ2 at the winner's t, whose chain both replays read again
     assert ep._sturm_ints.cache_info().misses == 1
 

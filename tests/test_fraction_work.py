@@ -35,8 +35,13 @@ from pinchcert.exact_poly import IntervalQ, SignCertificate
 #: cell instead of a second isolation of its root.  All three moved by the
 #: same 214, measured on the same three versions and on 3.13.0, once the
 #: isolation grid came from integer pairs instead of Fraction subtraction
-#: and division (467, 467, 481 and 481 before)
-RIGHT_SWEEP_FRACTIONS = {(3, 10): 253, (3, 11): 253, (3, 12): 267, (3, 13): 267}
+#: and division (467, 467, 481 and 481 before).  All four moved by the same
+#: five, measured on 3.10.13, 3.11.7, 3.12.1 and 3.13.0, once the winner's
+#: one certificate became θ2 negative on [enclosure.hi, 9/5]: that step
+#: builds 7 Fractions instead of 2, the sign certificate's witness coming
+#: from Fraction arithmetic in ``exact_poly._offset_midpoint`` (253, 253, 267
+#: and 267 before)
+RIGHT_SWEEP_FRACTIONS = {(3, 10): 258, (3, 11): 258, (3, 12): 272, (3, 13): 272}
 
 #: Fractions built by one warm default left sweep (``optimize``), measured on
 #: CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 once a live probe read phi's end
@@ -44,16 +49,20 @@ RIGHT_SWEEP_FRACTIONS = {(3, 10): 253, (3, 11): 253, (3, 12): 267, (3, 13): 267}
 #: phi's values (1792 on 3.10 and 3.11, 2026 on 3.12 and 3.13, while every
 #: live probe computed phi at both ends of its enclosure), then by the same
 #: 432 on all four once the isolation grid came from integer pairs (1372 on
-#: 3.10 and 3.11, 1606 on 3.12 and 3.13 before)
+#: 3.10 and 3.11, 1606 on 3.12 and 3.13 before).  Unchanged on all four
+#: once the winner's certificate became its quotient's negative certificate
+#: on [5/3, enclosure.lo]: that is the certificate the support held, and the
+#: exactly-one-root certificate it replaces built no Fraction
 LEFT_SWEEP_FRACTIONS = {(3, 10): 940, (3, 11): 940, (3, 12): 1174, (3, 13): 1174}
 
-#: Fractions built by a warm ``from_json(...).replay()`` of certify's seven
-#: certificates: per certificate the interval's two ends, read by
+#: Fractions built by a warm ``from_json(...).replay()`` of certify's five
+#: certificates (seven while each threshold had a root count and an
+#: exactly-one-root certificate): per certificate the interval's two ends, read by
 #: ``IntervalQ.from_json``, each one ``Fraction(int, int)`` on every Python
 #: version; replay itself builds none (31 while replay parsed the evidence
 #: points lo, hi and witness into Fractions, 75 on CPython 3.11.7 while
 #: coefficients and values were Fractions)
-CERTIFY_REPLAY_FRACTIONS = 7 * 2
+CERTIFY_REPLAY_FRACTIONS = 5 * 2
 
 
 def _count_fractions(monkeypatch) -> dict:
@@ -116,7 +125,7 @@ def test_a_warm_default_sweep_builds_the_measured_number_of_fractions(
 def test_a_warm_replay_of_certifys_certificates_builds_the_counted_fractions(monkeypatch):
     report = json.loads(rc.cmd_certify().to_json_str())
     entries = [entry["certificate"] for entry in report["certificates"]]
-    assert len(entries) == 7
+    assert len(entries) == 5
     assert all(SignCertificate.from_json(data).replay() for data in entries)
     counts = _count_fractions(monkeypatch)
     assert all(SignCertificate.from_json(data).replay() for data in entries)

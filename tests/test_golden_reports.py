@@ -35,6 +35,21 @@ certificate and support and the ``certificate-replay`` count set aside,
 those reports were byte-identical to the ones before, and every
 ``right_threshold(k/200)`` was unchanged.  ``optimize-left-all-degenerate``
 certifies no live enclosure, so its digests stand.
+
+Every digest was retaken once more when each live enclosure came to rest on
+one strict sign claim, with no exactly-one-root or root-count certificate
+left in any report.  certify's thresholds became θ1 negative on
+[5/3, enclosure.lo] and θ2(1/4) negative on [enclosure.hi, 9/5], its
+``*-unique-root`` checks ``*-enclosure-tight`` checks of the value at the
+enclosure's far end; a right enclosure's certificate became θ2(t) negative
+on [enclosure.hi, 9/5], with no support; a left enclosure's became the
+winning quotient's negative certificate on [5/3, enclosure.lo], with the
+other quotient's as its support; and every ``optimize`` certificate took a
+label naming its role, ``optimize-left-all-degenerate``'s included.
+``certificates-stripped`` holds the digests of the reports and of
+``thresholds-per-t`` with :func:`strip_certificates` applied, taken before
+that change and reproduced after it: every enclosure, table row, phi
+value, verdict and other check stayed byte-identical.
 """
 
 import hashlib
@@ -86,6 +101,26 @@ def reinflate(data: dict) -> dict:
     return data
 
 
+def strip_certificates(data: dict) -> dict:
+    """A report's JSON without its certificates, in place: the top-level
+    ``certificates``, ``inputs.optimum.best``'s certificate and support, the
+    labels a certify table row cites, the ``*-unique-root`` and
+    ``*-enclosure-tight`` checks and the ``certificate-replay`` count."""
+    data.pop("certificates")
+    optimum = data["inputs"].get("optimum")
+    if optimum is not None:
+        del optimum["best"]["certificate"], optimum["best"]["support"]
+    for scan in data["scans"]:
+        for row in scan.get("reports", []):
+            del row["certificates"]
+    data["checks"] = [check for check in data["checks"]
+                      if not check["label"].endswith(("-unique-root", "-enclosure-tight"))]
+    for check in data["checks"]:
+        if check["label"] == "certificate-replay":
+            del check["details"]["certificates"]
+    return data
+
+
 def _left_config() -> ps.SweepConfig:
     return ps.SweepConfig(
         t_grid=LEFT_T, w_grid=ps.default_config("left").w_grid, refinement_rounds=1
@@ -133,10 +168,32 @@ def test_reinflated_report_matches_its_report_1_digest(name, build):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
 
 
-def test_per_threshold_bytes_match_golden_digest():
+@REPORTS
+def test_report_without_its_certificates_matches_its_stripped_digest(name, build):
+    data = json.loads(build().to_json_str(strip_wall_time=True))
+    text = rc.json_text(strip_certificates(data))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN["certificates-stripped"][name]
+
+
+def _thresholds_per_t() -> list[dict]:
     thresholds = [ps.right_threshold(Fraction(k, 200)) for k in range(1, 100)]
     thresholds += [ps.left_threshold(Fraction(k, 200), Fraction(5, 3)) for k in range(1, 101)]
+    return [th.to_json() for th in thresholds]
+
+
+def _sha256_of_each(values) -> str:
     h = hashlib.sha256()
+    for value in values:
+        h.update(json.dumps(value, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def test_per_threshold_bytes_match_golden_digest():
+    assert _sha256_of_each(_thresholds_per_t()) == GOLDEN["thresholds-per-t"]
+
+
+def test_per_threshold_bytes_without_certificates_match_the_stripped_digest():
+    thresholds = _thresholds_per_t()
     for th in thresholds:
-        h.update(json.dumps(th.to_json(), sort_keys=True).encode())
-    assert h.hexdigest() == GOLDEN["thresholds-per-t"]
+        del th["certificate"], th["support"]
+    assert _sha256_of_each(thresholds) == GOLDEN["certificates-stripped"]["thresholds-per-t"]

@@ -5,12 +5,12 @@ at S = x and the interior critical branch is never the maximum of phi.
 ``left_threshold_reference`` holds the three-branch code that also built
 that branch; the two-branch threshold must match it in its enclosure and
 values, and its certificates must be the reference's restated on the
-quotients g = p / (x - 5/3): the winner's exactly-one-root certificate on
-the winning quotient over the same enclosure, and per endpoint branch one
-negative certificate of g on [5/3, x] where the reference had g's sliver
-[5/3, u] and p's no-root count on [u, x].  The critical branch's
-certificates leave the support.  The lemmas below are exact polynomial
-identities.
+quotients g = p / (x - 5/3): per endpoint branch one negative certificate
+of g on [5/3, x] where the reference had g's sliver [5/3, u] and p's
+no-root count on [u, x].  That of the reference winner's quotient, on
+exactly [5/3, enclosure.lo], is the certificate, and the other is the
+support.  The critical branch's certificates leave the support.  The
+lemmas below are exact polynomial identities.
 """
 
 from fractions import Fraction
@@ -63,11 +63,14 @@ def _merged(reference_support) -> tuple:
     return tuple(certify_sign_on_interval(g, iv, "negative") for g, iv in merged)
 
 
-def _assert_restated_on_quotients(mine, theirs):
-    """The winner's certificate is the reference's, on the quotient."""
-    assert (mine.certificate.claim, mine.certificate.interval) == (
-        theirs.certificate.claim, theirs.certificate.interval)
+def _assert_restated_on_quotients(mine, theirs, merged):
+    """The winner's certificate is the merged certificate of the quotient of
+    the reference's winner, on exactly [5/3, enclosure.lo]; the other merged
+    certificate is the support."""
     assert mine.certificate.polynomial * (_X - LO) == theirs.certificate.polynomial
+    assert mine.certificate.interval == IntervalQ(LO, mine.enclosure.lo)
+    assert mine.certificate in merged
+    assert mine.support == tuple(c for c in merged if c != mine.certificate)
 
 
 @settings(max_examples=60, deadline=None)
@@ -82,10 +85,10 @@ def test_two_branch_threshold_matches_the_three_branch_reference(t):
     mine = ps.left_threshold(t, LO)
     theirs = ref.left_threshold(t, LO)
     assert mine.enclosure == theirs.enclosure
-    _assert_restated_on_quotients(mine, theirs)
-    assert (mine.phi_lo, mine.phi_hi) == (theirs.phi_lo, theirs.phi_hi)
     critical = _critical_polynomials(t)
-    assert mine.support == _merged(c for c in theirs.support if c.polynomial not in critical)
+    _assert_restated_on_quotients(
+        mine, theirs, _merged(c for c in theirs.support if c.polynomial not in critical))
+    assert (mine.phi_lo, mine.phi_hi) == (theirs.phi_lo, theirs.phi_hi)
     assert ps.replay_threshold(mine)
 
 
@@ -93,9 +96,9 @@ def test_critical_crossing_certificates_leave_the_support():
     # at t = 3/20 the critical branch crosses inside its segment
     mine = ps.left_threshold(F(3, 20), LO)
     theirs = ref.left_threshold(F(3, 20), LO)
-    assert (len(theirs.support), len(mine.support)) == (6, 2)
+    assert (len(theirs.support), len(mine.support)) == (6, 1)
     # the two endpoint branches' sliver and count pairs come first
-    assert mine.support == _merged(theirs.support[:4])
+    _assert_restated_on_quotients(mine, theirs, _merged(theirs.support[:4]))
     assert [c.claim for c in theirs.support[:4]] == [CLAIM_NEGATIVE, CLAIM_NO_ROOT] * 2
 
 

@@ -36,8 +36,9 @@ from pinchcert.exact_poly import (
     IntervalQ,
     Polynomial,
     SignClaimError,
+    certify_sign_on_interval,
     count_roots,
-    isolate_counted_root,
+    isolate_root,
     sign_at,
 )
 
@@ -188,16 +189,18 @@ def test_the_lemma_is_not_proved_at_import():
 
 
 def _right_reference(t, width):
-    """θ2(t)'s root by a whole-domain Sturm count and counted isolation."""
+    """θ2(t)'s root by a whole-domain Sturm count and counted isolation, with
+    θ2(t)'s negative certificate on [enclosure.hi, 9/5]."""
     p = pb.theta2(t)
     n, count_cert = count_roots(p, pb.PINCH_DOMAIN)
     assert n in (0, 1)
     if n == 0:
         return ps.ThresholdEnclosure(side="right", t=t, w=HI, enclosure=IntervalQ(HI, HI),
                                      certificate=count_cert, degenerate=True)
-    enclosure, cert = isolate_counted_root(count_cert, width)
+    enclosure, _ = isolate_root(p, pb.PINCH_DOMAIN, width)
+    cert = certify_sign_on_interval(p, IntervalQ(enclosure.hi, HI), "negative")
     return ps.ThresholdEnclosure(side="right", t=t, w=HI, enclosure=enclosure,
-                                 certificate=cert, degenerate=False, support=(count_cert,),
+                                 certificate=cert, degenerate=False,
                                  phi_lo=p(enclosure.lo), phi_hi=p(enclosure.hi))
 
 
@@ -267,14 +270,15 @@ def test_probes_and_thresholds_match_the_sturm_references(t, width):
     mine = ps.left_threshold(t, LO, width)
     assert (mine.enclosure, mine.phi_lo, mine.phi_hi) == (left.enclosure, left.phi_lo,
                                                          left.phi_hi)
-    # the certificates are on the quotients g = p / (x - 5/3): the winner's
-    # is the reference's on its quotient, and per branch g < 0 on [5/3, x]
-    # with x at least the enclosure's lower end
+    # the certificates are on the quotients g = p / (x - 5/3): the winner's,
+    # the quotient of the reference's branch, is g < 0 on [5/3, enclosure.lo],
+    # and the other branch's g < 0 on [5/3, x] with x at least that end
     x_minus_lo = Polynomial.linear(-LO, 1)
     assert (mine.certificate.claim, mine.certificate.interval) == (
-        left.certificate.claim, left.certificate.interval)
+        CLAIM_NEGATIVE, IntervalQ(LO, mine.enclosure.lo))
     assert mine.certificate.polynomial * x_minus_lo == left.certificate.polynomial
     quotients = [quotient.at(t) for _, _, quotient in pb.left_branch_forms()]
+    quotients.remove(mine.certificate.polynomial)
     assert [(c.claim, c.polynomial, c.interval.lo) for c in mine.support] == [
         (CLAIM_NEGATIVE, g, LO) for g in quotients]
     assert all(c.interval.hi >= mine.enclosure.lo for c in mine.support)
@@ -327,11 +331,15 @@ def test_thresholds_refuse_a_cell_their_counts_contradict(monkeypatch):
     with pytest.raises(SignClaimError, match=r"claimed sign-constant-negative but p\("):
         ps.left_threshold(t, LO)
 
-    for roots, expected, found in (((F(17, 10), F(7, 4), F(177, 100)), 1, 3),
-                                   ((F(17, 10), F(7, 4)), 0, 2)):
+    # three roots: the cell holds one, and θ2 is not negative above it; two
+    # roots: equal end signs, but the count finds them
+    for roots, error, match in (
+            ((F(17, 10), F(7, 4), F(177, 100)), SignClaimError,
+             r"claimed sign-constant-negative but p\("),
+            ((F(17, 10), F(7, 4)), ExactPolyError, "expected no root.*found 2")):
         cubic = Polynomial.constant(1)
         for r in roots:
             cubic = cubic * Polynomial.linear(-r, 1)
         monkeypatch.setattr(pb, "theta2_form", lambda cubic=cubic: Form((cubic,)))
-        with pytest.raises(ExactPolyError, match=f"expected {expected} root.*found {found}"):
+        with pytest.raises(error, match=match):
             ps.right_threshold(t)

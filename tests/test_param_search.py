@@ -7,9 +7,8 @@ import random
 import pytest
 
 from pinchcert.exact_poly import (
-    CLAIM_ROOT_COUNT,
     Polynomial,
-    _certificate,
+    SignClaimError,
     certify_sign_on_interval,
     count_roots,
     one_root_certificate,
@@ -221,10 +220,11 @@ def test_replay_binds_a_degenerate_enclosure_to_its_certificate():
     forgeries = {
         "right, no-root count of x - 3": replace(
             right, certificate=count_roots(Polynomial.linear(-3, 1), pb.PINCH_DOMAIN)[1]),
-        "right, one-root count of θ2(1/4)": replace(right, certificate=quarter.support[0]),
+        "right, one-root count of θ2(1/4)": replace(
+            right, certificate=count_roots(pb.theta2(F(1, 4)), pb.PINCH_DOMAIN)[1]),
         "right, θ2(1/2) off the domain": replace(
             right, certificate=count_roots(pb.theta2(F(1, 2)), ps.IntervalQ(F(5, 3), F(7, 4)))[1]),
-        "right, with support": replace(right, support=quarter.support),
+        "right, with support": replace(right, support=(quarter.certificate,)),
         "right, with values": replace(right, phi_lo=F(1), phi_hi=F(1)),
         "left, positive constant 1": replace(
             left, certificate=certify_sign_on_interval(Polynomial.constant(1), edge, "positive")),
@@ -232,7 +232,7 @@ def test_replay_binds_a_degenerate_enclosure_to_its_certificate():
             left, certificate=ps.left_threshold(F(1, 3), F(7, 4), WIDTH).certificate),
         "left, edge weight on the domain": replace(left, certificate=certify_sign_on_interval(
             ps.edge_weight(F(1, 4), F(7, 4)), pb.PINCH_DOMAIN, "positive")),
-        "left, with support": replace(left, support=quarter.support),
+        "left, with support": replace(left, support=(quarter.certificate,)),
     }
     for name, forged in forgeries.items():
         assert forged.certificate.replay() and all(c.replay() for c in forged.support)
@@ -243,27 +243,26 @@ def test_replay_binds_a_degenerate_enclosure_to_its_certificate():
             replace(th, certificate=replace(th.certificate, claim="root-count")))
 
 
-def _decoy(enclosure: ps.IntervalQ):
-    """A genuine exactly-one-root certificate on ``enclosure``, of x - mid."""
-    mid = (enclosure.lo + enclosure.hi) / 2
-    return count_roots(Polynomial.linear(-mid, 1), enclosure)[1]
+def _negative(p, a, b):
+    return certify_sign_on_interval(p, ps.IntervalQ(a, b), "negative")
 
 
 def test_replay_binds_a_right_enclosure_to_its_evidence():
     genuine = ps.right_threshold(F(1, 4), WIDTH)
     other = ps.right_threshold(F(1, 8), WIDTH)
-    p = pb.theta2(F(1, 4))
-    part = count_roots(p, ps.IntervalQ(F(5, 3), F(179, 100)))[1]
-    assert ps.replay_threshold(genuine) and part.claim == "exactly-one-root"
+    hi = genuine.enclosure.hi
+    assert ps.replay_threshold(genuine) and genuine.support == ()
     forgeries = {
         "phi_lo": replace(genuine, phi_lo=genuine.phi_lo + 1),
         "phi_hi": replace(genuine, phi_hi=genuine.phi_hi - 1),
         "no values": replace(genuine, phi_lo=None, phi_hi=None),
         "w": replace(genuine, w=F(17, 10)),
-        "other t": replace(genuine, certificate=other.certificate, support=other.support),
-        "other polynomial": replace(genuine, certificate=_decoy(genuine.enclosure)),
-        "no support": replace(genuine, support=()),
-        "support off the domain": replace(genuine, support=(part,)),
+        "other t": replace(genuine, certificate=other.certificate),
+        "other polynomial": replace(
+            genuine, certificate=_negative(Polynomial.linear(-2, 1), hi, F(9, 5))),
+        "a positive claim": replace(genuine, certificate=certify_sign_on_interval(
+            -pb.theta2(F(1, 4)), ps.IntervalQ(hi, F(9, 5)), "positive")),
+        "with support": replace(genuine, support=(genuine.certificate,)),
     }
     for name, forged in forgeries.items():
         assert forged.certificate.replay() and all(c.replay() for c in forged.support)
@@ -276,7 +275,8 @@ def test_replay_binds_a_left_enclosure_to_its_certificate():
     assert ps.replay_threshold(genuine) and other.enclosure != genuine.enclosure
     forgeries = {
         "other t": replace(genuine, certificate=other.certificate, support=other.support),
-        "other polynomial": replace(genuine, certificate=_decoy(genuine.enclosure)),
+        "other polynomial": replace(genuine, certificate=_negative(
+            Polynomial.linear(-2, 1), F(5, 3), genuine.enclosure.lo)),
     }
     for name, forged in forgeries.items():
         assert forged.certificate.replay() and all(c.replay() for c in forged.support)
@@ -285,60 +285,82 @@ def test_replay_binds_a_left_enclosure_to_its_certificate():
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_replay_binds_the_main_certificate_to_the_enclosure_and_its_claim(side):
-    # each forgery replays and fails one half of the main certificate's
-    # check alone: its claim is exactly-one-root, its interval the enclosure
+    # the main certificate is p negative on exactly [5/3, lo] (left, p the
+    # winning quotient) or [hi, 9/5] (right, p = θ2(t)); each forgery
+    # replays and fails that binding alone
     genuine = (ps.left_threshold(F(1, 4), F(5, 3), WIDTH) if side == "left"
                else ps.right_threshold(F(1, 4), WIDTH))
     assert ps.replay_threshold(genuine)
     p, enclosure = genuine.certificate.polynomial, genuine.enclosure
     lo, hi, step = enclosure.lo, enclosure.hi, F(1, 10**4)
-    forgeries = {
-        "one root on a wider interval": one_root_certificate(
-            p, ps.IntervalQ(lo - step, hi + step)),
-        "a root count on the enclosure, evidenced inside it": _certificate(
-            p, enclosure, CLAIM_ROOT_COUNT, (3 * lo + hi) / 4, (lo + 3 * hi) / 4),
-    }
+    if side == "left":
+        # the other quotient is negative up to its own root, which is no
+        # lower than lo; the winner's at t = 1/4 + 10^-4 is negative up to lo
+        loser = genuine.support[0].polynomial
+        near_t = ps.left_threshold(F(1, 4) + step, F(5, 3), WIDTH).certificate.polynomial
+        assert near_t != p and loser != p
+        forgeries = {
+            "ending 10^-4 short of the enclosure": _negative(p, F(5, 3), lo - step),
+            "starting 10^-4 past the domain": _negative(p, F(5, 3) - step, lo),
+            "the other branch": _negative(loser, F(5, 3), lo),
+            "another t": _negative(near_t, F(5, 3), lo),
+            "one root on the enclosure": one_root_certificate(p, enclosure),
+            "no root on the interval": count_roots(p, ps.IntervalQ(F(5, 3), lo))[1],
+        }
+        far = ps.IntervalQ(F(5, 3), lo + step)
+    else:
+        near_t = pb.theta2(F(1, 4) - step)
+        forgeries = {
+            "starting 10^-4 short of the enclosure": _negative(p, hi + step, F(9, 5)),
+            "ending 10^-4 past the domain": _negative(p, hi, F(9, 5) + step),
+            "another t": _negative(near_t, hi, F(9, 5)),
+            "one root on the enclosure": one_root_certificate(p, enclosure),
+            "no root on the interval": count_roots(p, ps.IntervalQ(hi, F(9, 5)))[1],
+        }
+        far = ps.IntervalQ(hi - step, F(9, 5))
+    # 10^-4 past the enclosure end, p has changed sign: no such certificate
+    with pytest.raises(SignClaimError):
+        certify_sign_on_interval(p, far, "negative")
+    assert forgeries["no root on the interval"].claim == "no-root"
     for name, cert in forgeries.items():
         assert cert.replay(), name
         forged = replace(genuine, certificate=cert)
         assert not ps.enclosure_holds(forged), name
         assert not ps.replay_threshold(forged), name
+    if side == "left":
+        # the branches' roles swapped: each certificate on its interval
+        swapped = replace(genuine, certificate=_negative(loser, F(5, 3), lo),
+                          support=(genuine.certificate,))
+        assert swapped.certificate.replay() and not ps.replay_threshold(swapped)
 
 
 def test_replay_binds_a_left_enclosure_to_its_support():
-    # the support is g < 0 on [5/3, x], x >= enclosure.lo, per branch quotient g
+    # the support is the other quotient g < 0 on [5/3, x], x >= enclosure.lo
     genuine = ps.left_threshold(F(37, 200), F(5, 3), WIDTH)
     assert ps.replay_threshold(genuine)
-    neg_x, neg_s = genuine.support
-    lo, x = genuine.enclosure.lo, neg_x.interval.hi
-    (_, form_x, quotient_x), (_, form_s, quotient_s) = pb.left_branch_forms()
-    g_x, p_x = quotient_x.at(genuine.t), form_x.at(genuine.t)
-    assert (neg_x.polynomial, neg_s.polynomial) == (g_x, quotient_s.at(genuine.t))
-    winner = (form_x if genuine.certificate.polynomial == g_x else form_s).at(genuine.t)
+    other, = genuine.support
+    lo, x = genuine.enclosure.lo, other.interval.hi
+    g = other.polynomial
+    forms = {quotient.at(genuine.t): form.at(genuine.t)
+             for _, form, quotient in pb.left_branch_forms()}
     u = F(5, 3) + F(1, 10**4)
-
-    def negative(p, a, b):
-        return certify_sign_on_interval(p, ps.IntervalQ(a, b), "negative")
-
     forgeries = {
         "support of another t": replace(
             genuine, support=ps.left_threshold(F(90, 200), F(5, 3), WIDTH).support),
-        "branches swapped": replace(genuine, support=(neg_s, neg_x)),
-        "interval starting above 5/3": replace(
-            genuine, support=(negative(g_x, u, x), neg_s)),
+        "the winner's quotient": replace(genuine, support=(genuine.certificate,)),
+        "interval starting above 5/3": replace(genuine, support=(_negative(g, u, x),)),
         "interval ending below the enclosure": replace(
-            genuine, support=(negative(g_x, F(5, 3), lo - F(1, 10**4)), neg_s)),
+            genuine, support=(_negative(g, F(5, 3), lo - F(1, 10**4)),)),
         "the branch in place of its quotient": replace(
-            genuine, support=(negative(p_x, u, x), neg_s)),
+            genuine, support=(_negative(forms[g], u, x),)),
         "a positive claim": replace(genuine, support=(
-            certify_sign_on_interval(-g_x, neg_x.interval, "positive"), neg_s)),
+            certify_sign_on_interval(-g, other.interval, "positive"),)),
         "a count in place of the sign claim": replace(
-            genuine, support=(count_roots(g_x, neg_x.interval)[1], neg_s)),
+            genuine, support=(count_roots(g, other.interval)[1],)),
         "no support": replace(genuine, support=()),
-        "a certificate missing": replace(genuine, support=(neg_x,)),
-        "a certificate too many": replace(genuine, support=genuine.support + (neg_s,)),
+        "a certificate too many": replace(genuine, support=(other, other)),
         "the main certificate on the branch": replace(
-            genuine, certificate=one_root_certificate(winner, genuine.enclosure)),
+            genuine, certificate=_negative(forms[genuine.certificate.polynomial], u, lo)),
     }
     for name, forged in forgeries.items():
         assert forged.certificate.replay() and all(c.replay() for c in forged.support)

@@ -84,12 +84,12 @@ def test_certify_bytes_equal_with_cold_and_warm_polynomial_caches():
 
 
 CERTIFY_CHECKS = [
-    "theta1-unique-root", "theta1-bracket", "theta2-unique-root", "theta2-bracket",
+    "theta1-enclosure-tight", "theta1-bracket", "theta2-enclosure-tight", "theta2-bracket",
     "gap-bound-decreasing", "gap-at-17853", "legacy-bound-dominated-9pts",
     "smax-threshold-identity", "shrinker-scale-consistency", "certificate-replay",
 ]
 CERTIFY_CERTIFICATES = [
-    "theta1-root-count", "theta1-enclosure", "theta2-root-count", "theta2-enclosure",
+    "theta1-negative-below-enclosure", "theta2-negative-above-enclosure",
     "gap-bound-decreasing", "legacy-radicand-positive", "gap-denominator-positive",
 ]
 
@@ -172,7 +172,7 @@ def test_each_sturm_chain_is_built_once():
     # probe builds one for its θ2
     ep._sturm_ints.cache_clear()
     report = rc.cmd_certify()
-    assert len(report.certificates) == 7
+    assert len(report.certificates) == 5
     assert ep._sturm_ints.cache_info().misses == 5
     assert report.replay_certificates()
     rc.cmd_certify()
@@ -219,18 +219,20 @@ def test_optimize_replays_each_embedded_certificate_once(monkeypatch, side):
     monkeypatch.setattr(SignCertificate, "replay", lambda self: calls.append(self) or real(self))
     report = rc.cmd_optimize(side, SIDE_CONFIGS[side])
     assert report.failing() == []
-    assert len(calls) == len(report.certificates) > 1
+    assert len(calls) == len(report.certificates) == {"left": 2, "right": 1}[side]
 
 
-#: [5/3, x] of the sup-at-x quotient's sign certificate in the support of
-#: the left sweep's winner, at t = 1/4
+#: [5/3, x] of the other quotient's sign certificate, the support of the
+#: left sweep's winner, at t = 1/4
 LEFT_SUPPORT = ps.left_threshold(rat("1/4"), rat("5/3")).support[0].interval
+#: [hi, 9/5] of θ2(1/4)'s sign certificate, the right sweep's winner's one
+RIGHT_CERTIFICATE = ps.right_threshold(rat("1/4")).certificate.interval
 
 
-@pytest.mark.parametrize("side, interval", [("left", LEFT_SUPPORT), ("right", pb.PINCH_DOMAIN)])
+@pytest.mark.parametrize("side, interval", [("left", LEFT_SUPPORT), ("right", RIGHT_CERTIFICATE)])
 def test_one_failing_embedded_certificate_fails_both_replay_checks(monkeypatch, side, interval):
-    # the support certificate on ``interval``: a quotient's sign certificate
-    # on the left, the count on the whole domain on the right
+    # the certificate on ``interval``: the other quotient's sign certificate
+    # on the left, θ2's above the enclosure on the right
     real = SignCertificate.replay
     monkeypatch.setattr(SignCertificate, "replay",
                         lambda self: self.interval != interval and real(self))
@@ -387,6 +389,32 @@ def test_refinement_rounds_are_bounded_before_any_probe(tmp_path, capsys, monkey
         f"got {ps.MAX_REFINEMENT_ROUNDS + 1}"]
 
 
+@pytest.mark.parametrize("side, w", [("left", "5/3"), ("right", "9/5")])
+def test_isolation_width_is_bounded_before_any_probe(tmp_path, capsys, monkeypatch, side, w):
+    # below the bound phi's values at the winner's ends outgrew Python's
+    # int-to-string limit only when the report was written, after the whole
+    # sweep: at the bound a report is written, one decade past it the
+    # width is refused before a probe is made
+    cells = []
+    name = f"_{side}_cell"
+    real = getattr(ps, name)
+    monkeypatch.setattr(ps, name, lambda t, width: cells.append(t) or real(t, width))
+    path, out = tmp_path / "config.json", tmp_path / "report.json"
+    config = {"t_grid": ["1/4"], "w_grid": [w]}
+    path.write_text(json.dumps(dict(config, isolation_width=rat_str(ps.MIN_ISOLATION_WIDTH))))
+    code = rc.main(["--json", str(out), "optimize", "--side", side, "--config", str(path)])
+    assert code == rc.EXIT_OK and cells == [rat("1/4")]
+    [enc] = json.loads(out.read_text())["enclosures"]
+    assert 0 < rat(enc["interval"][1]) - rat(enc["interval"][0]) <= ps.MIN_ISOLATION_WIDTH
+    capsys.readouterr()
+    cells.clear()
+    path.write_text(json.dumps(dict(config, isolation_width=f"1/{10**101}")))
+    code = rc.main(["optimize", "--side", side, "--config", str(path)])
+    assert code == rc.EXIT_USAGE and cells == []
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: isolation_width must be at least MIN_ISOLATION_WIDTH = 1/10**100"]
+
+
 def test_optimize_bool_isolation_width_is_usage_error(tmp_path, capsys):
     # true is an int to Python; as a width it would silently mean 1
     path = small_config_file(tmp_path)
@@ -459,7 +487,7 @@ def test_exact_core_failure_exits_1_naming_the_item(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ExactPolyError("theta1: isolation found no sign change")
 
-    monkeypatch.setattr(rc, "isolate_counted_root", broken)
+    monkeypatch.setattr(rc, "_smallest_root_cell", broken)
     code = rc.main(["certify"])
     assert code == rc.EXIT_CERTIFICATION_FAILURE
     assert ("certification failure: certify: theta1: isolation found no sign change"
