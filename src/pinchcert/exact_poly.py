@@ -1075,22 +1075,31 @@ def one_root_certificate(p: Polynomial, enclosure: IntervalQ) -> SignCertificate
 def isolate_root(p: Polynomial, iv: IntervalQ, width) -> tuple[IntervalQ, SignCertificate]:
     """Shrink the one root of ``p`` that :func:`count_roots` counts on ``iv``.
 
-    The search starts from that count's interval, whose ends are nudged off
-    any root of p, and must find p's values there of strictly opposite
-    sign: a lone root without a sign change has even multiplicity.  With
-    one root of odd multiplicity, keeping the half that holds it is keeping
-    the half whose ends differ in sign, so the shared smallest-root kernel
-    gives the bisection's cell.  The returned enclosure has ends of
-    exactly opposite sign and is at most ``width`` wide, and comes with its
-    exactly-one-root certificate.
+    :func:`isolate_counted_root` of the interval's :func:`count_roots`
+    certificate, so the root is one in that certificate's interval, whose
+    ends are nudged off any root of p.
+    """
+    return isolate_counted_root(count_roots(p, iv)[1], width)
+
+
+def isolate_counted_root(count_cert: SignCertificate, width) -> tuple[IntervalQ, SignCertificate]:
+    """Shrink the one root that a :func:`count_roots` certificate counts.
+
+    The search starts from the certificate's nudged ends, so a caller that
+    needs the count certificate anyway counts only once, and p's values
+    there must differ in sign (a lone root without a sign change has even
+    multiplicity); then the half holding the root is the half whose ends
+    differ in sign, the shared smallest-root kernel's cell.  The enclosure
+    has ends of exactly opposite sign, is at most ``width`` wide, and comes
+    with its exactly-one-root certificate.
     """
     width = rat(width)
     if width <= 0:
         raise ValueError("isolation width must be positive")
-    count, count_cert = count_roots(p, iv)
+    count = count_cert.evidence["root_count"]
     if count != 1:
         raise ValueError(f"isolate_root requires exactly one root in the interval, found {count}")
-    lo, hi = count_cert.interval.lo, count_cert.interval.hi
+    p, lo, hi = count_cert.polynomial, count_cert.interval.lo, count_cert.interval.hi
     if sign_at(p, lo) * sign_at(p, hi) >= 0:
         raise ExactPolyError(
             "single root without endpoint sign change (even multiplicity); "

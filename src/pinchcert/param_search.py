@@ -59,14 +59,12 @@ but builds no certificate.  :func:`left_threshold` and
 step per side (:func:`_left_certificates`, :func:`_right_certificates`),
 whose certificates prove the enclosure without the lemma; :func:`optimize`
 keeps the winner's cell and runs only the certificate step on it.  Every
-live enclosure rests on one ``sign-constant-negative`` certificate from
-:mod:`pinchcert.exact_poly`'s ``certify_sign_on_interval``, and its other
-end on an exact value of the opposite sign: θ2(t) negative on
-[enclosure.hi, 9/5], or the winning quotient negative on
-[5/3, enclosure.lo] with the other quotient's as support.  Only the
-degenerate right enclosure counts roots, with ``count_roots``; replay binds
-each certificate to its role (:func:`enclosure_holds`), and
-:func:`certificate_labels` names the roles.
+live enclosure rests on one ``sign-constant-negative`` certificate
+(``exact_poly.certify_sign_on_interval``), θ2(t) on [enclosure.hi, 9/5] or
+the winning quotient on [5/3, enclosure.lo] with the other's as support,
+and its other end on an exact value of the opposite sign; only the
+degenerate right enclosure counts roots.  :func:`enclosure_holds` binds each
+certificate to its role, which :func:`certificate_labels` names.
 """
 
 from __future__ import annotations
@@ -115,9 +113,11 @@ DOMAIN_HI = pb.PINCH_DOMAIN.hi
 MAX_REFINEMENT_ROUNDS = 64
 
 #: the narrowest isolation width a sweep takes, checked before any probe
-#: runs: phi's values at the winner's ends, up to about five times as many
-#: digits as the width, must fit Python's 4300-digit int-to-string limit
-MIN_ISOLATION_WIDTH = F(1, 10**100)
+#: runs.  A report writes phi at the winner's ends, five digits per digit of
+#: the width on the left (three on the right) plus t's, and at t = 1/200 it
+#: passed Python's 4300-digit int-to-string limit below 10^-850; 10^-600
+#: keeps a third of that limit for t's digits and gives up the widths between
+MIN_ISOLATION_WIDTH = F(1, 10**600)
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ class SweepConfig:
             raise ValueError(f"refinement_rounds must lie in 0..{MAX_REFINEMENT_ROUNDS}, "
                              f"got {self.refinement_rounds}")
         if not self.isolation_width >= MIN_ISOLATION_WIDTH:
-            raise ValueError("isolation_width must be at least MIN_ISOLATION_WIDTH = 1/10**100")
+            raise ValueError("isolation_width must be at least MIN_ISOLATION_WIDTH = 1/10**600")
 
     def to_json(self) -> dict:
         return {
@@ -377,14 +377,13 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
     on (5/3, x); pinching below it forces S to sit at the lower endpoint.
     For w > 5/3 (see :func:`edge_lemma`) the certificate is positive at the
     domain edge, and the degenerate enclosure [5/3, 5/3] is returned.  At
-    w = 5/3 this is :func:`_left_cell` with its certificates: the negative
-    certificate of the winning branch's quotient on exactly
-    [5/3, enclosure.lo], and as support the other quotient's negative
-    certificate on [5/3, x], x the lower end of that branch's own
-    enclosure.  A branch is its quotient times x - 5/3 > 0 there, so these
-    prove phi < 0 on (5/3, enclosure.lo] without the monotonicity lemma,
-    and phi's positive value at enclosure.hi shows the enclosure is tight;
-    a quotient that is not negative up to x raises :class:`SignClaimError`.
+    w = 5/3 this is :func:`_left_cell` with its certificates: the winning
+    quotient's negative certificate on exactly [5/3, enclosure.lo], and as
+    support the other quotient's on [5/3, x], x the lower end of that
+    branch's own enclosure.  A branch is its quotient times x - 5/3 > 0
+    there, so these prove phi < 0 on (5/3, enclosure.lo] without the
+    monotonicity lemma, and phi(enclosure.hi) > 0 shows the enclosure is
+    tight; a quotient not negative up to x raises :class:`SignClaimError`.
     """
     t, w, width = rat(t), rat(w), rat(width)
     if not 0 < t <= F(1, 2):
@@ -415,18 +414,22 @@ def _left_certificates(cell: _Cell,
     the enclosure with its certificates, which :func:`left_threshold`
     describes, and phi at its ends from the quotients (:func:`_phi`)."""
     lo, hi = cell.enclosure.lo, cell.enclosure.hi
-    # the winner: the first branch whose quotient is positive at hi, the rule
-    # enclosure_holds reads; on the isolation grid its own enclosure is the cell
-    i = next(i for i, (_, g) in enumerate(branches) if sign_at(g, hi) > 0)
+    quotients = [g for _, g in branches]
+    i = _left_winner(quotients, hi)
     negative = [certify_sign_on_interval(g, IntervalQ(DOMAIN_LO, lo if j == i else own.lo),
                                          "negative")
                 for j, (own, g) in enumerate(branches)]
-    quotients = [g for _, g in branches]
     return ThresholdEnclosure(
         side="left", t=cell.t, w=DOMAIN_LO, enclosure=cell.enclosure,
         certificate=negative.pop(i), degenerate=False, support=tuple(negative),
         phi_lo=_phi(lo, quotients), phi_hi=_phi(hi, quotients),
     )
+
+
+def _left_winner(quotients: list[Polynomial], hi: Fraction) -> int:
+    """Index of a live left enclosure's winning branch: the first quotient
+    positive at its upper end ``hi`` (on the grid, the first of equal cells)."""
+    return next(i for i, g in enumerate(quotients) if sign_at(g, hi) > 0)
 
 
 def _right_cell(t: Fraction, width: Fraction) -> tuple[_Cell, Polynomial]:
@@ -501,11 +504,7 @@ def _right_certificates(cell: _Cell, p: Polynomial) -> ThresholdEnclosure:
 def replay_threshold(th: ThresholdEnclosure) -> bool:
     """Re-derive every certified fact backing a threshold enclosure: its
     certificates' replays and :func:`enclosure_holds`."""
-    if not th.certificate.replay():
-        return False
-    if not all(c.replay() for c in th.support):
-        return False
-    return enclosure_holds(th)
+    return all(c.replay() for c in (th.certificate, *th.support)) and enclosure_holds(th)
 
 
 def enclosure_holds(th: ThresholdEnclosure) -> bool:
@@ -519,12 +518,11 @@ def enclosure_holds(th: ThresholdEnclosure) -> bool:
     as both values.  A live enclosure must carry its certificate
     polynomial's values at its ends, of opposite sign, and one strict sign
     claim: at w = 9/5, θ2(t) negative on exactly [enclosure.hi, 9/5], with
-    no support; at w = 5/3, the winning quotient at t (the first in
-    :func:`pinching_bounds.left_branch_forms` order positive at
-    enclosure.hi) negative on exactly [5/3, enclosure.lo], with the other
-    quotient negative on [5/3, x], x >= enclosure.lo, as its one support
-    (see :func:`left_threshold`).  An unknown side or a t outside (0, 1/2]
-    holds nothing.
+    no support; at w = 5/3, the winning quotient at t (:func:`_left_winner`)
+    negative on exactly [5/3, enclosure.lo], with the other quotient
+    negative on [5/3, x], x >= enclosure.lo, as its one support (see
+    :func:`left_threshold`).  An unknown side or a t outside (0, 1/2] holds
+    nothing.
     """
     if th.side not in ("left", "right") or not 0 < th.t <= F(1, 2):
         return False
@@ -559,7 +557,7 @@ def enclosure_holds(th: ThresholdEnclosure) -> bool:
     if not (phi_lo < 0 < phi_hi and phi_lo == th.phi_lo and phi_hi == th.phi_hi):
         return False
     # phi(hi) > 0, so some quotient is positive at hi
-    winner = quotients.pop(next(i for i, g in enumerate(quotients) if sign_at(g, hi) > 0))
+    winner = quotients.pop(_left_winner(quotients, hi))
     other, = th.support
     return (cert.polynomial == winner and cert.interval == IntervalQ(DOMAIN_LO, lo)
             and other.claim == CLAIM_NEGATIVE and [other.polynomial] == quotients
@@ -573,9 +571,10 @@ def certificate_labels(th: ThresholdEnclosure) -> list[str]:
         return ["theta2-no-root-in-domain" if th.degenerate else "theta2-negative-above-enclosure"]
     if th.degenerate:
         return ["edge-weight-positive-at-5/3"]
-    return [next(f"{label}-quotient-negative" for label, _, quotient in pb.left_branch_forms()
-                 if quotient.at(th.t) == cert.polynomial)
-            for cert in (th.certificate, *th.support)]
+    forms = pb.left_branch_forms()
+    labels = [f"{label}-quotient-negative" for label, _, _ in forms]
+    winner = _left_winner([quotient.at(th.t) for _, _, quotient in forms], th.enclosure.hi)
+    return [labels.pop(winner), *labels]
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,9 @@ from .exact_poly import (
     IntervalQ,
     Polynomial,
     SignCertificate,
-    _smallest_root_cell,
     certify_sign_on_interval,
+    count_roots,
+    isolate_counted_root,
     rat,
     rat_str,
     sign_at,
@@ -256,19 +257,12 @@ def cmd_certify() -> CertificationReport:
     )
     enclosures = []
     for name, p, details, (lower, upper), lower_sign in thresholds:
-        enc = IntervalQ(*_smallest_root_cell(p, domain.lo, domain.hi, F(1, 10**6),
-                                             one_root=True))
-        # rigidity needs θ1 < 0 on [5/3, enc.lo] or θ2 < 0 on [enc.hi, 9/5],
-        # the side where the cubic is negative; its positive value at the
-        # enclosure's other end shows the enclosure is tight
-        negative, far_end, side = (
-            (IntervalQ(domain.lo, enc.lo), enc.hi, "below") if lower_sign < 0
-            else (IntervalQ(enc.hi, domain.hi), enc.lo, "above"))
-        report.add_certificate(f"{name}-negative-{side}-enclosure",
-                               certify_sign_on_interval(p, negative, "negative"))
-        value = p(far_end)
-        report.add_check(f"{name}-enclosure-tight", value > 0, far_end=rat_str(far_end),
-                         value=rat_str(value), **details)
+        n, cert_n = count_roots(p, domain)
+        report.add_certificate(f"{name}-root-count", cert_n)
+        report.add_check(f"{name}-unique-root", n == 1, count=n, **details)
+
+        enc, cert_e = isolate_counted_root(cert_n, F(1, 10**6))
+        report.add_certificate(f"{name}-enclosure", cert_e)
         report.add_enclosure(f"{name}-root", enc)
         a, b = rat(lower), rat(upper)
         report.add_check(
@@ -341,7 +335,7 @@ def cmd_certify() -> CertificationReport:
     threshold_reports = [
         pb.ThresholdReport(
             name="lower endpoint rigidity",
-            certificate_labels=("theta1-negative-below-enclosure",),
+            certificate_labels=("theta1-root-count", "theta1-enclosure"),
             root_enclosure=enc1,
             parameters={"t": F(1, 2), "w": F(5, 3)},
             conclusion="pinching 5/3 <= S <= 1.7075 forces S == 5/3 (curvature 1/6)",
@@ -355,7 +349,7 @@ def cmd_certify() -> CertificationReport:
         ),
         pb.ThresholdReport(
             name="upper endpoint rigidity",
-            certificate_labels=("theta2-negative-above-enclosure",),
+            certificate_labels=("theta2-root-count", "theta2-enclosure"),
             root_enclosure=enc2,
             parameters={"t": F(1, 4), "w": F(9, 5)},
             conclusion="pinching 1.7853 <= S <= 9/5 forces S == 9/5 (curvature 1/10)",

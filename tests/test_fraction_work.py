@@ -55,14 +55,13 @@ RIGHT_SWEEP_FRACTIONS = {(3, 10): 258, (3, 11): 258, (3, 12): 272, (3, 13): 272}
 #: exactly-one-root certificate it replaces built no Fraction
 LEFT_SWEEP_FRACTIONS = {(3, 10): 940, (3, 11): 940, (3, 12): 1174, (3, 13): 1174}
 
-#: Fractions built by a warm ``from_json(...).replay()`` of certify's five
-#: certificates (seven while each threshold had a root count and an
-#: exactly-one-root certificate): per certificate the interval's two ends, read by
+#: Fractions built by a warm ``from_json(...).replay()`` of certify's seven
+#: certificates: per certificate the interval's two ends, read by
 #: ``IntervalQ.from_json``, each one ``Fraction(int, int)`` on every Python
 #: version; replay itself builds none (31 while replay parsed the evidence
 #: points lo, hi and witness into Fractions, 75 on CPython 3.11.7 while
 #: coefficients and values were Fractions)
-CERTIFY_REPLAY_FRACTIONS = 5 * 2
+CERTIFY_REPLAY_FRACTIONS = 7 * 2
 
 
 def _count_fractions(monkeypatch) -> dict:
@@ -125,7 +124,7 @@ def test_a_warm_default_sweep_builds_the_measured_number_of_fractions(
 def test_a_warm_replay_of_certifys_certificates_builds_the_counted_fractions(monkeypatch):
     report = json.loads(rc.cmd_certify().to_json_str())
     entries = [entry["certificate"] for entry in report["certificates"]]
-    assert len(entries) == 5
+    assert len(entries) == 7
     assert all(SignCertificate.from_json(data).replay() for data in entries)
     counts = _count_fractions(monkeypatch)
     assert all(SignCertificate.from_json(data).replay() for data in entries)

@@ -36,20 +36,19 @@ those reports were byte-identical to the ones before, and every
 ``right_threshold(k/200)`` was unchanged.  ``optimize-left-all-degenerate``
 certifies no live enclosure, so its digests stand.
 
-Every digest was retaken once more when each live enclosure came to rest on
-one strict sign claim, with no exactly-one-root or root-count certificate
-left in any report.  certify's thresholds became θ1 negative on
-[5/3, enclosure.lo] and θ2(1/4) negative on [enclosure.hi, 9/5], its
-``*-unique-root`` checks ``*-enclosure-tight`` checks of the value at the
-enclosure's far end; a right enclosure's certificate became θ2(t) negative
-on [enclosure.hi, 9/5], with no support; a left enclosure's became the
-winning quotient's negative certificate on [5/3, enclosure.lo], with the
-other quotient's as its support; and every ``optimize`` certificate took a
-label naming its role, ``optimize-left-all-degenerate``'s included.
-``certificates-stripped`` holds the digests of the reports and of
-``thresholds-per-t`` with :func:`strip_certificates` applied, taken before
-that change and reproduced after it: every enclosure, table row, phi
-value, verdict and other check stayed byte-identical.
+Every ``optimize`` and ``thresholds-per-t`` digest was retaken once more
+when each live enclosure of a sweep came to rest on one strict sign claim,
+with no exactly-one-root or root-count certificate left in its report: a
+right enclosure's certificate became θ2(t) negative on [enclosure.hi, 9/5],
+with no support; a left enclosure's became the winning quotient's negative
+certificate on [5/3, enclosure.lo], with the other quotient's as its
+support; and every ``optimize`` certificate took a label naming its role,
+``optimize-left-all-degenerate``'s included.  ``certificates-stripped``
+holds the digests of the reports and of ``thresholds-per-t`` with
+:func:`strip_certificates` applied, taken before that change and reproduced
+after it: every enclosure, table row, phi value, verdict and other check
+stayed byte-identical.  ``certify`` still counts θ1's and θ2(1/4)'s roots
+on the domain, so its digests stand.
 """
 
 import hashlib
@@ -104,8 +103,8 @@ def reinflate(data: dict) -> dict:
 def strip_certificates(data: dict) -> dict:
     """A report's JSON without its certificates, in place: the top-level
     ``certificates``, ``inputs.optimum.best``'s certificate and support, the
-    labels a certify table row cites, the ``*-unique-root`` and
-    ``*-enclosure-tight`` checks and the ``certificate-replay`` count."""
+    labels a certify table row cites, the ``*-unique-root`` checks and the
+    ``certificate-replay`` count."""
     data.pop("certificates")
     optimum = data["inputs"].get("optimum")
     if optimum is not None:
@@ -114,7 +113,7 @@ def strip_certificates(data: dict) -> dict:
         for row in scan.get("reports", []):
             del row["certificates"]
     data["checks"] = [check for check in data["checks"]
-                      if not check["label"].endswith(("-unique-root", "-enclosure-tight"))]
+                      if not check["label"].endswith("-unique-root")]
     for check in data["checks"]:
         if check["label"] == "certificate-replay":
             del check["details"]["certificates"]

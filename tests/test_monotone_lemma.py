@@ -38,7 +38,7 @@ from pinchcert.exact_poly import (
     SignClaimError,
     certify_sign_on_interval,
     count_roots,
-    isolate_root,
+    isolate_counted_root,
     sign_at,
 )
 
@@ -197,7 +197,7 @@ def _right_reference(t, width):
     if n == 0:
         return ps.ThresholdEnclosure(side="right", t=t, w=HI, enclosure=IntervalQ(HI, HI),
                                      certificate=count_cert, degenerate=True)
-    enclosure, _ = isolate_root(p, pb.PINCH_DOMAIN, width)
+    enclosure, _ = isolate_counted_root(count_cert, width)
     cert = certify_sign_on_interval(p, IntervalQ(enclosure.hi, HI), "negative")
     return ps.ThresholdEnclosure(side="right", t=t, w=HI, enclosure=enclosure,
                                  certificate=cert, degenerate=False,

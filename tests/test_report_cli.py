@@ -84,12 +84,12 @@ def test_certify_bytes_equal_with_cold_and_warm_polynomial_caches():
 
 
 CERTIFY_CHECKS = [
-    "theta1-enclosure-tight", "theta1-bracket", "theta2-enclosure-tight", "theta2-bracket",
+    "theta1-unique-root", "theta1-bracket", "theta2-unique-root", "theta2-bracket",
     "gap-bound-decreasing", "gap-at-17853", "legacy-bound-dominated-9pts",
     "smax-threshold-identity", "shrinker-scale-consistency", "certificate-replay",
 ]
 CERTIFY_CERTIFICATES = [
-    "theta1-negative-below-enclosure", "theta2-negative-above-enclosure",
+    "theta1-root-count", "theta1-enclosure", "theta2-root-count", "theta2-enclosure",
     "gap-bound-decreasing", "legacy-radicand-positive", "gap-denominator-positive",
 ]
 
@@ -172,7 +172,7 @@ def test_each_sturm_chain_is_built_once():
     # probe builds one for its θ2
     ep._sturm_ints.cache_clear()
     report = rc.cmd_certify()
-    assert len(report.certificates) == 5
+    assert len(report.certificates) == 7
     assert ep._sturm_ints.cache_info().misses == 5
     assert report.replay_certificates()
     rc.cmd_certify()
@@ -210,6 +210,22 @@ SIDE_CONFIGS = {
     "left": ps.SweepConfig(t_grid=(rat("1/8"), rat("1/4")), w_grid=(rat("5/3"),)),
     "right": ps.SweepConfig(t_grid=(rat("1/8"), rat("1/4")), w_grid=(rat("9/5"),)),
 }
+
+
+@pytest.mark.parametrize("side, t, w, roles", [
+    ("left", "1/4", "5/3", {"sup-at-x-quotient-negative": "sign-constant-negative",
+                            "sup-at-5/3-quotient-negative": "sign-constant-negative"}),
+    ("right", "1/4", "9/5", {"theta2-negative-above-enclosure": "sign-constant-negative"}),
+    ("left", "1/4", "17/10", {"edge-weight-positive-at-5/3": "sign-constant-positive"}),
+    ("right", "1/2", "9/5", {"theta2-no-root-in-domain": "no-root"}),
+])
+def test_optimize_labels_each_certificate_by_its_one_role(side, t, w, roles):
+    # a live enclosure rests on strict sign claims alone; only the
+    # degenerate right enclosure keeps its no-root count
+    config = ps.SweepConfig(t_grid=(rat(t),), w_grid=(rat(w),))
+    data = json.loads(rc.cmd_optimize(side, config).to_json_str())
+    entries = [(entry["label"], entry["certificate"]["claim"]) for entry in data["certificates"]]
+    assert dict(entries) == roles and len(entries) == len(roles)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -391,28 +407,29 @@ def test_refinement_rounds_are_bounded_before_any_probe(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("side, w", [("left", "5/3"), ("right", "9/5")])
 def test_isolation_width_is_bounded_before_any_probe(tmp_path, capsys, monkeypatch, side, w):
-    # below the bound phi's values at the winner's ends outgrew Python's
+    # far below the bound phi's values at the winner's ends outgrew Python's
     # int-to-string limit only when the report was written, after the whole
-    # sweep: at the bound a report is written, one decade past it the
-    # width is refused before a probe is made
+    # sweep: at the bound a report is written, at t = 1/200 too, where the
+    # left writes the most digits per digit of the width, and one decade
+    # past it the width is refused before a probe is made
     cells = []
     name = f"_{side}_cell"
     real = getattr(ps, name)
     monkeypatch.setattr(ps, name, lambda t, width: cells.append(t) or real(t, width))
     path, out = tmp_path / "config.json", tmp_path / "report.json"
-    config = {"t_grid": ["1/4"], "w_grid": [w]}
+    config = {"t_grid": ["1/200"], "w_grid": [w]}
     path.write_text(json.dumps(dict(config, isolation_width=rat_str(ps.MIN_ISOLATION_WIDTH))))
     code = rc.main(["--json", str(out), "optimize", "--side", side, "--config", str(path)])
-    assert code == rc.EXIT_OK and cells == [rat("1/4")]
+    assert code == rc.EXIT_OK and cells == [rat("1/200")]
     [enc] = json.loads(out.read_text())["enclosures"]
     assert 0 < rat(enc["interval"][1]) - rat(enc["interval"][0]) <= ps.MIN_ISOLATION_WIDTH
     capsys.readouterr()
     cells.clear()
-    path.write_text(json.dumps(dict(config, isolation_width=f"1/{10**101}")))
+    path.write_text(json.dumps(dict(config, isolation_width=f"1/{10**601}")))
     code = rc.main(["optimize", "--side", side, "--config", str(path)])
     assert code == rc.EXIT_USAGE and cells == []
     assert capsys.readouterr().err.splitlines() == [
-        "usage error: isolation_width must be at least MIN_ISOLATION_WIDTH = 1/10**100"]
+        "usage error: isolation_width must be at least MIN_ISOLATION_WIDTH = 1/10**600"]
 
 
 def test_optimize_bool_isolation_width_is_usage_error(tmp_path, capsys):
@@ -487,7 +504,7 @@ def test_exact_core_failure_exits_1_naming_the_item(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ExactPolyError("theta1: isolation found no sign change")
 
-    monkeypatch.setattr(rc, "_smallest_root_cell", broken)
+    monkeypatch.setattr(rc, "isolate_counted_root", broken)
     code = rc.main(["certify"])
     assert code == rc.EXIT_CERTIFICATION_FAILURE
     assert ("certification failure: certify: theta1: isolation found no sign change"
