@@ -663,8 +663,9 @@ class IdentityReport:
         return "\n".join(lines)
 
 
-def verify_identities(scan: GeometryScan, tolerances: dict | None = None) -> IdentityReport:
-    """Per-identity max residuals over the scan, checked against tolerances.
+def verify_identities(scan: GeometryScan) -> IdentityReport:
+    """Per-identity max residuals over the scan, checked against
+    :data:`DEFAULT_TOLERANCES`.
 
     The derivative identity is marked absent (not failed) when the scan ran
     without a derivative pass.  A_norm and normal_curvature are derived, not
@@ -677,8 +678,7 @@ def verify_identities(scan: GeometryScan, tolerances: dict | None = None) -> Ide
 
     if scan.n_samples == 0:
         raise ValueError("empty scan")
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(tolerances or {})
+    tol = DEFAULT_TOLERANCES
     cv = calabi_value(scan.s)
     s_exact = float(cv.S)
 

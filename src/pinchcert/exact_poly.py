@@ -632,24 +632,21 @@ class _RootCounter:
         return _variations_at(self.p, lo) - _variations_at(self.p, hi)
 
 
-def _nudge_endpoint(p: Polynomial, iv: IntervalQ, inward: int) -> tuple[Fraction, int]:
-    """An end of ``iv`` moved off a root of p by shrinking rational steps,
-    and the sign of p there.
+def _nudge_endpoint(p: Polynomial, iv: IntervalQ, inward: int) -> Fraction:
+    """An end of ``iv`` moved off a root of p by shrinking rational steps.
 
     ``inward`` is +1 for the lower end, -1 for the upper.  Steps are
     ``span / 10**k`` for k = 6..12 toward the interior, where span is the
     width of iv (1 if iv is a point); an end that is no root stays put.
     """
     x = iv.lo if inward > 0 else iv.hi
-    s = sign_at(p, x)
-    if s:
-        return x, s
+    if sign_at(p, x):
+        return x
     span = iv.width if iv.width > 0 else Fraction(1)
     for k in range(6, 13):
         candidate = x + inward * span / 10**k
-        s = sign_at(p, candidate)
-        if s:
-            return candidate, s
+        if sign_at(p, candidate):
+            return candidate
     raise DegenerateEndpointError(
         f"endpoint {x} is a root and all nudges 10^-6..10^-12 of the span hit roots"
     )
@@ -890,18 +887,12 @@ def nudged_ends(p: Polynomial, iv: IntervalQ) -> tuple[Fraction, Fraction]:
     """The ends at which :func:`count_roots` counts: each moved off a root of
     p (see :func:`_nudge_endpoint`), raising :class:`DegenerateEndpointError`
     when that fails or the moved ends cross."""
-    lo, hi, _, _ = _signed_nudged_ends(p, iv)
-    return lo, hi
-
-
-def _signed_nudged_ends(p: Polynomial, iv: IntervalQ) -> tuple[Fraction, Fraction, int, int]:
-    """:func:`nudged_ends` and the signs of p there, which nudging found."""
     if p.is_zero:
         raise ValueError("cannot count roots of the zero polynomial")
-    (lo, s_lo), (hi, s_hi) = _nudge_endpoint(p, iv, +1), _nudge_endpoint(p, iv, -1)
+    lo, hi = _nudge_endpoint(p, iv, +1), _nudge_endpoint(p, iv, -1)
     if lo > hi:
         raise DegenerateEndpointError("nudged endpoints crossed; interval too thin")
-    return lo, hi, s_lo, s_hi
+    return lo, hi
 
 
 def _offset_midpoint(p: Polynomial, lo: Fraction, hi: Fraction) -> Fraction:

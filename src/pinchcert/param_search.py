@@ -56,15 +56,16 @@ A sweep ranks its probes on bare enclosures: one cell function per side
 rests on, given the lemma, and raises where the certified version would,
 but builds no certificate.  :func:`left_threshold` and
 :func:`right_threshold` are the same cell functions plus one certificate
-step per side (:func:`_left_certificates`, :func:`_right_certificates`),
-whose certificates prove the enclosure without the lemma; :func:`optimize`
-keeps the winner's cell and runs only the certificate step on it.  Every
-live enclosure rests on one ``sign-constant-negative`` certificate
-(``exact_poly.certify_sign_on_interval``), θ2(t) on [enclosure.hi, 9/5] or
-the winning quotient on [5/3, enclosure.lo] with the other's as support,
-and its other end on an exact value of the opposite sign; only the
-degenerate right enclosure counts roots.  :func:`enclosure_holds` binds each
-certificate to its role, which :func:`certificate_labels` names.
+step (:func:`_certify`), whose certificates prove the enclosure without the
+lemma; :func:`optimize` keeps the winner's cell and runs only that step on
+it.  Which claims prove an enclosure is said in one place, the claim table
+:func:`_claims`, from the enclosure's side, t, w, ends and degeneracy
+alone: a live enclosure rests on ``sign-constant-negative`` claims,
+θ2(t) on [enclosure.hi, 9/5] or each left quotient on [5/3, enclosure.lo],
+with its other end on an exact value of the opposite sign; only the
+degenerate right enclosure counts roots.  :func:`_certify` proves each row,
+:func:`enclosure_holds` binds the certificates to the rows and
+:func:`certificate_labels` names them by the rows' labels.
 """
 
 from __future__ import annotations
@@ -87,7 +88,6 @@ from .exact_poly import (
     SignClaimError,
     # perfbench's tracer wraps _RootCounter.count through this module's name
     _RootCounter,
-    _signed_nudged_ends,
     _smallest_root_cell,
     certify_sign_on_interval,
     count_roots,
@@ -112,12 +112,25 @@ DOMAIN_HI = pb.PINCH_DOMAIN.hi
 #: milliseconds while an unbounded count never ends
 MAX_REFINEMENT_ROUNDS = 64
 
-#: the narrowest isolation width a sweep takes, checked before any probe
-#: runs.  A report writes phi at the winner's ends, five digits per digit of
-#: the width on the left (three on the right) plus t's, and at t = 1/200 it
-#: passed Python's 4300-digit int-to-string limit below 10^-850; 10^-600
-#: keeps a third of that limit for t's digits and gives up the widths between
+#: the narrowest isolation width a sweep or threshold call takes, checked
+#: before any probe runs.  A report writes phi at the winner's ends, five
+#: digits per digit of the width on the left (three on the right) plus t's,
+#: and at t = 1/200 it passed Python's 4300-digit int-to-string limit below
+#: 10^-850; 10^-600 keeps a third of that limit for t's digits and gives up
+#: the widths between
 MIN_ISOLATION_WIDTH = F(1, 10**600)
+
+
+def _isolation_width(width) -> Fraction:
+    """``width`` as a Fraction, refused unless positive and at least
+    :data:`MIN_ISOLATION_WIDTH`: the one width check of sweeps and of
+    :func:`left_threshold` and :func:`right_threshold`."""
+    width = rat(width)
+    if width <= 0:
+        raise ValueError("width must be positive")
+    if width < MIN_ISOLATION_WIDTH:
+        raise ValueError("isolation_width must be at least MIN_ISOLATION_WIDTH = 1/10**600")
+    return width
 
 
 @dataclass(frozen=True)
@@ -134,7 +147,6 @@ class SweepConfig:
         w_grid = tuple(rat(w) for w in self.w_grid)
         object.__setattr__(self, "t_grid", t_grid)
         object.__setattr__(self, "w_grid", w_grid)
-        object.__setattr__(self, "isolation_width", rat(self.isolation_width))
         if not t_grid or not w_grid:
             raise ValueError("grids must be nonempty")
         if list(t_grid) != sorted(t_grid) or list(w_grid) != sorted(w_grid):
@@ -148,8 +160,7 @@ class SweepConfig:
         if not 0 <= self.refinement_rounds <= MAX_REFINEMENT_ROUNDS:
             raise ValueError(f"refinement_rounds must lie in 0..{MAX_REFINEMENT_ROUNDS}, "
                              f"got {self.refinement_rounds}")
-        if not self.isolation_width >= MIN_ISOLATION_WIDTH:
-            raise ValueError("isolation_width must be at least MIN_ISOLATION_WIDTH = 1/10**600")
+        object.__setattr__(self, "isolation_width", _isolation_width(self.isolation_width))
 
     def to_json(self) -> dict:
         return {
@@ -183,8 +194,9 @@ class SweepConfig:
         )
 
 
-def default_config(side: str, refinement_rounds: int = 2) -> SweepConfig:
-    """Default grids: t in {k/200}, w in {5/3 + k*(2/15)/100}."""
+def default_config(side: str) -> SweepConfig:
+    """Default grids, t in {k/200} and w in {5/3 + k*(2/15)/100}, and two
+    refinement rounds."""
     t_grid = tuple(F(k, 200) for k in range(1, 101))
     if side == "left":
         w_grid = tuple(DOMAIN_LO + F(k, 100) * F(2, 15) for k in range(101))
@@ -192,7 +204,7 @@ def default_config(side: str, refinement_rounds: int = 2) -> SweepConfig:
         w_grid = (DOMAIN_HI,)  # the upper-endpoint argument fixes w = 9/5
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return SweepConfig(t_grid=t_grid, w_grid=w_grid, refinement_rounds=refinement_rounds)
+    return SweepConfig(t_grid=t_grid, w_grid=w_grid, refinement_rounds=2)
 
 
 @dataclass(frozen=True)
@@ -288,12 +300,24 @@ _EDGE = IntervalQ(DOMAIN_LO, DOMAIN_LO)
 
 class _Cell(NamedTuple):
     """A probe's bare enclosure, without certificates: what :func:`optimize`
-    ranks (by :func:`_strength_key`) and tabulates."""
+    ranks (by :func:`_strength_key`) and tabulates, and, for a live probe,
+    the forms at t it isolated on (:func:`_at_t`), which its claims are on."""
 
+    side: str
     t: Fraction
     w: Fraction
     enclosure: IntervalQ
     degenerate: bool
+    polys: tuple[Polynomial, ...] = ()
+
+
+def _at_t(side: str, t: Fraction) -> tuple[Polynomial, ...]:
+    """The forms a live ``side`` enclosure rests on, specialized at t: θ2(t)
+    on the right, the quotients of :func:`pinching_bounds.left_branch_forms`,
+    in that order, on the left."""
+    if side == "right":
+        return (pb.theta2_form().at(t),)
+    return tuple(quotient.at(t) for _, _, quotient in pb.left_branch_forms())
 
 
 def _isolate_smallest_root(
@@ -319,7 +343,7 @@ def _isolate_smallest_root(
     return enclosure, one_root_certificate(p, enclosure)
 
 
-def _left_cell(t: Fraction, width: Fraction) -> tuple[_Cell, list[tuple[IntervalQ, Polynomial]]]:
+def _left_cell(t: Fraction, width: Fraction) -> _Cell:
     """The bare enclosure at (t, 5/3), every fact it rests on checked, given
     the monotonicity lemma.
 
@@ -337,13 +361,11 @@ def _left_cell(t: Fraction, width: Fraction) -> tuple[_Cell, list[tuple[Interval
     its upper end.
     No Sturm chain or value of phi is built.  Raises exactly where
     :func:`left_threshold` raises.
-
-    Returns the cell and, per branch, its own enclosure and its quotient at t.
     """
     u = _SLIVER.hi
-    branches = []
-    for label, _, quotient in pb.left_branch_forms():
-        g = quotient.at(t)
+    quotients = _at_t("left", t)
+    cells = []
+    for (label, _, _), g in zip(pb.left_branch_forms(), quotients):
         if sign_at(g, u) >= 0:
             raise SignClaimError(
                 f"claimed sign-constant-negative on [{_SLIVER.lo}, {u}] but the {label} "
@@ -351,23 +373,17 @@ def _left_cell(t: Fraction, width: Fraction) -> tuple[_Cell, list[tuple[Interval
         if sign_at(g, DOMAIN_HI) <= 0:
             raise ExactPolyError(
                 f"the {label} quotient at t = {t} is {g(DOMAIN_HI)} at {DOMAIN_HI}, not positive")
-        cell = _smallest_root_cell(g, u, DOMAIN_HI, width / 2, one_root=True)
-        branches.append((IntervalQ(*cell), g))
+        cells.append(IntervalQ(*_smallest_root_cell(g, u, DOMAIN_HI, width / 2, one_root=True)))
     # min keeps the first of equal keys, so a tie goes to sup-at-x
-    enclosure = min((own for own, _ in branches), key=lambda c: (c.lo, c.hi))
+    enclosure = min(cells, key=lambda c: (c.lo, c.hi))
     lo, hi = enclosure.lo, enclosure.hi
-    if not (all(sign_at(g, lo) < 0 for _, g in branches)
-            and any(sign_at(g, hi) > 0 for _, g in branches)):
+    if not (all(sign_at(g, lo) < 0 for g in quotients)
+            and any(sign_at(g, hi) > 0 for g in quotients)):
         raise ExactPolyError(
             f"threshold enclosure failed the exact endpoint check at t = {t}: "
             f"phi is not negative at {lo} and positive at {hi}"
         )
-    return _Cell(t, DOMAIN_LO, enclosure, False), branches
-
-
-def _phi(x: Fraction, quotients: Sequence[Polynomial]) -> Fraction:
-    """phi at x for w = 5/3: the larger branch, (x - 5/3) times its quotient at t."""
-    return max((x - DOMAIN_LO) * g(x) for g in quotients)
+    return _Cell("left", t, DOMAIN_LO, enclosure, False, quotients)
 
 
 def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
@@ -376,80 +392,47 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
     The threshold is the largest x such that the certificate stays negative
     on (5/3, x); pinching below it forces S to sit at the lower endpoint.
     For w > 5/3 (see :func:`edge_lemma`) the certificate is positive at the
-    domain edge, and the degenerate enclosure [5/3, 5/3] is returned.  At
-    w = 5/3 this is :func:`_left_cell` with its certificates: the winning
-    quotient's negative certificate on exactly [5/3, enclosure.lo], and as
-    support the other quotient's on [5/3, x], x the lower end of that
-    branch's own enclosure.  A branch is its quotient times x - 5/3 > 0
-    there, so these prove phi < 0 on (5/3, enclosure.lo] without the
-    monotonicity lemma, and phi(enclosure.hi) > 0 shows the enclosure is
-    tight; a quotient not negative up to x raises :class:`SignClaimError`.
+    domain edge, and the degenerate enclosure [5/3, 5/3] is returned, with
+    the positive certificate of :func:`edge_weight` on it.  At w = 5/3 this
+    is :func:`_left_cell` with its certificates (:func:`_claims`): each
+    quotient negative on exactly [5/3, enclosure.lo], sup-at-x first.  A
+    branch is its quotient times x - 5/3 > 0 there, so they prove
+    phi < 0 on (5/3, enclosure.lo] without the monotonicity lemma, and
+    phi(enclosure.hi) > 0 shows the enclosure is tight; a quotient not
+    negative up to enclosure.lo raises :class:`SignClaimError`.
     """
-    t, w, width = rat(t), rat(w), rat(width)
+    t, w = rat(t), rat(w)
     if not 0 < t <= F(1, 2):
         raise ValueError(f"parameter t must satisfy 0 < t <= 1/2, got {t}")
     if not DOMAIN_LO <= w <= DOMAIN_HI:
         raise ValueError(f"w = {w} outside [5/3, 9/5]")
-    if width <= 0:
-        raise ValueError("width must be positive")
-
+    width = _isolation_width(width)
     if w > DOMAIN_LO:
-        # phi(5/3) = 5 (w - 5/3)^2 q(5/3)^2 > 0 by the edge lemma, so it is
-        # nonnegative at (and hence just above) the domain edge: no usable
-        # region; a sign certificate for the linear weight factor q
-        # witnesses the degeneracy cheaply.
-        cert = certify_sign_on_interval(edge_weight(t, w), _EDGE, "positive")
-        phi = pb.left_certificate_value(DOMAIN_LO, w, t)
-        return ThresholdEnclosure(
-            side="left", t=t, w=w, enclosure=_EDGE, certificate=cert,
-            degenerate=True, phi_lo=phi, phi_hi=phi,
-        )
-
-    return _left_certificates(*_left_cell(t, width))
+        # phi(5/3) = 5 (w - 5/3)^2 q(5/3)^2 > 0 by the edge lemma: no usable region
+        return _certify(_Cell("left", t, w, _EDGE, True))
+    return _certify(_left_cell(t, width))
 
 
-def _left_certificates(cell: _Cell,
-                       branches: list[tuple[IntervalQ, Polynomial]]) -> ThresholdEnclosure:
-    """:func:`left_threshold` at w = 5/3 from :func:`_left_cell`'s result:
-    the enclosure with its certificates, which :func:`left_threshold`
-    describes, and phi at its ends from the quotients (:func:`_phi`)."""
-    lo, hi = cell.enclosure.lo, cell.enclosure.hi
-    quotients = [g for _, g in branches]
-    i = _left_winner(quotients, hi)
-    negative = [certify_sign_on_interval(g, IntervalQ(DOMAIN_LO, lo if j == i else own.lo),
-                                         "negative")
-                for j, (own, g) in enumerate(branches)]
-    return ThresholdEnclosure(
-        side="left", t=cell.t, w=DOMAIN_LO, enclosure=cell.enclosure,
-        certificate=negative.pop(i), degenerate=False, support=tuple(negative),
-        phi_lo=_phi(lo, quotients), phi_hi=_phi(hi, quotients),
-    )
-
-
-def _left_winner(quotients: list[Polynomial], hi: Fraction) -> int:
-    """Index of a live left enclosure's winning branch: the first quotient
-    positive at its upper end ``hi`` (on the grid, the first of equal cells)."""
-    return next(i for i, g in enumerate(quotients) if sign_at(g, hi) > 0)
-
-
-def _right_cell(t: Fraction, width: Fraction) -> tuple[_Cell, Polynomial]:
+def _right_cell(t: Fraction, width: Fraction) -> _Cell:
     """The bare enclosure of θ2(t)'s root in the domain, every fact it rests
-    on checked given the monotonicity lemma, and θ2(t).
+    on checked given the monotonicity lemma.
 
     θ2(t), specialized from :func:`pinching_bounds.theta2_form`, decreases
-    in x (:func:`monotone_lemma`), so it has one root on
-    :func:`_counted_domain` when its end signs differ and none otherwise,
-    which gives the degenerate cell [9/5, 9/5].  No Sturm chain is built and
-    no root counted.  Raises exactly where :func:`right_threshold` raises.
+    in x (:func:`monotone_lemma`), so it has one root in (5/3, 9/5) when
+    its signs at the domain's ends are strictly opposite, and none
+    otherwise, which gives the degenerate cell [9/5, 9/5].  θ2(t)(5/3) =
+    (2/3)(9t/5 + 36/5)^2 > 0 and θ2(t)(9/5) = 40t(2t - 1)(9/5)(7/5)(2/5) is
+    negative but at t = 1/2, where it is 0.  No Sturm chain is built and no
+    root counted.  Raises exactly where :func:`right_threshold` raises.
     """
-    p = pb.theta2_form().at(t)
-    lo, hi, s_lo, s_hi = _signed_nudged_ends(p, pb.PINCH_DOMAIN)
-    if s_lo == s_hi:
-        return _Cell(t, DOMAIN_HI, IntervalQ(DOMAIN_HI, DOMAIN_HI), True), p
-    # nudged ends are no roots, so the signs are strictly opposite: the one
-    # root is of odd multiplicity, and bisection keeps the half that holds it
-    cell = _smallest_root_cell(p, lo, hi, width, one_root=True)
-    return _Cell(t, DOMAIN_HI, IntervalQ(*cell), False), p
+    polys = _at_t("right", t)
+    p, = polys
+    if sign_at(p, DOMAIN_LO) * sign_at(p, DOMAIN_HI) >= 0:
+        return _Cell("right", t, DOMAIN_HI, IntervalQ(DOMAIN_HI, DOMAIN_HI), True, polys)
+    # the ends are no roots and of opposite sign: the one root is of odd
+    # multiplicity, and bisection keeps the half that holds it
+    cell = _smallest_root_cell(p, DOMAIN_LO, DOMAIN_HI, width, one_root=True)
+    return _Cell("right", t, DOMAIN_HI, IntervalQ(*cell), False, polys)
 
 
 def _counted_domain(p: Polynomial) -> IntervalQ:
@@ -463,41 +446,90 @@ def right_threshold(t, width=F(1, 10**6)) -> ThresholdEnclosure:
 
     Encloses the unique root of the upper-endpoint cubic in [5/3, 9/5];
     pinching above the enclosure forces S to sit at the upper endpoint.
+    This is :func:`_right_cell` with its certificate (:func:`_claims`).
     With no interior root (t = 1/2) the degenerate enclosure [9/5, 9/5] is
-    returned together with the no-root certificate; at t = 1/2 the root of
-    θ2(t) is 9/5 itself, so that certificate is on the domain with its upper
-    end nudged off the root (:func:`_counted_domain`); the count must find
-    no root, else :class:`ExactPolyError`.  Otherwise this is
-    :func:`_right_cell` with one certificate: θ2(t) negative on exactly
-    [enclosure.hi, 9/5], with θ2(t)'s positive value at enclosure.lo
-    showing the enclosure is tight.
+    returned with θ2(t)'s no-root count on the domain, its upper end nudged
+    off the root 9/5 (:func:`_counted_domain`); the count must find no
+    root, else :class:`ExactPolyError`.  Otherwise the certificate is θ2(t)
+    negative on exactly [enclosure.hi, 9/5], with θ2(t)'s positive value at
+    enclosure.lo showing the enclosure is tight.
     """
-    t, width = rat(t), rat(width)
+    t = rat(t)
     if not 0 < t <= F(1, 2):
         raise ValueError(f"parameter t must satisfy 0 < t <= 1/2, got {t}")
-    if width <= 0:
-        raise ValueError("width must be positive")
-    return _right_certificates(*_right_cell(t, width))
+    return _certify(_right_cell(t, _isolation_width(width)))
 
 
-def _right_certificates(cell: _Cell, p: Polynomial) -> ThresholdEnclosure:
-    """:func:`right_threshold` from :func:`_right_cell`'s result: the
-    enclosure with its certificates, which :func:`right_threshold`
-    describes."""
-    t, enclosure = cell.t, cell.enclosure
-    if cell.degenerate:
-        n, count_cert = count_roots(p, pb.PINCH_DOMAIN)
-        if n:
-            raise ExactPolyError(f"expected no root of theta2({t}) in the domain by its "
-                                 f"end signs, found {n}")
-        return ThresholdEnclosure(
-            side="right", t=t, w=DOMAIN_HI, enclosure=enclosure,
-            certificate=count_cert, degenerate=True,
-        )
+def _claims(th: ThresholdEnclosure | _Cell,
+            polys: Sequence[Polynomial] = ()) -> list[tuple[str, Polynomial, str, IntervalQ]]:
+    """``(label, polynomial, claim, interval)`` of each certificate that
+    proves ``th``, the main one first: the one place that says which claims
+    prove which enclosure, for :func:`_certify`, :func:`enclosure_holds` and
+    :func:`certificate_labels`.
+
+    The rows follow from th's side, t, w, enclosure and degeneracy alone;
+    ``polys``, the forms at t that a live probe has specialized
+    (:func:`_at_t`), only spare specializing them again.
+
+    - right, live: θ2(t) ``sign-constant-negative`` on [enclosure.hi, 9/5];
+    - right, degenerate: θ2(t) ``no-root`` on :func:`_counted_domain`;
+    - left, degenerate: :func:`edge_weight` ``sign-constant-positive`` on
+      [5/3, 5/3];
+    - left, live: each quotient at t, in :func:`_at_t`'s order,
+      ``sign-constant-negative`` on [5/3, enclosure.lo].
+    """
+    if th.side == "left" and th.degenerate:
+        return [("edge-weight-positive-at-5/3", edge_weight(th.t, th.w), CLAIM_POSITIVE, _EDGE)]
+    polys = polys or _at_t(th.side, th.t)
+    if th.side == "right" and th.degenerate:
+        return [("theta2-no-root-in-domain", polys[0], CLAIM_NO_ROOT, _counted_domain(polys[0]))]
+    if th.side == "right":
+        return [("theta2-negative-above-enclosure", polys[0], CLAIM_NEGATIVE,
+                 IntervalQ(th.enclosure.hi, DOMAIN_HI))]
+    below = IntervalQ(DOMAIN_LO, th.enclosure.lo)
+    return [(f"{label}-quotient-negative", g, CLAIM_NEGATIVE, below)
+            for (label, _, _), g in zip(pb.left_branch_forms(), polys)]
+
+
+def _values(th: ThresholdEnclosure | _Cell,
+            polys: Sequence[Polynomial]) -> tuple[Fraction | None, Fraction | None]:
+    """The values an enclosure stores at its ends, from its claims'
+    polynomials: θ2(t)'s on the right, none for the degenerate one; phi's on
+    the left, phi(5/3) = 5 (w - 5/3)^2 q(5/3)^2 at both ends of the
+    degenerate one, else (x - 5/3) times the larger quotient."""
+    lo, hi = th.enclosure.lo, th.enclosure.hi
+    if th.side == "right":
+        return (None, None) if th.degenerate else (polys[0](lo), polys[0](hi))
+    if th.degenerate:
+        phi = pb.left_certificate_value(DOMAIN_LO, th.w, th.t)
+        return phi, phi
+    return tuple(max((x - DOMAIN_LO) * g(x) for g in polys) for x in (lo, hi))
+
+
+def _certify(cell: _Cell) -> ThresholdEnclosure:
+    """The certified enclosure of ``cell``: one certificate per row of
+    :func:`_claims`, the main one first, and :func:`_values`.  A sign claim
+    is proved by :func:`exact_poly.certify_sign_on_interval`, which raises
+    :class:`SignClaimError` where it fails; a ``no-root`` count by
+    :func:`exact_poly.count_roots`, which must find no root, else
+    :class:`ExactPolyError`."""
+    claims = _claims(cell, cell.polys)
+    certificates = []
+    for label, p, claim, interval in claims:
+        if claim == CLAIM_NO_ROOT:
+            n, cert = count_roots(p, interval)
+            if n:
+                raise ExactPolyError(f"{label} at t = {cell.t}: expected no root on "
+                                     f"[{interval.lo}, {interval.hi}], found {n}")
+        else:
+            cert = certify_sign_on_interval(
+                p, interval, "positive" if claim == CLAIM_POSITIVE else "negative")
+        certificates.append(cert)
+    phi_lo, phi_hi = _values(cell, [p for _, p, _, _ in claims])
     return ThresholdEnclosure(
-        side="right", t=t, w=DOMAIN_HI, enclosure=enclosure,
-        certificate=certify_sign_on_interval(p, IntervalQ(enclosure.hi, DOMAIN_HI), "negative"),
-        degenerate=False, phi_lo=p(enclosure.lo), phi_hi=p(enclosure.hi),
+        side=cell.side, t=cell.t, w=cell.w, enclosure=cell.enclosure,
+        certificate=certificates[0], degenerate=cell.degenerate,
+        support=tuple(certificates[1:]), phi_lo=phi_lo, phi_hi=phi_hi,
     )
 
 
@@ -510,71 +542,44 @@ def replay_threshold(th: ThresholdEnclosure) -> bool:
 def enclosure_holds(th: ThresholdEnclosure) -> bool:
     """The facts of a threshold enclosure beyond its certificates' replays.
 
-    A degenerate enclosure holds only the weakest claim of its side, with no
-    support: on the right at w = 9/5, with θ2(t)'s no-root count on
-    [5/3, 9/5], its ends nudged off θ2(t)'s roots (:func:`_counted_domain`),
-    and no values; on the left at w in (5/3, 9/5], with the
-    positive certificate of edge_weight(t, w) on [5/3, 5/3] and phi(5/3) > 0
-    as both values.  A live enclosure must carry its certificate
-    polynomial's values at its ends, of opposite sign, and one strict sign
-    claim: at w = 9/5, θ2(t) negative on exactly [enclosure.hi, 9/5], with
-    no support; at w = 5/3, the winning quotient at t (:func:`_left_winner`)
-    negative on exactly [5/3, enclosure.lo], with the other quotient
-    negative on [5/3, x], x >= enclosure.lo, as its one support (see
-    :func:`left_threshold`).  An unknown side or a t outside (0, 1/2] holds
-    nothing.
+    Its shape: w = 9/5 on the right and w = 5/3 on the left, with the
+    enclosure in the domain, or, degenerate, the weakest claim of its side:
+    [9/5, 9/5] on the right, [5/3, 5/3] at w in (5/3, 9/5] on the left.  Its
+    stored values, which :func:`_values` recomputes: θ2(t) positive at
+    enclosure.lo and negative at enclosure.hi on the right, phi negative at
+    enclosure.lo and positive at enclosure.hi on the left; none on the
+    degenerate right, phi(5/3) > 0 at both ends on the degenerate left.  Its
+    certificate and support: exactly the rows of :func:`_claims`, in order,
+    as (polynomial, claim, interval).  An unknown side or a t outside
+    (0, 1/2] holds nothing.
     """
     if th.side not in ("left", "right") or not 0 < th.t <= F(1, 2):
         return False
     lo, hi = th.enclosure.lo, th.enclosure.hi
-    cert = th.certificate
+    right = th.side == "right"
     if th.degenerate:
-        if th.support:
-            return False
-        if th.side == "right":
-            p = pb.theta2(th.t)
-            return (lo == hi == th.w == DOMAIN_HI and cert.claim == CLAIM_NO_ROOT
-                    and cert.polynomial == p and cert.interval == _counted_domain(p)
-                    and th.phi_lo is None and th.phi_hi is None)
-        if not (lo == hi == DOMAIN_LO < th.w <= DOMAIN_HI and cert.claim == CLAIM_POSITIVE
-                and cert.interval == th.enclosure
-                and cert.polynomial == edge_weight(th.t, th.w)):
-            return False
-        phi = pb.left_certificate_value(DOMAIN_LO, th.w, th.t)
-        return th.phi_lo == th.phi_hi == phi > 0
-    if cert.claim != CLAIM_NEGATIVE:
+        shape = (lo == hi == th.w == DOMAIN_HI if right
+                 else lo == hi == DOMAIN_LO < th.w <= DOMAIN_HI)
+    else:
+        shape = th.w == (DOMAIN_HI if right else DOMAIN_LO) and DOMAIN_LO <= lo and hi <= DOMAIN_HI
+    if not shape:
         return False
-    if th.side == "right":
-        p = pb.theta2(th.t)
-        phi_lo, phi_hi = p(lo), p(hi)
-        return (th.w == DOMAIN_HI and cert.polynomial == p and not th.support
-                and cert.interval == IntervalQ(hi, DOMAIN_HI) and phi_lo > 0 > phi_hi
-                and (phi_lo, phi_hi) == (th.phi_lo, th.phi_hi))
-    if th.w != DOMAIN_LO or len(th.support) != 1:
-        return False
-    quotients = [quotient.at(th.t) for _, _, quotient in pb.left_branch_forms()]
-    phi_lo, phi_hi = _phi(lo, quotients), _phi(hi, quotients)
-    if not (phi_lo < 0 < phi_hi and phi_lo == th.phi_lo and phi_hi == th.phi_hi):
-        return False
-    # phi(hi) > 0, so some quotient is positive at hi
-    winner = quotients.pop(_left_winner(quotients, hi))
-    other, = th.support
-    return (cert.polynomial == winner and cert.interval == IntervalQ(DOMAIN_LO, lo)
-            and other.claim == CLAIM_NEGATIVE and [other.polynomial] == quotients
-            and other.interval.lo == DOMAIN_LO and other.interval.hi >= lo)
+    claims = _claims(th)
+    phi_lo, phi_hi = values = _values(th, [p for _, p, _, _ in claims])
+    if th.degenerate:
+        signs = right or phi_lo > 0
+    else:
+        signs = phi_lo > 0 > phi_hi if right else phi_lo < 0 < phi_hi
+    return (signs and (th.phi_lo, th.phi_hi) == values
+            and [(c.polynomial, c.claim, c.interval) for c in (th.certificate, *th.support)]
+            == [(p, claim, interval) for _, p, claim, interval in claims])
 
 
 def certificate_labels(th: ThresholdEnclosure) -> list[str]:
-    """A label per certificate of ``th``, the main one first, naming its
-    polynomial and claim, so that no two are equal."""
-    if th.side == "right":
-        return ["theta2-no-root-in-domain" if th.degenerate else "theta2-negative-above-enclosure"]
-    if th.degenerate:
-        return ["edge-weight-positive-at-5/3"]
-    forms = pb.left_branch_forms()
-    labels = [f"{label}-quotient-negative" for label, _, _ in forms]
-    winner = _left_winner([quotient.at(th.t) for _, _, quotient in forms], th.enclosure.hi)
-    return [labels.pop(winner), *labels]
+    """The label of each certificate of ``th``, the main one first: the
+    labels of its :func:`_claims` rows, each naming its polynomial and
+    claim, so that no two are equal."""
+    return [label for label, _, _, _ in _claims(th)]
 
 
 @dataclass(frozen=True)
@@ -657,9 +662,8 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
     lemma leaves but build no certificate.  On the left, probes
     with w > 5/3 are dead (see :func:`edge_lemma`): they are counted, and
     ranked by their known enclosure [5/3, 5/3].  After the refinement the
-    winner alone is certified: a live one from its own probe's cell, by the
-    certificate step of :func:`left_threshold` or :func:`right_threshold`,
-    a dead one by :func:`left_threshold`.
+    winner alone is certified, from its own probe's cell, by the certificate
+    step :func:`_certify`.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -672,25 +676,23 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
     # lookup while probing and no Fraction is hashed
     live: list[_Cell] = []
     dead = 0
-    # the incumbent's key, and what its probe found: the cell function's
-    # result, or a dead pair's cell alone
+    # the incumbent's key and cell
     best_key = best = None
 
-    def consider(found: tuple) -> None:
+    def consider(cell: _Cell) -> None:
         nonlocal best_key, best
-        key = _strength_key(side, found[0])
+        key = _strength_key(side, cell)
         if best_key is None or key < best_key:
-            best_key, best = key, found
+            best_key, best = key, cell
 
     def probe(t: Fraction, w: Fraction) -> None:
         nonlocal dead
         if side == "left" and w > DOMAIN_LO:
             dead += 1
-            consider((_Cell(t, w, _EDGE, True),))
+            consider(_Cell(side, t, w, _EDGE, True))
         else:
-            found = cell_at(t, width)
-            live.append(found[0])
-            consider(found)
+            live.append(cell_at(t, width))
+            consider(live[-1])
 
     # the probed t and w values, sorted and distinct: the grids plus every
     # refinement probe
@@ -711,26 +713,20 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
     # a trisection point lies strictly inside a gap of the values seen, so
     # every refinement probe is a pair new to the sweep
     for _ in range(config.refinement_rounds):
-        t_best, w_best = best[0].t, best[0].w
+        t_best, w_best = best.t, best.w
         for t_new in _trisect_candidates(t_seen, t_best):
             if 0 < t_new <= F(1, 2):
                 insort(t_seen, t_new)
                 probe(t_new, w_best)
         if side == "left":
-            t_best, w_best = best[0].t, best[0].w
+            t_best, w_best = best.t, best.w
             for w_new in _trisect_candidates(w_seen, w_best):
                 if DOMAIN_LO <= w_new <= DOMAIN_HI:
                     insort(w_seen, w_new)
                     probe(t_best, w_new)
 
-    t_best, w_best = best[0].t, best[0].w
     # only the winner is certified, from the cell its probe found
-    if side == "right":
-        threshold = _right_certificates(*best)
-    elif w_best > DOMAIN_LO:
-        threshold = left_threshold(t_best, w_best, width)  # dead: no cell to reuse
-    else:
-        threshold = _left_certificates(*best)
+    threshold = _certify(best)
     # the table in (t, w) order, without comparing Fractions: every live cell
     # has the side's one live w, and t_seen holds each live t once, in order
     by_t = {(cell.t.numerator, cell.t.denominator): cell for cell in live}
@@ -738,8 +734,8 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
             (by_t.get((t.numerator, t.denominator)) for t in t_seen) if c is not None]
     return Optimum(
         side=side,
-        best_t=t_best,
-        best_w=w_best,
+        best_t=best.t,
+        best_w=best.w,
         threshold=threshold.enclosure,
         certificate=threshold.certificate,
         best=threshold,

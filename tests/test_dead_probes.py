@@ -140,6 +140,8 @@ def test_left_threshold_runs_only_for_edge_probes(monkeypatch):
 
 def test_a_dead_winner_is_evaluated_once_after_the_sweep(monkeypatch):
     calls = _count_left_threshold_calls(monkeypatch)
+    real = ps._certify
+    monkeypatch.setattr(ps, "_certify", lambda cell: calls.append((cell.t, cell.w)) or real(cell))
     config = ps.SweepConfig(
         t_grid=(F(1, 10), F(3, 10)), w_grid=(F(17, 10), F(7, 4), HI), refinement_rounds=2,
     )

@@ -40,8 +40,11 @@ from pinchcert.exact_poly import IntervalQ, SignCertificate
 #: one certificate became θ2 negative on [enclosure.hi, 9/5]: that step
 #: builds 7 Fractions instead of 2, the sign certificate's witness coming
 #: from Fraction arithmetic in ``exact_poly._offset_midpoint`` (253, 253, 267
-#: and 267 before)
-RIGHT_SWEEP_FRACTIONS = {(3, 10): 258, (3, 11): 258, (3, 12): 272, (3, 13): 272}
+#: and 267 before).  They fell by 5 on 3.10.13 and 3.11.7 and by 7 on
+#: 3.12.1 and 3.13.0 once probes read θ2(t)'s signs at the domain's exact
+#: ends: the t = 1/2 probe, where θ2(t) vanishes at 9/5, no longer nudges
+#: that end off the root in Fraction steps (258, 258, 272 and 272 before)
+RIGHT_SWEEP_FRACTIONS = {(3, 10): 253, (3, 11): 253, (3, 12): 265, (3, 13): 265}
 
 #: Fractions built by one warm default left sweep (``optimize``), measured on
 #: CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 once a live probe read phi's end
@@ -52,7 +55,10 @@ RIGHT_SWEEP_FRACTIONS = {(3, 10): 258, (3, 11): 258, (3, 12): 272, (3, 13): 272}
 #: 3.10 and 3.11, 1606 on 3.12 and 3.13 before).  Unchanged on all four
 #: once the winner's certificate became its quotient's negative certificate
 #: on [5/3, enclosure.lo]: that is the certificate the support held, and the
-#: exactly-one-root certificate it replaces built no Fraction
+#: exactly-one-root certificate it replaces built no Fraction.  Unchanged on
+#: all four once both quotients' certificates came to sit on [5/3,
+#: enclosure.lo]: the support's interval holds the same number of Fractions
+#: wherever it ends
 LEFT_SWEEP_FRACTIONS = {(3, 10): 940, (3, 11): 940, (3, 12): 1174, (3, 13): 1174}
 
 #: Fractions built by a warm ``from_json(...).replay()`` of certify's seven

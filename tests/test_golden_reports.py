@@ -49,6 +49,17 @@ holds the digests of the reports and of ``thresholds-per-t`` with
 after it: every enclosure, table row, phi value, verdict and other check
 stayed byte-identical.  ``certify`` still counts θ1's and θ2(1/4)'s roots
 on the domain, so its digests stand.
+
+The ``/2`` and ``/1`` digests of ``optimize-left-4t``,
+``optimize-left-default`` and ``optimize-left-half-edges``, and
+``thresholds-per-t``, were retaken once more when one claim table came to
+decide every certificate of an enclosure from the enclosure alone: a live
+left enclosure's support, the sup-at-5/3 quotient's negative certificate,
+moved from [5/3, x], x the lower end of that quotient's own cell, to
+exactly [5/3, enclosure.lo], and its two certificates took the branches'
+fixed order, sup-at-x first, where sup-at-5/3's root came first.  The
+``certificates-stripped`` digests pass unchanged, and so do the right,
+``certify`` and all-degenerate digests.
 """
 
 import hashlib

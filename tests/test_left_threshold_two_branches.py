@@ -5,12 +5,12 @@ at S = x and the interior critical branch is never the maximum of phi.
 ``left_threshold_reference`` holds the three-branch code that also built
 that branch; the two-branch threshold must match it in its enclosure and
 values, and its certificates must be the reference's restated on the
-quotients g = p / (x - 5/3): per endpoint branch one negative certificate
-of g on [5/3, x] where the reference had g's sliver [5/3, u] and p's
-no-root count on [u, x].  That of the reference winner's quotient, on
-exactly [5/3, enclosure.lo], is the certificate, and the other is the
-support.  The critical branch's certificates leave the support.  The
-lemmas below are exact polynomial identities.
+quotients g = p / (x - 5/3): where the reference had, per endpoint branch,
+g's sliver [5/3, u] and p's no-root count on [u, x], each g is negative on
+exactly [5/3, enclosure.lo], which [5/3, x] holds, in the branches' fixed
+order; the reference winner's is its merged certificate itself.  The
+critical branch's certificates leave the support.  The lemmas below are
+exact polynomial identities.
 """
 
 from fractions import Fraction
@@ -64,13 +64,18 @@ def _merged(reference_support) -> tuple:
 
 
 def _assert_restated_on_quotients(mine, theirs, merged):
-    """The winner's certificate is the merged certificate of the quotient of
-    the reference's winner, on exactly [5/3, enclosure.lo]; the other merged
-    certificate is the support."""
-    assert mine.certificate.polynomial * (_X - LO) == theirs.certificate.polynomial
-    assert mine.certificate.interval == IntervalQ(LO, mine.enclosure.lo)
-    assert mine.certificate in merged
-    assert mine.support == tuple(c for c in merged if c != mine.certificate)
+    """Each certificate is the negative certificate of a merged one's
+    quotient, in the merged order, on exactly [5/3, enclosure.lo], which the
+    merged interval holds; that of the reference winner's quotient is its
+    merged certificate itself."""
+    below = IntervalQ(LO, mine.enclosure.lo)
+    certificates = (mine.certificate, *mine.support)
+    assert [c.polynomial for c in certificates] == [c.polynomial for c in merged]
+    assert all(c.claim == CLAIM_NEGATIVE and c.interval == below for c in certificates)
+    assert all(c.interval.lo == LO and c.interval.hi >= below.hi for c in merged)
+    winner, = [c for c in certificates
+               if c.polynomial * (_X - LO) == theirs.certificate.polynomial]
+    assert winner in merged
 
 
 @settings(max_examples=60, deadline=None)

@@ -259,29 +259,25 @@ def test_probes_and_thresholds_match_the_sturm_references(t, width):
     ps.monotone_lemma("left")
     ps.monotone_lemma("right")
     right = _right_reference(t, width)
-    cell, p = ps._right_cell(t, width)
-    assert (cell.enclosure, cell.degenerate, p) == (right.enclosure, right.degenerate,
-                                                   pb.theta2(t))
+    cell = ps._right_cell(t, width)
+    assert (cell.enclosure, cell.degenerate, cell.polys) == (right.enclosure, right.degenerate,
+                                                             (pb.theta2(t),))
     assert ps.right_threshold(t, width) == right
 
     left = _endpoint_branch_reference(t, width)
-    cell, _ = ps._left_cell(t, width)
-    assert cell.enclosure == left.enclosure
+    assert ps._left_cell(t, width).enclosure == left.enclosure
     mine = ps.left_threshold(t, LO, width)
     assert (mine.enclosure, mine.phi_lo, mine.phi_hi) == (left.enclosure, left.phi_lo,
                                                          left.phi_hi)
-    # the certificates are on the quotients g = p / (x - 5/3): the winner's,
-    # the quotient of the reference's branch, is g < 0 on [5/3, enclosure.lo],
-    # and the other branch's g < 0 on [5/3, x] with x at least that end
-    x_minus_lo = Polynomial.linear(-LO, 1)
-    assert (mine.certificate.claim, mine.certificate.interval) == (
-        CLAIM_NEGATIVE, IntervalQ(LO, mine.enclosure.lo))
-    assert mine.certificate.polynomial * x_minus_lo == left.certificate.polynomial
+    # the certificates are on the quotients g = p / (x - 5/3), in their fixed
+    # order, each g < 0 on exactly [5/3, enclosure.lo]; one of them is the
+    # quotient of the reference's winning branch
     quotients = [quotient.at(t) for _, _, quotient in pb.left_branch_forms()]
-    quotients.remove(mine.certificate.polynomial)
-    assert [(c.claim, c.polynomial, c.interval.lo) for c in mine.support] == [
-        (CLAIM_NEGATIVE, g, LO) for g in quotients]
-    assert all(c.interval.hi >= mine.enclosure.lo for c in mine.support)
+    below = IntervalQ(LO, mine.enclosure.lo)
+    assert [(c.claim, c.polynomial, c.interval) for c in (mine.certificate, *mine.support)] == [
+        (CLAIM_NEGATIVE, g, below) for g in quotients]
+    x_minus_lo = Polynomial.linear(-LO, 1)
+    assert left.certificate.polynomial in [g * x_minus_lo for g in quotients]
     _assert_critical_root_not_below(t, width, mine.enclosure.lo)
     assert ps.replay_threshold(mine) and ps.replay_threshold(ps.right_threshold(t, width))
 
@@ -318,17 +314,16 @@ def test_thresholds_refuse_a_cell_their_counts_contradict(monkeypatch):
     """The winner's certificates prove its enclosure without the lemma: a
     cell that the lemma's failure made wrong is refused, not certified."""
     t = F(1, 4)
-    _, branches = ps._left_cell(t, WIDTH)
-    loser = max(branches, key=lambda b: (b[0].lo, b[0].hi))[1]
-    real = ps._smallest_root_cell
-
-    def shifted(p, a, b, width, one_root=False):
-        lo, hi = real(p, a, b, width, one_root)
-        return (lo + F(1, 100), hi + F(1, 100)) if p == loser else (lo, hi)
-
-    monkeypatch.setattr(ps, "_smallest_root_cell", shifted)
-    # the loser's quotient is positive at its shifted cell's lower end
-    with pytest.raises(SignClaimError, match=r"claimed sign-constant-negative but p\("):
+    # three roots in the sup-at-5/3 quotient: negative at u and at the
+    # enclosure sup-at-x sets, positive at 9/5, but positive on
+    # (42/25, 1681/1000), below that enclosure, where phi must be negative
+    cubic = Polynomial.constant(1)
+    for r in (F(42, 25), F(1681, 1000), F(179, 100)):
+        cubic = cubic * Polynomial.linear(-r, 1)
+    first, (label, form, _) = pb.left_branch_forms()
+    monkeypatch.setattr(pb, "left_branch_forms", lambda: (first, (label, form, Form((cubic,)))))
+    assert ps._left_cell(t, WIDTH).enclosure.lo > F(1681, 1000)
+    with pytest.raises(SignClaimError, match="claimed sign-constant-negative but Sturm finds 2"):
         ps.left_threshold(t, LO)
 
     # three roots: the cell holds one, and θ2 is not negative above it; two

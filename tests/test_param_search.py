@@ -9,6 +9,7 @@ import pytest
 from pinchcert.exact_poly import (
     Polynomial,
     SignClaimError,
+    _smallest_root_cell,
     certify_sign_on_interval,
     count_roots,
     one_root_certificate,
@@ -267,6 +268,10 @@ def test_replay_binds_a_right_enclosure_to_its_evidence():
     for name, forged in forgeries.items():
         assert forged.certificate.replay() and all(c.replay() for c in forged.support)
         assert not ps.replay_threshold(forged), name
+    # widened down to 5/3, with θ2(1/4)'s value there, the enclosure still holds
+    wide = replace(genuine, enclosure=ps.IntervalQ(F(5, 3), hi),
+                   phi_lo=pb.theta2(F(1, 4))(F(5, 3)))
+    assert ps.replay_threshold(wide)
 
 
 def test_replay_binds_a_left_enclosure_to_its_certificate():
@@ -286,7 +291,7 @@ def test_replay_binds_a_left_enclosure_to_its_certificate():
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_replay_binds_the_main_certificate_to_the_enclosure_and_its_claim(side):
     # the main certificate is p negative on exactly [5/3, lo] (left, p the
-    # winning quotient) or [hi, 9/5] (right, p = θ2(t)); each forgery
+    # sup-at-x quotient) or [hi, 9/5] (right, p = θ2(t)); each forgery
     # replays and fails that binding alone
     genuine = (ps.left_threshold(F(1, 4), F(5, 3), WIDTH) if side == "left"
                else ps.right_threshold(F(1, 4), WIDTH))
@@ -294,15 +299,15 @@ def test_replay_binds_the_main_certificate_to_the_enclosure_and_its_claim(side):
     p, enclosure = genuine.certificate.polynomial, genuine.enclosure
     lo, hi, step = enclosure.lo, enclosure.hi, F(1, 10**4)
     if side == "left":
-        # the other quotient is negative up to its own root, which is no
-        # lower than lo; the winner's at t = 1/4 + 10^-4 is negative up to lo
-        loser = genuine.support[0].polynomial
+        # the support's quotient is negative on the same interval, and
+        # sup-at-x's at t = 1/4 + 10^-4 is negative up to lo
+        other = genuine.support[0].polynomial
         near_t = ps.left_threshold(F(1, 4) + step, F(5, 3), WIDTH).certificate.polynomial
-        assert near_t != p and loser != p
+        assert near_t != p and other != p
         forgeries = {
             "ending 10^-4 short of the enclosure": _negative(p, F(5, 3), lo - step),
             "starting 10^-4 past the domain": _negative(p, F(5, 3) - step, lo),
-            "the other branch": _negative(loser, F(5, 3), lo),
+            "the other branch": _negative(other, F(5, 3), lo),
             "another t": _negative(near_t, F(5, 3), lo),
             "one root on the enclosure": one_root_certificate(p, enclosure),
             "no root on the interval": count_roots(p, ps.IntervalQ(F(5, 3), lo))[1],
@@ -328,31 +333,37 @@ def test_replay_binds_the_main_certificate_to_the_enclosure_and_its_claim(side):
         assert not ps.enclosure_holds(forged), name
         assert not ps.replay_threshold(forged), name
     if side == "left":
-        # the branches' roles swapped: each certificate on its interval
-        swapped = replace(genuine, certificate=_negative(loser, F(5, 3), lo),
-                          support=(genuine.certificate,))
+        # the two certificates swapped: each is a table row, out of order
+        swapped = replace(genuine, certificate=genuine.support[0], support=(genuine.certificate,))
         assert swapped.certificate.replay() and not ps.replay_threshold(swapped)
 
 
 def test_replay_binds_a_left_enclosure_to_its_support():
-    # the support is the other quotient g < 0 on [5/3, x], x >= enclosure.lo
+    # the support is the sup-at-5/3 quotient g < 0 on exactly [5/3, enclosure.lo]
     genuine = ps.left_threshold(F(37, 200), F(5, 3), WIDTH)
     assert ps.replay_threshold(genuine)
     other, = genuine.support
-    lo, x = genuine.enclosure.lo, other.interval.hi
+    lo, u = genuine.enclosure.lo, F(5, 3) + F(1, 10**4)
     g = other.polynomial
+    assert other.interval == ps.IntervalQ(F(5, 3), lo)
     forms = {quotient.at(genuine.t): form.at(genuine.t)
              for _, form, quotient in pb.left_branch_forms()}
-    u = F(5, 3) + F(1, 10**4)
+    # where the support ended before: the lower end of g's own cell
+    own_lo, _ = _smallest_root_cell(g, ps._SLIVER.hi, F(9, 5), WIDTH / 2, one_root=True)
+    near_t = ps.left_threshold(genuine.t + F(1, 10**4), F(5, 3), WIDTH).support[0].polynomial
+    assert own_lo > lo and near_t != g
     forgeries = {
+        "support on g's own cell's lower end": replace(
+            genuine, support=(_negative(g, F(5, 3), own_lo),)),
         "support of another t": replace(
             genuine, support=ps.left_threshold(F(90, 200), F(5, 3), WIDTH).support),
+        "g at another t": replace(genuine, support=(_negative(near_t, F(5, 3), lo),)),
         "the winner's quotient": replace(genuine, support=(genuine.certificate,)),
-        "interval starting above 5/3": replace(genuine, support=(_negative(g, u, x),)),
+        "interval starting above 5/3": replace(genuine, support=(_negative(g, u, lo),)),
         "interval ending below the enclosure": replace(
             genuine, support=(_negative(g, F(5, 3), lo - F(1, 10**4)),)),
         "the branch in place of its quotient": replace(
-            genuine, support=(_negative(forms[g], u, x),)),
+            genuine, support=(_negative(forms[g], u, lo),)),
         "a positive claim": replace(genuine, support=(
             certify_sign_on_interval(-g, other.interval, "positive"),)),
         "a count in place of the sign claim": replace(
@@ -381,6 +392,13 @@ def test_replay_rejects_a_parameter_or_side_outside_its_range(side, t):
     assert ps.replay_threshold(genuine)
     assert ps.replay_threshold(replace(genuine, t=t)) is False
     assert ps.replay_threshold(replace(genuine, side="up")) is False
+    # a degenerate enclosure built whole at t = 0, its certificate the
+    # table's row there: only the parameter range refuses it
+    cell = (ps._right_cell(F(0), WIDTH) if side == "right"
+            else ps._Cell("left", F(0), F(7, 4), ps._EDGE, True))
+    at_zero = ps._certify(cell)
+    assert at_zero.degenerate and at_zero.certificate.replay()
+    assert ps.enclosure_holds(at_zero) is False
 
 
 @pytest.mark.parametrize("t", [F(1, 2), F(1, 4)])
@@ -395,6 +413,20 @@ def test_right_threshold_checks_its_width_first(t, width):
 def test_right_threshold_checks_its_parameter_first(t):
     with pytest.raises(ValueError, match="parameter t must satisfy"):
         ps.right_threshold(t, 0)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_threshold_calls_refuse_a_width_below_the_bound(monkeypatch, side):
+    # as sweeps do: far below the bound the whole isolation ran, and only
+    # writing phi's values then passed Python's int-to-string limit
+    cells = []
+    monkeypatch.setattr(ps, "_smallest_root_cell", lambda *args, **kwargs: cells.append(args))
+    with pytest.raises(ValueError, match="at least MIN_ISOLATION_WIDTH"):
+        if side == "left":
+            ps.left_threshold(F(1, 200), F(5, 3), F(1, 10**601))
+        else:
+            ps.right_threshold(F(1, 200), F(1, 10**601))
+    assert cells == []
 
 
 # ---------------------------------------------------------------------------

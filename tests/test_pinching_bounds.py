@@ -402,9 +402,10 @@ def test_theta1_is_the_sup_at_x_quotient_at_one_half():
     quotients = {label: quotient for label, _, quotient in pb.left_branch_forms()}
     g = quotients["sup-at-x"].at(F(1, 2))
     assert 12 * pb.theta1() == g
-    # sup-at-x wins: its own enclosure is the threshold's
-    cell, branches = ps._left_cell(F(1, 2), F(1, 10**6))
-    assert list(quotients)[0] == "sup-at-x" and branches[0] == (cell.enclosure, g)
+    # sup-at-x wins: it changes sign in the threshold's enclosure
+    cell = ps._left_cell(F(1, 2), F(1, 10**6))
+    assert list(quotients)[0] == "sup-at-x" and cell.polys[0] == g
+    assert g(cell.enclosure.lo) < 0 < g(cell.enclosure.hi)
     th = ps.left_threshold(F(1, 2), F(5, 3))
     assert th.enclosure == cell.enclosure
     # the winner's certificate is on that quotient, with θ1's integer coefficients

@@ -225,7 +225,23 @@ def test_optimize_labels_each_certificate_by_its_one_role(side, t, w, roles):
     config = ps.SweepConfig(t_grid=(rat(t),), w_grid=(rat(w),))
     data = json.loads(rc.cmd_optimize(side, config).to_json_str())
     entries = [(entry["label"], entry["certificate"]["claim"]) for entry in data["certificates"]]
-    assert dict(entries) == roles and len(entries) == len(roles)
+    assert entries == list(roles.items())
+    # the certificates built are the claim table's rows, in order, and their
+    # labels are the rows' labels; each row's interval is the one it states
+    th = ps.left_threshold(rat(t), rat(w)) if side == "left" else ps.right_threshold(rat(t))
+    claims = ps._claims(th)
+    assert [(c.polynomial, c.claim, c.interval) for c in (th.certificate, *th.support)] == [
+        (p, claim, interval) for _, p, claim, interval in claims]
+    assert ps.certificate_labels(th) == [label for label, _, _, _ in claims] == list(roles)
+    lo, hi = th.enclosure.lo, th.enclosure.hi
+    intervals = {
+        "sup-at-x-quotient-negative": (rat("5/3"), lo),
+        "sup-at-5/3-quotient-negative": (rat("5/3"), lo),
+        "theta2-negative-above-enclosure": (hi, rat("9/5")),
+        "edge-weight-positive-at-5/3": (rat("5/3"), rat("5/3")),
+        "theta2-no-root-in-domain": (rat("5/3"), rat("9/5") - rat("2/15") / 10**6),
+    }
+    assert [(row.lo, row.hi) for _, _, _, row in claims] == [intervals[role] for role in roles]
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -238,8 +254,8 @@ def test_optimize_replays_each_embedded_certificate_once(monkeypatch, side):
     assert len(calls) == len(report.certificates) == {"left": 2, "right": 1}[side]
 
 
-#: [5/3, x] of the other quotient's sign certificate, the support of the
-#: left sweep's winner, at t = 1/4
+#: [5/3, enclosure.lo] of both quotients' sign certificates at t = 1/4, the
+#: left sweep's winner's
 LEFT_SUPPORT = ps.left_threshold(rat("1/4"), rat("5/3")).support[0].interval
 #: [hi, 9/5] of θ2(1/4)'s sign certificate, the right sweep's winner's one
 RIGHT_CERTIFICATE = ps.right_threshold(rat("1/4")).certificate.interval
@@ -247,14 +263,16 @@ RIGHT_CERTIFICATE = ps.right_threshold(rat("1/4")).certificate.interval
 
 @pytest.mark.parametrize("side, interval", [("left", LEFT_SUPPORT), ("right", RIGHT_CERTIFICATE)])
 def test_one_failing_embedded_certificate_fails_both_replay_checks(monkeypatch, side, interval):
-    # the certificate on ``interval``: the other quotient's sign certificate
-    # on the left, θ2's above the enclosure on the right
+    # the winner's last certificate fails, the one on ``interval``: the
+    # sup-at-5/3 quotient's on the left, which shares that interval with
+    # sup-at-x's, θ2's above the enclosure on the right
+    best = ps.optimize(side, SIDE_CONFIGS[side]).best
+    failing = (best.certificate, *best.support)[-1]
+    assert failing.interval == interval
     real = SignCertificate.replay
-    monkeypatch.setattr(SignCertificate, "replay",
-                        lambda self: self.interval != interval and real(self))
+    monkeypatch.setattr(SignCertificate, "replay", lambda self: self != failing and real(self))
     report = rc.cmd_optimize(side, SIDE_CONFIGS[side])
-    assert any(entry["certificate"]["interval"] == interval.to_json()
-               for entry in report.certificates)
+    assert sum(entry["certificate"] == failing.to_json() for entry in report.certificates) == 1
     assert report.failing() == ["threshold-replay", "certificate-replay"]
 
 
