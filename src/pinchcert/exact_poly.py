@@ -22,19 +22,26 @@ root, and the proposal's end signs alone confirm it; with more roots,
 Sturm-counted bisection finds the cell.  The regula falsi runs on one
 integer grid per interval and width (:func:`_grid`, memoized): p's
 coefficients are prescaled once for the grid's denominator, so each value
-is one plain Horner pass at an integer grid point.  A :class:`Form` is a
-polynomial in (t, x), held as its polynomials in x at each power of t.
+is one plain Horner pass at an integer grid point.  There is one grid
+search, :func:`_grid_search`: it reads p's values at the grid's ends once,
+for the caller's facts there and for the search alike, searches any index
+range of the grid, and confirms the cell it picks by its own end check;
+:func:`_jump_cell` wraps it in Fractions.  An isolation refuses, before it
+searches, a width whose certificate Python could not write as text.  A
+:class:`Form` is a polynomial in (t, x), held as its polynomials in x at
+each power of t.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import comb, gcd, lcm
-from typing import Iterable, Sequence
+from math import comb, gcd, lcm, log10
+from typing import Iterable, NamedTuple, Sequence
 
 CLAIM_NO_ROOT = "no-root"
 CLAIM_ONE_ROOT = "exactly-one-root"
@@ -914,7 +921,8 @@ def _grid(a_num: int, a_den: int, b_num: int, b_den: int,
           w_num: int, w_den: int) -> tuple[int, int, int, int]:
     """The bisection grid of (a, b) at the depth width w demands.
 
-    Takes a, b and w as reduced pairs and returns ``(base, step, den,
+    Takes a and b as reduced pairs, w as a pair with a positive
+    denominator, not necessarily reduced, and returns ``(base, step, den,
     depth)``: grid point i is (base + i * step) / den for i = 0 .. 2^depth,
     and depth is the fewest halvings that leave cells of (a, b) at most w
     wide.  The span b - a is reduced, as its Fraction would be, so the grid
@@ -954,29 +962,28 @@ def _horner(scaled: Sequence[int], x: int) -> int:
     return acc
 
 
-def _propose_cell(scaled: Sequence[int], base: int, step: int, depth: int) -> int | None:
-    """Index j of the grid cell where p changes sign, found by exact signs.
+def _propose_cell(scaled: Sequence[int], base: int, step: int,
+                  j_lo: int, f_lo: int, j_hi: int, f_hi: int) -> int | None:
+    """Index j in [j_lo, j_hi) of the grid cell where p changes sign, found
+    by exact signs.
 
-    The grid has points (base + i * step) / den for i = 0 .. 2^depth, and
-    the caller counted exactly one root between its ends.  ``scaled`` is
-    p's :func:`_prescaled` coefficients for den, so a value at a grid
-    point is one :func:`_horner` pass at base + i * step, the integer of
+    The grid has points (base + i * step) / den, and ``scaled`` is p's
+    :func:`_prescaled` coefficients for den, so a value at a grid point is
+    one :func:`_horner` pass at base + i * step, the integer of
     :func:`_homogeneous`: every grid point shares the denominator den, so
     the values are p's values times one positive constant, and the secant
-    through them is p's secant.  Illinois regula falsi (Dowell & Jarratt
-    1971) narrows the whole grid to one cell (j, j + 1); a bisection step
-    replaces the secant whenever two steps in a row have not halved the
-    bracket.  Returns None when the grid's ends have no sign change or the
-    search meets a grid point that is a root.
+    through them is p's secant.  The caller gives the values ``f_lo`` and
+    ``f_hi`` at the bracket's ends j_lo and j_hi, read once with the facts
+    it checks there, and knows one root between them.  Illinois regula
+    falsi (Dowell & Jarratt 1971) narrows the bracket to one cell
+    (j, j + 1); a bisection step replaces the secant whenever two steps in
+    a row have not halved the bracket.  Returns None when the ends have no
+    strict sign change or the search meets a grid point that is a root.
+    The pick is confirmed by :meth:`_GridSearch.cell`, not here.
     """
-    f_lo = _horner(scaled, base)
-    if not f_lo:
+    if not f_lo or not f_hi or (f_lo > 0) == (f_hi > 0):
         return None
     positive = f_lo > 0  # the sign at the bracket's lower end
-    j_lo, j_hi = 0, 1 << depth
-    f_hi = _horner(scaled, base + j_hi * step)
-    if not f_hi or (f_hi > 0) == positive:
-        return None
     # moved: the end the last step replaced (-1 lower, 1 upper); mark: the
     # bracket's length when it last halved; steps: secant steps since then
     moved, mark, steps = 0, j_hi - j_lo, 0
@@ -1004,30 +1011,74 @@ def _propose_cell(scaled: Sequence[int], base: int, step: int, depth: int) -> in
     return j_lo
 
 
+class _GridSearch(NamedTuple):
+    """p on the integer :func:`_grid` of (a, b) at a width, made by
+    :func:`_grid_search`: grid point i is (base + i * step) / den for
+    i = 0 .. ``cells``, and ``f_lo`` and ``f_hi`` are p's prescaled values
+    at its ends a and b, read once, whose signs are p's signs there."""
+
+    scaled: tuple[int, ...]
+    base: int
+    step: int
+    den: int
+    cells: int
+    f_lo: int
+    f_hi: int
+
+    def value(self, j: int) -> int:
+        """p's prescaled value at grid point j, of p's sign there."""
+        return _horner(self.scaled, self.base + j * self.step)
+
+    def cell(self, j_lo: int, f_lo: int, j_hi: int, f_hi: int) -> int | None:
+        """The cell :func:`_propose_cell` picks between grid points j_lo and
+        j_hi, whose values are f_lo and f_hi, confirmed by its own end check:
+        it lies in [j_lo, j_hi) and p's values at its two ends, read afresh,
+        have strictly opposite signs, so it holds a root of odd multiplicity
+        and no grid point is a root.  None when the search or the check
+        fails."""
+        scaled, base, step = self.scaled, self.base, self.step
+        j = _propose_cell(scaled, base, step, j_lo, f_lo, j_hi, f_hi)
+        if j is None or not j_lo <= j < j_hi:
+            return None
+        lo = base + j * step
+        v_lo, v_hi = _horner(scaled, lo), _horner(scaled, lo + step)
+        return j if v_lo < 0 < v_hi or v_hi < 0 < v_lo else None
+
+    def ends(self, j: int) -> tuple[int, int, int]:
+        """``(lo_num, hi_num, den)`` of cell j: (lo_num / den, hi_num / den),
+        not reduced."""
+        lo = self.base + j * self.step
+        return lo, lo + self.step, self.den
+
+
+def _grid_search(p: Polynomial, a: tuple[int, int], b: tuple[int, int],
+                 width: tuple[int, int]) -> _GridSearch:
+    """The one search of a single root of p in (a, b) on the :func:`_grid` of
+    (a, b) at ``width``, all three given as ``(numerator, denominator)``
+    pairs as :func:`_grid` takes them: p's coefficients prescaled once for
+    the grid's denominator, and its values at the grid's ends read once.
+    The caller checks its facts on those values' signs and gives them to
+    :meth:`_GridSearch.cell`; the bisection cells of a single root are the
+    grid's cells, so the cell found is the one bisection would reach."""
+    base, step, den, depth = _grid(*a, *b, *width)
+    scaled = _prescaled(p._form[0], den)
+    cells = 1 << depth
+    return _GridSearch(scaled, base, step, den, cells, _horner(scaled, base),
+                       _horner(scaled, base + cells * step))
+
+
 def _jump_cell(p: Polynomial, a: Fraction, b: Fraction,
                width: Fraction) -> tuple[Fraction, Fraction] | None:
-    """The cell of :func:`_smallest_root_cell`'s bisection, for a single root.
-
-    The caller counted exactly one root in (a, b).  On the integer
-    :func:`_grid` of (a, b) at the depth the width demands, with p's
-    coefficients prescaled once for the grid's denominator,
-    :func:`_propose_cell` picks the dyadic cell (lo, hi) by exact signs
-    alone.  Its ends, read by the same prescaled evaluator, must have
-    strictly opposite signs, so the cell holds that root, no grid point is
-    a root, and bisection stops in this cell: nothing more is checked.
-    Returns None when this fails.
-    """
-    base, step, den, depth = _grid(a.numerator, a.denominator, b.numerator, b.denominator,
-                                   width.numerator, width.denominator)
-    scaled = _prescaled(p._form[0], den)
-    j = _propose_cell(scaled, base, step, depth)
-    if j is None or not 0 <= j < 1 << depth:
+    """The cell of :func:`_smallest_root_cell`'s bisection, for a single
+    root, as two Fractions: :func:`_grid_search` over the whole grid of
+    (a, b), or None when it fails."""
+    search = _grid_search(p, (a.numerator, a.denominator), (b.numerator, b.denominator),
+                          (width.numerator, width.denominator))
+    j = search.cell(0, search.f_lo, search.cells, search.f_hi)
+    if j is None:
         return None
-    lo_num = base + j * step
-    v_lo, v_hi = _horner(scaled, lo_num), _horner(scaled, lo_num + step)
-    if not (v_lo < 0 < v_hi or v_hi < 0 < v_lo):
-        return None
-    return Fraction(lo_num, den), Fraction(lo_num + step, den)
+    lo = search.base + j * search.step
+    return Fraction(lo, search.den), Fraction(lo + search.step, search.den)
 
 
 def _smallest_root_cell(p: Polynomial, a: Fraction, b: Fraction, width: Fraction,
@@ -1082,7 +1133,9 @@ def isolate_counted_root(count_cert: SignCertificate, width) -> tuple[IntervalQ,
     multiplicity); then the half holding the root is the half whose ends
     differ in sign, the shared smallest-root kernel's cell.  The enclosure
     has ends of exactly opposite sign, is at most ``width`` wide, and comes
-    with its exactly-one-root certificate.
+    with its exactly-one-root certificate.  A width so narrow that the
+    certificate could not be written is refused first
+    (:func:`_refuse_unwritable_width`).
     """
     width = rat(width)
     if width <= 0:
@@ -1096,8 +1149,43 @@ def isolate_counted_root(count_cert: SignCertificate, width) -> tuple[IntervalQ,
             "single root without endpoint sign change (even multiplicity); "
             "cannot certify an enclosure by signs"
         )
+    _refuse_unwritable_width(p, lo, hi, width)
     enclosure = IntervalQ(*_smallest_root_cell(p, lo, hi, width, one_root=True))
     return enclosure, one_root_certificate(p, enclosure)
+
+
+def _refuse_unwritable_width(p: Polynomial, lo: Fraction, hi: Fraction,
+                             width: Fraction) -> None:
+    """Raise ``ValueError`` naming ``width`` when the certificate of p's root
+    isolated in (lo, hi) at that width could hold an integer of more digits
+    than Python writes as a string (``sys.get_int_max_str_digits()``; 0, or
+    a Python before 3.10.7 without that limit, is no limit).
+
+    The certificate's points are cell ends on the :func:`_grid` of (lo, hi)
+    at the width, whose denominators divide its D; D * 2^64 also covers the
+    Sturm-counted fallback's, which moves a midpoint that is the root off
+    it by :func:`_offset_midpoint`.  So with b dividing D * 2^64 and
+    M = max(|lo|, |hi|, 1), a value p(a/b), _homogeneous(ints, a, b) over
+    den * b^n, has a denominator at most den * (D 2^64)^n and a numerator
+    at most sum(|ints|) * (M D 2^64)^n, bounded by bit lengths alone.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    ints, den = p._form
+    if not limit or not ints:
+        return
+    d = _grid(lo.numerator, lo.denominator, hi.numerator, hi.denominator,
+              width.numerator, width.denominator)[2] << 64
+    n = len(ints) - 1
+    m = max(abs(lo.numerator) // lo.denominator, abs(hi.numerator) // hi.denominator) + 1
+    bits = max(den.bit_length() + n * d.bit_length(),
+               sum(map(abs, ints)).bit_length() + n * (m * d).bit_length())
+    # 0.30103 > log10(2): a value below 2^bits has at most bits * 0.30103 digits
+    if bits * 30103 >= limit * 100000:
+        num, wden = width.numerator, width.denominator
+        name = (rat_str(width) if max(num, wden).bit_length() <= 128
+                else f"of about 10^{round(log10(num) - log10(wden))}")
+        raise ValueError(f"isolation width {name} is too narrow: the certificate's values "
+                         f"could pass Python's {limit}-digit int-to-string limit")
 
 
 def _find_counterexample(p: Polynomial, lo: Fraction, hi: Fraction, want: int) -> Fraction:

@@ -54,7 +54,13 @@ certificate on it.
 A sweep ranks its probes on bare enclosures: one cell function per side
 (:func:`_left_cell`, :func:`_right_cell`) checks every fact an enclosure
 rests on, given the lemma, and raises where the certified version would,
-but builds no certificate.  :func:`left_threshold` and
+but builds no certificate.  A probe stays on its isolation grid's
+integers: the end facts are the signs of the grid search's end values,
+read once (:func:`exact_poly._grid_search`), the second left quotient is
+searched only below the first one's cell, where the lemma puts its root,
+a cell is ``(lo_num, hi_num, den)`` on the grid's denominator, and cells
+rank by integer cross-multiplication (:func:`_outranks`); only the
+winner's cell becomes an :class:`IntervalQ`.  :func:`left_threshold` and
 :func:`right_threshold` are the same cell functions plus one certificate
 step (:func:`_certify`), whose certificates prove the enclosure without the
 lemma; :func:`optimize` keeps the winner's cell and runs only that step on
@@ -75,6 +81,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import pinching_bounds as pb
@@ -88,6 +95,9 @@ from .exact_poly import (
     SignClaimError,
     # perfbench's tracer wraps _RootCounter.count through this module's name
     _RootCounter,
+    _grid_search,
+    _homogeneous,
+    _sign_at_ratio,
     _smallest_root_cell,
     certify_sign_on_interval,
     count_roots,
@@ -294,21 +304,45 @@ def monotone_lemma(side: str) -> tuple[SignCertificate, ...]:
 
 #: [5/3, u]: each left quotient must be negative at u, where its isolation starts
 _SLIVER = IntervalQ(DOMAIN_LO, DOMAIN_LO + (DOMAIN_HI - DOMAIN_LO) / 10**6)
-#: the enclosure of every degenerate left probe
+#: the enclosure of every degenerate left probe, [5/3, 5/3]
 _EDGE = IntervalQ(DOMAIN_LO, DOMAIN_LO)
+#: the ends of the degenerate enclosures as ``(lo_num, hi_num, den)``:
+#: [5/3, 5/3] on the left, [9/5, 9/5] on the right
+_EDGE_ENDS = (5, 5, 3)
+_TOP_ENDS = (9, 9, 5)
+#: the ends of the two sides' isolation intervals, as reduced pairs
+_U = (_SLIVER.hi.numerator, _SLIVER.hi.denominator)
+_LO, _HI = (5, 3), (9, 5)
 
 
 class _Cell(NamedTuple):
     """A probe's bare enclosure, without certificates: what :func:`optimize`
-    ranks (by :func:`_strength_key`) and tabulates, and, for a live probe,
-    the forms at t it isolated on (:func:`_at_t`), which its claims are on."""
+    ranks (by :func:`_outranks`) and tabulates, and, for a live probe, the
+    forms at t it isolated on (:func:`_at_t`), which its claims are on.
+
+    The enclosure is [lo_num / den, hi_num / den], its ends on one
+    denominator and not reduced: a grid cell's are its grid's integers.
+    :attr:`enclosure` builds the :class:`IntervalQ` when it is read."""
 
     side: str
     t: Fraction
     w: Fraction
-    enclosure: IntervalQ
+    lo_num: int
+    hi_num: int
+    den: int
     degenerate: bool
     polys: tuple[Polynomial, ...] = ()
+
+    @property
+    def enclosure(self) -> IntervalQ:
+        return IntervalQ(F(self.lo_num, self.den), F(self.hi_num, self.den))
+
+
+def _cell_ends(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """``(lo_num, hi_num, den)`` of the cell [lo, hi] that a Sturm-counted
+    bisection found, on the smallest common denominator."""
+    den = lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
 
 
 def _at_t(side: str, t: Fraction) -> tuple[Polynomial, ...]:
@@ -350,40 +384,60 @@ def _left_cell(t: Fraction, width: Fraction) -> _Cell:
     Each branch p vanishes at 5/3, and its quotient g = p / (x - 5/3),
     specialized from its cached form (both from
     :func:`pinching_bounds.left_branch_forms`), has p's sign above 5/3
-    and increases in x (:func:`monotone_lemma`).  So, per branch in order,
-    g must be negative at u (then p < 0 on (5/3, u]; else
-    :class:`SignClaimError`) and positive at 9/5, and the one root of g in
-    (u, 9/5), which is p's smallest there, is isolated on g; g has no small
-    values near u, unlike p, so regula falsi proposes the cell in a few
-    signs.  phi is the larger branch, so its threshold is the earlier first
-    root; above 5/3 phi is (x - 5/3) times the larger quotient, so every
-    quotient must be negative at that cell's lower end and one positive at
-    its upper end.
-    No Sturm chain or value of phi is built.  Raises exactly where
-    :func:`left_threshold` raises.
+    and increases in x (:func:`monotone_lemma`).  So each g must be
+    negative at u (then p < 0 on (5/3, u]; else :class:`SignClaimError`)
+    and positive at 9/5, read once as the ends of its
+    :func:`exact_poly._grid_search` on (u, 9/5) at width / 2, and its one
+    root there, p's smallest, lies in one cell of that grid; g has no
+    small values near u, unlike p, so regula falsi finds it in a few
+    signs.  phi is the larger branch, so its threshold is the earlier
+    first root, a tie going to sup-at-x, whose cell j is searched first.
+    The increasing sup-at-5/3 quotient has its root above j's lower grid
+    point where it is negative there, so cell j is the enclosure, and below
+    it where it is positive, so only indices [0, j] are searched.  A zero
+    value or a failed search takes the Sturm-counted path: each quotient's
+    own cell (:func:`exact_poly._smallest_root_cell`), the lower kept.
+    Above 5/3 phi is (x - 5/3) times the larger quotient, so every quotient
+    must be negative at the enclosure's lower end and one positive at its
+    upper end.  No Sturm chain or value of phi is built on the grid path.
+    Raises exactly where :func:`left_threshold` raises.
     """
-    u = _SLIVER.hi
     quotients = _at_t("left", t)
-    cells = []
+    half = (width.numerator, 2 * width.denominator)
+    searches = []
     for (label, _, _), g in zip(pb.left_branch_forms(), quotients):
-        if sign_at(g, u) >= 0:
+        search = _grid_search(g, _U, _HI, half)
+        if search.f_lo >= 0:
+            u = _SLIVER.hi
             raise SignClaimError(
                 f"claimed sign-constant-negative on [{_SLIVER.lo}, {u}] but the {label} "
                 f"quotient at t = {t} is {g(u)} at {u}", u)
-        if sign_at(g, DOMAIN_HI) <= 0:
+        if search.f_hi <= 0:
             raise ExactPolyError(
                 f"the {label} quotient at t = {t} is {g(DOMAIN_HI)} at {DOMAIN_HI}, not positive")
-        cells.append(IntervalQ(*_smallest_root_cell(g, u, DOMAIN_HI, width / 2, one_root=True)))
-    # min keeps the first of equal keys, so a tie goes to sup-at-x
-    enclosure = min(cells, key=lambda c: (c.lo, c.hi))
-    lo, hi = enclosure.lo, enclosure.hi
-    if not (all(sign_at(g, lo) < 0 for g in quotients)
-            and any(sign_at(g, hi) > 0 for g in quotients)):
+        searches.append(search)
+    first, second = searches
+    ends = None
+    j = first.cell(0, first.f_lo, first.cells, first.f_hi)
+    if j is not None:
+        v = second.value(j)  # the sup-at-5/3 quotient at cell j's lower end
+        if v < 0:  # its root lies above: cell j is the enclosure
+            ends = first.ends(j)
+        elif v > 0:  # its root lies below
+            k = second.cell(0, second.f_lo, j, v)
+            ends = None if k is None else second.ends(k)
+    if ends is None:
+        # min keeps the first of equal cells, so a tie goes to sup-at-x
+        ends = _cell_ends(*min(_smallest_root_cell(g, _SLIVER.hi, DOMAIN_HI, width / 2,
+                                                   one_root=True) for g in quotients))
+    lo, hi, den = ends
+    if not (all(_sign_at_ratio(g, lo, den) < 0 for g in quotients)
+            and any(_sign_at_ratio(g, hi, den) > 0 for g in quotients)):
         raise ExactPolyError(
             f"threshold enclosure failed the exact endpoint check at t = {t}: "
-            f"phi is not negative at {lo} and positive at {hi}"
+            f"phi is not negative at {F(lo, den)} and positive at {F(hi, den)}"
         )
-    return _Cell("left", t, DOMAIN_LO, enclosure, False, quotients)
+    return _Cell("left", t, DOMAIN_LO, lo, hi, den, False, quotients)
 
 
 def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
@@ -409,7 +463,7 @@ def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
     width = _isolation_width(width)
     if w > DOMAIN_LO:
         # phi(5/3) = 5 (w - 5/3)^2 q(5/3)^2 > 0 by the edge lemma: no usable region
-        return _certify(_Cell("left", t, w, _EDGE, True))
+        return _certify(_Cell("left", t, w, *_EDGE_ENDS, True))
     return _certify(_left_cell(t, width))
 
 
@@ -422,17 +476,23 @@ def _right_cell(t: Fraction, width: Fraction) -> _Cell:
     its signs at the domain's ends are strictly opposite, and none
     otherwise, which gives the degenerate cell [9/5, 9/5].  θ2(t)(5/3) =
     (2/3)(9t/5 + 36/5)^2 > 0 and θ2(t)(9/5) = 40t(2t - 1)(9/5)(7/5)(2/5) is
-    negative but at t = 1/2, where it is 0.  No Sturm chain is built and no
-    root counted.  Raises exactly where :func:`right_threshold` raises.
+    negative but at t = 1/2, where it is 0.  Those signs are read once, as
+    the ends of θ2(t)'s :func:`exact_poly._grid_search` on the domain, and
+    the root's cell is that grid's, or the Sturm-counted bisection's when
+    the search fails.  No Sturm chain is built on the grid path and no root
+    counted.  Raises exactly where :func:`right_threshold` raises.
     """
     polys = _at_t("right", t)
     p, = polys
-    if sign_at(p, DOMAIN_LO) * sign_at(p, DOMAIN_HI) >= 0:
-        return _Cell("right", t, DOMAIN_HI, IntervalQ(DOMAIN_HI, DOMAIN_HI), True, polys)
+    search = _grid_search(p, _LO, _HI, (width.numerator, width.denominator))
+    if not search.f_lo or not search.f_hi or (search.f_lo > 0) == (search.f_hi > 0):
+        return _Cell("right", t, DOMAIN_HI, *_TOP_ENDS, True, polys)
     # the ends are no roots and of opposite sign: the one root is of odd
     # multiplicity, and bisection keeps the half that holds it
-    cell = _smallest_root_cell(p, DOMAIN_LO, DOMAIN_HI, width, one_root=True)
-    return _Cell("right", t, DOMAIN_HI, IntervalQ(*cell), False, polys)
+    j = search.cell(0, search.f_lo, search.cells, search.f_hi)
+    ends = (_cell_ends(*_smallest_root_cell(p, DOMAIN_LO, DOMAIN_HI, width)) if j is None
+            else search.ends(j))
+    return _Cell("right", t, DOMAIN_HI, *ends, False, polys)
 
 
 def _counted_domain(p: Polynomial) -> IntervalQ:
@@ -460,16 +520,18 @@ def right_threshold(t, width=F(1, 10**6)) -> ThresholdEnclosure:
     return _certify(_right_cell(t, _isolation_width(width)))
 
 
-def _claims(th: ThresholdEnclosure | _Cell,
-            polys: Sequence[Polynomial] = ()) -> list[tuple[str, Polynomial, str, IntervalQ]]:
+def _claims(th: ThresholdEnclosure | _Cell, polys: Sequence[Polynomial] = (),
+            enclosure: IntervalQ | None = None) -> list[tuple[str, Polynomial, str, IntervalQ]]:
     """``(label, polynomial, claim, interval)`` of each certificate that
     proves ``th``, the main one first: the one place that says which claims
     prove which enclosure, for :func:`_certify`, :func:`enclosure_holds` and
     :func:`certificate_labels`.
 
     The rows follow from th's side, t, w, enclosure and degeneracy alone;
-    ``polys``, the forms at t that a live probe has specialized
-    (:func:`_at_t`), only spare specializing them again.
+    ``polys``, the rows' polynomials where the caller has them (the forms
+    at t a live probe specialized, :func:`_at_t`, or a certificate's own),
+    only spare specializing them again, and ``enclosure``, th's where the
+    caller has built it, building it again.
 
     - right, live: θ2(t) ``sign-constant-negative`` on [enclosure.hi, 9/5];
     - right, degenerate: θ2(t) ``no-root`` on :func:`_counted_domain`;
@@ -479,31 +541,44 @@ def _claims(th: ThresholdEnclosure | _Cell,
       ``sign-constant-negative`` on [5/3, enclosure.lo].
     """
     if th.side == "left" and th.degenerate:
-        return [("edge-weight-positive-at-5/3", edge_weight(th.t, th.w), CLAIM_POSITIVE, _EDGE)]
+        edge = polys[0] if polys else edge_weight(th.t, th.w)
+        return [("edge-weight-positive-at-5/3", edge, CLAIM_POSITIVE, _EDGE)]
     polys = polys or _at_t(th.side, th.t)
     if th.side == "right" and th.degenerate:
         return [("theta2-no-root-in-domain", polys[0], CLAIM_NO_ROOT, _counted_domain(polys[0]))]
+    enclosure = enclosure or th.enclosure
     if th.side == "right":
         return [("theta2-negative-above-enclosure", polys[0], CLAIM_NEGATIVE,
-                 IntervalQ(th.enclosure.hi, DOMAIN_HI))]
-    below = IntervalQ(DOMAIN_LO, th.enclosure.lo)
+                 IntervalQ(enclosure.hi, DOMAIN_HI))]
+    below = IntervalQ(DOMAIN_LO, enclosure.lo)
     return [(f"{label}-quotient-negative", g, CLAIM_NEGATIVE, below)
             for (label, _, _), g in zip(pb.left_branch_forms(), polys)]
 
 
-def _values(th: ThresholdEnclosure | _Cell,
-            polys: Sequence[Polynomial]) -> tuple[Fraction | None, Fraction | None]:
-    """The values an enclosure stores at its ends, from its claims'
-    polynomials: θ2(t)'s on the right, none for the degenerate one; phi's on
-    the left, phi(5/3) = 5 (w - 5/3)^2 q(5/3)^2 at both ends of the
-    degenerate one, else (x - 5/3) times the larger quotient."""
-    lo, hi = th.enclosure.lo, th.enclosure.hi
+def _values(th: ThresholdEnclosure | _Cell, polys: Sequence[Polynomial],
+            enclosure: IntervalQ) -> tuple[Fraction | None, Fraction | None]:
+    """The values an enclosure stores at the ends of ``enclosure``, th's,
+    from its claims' polynomials, one Fraction per end: θ2(t)'s on the
+    right, none for the degenerate one; phi's on the left, phi(5/3) =
+    5 (w - 5/3)^2 q(5/3)^2 at both ends of the degenerate one, else
+    (x - 5/3) times the larger quotient, from the quotients' integer
+    Horner values, the larger picked by one cross-multiplication."""
+    ends = (enclosure.lo, enclosure.hi)
     if th.side == "right":
-        return (None, None) if th.degenerate else (polys[0](lo), polys[0](hi))
+        return (None, None) if th.degenerate else tuple(polys[0](x) for x in ends)
     if th.degenerate:
         phi = pb.left_certificate_value(DOMAIN_LO, th.w, th.t)
         return phi, phi
-    return tuple(max((x - DOMAIN_LO) * g(x) for g in polys) for x in (lo, hi))
+    values = []
+    for x in ends:
+        a, b = x.numerator, x.denominator
+        # g(a/b) = _homogeneous(ints, a, b) / (den * b^n) for each quotient g
+        (n1, d1), (n2, d2) = ((_homogeneous(ints, a, b), den * b ** (len(ints) - 1))
+                              for ints, den in (g.integer_form() for g in polys))
+        n, d = (n1, d1) if n1 * d2 >= n2 * d1 else (n2, d2)
+        # x - 5/3 = (3a - 5b) / 3b
+        values.append(F((3 * a - 5 * b) * n, 3 * b * d))
+    return tuple(values)
 
 
 def _certify(cell: _Cell) -> ThresholdEnclosure:
@@ -512,8 +587,10 @@ def _certify(cell: _Cell) -> ThresholdEnclosure:
     is proved by :func:`exact_poly.certify_sign_on_interval`, which raises
     :class:`SignClaimError` where it fails; a ``no-root`` count by
     :func:`exact_poly.count_roots`, which must find no root, else
-    :class:`ExactPolyError`."""
-    claims = _claims(cell, cell.polys)
+    :class:`ExactPolyError`.  The cell's :class:`IntervalQ` is built here,
+    once."""
+    enclosure = cell.enclosure
+    claims = _claims(cell, cell.polys, enclosure)
     certificates = []
     for label, p, claim, interval in claims:
         if claim == CLAIM_NO_ROOT:
@@ -525,9 +602,9 @@ def _certify(cell: _Cell) -> ThresholdEnclosure:
             cert = certify_sign_on_interval(
                 p, interval, "positive" if claim == CLAIM_POSITIVE else "negative")
         certificates.append(cert)
-    phi_lo, phi_hi = _values(cell, [p for _, p, _, _ in claims])
+    phi_lo, phi_hi = _values(cell, [p for _, p, _, _ in claims], enclosure)
     return ThresholdEnclosure(
-        side=cell.side, t=cell.t, w=cell.w, enclosure=cell.enclosure,
+        side=cell.side, t=cell.t, w=cell.w, enclosure=enclosure,
         certificate=certificates[0], degenerate=cell.degenerate,
         support=tuple(certificates[1:]), phi_lo=phi_lo, phi_hi=phi_hi,
     )
@@ -565,7 +642,7 @@ def enclosure_holds(th: ThresholdEnclosure) -> bool:
     if not shape:
         return False
     claims = _claims(th)
-    phi_lo, phi_hi = values = _values(th, [p for _, p, _, _ in claims])
+    phi_lo, phi_hi = values = _values(th, [p for _, p, _, _ in claims], th.enclosure)
     if th.degenerate:
         signs = right or phi_lo > 0
     else:
@@ -578,8 +655,11 @@ def enclosure_holds(th: ThresholdEnclosure) -> bool:
 def certificate_labels(th: ThresholdEnclosure) -> list[str]:
     """The label of each certificate of ``th``, the main one first: the
     labels of its :func:`_claims` rows, each naming its polynomial and
-    claim, so that no two are equal."""
-    return [label for label, _, _, _ in _claims(th)]
+    claim, so that no two are equal.  The rows are read on the
+    certificates' own polynomials, so no form is specialized; whether those
+    are the table's is :func:`enclosure_holds`' check."""
+    polys = tuple(c.polynomial for c in (th.certificate, *th.support))
+    return [label for label, _, _, _ in _claims(th, polys)]
 
 
 @dataclass(frozen=True)
@@ -588,7 +668,10 @@ class Optimum:
 
     :meth:`to_json` leaves out ``certificate``, which is
     ``best.certificate``, and ``table``, whose rows a report writes once,
-    as the text of its sweep scan.
+    as the text of its sweep scan.  A row is ``(t, w, lo_num, hi_num, den,
+    degenerate)`` for the live probe at (t, w) with enclosure
+    [lo_num / den, hi_num / den], its ends on one denominator and not
+    reduced.
     """
 
     side: str
@@ -597,7 +680,7 @@ class Optimum:
     threshold: IntervalQ
     certificate: SignCertificate
     best: ThresholdEnclosure
-    table: tuple[tuple[Fraction, Fraction, Fraction, Fraction, bool], ...]
+    table: tuple[tuple[Fraction, Fraction, int, int, int, bool], ...]
     degenerate_count: int
 
     def to_json(self) -> dict:
@@ -614,15 +697,31 @@ class Optimum:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def _strength_key(side: str, th: ThresholdEnclosure | _Cell) -> tuple:
-    """Sort key: stronger thresholds first, then smallest t, then smallest w.
+def _outranks(side: str, a: _Cell, b: _Cell) -> bool:
+    """Whether cell ``a`` ranks strictly before cell ``b``: the stronger
+    threshold first, then the smaller t, then the smaller w.
 
     The usable constant of a left enclosure is its lower end (larger is
-    stronger); of a right enclosure its upper end (smaller is stronger).
+    stronger, then the larger upper end); of a right enclosure its upper
+    end (smaller is stronger, then the smaller lower end).  Each criterion
+    is one integer cross-multiplication, a pair (x, y) that puts a first
+    exactly when x < y, so cells on different denominators, such as a
+    fallback's or a degenerate one's, rank exactly; the next criterion is
+    read only on a tie.
     """
     if side == "left":
-        return (-th.enclosure.lo, -th.enclosure.hi, th.t, th.w)
-    return (th.enclosure.hi, th.enclosure.lo, th.t, th.w)
+        x, y = b.lo_num * a.den, a.lo_num * b.den
+        if x == y:
+            x, y = b.hi_num * a.den, a.hi_num * b.den
+    else:
+        x, y = a.hi_num * b.den, b.hi_num * a.den
+        if x == y:
+            x, y = a.lo_num * b.den, b.lo_num * a.den
+    if x == y:
+        x, y = a.t.numerator * b.t.denominator, b.t.numerator * a.t.denominator
+        if x == y:
+            x, y = a.w.numerator * b.w.denominator, b.w.numerator * a.w.denominator
+    return x < y
 
 
 def _trisect_candidates(values: Sequence[Fraction], incumbent: Fraction) -> list[Fraction]:
@@ -663,7 +762,9 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
     with w > 5/3 are dead (see :func:`edge_lemma`): they are counted, and
     ranked by their known enclosure [5/3, 5/3].  After the refinement the
     winner alone is certified, from its own probe's cell, by the certificate
-    step :func:`_certify`.
+    step :func:`_certify`.  Cells stay integer ``(lo_num, hi_num, den)``
+    triples while probing, ranked by :func:`_outranks`, and the table's
+    rows hold them so.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -676,20 +777,19 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
     # lookup while probing and no Fraction is hashed
     live: list[_Cell] = []
     dead = 0
-    # the incumbent's key and cell
-    best_key = best = None
+    # the incumbent's cell
+    best = None
 
     def consider(cell: _Cell) -> None:
-        nonlocal best_key, best
-        key = _strength_key(side, cell)
-        if best_key is None or key < best_key:
-            best_key, best = key, cell
+        nonlocal best
+        if best is None or _outranks(side, cell, best):
+            best = cell
 
     def probe(t: Fraction, w: Fraction) -> None:
         nonlocal dead
         if side == "left" and w > DOMAIN_LO:
             dead += 1
-            consider(_Cell(side, t, w, _EDGE, True))
+            consider(_Cell(side, t, w, *_EDGE_ENDS, True))
         else:
             live.append(cell_at(t, width))
             consider(live[-1])
@@ -730,7 +830,7 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
     # the table in (t, w) order, without comparing Fractions: every live cell
     # has the side's one live w, and t_seen holds each live t once, in order
     by_t = {(cell.t.numerator, cell.t.denominator): cell for cell in live}
-    rows = [(c.t, c.w, c.enclosure.lo, c.enclosure.hi, c.degenerate) for c in
+    rows = [(c.t, c.w, c.lo_num, c.hi_num, c.den, c.degenerate) for c in
             (by_t.get((t.numerator, t.denominator)) for t in t_seen) if c is not None]
     return Optimum(
         side=side,

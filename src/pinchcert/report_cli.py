@@ -29,6 +29,7 @@ from .exact_poly import (
     IntervalQ,
     Polynomial,
     SignCertificate,
+    _ratio_str,
     certify_sign_on_interval,
     count_roots,
     isolate_counted_root,
@@ -390,9 +391,9 @@ def cmd_optimize(side: str, config: ps.SweepConfig) -> CertificationReport:
         {
             "label": f"sweep table ({side})",
             "table": "\n".join(
-                f"t={rat_str(t)} w={rat_str(w)} lo={rat_str(lo)} hi={rat_str(hi)}"
-                + (" degenerate" if deg else "")
-                for (t, w, lo, hi, deg) in optimum.table
+                f"t={rat_str(t)} w={rat_str(w)} lo={_ratio_str(lo, den)} "
+                f"hi={_ratio_str(hi, den)}" + (" degenerate" if deg else "")
+                for (t, w, lo, hi, den, deg) in optimum.table
             ),
         }
     )

@@ -3,7 +3,10 @@
 ``optimize`` and ``_evaluate`` below are verbatim copies of the sweep that
 called ``left_threshold`` for every left probe, kept as a test oracle: the
 sweep that skips the provably degenerate w > 5/3 probes must return the
-same :class:`Optimum`.  Do not edit them to track the library.
+same :class:`Optimum`.  ``_strength_key`` is a verbatim copy of the
+Fraction sort key the library ranked by before it ranked cells by integer
+cross-multiplication.  Its table rows hold the enclosure's ends as
+Fractions.  Do not edit them to track the library.
 """
 
 from fractions import Fraction
@@ -14,13 +17,23 @@ from pinchcert.param_search import (
     Optimum,
     SweepConfig,
     ThresholdEnclosure,
-    _strength_key,
     _trisect_candidates,
     left_threshold,
     right_threshold,
 )
 
 F = Fraction
+
+
+def _strength_key(side: str, th) -> tuple:
+    """Sort key: stronger thresholds first, then smallest t, then smallest w.
+
+    The usable constant of a left enclosure is its lower end (larger is
+    stronger); of a right enclosure its upper end (smaller is stronger).
+    """
+    if side == "left":
+        return (-th.enclosure.lo, -th.enclosure.hi, th.t, th.w)
+    return (th.enclosure.hi, th.enclosure.lo, th.t, th.w)
 
 
 def _evaluate(side: str, t: Fraction, w: Fraction, width: Fraction,

@@ -291,6 +291,10 @@ def test_integer_grid_equals_the_fraction_setup(a, span, width):
     b = a + span
     grid = grid_of(a, b, width)
     assert grid == fraction_grid(a, b, width)
+    # the width's pair need not be reduced: a left probe passes width / 2 as
+    # (numerator, 2 * denominator)
+    assert ep._grid(a.numerator, a.denominator, b.numerator, b.denominator,
+                    6 * width.numerator, 6 * width.denominator) == grid
     base, step, den, depth = grid
     assert F(base, den) == a and F(base + (step << depth), den) == b
     assert (depth == 0) == (width >= span)
@@ -326,8 +330,7 @@ def test_a_wrong_estimate_is_refused_and_bisection_takes_over(monkeypatch, p, gu
     assert not counts_one_root(p, a, b)
     j = grid_index(a, b, width, guess)
     proposed = []
-    monkeypatch.setattr(ep, "_propose_cell",
-                        lambda scaled, base, step, depth: proposed.append(j) or j)
+    monkeypatch.setattr(ep, "_propose_cell", lambda *args: proposed.append(j) or j)
     assert ps._isolate_smallest_root(p, a, b, width) == ref.isolate_smallest_root(p, a, b, width)
     assert proposed == []
 
@@ -348,7 +351,7 @@ def test_a_wrong_proposal_on_the_single_root_path_is_refused(monkeypatch, index)
     a, b, width = F(1), F(2), F(1, 10**6)
     assert counts_one_root(ONE_ROOT, a, b)
     j = index(1 << grid_of(a, b, width)[3])
-    monkeypatch.setattr(ep, "_propose_cell", lambda scaled, base, step, depth: j)
+    monkeypatch.setattr(ep, "_propose_cell", lambda *args: j)
     assert _jump_cell(ONE_ROOT, a, b, width) is None
     expected = ref.isolate_smallest_root(ONE_ROOT, a, b, width)
     assert ps._isolate_smallest_root(ONE_ROOT, a, b, width) == expected
@@ -364,22 +367,30 @@ def test_coefficients_beyond_float_range_now_jump():
 
 
 def test_every_default_grid_probe_takes_the_jump(monkeypatch):
-    """No isolation of a default sweep probe falls back to count bisection."""
-    cells = []
-    real = ep._jump_cell
+    """No isolation of a default sweep probe falls back to count bisection:
+    every grid search finds its cell.  A right probe searches the whole
+    grid once; a left probe searches the sup-at-x quotient's whole grid,
+    then the sup-at-5/3 quotient's grid below that cell only where it is
+    positive at the cell's lower end: 30 of the 100 default t."""
+    searches = []
+    real = ep._GridSearch.cell
 
-    def recording(p, a, b, width):
-        cells.append(real(p, a, b, width))
-        return cells[-1]
+    def recording(search, j_lo, f_lo, j_hi, f_hi):
+        searches.append(("whole" if (j_lo, j_hi) == (0, search.cells) else "below",
+                         real(search, j_lo, f_lo, j_hi, f_hi)))
+        return searches[-1][1]
 
-    monkeypatch.setattr(ep, "_jump_cell", recording)
+    monkeypatch.setattr(ep._GridSearch, "cell", recording)
+    monkeypatch.setattr(ps, "_smallest_root_cell", None)  # the fallback is never called
     t_grid = ps.default_config("right").t_grid
     right = [ps.right_threshold(t) for t in t_grid]
-    assert len(cells) == sum(not th.degenerate for th in right) == 99  # t = 1/2 has no root
+    assert len(searches) == sum(not th.degenerate for th in right) == 99  # t = 1/2 has no root
+    assert [kind for kind, _ in searches] == ["whole"] * 99
     for t in t_grid:
         ps.left_threshold(t, LO)
-    assert len(cells) == 99 + 2 * len(t_grid)
-    assert None not in cells
+    left = [kind for kind, _ in searches[99:]]
+    assert (left.count("whole"), left.count("below")) == (len(t_grid), 30)
+    assert None not in [cell for _, cell in searches]
 
 
 def test_the_exact_layer_imports_no_numpy():
@@ -402,14 +413,18 @@ def test_the_exact_layer_imports_no_numpy():
 
 def test_default_grid_isolations_take_few_grid_evaluations(monkeypatch):
     """Illinois regula falsi finds each default probe's final cell in a few
-    exact signs.  The bounds are the counts measured when it replaced the
-    dyadic scan and sign bisection, which took 31 per right isolation and
-    up to 22 per left branch; every default isolation has one root counted.
+    exact signs (the dyadic scan and sign bisection it replaced took 31 per
+    right isolation and up to 22 per left branch).  The counts are the
+    search's own values: the grid's two ends are read once, by the grid
+    search, for the caller's facts and the search alike (on the right at
+    most 7 and 625 in all before, ends included), and the sup-at-5/3
+    quotient is searched only below the sup-at-x quotient's cell, where its
+    root lies (200 left searches, at most 29 and 3361 in all, before).
     """
     real_propose, real_horner = ep._propose_cell, ep._horner
     evaluations = []
 
-    def counting(scaled, base, step, depth):
+    def counting(*args):
         calls = []
 
         def horner(cs, x):
@@ -418,7 +433,7 @@ def test_default_grid_isolations_take_few_grid_evaluations(monkeypatch):
 
         monkeypatch.setattr(ep, "_horner", horner)
         try:
-            return real_propose(scaled, base, step, depth)
+            return real_propose(*args)
         finally:
             monkeypatch.setattr(ep, "_horner", real_horner)
             evaluations.append(len(calls))
@@ -430,7 +445,7 @@ def test_default_grid_isolations_take_few_grid_evaluations(monkeypatch):
     for t in ps.default_config("left").t_grid:
         ps.left_threshold(t, LO)
     left = evaluations
-    # each search reads at least its grid's two ends
-    assert min(right) >= 2 and min(left) >= 2
-    assert len(right) == 99 and max(right) <= 7 and sum(right) <= 625
-    assert len(left) == 200 and max(left) <= 29 and sum(left) <= 3361
+    # each search took one value at least
+    assert min(right) >= 1 and min(left) >= 1
+    assert len(right) == 99 and max(right) <= 5 and sum(right) <= 625 - 2 * 99
+    assert len(left) == 130 and max(left) <= 10 and sum(left) <= 836

@@ -1,10 +1,14 @@
 """Tests for exact rational polynomial algebra and sign certificates."""
 
 from fractions import Fraction
+import json
 import random
+import sys
 
 import pytest
 
+from pinchcert import exact_poly as ep
+from pinchcert import pinching_bounds as pb
 from pinchcert.exact_poly import (
     CLAIM_NO_ROOT,
     CLAIM_ONE_ROOT,
@@ -382,6 +386,63 @@ def test_isolate_root_even_multiplicity_rejected():
     p = poly(1, -2, 1)  # (x-1)^2: one distinct root, no sign change
     with pytest.raises(ExactPolyError):
         isolate_root(p, IntervalQ(F(0), F(2)), F(1, 100))
+
+
+def _widest_refused_power(p, iv) -> int:
+    """The smallest k with width 1/2^k refused on iv: halving the width
+    adds one grid level, so 1/2^(k-1) is the narrowest accepted power."""
+    lo, hi = 1, 1
+    while _accepts(p, iv, F(1, 2**hi)):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _accepts(p, iv, F(1, 2**mid)) else (lo, mid)
+    return hi
+
+
+def _accepts(p, iv, width) -> bool:
+    try:
+        ep._refuse_unwritable_width(p, iv.lo, iv.hi, width)
+    except ValueError:
+        return False
+    return True
+
+
+def test_isolate_root_refuses_a_width_its_certificate_could_not_write(monkeypatch):
+    # at 10^-1500 the whole isolation ran and only writing the certificate's
+    # values then passed Python's int-to-string limit, in a message that
+    # named no width; now the width is refused before any search, by a
+    # bound from the grid
+    theta2 = pb.theta2(F(1, 4))
+    proposed = []
+    real = ep._propose_cell
+    monkeypatch.setattr(ep, "_propose_cell", lambda *args: proposed.append(args) or real(*args))
+    with pytest.raises(ValueError, match=r"isolation width of about 10\^-1500 is too narrow"):
+        isolate_root(theta2, pb.PINCH_DOMAIN, F(1, 10**1500))
+    k = _widest_refused_power(theta2, pb.PINCH_DOMAIN)
+    assert 4000 < k < 5000  # about 4300 digits over the cubic's three powers of D
+    with pytest.raises(ValueError, match="isolation width of about 10\\^-1411 is too narrow"):
+        isolate_root(theta2, pb.PINCH_DOMAIN, F(1, 2**k))
+    assert proposed == []
+    # just inside the bound the isolation runs and its certificate writes
+    enclosure, cert = isolate_root(theta2, pb.PINCH_DOMAIN, F(1, 2**(k - 1)))
+    assert proposed and enclosure.width <= F(1, 2**(k - 1))
+    assert json.loads(cert.to_json_str()) == cert.to_json() and cert.replay()
+    # certify's width, and a short width named in full
+    enclosure, cert = isolate_root(theta2, pb.PINCH_DOMAIN, F(1, 10**6))
+    assert enclosure.width <= F(1, 10**6) and cert.replay()
+    with pytest.raises(ValueError, match=r"isolation width 1/1267650600228229401496703205376 "):
+        ep._refuse_unwritable_width(Polynomial((0,) * 100 + (1,)), F(0), F(1), F(1, 2**100))
+
+
+def test_the_width_bound_follows_the_int_to_string_limit(monkeypatch):
+    theta2 = pb.theta2(F(1, 4))
+    k = _widest_refused_power(theta2, pb.PINCH_DOMAIN)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640)
+    small = _widest_refused_power(theta2, pb.PINCH_DOMAIN)
+    assert small < k // 5
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
+    assert _accepts(theta2, pb.PINCH_DOMAIN, F(1, 10**5000))
 
 
 # ---------------------------------------------------------------------------

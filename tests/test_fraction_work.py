@@ -43,8 +43,12 @@ from pinchcert.exact_poly import IntervalQ, SignCertificate
 #: and 267 before).  They fell by 5 on 3.10.13 and 3.11.7 and by 7 on
 #: 3.12.1 and 3.13.0 once probes read θ2(t)'s signs at the domain's exact
 #: ends: the t = 1/2 probe, where θ2(t) vanishes at 9/5, no longer nudges
-#: that end off the root in Fraction steps (258, 258, 272 and 272 before)
-RIGHT_SWEEP_FRACTIONS = {(3, 10): 253, (3, 11): 253, (3, 12): 265, (3, 13): 265}
+#: that end off the root in Fraction steps (258, 258, 272 and 272 before).
+#: Measured again on the same four versions once a probe's cell stayed on
+#: its grid's integers, ranked by cross-multiplication, and only the
+#: winner's became an interval, its values one Fraction per end (253, 253,
+#: 265 and 265 before)
+RIGHT_SWEEP_FRACTIONS = {(3, 10): 41, (3, 11): 41, (3, 12): 53, (3, 13): 53}
 
 #: Fractions built by one warm default left sweep (``optimize``), measured on
 #: CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 once a live probe read phi's end
@@ -58,8 +62,12 @@ RIGHT_SWEEP_FRACTIONS = {(3, 10): 253, (3, 11): 253, (3, 12): 265, (3, 13): 265}
 #: exactly-one-root certificate it replaces built no Fraction.  Unchanged on
 #: all four once both quotients' certificates came to sit on [5/3,
 #: enclosure.lo]: the support's interval holds the same number of Fractions
-#: wherever it ends
-LEFT_SWEEP_FRACTIONS = {(3, 10): 940, (3, 11): 940, (3, 12): 1174, (3, 13): 1174}
+#: wherever it ends.  Measured again on the same four versions once a
+#: probe's cell stayed on its grid's integers, ranked by cross-multiplication,
+#: its grid read at width / 2 as an integer pair, and only the winner's
+#: became an interval, phi's values one Fraction per end (940, 940, 1174 and
+#: 1174 before)
+LEFT_SWEEP_FRACTIONS = {(3, 10): 58, (3, 11): 58, (3, 12): 76, (3, 13): 76}
 
 #: Fractions built by a warm ``from_json(...).replay()`` of certify's seven
 #: certificates: per certificate the interval's two ends, read by

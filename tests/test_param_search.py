@@ -395,7 +395,7 @@ def test_replay_rejects_a_parameter_or_side_outside_its_range(side, t):
     # a degenerate enclosure built whole at t = 0, its certificate the
     # table's row there: only the parameter range refuses it
     cell = (ps._right_cell(F(0), WIDTH) if side == "right"
-            else ps._Cell("left", F(0), F(7, 4), ps._EDGE, True))
+            else ps._Cell("left", F(0), F(7, 4), *ps._EDGE_ENDS, True))
     at_zero = ps._certify(cell)
     assert at_zero.degenerate and at_zero.certificate.replay()
     assert ps.enclosure_holds(at_zero) is False
@@ -418,8 +418,10 @@ def test_right_threshold_checks_its_parameter_first(t):
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_threshold_calls_refuse_a_width_below_the_bound(monkeypatch, side):
     # as sweeps do: far below the bound the whole isolation ran, and only
-    # writing phi's values then passed Python's int-to-string limit
+    # writing phi's values then passed Python's int-to-string limit; no
+    # grid search starts and no bisection runs
     cells = []
+    monkeypatch.setattr(ps, "_grid_search", lambda *args: cells.append(args))
     monkeypatch.setattr(ps, "_smallest_root_cell", lambda *args, **kwargs: cells.append(args))
     with pytest.raises(ValueError, match="at least MIN_ISOLATION_WIDTH"):
         if side == "left":
@@ -561,12 +563,15 @@ def test_optimize_rejects_bad_side():
 
 
 def test_optimum_table_rows_are_sorted_and_exact():
+    # a row's ends are integers on one denominator: read on it, they are
+    # the enclosure's ends exactly
     opt = ps.optimize("right", small_right_config())
     ts = [row[0] for row in opt.table]
     assert ts == sorted(ts)
-    for t, w, lo, hi, deg in opt.table:
+    for t, w, lo, hi, den, deg in opt.table:
         th = ps.right_threshold(t, F(1, 10**6))
-        assert (th.enclosure.lo, th.enclosure.hi) == (lo, hi)
+        assert all(type(v) is int for v in (lo, hi, den)) and den > 0
+        assert (th.enclosure.lo, th.enclosure.hi, th.degenerate) == (F(lo, den), F(hi, den), deg)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
