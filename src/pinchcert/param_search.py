@@ -21,12 +21,14 @@ vanishes and phi(5/3) = 5 (w - 5/3)^2 q(5/3)^2, where the weight
 
 is bilinear in (t, w).  It is positive at the four corners of
 [0, 1/2] x [5/3, 9/5], hence on the whole rectangle, so every probe with
-w > 5/3 is degenerate with enclosure [5/3, 5/3].  :func:`optimize` checks
-the corners once per process, before its first left sweep, and then counts
-such probes: they rank and count as the degenerate probes they are, but no
-polynomial, Sturm chain, certificate or per-pair key is built for them, and
-only the smallest of the grid's dead pairs competes for the incumbent.  Only
-w = 5/3 specializes the quotients.
+w > 5/3 is degenerate with enclosure [5/3, 5/3], which every live
+enclosure outranks.  :func:`optimize` checks the corners once per process,
+before its first left sweep, and then walks t alone: it probes only w =
+5/3, when the grid holds it, and counts every other (t, w) pair, the
+grid's and the refinement's, by arithmetic, with no probe, cell, ranking or
+list of w values.  Only when no w is live does a dead pair win, the one at
+the smallest t and w, and only its certificate is built.  Only w = 5/3
+specializes the quotients.
 
 Sweep probes rest on a monotonicity lemma as well.  θ2 and the quotients
 g = p / (x - 5/3) of both left branches are forms in t.  For t in
@@ -77,7 +79,6 @@ degenerate right enclosure counts roots.  :func:`_certify` proves each row,
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, insort
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -122,6 +123,10 @@ DOMAIN_HI = pb.PINCH_DOMAIN.hi
 #: milliseconds while an unbounded count never ends
 MAX_REFINEMENT_ROUNDS = 64
 
+#: the isolation width of sweeps, threshold calls and certify's isolations
+#: where none is given
+DEFAULT_ISOLATION_WIDTH = F(1, 10**6)
+
 #: the narrowest isolation width a sweep or threshold call takes, checked
 #: before any probe runs.  A report writes phi at the winner's ends, five
 #: digits per digit of the width on the left (three on the right) plus t's,
@@ -150,7 +155,7 @@ class SweepConfig:
     t_grid: tuple[Fraction, ...]
     w_grid: tuple[Fraction, ...]
     refinement_rounds: int = 0
-    isolation_width: Fraction = F(1, 10**6)
+    isolation_width: Fraction = DEFAULT_ISOLATION_WIDTH
 
     def __post_init__(self):
         t_grid = tuple(rat(t) for t in self.t_grid)
@@ -200,7 +205,7 @@ class SweepConfig:
             t_grid=tuple(rat(t) for t in data["t_grid"]),
             w_grid=tuple(rat(w) for w in data["w_grid"]),
             refinement_rounds=data.get("refinement_rounds", 0),
-            isolation_width=rat(data.get("isolation_width", F(1, 10**6))),
+            isolation_width=rat(data.get("isolation_width", DEFAULT_ISOLATION_WIDTH)),
         )
 
 
@@ -440,7 +445,7 @@ def _left_cell(t: Fraction, width: Fraction) -> _Cell:
     return _Cell("left", t, DOMAIN_LO, lo, hi, den, False, quotients)
 
 
-def left_threshold(t, w, width=F(1, 10**6)) -> ThresholdEnclosure:
+def left_threshold(t, w, width=DEFAULT_ISOLATION_WIDTH) -> ThresholdEnclosure:
     """Certified enclosure of the lower-endpoint threshold at parameters (t, w).
 
     The threshold is the largest x such that the certificate stays negative
@@ -501,7 +506,7 @@ def _counted_domain(p: Polynomial) -> IntervalQ:
     return IntervalQ(*nudged_ends(p, pb.PINCH_DOMAIN))
 
 
-def right_threshold(t, width=F(1, 10**6)) -> ThresholdEnclosure:
+def right_threshold(t, width=DEFAULT_ISOLATION_WIDTH) -> ThresholdEnclosure:
     """Certified enclosure of the upper-endpoint threshold at parameter t.
 
     Encloses the unique root of the upper-endpoint cubic in [5/3, 9/5];
@@ -698,8 +703,8 @@ class Optimum:
 
 
 def _outranks(side: str, a: _Cell, b: _Cell) -> bool:
-    """Whether cell ``a`` ranks strictly before cell ``b``: the stronger
-    threshold first, then the smaller t, then the smaller w.
+    """Whether cell ``a`` ranks strictly before cell ``b``, both at the
+    side's one live w: the stronger threshold first, then the smaller t.
 
     The usable constant of a left enclosure is its lower end (larger is
     stronger, then the larger upper end); of a right enclosure its upper
@@ -719,23 +724,7 @@ def _outranks(side: str, a: _Cell, b: _Cell) -> bool:
             x, y = a.lo_num * b.den, b.lo_num * a.den
     if x == y:
         x, y = a.t.numerator * b.t.denominator, b.t.numerator * a.t.denominator
-        if x == y:
-            x, y = a.w.numerator * b.w.denominator, b.w.numerator * a.w.denominator
     return x < y
-
-
-def _trisect_candidates(values: Sequence[Fraction], incumbent: Fraction) -> list[Fraction]:
-    """Trisection probes of the gaps next to the incumbent among ``values``,
-    which are sorted and distinct and hold the incumbent."""
-    i = bisect_left(values, incumbent)
-    out = []
-    if i > 0:
-        gap = incumbent - values[i - 1]
-        out.extend([incumbent - gap / 3, incumbent - 2 * gap / 3])
-    if i + 1 < len(values):
-        gap = values[i + 1] - incumbent
-        out.extend([incumbent + gap / 3, incumbent + 2 * gap / 3])
-    return out
 
 
 def _distinct(grid: Sequence[Fraction]) -> list[Fraction]:
@@ -751,20 +740,25 @@ def _distinct(grid: Sequence[Fraction]) -> list[Fraction]:
 
 
 def optimize(side: str, config: SweepConfig) -> Optimum:
-    """Grid sweep plus exact trisection refinement around the incumbent.
+    """Grid sweep over t plus exact trisection refinement around the incumbent.
 
     Deterministic: probes are exact rationals, results are compared exactly,
-    and ties break toward smaller t then smaller w.  The incumbent is kept
-    as probes arrive.  The monotonicity lemma (:func:`monotone_lemma`) is
-    proved first.  Live probes are ranked on their bare cells
-    (:func:`_left_cell`, :func:`_right_cell`), which check every fact the
-    lemma leaves but build no certificate.  On the left, probes
-    with w > 5/3 are dead (see :func:`edge_lemma`): they are counted, and
-    ranked by their known enclosure [5/3, 5/3].  After the refinement the
-    winner alone is certified, from its own probe's cell, by the certificate
-    step :func:`_certify`.  Cells stay integer ``(lo_num, hi_num, den)``
-    triples while probing, ranked by :func:`_outranks`, and the table's
-    rows hold them so.
+    and ties break toward smaller t.  The monotonicity lemma
+    (:func:`monotone_lemma`) is proved first, and on the left the edge
+    lemma (:func:`edge_lemma`).  Only the side's one live w is probed:
+    9/5 on the right, 5/3 on the left when the grid holds it.
+    Every other (t, w) pair, the grid's and the refinement's, is dead, with
+    enclosure [5/3, 5/3], which every live cell outranks, so dead pairs are
+    counted, not probed.  With no live w, the dead pair at the smallest t
+    and w wins.  Live probes, one per distinct t, are ranked on their bare
+    cells (:func:`_left_cell`, :func:`_right_cell`), which check every fact
+    the lemma leaves but build no certificate, and kept in one list in t
+    order.  Each refinement round probes the trisection points of the
+    incumbent's neighbouring gaps, nearest first and below before above,
+    and splices their cells in next to it.  The winner alone is certified,
+    from its own probe's cell, by the certificate step :func:`_certify`.
+    Cells stay integer ``(lo_num, hi_num, den)`` triples while probing,
+    ranked by :func:`_outranks`, and the table's rows hold them so.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -772,66 +766,47 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
         edge_lemma()
     monotone_lemma(side)
     width = config.isolation_width
-    cell_at = _left_cell if side == "left" else _right_cell
-    # every probe is of a pair new to the sweep, so live cells need no
-    # lookup while probing and no Fraction is hashed
-    live: list[_Cell] = []
-    dead = 0
-    # the incumbent's cell
-    best = None
-
-    def consider(cell: _Cell) -> None:
-        nonlocal best
-        if best is None or _outranks(side, cell, best):
-            best = cell
-
-    def probe(t: Fraction, w: Fraction) -> None:
-        nonlocal dead
-        if side == "left" and w > DOMAIN_LO:
-            dead += 1
-            consider(_Cell(side, t, w, *_EDGE_ENDS, True))
-        else:
-            live.append(cell_at(t, width))
-            consider(live[-1])
-
-    # the probed t and w values, sorted and distinct: the grids plus every
-    # refinement probe
-    t_seen = _distinct(config.t_grid)
-    w_seen = _distinct(config.w_grid) if side == "left" else [DOMAIN_HI]
-    # only the smallest w can be live: 5/3 on the left, 9/5 on the right
-    live_w = w_seen[:1] if side == "right" or w_seen[0] == DOMAIN_LO else []
-    dead_w = w_seen[len(live_w):]
-    for t in t_seen:
-        for w in live_w:
-            probe(t, w)
-    if dead_w:
-        # the grid's dead pairs, each (t, w) once, share the enclosure
-        # [5/3, 5/3], so the smallest pair stands for all of them
-        probe(t_seen[0], dead_w[0])
-        dead += len(t_seen) * len(dead_w) - 1
-
-    # a trisection point lies strictly inside a gap of the values seen, so
-    # every refinement probe is a pair new to the sweep
-    for _ in range(config.refinement_rounds):
-        t_best, w_best = best.t, best.w
-        for t_new in _trisect_candidates(t_seen, t_best):
-            if 0 < t_new <= F(1, 2):
-                insort(t_seen, t_new)
-                probe(t_new, w_best)
-        if side == "left":
-            t_best, w_best = best.t, best.w
-            for w_new in _trisect_candidates(w_seen, w_best):
-                if DOMAIN_LO <= w_new <= DOMAIN_HI:
-                    insort(w_seen, w_new)
-                    probe(t_best, w_new)
+    ts = _distinct(config.t_grid)
+    n_w = len(_distinct(config.w_grid)) if side == "left" else 1
+    live = side == "right" or config.w_grid[0] == DOMAIN_LO
+    # the grid's dead pairs, then per round the two w trisection points
+    # above the incumbent's w, the smallest; with no live w the incumbent
+    # sits at the smallest t too, and the two t trisection points above it
+    # are dead as well
+    dead = (len(ts) * (n_w - live)
+            + config.refinement_rounds * 2 * ((n_w > 1) + (not live and len(ts) > 1)))
+    cells: list[_Cell] = []
+    if not live:
+        best = _Cell(side, ts[0], config.w_grid[0], *_EDGE_ENDS, True)
+    else:
+        cell_at = _left_cell if side == "left" else _right_cell
+        cells = [cell_at(t, width) for t in ts]
+        i = 0
+        for j in range(1, len(cells)):
+            if _outranks(side, cells[j], cells[i]):
+                i = j
+        # a trisection point lies strictly inside a gap of the t values
+        # probed, so every refinement probe is of a t new to the sweep
+        for _ in range(config.refinement_rounds):
+            t = cells[i].t
+            below, above = [], []
+            if i > 0:
+                gap = t - cells[i - 1].t
+                near = cell_at(t - gap / 3, width)  # each side's nearer point first
+                below = [cell_at(t - 2 * gap / 3, width), near]
+            if i + 1 < len(cells):
+                gap = cells[i + 1].t - t
+                above = [cell_at(t + gap / 3, width), cell_at(t + 2 * gap / 3, width)]
+            cells[i:i + 1] = [*below, cells[i], *above]
+            top = i + len(below)
+            for j in range(i, top + 1 + len(above)):
+                if _outranks(side, cells[j], cells[top]):
+                    top = j
+            i = top
+        best = cells[i]
 
     # only the winner is certified, from the cell its probe found
     threshold = _certify(best)
-    # the table in (t, w) order, without comparing Fractions: every live cell
-    # has the side's one live w, and t_seen holds each live t once, in order
-    by_t = {(cell.t.numerator, cell.t.denominator): cell for cell in live}
-    rows = [(c.t, c.w, c.lo_num, c.hi_num, c.den, c.degenerate) for c in
-            (by_t.get((t.numerator, t.denominator)) for t in t_seen) if c is not None]
     return Optimum(
         side=side,
         best_t=best.t,
@@ -839,6 +814,6 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
         threshold=threshold.enclosure,
         certificate=threshold.certificate,
         best=threshold,
-        table=tuple(rows),
-        degenerate_count=dead + sum(cell.degenerate for cell in live),
+        table=tuple((c.t, c.w, c.lo_num, c.hi_num, c.den, c.degenerate) for c in cells),
+        degenerate_count=dead + sum(c.degenerate for c in cells),
     )

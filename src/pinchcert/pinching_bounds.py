@@ -304,26 +304,15 @@ def phi_branches(w) -> tuple[tuple[str, Form], ...]:
     return ("sup-at-x", common + gap * at_x), ("sup-at-5/3", common + gap * at_53)
 
 
-def left_certificate(x, w, t) -> Fraction:
-    """Generalized lower-endpoint certificate with free parameters (w, t).
+def left_certificate_value(x, w, t) -> Fraction:
+    """The generalized lower-endpoint certificate phi at x with free
+    parameters (w, t), without domain checks; replay needs x = 5/3 < w.
 
     16t(1-t) x(3x-4)(3x-5)(5x-9) + 5(w-x)^2 * M(x,w,t) where M is the exact
-    supremum of q(S)^2 x/S over S in [5/3, x].  A negative value proves x is
-    not attainable as the supremum of S under the pinching hypothesis.
-    """
-    x, w, t = rat(x), rat(w), rat(t)
-    if not 0 < t <= F(1, 2):
-        raise ValueError(f"parameter t must satisfy 0 < t <= 1/2, got {t}")
-    if not F(5, 3) <= w <= x <= F(9, 5):
-        raise ValueError(f"need 5/3 <= w <= x <= 9/5, got w={w}, x={x}")
-    return left_certificate_value(x, w, t)
-
-
-def left_certificate_value(x, w, t) -> Fraction:
-    """:func:`left_certificate` without its domain checks; replay needs x = 5/3 < w.
-
-    The larger of the two branches of :func:`phi_branches` at (t, x), whose
-    forms are built for w on every call.
+    supremum of q(S)^2 x/S over S in [5/3, x]: the larger of the two
+    branches of :func:`phi_branches` at (t, x), whose forms are built for w
+    on every call.  A negative value proves x is not attainable as the
+    supremum of S under the pinching hypothesis.
     """
     x = rat(x)
     return max(form.at(t)(x) for _, form in phi_branches(w))

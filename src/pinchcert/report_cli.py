@@ -262,7 +262,7 @@ def cmd_certify() -> CertificationReport:
         report.add_certificate(f"{name}-root-count", cert_n)
         report.add_check(f"{name}-unique-root", n == 1, count=n, **details)
 
-        enc, cert_e = isolate_counted_root(cert_n, F(1, 10**6))
+        enc, cert_e = isolate_counted_root(cert_n, ps.DEFAULT_ISOLATION_WIDTH)
         report.add_certificate(f"{name}-enclosure", cert_e)
         report.add_enclosure(f"{name}-root", enc)
         a, b = rat(lower), rat(upper)

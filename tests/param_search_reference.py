@@ -5,11 +5,15 @@ called ``left_threshold`` for every left probe, kept as a test oracle: the
 sweep that skips the provably degenerate w > 5/3 probes must return the
 same :class:`Optimum`.  ``_strength_key`` is a verbatim copy of the
 Fraction sort key the library ranked by before it ranked cells by integer
-cross-multiplication.  Its table rows hold the enclosure's ends as
+cross-multiplication, and ``_trisect_candidates`` of the trisection step
+the library took over its Fraction lists of probed values before its
+sweeps walked t alone.  Its table rows hold the enclosure's ends as
 Fractions.  Do not edit them to track the library.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
+from typing import Sequence
 
 from pinchcert.param_search import (
     DOMAIN_HI,
@@ -17,7 +21,6 @@ from pinchcert.param_search import (
     Optimum,
     SweepConfig,
     ThresholdEnclosure,
-    _trisect_candidates,
     left_threshold,
     right_threshold,
 )
@@ -34,6 +37,20 @@ def _strength_key(side: str, th) -> tuple:
     if side == "left":
         return (-th.enclosure.lo, -th.enclosure.hi, th.t, th.w)
     return (th.enclosure.hi, th.enclosure.lo, th.t, th.w)
+
+
+def _trisect_candidates(values: Sequence[Fraction], incumbent: Fraction) -> list[Fraction]:
+    """Trisection probes of the gaps next to the incumbent among ``values``,
+    which are sorted and distinct and hold the incumbent."""
+    i = bisect_left(values, incumbent)
+    out = []
+    if i > 0:
+        gap = incumbent - values[i - 1]
+        out.extend([incumbent - gap / 3, incumbent - 2 * gap / 3])
+    if i + 1 < len(values):
+        gap = values[i + 1] - incumbent
+        out.extend([incumbent + gap / 3, incumbent + 2 * gap / 3])
+    return out
 
 
 def _evaluate(side: str, t: Fraction, w: Fraction, width: Fraction,

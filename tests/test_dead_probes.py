@@ -1,14 +1,15 @@
 """Left sweeps skip the probes the edge lemma proves degenerate.
 
 ``param_search_reference`` is a frozen copy of the sweep that evaluated
-every (t, w) probe in full; the sweep that records w > 5/3 probes as dead
-keys must return the same optimum, table and degenerate count.
+every (t, w) probe in full; the sweep that walks t alone and counts the
+w > 5/3 pairs it proves dead must return the same optimum, table and
+degenerate count.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pinchcert import param_search as ps
 from pinchcert.exact_poly import ExactPolyError
@@ -62,8 +63,18 @@ def _outcome(optimize, side, config):
         return ("ExactPolyError", str(err))
 
 
+def _config(t_grid, w_grid, rounds):
+    return ps.SweepConfig(t_grid=t_grid, w_grid=w_grid, refinement_rounds=rounds)
+
+
 @settings(max_examples=60, deadline=None)
 @given(config=sweep_configs(), side=st.sampled_from(["left", "left", "right"]))
+# one example per term of the dead count: no live w, so each round adds two
+# dead t trisection points as well as two w ones; one t and one w, so no
+# round adds any; 5/3 live beside a repeated w > 5/3, counted once
+@example(config=_config((F(1, 8), F(1, 4)), (F(7, 4), HI), 2), side="left")
+@example(config=_config((F(1, 4),), (HI,), 3), side="left")
+@example(config=_config((F(1, 10), F(1, 4)), (LO, F(7, 4), F(7, 4)), 2), side="left")
 def test_sweep_matches_the_full_evaluation_reference(config, side):
     assert _outcome(ps.optimize, side, config) == _outcome(ref.optimize, side, config)
 
@@ -140,15 +151,26 @@ def test_left_threshold_runs_only_for_edge_probes(monkeypatch):
     # the sweep certifies its winner from the cell its probe found, so each
     # edge pair's cell is computed once
     calls = _count_left_probe_calls(monkeypatch)
-    config = ps.SweepConfig(
-        t_grid=(F(1, 10), F(1, 4), F(99, 200)),
-        w_grid=(LO, F(17, 10), F(7, 4), HI), refinement_rounds=2,
-    )
-    opt = ps.optimize("left", config)
-    assert opt.best_w == LO
-    assert calls and all(w == LO for _, w in calls)
-    assert len(calls) == len(set(calls))
-    assert (opt.to_json(), _fraction_rows(opt.table)) == _outcome(ref.optimize, "left", config)
+    ref_calls = []
+    real = ref.left_threshold
+    monkeypatch.setattr(ref, "left_threshold",
+                        lambda t, w, width: ref_calls.append((t, w)) or real(t, w, width))
+    # the incumbent at the grid's top t, then between two grid points
+    for t_grid in ((F(1, 10), F(1, 4), F(99, 200)), (F(1, 10), F(1, 4), F(99, 200), F(1, 2))):
+        calls.clear()
+        config = ps.SweepConfig(
+            t_grid=t_grid, w_grid=(LO, F(17, 10), F(7, 4), HI), refinement_rounds=2,
+        )
+        opt = ps.optimize("left", config)
+        assert opt.best_w == LO
+        assert calls and all(w == LO for _, w in calls)
+        assert len(calls) == len(set(calls))
+        # the edge pairs are probed in the reference's order, so a probe
+        # that raises names the same t
+        probed = list(calls)
+        ref_calls.clear()
+        assert (opt.to_json(), _fraction_rows(opt.table)) == _outcome(ref.optimize, "left", config)
+        assert [(t, w) for t, w in ref_calls if w == LO] == probed
 
 
 def test_a_dead_winner_is_evaluated_once_after_the_sweep(monkeypatch):
@@ -163,3 +185,10 @@ def test_a_dead_winner_is_evaluated_once_after_the_sweep(monkeypatch):
     assert opt.best.degenerate and opt.table == ()
     assert opt.degenerate_count == 14
     assert (opt.to_json(), _fraction_rows(opt.table)) == _outcome(ref.optimize, "left", config)
+
+
+def test_the_default_left_sweep_counts_its_dead_pairs():
+    # 100 t by the 100 w above 5/3, and two w trisection points per round
+    opt = ps.optimize("left", ps.default_config("left"))
+    assert opt.degenerate_count == 100 * 100 + 2 * 2 == 10004
+    assert opt.best_w == LO and len(opt.table) == 100 + 2 * 4

@@ -47,8 +47,11 @@ from pinchcert.exact_poly import IntervalQ, SignCertificate
 #: Measured again on the same four versions once a probe's cell stayed on
 #: its grid's integers, ranked by cross-multiplication, and only the
 #: winner's became an interval, its values one Fraction per end (253, 253,
-#: 265 and 265 before)
-RIGHT_SWEEP_FRACTIONS = {(3, 10): 41, (3, 11): 41, (3, 12): 53, (3, 13): 53}
+#: 265 and 265 before).  All four fell by the same eight, measured on the
+#: same four versions, once the sweep walked one list of cells in t order:
+#: the range check of each refinement t built ``F(1, 2)`` (41, 41, 53 and
+#: 53 before)
+RIGHT_SWEEP_FRACTIONS = {(3, 10): 33, (3, 11): 33, (3, 12): 45, (3, 13): 45}
 
 #: Fractions built by one warm default left sweep (``optimize``), measured on
 #: CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 once a live probe read phi's end
@@ -66,8 +69,11 @@ RIGHT_SWEEP_FRACTIONS = {(3, 10): 41, (3, 11): 41, (3, 12): 53, (3, 13): 53}
 #: probe's cell stayed on its grid's integers, ranked by cross-multiplication,
 #: its grid read at width / 2 as an integer pair, and only the winner's
 #: became an interval, phi's values one Fraction per end (940, 940, 1174 and
-#: 1174 before)
-LEFT_SWEEP_FRACTIONS = {(3, 10): 58, (3, 11): 58, (3, 12): 76, (3, 13): 76}
+#: 1174 before).  All four fell by the same 20, measured on the same four
+#: versions, once the sweep walked t alone and counted its dead pairs: the
+#: eight ``F(1, 2)`` of the refinement t's range check and the six of each
+#: round's w trisection are gone (58, 58, 76 and 76 before)
+LEFT_SWEEP_FRACTIONS = {(3, 10): 38, (3, 11): 38, (3, 12): 50, (3, 13): 50}
 
 #: Fractions built by a warm ``from_json(...).replay()`` of certify's seven
 #: certificates: per certificate the interval's two ends, read by

@@ -41,17 +41,14 @@ T_VALUES = st.fractions(min_value=F(1, 10**3), max_value=F(1, 2), max_denominato
 
 @st.composite
 def cells(draw, side):
-    """A cell of ``side``: on the side's default grid, the degenerate one, a
-    dead left one, or off the grid on another denominator; t and w drawn
-    from few values, so that ties occur."""
+    """A live cell of ``side``, at the side's one w: on the side's default
+    grid, the degenerate one's ends, or off the grid on another
+    denominator; t drawn from few values, so that ties occur."""
     t = draw(st.sampled_from([F(1, 4), F(1, 3), F(1, 2)]) | T_VALUES)
     w = LO if side == "left" else HI
     kind = draw(st.sampled_from(["grid", "grid", "degenerate", "off-grid"]))
     if kind == "degenerate":
-        if side == "left":
-            w = draw(st.sampled_from([F(17, 10), F(7, 4), HI]))
-            return ps._Cell(side, t, w, *ps._EDGE_ENDS, True)
-        return ps._Cell(side, t, w, *ps._TOP_ENDS, True)
+        return ps._Cell(side, t, w, *(ps._EDGE_ENDS if side == "left" else ps._TOP_ENDS), True)
     if kind == "off-grid":
         den = draw(st.integers(min_value=1, max_value=10**9))
         lo = draw(st.integers(min_value=5 * den // 3, max_value=9 * den // 5))
@@ -66,11 +63,12 @@ def cells(draw, side):
 @example(None, "left")
 @example(None, "right")
 def test_integer_ranking_orders_cells_as_the_fraction_key(data, side):
-    if data is None:  # equal enclosures on two denominators: t, then w decide
+    if data is None:  # equal enclosures on two denominators: t decides
         base, step, den, _ = _GRIDS[side]
-        a = ps._Cell(side, F(1, 4), HI, base, base + step, den, False)
-        b = ps._Cell(side, F(1, 4), HI, 3 * base, 3 * (base + step), 3 * den, False)
-        c = ps._Cell(side, F(1, 3), HI, base, base + step, den, False)
+        w = LO if side == "left" else HI
+        a = ps._Cell(side, F(1, 4), w, base, base + step, den, False)
+        b = ps._Cell(side, F(1, 4), w, 3 * base, 3 * (base + step), 3 * den, False)
+        c = ps._Cell(side, F(1, 3), w, base, base + step, den, False)
         group = [c, b, a]
     else:
         group = data.draw(st.lists(cells(side), min_size=2, max_size=8))

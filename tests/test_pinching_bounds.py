@@ -344,18 +344,19 @@ def test_constant_polynomials_are_built_once(build):
 
 
 # ---------------------------------------------------------------------------
-# generalized left certificate
+# generalized left certificate, on phi_reference's frozen copy of the
+# domain-checked wrapper, which left the library with no caller there
 # ---------------------------------------------------------------------------
 
 
 def test_left_certificate_signs_at_paper_anchors():
     w = F(5, 3)
-    assert pb.left_certificate(rat("1.7075"), w, F(1, 2)) < 0
-    assert pb.left_certificate(rat("1.7076"), w, F(1, 2)) > 0
+    assert phi_ref.left_certificate(rat("1.7075"), w, F(1, 2)) < 0
+    assert phi_ref.left_certificate(rat("1.7076"), w, F(1, 2)) > 0
 
 
 def test_left_certificate_zero_at_degenerate_corner():
-    assert pb.left_certificate(F(9, 5), F(9, 5), F(1, 2)) == 0
+    assert phi_ref.left_certificate(F(9, 5), F(9, 5), F(1, 2)) == 0
 
 
 def test_left_certificate_equals_four_times_middleref_at_half():
@@ -365,7 +366,7 @@ def test_left_certificate_equals_four_times_middleref_at_half():
     for _ in range(40):
         w = F(5, 3)
         x = w + (F(9, 5) - w) * F(rng.randint(0, 10**5), 10**5)
-        cert = pb.left_certificate(x, w, F(1, 2))
+        cert = phi_ref.left_certificate(x, w, F(1, 2))
         assert cert == 4 * middleref_value(x, w)
 
 
@@ -375,16 +376,16 @@ def test_left_certificate_never_below_four_times_middleref():
         a, b = sorted(rng.randint(0, 10**5) for _ in range(2))
         w = F(5, 3) + F(2, 15) * F(a, 10**5)
         x = F(5, 3) + F(2, 15) * F(b, 10**5)
-        assert pb.left_certificate(x, w, F(1, 2)) >= 4 * middleref_value(x, w)
+        assert phi_ref.left_certificate(x, w, F(1, 2)) >= 4 * middleref_value(x, w)
 
 
 def test_left_certificate_domain_validation():
     with pytest.raises(ValueError):
-        pb.left_certificate(F(17, 10), F(5, 3), F(3, 4))  # t too large
+        phi_ref.left_certificate(F(17, 10), F(5, 3), F(3, 4))  # t too large
     with pytest.raises(ValueError):
-        pb.left_certificate(F(17, 10), F(18, 10), F(1, 2))  # w > x
+        phi_ref.left_certificate(F(17, 10), F(18, 10), F(1, 2))  # w > x
     with pytest.raises(ValueError):
-        pb.left_certificate(F(19, 10), F(5, 3), F(1, 2))  # x beyond domain
+        phi_ref.left_certificate(F(19, 10), F(5, 3), F(1, 2))  # x beyond domain
 
 
 def test_middleref_factorization_through_theta1():
