@@ -746,7 +746,8 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
     and ties break toward smaller t.  The monotonicity lemma
     (:func:`monotone_lemma`) is proved first, and on the left the edge
     lemma (:func:`edge_lemma`).  Only the side's one live w is probed:
-    9/5 on the right, 5/3 on the left when the grid holds it.
+    9/5 on the right, where a w grid holding any other w is refused, and
+    5/3 on the left when the grid holds it.
     Every other (t, w) pair, the grid's and the refinement's, is dead, with
     enclosure [5/3, 5/3], which every live cell outranks, so dead pairs are
     counted, not probed.  With no live w, the dead pair at the smallest t
@@ -762,6 +763,9 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if side == "right" and any(w != DOMAIN_HI for w in config.w_grid):
+        raise ValueError("a right sweep probes w = 9/5 alone, got w_grid "
+                         f"[{', '.join(map(rat_str, config.w_grid))}]")
     if side == "left":
         edge_lemma()
     monotone_lemma(side)

@@ -7,16 +7,21 @@ second-form norm by S = 4 |A_ring|^2.  The classifier applies the certified
 spherical thresholds (divided by 4) to user-supplied pinching bounds and
 names the rigid model surface when the case table pins it down.
 
-All thresholds are exact rationals; interval membership is decided exactly,
-by integer cross-multiplication against the case table put on one common
-denominator at import.
+All thresholds are exact rationals, and so is every decision.  Each test
+of the case table compares a bound with one of the table's six distinct
+values, so :func:`classify` reads each bound as its breakpoint code (which
+value it equals, or which two it lies between: one integer division and
+one bisection) and looks the pair of codes and the oscillation bit up in
+a memoized decision over the table on codes.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact_poly import rat, rat_str
 
@@ -72,12 +77,34 @@ def _scaled(q: Fraction) -> int:
 
 _OSCILLATION_SCALED = _scaled(OSCILLATION_SHRINKER)
 
-#: ``_CASES`` times ``_SCALE``: (case id, range lo, range hi,
+#: the table's distinct range ends and constants times ``_SCALE``, increasing
+_BREAKPOINTS = tuple(sorted({_scaled(q) for case in _CASES for q in (case[1], case[2], *case[4])}))
+
+
+def _code(num: int, den: int) -> int:
+    """Breakpoint code of ``num / den`` (``den > 0``): ``2k - 1`` when it
+    equals the k-th of ``_BREAKPOINTS`` (scaled back), ``2k`` when it lies
+    strictly between the k-th and the next, and 0 below the first.
+
+    The code is monotone and every breakpoint's is odd, so against a
+    breakpoint ``b``: ``q <= b`` iff ``code(q) <= code(b)``, and likewise
+    for ``>=``."""
+    whole, rest = divmod(num * _SCALE, den)
+    k = bisect_right(_BREAKPOINTS, whole)
+    return 2 * k - (not rest and k > 0 and _BREAKPOINTS[k - 1] == whole)
+
+
+def _coded(q: Fraction) -> int:
+    """Breakpoint code of ``q``."""
+    return _code(q.numerator, q.denominator)
+
+
+#: ``_CASES`` on breakpoint codes: (case id, range lo, range hi,
 #: needs-oscillation, ((constant, verdict, sub-label, constant as p/q), ...)
 #: in increasing order of the constant)
-_SCALED_CASES = tuple(
-    (case_id, _scaled(range_lo), _scaled(range_hi), needs_osc,
-     tuple((_scaled(value), verdict, sub_label, rat_str(value))
+_CODED_CASES = tuple(
+    (case_id, _coded(range_lo), _coded(range_hi), needs_osc,
+     tuple((_coded(value), verdict, sub_label, rat_str(value))
            for value, (verdict, sub_label) in sorted(constants.items())))
     for case_id, range_lo, range_hi, needs_osc, constants in _CASES
 )
@@ -151,6 +178,16 @@ class Classification:
         }
 
 
+_HYPOTHESES_NOT_MET = Classification(
+    verdict="hypotheses-not-met",
+    model="mean curvature must be nowhere vanishing with parallel "
+          "normalized direction",
+    theorem_case=None,
+    applicable_cases=(),
+    possible_models=(),
+)
+
+
 def classify(data: ShrinkerPinchData) -> Classification:
     """Apply the rigidity case table to certified pinching bounds.
 
@@ -160,34 +197,37 @@ def classify(data: ShrinkerPinchData) -> Classification:
     is |A_ring|^2 == c for one of the case's constants, which must then lie
     in [lo, hi]; a single surviving constant names the model.  Overlapping
     cases are all recorded; the verdict follows the lowest-numbered one.
+    The outcome depends only on the two bounds' breakpoint codes
+    (:func:`_code`) and on the oscillation test, so it is looked up in
+    :func:`_decide`.
     """
     if not (data.mean_curvature_nonvanishing and data.normalized_H_parallel):
-        return Classification(
-            verdict="hypotheses-not-met",
-            model="mean curvature must be nowhere vanishing with parallel "
-                  "normalized direction",
-            theorem_case=None,
-            applicable_cases=(),
-            possible_models=(),
-        )
+        return _HYPOTHESES_NOT_MET
     lo, hi = data.a_circ_min, data.a_circ_max
-    lo_den, hi_den = lo.denominator, hi.denominator
-    # a table entry c stands for c / _SCALE, and both denominators are
-    # positive: c / _SCALE <= lo iff c * lo_den <= lo_scaled
-    lo_scaled, hi_scaled = lo.numerator * _SCALE, hi.numerator * _SCALE
+    lo_num, lo_den, hi_num, hi_den = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    # hi - lo <= 1/880, both denominators positive
+    osc_ok = ((hi_num * lo_den - lo_num * hi_den) * _SCALE
+              <= _OSCILLATION_SCALED * lo_den * hi_den)
+    return _decide(_code(lo_num, lo_den), _code(hi_num, hi_den), osc_ok)
+
+
+@lru_cache(maxsize=None)
+def _decide(lo_code: int, hi_code: int, osc_ok: bool) -> Classification:
+    """:func:`classify`'s outcome for bounds with these breakpoint codes,
+    whose oscillation is within 1/880 iff ``osc_ok``, decided on
+    ``_CODED_CASES``; memoized, so each of the at most 13 * 13 * 2 keys is
+    decided once."""
     applicable: list[tuple[str, list[tuple[str, str, str]]]] = []
     labels: list[str] = []
-    for case_id, range_lo, range_hi, needs_osc, constants in _SCALED_CASES:
-        if not (range_lo * lo_den <= lo_scaled and hi_scaled <= range_hi * hi_den):
+    for case_id, range_lo, range_hi, needs_osc, constants in _CODED_CASES:
+        if not (range_lo <= lo_code and hi_code <= range_hi):
             continue
-        # hi - lo > 1/880
-        if needs_osc and (hi_scaled * lo_den - lo_scaled * hi_den
-                          > _OSCILLATION_SCALED * lo_den * hi_den):
+        if needs_osc and not osc_ok:
             continue
         admissible = [
             (text, verdict, sub_label)
             for value, verdict, sub_label, text in constants
-            if lo_scaled <= value * lo_den and value * hi_den <= hi_scaled
+            if lo_code <= value <= hi_code
         ]
         applicable.append((case_id, admissible))
         if admissible:

@@ -3,7 +3,8 @@
 ``param_search_reference`` is a frozen copy of the sweep that evaluated
 every (t, w) probe in full; the sweep that walks t alone and counts the
 w > 5/3 pairs it proves dead must return the same optimum, table and
-degenerate count.
+degenerate count.  A right sweep probes w = 9/5 alone, so a right config
+whose w grid holds any other w is refused, naming the grid.
 """
 
 from fractions import Fraction
@@ -75,7 +76,15 @@ def _config(t_grid, w_grid, rounds):
 @example(config=_config((F(1, 8), F(1, 4)), (F(7, 4), HI), 2), side="left")
 @example(config=_config((F(1, 4),), (HI,), 3), side="left")
 @example(config=_config((F(1, 10), F(1, 4)), (LO, F(7, 4), F(7, 4)), 2), side="left")
+# a right sweep of 9/5, repeated, and one whose grid holds another w
+@example(config=_config((F(1, 8), F(1, 4)), (HI, HI), 1), side="right")
+@example(config=_config((F(1, 4),), (LO, HI), 0), side="right")
 def test_sweep_matches_the_full_evaluation_reference(config, side):
+    if side == "right" and set(config.w_grid) != {HI}:
+        # the reference probed 9/5 whatever the grid; the sweep names the grid
+        with pytest.raises(ValueError, match=r"w = 9/5 alone, got w_grid \["):
+            ps.optimize(side, config)
+        return
     assert _outcome(ps.optimize, side, config) == _outcome(ref.optimize, side, config)
 
 
@@ -102,10 +111,10 @@ def test_a_failing_corner_stops_the_left_sweep(monkeypatch):
     real = ps.edge_weight
     monkeypatch.setattr(ps, "edge_weight", lambda t, w: real(t, w) - 100)
     ps.edge_lemma.cache_clear()  # proved once per process: prove it again
-    config = ps.SweepConfig(t_grid=(F(1, 2),), w_grid=(LO,))
     with pytest.raises(ExactPolyError, match="edge lemma"):
-        ps.optimize("left", config)
-    ps.optimize("right", config)  # the right sweep does not rest on the lemma
+        ps.optimize("left", ps.SweepConfig(t_grid=(F(1, 2),), w_grid=(LO,)))
+    # the right sweep does not rest on the lemma
+    ps.optimize("right", ps.SweepConfig(t_grid=(F(1, 2),), w_grid=(HI,)))
     with pytest.raises(ExactPolyError):  # a degenerate probe certifies q(5/3) > 0
         ps.left_threshold(F(1, 2), HI)
 

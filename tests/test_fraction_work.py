@@ -3,8 +3,9 @@
 Specializations of forms in t and Sturm members are born from their integer
 forms, and ``optimize`` keeps its live cells in a list, so once the
 monotonicity lemma is proved a default sweep hashes no ``Fraction`` and
-builds only the ones something reads.  ``classify`` decides on its integer
-case table and builds or compares none.  A certificate read back from JSON is
+builds only the ones something reads.  ``classify`` reads each bound's
+breakpoint code on integers and looks its decision up, and the decision
+itself runs on codes, so neither builds or compares a Fraction.  A certificate read back from JSON is
 born from its integer form and replays on it without a Fraction, and the
 legacy-dominance check decides on integer signs.  Constructions are counted
 through ``Fraction.__new__`` and, on Python 3.12 and later, through
@@ -186,17 +187,33 @@ def test_a_warm_legacy_comparison_builds_no_fraction(monkeypatch):
     assert counts["built"] == 0 and counts["hashed"] == 0
 
 
-def test_a_warm_classify_builds_and_compares_no_fraction(monkeypatch):
+def _classify_queries() -> list:
     third, twelfth, ninth_20 = Fraction(1, 3), Fraction(5, 12), Fraction(9, 20)
     # every verdict: each model, two models, an excluded constant, no case,
     # hypotheses not met
     bounds = ((0, 0), (third, third), (0, third), (twelfth, twelfth + Fraction(1, 1000)),
               (twelfth, ninth_20), (Fraction(2, 5), Fraction(2, 5)), (ninth_20, Fraction(1, 2)),
               (sb.UPPER_THRESHOLD_SHRINKER, ninth_20))
-    queries = [sb.ShrinkerPinchData(lo, hi, nonvanishing, True)
-               for lo, hi in bounds for nonvanishing in (True, False)]
+    return [sb.ShrinkerPinchData(lo, hi, nonvanishing, True)
+            for lo, hi in bounds for nonvanishing in (True, False)]
+
+
+def test_a_warm_classify_builds_and_compares_no_fraction(monkeypatch):
+    queries = _classify_queries()
     want = [sb.classify(data) for data in queries]
     counts = _count_fractions(monkeypatch)
     assert [sb.classify(data) for data in queries] == want
     assert counts == {"built": 0, "hashed": 0, "compared": 0}
+    third, twelfth = queries[2].a_circ_max, queries[6].a_circ_min
     assert third < twelfth and counts["compared"] == 1  # the counter sees comparisons
+
+
+def test_deciding_a_new_key_builds_and_compares_no_fraction(monkeypatch):
+    # the memo emptied: every query's decision is made afresh, on codes
+    queries = _classify_queries()
+    want = [sb.classify(data).to_json() for data in queries]
+    sb._decide.cache_clear()
+    counts = _count_fractions(monkeypatch)
+    assert [sb.classify(data).to_json() for data in queries] == want
+    assert sb._decide.cache_info().misses > 0
+    assert counts == {"built": 0, "hashed": 0, "compared": 0}

@@ -60,6 +60,11 @@ exactly [5/3, enclosure.lo], and its two certificates took the branches'
 fixed order, sup-at-x first, where sup-at-5/3's root came first.  The
 ``certificates-stripped`` digests pass unchanged, and so do the right,
 ``certify`` and all-degenerate digests.
+
+The ``classify`` block pins one ``classify`` report per outcome of the case
+table, taken while ``classify`` still decided by integer cross-multiplication
+against the scaled table, before it read each bound as a breakpoint code and
+looked the decision up.
 """
 
 import hashlib
@@ -71,6 +76,7 @@ import pytest
 
 from pinchcert import param_search as ps
 from pinchcert import report_cli as rc
+from pinchcert import shrinker_bridge as sb
 
 GOLDEN = json.loads((Path(__file__).with_name("golden_reports.json")).read_text())
 
@@ -207,3 +213,27 @@ def test_per_threshold_bytes_without_certificates_match_the_stripped_digest():
     for th in thresholds:
         del th["certificate"], th["support"]
     assert _sha256_of_each(thresholds) == GOLDEN["certificates-stripped"]["thresholds-per-t"]
+
+
+# (lo, hi, mean curvature nonvanishing, normalized H parallel): each model,
+# the oscillation case at exactly 1/880, both constants admissible, no case,
+# an excluded constant, and a failed hypothesis
+CLASSIFY_INPUTS = {
+    "round-sphere": (0, 0, True, True),
+    "veronese": (Fraction(1, 3), Fraction(2, 5), True, True),
+    "calabi-s3": (Fraction(5, 12), Fraction(5, 12), True, True),
+    "calabi-s4": (Fraction(9, 20), Fraction(9, 20), True, True),
+    "oscillation-1-880": (Fraction(5, 12), Fraction(5, 12) + Fraction(1, 880), True, True),
+    "inconclusive-two-models": (0, Fraction(1, 3), True, True),
+    "inconclusive-no-case": (0, Fraction(9, 20), True, True),
+    "inconclusive-excluded-constant": (Fraction(43, 100), Fraction(43, 100) + Fraction(1, 880),
+                                       True, True),
+    "hypotheses-not-met": (Fraction(5, 12), Fraction(5, 12), True, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY_INPUTS))
+def test_classify_report_bytes_match_golden_digest(name):
+    report = rc.cmd_classify(sb.ShrinkerPinchData(*CLASSIFY_INPUTS[name]))
+    assert sorted(CLASSIFY_INPUTS) == sorted(GOLDEN["classify"])
+    assert _digest(report) == GOLDEN["classify"][name]

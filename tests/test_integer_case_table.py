@@ -1,11 +1,14 @@
-"""The integer case table classifies as the Fraction classifier did.
+"""The coded case table classifies as the Fraction classifier did.
 
-:func:`pinchcert.shrinker_bridge.classify` decides its range, oscillation
-and admissibility tests by integer cross-multiplication against ``_CASES``
-put on one common denominator.  ``classify_reference`` is the frozen
-Fraction version; the two must agree on every input, above all at the
-breakpoints of the table, a hair either side of them, at an oscillation of
-exactly 1/880, and on denominators that share no factor with the scale.
+:func:`pinchcert.shrinker_bridge.classify` reads each bound as its
+breakpoint code, which of the table's six distinct values it equals or
+which two it lies between, tests the oscillation by one integer
+cross-multiplication, and looks the outcome up in the memoized decision
+over ``_CASES`` on codes.  ``classify_reference`` is the frozen Fraction
+version; the two must agree on every input, above all at the breakpoints
+of the table, a hair either side of them, at an oscillation of exactly
+1/880, on denominators that share no factor with the scale, and at one
+input for every key the decision can be asked for.
 """
 
 import math
@@ -85,3 +88,57 @@ def test_hypothesis_bounds(a, b, hypotheses):
 @given(_BOUNDS, st.sampled_from(OSCILLATIONS))
 def test_hypothesis_oscillation_windows(lo, width):
     _agree(lo, lo + width)
+
+
+#: a point strictly between a breakpoint times ``_SCALE`` and the next integer
+BESIDE = F(1, 7 * sb._SCALE)
+
+
+def test_the_breakpoints_are_the_tables_distinct_values():
+    assert sb._BREAKPOINTS == tuple(b * sb._SCALE for b in BREAKPOINTS)
+
+
+def test_each_breakpoint_has_its_odd_code_and_the_even_codes_beside_it():
+    for k, b in enumerate(BREAKPOINTS, start=1):
+        beside = (sb._coded(b - BESIDE), sb._coded(b), sb._coded(b + BESIDE))
+        assert beside == (2 * k - 2, 2 * k - 1, 2 * k)
+    assert sb._coded(F(1, 2)) == sb._coded(F(10**9)) == 2 * len(BREAKPOINTS)
+
+
+def _representatives() -> dict:
+    """One (lo, hi) for each reachable key (lo code, hi code, hi - lo <= 1/880)
+    of the decision, found among each code's extreme points: the breakpoint
+    itself for an odd code, a point just inside each end of its gap for an
+    even one (1/2 standing for the open end above 9/20)."""
+    ends = list(BREAKPOINTS) + [F(1, 2) + BESIDE]
+    points = {}
+    for k, b in enumerate(BREAKPOINTS, start=1):
+        points[2 * k - 1] = [b]
+        points[2 * k] = [b + BESIDE, ends[k] - BESIDE]
+    found = {}
+    for lo_code, lows in points.items():
+        for hi_code, highs in points.items():
+            for lo in lows:
+                for hi in highs:
+                    if lo <= hi:
+                        key = (lo_code, hi_code, hi - lo <= sb.OSCILLATION_SHRINKER)
+                        found.setdefault(key, (lo, hi))
+    return found
+
+
+def test_every_reachable_key_decides_as_the_reference():
+    # 78 code pairs lo <= hi from 1..12; all but the six equal odd pairs
+    # (lo == hi, a breakpoint) reach an oscillation over 1/880, and within
+    # 1/880 are reached the 12 equal pairs, the 11 adjacent ones and the 5
+    # even pairs astride one breakpoint: every other pair spans a whole
+    # gap, and the narrowest, 9/20 - 17853/40000, exceeds 1/880
+    found = _representatives()
+    assert len(found) == 72 + 12 + 11 + 5
+    sb._decide.cache_clear()
+    for (lo_code, hi_code, osc_ok), (lo, hi) in found.items():
+        assert (sb._coded(lo), sb._coded(hi)) == (lo_code, hi_code)
+        _agree(lo, hi)
+        for hypotheses in HYPOTHESES[1:]:
+            _agree(lo, hi, *hypotheses)
+    # each key is decided once, and a failed hypothesis decides nothing
+    assert sb._decide.cache_info().currsize == len(found)

@@ -389,6 +389,19 @@ def test_optimize_malformed_config_is_usage_error(tmp_path, capsys):
     assert code == rc.EXIT_USAGE
 
 
+def test_a_right_w_grid_beside_9_5_is_a_usage_error_naming_the_grid(tmp_path, capsys):
+    # the right sweep probes 9/5 alone: another w was once ignored, and
+    # the report echoed the grid beside best_w 9/5
+    path = tmp_path / "right-w.json"
+    path.write_text(json.dumps({"t_grid": ["1/4"], "w_grid": ["5/3", "7/4"]}))
+    code = rc.main(["optimize", "--side", "right", "--config", str(path)])
+    assert code == rc.EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: a right sweep probes w = 9/5 alone, got w_grid [5/3, 7/4]"]
+    path.write_text(json.dumps({"t_grid": ["1/4"], "w_grid": ["9/5", "9/5"]}))
+    assert rc.main(["optimize", "--side", "right", "--config", str(path)]) == rc.EXIT_OK
+
+
 @pytest.mark.parametrize("rounds", [1.9, True, "2"])
 def test_optimize_non_integer_refinement_rounds_is_usage_error(tmp_path, capsys, rounds):
     # a float, a bool or a string is refused, not truncated to an int
