@@ -125,15 +125,13 @@ def _split_ratio(value: str) -> tuple[int, int] | None:
 
 
 def _ratio(value) -> tuple[int, int]:
-    """The numerator and denominator of ``rat(value)``, read by ``int`` and
-    ``gcd`` without a Fraction when ``value`` is a string of
+    """``(p, q)`` with q > 0 and p/q = ``rat(value)``, not necessarily
+    reduced: read by ``int`` without a Fraction when ``value`` is a string of
     :func:`_split_ratio`'s shape with a nonzero denominator; every other
     value goes through :func:`rat`, so exactly what it refuses is refused."""
     pq = _split_ratio(value) if isinstance(value, str) and value.isascii() else None
     if pq and pq[1]:
-        n, d = pq
-        g = gcd(n, d)
-        return n // g, d // g
+        return pq
     q = rat(value)
     return q.numerator, q.denominator
 
@@ -387,7 +385,10 @@ class Polynomial:
     def from_json(cls, data: Sequence[str]) -> "Polynomial":
         """The polynomial of :meth:`to_json`'s coefficient strings: each entry
         is read once by :func:`_ratio`, and entries :func:`rat` refuses are
-        refused."""
+        refused; one lcm and :func:`_canonical`'s gcd reduce the pairs.
+        Raises ``ValueError`` naming ``data`` unless it is a list or tuple."""
+        if not isinstance(data, (list, tuple)):
+            raise ValueError(f"a polynomial must be a list of coefficients, got {data!r}")
         pairs = [_ratio(c) for c in data]
         den = lcm(*(d for _, d in pairs))
         return cls._from_integer_form([n * (den // d) for n, d in pairs], den)
@@ -512,16 +513,23 @@ class Form:
 
 @dataclass(frozen=True)
 class IntervalQ:
-    """Closed rational interval [lo, hi]."""
+    """Closed rational interval [lo, hi].  An end that is not a Fraction is
+    read by :func:`rat`; the ends are ordered, and :meth:`contains` decides,
+    by integer cross-multiplication (denominators are positive)."""
 
     lo: Fraction
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", rat(self.lo))
-        object.__setattr__(self, "hi", rat(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+        lo, hi = self.lo, self.hi
+        if not isinstance(lo, Fraction):
+            lo = rat(lo)
+            object.__setattr__(self, "lo", lo)
+        if not isinstance(hi, Fraction):
+            hi = rat(hi)
+            object.__setattr__(self, "hi", hi)
+        if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
+            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
 
     @property
     def width(self) -> Fraction:
@@ -529,14 +537,29 @@ class IntervalQ:
 
     def contains(self, x) -> bool:
         x = rat(x)
-        return self.lo <= x <= self.hi
+        lo, hi = self.lo, self.hi
+        a, b = x.numerator, x.denominator
+        return lo.numerator * b <= a * lo.denominator and a * hi.denominator <= hi.numerator * b
 
     def to_json(self) -> list[str]:
         return [rat_str(self.lo), rat_str(self.hi)]
 
     @classmethod
     def from_json(cls, data: Sequence[str]) -> "IntervalQ":
-        return cls(rat(data[0]), rat(data[1]))
+        """The interval of :meth:`to_json`'s two strings, each read once by
+        :func:`_ratio` (what :func:`rat` refuses is refused) and ordered on
+        integers.  Raises ``ValueError`` naming ``data`` unless it is a list
+        or tuple of exactly two entries."""
+        if not isinstance(data, (list, tuple)) or len(data) != 2:
+            raise ValueError(f"an interval must be a list of two entries, got {data!r}")
+        (a, b), (c, d) = _ratio(data[0]), _ratio(data[1])
+        if a * d > c * b:
+            raise ValueError(
+                f"interval endpoints out of order: {Fraction(a, b)} > {Fraction(c, d)}")
+        iv = object.__new__(cls)
+        object.__setattr__(iv, "lo", Fraction(a, b))
+        object.__setattr__(iv, "hi", Fraction(c, d))
+        return iv
 
 
 def _primitive_ints(cs: Sequence[int]) -> tuple[int, ...]:
@@ -751,11 +774,18 @@ class SignCertificate:
 def _canonical_ratio(value) -> tuple[int, int]:
     """``(p, q)`` of a string that is exactly :func:`rat_str` of p/q: ASCII
     ``-?[0-9]+/[0-9]+`` with q > 0, p/q reduced, and no leading zero or
-    ``-0``.  Anything else raises ``ValueError``."""
-    pq = _split_ratio(value) if type(value) is str and value.isascii() else None
-    if pq is None or pq[1] <= 0 or gcd(*pq) != 1 or f"{pq[0]}/{pq[1]}" != value:
-        raise ValueError(f"not a canonical p/q string: {value!r}")
-    return pq
+    ``-0``, checked on the digits.  Anything else raises ``ValueError``."""
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        # on ASCII, isdigit() accepts exactly [0-9]+; a leading "0" is the
+        # whole numerator "0", and never starts the denominator, so q > 0
+        if (slash and digits.isdigit() and den.isdigit() and den[0] != "0"
+                and (digits[0] != "0" or num == "0")):
+            p, q = int(num), int(den)
+            if gcd(p, q) == 1:
+                return p, q
+    raise ValueError(f"not a canonical p/q string: {value!r}")
 
 
 def _pair(x: Fraction) -> tuple[int, int]:
@@ -905,11 +935,19 @@ def nudged_ends(p: Polynomial, iv: IntervalQ) -> tuple[Fraction, Fraction]:
 def _offset_midpoint(p: Polynomial, lo: Fraction, hi: Fraction) -> Fraction:
     """Point near the middle of (lo, hi) where p does not vanish.
 
-    A polynomial has finitely many roots, so some dyadic offset works.
+    The candidates are lo + span * c for c = 1/2, then 1/2 +- 1/2^(k + 1)
+    for k = 1, 2, ...; a polynomial has finitely many roots, so some dyadic
+    offset works.
     """
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    if a * d < c * b:
+        # the first candidate, the midpoint, built from the ends' integers
+        m = Fraction(a * d + c * b, 2 * b * d)
+        if sign_at(p, m):
+            return m
     span = hi - lo
     for k in range(1, 64):
-        for num, den in ((1, 2), (2**k + 1, 2**(k + 1)), (2**k - 1, 2**(k + 1))):
+        for num, den in ((2**k + 1, 2**(k + 1)), (2**k - 1, 2**(k + 1))):
             m = lo + span * Fraction(num, den)
             if lo < m < hi and sign_at(p, m) != 0:
                 return m
@@ -1234,6 +1272,6 @@ def certify_sign_on_interval(p: Polynomial, iv: IntervalQ, sign: str) -> SignCer
         raise ValueError("sign must be 'positive' or 'negative'")
     if p.is_zero:
         raise SignClaimError("zero polynomial has no strict sign", iv.lo)
-    witness = iv.lo if iv.width == 0 else _offset_midpoint(p, iv.lo, iv.hi)
+    witness = iv.lo if iv.lo == iv.hi else _offset_midpoint(p, iv.lo, iv.hi)
     claim = CLAIM_POSITIVE if sign == "positive" else CLAIM_NEGATIVE
     return _certificate(p, iv, claim, iv.lo, iv.hi, witness)

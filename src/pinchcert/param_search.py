@@ -141,11 +141,20 @@ def _isolation_width(width) -> Fraction:
     :data:`MIN_ISOLATION_WIDTH`: the one width check of sweeps and of
     :func:`left_threshold` and :func:`right_threshold`."""
     width = rat(width)
-    if width <= 0:
+    # on integers: both denominators are positive
+    if width.numerator <= 0:
         raise ValueError("width must be positive")
-    if width < MIN_ISOLATION_WIDTH:
+    if (width.numerator * MIN_ISOLATION_WIDTH.denominator
+            < MIN_ISOLATION_WIDTH.numerator * width.denominator):
         raise ValueError("isolation_width must be at least MIN_ISOLATION_WIDTH = 1/10**600")
     return width
+
+
+def _ascending(grid: Sequence[Fraction]) -> bool:
+    """Whether ``grid`` ascends, ties allowed, decided in one pass by integer
+    cross-multiplication (denominators are positive)."""
+    return all(a.numerator * b.denominator <= b.numerator * a.denominator
+               for a, b in zip(grid, grid[1:]))
 
 
 @dataclass(frozen=True)
@@ -164,11 +173,13 @@ class SweepConfig:
         object.__setattr__(self, "w_grid", w_grid)
         if not t_grid or not w_grid:
             raise ValueError("grids must be nonempty")
-        if list(t_grid) != sorted(t_grid) or list(w_grid) != sorted(w_grid):
+        if not (_ascending(t_grid) and _ascending(w_grid)):
             raise ValueError("grids must be sorted ascending")
-        if not all(0 < t <= F(1, 2) for t in t_grid):
+        # each grid ascends, so its first and last entries bound it
+        t_lo, t_hi = t_grid[0], t_grid[-1]
+        if not (t_lo.numerator > 0 and 2 * t_hi.numerator <= t_hi.denominator):
             raise ValueError("t grid must lie in (0, 1/2]")
-        if not all(DOMAIN_LO <= w <= DOMAIN_HI for w in w_grid):
+        if not _ascending((DOMAIN_LO, w_grid[0], w_grid[-1], DOMAIN_HI)):
             raise ValueError("w grid must lie in [5/3, 9/5]")
         if type(self.refinement_rounds) is not int:
             raise ValueError(f"refinement_rounds must be an int, got {self.refinement_rounds!r}")

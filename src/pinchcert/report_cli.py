@@ -46,6 +46,11 @@ EXIT_USAGE = 2
 
 _INFINITY = float("inf")
 
+#: the decimal brackets :func:`cmd_certify` checks θ1's and θ2(1/4)'s roots
+#: against, parsed once
+_THETA1_BRACKET = (rat("1.7075"), rat("1.7076"))
+_THETA2_BRACKET = (rat("1.7852"), rat("1.7853"))
+
 
 def _json_scalar(value) -> str:
     """JSON text of a leaf other than a string, as :mod:`json` writes it."""
@@ -72,7 +77,9 @@ def _write_json(value, pad: str, out: list[str]) -> None:
     """Append the JSON text of ``value``, nested at indent ``pad``, to ``out``.
 
     A plain recursive function, not a closure, so a call leaves no
-    reference cycle behind for the garbage collector.
+    reference cycle behind for the garbage collector.  A container writes
+    its entries of exact type ``str`` itself, without a call; a subclass of
+    ``str`` takes the ``isinstance`` path, as in json.
     """
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
@@ -90,7 +97,11 @@ def _write_json(value, pad: str, out: list[str]) -> None:
             lead = sep
             out.append(encode_basestring_ascii(key))
             out.append(": ")
-            _write_json(value[key], inner, out)
+            item = value[key]
+            if type(item) is str:
+                out.append(encode_basestring_ascii(item))
+            else:
+                _write_json(item, inner, out)
         out.append("\n" + pad + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
@@ -102,7 +113,10 @@ def _write_json(value, pad: str, out: list[str]) -> None:
         for item in value:
             out.append(lead)
             lead = sep
-            _write_json(item, inner, out)
+            if type(item) is str:
+                out.append(encode_basestring_ascii(item))
+            else:
+                _write_json(item, inner, out)
         out.append("\n" + pad + "]")
     else:
         out.append(_json_scalar(value))
@@ -253,11 +267,11 @@ def cmd_certify() -> CertificationReport:
     # (name, certificate cubic, extra check details, decimal bracket, sign
     # of the cubic at the bracket's lower end)
     thresholds = (
-        ("theta1", pb.theta1(), {}, ("1.7075", "1.7076"), -1),
-        ("theta2", pb.theta2(F(1, 4)), {"t": "1/4"}, ("1.7852", "1.7853"), 1),
+        ("theta1", pb.theta1(), {}, _THETA1_BRACKET, -1),
+        ("theta2", pb.theta2(F(1, 4)), {"t": "1/4"}, _THETA2_BRACKET, 1),
     )
     enclosures = []
-    for name, p, details, (lower, upper), lower_sign in thresholds:
+    for name, p, details, (a, b), lower_sign in thresholds:
         n, cert_n = count_roots(p, domain)
         report.add_certificate(f"{name}-root-count", cert_n)
         report.add_check(f"{name}-unique-root", n == 1, count=n, **details)
@@ -265,7 +279,6 @@ def cmd_certify() -> CertificationReport:
         enc, cert_e = isolate_counted_root(cert_n, ps.DEFAULT_ISOLATION_WIDTH)
         report.add_certificate(f"{name}-enclosure", cert_e)
         report.add_enclosure(f"{name}-root", enc)
-        a, b = rat(lower), rat(upper)
         report.add_check(
             f"{name}-bracket",
             sign_at(p, a) == lower_sign == -sign_at(p, b) and a < enc.lo and enc.hi < b,
@@ -320,8 +333,8 @@ def cmd_certify() -> CertificationReport:
     )
 
     scale_ok = (
-        4 * sb.LOWER_THRESHOLD_SHRINKER == rat("1.7075")
-        and 4 * sb.UPPER_THRESHOLD_SHRINKER == rat("1.7853")
+        4 * sb.LOWER_THRESHOLD_SHRINKER == _THETA1_BRACKET[0]
+        and 4 * sb.UPPER_THRESHOLD_SHRINKER == _THETA2_BRACKET[1]
         and 4 * sb.OSCILLATION_SHRINKER == sb.OSCILLATION_SPHERICAL
     )
     report.add_check(

@@ -123,11 +123,16 @@ class ShrinkerPinchData:
         # a string such as "false" is truthy: it must not count as holding
         for key in ("mean_curvature_nonvanishing", "normalized_H_parallel"):
             value = getattr(self, key)
-            if not isinstance(value, bool):
+            if value is not True and value is not False:
                 raise TypeError(f"{key} must be a JSON boolean, got {value!r}")
-        lo, hi = rat(self.a_circ_min), rat(self.a_circ_max)
-        object.__setattr__(self, "a_circ_min", lo)
-        object.__setattr__(self, "a_circ_max", hi)
+        lo, hi = self.a_circ_min, self.a_circ_max
+        # a bound that is not yet a Fraction is read by rat
+        if not isinstance(lo, Fraction):
+            lo = rat(lo)
+            object.__setattr__(self, "a_circ_min", lo)
+        if not isinstance(hi, Fraction):
+            hi = rat(hi)
+            object.__setattr__(self, "a_circ_max", hi)
         # 0 <= lo <= hi, on integers: both denominators are positive
         if not 0 <= lo.numerator * hi.denominator <= hi.numerator * lo.denominator:
             raise ValueError(f"need 0 <= min <= max, got [{lo}, {hi}]")

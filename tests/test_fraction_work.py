@@ -51,8 +51,12 @@ from pinchcert.exact_poly import IntervalQ, SignCertificate
 #: 265 and 265 before).  All four fell by the same eight, measured on the
 #: same four versions, once the sweep walked one list of cells in t order:
 #: the range check of each refinement t built ``F(1, 2)`` (41, 41, 53 and
-#: 53 before)
-RIGHT_SWEEP_FRACTIONS = {(3, 10): 33, (3, 11): 33, (3, 12): 45, (3, 13): 45}
+#: 53 before).  All four fell by the same four, measured on the same four
+#: versions, once the winner's sign certificate tested its interval's ends
+#: for equality instead of building its width, and built its midpoint
+#: witness as one Fraction from the ends' integers (33, 33, 45 and 45
+#: before)
+RIGHT_SWEEP_FRACTIONS = {(3, 10): 29, (3, 11): 29, (3, 12): 41, (3, 13): 41}
 
 #: Fractions built by one warm default left sweep (``optimize``), measured on
 #: CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 once a live probe read phi's end
@@ -73,8 +77,20 @@ RIGHT_SWEEP_FRACTIONS = {(3, 10): 33, (3, 11): 33, (3, 12): 45, (3, 13): 45}
 #: 1174 before).  All four fell by the same 20, measured on the same four
 #: versions, once the sweep walked t alone and counted its dead pairs: the
 #: eight ``F(1, 2)`` of the refinement t's range check and the six of each
-#: round's w trisection are gone (58, 58, 76 and 76 before)
-LEFT_SWEEP_FRACTIONS = {(3, 10): 38, (3, 11): 38, (3, 12): 50, (3, 13): 50}
+#: round's w trisection are gone (58, 58, 76 and 76 before).  All four fell
+#: by the same eight, measured on the same four versions, once a sign
+#: certificate tested its interval's ends for equality instead of building
+#: its width, and built its midpoint witness as one Fraction from the ends'
+#: integers: four fewer for each of the winner's two sign certificates (38,
+#: 38, 50 and 50 before)
+LEFT_SWEEP_FRACTIONS = {(3, 10): 30, (3, 11): 30, (3, 12): 42, (3, 13): 42}
+
+#: Fractions built by one warm ``cmd_certify()``, measured on CPython
+#: 3.10.13, 3.11.7, 3.12.1 and 3.13.0 once its four decimal brackets were
+#: parsed once per process and the gap-derivative sign certificate built its
+#: midpoint witness as one Fraction (59, 59, 62 and 62 before, while each
+#: call parsed six decimal strings)
+CERTIFY_FRACTIONS = {(3, 10): 49, (3, 11): 49, (3, 12): 52, (3, 13): 52}
 
 #: Fractions built by a warm ``from_json(...).replay()`` of certify's seven
 #: certificates: per certificate the interval's two ends, read by
@@ -139,6 +155,16 @@ def test_a_warm_default_sweep_builds_the_measured_number_of_fractions(
     ps.optimize(side, config)
     counts = _count_fractions(monkeypatch)
     ps.optimize(side, config)
+    assert counts["built"] == want
+
+
+def test_a_warm_certify_builds_the_measured_number_of_fractions(monkeypatch):
+    want = CERTIFY_FRACTIONS.get(sys.version_info[:2])
+    if want is None:
+        pytest.skip(f"not measured on Python {sys.version_info[0]}.{sys.version_info[1]}")
+    rc.cmd_certify()
+    counts = _count_fractions(monkeypatch)
+    assert rc.cmd_certify().all_passed
     assert counts["built"] == want
 
 

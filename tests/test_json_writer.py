@@ -9,6 +9,7 @@ garbage collector.
 
 import gc
 import json
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -37,12 +38,35 @@ _LEAVES = st.one_of(
     st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e300, 5e-324]),
     _TEXT,
 )
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
+# the writer inlines entries of exact type str; subclasses take its isinstance path
 _TREES = st.recursive(
-    _LEAVES,
+    st.one_of(_LEAVES, _TEXT.map(_Str)),
     lambda children: st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
+        st.lists(children, max_size=5).map(_List),
+        st.lists(children, max_size=5).map(_Tuple),
         st.dictionaries(_TEXT, children, max_size=5),
+        st.dictionaries(st.one_of(_TEXT, _TEXT.map(_Str)), children, max_size=5).map(_Dict),
+        st.dictionaries(_TEXT, children, max_size=5).map(OrderedDict),
     ),
     max_leaves=40,
 )
@@ -57,6 +81,8 @@ def test_the_writer_equals_json_dumps_on_json_trees(value):
 @pytest.mark.parametrize("value", [
     {}, [], (), {"a": {}}, {"a": []}, [[], {}, [[]], [{}]], {"": {"": [()]}},
     {"b": 1, "a": 2, "B": 3, "é": 4, "\U0001f600": 5, "\ud800": 6},
+    _Str("a"), _Dict(), _List(), _Tuple(), OrderedDict(), [_Str("x"), _Dict(a=_List())],
+    OrderedDict([("b", _Str("")), ("a", _Tuple((_Str("é"),)))]), {_Str("k"): "v", "j": _Str("w")},
 ])
 def test_the_writer_equals_json_dumps_on_empty_and_nested_containers(value):
     assert rc.json_text(value) == _reference(value)
