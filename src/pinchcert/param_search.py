@@ -14,21 +14,20 @@ branches live in :mod:`pinchcert.pinching_bounds`.
 For the upper endpoint the certificate is a single cubic, so its root is
 isolated directly.
 
-Left sweeps rest on an edge lemma.  At the domain edge the common term
-vanishes and phi(5/3) = 5 (w - 5/3)^2 q(5/3)^2, where the weight
+Left probes run at w = 5/3 alone, by an edge lemma.  At the domain edge
+the common term vanishes and phi(5/3) = 5 (w - 5/3)^2 q(5/3)^2, where the
+weight
 
     q(5/3) = (1 + 15t/2)(w + 5/3) + 36/5 - 126t/5 - 10/3
 
 is bilinear in (t, w).  It is positive at the four corners of
-[0, 1/2] x [5/3, 9/5], hence on the whole rectangle, so every probe with
-w > 5/3 is degenerate with enclosure [5/3, 5/3], which every live
-enclosure outranks.  :func:`optimize` checks the corners once per process,
-before its first left sweep, and then walks t alone: it probes only w =
-5/3, when the grid holds it, and counts every other (t, w) pair, the
-grid's and the refinement's, by arithmetic, with no probe, cell, ranking or
-list of w values.  Only when no w is live does a dead pair win, the one at
-the smallest t and w, and only its certificate is built.  Only w = 5/3
-specializes the quotients.
+[0, 1/2] x [5/3, 9/5], hence on the whole rectangle, so at every w > 5/3
+phi is positive at 5/3 and the threshold degenerates to 5/3: no claim
+rests on such a probe, and :func:`left_threshold` refuses it.
+:func:`optimize` checks the corners once per process, before its first
+left sweep, refuses a left grid without 5/3, and walks t alone at 5/3: it
+counts every other (t, w) pair, the grid's and the refinement's, as
+degenerate by arithmetic, with no probe, cell or list of w values.
 
 Sweep probes rest on a monotonicity lemma as well.  θ2 and the quotients
 g = p / (x - 5/3) of both left branches are forms in t.  For t in
@@ -67,11 +66,11 @@ winner's cell becomes an :class:`IntervalQ`.  :func:`left_threshold` and
 step (:func:`_certify`), whose certificates prove the enclosure without the
 lemma; :func:`optimize` keeps the winner's cell and runs only that step on
 it.  Which claims prove an enclosure is said in one place, the claim table
-:func:`_claims`, from the enclosure's side, t, w, ends and degeneracy
-alone: a live enclosure rests on ``sign-constant-negative`` claims,
-θ2(t) on [enclosure.hi, 9/5] or each left quotient on [5/3, enclosure.lo],
-with its other end on an exact value of the opposite sign; only the
-degenerate right enclosure counts roots.  :func:`_certify` proves each row,
+:func:`_claims`, from the enclosure's side, t, ends and degeneracy alone: a
+live enclosure rests on ``sign-constant-negative`` claims, θ2(t) on
+[enclosure.hi, 9/5] or each left quotient on [5/3, enclosure.lo], with its
+other end on an exact value of the opposite sign; only the degenerate right
+enclosure counts roots.  :func:`_certify` proves each row,
 :func:`enclosure_holds` binds the certificates to the rows and
 :func:`certificate_labels` names them by the rows' labels.
 """
@@ -89,7 +88,6 @@ from . import pinching_bounds as pb
 from .exact_poly import (
     CLAIM_NEGATIVE,
     CLAIM_NO_ROOT,
-    CLAIM_POSITIVE,
     ExactPolyError,
     IntervalQ,
     Polynomial,
@@ -278,9 +276,10 @@ def edge_lemma() -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
 
     q(5/3) is bilinear in (t, w), so on the rectangle it is smallest at a
     corner, and positive corners make it positive everywhere.  Then
-    phi(5/3) = 5 (w - 5/3)^2 q(5/3)^2 > 0 for every w > 5/3: each such probe
-    is degenerate.  Raises :class:`ExactPolyError` if a corner fails.
-    Proved once per process, on first use, as :func:`monotone_lemma` is.
+    phi(5/3) = 5 (w - 5/3)^2 q(5/3)^2 > 0 for every w > 5/3: each such pair
+    is degenerate, and a sweep counts it without probing.  Raises
+    :class:`ExactPolyError` if a corner fails.  Proved once per process, on
+    first use, as :func:`monotone_lemma` is.
     """
     corners = tuple(
         (t, w, edge_weight(t, w)(DOMAIN_LO))
@@ -320,11 +319,7 @@ def monotone_lemma(side: str) -> tuple[SignCertificate, ...]:
 
 #: [5/3, u]: each left quotient must be negative at u, where its isolation starts
 _SLIVER = IntervalQ(DOMAIN_LO, DOMAIN_LO + (DOMAIN_HI - DOMAIN_LO) / 10**6)
-#: the enclosure of every degenerate left probe, [5/3, 5/3]
-_EDGE = IntervalQ(DOMAIN_LO, DOMAIN_LO)
-#: the ends of the degenerate enclosures as ``(lo_num, hi_num, den)``:
-#: [5/3, 5/3] on the left, [9/5, 9/5] on the right
-_EDGE_ENDS = (5, 5, 3)
+#: the ends of the degenerate right enclosure [9/5, 9/5] as ``(lo_num, hi_num, den)``
 _TOP_ENDS = (9, 9, 5)
 #: the ends of the two sides' isolation intervals, as reduced pairs
 _U = (_SLIVER.hi.numerator, _SLIVER.hi.denominator)
@@ -461,26 +456,23 @@ def left_threshold(t, w, width=DEFAULT_ISOLATION_WIDTH) -> ThresholdEnclosure:
 
     The threshold is the largest x such that the certificate stays negative
     on (5/3, x); pinching below it forces S to sit at the lower endpoint.
-    For w > 5/3 (see :func:`edge_lemma`) the certificate is positive at the
-    domain edge, and the degenerate enclosure [5/3, 5/3] is returned, with
-    the positive certificate of :func:`edge_weight` on it.  At w = 5/3 this
-    is :func:`_left_cell` with its certificates (:func:`_claims`): each
-    quotient negative on exactly [5/3, enclosure.lo], sup-at-x first.  A
-    branch is its quotient times x - 5/3 > 0 there, so they prove
-    phi < 0 on (5/3, enclosure.lo] without the monotonicity lemma, and
-    phi(enclosure.hi) > 0 shows the enclosure is tight; a quotient not
-    negative up to enclosure.lo raises :class:`SignClaimError`.
+    w must be 5/3, else :class:`ValueError` naming it: at w > 5/3 the
+    certificate is positive at the domain edge (:func:`edge_lemma`).  w
+    stays a parameter so that a call ``left_threshold(t, 5/3)`` is never
+    read as a width.  This is :func:`_left_cell` with its certificates
+    (:func:`_claims`): each quotient negative on exactly
+    [5/3, enclosure.lo], sup-at-x first.  A branch is its quotient times
+    x - 5/3 > 0 there, so they prove phi < 0 on (5/3, enclosure.lo]
+    without the monotonicity lemma, and phi(enclosure.hi) > 0 shows the
+    enclosure is tight; a quotient not negative up to enclosure.lo raises
+    :class:`SignClaimError`.
     """
     t, w = rat(t), rat(w)
     if not 0 < t <= F(1, 2):
         raise ValueError(f"parameter t must satisfy 0 < t <= 1/2, got {t}")
-    if not DOMAIN_LO <= w <= DOMAIN_HI:
-        raise ValueError(f"w = {w} outside [5/3, 9/5]")
-    width = _isolation_width(width)
-    if w > DOMAIN_LO:
-        # phi(5/3) = 5 (w - 5/3)^2 q(5/3)^2 > 0 by the edge lemma: no usable region
-        return _certify(_Cell("left", t, w, *_EDGE_ENDS, True))
-    return _certify(_left_cell(t, width))
+    if w != DOMAIN_LO:
+        raise ValueError(f"a left probe runs at w = 5/3 alone, got w = {rat_str(w)}")
+    return _certify(_left_cell(t, _isolation_width(width)))
 
 
 def _right_cell(t: Fraction, width: Fraction) -> _Cell:
@@ -543,7 +535,7 @@ def _claims(th: ThresholdEnclosure | _Cell, polys: Sequence[Polynomial] = (),
     prove which enclosure, for :func:`_certify`, :func:`enclosure_holds` and
     :func:`certificate_labels`.
 
-    The rows follow from th's side, t, w, enclosure and degeneracy alone;
+    The rows follow from th's side, t, enclosure and degeneracy alone;
     ``polys``, the rows' polynomials where the caller has them (the forms
     at t a live probe specialized, :func:`_at_t`, or a certificate's own),
     only spare specializing them again, and ``enclosure``, th's where the
@@ -551,14 +543,9 @@ def _claims(th: ThresholdEnclosure | _Cell, polys: Sequence[Polynomial] = (),
 
     - right, live: θ2(t) ``sign-constant-negative`` on [enclosure.hi, 9/5];
     - right, degenerate: θ2(t) ``no-root`` on :func:`_counted_domain`;
-    - left, degenerate: :func:`edge_weight` ``sign-constant-positive`` on
-      [5/3, 5/3];
-    - left, live: each quotient at t, in :func:`_at_t`'s order,
+    - left: each quotient at t, in :func:`_at_t`'s order,
       ``sign-constant-negative`` on [5/3, enclosure.lo].
     """
-    if th.side == "left" and th.degenerate:
-        edge = polys[0] if polys else edge_weight(th.t, th.w)
-        return [("edge-weight-positive-at-5/3", edge, CLAIM_POSITIVE, _EDGE)]
     polys = polys or _at_t(th.side, th.t)
     if th.side == "right" and th.degenerate:
         return [("theta2-no-root-in-domain", polys[0], CLAIM_NO_ROOT, _counted_domain(polys[0]))]
@@ -575,16 +562,12 @@ def _values(th: ThresholdEnclosure | _Cell, polys: Sequence[Polynomial],
             enclosure: IntervalQ) -> tuple[Fraction | None, Fraction | None]:
     """The values an enclosure stores at the ends of ``enclosure``, th's,
     from its claims' polynomials, one Fraction per end: θ2(t)'s on the
-    right, none for the degenerate one; phi's on the left, phi(5/3) =
-    5 (w - 5/3)^2 q(5/3)^2 at both ends of the degenerate one, else
-    (x - 5/3) times the larger quotient, from the quotients' integer
-    Horner values, the larger picked by one cross-multiplication."""
+    right, none for the degenerate one; phi's on the left, (x - 5/3) times
+    the larger quotient, from the quotients' integer Horner values, the
+    larger picked by one cross-multiplication."""
     ends = (enclosure.lo, enclosure.hi)
     if th.side == "right":
         return (None, None) if th.degenerate else tuple(polys[0](x) for x in ends)
-    if th.degenerate:
-        phi = pb.left_certificate_value(DOMAIN_LO, th.w, th.t)
-        return phi, phi
     values = []
     for x in ends:
         a, b = x.numerator, x.denominator
@@ -599,8 +582,9 @@ def _values(th: ThresholdEnclosure | _Cell, polys: Sequence[Polynomial],
 
 def _certify(cell: _Cell) -> ThresholdEnclosure:
     """The certified enclosure of ``cell``: one certificate per row of
-    :func:`_claims`, the main one first, and :func:`_values`.  A sign claim
-    is proved by :func:`exact_poly.certify_sign_on_interval`, which raises
+    :func:`_claims`, the main one first, and :func:`_values`.  A
+    ``sign-constant-negative`` claim is proved by
+    :func:`exact_poly.certify_sign_on_interval`, which raises
     :class:`SignClaimError` where it fails; a ``no-root`` count by
     :func:`exact_poly.count_roots`, which must find no root, else
     :class:`ExactPolyError`.  The cell's :class:`IntervalQ` is built here,
@@ -615,8 +599,7 @@ def _certify(cell: _Cell) -> ThresholdEnclosure:
                 raise ExactPolyError(f"{label} at t = {cell.t}: expected no root on "
                                      f"[{interval.lo}, {interval.hi}], found {n}")
         else:
-            cert = certify_sign_on_interval(
-                p, interval, "positive" if claim == CLAIM_POSITIVE else "negative")
+            cert = certify_sign_on_interval(p, interval, "negative")
         certificates.append(cert)
     phi_lo, phi_hi = _values(cell, [p for _, p, _, _ in claims], enclosure)
     return ThresholdEnclosure(
@@ -636,12 +619,11 @@ def enclosure_holds(th: ThresholdEnclosure) -> bool:
     """The facts of a threshold enclosure beyond its certificates' replays.
 
     Its shape: w = 9/5 on the right and w = 5/3 on the left, with the
-    enclosure in the domain, or, degenerate, the weakest claim of its side:
-    [9/5, 9/5] on the right, [5/3, 5/3] at w in (5/3, 9/5] on the left.  Its
-    stored values, which :func:`_values` recomputes: θ2(t) positive at
-    enclosure.lo and negative at enclosure.hi on the right, phi negative at
-    enclosure.lo and positive at enclosure.hi on the left; none on the
-    degenerate right, phi(5/3) > 0 at both ends on the degenerate left.  Its
+    enclosure in the domain, or, degenerate, the right's weakest claim
+    [9/5, 9/5]; no left enclosure is degenerate.  Its stored values, which
+    :func:`_values` recomputes: θ2(t) positive at enclosure.lo and negative
+    at enclosure.hi on the right, phi negative at enclosure.lo and positive
+    at enclosure.hi on the left; none on the degenerate right.  Its
     certificate and support: exactly the rows of :func:`_claims`, in order,
     as (polynomial, claim, interval).  An unknown side or a t outside
     (0, 1/2] holds nothing.
@@ -651,18 +633,14 @@ def enclosure_holds(th: ThresholdEnclosure) -> bool:
     lo, hi = th.enclosure.lo, th.enclosure.hi
     right = th.side == "right"
     if th.degenerate:
-        shape = (lo == hi == th.w == DOMAIN_HI if right
-                 else lo == hi == DOMAIN_LO < th.w <= DOMAIN_HI)
+        shape = right and lo == hi == th.w == DOMAIN_HI
     else:
         shape = th.w == (DOMAIN_HI if right else DOMAIN_LO) and DOMAIN_LO <= lo and hi <= DOMAIN_HI
     if not shape:
         return False
     claims = _claims(th)
     phi_lo, phi_hi = values = _values(th, [p for _, p, _, _ in claims], th.enclosure)
-    if th.degenerate:
-        signs = right or phi_lo > 0
-    else:
-        signs = phi_lo > 0 > phi_hi if right else phi_lo < 0 < phi_hi
+    signs = th.degenerate or (phi_lo > 0 > phi_hi if right else phi_lo < 0 < phi_hi)
     return (signs and (th.phi_lo, th.phi_hi) == values
             and [(c.polynomial, c.claim, c.interval) for c in (th.certificate, *th.support)]
             == [(p, claim, interval) for _, p, claim, interval in claims])
@@ -756,69 +734,64 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
     Deterministic: probes are exact rationals, results are compared exactly,
     and ties break toward smaller t.  The monotonicity lemma
     (:func:`monotone_lemma`) is proved first, and on the left the edge
-    lemma (:func:`edge_lemma`).  Only the side's one live w is probed:
-    9/5 on the right, where a w grid holding any other w is refused, and
-    5/3 on the left when the grid holds it.
-    Every other (t, w) pair, the grid's and the refinement's, is dead, with
-    enclosure [5/3, 5/3], which every live cell outranks, so dead pairs are
-    counted, not probed.  With no live w, the dead pair at the smallest t
-    and w wins.  Live probes, one per distinct t, are ranked on their bare
-    cells (:func:`_left_cell`, :func:`_right_cell`), which check every fact
-    the lemma leaves but build no certificate, and kept in one list in t
-    order.  Each refinement round probes the trisection points of the
-    incumbent's neighbouring gaps, nearest first and below before above,
-    and splices their cells in next to it.  The winner alone is certified,
-    from its own probe's cell, by the certificate step :func:`_certify`.
-    Cells stay integer ``(lo_num, hi_num, den)`` triples while probing,
-    ranked by :func:`_outranks`, and the table's rows hold them so.
+    lemma (:func:`edge_lemma`).  Only the side's one live w is probed: 9/5
+    on the right, where a w grid holding any other w is refused, and 5/3 on
+    the left, where a w grid without it is refused.  Every other left
+    (t, w) pair, the grid's and the refinement's, is degenerate by the edge
+    lemma, so it is counted, not probed.  Probes, one per distinct t, are
+    ranked on their bare cells (:func:`_left_cell`, :func:`_right_cell`),
+    which check every fact the lemma leaves but build no certificate, and
+    kept in one list in t order.  Each refinement round probes the
+    trisection points of the incumbent's neighbouring gaps, nearest first
+    and below before above, and splices their cells in next to it.  The
+    winner alone is certified, from its own probe's cell, by the
+    certificate step :func:`_certify`.  Cells stay integer
+    ``(lo_num, hi_num, den)`` triples while probing, ranked by
+    :func:`_outranks`, and the table's rows hold them so.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if side == "right" and any(w != DOMAIN_HI for w in config.w_grid):
+    grid = config.w_grid
+    if side == "right" and any(w != DOMAIN_HI for w in grid):
         raise ValueError("a right sweep probes w = 9/5 alone, got w_grid "
-                         f"[{', '.join(map(rat_str, config.w_grid))}]")
+                         f"[{', '.join(map(rat_str, grid))}]")
     if side == "left":
+        if grid[0] != DOMAIN_LO:  # the grid ascends from 5/3 or above
+            raise ValueError("a left sweep probes w = 5/3, which w_grid "
+                             f"[{', '.join(map(rat_str, grid))}] lacks")
         edge_lemma()
     monotone_lemma(side)
     width = config.isolation_width
     ts = _distinct(config.t_grid)
-    n_w = len(_distinct(config.w_grid)) if side == "left" else 1
-    live = side == "right" or config.w_grid[0] == DOMAIN_LO
+    n_w = len(_distinct(grid))
     # the grid's dead pairs, then per round the two w trisection points
-    # above the incumbent's w, the smallest; with no live w the incumbent
-    # sits at the smallest t too, and the two t trisection points above it
-    # are dead as well
-    dead = (len(ts) * (n_w - live)
-            + config.refinement_rounds * 2 * ((n_w > 1) + (not live and len(ts) > 1)))
-    cells: list[_Cell] = []
-    if not live:
-        best = _Cell(side, ts[0], config.w_grid[0], *_EDGE_ENDS, True)
-    else:
-        cell_at = _left_cell if side == "left" else _right_cell
-        cells = [cell_at(t, width) for t in ts]
-        i = 0
-        for j in range(1, len(cells)):
-            if _outranks(side, cells[j], cells[i]):
-                i = j
-        # a trisection point lies strictly inside a gap of the t values
-        # probed, so every refinement probe is of a t new to the sweep
-        for _ in range(config.refinement_rounds):
-            t = cells[i].t
-            below, above = [], []
-            if i > 0:
-                gap = t - cells[i - 1].t
-                near = cell_at(t - gap / 3, width)  # each side's nearer point first
-                below = [cell_at(t - 2 * gap / 3, width), near]
-            if i + 1 < len(cells):
-                gap = cells[i + 1].t - t
-                above = [cell_at(t + gap / 3, width), cell_at(t + 2 * gap / 3, width)]
-            cells[i:i + 1] = [*below, cells[i], *above]
-            top = i + len(below)
-            for j in range(i, top + 1 + len(above)):
-                if _outranks(side, cells[j], cells[top]):
-                    top = j
-            i = top
-        best = cells[i]
+    # above the incumbent's w, 5/3
+    dead = len(ts) * (n_w - 1) + config.refinement_rounds * 2 * (n_w > 1)
+    cell_at = _left_cell if side == "left" else _right_cell
+    cells = [cell_at(t, width) for t in ts]
+    i = 0
+    for j in range(1, len(cells)):
+        if _outranks(side, cells[j], cells[i]):
+            i = j
+    # a trisection point lies strictly inside a gap of the t values
+    # probed, so every refinement probe is of a t new to the sweep
+    for _ in range(config.refinement_rounds):
+        t = cells[i].t
+        below, above = [], []
+        if i > 0:
+            gap = t - cells[i - 1].t
+            near = cell_at(t - gap / 3, width)  # each side's nearer point first
+            below = [cell_at(t - 2 * gap / 3, width), near]
+        if i + 1 < len(cells):
+            gap = cells[i + 1].t - t
+            above = [cell_at(t + gap / 3, width), cell_at(t + 2 * gap / 3, width)]
+        cells[i:i + 1] = [*below, cells[i], *above]
+        top = i + len(below)
+        for j in range(i, top + 1 + len(above)):
+            if _outranks(side, cells[j], cells[top]):
+                top = j
+        i = top
+    best = cells[i]
 
     # only the winner is certified, from the cell its probe found
     threshold = _certify(best)

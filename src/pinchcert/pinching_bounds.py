@@ -9,10 +9,11 @@ parameter) are built once per process and shared: a :class:`Polynomial` is
 immutable and holds only its canonical integer form.  θ2, the weight q
 and the two branches of the lower-endpoint certificate phi are each
 written once, as a form in t (:class:`~pinchcert.exact_poly.Form`) from
-its formula in the generators t and x; phi's value, the weight's supremum
-and θ1 are read from them.  Whether the new gap bound beats the legacy one
-is decided by the integer signs of two constant polynomials
-(:func:`legacy_dominance_polynomials`), with no Fraction built.
+its formula in the generators t and x, the branches at w = 5/3, where
+every left probe runs; the weight's supremum and θ1 are read from them.
+Whether the new gap bound beats the legacy one is decided by the integer
+signs of two constant polynomials (:func:`legacy_dominance_polynomials`),
+with no Fraction built.
 """
 
 from __future__ import annotations
@@ -288,49 +289,28 @@ def weight_sup_over_s(x, w, t) -> Fraction:
     return max(_sup_candidates(c1, c0, x))
 
 
-def phi_branches(w) -> tuple[tuple[str, Form], ...]:
-    """The two branches of phi at rational w as (label, form in (t, x)) pairs,
-    with q(S) = c1 S + c0 from :func:`weight_forms` at w:
-
-        "sup-at-x":   16t(1-t) x(3x-4)(3x-5)(5x-9) + 5 (w - x)^2 q(x)^2,
-        "sup-at-5/3": 16t(1-t) x(3x-4)(3x-5)(5x-9) + 3x (w - x)^2 q(5/3)^2.
-
-    phi, whose M is the supremum of :func:`weight_sup_over_s`, is the larger.
-    """
-    T, X = Form((0, 1)), Form((_X,))
-    common = 16 * T * (1 - T) * X * (3 * X - 4) * (3 * X - 5) * (5 * X - 9)
-    gap = 5 * (rat(w) - X) ** 2
-    at_x, at_53 = _sup_candidates(*weight_forms(w), X)
-    return ("sup-at-x", common + gap * at_x), ("sup-at-5/3", common + gap * at_53)
-
-
-def left_certificate_value(x, w, t) -> Fraction:
-    """The generalized lower-endpoint certificate phi at x with free
-    parameters (w, t), without domain checks; replay needs x = 5/3 < w.
-
-    16t(1-t) x(3x-4)(3x-5)(5x-9) + 5(w-x)^2 * M(x,w,t) where M is the exact
-    supremum of q(S)^2 x/S over S in [5/3, x]: the larger of the two
-    branches of :func:`phi_branches` at (t, x), whose forms are built for w
-    on every call.  A negative value proves x is not attainable as the
-    supremum of S under the pinching hypothesis.
-    """
-    x = rat(x)
-    return max(form.at(t)(x) for _, form in phi_branches(w))
-
-
 @lru_cache(maxsize=None)
 def left_branch_forms() -> tuple[tuple[str, Form, Form], ...]:
-    """:func:`phi_branches` at w = 5/3 as (label, form, quotient) triples.
+    """The two branches of phi at w = 5/3 as (label, form, quotient) triples,
+    forms in (t, x), with q(S) = c1 S + c0 from :func:`weight_forms` at 5/3:
 
+        "sup-at-x":   16t(1-t) x(3x-4)(3x-5)(5x-9) + 5 (5/3 - x)^2 q(x)^2,
+        "sup-at-5/3": 16t(1-t) x(3x-4)(3x-5)(5x-9) + 3x (5/3 - x)^2 q(5/3)^2.
+
+    phi, whose M is the supremum of :func:`weight_sup_over_s`, is the larger.
     Each branch vanishes at 5/3 to first order, with slope -160t(1-t)/3, and
     is positive at 9/5, where "sup-at-x" is 5 (2/15)^2 (106/15 + 4t/5)^2 and
     "sup-at-5/3" is (27/5) (2/15)^2 (104/15 - t/5)^2.  The quotient is the
     branch divided by x - 5/3 row by row, so at t it is the branch at t
     divided; a row that leaves a remainder raises :class:`ExactPolyError`.
     """
+    T, X, w = Form((0, 1)), Form((_X,)), F(5, 3)
+    common = 16 * T * (1 - T) * X * (3 * X - 4) * (3 * X - 5) * (5 * X - 9)
+    gap = 5 * (w - X) ** 2
+    at_x, at_53 = _sup_candidates(*weight_forms(w), X)
     divisor = Polynomial.linear(-PINCH_DOMAIN.lo, 1)
     triples = []
-    for label, form in phi_branches(F(5, 3)):
+    for label, form in (("sup-at-x", common + gap * at_x), ("sup-at-5/3", common + gap * at_53)):
         rows = [row.divmod(divisor) for row in form.rows]
         if any(not r.is_zero for _, r in rows):
             raise ExactPolyError(f"left branch {label} does not vanish at {PINCH_DOMAIN.lo}")

@@ -580,8 +580,7 @@ def main(argv: list[str] | None = None) -> int:
                     normalized_H_parallel=args.h_parallel is not False,
                 )
             else:
-                print("classify needs --input or both --min and --max", file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError("classify needs --input or both --min and --max")
             report = cmd_classify(data)
         else:  # pragma: no cover - argparse enforces the choices
             return EXIT_USAGE

@@ -8,24 +8,36 @@ Fraction sort key the library ranked by before it ranked cells by integer
 cross-multiplication, and ``_trisect_candidates`` of the trisection step
 the library took over its Fraction lists of probed values before its
 sweeps walked t alone.  Its table rows hold the enclosure's ends as
-Fractions.  Do not edit them to track the library.
+Fractions.  ``left_threshold`` is the one edit, made when the library came
+to refuse a left probe at w > 5/3: there it returns the frozen degenerate
+enclosure of ``left_threshold_reference``, the enclosure the library
+returned before.  Do not edit them to track the library.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Sequence
 
+import left_threshold_reference as left_ref
 from pinchcert.param_search import (
     DOMAIN_HI,
     DOMAIN_LO,
     Optimum,
     SweepConfig,
     ThresholdEnclosure,
-    left_threshold,
+    left_threshold as _live_left_threshold,
     right_threshold,
 )
 
 F = Fraction
+
+
+def left_threshold(t, w, width) -> ThresholdEnclosure:
+    """The library's probe at w = 5/3; at w > 5/3 the frozen degenerate
+    enclosure [5/3, 5/3] with its edge-weight certificate."""
+    if w == DOMAIN_LO:
+        return _live_left_threshold(t, w, width)
+    return left_ref.left_threshold(t, w, width)
 
 
 def _strength_key(side: str, th) -> tuple:

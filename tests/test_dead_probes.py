@@ -3,8 +3,10 @@
 ``param_search_reference`` is a frozen copy of the sweep that evaluated
 every (t, w) probe in full; the sweep that walks t alone and counts the
 w > 5/3 pairs it proves dead must return the same optimum, table and
-degenerate count.  A right sweep probes w = 9/5 alone, so a right config
-whose w grid holds any other w is refused, naming the grid.
+degenerate count.  A left probe runs at w = 5/3 alone, so a left probe at
+any other w, and a left config whose w grid lacks 5/3, are refused, naming
+the input; a right sweep probes w = 9/5 alone, so a right config whose w
+grid holds any other w is refused, naming the grid.
 """
 
 from fractions import Fraction
@@ -13,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pinchcert import param_search as ps
-from pinchcert.exact_poly import ExactPolyError
+from pinchcert.exact_poly import ExactPolyError, rat_str
 
+import left_threshold_reference as left_ref
 import param_search_reference as ref
 
 F = Fraction
@@ -70,9 +73,8 @@ def _config(t_grid, w_grid, rounds):
 
 @settings(max_examples=60, deadline=None)
 @given(config=sweep_configs(), side=st.sampled_from(["left", "left", "right"]))
-# one example per term of the dead count: no live w, so each round adds two
-# dead t trisection points as well as two w ones; one t and one w, so no
-# round adds any; 5/3 live beside a repeated w > 5/3, counted once
+# left grids without 5/3, of several t and of one; 5/3 live beside a
+# repeated w > 5/3, counted once
 @example(config=_config((F(1, 8), F(1, 4)), (F(7, 4), HI), 2), side="left")
 @example(config=_config((F(1, 4),), (HI,), 3), side="left")
 @example(config=_config((F(1, 10), F(1, 4)), (LO, F(7, 4), F(7, 4)), 2), side="left")
@@ -80,9 +82,13 @@ def _config(t_grid, w_grid, rounds):
 @example(config=_config((F(1, 8), F(1, 4)), (HI, HI), 1), side="right")
 @example(config=_config((F(1, 4),), (LO, HI), 0), side="right")
 def test_sweep_matches_the_full_evaluation_reference(config, side):
+    # the reference probed whatever the grid held; the sweep names the grid
     if side == "right" and set(config.w_grid) != {HI}:
-        # the reference probed 9/5 whatever the grid; the sweep names the grid
         with pytest.raises(ValueError, match=r"w = 9/5 alone, got w_grid \["):
+            ps.optimize(side, config)
+        return
+    if side == "left" and LO not in config.w_grid:
+        with pytest.raises(ValueError, match=r"w = 5/3, which w_grid \[.*\] lacks"):
             ps.optimize(side, config)
         return
     assert _outcome(ps.optimize, side, config) == _outcome(ref.optimize, side, config)
@@ -113,9 +119,10 @@ def test_a_failing_corner_stops_the_left_sweep(monkeypatch):
     ps.edge_lemma.cache_clear()  # proved once per process: prove it again
     with pytest.raises(ExactPolyError, match="edge lemma"):
         ps.optimize("left", ps.SweepConfig(t_grid=(F(1, 2),), w_grid=(LO,)))
-    # the right sweep does not rest on the lemma
+    # the right sweep does not rest on the lemma, and a left probe at
+    # w > 5/3 is refused before any certificate is read
     ps.optimize("right", ps.SweepConfig(t_grid=(F(1, 2),), w_grid=(HI,)))
-    with pytest.raises(ExactPolyError):  # a degenerate probe certifies q(5/3) > 0
+    with pytest.raises(ValueError, match="got w = 9/5"):
         ps.left_threshold(F(1, 2), HI)
 
 
@@ -124,10 +131,16 @@ def test_a_failing_corner_stops_the_left_sweep(monkeypatch):
 def test_left_threshold_is_degenerate_at_the_edge_for_w_above_five_thirds(t, w):
     if w == LO:
         return
-    th = ps.left_threshold(t, w)
+    # the frozen probe's enclosure is the edge, where phi is positive ...
+    th = left_ref.left_threshold(t, w, F(1, 10**6))
     assert th.degenerate
     assert th.enclosure.lo == th.enclosure.hi == LO
     assert th.phi_lo == 5 * (w - LO) ** 2 * _q_at_edge(t, w) ** 2 > 0
+    # ... so no claim rests on it: the probe is refused, naming w, and its
+    # enclosure does not replay
+    with pytest.raises(ValueError, match=f"got w = {rat_str(w)}$"):
+        ps.left_threshold(t, w)
+    assert not ps.replay_threshold(th)
 
 
 def _count_left_threshold_calls(monkeypatch):
@@ -182,18 +195,20 @@ def test_left_threshold_runs_only_for_edge_probes(monkeypatch):
         assert [(t, w) for t, w in ref_calls if w == LO] == probed
 
 
-def test_a_dead_winner_is_evaluated_once_after_the_sweep(monkeypatch):
-    calls = _count_left_threshold_calls(monkeypatch)
-    real = ps._certify
-    monkeypatch.setattr(ps, "_certify", lambda cell: calls.append((cell.t, cell.w)) or real(cell))
+def test_a_left_grid_without_five_thirds_is_refused_before_any_probe(monkeypatch):
+    # every pair of this grid is dead: the sweep names the grid, and no
+    # probe runs, no cell is certified and no lemma is proved
+    calls = _count_left_probe_calls(monkeypatch)
+    for name in ("_certify", "edge_lemma", "monotone_lemma"):
+        monkeypatch.setattr(ps, name, lambda *args, name=name: calls.append(name))
     config = ps.SweepConfig(
         t_grid=(F(1, 10), F(3, 10)), w_grid=(F(17, 10), F(7, 4), HI), refinement_rounds=2,
     )
-    opt = ps.optimize("left", config)
-    assert calls == [(opt.best_t, opt.best_w)] == [(F(1, 10), F(17, 10))]
-    assert opt.best.degenerate and opt.table == ()
-    assert opt.degenerate_count == 14
-    assert (opt.to_json(), _fraction_rows(opt.table)) == _outcome(ref.optimize, "left", config)
+    with pytest.raises(ValueError) as refusal:
+        ps.optimize("left", config)
+    assert str(refusal.value) == (
+        "a left sweep probes w = 5/3, which w_grid [17/10, 7/4, 9/5] lacks")
+    assert calls == []
 
 
 def test_the_default_left_sweep_counts_its_dead_pairs():

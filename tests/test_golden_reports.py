@@ -2,14 +2,14 @@
 
 ``golden_reports.json`` pins each report twice.  Its ``pinchcert-report/2``
 block holds the sha256 of the bytes written today, where each certificate
-and the sweep table appear once.  The six digests at its top level pin the
+and the sweep table appear once.  The five digests at its top level pin the
 same reports in the ``pinchcert-report/1`` layout, which repeated them:
 :func:`reinflate` copies each repeated fact back from where ``/2`` keeps
 it, and the result must hash to the old digest, so no fact was lost.
 
 The first three ``/1`` digests in ``golden_reports.json`` were taken from the
 Fraction-only exact core, before evaluation and Sturm counting moved to
-integers; the three ``optimize-left-*`` sweeps after them were taken before
+integers; the two ``optimize-left-*`` sweeps after them were taken before
 left sweeps stopped evaluating the provably degenerate w > 5/3 probes.
 The ``certify`` digest was retaken once, when its sampled
 ``smax-threshold-identity-100`` check became the exact polynomial identity
@@ -33,8 +33,7 @@ certificate of g on [5/3, x], and the winner's exactly-one-root certificate
 moved from p to g.  With the certificates, ``inputs.optimum.best``'s
 certificate and support and the ``certificate-replay`` count set aside,
 those reports were byte-identical to the ones before, and every
-``right_threshold(k/200)`` was unchanged.  ``optimize-left-all-degenerate``
-certifies no live enclosure, so its digests stand.
+``right_threshold(k/200)`` was unchanged.
 
 Every ``optimize`` and ``thresholds-per-t`` digest was retaken once more
 when each live enclosure of a sweep came to rest on one strict sign claim,
@@ -42,12 +41,11 @@ with no exactly-one-root or root-count certificate left in its report: a
 right enclosure's certificate became θ2(t) negative on [enclosure.hi, 9/5],
 with no support; a left enclosure's became the winning quotient's negative
 certificate on [5/3, enclosure.lo], with the other quotient's as its
-support; and every ``optimize`` certificate took a label naming its role,
-``optimize-left-all-degenerate``'s included.  ``certificates-stripped``
-holds the digests of the reports and of ``thresholds-per-t`` with
-:func:`strip_certificates` applied, taken before that change and reproduced
-after it: every enclosure, table row, phi value, verdict and other check
-stayed byte-identical.  ``certify`` still counts θ1's and θ2(1/4)'s roots
+support; and every ``optimize`` certificate took a label naming its role.
+``certificates-stripped`` holds the digests of the reports and of
+``thresholds-per-t`` with :func:`strip_certificates` applied, taken before
+that change and reproduced after it: every enclosure, table row, phi
+value, verdict and other check stayed byte-identical.  ``certify`` still counts θ1's and θ2(1/4)'s roots
 on the domain, so its digests stand.
 
 The ``/2`` and ``/1`` digests of ``optimize-left-4t``,
@@ -58,8 +56,12 @@ left enclosure's support, the sup-at-5/3 quotient's negative certificate,
 moved from [5/3, x], x the lower end of that quotient's own cell, to
 exactly [5/3, enclosure.lo], and its two certificates took the branches'
 fixed order, sup-at-x first, where sup-at-5/3's root came first.  The
-``certificates-stripped`` digests pass unchanged, and so do the right,
-``certify`` and all-degenerate digests.
+``certificates-stripped`` digests pass unchanged, and so do the right and
+``certify`` digests.
+
+The three digests of ``optimize-left-all-degenerate``, a left sweep whose
+w grid lacked 5/3, left this file when left sweeps came to refuse such a
+grid: that report can no longer be produced.  No other digest moved.
 
 The ``classify`` block pins one ``classify`` report per outcome of the case
 table, taken while ``classify`` still decided by integer cross-multiplication
@@ -143,14 +145,6 @@ def _left_config() -> ps.SweepConfig:
     )
 
 
-# no w = 5/3 in the grid: every probe is degenerate, so the winner's
-# enclosure is built after the sweep
-ALL_DEGENERATE = ps.SweepConfig(
-    t_grid=(Fraction(1, 10), Fraction(3, 10)),
-    w_grid=(Fraction(17, 10), Fraction(7, 4), Fraction(9, 5)),
-    refinement_rounds=2,
-)
-
 # both ends of the w axis at t = 1/2; w refinement probes the gap between them
 HALF_EDGES = ps.SweepConfig(
     t_grid=(Fraction(1, 2),), w_grid=(Fraction(5, 3), Fraction(9, 5)), refinement_rounds=3
@@ -166,7 +160,6 @@ REPORTS = pytest.mark.parametrize(
         ("optimize-left-4t", lambda: rc.cmd_optimize("left", _left_config())),
         ("optimize-left-default",
          lambda: rc.cmd_optimize("left", ps.default_config("left"))),
-        ("optimize-left-all-degenerate", lambda: rc.cmd_optimize("left", ALL_DEGENERATE)),
         ("optimize-left-half-edges", lambda: rc.cmd_optimize("left", HALF_EDGES)),
     ],
 )

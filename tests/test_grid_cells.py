@@ -41,14 +41,15 @@ T_VALUES = st.fractions(min_value=F(1, 10**3), max_value=F(1, 2), max_denominato
 
 @st.composite
 def cells(draw, side):
-    """A live cell of ``side``, at the side's one w: on the side's default
-    grid, the degenerate one's ends, or off the grid on another
-    denominator; t drawn from few values, so that ties occur."""
+    """A cell of ``side``, at the side's one w: on the side's default grid,
+    off the grid on another denominator, or, on the right, the degenerate
+    one; t drawn from few values, so that ties occur."""
     t = draw(st.sampled_from([F(1, 4), F(1, 3), F(1, 2)]) | T_VALUES)
     w = LO if side == "left" else HI
-    kind = draw(st.sampled_from(["grid", "grid", "degenerate", "off-grid"]))
+    kind = draw(st.sampled_from(["grid", "grid", "degenerate" if side == "right" else "grid",
+                                 "off-grid"]))
     if kind == "degenerate":
-        return ps._Cell(side, t, w, *(ps._EDGE_ENDS if side == "left" else ps._TOP_ENDS), True)
+        return ps._Cell(side, t, w, *ps._TOP_ENDS, True)
     if kind == "off-grid":
         den = draw(st.integers(min_value=1, max_value=10**9))
         lo = draw(st.integers(min_value=5 * den // 3, max_value=9 * den // 5))
@@ -175,7 +176,9 @@ def test_a_one_t_sweep_specializes_each_form_twice(monkeypatch, side, calls):
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("t, w", [(F(1, 2), HI), (F(1, 4), None)])
 def test_labels_need_no_specialization(monkeypatch, side, t, w):
-    th = (ps.left_threshold(t, w or LO) if side == "left" else ps.right_threshold(t))
+    # (1/2, 9/5) is the degenerate right enclosure; a left probe runs at
+    # w = 5/3 alone
+    th = ps.left_threshold(t, LO) if side == "left" else ps.right_threshold(t)
     want = [label for label, *_ in ps._claims(th)]
     at = _count_calls(monkeypatch, ep.Form, "at")
     assert ps.certificate_labels(th) == want

@@ -1,7 +1,8 @@
 """The sweep's integer kernels against the Fraction code they replace.
 
-phi, the weight and its supremum are read from forms in (t, x)
-(``phi_reference`` holds the Fraction formulas); a left branch's quotient by
+The weight and its supremum are read from forms in (t, x), and phi at
+w = 5/3 from the left quotients' integer values (``phi_reference`` holds
+the Fraction formulas); a left branch's quotient by
 x - 5/3 is specialized from a form in t divided once; Sturm members are
 built from their primitive integers; and a variation count reads the
 chain's integer tuples in one pass (``exact_reference`` holds the Fraction
@@ -38,7 +39,7 @@ ts = st.fractions(min_value=F(1, BIG), max_value=F(1, 2), max_denominator=BIG)
 
 @settings(max_examples=500, deadline=None)
 @given(x=st.one_of(st.just(LO), domain), w=domain, t=ts)
-@example(x=LO, w=HI, t=F(1, 2))  # x = 5/3 < w, as a degenerate probe replays
+@example(x=LO, w=HI, t=F(1, 2))  # x = 5/3 < w, phi positive at the edge
 @example(x=LO, w=LO, t=F(1, 2))  # both candidates at S = 5/3 = x: a tie
 @example(x=HI, w=LO, t=F(7, 50))
 @example(x=F(10633, 6075), w=LO, t=F(7, 50))
@@ -47,7 +48,11 @@ def test_integer_phi_equals_the_fraction_formulas(x, w, t):
     assert (tuple(form.at(t)(x) for form in pb.weight_forms(w))
             == phi_ref.weight_linear_coeffs(x, w, t))
     assert pb.weight_sup_over_s(x, w, t) == phi_ref.weight_sup_over_s(x, w, t)
-    assert pb.left_certificate_value(x, w, t) == phi_ref.left_certificate_value(x, w, t)
+    # phi at w = 5/3 as a left enclosure stores it at its ends, here 5/3 and
+    # x: (x - 5/3) times the larger quotient, on integers
+    cell = ps._Cell("left", t, LO, 0, 0, 1, False)
+    assert (ps._values(cell, ps._at_t("left", t), ep.IntervalQ(LO, x))
+            == (0, phi_ref.left_certificate_value(x, LO, t)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
-"""Tests for the deterministic certificate-parameter sweeps."""
+"""Tests for the deterministic certificate-parameter sweeps.
+
+phi at general w is read from the frozen ``phi_reference``, and a left
+enclosure at w > 5/3, which the library refuses to build, from the frozen
+``left_threshold_reference``.
+"""
 
 from dataclasses import replace
 from fractions import Fraction
 import random
+import re
 
 import pytest
 
@@ -14,9 +20,13 @@ from pinchcert.exact_poly import (
     count_roots,
     one_root_certificate,
     rat,
+    rat_str,
 )
 from pinchcert import param_search as ps
 from pinchcert import pinching_bounds as pb
+
+import left_threshold_reference as left_ref
+import phi_reference as phi_ref
 
 F = Fraction
 
@@ -45,21 +55,29 @@ def test_left_threshold_endpoint_signs():
 
 
 def test_left_threshold_degenerate_for_large_w():
-    th = ps.left_threshold(F(1, 2), F(9, 5), WIDTH)
-    assert th.degenerate
-    assert th.enclosure.lo == th.enclosure.hi == F(5, 3)
-    assert th.phi_lo > 0
-    assert ps.replay_threshold(th)
+    # phi(5/3) > 0 at w = 9/5, so no threshold exists there: the probe is
+    # refused, naming w, with its width left unread
+    assert phi_ref.left_certificate_value(F(5, 3), F(9, 5), F(1, 2)) > 0
+    for width in (WIDTH, F(0)):
+        with pytest.raises(ValueError) as refusal:
+            ps.left_threshold(F(1, 2), F(9, 5), width)
+        assert str(refusal.value) == "a left probe runs at w = 5/3 alone, got w = 9/5"
 
 
 @pytest.mark.parametrize("t", [F(1, 200), F(1, 7), F(47, 200), F(893, 1800), F(1, 2)])
 @pytest.mark.parametrize("w", [F(5, 3) + F(1, 1500), F(17, 10), F(7, 4), F(9, 5)])
 def test_degenerate_phi_at_domain_edge_is_the_certificate_value(t, w):
-    # left_threshold computes phi(5/3) as 5 (w - 5/3)^2 q(5/3)^2
-    th = ps.left_threshold(t, w, WIDTH)
-    assert th.degenerate
-    assert th.phi_lo == th.phi_hi == pb.left_certificate_value(F(5, 3), w, t) > 0
-    assert ps.replay_threshold(th)
+    # phi(5/3) = 5 (w - 5/3)^2 q(5/3)^2 > 0, q(5/3) the edge weight: the
+    # frozen degenerate enclosure holds that value, and the library refuses
+    # the probe and its enclosure
+    q = ps.edge_weight(t, w)(F(5, 3))
+    th = left_ref.left_threshold(t, w, WIDTH)
+    assert th.degenerate and th.certificate.replay()
+    assert (th.phi_lo == th.phi_hi == phi_ref.left_certificate_value(F(5, 3), w, t)
+            == 5 * (w - F(5, 3)) ** 2 * q ** 2 > 0)
+    with pytest.raises(ValueError, match=re.escape(f"got w = {rat_str(w)}")):
+        ps.left_threshold(t, w, WIDTH)
+    assert not ps.replay_threshold(th)
 
 
 def test_left_threshold_continuity_in_t():
@@ -71,7 +89,7 @@ def test_left_threshold_continuity_in_t():
 def test_left_threshold_domain_validation():
     with pytest.raises(ValueError):
         ps.left_threshold(F(3, 4), F(5, 3), WIDTH)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got w = 3/2"):
         ps.left_threshold(F(1, 2), F(3, 2), WIDTH)
     with pytest.raises(ValueError):
         ps.left_threshold(F(1, 2), F(5, 3), F(0))
@@ -87,7 +105,7 @@ def test_left_branch_max_equals_certificate_value():
         branches = [form.at(t) for _, form, _ in pb.left_branch_forms()]
         for _ in range(40):
             x = F(5, 3) + F(2, 15) * F(rng.randint(0, 10**5), 10**5)
-            assert max(p(x) for p in branches) == pb.left_certificate_value(x, w, t)
+            assert max(p(x) for p in branches) == phi_ref.left_certificate_value(x, w, t)
 
 
 def test_left_threshold_negativity_dossier_covers_initial_segment():
@@ -97,7 +115,7 @@ def test_left_threshold_negativity_dossier_covers_initial_segment():
     lo = th.enclosure.lo
     for k in range(1, 50):
         x = F(5, 3) + (lo - F(5, 3)) * F(k, 50)
-        assert pb.left_certificate_value(x, F(5, 3), F(1, 2)) < 0
+        assert phi_ref.left_certificate_value(x, F(5, 3), F(1, 2)) < 0
     assert all(c.replay() for c in th.support)
 
 
@@ -172,7 +190,7 @@ def test_replay_detects_tampered_enclosures():
 def test_replay_rejects_forged_degenerate_enclosures():
     genuine = ps.left_threshold(F(1, 2), F(5, 3), WIDTH)
     far_edge = ps.IntervalQ(F(9, 5), F(9, 5))
-    phi_far = pb.left_certificate_value(F(9, 5), F(5, 3), F(1, 2))
+    phi_far = phi_ref.left_certificate_value(F(9, 5), F(5, 3), F(1, 2))
     assert phi_far == F(50176, 10125) > 0
     # the strongest left claim, backed by the positive value phi(9/5)
     forged = replace(genuine, degenerate=True, enclosure=far_edge,
@@ -184,11 +202,16 @@ def test_replay_rejects_forged_degenerate_enclosures():
     quarter = ps.right_threshold(F(1, 4), WIDTH)
     flipped = replace(quarter, degenerate=True, enclosure=ps.IntervalQ(F(5, 3), F(5, 3)))
     assert not ps.replay_threshold(flipped)
-    # a genuine left degenerate enclosure with a wrong or missing value
-    degenerate = ps.left_threshold(F(1, 4), F(7, 4), WIDTH)
-    assert ps.replay_threshold(degenerate)
-    assert not ps.replay_threshold(replace(degenerate, phi_lo=degenerate.phi_lo + 1))
-    assert not ps.replay_threshold(replace(degenerate, phi_hi=None))
+    # no left enclosure is degenerate or at w != 5/3: the frozen degenerate
+    # enclosure at w = 7/4, which replayed before left probes ran at 5/3
+    # alone, and each of its shapes, are refused whatever they hold
+    degenerate = left_ref.left_threshold(F(1, 4), F(7, 4), WIDTH)
+    assert degenerate.certificate.replay()
+    for forged in (degenerate, replace(degenerate, degenerate=False),
+                   replace(degenerate, w=F(5, 3)), replace(genuine, degenerate=True),
+                   replace(genuine, w=F(7, 4)), replace(genuine, w=F(9, 5))):
+        assert not ps.enclosure_holds(forged)
+        assert not ps.replay_threshold(forged)
 
 
 def test_the_degenerate_right_certificate_is_on_the_nudged_domain():
@@ -213,10 +236,11 @@ def test_the_degenerate_right_certificate_is_on_the_nudged_domain():
 
 def test_replay_binds_a_degenerate_enclosure_to_its_certificate():
     right = ps.right_threshold(F(1, 2), WIDTH)
-    left = ps.left_threshold(F(1, 4), F(7, 4), WIDTH)
+    # the frozen degenerate left enclosure, refused whole, as each forgery of it
+    left = left_ref.left_threshold(F(1, 4), F(7, 4), WIDTH)
     edge = ps.IntervalQ(F(5, 3), F(5, 3))
     assert right.degenerate and left.degenerate
-    assert ps.replay_threshold(right) and ps.replay_threshold(left)
+    assert ps.replay_threshold(right) and not ps.replay_threshold(left)
     quarter = ps.right_threshold(F(1, 4), WIDTH)
     forgeries = {
         "right, no-root count of x - 3": replace(
@@ -230,7 +254,7 @@ def test_replay_binds_a_degenerate_enclosure_to_its_certificate():
         "left, positive constant 1": replace(
             left, certificate=certify_sign_on_interval(Polynomial.constant(1), edge, "positive")),
         "left, edge weight at t = 1/3": replace(
-            left, certificate=ps.left_threshold(F(1, 3), F(7, 4), WIDTH).certificate),
+            left, certificate=left_ref.left_threshold(F(1, 3), F(7, 4), WIDTH).certificate),
         "left, edge weight on the domain": replace(left, certificate=certify_sign_on_interval(
             ps.edge_weight(F(1, 4), F(7, 4)), pb.PINCH_DOMAIN, "positive")),
         "left, with support": replace(left, support=(quarter.certificate,)),
@@ -392,13 +416,13 @@ def test_replay_rejects_a_parameter_or_side_outside_its_range(side, t):
     assert ps.replay_threshold(genuine)
     assert ps.replay_threshold(replace(genuine, t=t)) is False
     assert ps.replay_threshold(replace(genuine, side="up")) is False
-    # a degenerate enclosure built whole at t = 0, its certificate the
-    # table's row there: only the parameter range refuses it
-    cell = (ps._right_cell(F(0), WIDTH) if side == "right"
-            else ps._Cell("left", F(0), F(7, 4), *ps._EDGE_ENDS, True))
-    at_zero = ps._certify(cell)
-    assert at_zero.degenerate and at_zero.certificate.replay()
-    assert ps.enclosure_holds(at_zero) is False
+    if side == "right":
+        # a degenerate enclosure built whole at t = 0, its certificate the
+        # table's row there: only the parameter range refuses it (no left
+        # enclosure is degenerate)
+        at_zero = ps._certify(ps._right_cell(F(0), WIDTH))
+        assert at_zero.degenerate and at_zero.certificate.replay()
+        assert ps.enclosure_holds(at_zero) is False
 
 
 @pytest.mark.parametrize("t", [F(1, 2), F(1, 4)])

@@ -216,13 +216,17 @@ SIDE_CONFIGS = {
     ("left", "1/4", "5/3", {"sup-at-x-quotient-negative": "sign-constant-negative",
                             "sup-at-5/3-quotient-negative": "sign-constant-negative"}),
     ("right", "1/4", "9/5", {"theta2-negative-above-enclosure": "sign-constant-negative"}),
-    ("left", "1/4", "17/10", {"edge-weight-positive-at-5/3": "sign-constant-positive"}),
+    ("left", "1/4", "17/10", {}),
     ("right", "1/2", "9/5", {"theta2-no-root-in-domain": "no-root"}),
 ])
 def test_optimize_labels_each_certificate_by_its_one_role(side, t, w, roles):
     # a live enclosure rests on strict sign claims alone; only the
     # degenerate right enclosure keeps its no-root count
     config = ps.SweepConfig(t_grid=(rat(t),), w_grid=(rat(w),))
+    if not roles:  # a left sweep without w = 5/3 is refused: nothing to label
+        with pytest.raises(ValueError, match=r"w = 5/3, which w_grid \[17/10\] lacks"):
+            rc.cmd_optimize(side, config)
+        return
     data = json.loads(rc.cmd_optimize(side, config).to_json_str())
     entries = [(entry["label"], entry["certificate"]["claim"]) for entry in data["certificates"]]
     assert entries == list(roles.items())
@@ -238,7 +242,6 @@ def test_optimize_labels_each_certificate_by_its_one_role(side, t, w, roles):
         "sup-at-x-quotient-negative": (rat("5/3"), lo),
         "sup-at-5/3-quotient-negative": (rat("5/3"), lo),
         "theta2-negative-above-enclosure": (hi, rat("9/5")),
-        "edge-weight-positive-at-5/3": (rat("5/3"), rat("5/3")),
         "theta2-no-root-in-domain": (rat("5/3"), rat("9/5") - rat("2/15") / 10**6),
     }
     assert [(row.lo, row.hi) for _, _, _, row in claims] == [intervals[role] for role in roles]
@@ -400,6 +403,19 @@ def test_a_right_w_grid_beside_9_5_is_a_usage_error_naming_the_grid(tmp_path, ca
         "usage error: a right sweep probes w = 9/5 alone, got w_grid [5/3, 7/4]"]
     path.write_text(json.dumps({"t_grid": ["1/4"], "w_grid": ["9/5", "9/5"]}))
     assert rc.main(["optimize", "--side", "right", "--config", str(path)]) == rc.EXIT_OK
+
+
+def test_a_left_w_grid_without_5_3_is_a_usage_error_naming_the_grid(tmp_path, capsys):
+    # a left probe runs at 5/3 alone: a grid without it once certified a
+    # degenerate winner at the edge
+    path = tmp_path / "dead.json"
+    path.write_text(json.dumps({"t_grid": ["1/4"], "w_grid": ["17/10", "9/5"]}))
+    code = rc.main(["optimize", "--side", "left", "--config", str(path)])
+    assert code == rc.EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: a left sweep probes w = 5/3, which w_grid [17/10, 9/5] lacks"]
+    path.write_text(json.dumps({"t_grid": ["1/4"], "w_grid": ["5/3", "9/5"]}))
+    assert rc.main(["optimize", "--side", "left", "--config", str(path)]) == rc.EXIT_OK
 
 
 @pytest.mark.parametrize("rounds", [1.9, True, "2"])
@@ -633,6 +649,14 @@ def test_classify_hypotheses_flags(capsys):
 def test_classify_requires_bounds():
     code = rc.main(["classify"])
     assert code == rc.EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [[], ["--min", "0.4"], ["--max", "0.4"]])
+def test_classify_without_both_bounds_is_one_usage_error_line(capsys, argv):
+    # one bound alone printed a bare line, without the usage error prefix
+    assert rc.main(["classify", *argv]) == rc.EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: classify needs --input or both --min and --max"]
 
 
 def test_classify_rejects_inverted_bounds():
