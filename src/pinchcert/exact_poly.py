@@ -19,17 +19,15 @@ strings' integer form, and its replay builds no Fraction.  No float enters
 this module: root isolation proposes its final dyadic cell by Illinois
 regula falsi on exact integer values when a Sturm count has found a single
 root, and the proposal's end signs alone confirm it; with more roots,
-Sturm-counted bisection finds the cell.  The regula falsi runs on one
-integer grid per interval and width (:func:`_grid`, memoized): p's
-coefficients are prescaled once for the grid's denominator, so each value
-is one plain Horner pass at an integer grid point.  There is one grid
-search, :func:`_grid_search`: it reads p's values at the grid's ends once,
-for the caller's facts there and for the search alike, searches any index
-range of the grid, and confirms the cell it picks by its own end check;
-:func:`_jump_cell` wraps it in Fractions.  An isolation refuses, before it
-searches, a width whose certificate Python could not write as text.  A
-:class:`Form` is a polynomial in (t, x), held as its polynomials in x at
-each power of t.
+Sturm-counted bisection finds the cell, on one integer grid per interval
+and width (:func:`_grid`, memoized).  The one grid builder,
+:func:`_on_grid`, prescales a :class:`Form`'s integer columns once for the
+grid's denominator (a polynomial is the form of one row,
+:func:`_grid_search`), so a search at t builds no polynomial and each
+value is one plain Horner pass at an integer grid point.  An isolation
+refuses, before it searches, a width whose certificate Python could not
+write as text.  A form is a polynomial in (t, x), held as its polynomials
+in x at each power of t.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb, gcd, lcm, log10
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 CLAIM_NO_ROOT = "no-root"
 CLAIM_ONE_ROOT = "exactly-one-root"
@@ -431,7 +429,7 @@ class Form:
     """Polynomial in (t, x): ``rows[k]`` is the :class:`Polynomial` in x at
     t^k, and the last row is nonzero.  In ``+``, ``-`` and ``*`` a rational
     or a polynomial in x, on either side of the form, lifts to a form.  The
-    integer columns that :meth:`at` reads are made with the form."""
+    integer columns :meth:`at` and :meth:`on_grid` read are made with it."""
 
     rows: tuple[Polynomial, ...] = ()
     _columns: tuple = field(init=False, repr=False, compare=False)
@@ -494,6 +492,10 @@ class Form:
         a, b = t.numerator, t.denominator
         return Polynomial._from_integer_form([_homogeneous(c, a, b) for c in columns],
                                              den * b ** (len(self.rows) - 1))
+
+    def on_grid(self, a, b, width) -> Callable[[int, int], "_GridSearch"]:
+        """The form's search at t on one isolation grid (:func:`_on_grid`)."""
+        return _on_grid(self._columns[0], a, b, width)
 
     def derivative(self) -> "Form":
         """The x-derivative, row by row."""
@@ -979,19 +981,6 @@ def _grid(a_num: int, a_den: int, b_num: int, b_den: int,
     return (a_num * span_den << depth, span_num * a_den, a_den * span_den << depth, depth)
 
 
-def _prescaled(ints: Sequence[int], den: int) -> tuple[int, ...]:
-    """p's integer coefficients, highest first, the k-th times den^(n-k).
-
-    :func:`_horner` on them at x is ``_homogeneous(ints, x, den)``: p(x/den)
-    times the positive integer den^n, for every integer x.
-    """
-    scaled, power = [], 1
-    for c in reversed(ints):
-        scaled.append(c * power)
-        power *= den
-    return tuple(scaled)
-
-
 def _horner(scaled: Sequence[int], x: int) -> int:
     """``sum(scaled[i] * x^(n-i))``, coefficients highest first, by Horner."""
     acc = 0
@@ -1006,16 +995,15 @@ def _propose_cell(scaled: Sequence[int], base: int, step: int,
     by exact signs.
 
     The grid has points (base + i * step) / den, and ``scaled`` is p's
-    :func:`_prescaled` coefficients for den, so a value at a grid point is
-    one :func:`_horner` pass at base + i * step, the integer of
-    :func:`_homogeneous`: every grid point shares the denominator den, so
-    the values are p's values times one positive constant, and the secant
-    through them is p's secant.  The caller gives the values ``f_lo`` and
-    ``f_hi`` at the bracket's ends j_lo and j_hi, read once with the facts
-    it checks there, and knows one root between them.  Illinois regula
-    falsi (Dowell & Jarratt 1971) narrows the bracket to one cell
-    (j, j + 1); a bisection step replaces the secant whenever two steps in
-    a row have not halved the bracket.  Returns None when the ends have no
+    coefficients prescaled for den (:func:`_on_grid`), so a value at a grid
+    point is one :func:`_horner` pass at base + i * step: every grid point
+    shares the denominator den, so the values are p's values times one
+    positive constant, and the secant through them is p's secant.  The
+    caller gives the values ``f_lo`` and ``f_hi`` at the bracket's ends j_lo
+    and j_hi, read once with the facts it checks there, and knows one root
+    between them.  Illinois regula falsi (Dowell & Jarratt 1971) narrows the
+    bracket to one cell (j, j + 1); a bisection step replaces the secant
+    whenever two steps in a row have not halved the bracket.  Returns None when the ends have no
     strict sign change or the search meets a grid point that is a root.
     The pick is confirmed by :meth:`_GridSearch.cell`, not here.
     """
@@ -1050,8 +1038,8 @@ def _propose_cell(scaled: Sequence[int], base: int, step: int,
 
 
 class _GridSearch(NamedTuple):
-    """p on the integer :func:`_grid` of (a, b) at a width, made by
-    :func:`_grid_search`: grid point i is (base + i * step) / den for
+    """p on the integer :func:`_grid` of (a, b) at a width, made by a
+    search of :func:`_on_grid`: grid point i is (base + i * step) / den for
     i = 0 .. ``cells``, and ``f_lo`` and ``f_hi`` are p's prescaled values
     at its ends a and b, read once, whose signs are p's signs there."""
 
@@ -1089,20 +1077,34 @@ class _GridSearch(NamedTuple):
         return lo, lo + self.step, self.den
 
 
+def _on_grid(columns: Sequence[Sequence[int]], a: tuple[int, int], b: tuple[int, int],
+             width: tuple[int, int]) -> Callable[[int, int], _GridSearch]:
+    """The one grid builder: a form's integer ``columns`` (:class:`Form`'s)
+    on the :func:`_grid` of (a, b) at ``width``, given as :func:`_grid`'s
+    integer pairs, column k of x^(n-k) times den^k.  Returns the search at
+    t = t_num / t_den: one :func:`_homogeneous` pass per column gives the
+    form at t's prescaled coefficients times one positive integer, so every
+    sign and secant is the form at t's own."""
+    base, step, den, depth = _grid(*a, *b, *width)
+    cells, power, scaled = 1 << depth, 1, []
+    for column in reversed(columns):
+        scaled.append(tuple([c * power for c in column]))
+        power *= den
+
+    def search(t_num: int, t_den: int) -> _GridSearch:
+        values = tuple([_homogeneous(c, t_num, t_den) for c in scaled])
+        return _GridSearch(values, base, step, den, cells, _horner(values, base),
+                           _horner(values, base + cells * step))
+    return search
+
+
 def _grid_search(p: Polynomial, a: tuple[int, int], b: tuple[int, int],
                  width: tuple[int, int]) -> _GridSearch:
-    """The one search of a single root of p in (a, b) on the :func:`_grid` of
-    (a, b) at ``width``, all three given as ``(numerator, denominator)``
-    pairs as :func:`_grid` takes them: p's coefficients prescaled once for
-    the grid's denominator, and its values at the grid's ends read once.
-    The caller checks its facts on those values' signs and gives them to
-    :meth:`_GridSearch.cell`; the bisection cells of a single root are the
-    grid's cells, so the cell found is the one bisection would reach."""
-    base, step, den, depth = _grid(*a, *b, *width)
-    scaled = _prescaled(p._form[0], den)
-    cells = 1 << depth
-    return _GridSearch(scaled, base, step, den, cells, _horner(scaled, base),
-                       _horner(scaled, base + cells * step))
+    """The search of a single root of p in (a, b) on the :func:`_grid` of
+    (a, b) at ``width``: p as the form of one row, read at t = 0/1.  The
+    bisection cells of a single root are the grid's cells, so the cell
+    found is the one bisection would reach."""
+    return _on_grid([(c,) for c in p._form[0]], a, b, width)(0, 1)
 
 
 def _jump_cell(p: Polynomial, a: Fraction, b: Fraction,

@@ -14,65 +14,51 @@ branches live in :mod:`pinchcert.pinching_bounds`.
 For the upper endpoint the certificate is a single cubic, so its root is
 isolated directly.
 
-Left probes run at w = 5/3 alone, by an edge lemma.  At the domain edge
-the common term vanishes and phi(5/3) = 5 (w - 5/3)^2 q(5/3)^2, where the
-weight
-
-    q(5/3) = (1 + 15t/2)(w + 5/3) + 36/5 - 126t/5 - 10/3
-
-is bilinear in (t, w).  It is positive at the four corners of
-[0, 1/2] x [5/3, 9/5], hence on the whole rectangle, so at every w > 5/3
-phi is positive at 5/3 and the threshold degenerates to 5/3: no claim
-rests on such a probe, and :func:`left_threshold` refuses it.
-:func:`optimize` checks the corners once per process, before its first
-left sweep, refuses a left grid without 5/3, and walks t alone at 5/3: it
-counts every other (t, w) pair, the grid's and the refinement's, as
+Left probes run at w = 5/3 alone, by an edge lemma (:func:`edge_lemma`):
+at the domain edge phi(5/3) = 5 (w - 5/3)^2 q(5/3)^2, and the weight q(5/3)
+is bilinear in (t, w) and positive at the four corners of [0, 1/2] x
+[5/3, 9/5], so at every w > 5/3 phi is positive at 5/3 and the threshold
+degenerates to 5/3.  No claim rests on such a probe: :func:`left_threshold`
+refuses it, and :func:`optimize` counts every such (t, w) pair as
 degenerate by arithmetic, with no probe, cell or list of w values.
 
 Sweep probes rest on a monotonicity lemma as well.  θ2 and the quotients
-g = p / (x - 5/3) of both left branches are forms in t.  For t in
+g = p / (x - 5/3) of both left branches are forms in t, and for t in
 [0, 1/2] a form's x-derivative is a convex combination of its Bernstein
-coefficients in t over [0, 1/2]
-(:meth:`pinchcert.exact_poly.Form.bernstein`).  So when each keeps a
-strict sign on [5/3, 9/5], the derivative keeps it on the whole box
-[5/3, 9/5] x [0, 1/2] (Garloff 1986; Farouki 2012).  :func:`monotone_lemma`
-certifies this, ∂θ2/∂x < 0 and ∂g/∂x > 0, once per side and process, and
-:func:`optimize` proves it before its first probe.  A monotone θ2(t) has a
-root in the domain exactly when its end signs differ, and a branch is
-negative on (5/3, x) exactly when its quotient is negative at x: so no
-probe builds a Sturm chain or counts roots.  Above 5/3 phi is (x - 5/3)
-times the larger quotient, so a left probe reads phi's end signs off the
-quotients' integer signs, and only the winner computes phi's values.
+coefficients in t over [0, 1/2] (:meth:`pinchcert.exact_poly.Form.bernstein`;
+Garloff 1986; Farouki 2012).  :func:`monotone_lemma` certifies on those
+coefficients that ∂θ2/∂x < 0 and ∂g/∂x > 0 on [5/3, 9/5] x [0, 1/2], once
+per side and process.  A monotone θ2(t) has a root in the domain exactly
+when its end signs differ, and a branch is negative on (5/3, x) exactly
+when its quotient is negative at x: so no probe builds a Sturm chain or
+counts roots.  Above 5/3 phi is (x - 5/3) times the larger quotient, so a
+left probe reads phi's end signs off the quotients' integer signs, and
+only the winner computes phi's values.
 
 Every probe, comparison and bisection step is exact rational or integer
-arithmetic, with no float anywhere (a bisection's final cell is proposed
-by exact regula falsi and confirmed by exact signs where a count has
-found a single root, and found by Sturm-counted bisection otherwise);
-identical configurations produce bit-identical results.  Each polynomial
-builds its Sturm chain on first use and keeps it for every count and
-certificate on it.
+arithmetic, with no float anywhere, so identical configurations produce
+bit-identical results.
 
 A sweep ranks its probes on bare enclosures: one cell function per side
 (:func:`_left_cell`, :func:`_right_cell`) checks every fact an enclosure
 rests on, given the lemma, and raises where the certified version would,
 but builds no certificate.  A probe stays on its isolation grid's
-integers: the end facts are the signs of the grid search's end values,
-read once (:func:`exact_poly._grid_search`), the second left quotient is
-searched only below the first one's cell, where the lemma puts its root,
-a cell is ``(lo_num, hi_num, den)`` on the grid's denominator, and cells
-rank by integer cross-multiplication (:func:`_outranks`); only the
-winner's cell becomes an :class:`IntervalQ`.  :func:`left_threshold` and
-:func:`right_threshold` are the same cell functions plus one certificate
-step (:func:`_certify`), whose certificates prove the enclosure without the
-lemma; :func:`optimize` keeps the winner's cell and runs only that step on
-it.  Which claims prove an enclosure is said in one place, the claim table
-:func:`_claims`, from the enclosure's side, t, ends and degeneracy alone: a
-live enclosure rests on ``sign-constant-negative`` claims, θ2(t) on
-[enclosure.hi, 9/5] or each left quotient on [5/3, enclosure.lo], with its
-other end on an exact value of the opposite sign; only the degenerate right
-enclosure counts roots.  :func:`_certify` proves each row,
-:func:`enclosure_holds` binds the certificates to the rows and
-:func:`certificate_labels` names them by the rows' labels.
+integers: each form it searches is put on its grid once per request
+(:func:`_grids`), and a probe at t reads the grid values of the form at t
+off its prescaled integer columns, with no polynomial built.  The end
+facts are the signs of the search's end values, read once; the second
+left quotient is searched only below the first one's cell, where the lemma
+puts its root; a cell is ``(lo_num, hi_num, den)`` on the grid's
+denominator, cells rank by integer cross-multiplication (:func:`_outranks`),
+and only the winner's cell becomes an :class:`IntervalQ` and its forms
+polynomials.  :func:`left_threshold` and :func:`right_threshold` are the
+same cell functions plus one certificate step (:func:`_certify`), whose
+certificates prove the enclosure without the lemma.  Which claims prove an
+enclosure is said in one place, the claim table :func:`_claims`: a live
+enclosure rests on ``sign-constant-negative`` claims, θ2(t) on
+[enclosure.hi, 9/5] or each left quotient on [5/3, enclosure.lo]; only the
+degenerate right enclosure counts roots.  :func:`enclosure_holds` binds
+the certificates to the rows and :func:`certificate_labels` names them.
 """
 
 from __future__ import annotations
@@ -80,9 +66,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import pinching_bounds as pb
 from .exact_poly import (
@@ -92,10 +78,11 @@ from .exact_poly import (
     IntervalQ,
     Polynomial,
     SignClaimError,
+    _GridSearch,
     # perfbench's tracer wraps _RootCounter.count through this module's name
     _RootCounter,
-    _grid_search,
     _homogeneous,
+    _horner,
     _sign_at_ratio,
     _smallest_root_cell,
     certify_sign_on_interval,
@@ -328,12 +315,10 @@ _LO, _HI = (5, 3), (9, 5)
 
 class _Cell(NamedTuple):
     """A probe's bare enclosure, without certificates: what :func:`optimize`
-    ranks (by :func:`_outranks`) and tabulates, and, for a live probe, the
-    forms at t it isolated on (:func:`_at_t`), which its claims are on.
-
-    The enclosure is [lo_num / den, hi_num / den], its ends on one
-    denominator and not reduced: a grid cell's are its grid's integers.
-    :attr:`enclosure` builds the :class:`IntervalQ` when it is read."""
+    ranks (by :func:`_outranks`) and tabulates.  The enclosure is
+    [lo_num / den, hi_num / den], its ends on one denominator and not
+    reduced (a grid cell's are its grid's integers); :attr:`enclosure`
+    builds the :class:`IntervalQ` when it is read."""
 
     side: str
     t: Fraction
@@ -342,7 +327,6 @@ class _Cell(NamedTuple):
     hi_num: int
     den: int
     degenerate: bool
-    polys: tuple[Polynomial, ...] = ()
 
     @property
     def enclosure(self) -> IntervalQ:
@@ -369,12 +353,9 @@ def _isolate_smallest_root(
     p: Polynomial, a: Fraction, b: Fraction, width: Fraction
 ) -> tuple[IntervalQ, SignCertificate]:
     """Enclose the smallest root of p in (a, b), with its exactly-one-root
-    certificate; requires p(a) != 0 != p(b).
-
-    Probes no longer call this Sturm-counted isolation (the monotonicity
-    lemma makes the count unnecessary); it stays for perfbench's tracer,
-    which wraps it by name, and for the frozen references in the tests.
-    """
+    certificate; requires p(a) != 0 != p(b).  No probe calls this
+    Sturm-counted isolation; perfbench's tracer wraps it by name, and the
+    frozen references in the tests call it."""
     count = _RootCounter(p).count(a, b)
     if count < 1:
         raise ValueError("no root to isolate")
@@ -388,44 +369,47 @@ def _isolate_smallest_root(
     return enclosure, one_root_certificate(p, enclosure)
 
 
-def _left_cell(t: Fraction, width: Fraction) -> _Cell:
-    """The bare enclosure at (t, 5/3), every fact it rests on checked, given
-    the monotonicity lemma.
-
-    Each branch p vanishes at 5/3, and its quotient g = p / (x - 5/3),
-    specialized from its cached form (both from
-    :func:`pinching_bounds.left_branch_forms`), has p's sign above 5/3
-    and increases in x (:func:`monotone_lemma`).  So each g must be
-    negative at u (then p < 0 on (5/3, u]; else :class:`SignClaimError`)
-    and positive at 9/5, read once as the ends of its
-    :func:`exact_poly._grid_search` on (u, 9/5) at width / 2, and its one
-    root there, p's smallest, lies in one cell of that grid; g has no
-    small values near u, unlike p, so regula falsi finds it in a few
-    signs.  phi is the larger branch, so its threshold is the earlier
-    first root, a tie going to sup-at-x, whose cell j is searched first.
-    The increasing sup-at-5/3 quotient has its root above j's lower grid
-    point where it is negative there, so cell j is the enclosure, and below
-    it where it is positive, so only indices [0, j] are searched.  A zero
-    value or a failed search takes the Sturm-counted path: each quotient's
-    own cell (:func:`exact_poly._smallest_root_cell`), the lower kept.
-    Above 5/3 phi is (x - 5/3) times the larger quotient, so every quotient
-    must be negative at the enclosure's lower end and one positive at its
-    upper end.  No Sturm chain or value of phi is built on the grid path.
-    Raises exactly where :func:`left_threshold` raises.
-    """
-    quotients = _at_t("left", t)
+def _grids(side: str, width: Fraction) -> tuple[Callable[[int, int], _GridSearch], ...]:
+    """The grid searches at t of a ``side`` probe's forms, in :func:`_at_t`'s
+    order (:meth:`exact_poly.Form.on_grid`): θ2 on the domain at width, each
+    left quotient on (u, 9/5) at width / 2.  Built once per request."""
+    if side == "right":
+        return (pb.theta2_form().on_grid(_LO, _HI, (width.numerator, width.denominator)),)
     half = (width.numerator, 2 * width.denominator)
+    return tuple(quotient.on_grid(_U, _HI, half) for _, _, quotient in pb.left_branch_forms())
+
+
+def _left_cell(t: Fraction, width: Fraction, grids: Sequence[Callable]) -> _Cell:
+    """The bare enclosure at (t, 5/3), every fact it rests on checked, given
+    the monotonicity lemma; ``grids`` are the left :func:`_grids` at width.
+
+    Each branch p vanishes at 5/3, and its quotient g = p / (x - 5/3) has
+    p's sign above 5/3 and increases in x (:func:`monotone_lemma`).  So each
+    g must be negative at u (then p < 0 on (5/3, u]; else
+    :class:`SignClaimError`) and positive at 9/5, read once as the ends of
+    its grid search at t, and its one root there, p's smallest, lies in one
+    grid cell, which regula falsi finds in a few signs.  phi is the larger
+    branch, so its threshold is the earlier first root, a tie going to
+    sup-at-x, whose cell j is searched first; the increasing sup-at-5/3
+    quotient has its root above j's lower end where it is negative there,
+    so cell j is the enclosure, and is searched over [0, j] where it is
+    positive.  A zero value or a failed search takes the Sturm-counted path
+    (:func:`exact_poly._smallest_root_cell`) on the quotients at t, the
+    lower cell kept.  As phi is (x - 5/3) times the larger quotient, every
+    quotient must be negative at the enclosure's lower end and one positive
+    at its upper end.  Raises exactly where :func:`left_threshold` raises.
+    """
     searches = []
-    for (label, _, _), g in zip(pb.left_branch_forms(), quotients):
-        search = _grid_search(g, _U, _HI, half)
+    for (label, _, quotient), grid in zip(pb.left_branch_forms(), grids):
+        search = grid(t.numerator, t.denominator)
         if search.f_lo >= 0:
             u = _SLIVER.hi
             raise SignClaimError(
                 f"claimed sign-constant-negative on [{_SLIVER.lo}, {u}] but the {label} "
-                f"quotient at t = {t} is {g(u)} at {u}", u)
+                f"quotient at t = {t} is {quotient.at(t)(u)} at {u}", u)
         if search.f_hi <= 0:
-            raise ExactPolyError(
-                f"the {label} quotient at t = {t} is {g(DOMAIN_HI)} at {DOMAIN_HI}, not positive")
+            raise ExactPolyError(f"the {label} quotient at t = {t} is "
+                                 f"{quotient.at(t)(DOMAIN_HI)} at {DOMAIN_HI}, not positive")
         searches.append(search)
     first, second = searches
     ends = None
@@ -438,17 +422,20 @@ def _left_cell(t: Fraction, width: Fraction) -> _Cell:
             k = second.cell(0, second.f_lo, j, v)
             ends = None if k is None else second.ends(k)
     if ends is None:
+        quotients = _at_t("left", t)
         # min keeps the first of equal cells, so a tie goes to sup-at-x
         ends = _cell_ends(*min(_smallest_root_cell(g, _SLIVER.hi, DOMAIN_HI, width / 2,
                                                    one_root=True) for g in quotients))
+        reads = [partial(_sign_at_ratio, g, b=ends[2]) for g in quotients]
+    else:  # on the grid's denominator: each value is one Horner pass
+        reads = [partial(_horner, s.scaled) for s in searches]
     lo, hi, den = ends
-    if not (all(_sign_at_ratio(g, lo, den) < 0 for g in quotients)
-            and any(_sign_at_ratio(g, hi, den) > 0 for g in quotients)):
+    if not (all(read(lo) < 0 for read in reads) and any(read(hi) > 0 for read in reads)):
         raise ExactPolyError(
             f"threshold enclosure failed the exact endpoint check at t = {t}: "
             f"phi is not negative at {F(lo, den)} and positive at {F(hi, den)}"
         )
-    return _Cell("left", t, DOMAIN_LO, lo, hi, den, False, quotients)
+    return _Cell("left", t, DOMAIN_LO, lo, hi, den, False)
 
 
 def left_threshold(t, w, width=DEFAULT_ISOLATION_WIDTH) -> ThresholdEnclosure:
@@ -460,47 +447,42 @@ def left_threshold(t, w, width=DEFAULT_ISOLATION_WIDTH) -> ThresholdEnclosure:
     certificate is positive at the domain edge (:func:`edge_lemma`).  w
     stays a parameter so that a call ``left_threshold(t, 5/3)`` is never
     read as a width.  This is :func:`_left_cell` with its certificates
-    (:func:`_claims`): each quotient negative on exactly
-    [5/3, enclosure.lo], sup-at-x first.  A branch is its quotient times
-    x - 5/3 > 0 there, so they prove phi < 0 on (5/3, enclosure.lo]
-    without the monotonicity lemma, and phi(enclosure.hi) > 0 shows the
-    enclosure is tight; a quotient not negative up to enclosure.lo raises
-    :class:`SignClaimError`.
+    (:func:`_claims`): each quotient negative on exactly [5/3,
+    enclosure.lo], sup-at-x first, which proves phi < 0 on (5/3,
+    enclosure.lo] without the monotonicity lemma, else
+    :class:`SignClaimError`; phi(enclosure.hi) > 0 shows it is tight.
     """
     t, w = rat(t), rat(w)
     if not 0 < t <= F(1, 2):
         raise ValueError(f"parameter t must satisfy 0 < t <= 1/2, got {t}")
     if w != DOMAIN_LO:
         raise ValueError(f"a left probe runs at w = 5/3 alone, got w = {rat_str(w)}")
-    return _certify(_left_cell(t, _isolation_width(width)))
+    width = _isolation_width(width)
+    return _certify(_left_cell(t, width, _grids("left", width)))
 
 
-def _right_cell(t: Fraction, width: Fraction) -> _Cell:
+def _right_cell(t: Fraction, width: Fraction, grids: Sequence[Callable]) -> _Cell:
     """The bare enclosure of θ2(t)'s root in the domain, every fact it rests
-    on checked given the monotonicity lemma.
+    on checked given the monotonicity lemma; ``grids`` are the right
+    :func:`_grids` at width.
 
-    θ2(t), specialized from :func:`pinching_bounds.theta2_form`, decreases
-    in x (:func:`monotone_lemma`), so it has one root in (5/3, 9/5) when
-    its signs at the domain's ends are strictly opposite, and none
-    otherwise, which gives the degenerate cell [9/5, 9/5].  θ2(t)(5/3) =
-    (2/3)(9t/5 + 36/5)^2 > 0 and θ2(t)(9/5) = 40t(2t - 1)(9/5)(7/5)(2/5) is
-    negative but at t = 1/2, where it is 0.  Those signs are read once, as
-    the ends of θ2(t)'s :func:`exact_poly._grid_search` on the domain, and
-    the root's cell is that grid's, or the Sturm-counted bisection's when
-    the search fails.  No Sturm chain is built on the grid path and no root
-    counted.  Raises exactly where :func:`right_threshold` raises.
+    θ2(t) decreases in x (:func:`monotone_lemma`), so it has one root in
+    (5/3, 9/5) when its signs at the domain's ends, read once as the ends
+    of its grid search at t, are strictly opposite (all t but 1/2), and
+    none otherwise: the degenerate cell [9/5, 9/5].  The root's cell is the
+    grid's, or, when the search fails, the Sturm-counted bisection's on
+    θ2(t).  Raises exactly where :func:`right_threshold` raises.
     """
-    polys = _at_t("right", t)
-    p, = polys
-    search = _grid_search(p, _LO, _HI, (width.numerator, width.denominator))
+    grid, = grids
+    search = grid(t.numerator, t.denominator)
     if not search.f_lo or not search.f_hi or (search.f_lo > 0) == (search.f_hi > 0):
-        return _Cell("right", t, DOMAIN_HI, *_TOP_ENDS, True, polys)
+        return _Cell("right", t, DOMAIN_HI, *_TOP_ENDS, True)
     # the ends are no roots and of opposite sign: the one root is of odd
     # multiplicity, and bisection keeps the half that holds it
     j = search.cell(0, search.f_lo, search.cells, search.f_hi)
-    ends = (_cell_ends(*_smallest_root_cell(p, DOMAIN_LO, DOMAIN_HI, width)) if j is None
-            else search.ends(j))
-    return _Cell("right", t, DOMAIN_HI, *ends, False, polys)
+    ends = (_cell_ends(*_smallest_root_cell(_at_t("right", t)[0], DOMAIN_LO, DOMAIN_HI, width))
+            if j is None else search.ends(j))
+    return _Cell("right", t, DOMAIN_HI, *ends, False)
 
 
 def _counted_domain(p: Polynomial) -> IntervalQ:
@@ -514,18 +496,17 @@ def right_threshold(t, width=DEFAULT_ISOLATION_WIDTH) -> ThresholdEnclosure:
 
     Encloses the unique root of the upper-endpoint cubic in [5/3, 9/5];
     pinching above the enclosure forces S to sit at the upper endpoint.
-    This is :func:`_right_cell` with its certificate (:func:`_claims`).
-    With no interior root (t = 1/2) the degenerate enclosure [9/5, 9/5] is
-    returned with θ2(t)'s no-root count on the domain, its upper end nudged
-    off the root 9/5 (:func:`_counted_domain`); the count must find no
-    root, else :class:`ExactPolyError`.  Otherwise the certificate is θ2(t)
-    negative on exactly [enclosure.hi, 9/5], with θ2(t)'s positive value at
-    enclosure.lo showing the enclosure is tight.
+    This is :func:`_right_cell` with its certificate (:func:`_claims`):
+    θ2(t) negative on exactly [enclosure.hi, 9/5], its positive value at
+    enclosure.lo showing the enclosure is tight, or, with no interior root
+    (t = 1/2), the degenerate [9/5, 9/5] with θ2(t)'s no-root count on
+    :func:`_counted_domain`, else :class:`ExactPolyError`.
     """
     t = rat(t)
     if not 0 < t <= F(1, 2):
         raise ValueError(f"parameter t must satisfy 0 < t <= 1/2, got {t}")
-    return _certify(_right_cell(t, _isolation_width(width)))
+    width = _isolation_width(width)
+    return _certify(_right_cell(t, width, _grids("right", width)))
 
 
 def _claims(th: ThresholdEnclosure | _Cell, polys: Sequence[Polynomial] = (),
@@ -533,13 +514,10 @@ def _claims(th: ThresholdEnclosure | _Cell, polys: Sequence[Polynomial] = (),
     """``(label, polynomial, claim, interval)`` of each certificate that
     proves ``th``, the main one first: the one place that says which claims
     prove which enclosure, for :func:`_certify`, :func:`enclosure_holds` and
-    :func:`certificate_labels`.
-
-    The rows follow from th's side, t, enclosure and degeneracy alone;
-    ``polys``, the rows' polynomials where the caller has them (the forms
-    at t a live probe specialized, :func:`_at_t`, or a certificate's own),
-    only spare specializing them again, and ``enclosure``, th's where the
-    caller has built it, building it again.
+    :func:`certificate_labels`.  The rows follow from th's side, t,
+    enclosure and degeneracy alone; ``polys`` (a certificate's own) spare
+    specializing the forms at t (:func:`_at_t`), and ``enclosure`` building
+    th's again.
 
     - right, live: θ2(t) ``sign-constant-negative`` on [enclosure.hi, 9/5];
     - right, degenerate: θ2(t) ``no-root`` on :func:`_counted_domain`;
@@ -587,10 +565,10 @@ def _certify(cell: _Cell) -> ThresholdEnclosure:
     :func:`exact_poly.certify_sign_on_interval`, which raises
     :class:`SignClaimError` where it fails; a ``no-root`` count by
     :func:`exact_poly.count_roots`, which must find no root, else
-    :class:`ExactPolyError`.  The cell's :class:`IntervalQ` is built here,
-    once."""
+    :class:`ExactPolyError`.  The cell's :class:`IntervalQ` and its forms
+    at t (:func:`_at_t`) are built here, once."""
     enclosure = cell.enclosure
-    claims = _claims(cell, cell.polys, enclosure)
+    claims = _claims(cell, (), enclosure)
     certificates = []
     for label, p, claim, interval in claims:
         if claim == CLAIM_NO_ROOT:
@@ -728,26 +706,29 @@ def _distinct(grid: Sequence[Fraction]) -> list[Fraction]:
     return out
 
 
+def _third(t: Fraction, u: Fraction) -> Fraction:
+    """The trisection point (2t + u) / 3 of the gap between t = p/q and
+    u = r/s, one Fraction from the integers: (2ps + rq) / (3qs)."""
+    p, q, r, s = t.numerator, t.denominator, u.numerator, u.denominator
+    return F(2 * p * s + r * q, 3 * q * s)
+
+
 def optimize(side: str, config: SweepConfig) -> Optimum:
     """Grid sweep over t plus exact trisection refinement around the incumbent.
 
     Deterministic: probes are exact rationals, results are compared exactly,
-    and ties break toward smaller t.  The monotonicity lemma
-    (:func:`monotone_lemma`) is proved first, and on the left the edge
-    lemma (:func:`edge_lemma`).  Only the side's one live w is probed: 9/5
-    on the right, where a w grid holding any other w is refused, and 5/3 on
-    the left, where a w grid without it is refused.  Every other left
-    (t, w) pair, the grid's and the refinement's, is degenerate by the edge
-    lemma, so it is counted, not probed.  Probes, one per distinct t, are
-    ranked on their bare cells (:func:`_left_cell`, :func:`_right_cell`),
-    which check every fact the lemma leaves but build no certificate, and
-    kept in one list in t order.  Each refinement round probes the
-    trisection points of the incumbent's neighbouring gaps, nearest first
-    and below before above, and splices their cells in next to it.  The
-    winner alone is certified, from its own probe's cell, by the
-    certificate step :func:`_certify`.  Cells stay integer
-    ``(lo_num, hi_num, den)`` triples while probing, ranked by
-    :func:`_outranks`, and the table's rows hold them so.
+    and ties break toward smaller t.  The monotonicity lemma and, on the
+    left, the edge lemma are proved first.  Only the side's one live w is
+    probed: 9/5 on the right, where a w grid holding any other w is refused,
+    and 5/3 on the left, where a w grid without it is refused; every other
+    left (t, w) pair, the grid's and the refinement's, is degenerate by the
+    edge lemma and counted, not probed.  Probes, one per distinct t, share
+    the request's :func:`_grids` and are ranked on their bare cells by
+    :func:`_outranks`, kept in one list in t order.  Each refinement round
+    probes the trisection points of the incumbent's neighbouring gaps,
+    nearest first and below before above, and splices their cells in next
+    to it.  The winner alone is certified, from its own cell, by
+    :func:`_certify`; the table's rows hold the cells' integers.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -767,8 +748,9 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
     # the grid's dead pairs, then per round the two w trisection points
     # above the incumbent's w, 5/3
     dead = len(ts) * (n_w - 1) + config.refinement_rounds * 2 * (n_w > 1)
-    cell_at = _left_cell if side == "left" else _right_cell
-    cells = [cell_at(t, width) for t in ts]
+    probe = partial(_left_cell if side == "left" else _right_cell, width=width,
+                    grids=_grids(side, width))
+    cells = [probe(t) for t in ts]
     i = 0
     for j in range(1, len(cells)):
         if _outranks(side, cells[j], cells[i]):
@@ -779,12 +761,12 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
         t = cells[i].t
         below, above = [], []
         if i > 0:
-            gap = t - cells[i - 1].t
-            near = cell_at(t - gap / 3, width)  # each side's nearer point first
-            below = [cell_at(t - 2 * gap / 3, width), near]
+            u = cells[i - 1].t
+            near = probe(_third(t, u))  # each side's nearer point first
+            below = [probe(_third(u, t)), near]
         if i + 1 < len(cells):
-            gap = cells[i + 1].t - t
-            above = [cell_at(t + gap / 3, width), cell_at(t + 2 * gap / 3, width)]
+            u = cells[i + 1].t
+            above = [probe(_third(t, u)), probe(_third(u, t))]
         cells[i:i + 1] = [*below, cells[i], *above]
         top = i + len(below)
         for j in range(i, top + 1 + len(above)):

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .exact_poly import rat, rat_str
 
@@ -109,33 +110,49 @@ _CODED_CASES = tuple(
     for case_id, range_lo, range_hi, needs_osc, constants in _CASES
 )
 
+#: the fields of :class:`ShrinkerPinchData`, in order
+_FIELDS = ("a_circ_min", "a_circ_max", "mean_curvature_nonvanishing", "normalized_H_parallel")
 
-@dataclass(frozen=True)
-class ShrinkerPinchData:
-    """Certified bounds on the traceless second-form norm of a self-shrinker."""
 
-    a_circ_min: Fraction
-    a_circ_max: Fraction
-    mean_curvature_nonvanishing: bool
-    normalized_H_parallel: bool
+class ShrinkerPinchData(tuple):
+    """Certified bounds on the traceless second-form norm of a self-shrinker.
 
-    def __post_init__(self):
+    An immutable record of its four fields, checked in one pass when it is
+    built; equal to a record of its class with equal fields, and hashed as
+    the tuple of its fields."""
+
+    __slots__ = ()
+
+    def __new__(cls, a_circ_min, a_circ_max, mean_curvature_nonvanishing, normalized_H_parallel):
         # a string such as "false" is truthy: it must not count as holding
-        for key in ("mean_curvature_nonvanishing", "normalized_H_parallel"):
-            value = getattr(self, key)
-            if value is not True and value is not False:
-                raise TypeError(f"{key} must be a JSON boolean, got {value!r}")
-        lo, hi = self.a_circ_min, self.a_circ_max
+        if not type(mean_curvature_nonvanishing) is bool is type(normalized_H_parallel):
+            key, value = next((key, value) for key, value in zip(
+                _FIELDS[2:], (mean_curvature_nonvanishing, normalized_H_parallel))
+                if type(value) is not bool)
+            raise TypeError(f"{key} must be a JSON boolean, got {value!r}")
         # a bound that is not yet a Fraction is read by rat
-        if not isinstance(lo, Fraction):
-            lo = rat(lo)
-            object.__setattr__(self, "a_circ_min", lo)
-        if not isinstance(hi, Fraction):
-            hi = rat(hi)
-            object.__setattr__(self, "a_circ_max", hi)
+        lo = a_circ_min if isinstance(a_circ_min, Fraction) else rat(a_circ_min)
+        hi = a_circ_max if isinstance(a_circ_max, Fraction) else rat(a_circ_max)
         # 0 <= lo <= hi, on integers: both denominators are positive
         if not 0 <= lo.numerator * hi.denominator <= hi.numerator * lo.denominator:
             raise ValueError(f"need 0 <= min <= max, got [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi, mean_curvature_nonvanishing, normalized_H_parallel))
+
+    a_circ_min = property(itemgetter(0))
+    a_circ_max = property(itemgetter(1))
+    mean_curvature_nonvanishing = property(itemgetter(2))
+    normalized_H_parallel = property(itemgetter(3))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    __ne__, __hash__ = object.__ne__, tuple.__hash__
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, _FIELDS, self))})"
 
     def to_json(self) -> dict:
         return {
@@ -153,14 +170,13 @@ class ShrinkerPinchData:
         write is refused."""
         if not isinstance(data, dict):
             raise ValueError(f"classify input must be a JSON object, got {data!r}")
-        names = [f.name for f in fields(cls)]
-        unknown = sorted(set(data) - set(names))
+        unknown = sorted(set(data) - set(_FIELDS))
         if unknown:
             raise ValueError(f"unknown classify input key(s): {', '.join(map(repr, unknown))}")
-        missing = [name for name in names if name not in data]
+        missing = [name for name in _FIELDS if name not in data]
         if missing:
             raise ValueError(f"classify input is missing {', '.join(map(repr, missing))}")
-        return cls(**{name: data[name] for name in names})
+        return cls(*(data[name] for name in _FIELDS))
 
 
 @dataclass(frozen=True)
@@ -206,9 +222,9 @@ def classify(data: ShrinkerPinchData) -> Classification:
     (:func:`_code`) and on the oscillation test, so it is looked up in
     :func:`_decide`.
     """
-    if not (data.mean_curvature_nonvanishing and data.normalized_H_parallel):
+    lo, hi, nonvanishing, parallel = data
+    if not (nonvanishing and parallel):
         return _HYPOTHESES_NOT_MET
-    lo, hi = data.a_circ_min, data.a_circ_max
     lo_num, lo_den, hi_num, hi_den = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     # hi - lo <= 1/880, both denominators positive
     osc_ok = ((hi_num * lo_den - lo_num * hi_den) * _SCALE

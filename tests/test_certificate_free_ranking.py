@@ -96,7 +96,8 @@ def _break_one_endpoint_check(monkeypatch):
     phi must be negative."""
     t = F(1, 200)
     (label, form, quotient), second = pb.left_branch_forms()
-    a = ps._left_cell(t, F(1, 10**6)).enclosure.lo
+    width = F(1, 10**6)
+    a = ps._left_cell(t, width, ps._grids("left", width)).enclosure.lo
     touch = Polynomial.linear(-a, 1) ** 2 * Polynomial.linear(F(-7, 4), 1)
     shift = F(100, 99) * (1 - 2 * Form((0, 1))) * (touch - quotient.at(t))
     monkeypatch.setattr(pb, "left_branch_forms", lambda: ((label, form, quotient + shift), second))

@@ -161,9 +161,9 @@ def _count_left_probe_calls(monkeypatch):
     calls = _count_left_threshold_calls(monkeypatch)
     real = ps._left_cell
 
-    def counting(t, width):
+    def counting(t, width, grids):
         calls.append((t, LO))
-        return real(t, width)
+        return real(t, width, grids)
 
     monkeypatch.setattr(ps, "_left_cell", counting)
     return calls

@@ -24,6 +24,7 @@ from pinchcert import exact_poly as ep
 from pinchcert import param_search as ps
 from pinchcert.exact_poly import (
     ExactPolyError,
+    Form,
     IntervalQ,
     Polynomial,
     _count_evidence,
@@ -301,15 +302,51 @@ def test_integer_grid_equals_the_fraction_setup(a, span, width):
     assert F(step, den) <= width and (depth == 0 or F(2 * step, den) > width)
 
 
+def pair(q):
+    return q.numerator, q.denominator
+
+
+grid_ends = st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=1000),
+                      st.fractions(min_value=F(1, 1000), max_value=5, max_denominator=1000))
+
+
 @settings(max_examples=300, deadline=None)
-@given(polys, st.integers(min_value=-10**12, max_value=10**12),
-       st.integers(min_value=1, max_value=10**12))
-def test_a_prescaled_horner_pass_is_the_homogeneous_value(p, x, den):
-    # the regula falsi values are the integers homogeneous Horner gives, so
-    # every step, cell and certificate is the one it was before
+@given(polys, st.integers(min_value=-10**12, max_value=10**12), grid_ends, widths)
+def test_a_prescaled_horner_pass_is_the_homogeneous_value(p, x, ends, width):
+    # the regula falsi values of a polynomial's grid search are the
+    # integers homogeneous Horner gives on the grid's denominator, so every
+    # step, cell and certificate is the one it was before
+    a, span = ends
+    search = ep._grid_search(p, pair(a), pair(a + span), pair(width))
+    assert search.den == grid_of(a, a + span, width)[2]
     ints = p.integer_form()[0]
-    assert ep._horner(ep._prescaled(ints, den), x) == (
-        ep._homogeneous(ints, x, den) if ints else 0)
+    assert ep._horner(search.scaled, x) == (ep._homogeneous(ints, x, search.den) if ints else 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(polys, max_size=4), st.fractions(min_value=-2, max_value=2, max_denominator=10**4),
+       grid_ends, widths)
+@example([Polynomial([1, 2, 3]), Polynomial([0, 0, -1])], F(3), (F(1), F(1)), F(1, 10))
+@example([Polynomial([0, 1])], F(1, 7), (F(5, 3), F(2, 15)), F(1, 10**6))
+def test_a_form_on_its_grid_reads_t_as_its_polynomials_prescaled_values(rows, t, ends, width):
+    # a form's grid search at t holds the prescaled coefficients of the
+    # polynomial at t times one positive integer, behind zeros where the
+    # degree drops at t: every value is that polynomial's times the same
+    # positive integer, so every sign, secant and cell is its search's
+    a, span = ends
+    form = Form(rows)
+    search = form.on_grid(pair(a), pair(a + span), pair(width))(*pair(t))
+    want = ep._grid_search(form.at(t), pair(a), pair(a + span), pair(width))
+    assert search[1:5] == want[1:5]  # base, step, den and cells
+    drop = len(search.scaled) - len(want.scaled)
+    assert drop >= 0 and not any(search.scaled[:drop])
+    if not want.scaled:
+        assert (search.f_lo, search.f_hi) == (0, 0)
+        return
+    scale, rest = divmod(search.scaled[drop], want.scaled[0])
+    assert scale > 0 and rest == 0
+    assert search.scaled[drop:] == tuple(scale * c for c in want.scaled)
+    assert (search.f_lo, search.f_hi) == (scale * want.f_lo, scale * want.f_hi)
 
 
 def grid_index(a, b, width, x):

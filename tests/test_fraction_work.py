@@ -55,8 +55,12 @@ from pinchcert.exact_poly import IntervalQ, SignCertificate
 #: versions, once the winner's sign certificate tested its interval's ends
 #: for equality instead of building its width, and built its midpoint
 #: witness as one Fraction from the ends' integers (33, 33, 45 and 45
-#: before)
-RIGHT_SWEEP_FRACTIONS = {(3, 10): 29, (3, 11): 29, (3, 12): 41, (3, 13): 41}
+#: before).  Measured again on the same four versions once each trisection
+#: point became one Fraction from the integers of t and its neighbour,
+#: (2ps + rq) / (3qs), instead of a gap, its third and a sum, with no mixed
+#: int/Fraction arithmetic left: 16 fewer on 3.10 and 3.11 and 28 fewer on
+#: 3.12 and 3.13, now equal (29, 29, 41 and 41 before)
+RIGHT_SWEEP_FRACTIONS = {(3, 10): 13, (3, 11): 13, (3, 12): 13, (3, 13): 13}
 
 #: Fractions built by one warm default left sweep (``optimize``), measured on
 #: CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 once a live probe read phi's end
@@ -82,8 +86,11 @@ RIGHT_SWEEP_FRACTIONS = {(3, 10): 29, (3, 11): 29, (3, 12): 41, (3, 13): 41}
 #: certificate tested its interval's ends for equality instead of building
 #: its width, and built its midpoint witness as one Fraction from the ends'
 #: integers: four fewer for each of the winner's two sign certificates (38,
-#: 38, 50 and 50 before)
-LEFT_SWEEP_FRACTIONS = {(3, 10): 30, (3, 11): 30, (3, 12): 42, (3, 13): 42}
+#: 38, 50 and 50 before).  Measured again on the same four versions once
+#: each trisection point became one Fraction from the integers of t and its
+#: neighbour: 16 fewer on 3.10 and 3.11 and 28 fewer on 3.12 and 3.13, now
+#: equal (30, 30, 42 and 42 before)
+LEFT_SWEEP_FRACTIONS = {(3, 10): 14, (3, 11): 14, (3, 12): 14, (3, 13): 14}
 
 #: Fractions built by one warm ``cmd_certify()``, measured on CPython
 #: 3.10.13, 3.11.7, 3.12.1 and 3.13.0 once its four decimal brackets were

@@ -30,8 +30,12 @@ LO, HI = F(5, 3), F(9, 5)
 #: ``_homogeneous`` and ``_horner`` calls of one warm default sweep
 #: (``optimize``), measured on CPython 3.11.7: 1555 on the right and 4312 on
 #: the left while each search's grid ends were read twice and both left
-#: quotients were searched over the whole grid
-SWEEP_EVALUATIONS = {"right": 1341, "left": 3076}
+#: quotients were searched over the whole grid; 1341 and 3076 while each
+#: probe specialized its forms with ``Form.at``, whose columns now give the
+#: probe's grid values directly, one ``_homogeneous`` pass each as before,
+#: and the winner's certificate step specializes them once more: θ2's four
+#: columns on the right, the two quotients' nine on the left
+SWEEP_EVALUATIONS = {"right": 1345, "left": 3085}
 
 # the grid every default probe of a side shares, and cells on it
 _GRIDS = {"left": ep._grid(*ps._U, *ps._HI, 1, 2 * 10**6),
@@ -121,7 +125,7 @@ def test_a_zero_value_or_a_failed_search_takes_the_sturm_counted_path(monkeypatc
     # cell fails; each takes the Sturm-counted bisection, which moves a
     # midpoint off the root and ends off the grid
     t, width = F(1, 4), F(1, 10**6)
-    first_cell = ps._left_cell(t, width)
+    first_cell = ps._left_cell(t, width, ps._grids("left", width))
     base, step, den, _ = _GRIDS["left"]
     assert first_cell.den == den  # the first quotient's grid cell
     root = F(first_cell.lo_num - below * step, den)
@@ -130,7 +134,7 @@ def test_a_zero_value_or_a_failed_search_takes_the_sturm_counted_path(monkeypatc
     monkeypatch.setattr(pb, "left_branch_forms", lambda: (first, (label, form, Form((g,)))))
     lo, hi = ep._smallest_root_cell(g, ps._SLIVER.hi, HI, width / 2)
     assert lo < root < hi and (hi - F(base, den)) % F(step, den) != 0
-    assert ps._left_cell(t, width).enclosure == ep.IntervalQ(lo, hi)
+    assert ps._left_cell(t, width, ps._grids("left", width)).enclosure == ep.IntervalQ(lo, hi)
 
 
 def test_the_second_quotients_own_cell_never_lies_below_the_enclosure():
@@ -138,10 +142,10 @@ def test_the_second_quotients_own_cell_never_lies_below_the_enclosure():
     # skips where it is negative at the first cell's lower end, finds no
     # cell below the enclosure over the default t grid
     width = F(1, 10**6)
-    skipped = 0
+    skipped, grids = 0, ps._grids("left", width)
     for t in ps.default_config("left").t_grid:
-        cell = ps._left_cell(t, width)
-        second = cell.polys[1]
+        cell = ps._left_cell(t, width, grids)
+        second = ps._at_t("left", t)[1]
         own = ep._jump_cell(second, ps._SLIVER.hi, HI, width / 2)
         assert own is not None and own[0] >= cell.enclosure.lo, t
         skipped += own[0] > cell.enclosure.lo
@@ -162,15 +166,32 @@ def _count_calls(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("side, calls", [("left", 4), ("right", 2)])
 def test_a_one_t_sweep_specializes_each_form_twice(monkeypatch, side, calls):
-    # once for the probe and once for enclosure_holds, which binds the
-    # certificates to the claim table from t alone; the labels are read on
-    # the certificates' own polynomials (6 and 3 while they specialized too)
+    # once for the winner's certificate step and once for enclosure_holds,
+    # which binds the certificates to the claim table from t alone; the
+    # probe reads its grid values off the forms' columns, and the labels are
+    # read on the certificates' own polynomials (6 and 3 while they
+    # specialized too)
     config = ps.SweepConfig(t_grid=(F(1, 4),), w_grid=(LO if side == "left" else HI,))
     want = rc.cmd_optimize(side, config).to_json_str(strip_wall_time=True)
     at = _count_calls(monkeypatch, ep.Form, "at")
     report = rc.cmd_optimize(side, config)
     assert len(at) == calls
     assert report.to_json_str(strip_wall_time=True) == want
+
+
+@pytest.mark.parametrize("side, forms", [("left", 2), ("right", 1)])
+def test_a_warm_default_sweep_specializes_only_its_winners_forms(monkeypatch, side, forms):
+    # no probe builds a polynomial: each reads its grid values off the
+    # request's grids, and the winner's certificate step specializes each
+    # of its forms once, θ2 on the right and each quotient on the left
+    config = ps.default_config(side)
+    want = ps.optimize(side, config)
+    at = _count_calls(monkeypatch, ep.Form, "at")
+    opt = ps.optimize(side, config)
+    assert opt == want
+    assert len(opt.table) == 108 and [t for _, t in at] == [opt.best_t] * forms
+    assert [form for form, _ in at] == (
+        [pb.theta2_form()] if side == "right" else [q for _, _, q in pb.left_branch_forms()])
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -188,10 +209,12 @@ def test_labels_need_no_specialization(monkeypatch, side, t, w):
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_a_warm_default_sweep_takes_the_measured_integer_evaluations(monkeypatch, side):
     # every exact value of a sweep is a _homogeneous or a _horner pass; the
-    # winner's stored values are read through param_search's own name
+    # winner's stored values and a left probe's end check are read through
+    # param_search's own names
     config = ps.default_config(side)
     ps.optimize(side, config)
     calls = [_count_calls(monkeypatch, owner, name)
-             for owner, name in ((ep, "_horner"), (ep, "_homogeneous"), (ps, "_homogeneous"))]
+             for owner, name in ((ep, "_horner"), (ep, "_homogeneous"), (ps, "_homogeneous"),
+                                 (ps, "_horner"))]
     ps.optimize(side, config)
     assert sum(map(len, calls)) == SWEEP_EVALUATIONS[side]

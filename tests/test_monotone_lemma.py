@@ -259,13 +259,13 @@ def test_probes_and_thresholds_match_the_sturm_references(t, width):
     ps.monotone_lemma("left")
     ps.monotone_lemma("right")
     right = _right_reference(t, width)
-    cell = ps._right_cell(t, width)
-    assert (cell.enclosure, cell.degenerate, cell.polys) == (right.enclosure, right.degenerate,
-                                                             (pb.theta2(t),))
+    cell = ps._right_cell(t, width, ps._grids("right", width))
+    assert (cell.enclosure, cell.degenerate, ps._at_t("right", t)) == (
+        right.enclosure, right.degenerate, (pb.theta2(t),))
     assert ps.right_threshold(t, width) == right
 
     left = _endpoint_branch_reference(t, width)
-    assert ps._left_cell(t, width).enclosure == left.enclosure
+    assert ps._left_cell(t, width, ps._grids("left", width)).enclosure == left.enclosure
     mine = ps.left_threshold(t, LO, width)
     assert (mine.enclosure, mine.phi_lo, mine.phi_hi) == (left.enclosure, left.phi_lo,
                                                          left.phi_hi)
@@ -307,8 +307,9 @@ def test_left_isolations_on_the_quotient_take_few_evaluations(monkeypatch):
             evaluations.append(len(calls))
 
     monkeypatch.setattr(ep, "_propose_cell", counting)
+    grids = ps._grids("left", WIDTH)
     for t in ps.default_config("left").t_grid:
-        ps._left_cell(t, WIDTH)
+        ps._left_cell(t, WIDTH, grids)
     assert len(evaluations) == 130 and min(evaluations) >= 1
     assert max(evaluations) <= 10 and sum(evaluations) <= 6.5 * len(evaluations)
 
@@ -325,7 +326,7 @@ def test_thresholds_refuse_a_cell_their_counts_contradict(monkeypatch):
         cubic = cubic * Polynomial.linear(-r, 1)
     first, (label, form, _) = pb.left_branch_forms()
     monkeypatch.setattr(pb, "left_branch_forms", lambda: (first, (label, form, Form((cubic,)))))
-    assert ps._left_cell(t, WIDTH).enclosure.lo > F(1681, 1000)
+    assert ps._left_cell(t, WIDTH, ps._grids("left", WIDTH)).enclosure.lo > F(1681, 1000)
     with pytest.raises(SignClaimError, match="claimed sign-constant-negative but Sturm finds 2"):
         ps.left_threshold(t, LO)
 

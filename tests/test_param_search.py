@@ -22,6 +22,7 @@ from pinchcert.exact_poly import (
     rat,
     rat_str,
 )
+from pinchcert import exact_poly as ep
 from pinchcert import param_search as ps
 from pinchcert import pinching_bounds as pb
 
@@ -420,7 +421,7 @@ def test_replay_rejects_a_parameter_or_side_outside_its_range(side, t):
         # a degenerate enclosure built whole at t = 0, its certificate the
         # table's row there: only the parameter range refuses it (no left
         # enclosure is degenerate)
-        at_zero = ps._certify(ps._right_cell(F(0), WIDTH))
+        at_zero = ps._certify(ps._right_cell(F(0), WIDTH, ps._grids("right", WIDTH)))
         assert at_zero.degenerate and at_zero.certificate.replay()
         assert ps.enclosure_holds(at_zero) is False
 
@@ -443,9 +444,10 @@ def test_right_threshold_checks_its_parameter_first(t):
 def test_threshold_calls_refuse_a_width_below_the_bound(monkeypatch, side):
     # as sweeps do: far below the bound the whole isolation ran, and only
     # writing phi's values then passed Python's int-to-string limit; no
-    # grid search starts and no bisection runs
+    # isolation grid is built, so no grid search starts, and no bisection
+    # runs
     cells = []
-    monkeypatch.setattr(ps, "_grid_search", lambda *args: cells.append(args))
+    monkeypatch.setattr(ep, "_on_grid", lambda *args: cells.append(args))
     monkeypatch.setattr(ps, "_smallest_root_cell", lambda *args, **kwargs: cells.append(args))
     with pytest.raises(ValueError, match="at least MIN_ISOLATION_WIDTH"):
         if side == "left":

@@ -404,8 +404,9 @@ def test_theta1_is_the_sup_at_x_quotient_at_one_half():
     g = quotients["sup-at-x"].at(F(1, 2))
     assert 12 * pb.theta1() == g
     # sup-at-x wins: it changes sign in the threshold's enclosure
-    cell = ps._left_cell(F(1, 2), F(1, 10**6))
-    assert list(quotients)[0] == "sup-at-x" and cell.polys[0] == g
+    width = F(1, 10**6)
+    cell = ps._left_cell(F(1, 2), width, ps._grids("left", width))
+    assert list(quotients)[0] == "sup-at-x" and ps._at_t("left", F(1, 2))[0] == g
     assert g(cell.enclosure.lo) < 0 < g(cell.enclosure.hi)
     th = ps.left_threshold(F(1, 2), F(5, 3))
     assert th.enclosure == cell.enclosure

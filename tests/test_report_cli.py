@@ -435,7 +435,8 @@ def test_refinement_rounds_are_bounded_before_any_probe(tmp_path, capsys, monkey
     # one past it is refused before a probe is made
     cells = []
     real = ps._right_cell
-    monkeypatch.setattr(ps, "_right_cell", lambda t, width: cells.append(t) or real(t, width))
+    monkeypatch.setattr(ps, "_right_cell",
+                        lambda t, width, grids: cells.append(t) or real(t, width, grids))
     code = rc.main(["optimize", "--side", "right", "--config",
                     str(small_config_file(tmp_path, ps.MAX_REFINEMENT_ROUNDS))])
     assert code == rc.EXIT_OK and len(cells) > 3
@@ -462,7 +463,8 @@ def test_isolation_width_is_bounded_before_any_probe(tmp_path, capsys, monkeypat
     cells = []
     name = f"_{side}_cell"
     real = getattr(ps, name)
-    monkeypatch.setattr(ps, name, lambda t, width: cells.append(t) or real(t, width))
+    monkeypatch.setattr(ps, name,
+                        lambda t, width, grids: cells.append(t) or real(t, width, grids))
     path, out = tmp_path / "config.json", tmp_path / "report.json"
     config = {"t_grid": ["1/200"], "w_grid": [w]}
     path.write_text(json.dumps(dict(config, isolation_width=rat_str(ps.MIN_ISOLATION_WIDTH))))

@@ -1,5 +1,7 @@
 """Tests for the self-shrinker dictionary and rigidity classification."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -147,6 +149,32 @@ def test_hypotheses_must_be_booleans(key, value):
         sb.ShrinkerPinchData(**fields)
     with pytest.raises(TypeError, match=key):
         sb.ShrinkerPinchData.from_json(fields)
+
+
+FIELDS = ("a_circ_min", "a_circ_max", "mean_curvature_nonvanishing", "normalized_H_parallel")
+
+
+@pytest.mark.parametrize("name", [*FIELDS, "other"])
+def test_pinch_data_refuses_assignment(name):
+    d = data(F(5, 12), F(9, 20))
+    with pytest.raises(AttributeError):
+        setattr(d, name, F(1, 3))
+    assert (d.a_circ_min, d.a_circ_max) == (F(5, 12), F(9, 20))
+
+
+def test_pinch_data_is_equal_and_hashed_by_its_four_fields():
+    d = data(F(5, 12), F(9, 20))
+    fields = tuple(getattr(d, name) for name in FIELDS)
+    assert fields == (F(5, 12), F(9, 20), True, True)
+    same = sb.ShrinkerPinchData("5/12", "9/20", True, True)
+    assert same == d and not same != d and hash(same) == hash(d) == hash(fields)
+    assert d != data(F(5, 12), F(9, 20), h_parallel=False) and d != data(F(5, 12), F(1, 2))
+    # a tuple of the same fields is not a record
+    assert d != fields and fields != d and not d == fields
+    assert copy.copy(d) == d and pickle.loads(pickle.dumps(d)) == d
+    assert repr(d) == ("ShrinkerPinchData(a_circ_min=Fraction(5, 12), "
+                       "a_circ_max=Fraction(9, 20), mean_curvature_nonvanishing=True, "
+                       "normalized_H_parallel=True)")
 
 
 # ---------------------------------------------------------------------------
