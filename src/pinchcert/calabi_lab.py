@@ -549,26 +549,18 @@ class GeometryScan:
                                  *(column[i:i + SCAN_BLOCK].tolist() for column in columns)))
 
     def summary(self) -> dict:
-        def stats(arr):
-            return {
-                "mean": repr(float(np.mean(arr))),
-                "std": repr(float(np.std(arr))),
-                "min": repr(float(np.min(arr))),
-                "max": repr(float(np.max(arr))),
-            }
-
-        out = {
-            "s": self.s,
-            "seed": self.seed,
-            "n_samples": self.n_samples,
-            "S": stats(self.S),
-            "rho_perp": stats(self.rho_perp),
-            "H_norm_sq": stats(self.H_norm_sq),
-            "K_induced": stats(self.K_induced),
-            "A_norm_sq": stats(self.A_norm_sq),
-        }
+        """Mean, std, min and max of each scalar field.  The fields are
+        stacked one to a row, so each statistic is one reduction along the
+        sample axis; a row reduces exactly as its field alone does."""
+        names = ["S", "rho_perp", "H_norm_sq", "K_induced", "A_norm_sq"]
         if self.B1 is not None:
-            out["B1"] = stats(self.B1)
+            names.append("B1")
+        fields = np.stack([getattr(self, name) for name in names])
+        stats = zip(fields.mean(axis=1).tolist(), fields.std(axis=1).tolist(),
+                    fields.min(axis=1).tolist(), fields.max(axis=1).tolist())
+        out = {"s": self.s, "seed": self.seed, "n_samples": self.n_samples}
+        for name, row in zip(names, stats):
+            out[name] = dict(zip(("mean", "std", "min", "max"), map(repr, row)))
         return out
 
     def to_json_str(self) -> str:
@@ -626,6 +618,7 @@ class IdentityResidual:
     tolerance: float
     passed: bool
     absent: bool = False
+    worst_sample: int | None = None   # first sample at max_residual; None when absent
 
 
 @dataclass(frozen=True)
@@ -648,6 +641,7 @@ class IdentityReport:
                     "tolerance": repr(r.tolerance),
                     "passed": r.passed,
                     "absent": r.absent,
+                    "worst_sample": r.worst_sample,
                 }
                 for r in self.residuals
             ],
@@ -665,12 +659,14 @@ class IdentityReport:
 
 def verify_identities(scan: GeometryScan) -> IdentityReport:
     """Per-identity max residuals over the scan, checked against
-    :data:`DEFAULT_TOLERANCES`.
+    :data:`DEFAULT_TOLERANCES`, each with the first sample that attains it.
 
-    The derivative identity is marked absent (not failed) when the scan ran
-    without a derivative pass.  A_norm and normal_curvature are derived, not
-    independent oracles: for trace-free h with a = h_11, b = h_12,
-    |A|^2 - S^2/2 = 2(|a|^2 - |b|^2)^2 + 8(a.b)^2 and
+    The residual arrays are stacked one identity to a row, so one argmax
+    along the sample axis finds every worst sample, and the maxima are read
+    there.  The derivative identity is marked absent (not failed) when the
+    scan ran without a derivative pass.  A_norm and normal_curvature are
+    derived, not independent oracles: for trace-free h with a = h_11,
+    b = h_12, |A|^2 - S^2/2 = 2(|a|^2 - |b|^2)^2 + 8(a.b)^2 and
     rho_perp - S^2 = -2(|A|^2 - S^2/2), so their residuals are quadratic in
     the second_form_vectors defect.
     """
@@ -678,40 +674,30 @@ def verify_identities(scan: GeometryScan) -> IdentityReport:
 
     if scan.n_samples == 0:
         raise ValueError("empty scan")
-    tol = DEFAULT_TOLERANCES
-    cv = calabi_value(scan.s)
-    s_exact = float(cv.S)
-
-    rows = []
-
-    def add(name, residuals, absent=False):
-        max_res = 0.0 if absent else float(np.max(residuals))
-        rows.append(
-            IdentityResidual(
-                name=name,
-                max_residual=max_res,
-                tolerance=tol[name],
-                passed=(not absent) and max_res <= tol[name],
-                absent=absent,
-            )
-        )
-
-    add("mean_curvature", np.abs(scan.H_norm_sq))
-    add("S_constant", np.abs(scan.S - s_exact))
-    add("gauss_relation", np.abs(2.0 * scan.K_induced + scan.S - 2.0))
-    add("A_norm", np.abs(scan.A_norm_sq - scan.S**2 / 2.0))
-    add("normal_curvature", np.abs(scan.rho_perp - scan.S**2))
-    vec_res = np.maximum(
-        np.abs(scan.a_dot_b),
-        np.maximum(
-            np.abs(scan.a_norm_sq - scan.S / 4.0),
-            np.abs(scan.b_norm_sq - scan.S / 4.0),
+    s_exact = float(calabi_value(scan.s).S)
+    residuals = {
+        "mean_curvature": np.abs(scan.H_norm_sq),
+        "S_constant": np.abs(scan.S - s_exact),
+        "gauss_relation": np.abs(2.0 * scan.K_induced + scan.S - 2.0),
+        "A_norm": np.abs(scan.A_norm_sq - scan.S**2 / 2.0),
+        "normal_curvature": np.abs(scan.rho_perp - scan.S**2),
+        "second_form_vectors": np.maximum(
+            np.abs(scan.a_dot_b),
+            np.maximum(
+                np.abs(scan.a_norm_sq - scan.S / 4.0),
+                np.abs(scan.b_norm_sq - scan.S / 4.0),
+            ),
         ),
-    )
-    add("second_form_vectors", vec_res)
-    if scan.B1 is None:
-        add("grad_h_norm", None, absent=True)
-    else:
+    }
+    if scan.B1 is not None:
         b1_exact = scan.S * (3.0 * scan.S - 4.0) / 2.0
-        add("grad_h_norm", np.abs(scan.B1 - b1_exact))
+        residuals["grad_h_norm"] = np.abs(scan.B1 - b1_exact)
+    stacked = np.stack(list(residuals.values()))
+    worst = stacked.argmax(axis=1)
+    maxima = stacked[np.arange(len(worst)), worst].tolist()
+    tol = DEFAULT_TOLERANCES
+    rows = [IdentityResidual(name, max_res, tol[name], max_res <= tol[name], worst_sample=sample)
+            for name, max_res, sample in zip(residuals, maxima, worst.tolist())]
+    if scan.B1 is None:
+        rows.append(IdentityResidual("grad_h_norm", 0.0, tol["grad_h_norm"], False, absent=True))
     return IdentityReport(s=scan.s, residuals=tuple(rows))

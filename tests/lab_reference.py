@@ -9,6 +9,13 @@ the lab evaluated them from an exact coefficient table.  Tests compare the
 3-jets, with ``reference_scan`` under tolerances that cover this
 reference's finite-difference truncation and round-off; nothing in
 ``src`` imports this.
+
+``summary`` and ``verify_identities`` are ``GeometryScan.summary`` and
+``calabi_lab.verify_identities`` as they were while each statistic and each
+residual maximum was its own numpy reduction over one field, before the
+fields and residuals were stacked.  They are the byte reference for the
+lab report's ``summary`` and ``identities`` blocks.  Do not edit them to
+track the library.
 """
 
 from __future__ import annotations
@@ -19,8 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from pinchcert.calabi_lab import (
+    DEFAULT_TOLERANCES,
     FrameDegeneracyError,
     GeometryScan,
+    IdentityReport,
+    IdentityResidual,
     Immersion,
     fibonacci_sphere_points,
 )
@@ -475,3 +485,81 @@ def reference_scan(imm: Immersion, n_samples: int, seed: int,
     for i in range(n_samples):
         work(i)
     return scan
+
+
+def summary(self: GeometryScan) -> dict:
+    def stats(arr):
+        return {
+            "mean": repr(float(np.mean(arr))),
+            "std": repr(float(np.std(arr))),
+            "min": repr(float(np.min(arr))),
+            "max": repr(float(np.max(arr))),
+        }
+
+    out = {
+        "s": self.s,
+        "seed": self.seed,
+        "n_samples": self.n_samples,
+        "S": stats(self.S),
+        "rho_perp": stats(self.rho_perp),
+        "H_norm_sq": stats(self.H_norm_sq),
+        "K_induced": stats(self.K_induced),
+        "A_norm_sq": stats(self.A_norm_sq),
+    }
+    if self.B1 is not None:
+        out["B1"] = stats(self.B1)
+    return out
+
+
+def verify_identities(scan: GeometryScan) -> IdentityReport:
+    """Per-identity max residuals over the scan, checked against
+    :data:`DEFAULT_TOLERANCES`.
+
+    The derivative identity is marked absent (not failed) when the scan ran
+    without a derivative pass.  A_norm and normal_curvature are derived, not
+    independent oracles: for trace-free h with a = h_11, b = h_12,
+    |A|^2 - S^2/2 = 2(|a|^2 - |b|^2)^2 + 8(a.b)^2 and
+    rho_perp - S^2 = -2(|A|^2 - S^2/2), so their residuals are quadratic in
+    the second_form_vectors defect.
+    """
+    from pinchcert.pinching_bounds import calabi_value
+
+    if scan.n_samples == 0:
+        raise ValueError("empty scan")
+    tol = DEFAULT_TOLERANCES
+    cv = calabi_value(scan.s)
+    s_exact = float(cv.S)
+
+    rows = []
+
+    def add(name, residuals, absent=False):
+        max_res = 0.0 if absent else float(np.max(residuals))
+        rows.append(
+            IdentityResidual(
+                name=name,
+                max_residual=max_res,
+                tolerance=tol[name],
+                passed=(not absent) and max_res <= tol[name],
+                absent=absent,
+            )
+        )
+
+    add("mean_curvature", np.abs(scan.H_norm_sq))
+    add("S_constant", np.abs(scan.S - s_exact))
+    add("gauss_relation", np.abs(2.0 * scan.K_induced + scan.S - 2.0))
+    add("A_norm", np.abs(scan.A_norm_sq - scan.S**2 / 2.0))
+    add("normal_curvature", np.abs(scan.rho_perp - scan.S**2))
+    vec_res = np.maximum(
+        np.abs(scan.a_dot_b),
+        np.maximum(
+            np.abs(scan.a_norm_sq - scan.S / 4.0),
+            np.abs(scan.b_norm_sq - scan.S / 4.0),
+        ),
+    )
+    add("second_form_vectors", vec_res)
+    if scan.B1 is None:
+        add("grad_h_norm", None, absent=True)
+    else:
+        b1_exact = scan.S * (3.0 * scan.S - 4.0) / 2.0
+        add("grad_h_norm", np.abs(scan.B1 - b1_exact))
+    return IdentityReport(s=scan.s, residuals=tuple(rows))

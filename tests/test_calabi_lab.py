@@ -250,6 +250,8 @@ def test_verify_identities_marks_missing_derivatives_absent():
     report = cl.verify_identities(scan)
     row = {r.name: r for r in report.residuals}["grad_h_norm"]
     assert row.absent and report.passed
+    assert row.worst_sample is None and report.to_json()["residuals"][-1]["worst_sample"] is None
+    assert all(r.worst_sample is not None for r in report.residuals if not r.absent)
 
 
 def test_verify_identities_second_form_vectors_degree_three():
@@ -257,6 +259,38 @@ def test_verify_identities_second_form_vectors_degree_three():
     scan = cl.geometry_scan(imm, 60, seed=13)
     row = {r.name: r for r in cl.verify_identities(scan).residuals}["second_form_vectors"]
     assert row.max_residual <= 1e-6
+
+
+@pytest.mark.parametrize("s", (3, 4))
+def test_each_identity_names_a_sample_at_its_worst_residual(s):
+    scan = cl.geometry_scan(cl.build_calabi_immersion(s), 100, seed=s, with_derivatives=True)
+    s_exact = float(calabi_value(s).S)
+    residuals = {
+        "mean_curvature": np.abs(scan.H_norm_sq),
+        "S_constant": np.abs(scan.S - s_exact),
+        "gauss_relation": np.abs(2.0 * scan.K_induced + scan.S - 2.0),
+        "A_norm": np.abs(scan.A_norm_sq - scan.S**2 / 2.0),
+        "normal_curvature": np.abs(scan.rho_perp - scan.S**2),
+        "second_form_vectors": np.maximum.reduce([np.abs(scan.a_dot_b),
+                                                  np.abs(scan.a_norm_sq - scan.S / 4.0),
+                                                  np.abs(scan.b_norm_sq - scan.S / 4.0)]),
+        "grad_h_norm": np.abs(scan.B1 - scan.S * (3.0 * scan.S - 4.0) / 2.0),
+    }
+    report = cl.verify_identities(scan)
+    assert [r.name for r in report.residuals] == list(residuals)
+    for row, json_row in zip(report.residuals, report.to_json()["residuals"]):
+        residual = residuals[row.name]
+        i = row.worst_sample
+        assert type(i) is int and 0 <= i < scan.n_samples and json_row["worst_sample"] == i
+        assert residual[i] == row.max_residual == residual.max()
+        assert not np.any(residual[:i] == row.max_residual), "not the first worst sample"
+
+
+def test_a_corrupted_sample_is_named_as_the_worst():
+    scan = cl.geometry_scan(cl.build_calabi_immersion(3), 50, seed=14, with_derivatives=True)
+    scan.S[31] += 1e-3
+    rows = {r.name: r for r in cl.verify_identities(scan).residuals}
+    assert rows["S_constant"].worst_sample == 31 and not rows["S_constant"].passed
 
 
 def test_verify_identities_flags_genuine_failures():
@@ -473,6 +507,26 @@ def test_scan_peak_memory_stays_near_its_arrays():
         tracemalloc.stop()
     arrays = sum(v.nbytes for v in vars(scan).values() if isinstance(v, np.ndarray))
     assert peak <= 2 * arrays
+
+
+def test_scan_statistics_peak_memory_stays_near_the_scan_arrays():
+    # the summary and the identity check stack only the scan's scalar
+    # fields and residuals; stacking a whole-scan array such as A_matrix
+    # (16 values a sample) would break this bound
+    imm = cl.build_calabi_immersion(6)
+    small = cl.geometry_scan(imm, 10, seed=1, with_derivatives=True)
+    small.summary(), cl.verify_identities(small)  # tables and imports built once
+    tracemalloc.start()
+    try:
+        scan = cl.geometry_scan(imm, 5000, seed=1, with_derivatives=True)
+        scan.summary()
+        cl.verify_identities(scan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(v.nbytes for v in vars(scan).values() if isinstance(v, np.ndarray))
+    assert peak <= 2 * arrays
+
 
 # Bounds on the frozen reference's own error, not on observed differences:
 # its 4th-order stencils of step h = 1e-3 truncate at ~h^4 times sixth
