@@ -21,10 +21,11 @@ e1 = f_u/|f_u|, e2, the Brioschi curvature, and |grad h|^2 from
 grad h_ijk = (f_ijk)^perp - Gamma^l_ij h_lk - Gamma^l_ki h_lj - Gamma^l_kj h_il.
 No normal frame is built, and the identities hold to rounding.
 
-A scan evaluates its samples in blocks of SCAN_BLOCK, as arrays whose
-last axis runs over the block's samples.  Every sum over a small axis
-runs elementwise in index order, never through BLAS, so a sample's values
-are bit-identical whichever block it lands in; fundamental_forms and
+Every scan takes the third-order pass, so B1 is a field of every scan.  A
+scan evaluates its samples in blocks of SCAN_BLOCK, as arrays whose last
+axis runs over the block's samples.  Every sum over a small axis runs
+elementwise in index order, never through BLAS, so a sample's values are
+bit-identical whichever block it lands in; fundamental_forms and
 covariant_derivative_h run the same kernel on one point.
 
 Floating point is deliberate here; exactness lives in the certificate
@@ -34,10 +35,12 @@ rho_perp = S^2, B1 = S(3S-4)/2, 2K = 2 - S) act as the test oracles.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,8 +179,18 @@ class Immersion:
         )
 
 
+def _integer(value, what: str) -> int:
+    """``value`` read by ``operator.index`` into a Python int; anything else,
+    and a bool as ``rat`` refuses one, raises ValueError naming ``what``."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def build_calabi_immersion(s: int) -> Immersion:
     """Standard degree-s immersion; s = 1 is the identity sphere up to rotation."""
+    s = _integer(s, "harmonic degree")
     if not 1 <= s <= 6:
         raise ValueError(f"harmonic degree must be in 1..6, got {s}")
     return Immersion(
@@ -420,12 +433,10 @@ def _second_form_invariants(gram: np.ndarray) -> dict:
     }
 
 
-def _scan_block(imm: Immersion, points: np.ndarray, first: int = 0,
-                with_derivatives: bool = True) -> dict:
+def _scan_block(imm: Immersion, points: np.ndarray, first: int = 0) -> dict:
     """GeometryScan fields of the domain points (n, 3) in one vectorized pass.
 
-    ``first`` is the scan index of points[0], for error messages; B1 is
-    None without ``with_derivatives``.
+    ``first`` is the scan index of points[0], for error messages.
     """
     charts, theta, phi = _charted(points)
     jets = _immersion_jets(imm, charts, theta, phi)
@@ -461,16 +472,14 @@ def _scan_block(imm: Immersion, points: np.ndarray, first: int = 0,
     m2 = ((0.0, uv_u, uv_v), (uv_u, e, f), (uv_v, f, g))
     fields["K_induced"] = (_det3(m1) - _det3(m2)) / det_g**2
 
-    fields["B1"] = None
-    if with_derivatives:
-        # grad h_ijk = (f_ijk)^perp - Gamma^l_ij h_lk - Gamma^l_ki h_lj
-        # - Gamma^l_kj h_il at the four rows of order 3, as combinations of
-        # the seven normal parts, then in the frame
-        christoffel = np.stack([up_u[:3], up_v[:3]], axis=1).reshape(6, -1)
-        covariant = -sum(_COVARIANT[p] * christoffel[p] for p in range(6))
-        frame3 = _frame_transform(a, b, c, 3)
-        rows = np.concatenate([_product(frame3, covariant), frame3], axis=1)
-        fields["B1"] = (_ORDERINGS * (_product(rows, normal) * rows).sum(axis=1)).sum(axis=0)
+    # grad h_ijk = (f_ijk)^perp - Gamma^l_ij h_lk - Gamma^l_ki h_lj
+    # - Gamma^l_kj h_il at the four rows of order 3, as combinations of the
+    # seven normal parts, then in the frame
+    christoffel = np.stack([up_u[:3], up_v[:3]], axis=1).reshape(6, -1)
+    covariant = -sum(_COVARIANT[p] * christoffel[p] for p in range(6))
+    frame3 = _frame_transform(a, b, c, 3)
+    rows = np.concatenate([_product(frame3, covariant), frame3], axis=1)
+    fields["B1"] = (_ORDERINGS * (_product(rows, normal) * rows).sum(axis=1)).sum(axis=0)
     return fields
 
 
@@ -478,7 +487,7 @@ def fundamental_forms(imm: Immersion, point) -> tuple[np.ndarray, np.ndarray]:
     """First form (2, 2) in chart coordinates and the Gram matrix (4, 4)
     <h_ij, h_kl> of the second form in the orthonormal frame, pair ij at
     row 2i + j, at a domain point: the scan's kernel run on one point."""
-    fields = _scan_block(imm, np.asarray(point, dtype=float)[None], with_derivatives=False)
+    fields = _scan_block(imm, np.asarray(point, dtype=float)[None])
     return fields["first_form"][0], fields["A_matrix"][0]
 
 
@@ -522,7 +531,7 @@ class GeometryScan:
     a_dot_b: np.ndarray            # (n,)
     a_norm_sq: np.ndarray          # (n,)
     b_norm_sq: np.ndarray          # (n,)
-    B1: np.ndarray | None          # (n,) or None when no derivative pass ran
+    B1: np.ndarray                 # (n,) |grad h|^2
 
     @property
     def n_samples(self) -> int:
@@ -533,15 +542,10 @@ class GeometryScan:
         rows at a time, so that only one block's values are held at once.
         Values are Python floats, whose ``str`` is their ``repr``: they read
         back exactly."""
-        header = ["index", "x", "y", "z", "chart", "S", "A_norm_sq", "rho_perp",
-                  "H_norm_sq", "K_induced", "K_gauss", "a_dot_b", "a_norm_sq",
-                  "b_norm_sq"]
-        columns = [*self.sample_points.T, self.charts, self.S, self.A_norm_sq,
-                   self.rho_perp, self.H_norm_sq, self.K_induced, self.K_gauss,
-                   self.a_dot_b, self.a_norm_sq, self.b_norm_sq]
-        if self.B1 is not None:
-            header.append("B1")
-            columns.append(self.B1)
+        names = ["S", "A_norm_sq", "rho_perp", "H_norm_sq", "K_induced", "K_gauss",
+                 "a_dot_b", "a_norm_sq", "b_norm_sq", "B1"]
+        header = ["index", "x", "y", "z", "chart", *names]
+        columns = [*self.sample_points.T, self.charts, *(getattr(self, n) for n in names)]
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(0, self.n_samples, SCAN_BLOCK):
@@ -552,9 +556,7 @@ class GeometryScan:
         """Mean, std, min and max of each scalar field.  The fields are
         stacked one to a row, so each statistic is one reduction along the
         sample axis; a row reduces exactly as its field alone does."""
-        names = ["S", "rho_perp", "H_norm_sq", "K_induced", "A_norm_sq"]
-        if self.B1 is not None:
-            names.append("B1")
+        names = ["S", "rho_perp", "H_norm_sq", "K_induced", "A_norm_sq", "B1"]
         fields = np.stack([getattr(self, name) for name in names])
         stats = zip(fields.mean(axis=1).tolist(), fields.std(axis=1).tolist(),
                     fields.min(axis=1).tolist(), fields.max(axis=1).tolist())
@@ -567,32 +569,31 @@ class GeometryScan:
         return json.dumps(self.summary(), sort_keys=True)
 
 
-def geometry_scan(imm: Immersion, n_samples: int, seed: int,
-                  with_derivatives: bool = False) -> GeometryScan:
-    """Sample S, A, rho_perp, |H|^2, K and optionally B1 at seeded
+def geometry_scan(imm: Immersion, n_samples: int, seed: int) -> GeometryScan:
+    """Sample S, A, rho_perp, |H|^2, K and B1 = |grad h|^2 at seeded
     low-discrepancy points.
 
     Deterministic in the seed, a non-negative integer; the sample count
-    lies in 1..MAX_SAMPLES.  Samples go through the kernel in blocks of
-    SCAN_BLOCK, and each sample's values equal those of a scan of that
-    point alone.  A degenerate sample raises FrameDegeneracyError naming
-    the degree and the first failing sample index.
+    lies in 1..MAX_SAMPLES; both are read by :func:`_integer`.  Samples go
+    through the kernel in blocks of SCAN_BLOCK, and each sample's values
+    equal those of a scan of that point alone.  A degenerate sample raises
+    FrameDegeneracyError naming the degree and the first failing sample index.
     """
+    n_samples = _integer(n_samples, "sample count")
     if not 1 <= n_samples <= MAX_SAMPLES:
         raise ValueError(f"sample count must lie in 1..{MAX_SAMPLES}, got {n_samples}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    seed = _integer(seed, "seed")
+    if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     points = fibonacci_sphere_points(n_samples, seed)
     # each block is copied into the scan's arrays and dropped: a kept block
     # would pin its whole Gram matrix, of which first_form is a view
     fields = {}
     for i in range(0, n_samples, SCAN_BLOCK):
-        for name, value in _scan_block(imm, points[i:i + SCAN_BLOCK], i, with_derivatives).items():
+        for name, value in _scan_block(imm, points[i:i + SCAN_BLOCK], i).items():
             if i == 0:
-                fields[name] = value if value is None else np.empty(
-                    (n_samples, *value.shape[1:]), value.dtype)
-            if value is not None:
-                fields[name][i:i + len(value)] = value
+                fields[name] = np.empty((n_samples, *value.shape[1:]), value.dtype)
+            fields[name][i:i + len(value)] = value
     return GeometryScan(s=imm.s, seed=seed, sample_points=points, **fields)
 
 
@@ -617,8 +618,10 @@ class IdentityResidual:
     max_residual: float
     tolerance: float
     passed: bool
+    # always false, since every scan carries B1; kept because the report
+    # schema and perfbench's tracer read it, until ROADMAP item 5b
     absent: bool = False
-    worst_sample: int | None = None   # first sample at max_residual; None when absent
+    worst_sample: int | None = None   # first sample at max_residual
 
 
 @dataclass(frozen=True)
@@ -628,29 +631,21 @@ class IdentityReport:
 
     @property
     def passed(self) -> bool:
-        return all(r.passed or r.absent for r in self.residuals)
+        return all(r.passed for r in self.residuals)
 
     def to_json(self) -> dict:
+        """Each row is its residual's fields, the two floats written by repr."""
         return {
             "s": self.s,
             "passed": self.passed,
-            "residuals": [
-                {
-                    "name": r.name,
-                    "max_residual": repr(r.max_residual),
-                    "tolerance": repr(r.tolerance),
-                    "passed": r.passed,
-                    "absent": r.absent,
-                    "worst_sample": r.worst_sample,
-                }
-                for r in self.residuals
-            ],
+            "residuals": [{**vars(r), "max_residual": repr(r.max_residual),
+                           "tolerance": repr(r.tolerance)} for r in self.residuals],
         }
 
     def render_table(self) -> str:
         lines = ["identity                 max residual   tolerance   status"]
         for r in self.residuals:
-            status = "absent" if r.absent else ("pass" if r.passed else "FAIL")
+            status = "pass" if r.passed else "FAIL"
             lines.append(
                 f"{r.name:<24} {r.max_residual:<14.3e} {r.tolerance:<11.1e} {status}"
             )
@@ -663,12 +658,11 @@ def verify_identities(scan: GeometryScan) -> IdentityReport:
 
     The residual arrays are stacked one identity to a row, so one argmax
     along the sample axis finds every worst sample, and the maxima are read
-    there.  The derivative identity is marked absent (not failed) when the
-    scan ran without a derivative pass.  A_norm and normal_curvature are
-    derived, not independent oracles: for trace-free h with a = h_11,
-    b = h_12, |A|^2 - S^2/2 = 2(|a|^2 - |b|^2)^2 + 8(a.b)^2 and
-    rho_perp - S^2 = -2(|A|^2 - S^2/2), so their residuals are quadratic in
-    the second_form_vectors defect.
+    there.  Every scan carries B1, so all seven identities are checked.
+    A_norm and normal_curvature are derived, not independent oracles: for
+    trace-free h with a = h_11, b = h_12, |A|^2 - S^2/2 =
+    2(|a|^2 - |b|^2)^2 + 8(a.b)^2 and rho_perp - S^2 = -2(|A|^2 - S^2/2), so
+    their residuals are quadratic in the second_form_vectors defect.
     """
     from .pinching_bounds import calabi_value
 
@@ -688,16 +682,12 @@ def verify_identities(scan: GeometryScan) -> IdentityReport:
                 np.abs(scan.b_norm_sq - scan.S / 4.0),
             ),
         ),
+        "grad_h_norm": np.abs(scan.B1 - scan.S * (3.0 * scan.S - 4.0) / 2.0),
     }
-    if scan.B1 is not None:
-        b1_exact = scan.S * (3.0 * scan.S - 4.0) / 2.0
-        residuals["grad_h_norm"] = np.abs(scan.B1 - b1_exact)
     stacked = np.stack(list(residuals.values()))
     worst = stacked.argmax(axis=1)
     maxima = stacked[np.arange(len(worst)), worst].tolist()
     tol = DEFAULT_TOLERANCES
     rows = [IdentityResidual(name, max_res, tol[name], max_res <= tol[name], worst_sample=sample)
             for name, max_res, sample in zip(residuals, maxima, worst.tolist())]
-    if scan.B1 is None:
-        rows.append(IdentityResidual("grad_h_norm", 0.0, tol["grad_h_norm"], False, absent=True))
     return IdentityReport(s=scan.s, residuals=tuple(rows))

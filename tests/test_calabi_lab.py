@@ -244,14 +244,15 @@ def test_verify_identities_degree_four():
     assert np.max(np.abs(scan.K_induced - 0.1)) < 1e-6
 
 
-def test_verify_identities_marks_missing_derivatives_absent():
-    imm = cl.build_calabi_immersion(2)
-    scan = cl.geometry_scan(imm, 20, seed=12)
+@pytest.mark.parametrize("s", range(1, 7))
+def test_every_scan_carries_b1_and_checks_all_seven_identities(s):
+    scan = cl.geometry_scan(cl.build_calabi_immersion(s), 20, 12)
+    assert scan.B1.shape == (20,)
     report = cl.verify_identities(scan)
-    row = {r.name: r for r in report.residuals}["grad_h_norm"]
-    assert row.absent and report.passed
-    assert row.worst_sample is None and report.to_json()["residuals"][-1]["worst_sample"] is None
-    assert all(r.worst_sample is not None for r in report.residuals if not r.absent)
+    assert [r.name for r in report.residuals] == list(cl.DEFAULT_TOLERANCES)
+    assert len(report.residuals) == 7 and report.passed
+    assert not any(r.absent for r in report.residuals)
+    assert all(r.worst_sample in range(20) for r in report.residuals)
 
 
 def test_verify_identities_second_form_vectors_degree_three():
@@ -263,7 +264,7 @@ def test_verify_identities_second_form_vectors_degree_three():
 
 @pytest.mark.parametrize("s", (3, 4))
 def test_each_identity_names_a_sample_at_its_worst_residual(s):
-    scan = cl.geometry_scan(cl.build_calabi_immersion(s), 100, seed=s, with_derivatives=True)
+    scan = cl.geometry_scan(cl.build_calabi_immersion(s), 100, seed=s)
     s_exact = float(calabi_value(s).S)
     residuals = {
         "mean_curvature": np.abs(scan.H_norm_sq),
@@ -287,7 +288,7 @@ def test_each_identity_names_a_sample_at_its_worst_residual(s):
 
 
 def test_a_corrupted_sample_is_named_as_the_worst():
-    scan = cl.geometry_scan(cl.build_calabi_immersion(3), 50, seed=14, with_derivatives=True)
+    scan = cl.geometry_scan(cl.build_calabi_immersion(3), 50, seed=14)
     scan.S[31] += 1e-3
     rows = {r.name: r for r in cl.verify_identities(scan).residuals}
     assert rows["S_constant"].worst_sample == 31 and not rows["S_constant"].passed
@@ -355,7 +356,7 @@ def test_scan_meets_the_exact_identity_values(s):
     imm = cl.build_calabi_immersion(s)
     s_value = float(calabi_value(s).S)
     for seed in (41, 42):
-        scan = cl.geometry_scan(imm, 100, seed, with_derivatives=True)
+        scan = cl.geometry_scan(imm, 100, seed)
         residuals = {
             "S": scan.S - s_value,
             "H_norm_sq": scan.H_norm_sq,
@@ -386,7 +387,7 @@ def test_scan_block_is_one_jet_evaluation(monkeypatch):
 
     monkeypatch.setattr(cl, "_immersion_jets", counted)
     monkeypatch.setattr(cl.Immersion, "evaluate", fail)
-    cl.geometry_scan(imm, 30, seed=8, with_derivatives=True)
+    cl.geometry_scan(imm, 30, seed=8)
     assert calls == [30]
     calls.clear()
     cl.geometry_scan(imm, 300, seed=8)
@@ -441,7 +442,7 @@ def test_fibonacci_points_are_deterministic_and_unit():
 
 def test_scan_csv_and_summary():
     imm = cl.build_calabi_immersion(2)
-    scan = cl.geometry_scan(imm, 8, seed=19, with_derivatives=True)
+    scan = cl.geometry_scan(imm, 8, seed=19)
     buf = io.StringIO()
     scan.write_csv(buf)
     lines = buf.getvalue().strip().splitlines()
@@ -456,7 +457,7 @@ def test_scan_csv_and_summary():
 def test_the_csv_is_written_in_blocks():
     # 5,000 samples make about 1.3 MB of CSV; the writer holds one block of
     # rows, not the whole text
-    scan = cl.geometry_scan(cl.build_calabi_immersion(6), 5000, seed=19, with_derivatives=True)
+    scan = cl.geometry_scan(cl.build_calabi_immersion(6), 5000, seed=19)
 
     class Sink:
         length = 0
@@ -485,7 +486,7 @@ def test_batched_scan_matches_one_sample_scans():
     rotated = cl.build_calabi_immersion(4).rotated(cl.random_rotation(9, seed=21))
     for imm in (*(cl.build_calabi_immersion(s) for s in (1, 3, 6)), rotated):
         s = imm.s
-        scan = cl.geometry_scan(imm, 300, seed=20, with_derivatives=True)
+        scan = cl.geometry_scan(imm, 300, seed=20)
         assert set(scan.charts.tolist()) == {0, 1}
         for i, point in enumerate(scan.sample_points):
             single = cl._scan_block(imm, point[None], i)
@@ -498,10 +499,10 @@ def test_scan_peak_memory_stays_near_its_arrays():
     # a scan fills its arrays block by block; keeping every block until the
     # end, each pinning its 10 x 10 Gram matrix, peaked at ~4.7x the arrays
     imm = cl.build_calabi_immersion(6)
-    cl.geometry_scan(imm, 10, seed=1, with_derivatives=True)  # tables built once
+    cl.geometry_scan(imm, 10, seed=1)  # tables built once
     tracemalloc.start()
     try:
-        scan = cl.geometry_scan(imm, 5000, seed=1, with_derivatives=True)
+        scan = cl.geometry_scan(imm, 5000, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -514,11 +515,11 @@ def test_scan_statistics_peak_memory_stays_near_the_scan_arrays():
     # fields and residuals; stacking a whole-scan array such as A_matrix
     # (16 values a sample) would break this bound
     imm = cl.build_calabi_immersion(6)
-    small = cl.geometry_scan(imm, 10, seed=1, with_derivatives=True)
+    small = cl.geometry_scan(imm, 10, seed=1)
     small.summary(), cl.verify_identities(small)  # tables and imports built once
     tracemalloc.start()
     try:
-        scan = cl.geometry_scan(imm, 5000, seed=1, with_derivatives=True)
+        scan = cl.geometry_scan(imm, 5000, seed=1)
         scan.summary()
         cl.verify_identities(scan)
         peak = tracemalloc.get_traced_memory()[1]
@@ -544,7 +545,7 @@ REFERENCE_TOLERANCES = {
 def test_batched_scan_agrees_with_frozen_per_point_reference(s):
     imm = cl.build_calabi_immersion(s)
     for seed in (41, 42):
-        scan = cl.geometry_scan(imm, 100, seed, with_derivatives=True)
+        scan = cl.geometry_scan(imm, 100, seed)
         ref = lab_reference.reference_scan(imm, 100, seed, with_derivatives=True)
         assert np.array_equal(scan.charts, ref.charts)
         for name, tol in REFERENCE_TOLERANCES.items():

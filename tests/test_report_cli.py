@@ -566,6 +566,26 @@ def test_lab_report_is_deterministic():
     assert a == b
 
 
+LAB_INPUTS = {"s": 4, "n_samples": 10, "seed": 3}
+
+
+@pytest.mark.parametrize("name", LAB_INPUTS)
+def test_lab_reads_a_numpy_integer_input_as_a_python_int(name):
+    report = rc.cmd_lab(**{**LAB_INPUTS, name: np.int64(LAB_INPUTS[name])})
+    assert report.to_json_str(strip_wall_time=True) == \
+        rc.cmd_lab(**LAB_INPUTS).to_json_str(strip_wall_time=True)
+    summary = report.scans[0]["summary"]
+    assert all(type(value) is int for value in report.inputs.values())
+    assert all(type(summary[key]) is int for key in ("s", "seed", "n_samples"))
+
+
+@pytest.mark.parametrize("name, words", [("s", "harmonic degree"),
+                                         ("n_samples", "sample count"), ("seed", "seed")])
+def test_lab_refuses_a_bool_input_naming_it(name, words):
+    with pytest.raises(ValueError, match=f"^{words} must be an integer, got True$"):
+        rc.cmd_lab(**{**LAB_INPUTS, name: True})
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
