@@ -24,8 +24,8 @@ No normal frame is built, and the identities hold to rounding.
 Every scan takes the third-order pass, so B1 is a field of every scan.  A
 scan evaluates its samples in blocks of SCAN_BLOCK, as arrays whose last
 axis runs over the block's samples.  Every sum over a small axis runs
-elementwise in index order, never through BLAS, so a sample's values are
-bit-identical whichever block it lands in; fundamental_forms and
+elementwise in index order, never through BLAS or einsum, so a sample's
+values are bit-identical whichever block it lands in; fundamental_forms and
 covariant_derivative_h run the same kernel on one point.
 
 Floating point is deliberate here; exactness lives in the certificate
@@ -188,6 +188,14 @@ def _integer(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _seed(value) -> int:
+    """A seed read by :func:`_integer`; a negative one raises ValueError."""
+    seed = _integer(value, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def build_calabi_immersion(s: int) -> Immersion:
     """Standard degree-s immersion; s = 1 is the identity sphere up to rotation."""
     s = _integer(s, "harmonic degree")
@@ -201,8 +209,10 @@ def build_calabi_immersion(s: int) -> Immersion:
 
 
 def random_rotation(dim: int, seed: int) -> np.ndarray:
-    """Deterministic Haar-ish rotation from a seeded Gaussian QR."""
-    rng = np.random.default_rng(seed)
+    """Deterministic Haar-ish rotation from a seeded Gaussian QR; ``dim``
+    and ``seed`` are read as geometry_scan reads its inputs."""
+    dim = _integer(dim, "dimension")
+    rng = np.random.default_rng(_seed(seed))
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     q *= np.sign(np.diag(r))
     if np.linalg.det(q) < 0:
@@ -215,16 +225,16 @@ def random_rotation(dim: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _chart_xyz(chart, st, ct, sp, cp) -> np.ndarray:
-    """Unit vectors (..., 3) from the sines and cosines of theta and phi.
+def _chart_xyz(chart, st, ct, sp, cp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three coordinates of unit vectors from the sines and cosines of
+    theta and phi.
 
     Chart 1 is chart 0 cyclically rotated.  The factors and ``chart``
     broadcast against each other.
     """
     x, y = st * cp, st * sp
     zero = np.asarray(chart) == 0
-    return np.stack([np.where(zero, x, ct), np.where(zero, y, x), np.where(zero, ct, y)],
-                    axis=-1)
+    return np.where(zero, x, ct), np.where(zero, y, x), np.where(zero, ct, y)
 
 
 def chart_point(chart, theta, phi) -> np.ndarray:
@@ -232,7 +242,8 @@ def chart_point(chart, theta, phi) -> np.ndarray:
 
     ``chart`` may be an array that broadcasts against ``theta`` and ``phi``.
     """
-    return _chart_xyz(chart, np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi))
+    return np.stack(_chart_xyz(chart, np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)),
+                    axis=-1)
 
 
 def chart_coords(chart, point) -> tuple[np.ndarray, np.ndarray]:
@@ -283,12 +294,12 @@ def _chart_jets(charts, theta, phi) -> tuple[np.ndarray, np.ndarray]:
     no phi derivative; the chart formula itself is chart_point's.
     """
     st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
-    theta_cycle = np.stack([st, ct, -st, -ct, st])
-    phi_cycle = np.stack([sp, cp, -sp, -cp, sp])
-    xyz = _chart_xyz(charts, theta_cycle[_THETA_ORDER],
-                     theta_cycle[_THETA_ORDER + 1] * (_PHI_ORDER == 0)[:, None],
-                     phi_cycle[_PHI_ORDER], phi_cycle[_PHI_ORDER + 1])
-    return xyz[..., 0] + 1j * xyz[..., 1], xyz[..., 2]
+    theta_cycle = np.array([st, ct, -st, -ct, st])
+    phi_cycle = np.array([sp, cp, -sp, -cp, sp])
+    x, y, z = _chart_xyz(charts, theta_cycle[_THETA_ORDER],
+                         theta_cycle[_THETA_ORDER + 1] * (_PHI_ORDER == 0)[:, None],
+                         phi_cycle[_PHI_ORDER], phi_cycle[_PHI_ORDER + 1])
+    return x + 1j * y, z
 
 
 def _monomial_jets(w: np.ndarray, z: np.ndarray) -> tuple[tuple, tuple, tuple]:
@@ -303,7 +314,7 @@ def _monomial_jets(w: np.ndarray, z: np.ndarray) -> tuple[tuple, tuple, tuple]:
     wi, wj, zi, zj = w[_FIRST], w[_SECOND], z[_FIRST], z[_SECOND]
     order2 = (w[3:6], z[3:6], 2.0 * wi * wj, wi * zj + zi * wj, 2.0 * zi * zj)
     w1, w2, z1, z2 = w[_SINGLE], w[_PAIR], z[_SINGLE], z[_PAIR]
-    (wa, wb, wc), (za, zb, zc) = np.moveaxis(w1, 1, 0), np.moveaxis(z1, 1, 0)
+    (wa, wb, wc), (za, zb, zc) = w1.swapaxes(0, 1), z1.swapaxes(0, 1)
     order3 = (w[6:], z[6:],
               2.0 * (w1 * w2).sum(axis=1),
               (w1 * z2 + w2 * z1).sum(axis=1),
@@ -324,10 +335,13 @@ def _immersion_jets(imm: Immersion, charts, theta, phi) -> np.ndarray:
     """
     w, z = _chart_jets(charts, theta, phi)
     coeffs = _taylor_coefficients(imm.s, w[0], z[0], len(_TYPES))
-    values = np.empty((len(JETS),) + coeffs.shape[1:], dtype=complex)
+    values = np.zeros((len(JETS),) + coeffs.shape[1:], dtype=complex)
     values[0] = coeffs[0]
+    # each order's rows summed in place from zero, term by term in order
     for rows, monomials in zip((slice(1, 3), slice(3, 6), slice(6, 10)), _monomial_jets(w, z)):
-        values[rows] = sum(jet[:, None] * coeffs[t] for t, jet in enumerate(monomials, 1))
+        out = values[rows]
+        for t, jet in enumerate(monomials, 1):
+            out += jet[:, None] * coeffs[t]
     return imm._rotate(_real_layout(imm.s, values))
 
 
@@ -336,13 +350,22 @@ def _immersion_jets(imm: Immersion, charts, theta, phi) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # Arrays carry the sample axis last.  Every sum over a small axis runs in
-# index order, elementwise, never through BLAS, so a sample's values are
-# bit-identical whichever block it lands in.
+# index order, elementwise, never through BLAS or einsum, so a sample's
+# values are bit-identical whichever block it lands in.  A contraction is
+# one broadcast product and one np.add.reduce over an axis that is never
+# the innermost: numpy then adds its terms one by one in index order (an
+# innermost axis of 8 or more terms is summed pairwise), and initial=0.0
+# starts from +0.0 as the builtin sum does, so a first term of -0.0 still
+# gives +0.0.  With one sample the sample axis has length 1, so an axis of
+# 8 or more terms is not reduced next to it either: the Gram matrix, over
+# up to 13 components, sums them in a loop.  It is summed only on its
+# entries i <= j and mirrored, a product of two floats being independent
+# of their order.
 
 
 def _product(t: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Stacked matrix products (r, k, n) x (k, q, n) -> (r, q, n)."""
-    return sum(t[:, i, None] * m[i] for i in range(t.shape[1]))
+    return np.add.reduce(t[:, :, None] * m, axis=1, initial=0.0)
 
 
 def _det3(m) -> np.ndarray:
@@ -383,8 +406,9 @@ def _frame_transform(a, b, c, order: int) -> np.ndarray:
     u^(order-t) v^t, where e1 = a d_u and e2 = b d_u + c d_v; it is
     a^(order-q) C(q, t) b^(q-t) c^t for t <= q."""
     binomial, a_power, b_power, c_power = _frame_tables(order)
-    powers = [np.stack([np.ones_like(x), x, x * x, x * x * x]) for x in (a, b, c)]
-    return binomial * powers[0][a_power] * powers[1][b_power] * powers[2][c_power]
+    abc = np.array([a, b, c])
+    powers = np.array([np.ones_like(abc), abc, abc * abc, abc * abc * abc])
+    return binomial * powers[a_power, 0] * powers[b_power, 1] * powers[c_power, 2]
 
 
 def _covariant_table() -> np.ndarray:
@@ -405,6 +429,9 @@ _COVARIANT = _covariant_table()
 #: how often each distinct frame component e1^(3-q) e2^q of the symmetric
 #: tensor grad h appears among its eight ordered components
 _ORDERINGS = np.array([1.0, 3.0, 3.0, 1.0])[:, None]
+
+#: rows i and j (2, 55) of the entries i <= j of a 3-jet's symmetric Gram matrix
+_UPPER = np.array(np.triu_indices(len(JETS)))
 
 #: the pair ij at row 2i + j of the 4x4 second-form Gram, as a row of the
 #: 3x3 one over (11, 12, 22)
@@ -440,15 +467,19 @@ def _scan_block(imm: Immersion, points: np.ndarray, first: int = 0) -> dict:
     """
     charts, theta, phi = _charted(points)
     jets = _immersion_jets(imm, charts, theta, phi)
-    gram = sum(jets[:, None, c] * jets[None, :, c] for c in range(imm.n_components))
+    # the Gram matrix's entries i <= j, summed over the components in order
+    pairs = (jets[_UPPER, c] for c in range(imm.n_components))
+    gram = np.empty((len(JETS), len(JETS), len(points)))
+    gram[tuple(_UPPER)] = gram[tuple(_UPPER[::-1])] = sum(i * j for i, j in pairs)
     e, f, g = gram[1, 1], gram[1, 2], gram[2, 2]
     det_g = e * g - f * f
     _require(det_g > 1e-12 * e * g, "induced metric is singular", imm.s, first)
 
     # <f_I, f_u> and <f_I, f_v> for the seven fields I of order 2 and 3,
     # and the same raised by g^-1: on the rows of order 2, Gamma^l_ij
-    low_u, low_v = gram[3:, 1], gram[3:, 2]
-    up_u, up_v = (g * low_u - f * low_v) / det_g, (e * low_v - f * low_u) / det_g
+    low = gram[3:, 1:3]
+    up = (np.array([g, e]) * low - f * low[:, ::-1]) / det_g
+    (low_u, low_v), (up_u, up_v) = low.swapaxes(0, 1), up.swapaxes(0, 1)
     # the Gram matrix of their parts normal to the surface in the sphere;
     # the position is a unit vector orthogonal to the tangent plane
     normal = (gram[3:, 3:] - up_u[:, None] * low_u - up_v[:, None] * low_v
@@ -457,12 +488,12 @@ def _scan_block(imm: Immersion, points: np.ndarray, first: int = 0) -> dict:
     # <h_ij, h_kl> in the orthonormal frame
     a, b, c = _frame(e, f, det_g)
     frame2 = _frame_transform(a, b, c, 2)
-    h_gram = _product(_product(frame2, normal[:3, :3]), np.swapaxes(frame2, 0, 1))
-    h_gram = h_gram[_PAIR_ROWS][:, _PAIR_ROWS]
+    h_gram = _product(_product(frame2, normal[:3, :3]), frame2.swapaxes(0, 1))
+    h_gram = h_gram[_PAIR_ROWS[:, None], _PAIR_ROWS]
     fields = _second_form_invariants(h_gram)
     fields["charts"] = charts
-    fields["first_form"] = np.moveaxis(gram[1:3, 1:3], -1, 0)
-    fields["A_matrix"] = np.moveaxis(h_gram, -1, 0)
+    fields["first_form"] = gram[1:3, 1:3].transpose(2, 0, 1)
+    fields["A_matrix"] = h_gram.transpose(2, 0, 1)
 
     # Brioschi, with Gamma_ij,l = <f_ij, f_l> standing for the first
     # derivatives of the metric; in -E_vv/2 + F_uv - G_uu/2 =
@@ -475,8 +506,8 @@ def _scan_block(imm: Immersion, points: np.ndarray, first: int = 0) -> dict:
     # grad h_ijk = (f_ijk)^perp - Gamma^l_ij h_lk - Gamma^l_ki h_lj
     # - Gamma^l_kj h_il at the four rows of order 3, as combinations of the
     # seven normal parts, then in the frame
-    christoffel = np.stack([up_u[:3], up_v[:3]], axis=1).reshape(6, -1)
-    covariant = -sum(_COVARIANT[p] * christoffel[p] for p in range(6))
+    christoffel = up[:3].reshape(6, 1, 1, -1)
+    covariant = -np.add.reduce(_COVARIANT * christoffel, axis=0, initial=0.0)
     frame3 = _frame_transform(a, b, c, 3)
     rows = np.concatenate([_product(frame3, covariant), frame3], axis=1)
     fields["B1"] = (_ORDERINGS * (_product(rows, normal) * rows).sum(axis=1)).sum(axis=0)
@@ -502,8 +533,10 @@ def covariant_derivative_h(imm: Immersion, point) -> float:
 
 
 def fibonacci_sphere_points(n: int, seed: int) -> np.ndarray:
-    """Seeded low-discrepancy sample: Fibonacci lattice with jitter."""
-    rng = np.random.default_rng(seed)
+    """Seeded low-discrepancy sample: Fibonacci lattice with jitter; ``n``
+    and ``seed`` are read as geometry_scan reads its inputs."""
+    n = _integer(n, "sample count")
+    rng = np.random.default_rng(_seed(seed))
     i = np.arange(n)
     z = 1.0 - 2.0 * (i + 0.5) / n
     z = np.clip(z + rng.uniform(-0.4, 0.4, n) / n, -1.0 + 1e-9, 1.0 - 1e-9)
@@ -557,7 +590,7 @@ class GeometryScan:
         stacked one to a row, so each statistic is one reduction along the
         sample axis; a row reduces exactly as its field alone does."""
         names = ["S", "rho_perp", "H_norm_sq", "K_induced", "A_norm_sq", "B1"]
-        fields = np.stack([getattr(self, name) for name in names])
+        fields = np.array([getattr(self, name) for name in names])
         stats = zip(fields.mean(axis=1).tolist(), fields.std(axis=1).tolist(),
                     fields.min(axis=1).tolist(), fields.max(axis=1).tolist())
         out = {"s": self.s, "seed": self.seed, "n_samples": self.n_samples}
@@ -582,9 +615,7 @@ def geometry_scan(imm: Immersion, n_samples: int, seed: int) -> GeometryScan:
     n_samples = _integer(n_samples, "sample count")
     if not 1 <= n_samples <= MAX_SAMPLES:
         raise ValueError(f"sample count must lie in 1..{MAX_SAMPLES}, got {n_samples}")
-    seed = _integer(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = _seed(seed)
     points = fibonacci_sphere_points(n_samples, seed)
     # each block is copied into the scan's arrays and dropped: a kept block
     # would pin its whole Gram matrix, of which first_form is a view
@@ -684,7 +715,7 @@ def verify_identities(scan: GeometryScan) -> IdentityReport:
         ),
         "grad_h_norm": np.abs(scan.B1 - scan.S * (3.0 * scan.S - 4.0) / 2.0),
     }
-    stacked = np.stack(list(residuals.values()))
+    stacked = np.array(list(residuals.values()))
     worst = stacked.argmax(axis=1)
     maxima = stacked[np.arange(len(worst)), worst].tolist()
     tol = DEFAULT_TOLERANCES

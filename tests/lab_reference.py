@@ -16,6 +16,11 @@ residual maximum was its own numpy reduction over one field, before the
 fields and residuals were stacked.  They are the byte reference for the
 lab report's ``summary`` and ``identities`` blocks.  Do not edit them to
 track the library.
+
+``_scan_block`` is the library's batched kernel as it was while each of its
+small sums was a Python ``sum`` and the whole Gram matrix was summed; with
+the kernel functions copied beside it, it is the byte reference for every
+``GeometryScan`` field.  Do not edit it either.
 """
 
 from __future__ import annotations
@@ -26,12 +31,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from pinchcert.calabi_lab import (
+    _COVARIANT,
+    _FIRST,
+    _ORDERINGS,
+    _PAIR,
+    _PAIR_ROWS,
+    _PHI_ORDER,
+    _SECOND,
+    _SINGLE,
+    _THETA_ORDER,
+    _TYPES,
     DEFAULT_TOLERANCES,
+    JETS,
     FrameDegeneracyError,
     GeometryScan,
     IdentityReport,
     IdentityResidual,
     Immersion,
+    _charted,
+    _det3,
+    _frame,
+    _frame_tables,
+    _real_layout,
+    _require,
+    _second_form_invariants,
+    _taylor_coefficients,
     fibonacci_sphere_points,
 )
 
@@ -563,3 +587,149 @@ def verify_identities(scan: GeometryScan) -> IdentityReport:
         b1_exact = scan.S * (3.0 * scan.S - 4.0) / 2.0
         add("grad_h_norm", np.abs(scan.B1 - b1_exact))
     return IdentityReport(s=scan.s, residuals=tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel, frozen
+# ---------------------------------------------------------------------------
+#
+# ``_scan_block`` and the kernel functions below are the library's as they
+# were while the Gram matrix was summed whole, component by component, and
+# each stacked matrix product and the Christoffel combination was a Python
+# ``sum`` over its small axis.  The helpers they call that are not copied
+# here are the library's own.  The byte reference for every scan field:
+# do not edit them to track the library.
+
+
+def _chart_xyz(chart, st, ct, sp, cp) -> np.ndarray:
+    """Unit vectors (..., 3) from the sines and cosines of theta and phi.
+
+    Chart 1 is chart 0 cyclically rotated.  The factors and ``chart``
+    broadcast against each other.
+    """
+    x, y = st * cp, st * sp
+    zero = np.asarray(chart) == 0
+    return np.stack([np.where(zero, x, ct), np.where(zero, y, x), np.where(zero, ct, y)],
+                    axis=-1)
+
+
+def _chart_jets(charts, theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """3-jets (10, n) of w = x + iy and z along the chart maps.
+
+    The a-th derivative of sin is entry a of the cycle (sin, cos, -sin,
+    -cos, sin) and that of cos is entry a + 1, so a chart derivative of
+    sin(theta) cos(phi) is a product of two entries, and cos(theta) has
+    no phi derivative; the chart formula itself is chart_point's.
+    """
+    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    theta_cycle = np.stack([st, ct, -st, -ct, st])
+    phi_cycle = np.stack([sp, cp, -sp, -cp, sp])
+    xyz = _chart_xyz(charts, theta_cycle[_THETA_ORDER],
+                     theta_cycle[_THETA_ORDER + 1] * (_PHI_ORDER == 0)[:, None],
+                     phi_cycle[_PHI_ORDER], phi_cycle[_PHI_ORDER + 1])
+    return xyz[..., 0] + 1j * xyz[..., 1], xyz[..., 2]
+
+
+def _monomial_jets(w: np.ndarray, z: np.ndarray) -> tuple[tuple, tuple, tuple]:
+    """Per order 1, 2, 3: the 3-jets of dw^k dz^c at the rows of that order,
+    for the (k, c) of _TYPES with 1 <= k + c <= order (Faa di Bruno).
+
+    dw and dz vanish at the point, so at a row of order 2, ij, the jet of
+    dw dz is w_i z_j + z_i w_j, and at a row of order 3, ijk, each term
+    splits the positions into a single p and the pair left over, or into
+    three singles.
+    """
+    wi, wj, zi, zj = w[_FIRST], w[_SECOND], z[_FIRST], z[_SECOND]
+    order2 = (w[3:6], z[3:6], 2.0 * wi * wj, wi * zj + zi * wj, 2.0 * zi * zj)
+    w1, w2, z1, z2 = w[_SINGLE], w[_PAIR], z[_SINGLE], z[_PAIR]
+    (wa, wb, wc), (za, zb, zc) = np.moveaxis(w1, 1, 0), np.moveaxis(z1, 1, 0)
+    order3 = (w[6:], z[6:],
+              2.0 * (w1 * w2).sum(axis=1),
+              (w1 * z2 + w2 * z1).sum(axis=1),
+              2.0 * (z1 * z2).sum(axis=1),
+              6.0 * wa * wb * wc,
+              2.0 * (wa * wb * zc + wa * zb * wc + za * wb * wc),
+              2.0 * (wa * zb * zc + za * wb * zc + za * zb * wc),
+              6.0 * za * zb * zc)
+    return (w[1:3], z[1:3]), order2, order3
+
+
+def _immersion_jets(imm: Immersion, charts, theta, phi) -> np.ndarray:
+    """The ten chart derivatives (10, C, n) of the immersion at n chart points.
+
+    Taylor composition: the harmonics' 3-jet is the sum over (k, c) of their
+    Taylor coefficient at (w, z) times the 3-jet of dw^k dz^c, dw and dz
+    being the chart's w and z less their values at the point.
+    """
+    w, z = _chart_jets(charts, theta, phi)
+    coeffs = _taylor_coefficients(imm.s, w[0], z[0], len(_TYPES))
+    values = np.empty((len(JETS),) + coeffs.shape[1:], dtype=complex)
+    values[0] = coeffs[0]
+    for rows, monomials in zip((slice(1, 3), slice(3, 6), slice(6, 10)), _monomial_jets(w, z)):
+        values[rows] = sum(jet[:, None] * coeffs[t] for t, jet in enumerate(monomials, 1))
+    return imm._rotate(_real_layout(imm.s, values))
+
+
+def _product(t: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Stacked matrix products (r, k, n) x (k, q, n) -> (r, q, n)."""
+    return sum(t[:, i, None] * m[i] for i in range(t.shape[1]))
+
+
+def _frame_transform(a, b, c, order: int) -> np.ndarray:
+    """(order+1, order+1, n): row q gives the frame component
+    e1^(order-q) e2^q of a symmetric tensor from its chart components
+    u^(order-t) v^t, where e1 = a d_u and e2 = b d_u + c d_v; it is
+    a^(order-q) C(q, t) b^(q-t) c^t for t <= q."""
+    binomial, a_power, b_power, c_power = _frame_tables(order)
+    powers = [np.stack([np.ones_like(x), x, x * x, x * x * x]) for x in (a, b, c)]
+    return binomial * powers[0][a_power] * powers[1][b_power] * powers[2][c_power]
+
+
+def _scan_block(imm: Immersion, points: np.ndarray, first: int = 0) -> dict:
+    """GeometryScan fields of the domain points (n, 3) in one vectorized pass.
+
+    ``first`` is the scan index of points[0], for error messages.
+    """
+    charts, theta, phi = _charted(points)
+    jets = _immersion_jets(imm, charts, theta, phi)
+    gram = sum(jets[:, None, c] * jets[None, :, c] for c in range(imm.n_components))
+    e, f, g = gram[1, 1], gram[1, 2], gram[2, 2]
+    det_g = e * g - f * f
+    _require(det_g > 1e-12 * e * g, "induced metric is singular", imm.s, first)
+
+    # <f_I, f_u> and <f_I, f_v> for the seven fields I of order 2 and 3,
+    # and the same raised by g^-1: on the rows of order 2, Gamma^l_ij
+    low_u, low_v = gram[3:, 1], gram[3:, 2]
+    up_u, up_v = (g * low_u - f * low_v) / det_g, (e * low_v - f * low_u) / det_g
+    # the Gram matrix of their parts normal to the surface in the sphere;
+    # the position is a unit vector orthogonal to the tangent plane
+    normal = (gram[3:, 3:] - up_u[:, None] * low_u - up_v[:, None] * low_v
+              - gram[3:, :1] * gram[0, 3:])
+
+    # <h_ij, h_kl> in the orthonormal frame
+    a, b, c = _frame(e, f, det_g)
+    frame2 = _frame_transform(a, b, c, 2)
+    h_gram = _product(_product(frame2, normal[:3, :3]), np.swapaxes(frame2, 0, 1))
+    h_gram = h_gram[_PAIR_ROWS][:, _PAIR_ROWS]
+    fields = _second_form_invariants(h_gram)
+    fields["charts"] = charts
+    fields["first_form"] = np.moveaxis(gram[1:3, 1:3], -1, 0)
+    fields["A_matrix"] = np.moveaxis(h_gram, -1, 0)
+
+    # Brioschi, with Gamma_ij,l = <f_ij, f_l> standing for the first
+    # derivatives of the metric; in -E_vv/2 + F_uv - G_uu/2 =
+    # <f_uu, f_vv> - <f_uv, f_uv> the third-order terms cancel
+    (uu_u, uv_u, vv_u), (uu_v, uv_v, vv_v) = low_u[:3], low_v[:3]
+    m1 = ((gram[3, 5] - gram[4, 4], uu_u, uu_v), (vv_u, e, f), (vv_v, f, g))
+    m2 = ((0.0, uv_u, uv_v), (uv_u, e, f), (uv_v, f, g))
+    fields["K_induced"] = (_det3(m1) - _det3(m2)) / det_g**2
+
+    # grad h_ijk = (f_ijk)^perp - Gamma^l_ij h_lk - Gamma^l_ki h_lj
+    # - Gamma^l_kj h_il at the four rows of order 3, as combinations of the
+    # seven normal parts, then in the frame
+    christoffel = np.stack([up_u[:3], up_v[:3]], axis=1).reshape(6, -1)
+    covariant = -sum(_COVARIANT[p] * christoffel[p] for p in range(6))
+    frame3 = _frame_transform(a, b, c, 3)
+    rows = np.concatenate([_product(frame3, covariant), frame3], axis=1)
+    fields["B1"] = (_ORDERINGS * (_product(rows, normal) * rows).sum(axis=1)).sum(axis=0)
+    return fields

@@ -440,6 +440,41 @@ def test_fibonacci_points_are_deterministic_and_unit():
     assert np.max(np.abs(np.linalg.norm(a, axis=1) - 1.0)) < 1e-12
 
 
+# each integer input of random_rotation and fibonacci_sphere_points, as a
+# function of its value, and the name its refusal gives
+ROTATION_AND_POINT_INPUTS = {
+    "rotation dimension": (lambda v: cl.random_rotation(v, 4), "dimension"),
+    "rotation seed": (lambda v: cl.random_rotation(9, v), "seed"),
+    "point count": (lambda v: cl.fibonacci_sphere_points(v, 17), "sample count"),
+    "point seed": (lambda v: cl.fibonacci_sphere_points(64, v), "seed"),
+}
+
+
+@pytest.mark.parametrize("make, what", ROTATION_AND_POINT_INPUTS.values(),
+                         ids=ROTATION_AND_POINT_INPUTS.keys())
+def test_rotation_and_points_refuse_a_bool_naming_it(make, what):
+    # a bool was read as 0 or 1: random_rotation(3, True) was seed 1's
+    for bad in (True, False):
+        with pytest.raises(ValueError, match=f"^{what} must be an integer, got {bad}$"):
+            make(bad)
+
+
+@pytest.mark.parametrize("make, what", ROTATION_AND_POINT_INPUTS.values(),
+                         ids=ROTATION_AND_POINT_INPUTS.keys())
+def test_rotation_and_points_read_a_numpy_integer_as_an_int(make, what):
+    for value in (np.int64(5), np.uint8(5), np.int32(5)):
+        got, want = make(value), make(5)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("make", [lambda v: cl.random_rotation(9, v),
+                                  lambda v: cl.fibonacci_sphere_points(64, v)],
+                         ids=["rotation", "points"])
+def test_rotation_and_points_refuse_a_negative_seed(make):
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        make(-1)
+
+
 def test_scan_csv_and_summary():
     imm = cl.build_calabi_immersion(2)
     scan = cl.geometry_scan(imm, 8, seed=19)

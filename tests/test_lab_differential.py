@@ -1,4 +1,12 @@
-"""Lab reports are byte-identical to those of the frozen per-field statistics.
+"""Lab scans and reports are byte-identical to those of frozen references.
+
+Every ``GeometryScan`` array equals, by ``tobytes()``, what the frozen
+batched kernel ``lab_reference._scan_block`` computes block by block, for
+every degree, plain and rotated, at the sample counts below; the kernel's
+one-point entries ``fundamental_forms`` and ``covariant_derivative_h`` equal
+it too.  The library sums its small axes by one reduction each and only the
+Gram matrix's upper triangle, where the reference sums in Python loops; a
+change of any summation order moves a bit and fails here.
 
 ``lab_reference.summary`` and ``lab_reference.verify_identities`` take each
 statistic and each residual maximum as its own numpy reduction over one
@@ -79,3 +87,36 @@ def test_a_corrupted_scan_is_judged_as_the_frozen_statistics_judge_it():
         assert row.pop("worst_sample") in range(40)
         ref.pop("worst_sample")
         assert row == ref
+
+
+def _frozen_fields(imm: cl.Immersion, points: np.ndarray) -> dict:
+    """The frozen kernel's fields over the points, run block by block."""
+    blocks = [lab_reference._scan_block(imm, points[i:i + cl.SCAN_BLOCK], i)
+              for i in range(0, len(points), cl.SCAN_BLOCK)]
+    return {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_scan_fields_are_the_frozen_kernels_bit_for_bit(s):
+    plain = cl.build_calabi_immersion(s)
+    for imm in (plain, plain.rotated(cl.random_rotation(2 * s + 1, s))):
+        for seed in SEEDS:
+            for n in SAMPLE_COUNTS:
+                scan = cl.geometry_scan(imm, n, seed)
+                points = cl.fibonacci_sphere_points(n, seed)
+                want = {"sample_points": points, **_frozen_fields(imm, points)}
+                arrays = {k: v for k, v in vars(scan).items() if isinstance(v, np.ndarray)}
+                assert arrays.keys() == want.keys()
+                for name, value in want.items():
+                    assert _same_bits(arrays[name], value), (s, imm.rotation is None, seed, n, name)
+        for point in cl.fibonacci_sphere_points(3, seed=s):
+            frozen = lab_reference._scan_block(imm, point[None])
+            first_form, a_matrix = cl.fundamental_forms(imm, point)
+            assert _same_bits(first_form, frozen["first_form"][0])
+            assert _same_bits(a_matrix, frozen["A_matrix"][0])
+            b1 = cl.covariant_derivative_h(imm, point)
+            assert type(b1) is float and _same_bits(np.array(b1), frozen["B1"][0])

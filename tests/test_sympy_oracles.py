@@ -17,7 +17,11 @@ coefficients of about 100 bits:
 - θ1, θ2(t), N, D, N'D - ND', the S_max numerator and both left branches
   are the expansions of the formulas their docstrings state, each left
   quotient is its branch divided by x - 5/3, and the legacy-dominance B is
-  (5x - 9) times a polynomial that, like A, has no root on [5/3, 9/5].
+  (5x - 9) times a polynomial that, like A, has no root on [5/3, 9/5];
+- θ2 and both left quotients are quadratics in t whose t^2 coefficient a
+  is certified positive on the domain and whose t-discriminant is sympy's
+  and factors over an irreducible cubic with one domain root, and
+  θ2(4/17, x) is a rational multiple of θ2's cubic.
 
 The lab's jet kernel is checked the same way: the degree-s immersion built
 from ``sympy.legendre`` and the chart map, differentiated symbolically, has
@@ -34,7 +38,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pinchcert import pinching_bounds as pb
-from pinchcert.exact_poly import Form, IntervalQ, Polynomial, count_roots, isolate_root
+from pinchcert.exact_poly import (Form, IntervalQ, Polynomial, certify_sign_on_interval,
+                                  count_roots, isolate_root)
 
 sympy = pytest.importorskip("sympy")
 
@@ -351,6 +356,63 @@ def test_legacy_dominance_b_factors_through_the_upper_end():
     assert remainder == 0
     for poly in (to_sympy(a), quotient):
         assert sympy.Poly(poly, X).count_roots(q(5, 3), q(9, 5)) == 0
+
+
+# ---------------------------------------------------------------------------
+# each threshold form is a quadratic in t
+
+CUBIC_C = 1125 * X**3 - 3375 * X**2 + 9790 * X - 13122
+CUBIC_L = 7965 * X**3 - 10935 * X**2 - 13509 * X + 15295
+CUBIC_5_3 = 270 * X**3 + 783 * X**2 - 648 * X - 2525
+# per form Q = a t^2 + b t + c: its t^2 coefficient a and its t-discriminant
+# Delta = b^2 - 4ac, factored over the cubics above
+QUADRATICS = {
+    "theta2": ((18000 * X**3 - 54000 * X**2 + 39595 * X + 729) / 25,
+               64 * X * (3 * X - 5) * (3 * X - 4) * CUBIC_C / 5),
+    "sup-at-x": (-(26325 * X**3 - 50085 * X**2 - 39957 * X + 80645) / 60,
+                 32 * X * (3 * X - 4) * (5 * X - 9) * CUBIC_L / 9),
+    "sup-at-5/3": (-X * (18000 * X**2 - 56403 * X + 43205) / 25,
+                   128 * X**2 * (3 * X - 4) * (5 * X - 9) * CUBIC_5_3 / 15),
+}
+
+
+def quadratic_forms() -> dict:
+    """θ2 and both left quotients, by label."""
+    return {"theta2": pb.theta2_form(),
+            **{label: quotient for label, _, quotient in pb.left_branch_forms()}}
+
+
+def test_each_threshold_form_is_a_quadratic_in_t_with_its_quoted_discriminant():
+    # rows (c, b, a): 4aQ = (2at + b)^2 - Delta, and Delta is sympy's
+    # discriminant in t, a times the quoted factors
+    forms = quadratic_forms()
+    assert forms.keys() == QUADRATICS.keys()
+    for label, form in forms.items():
+        assert len(form.rows) == 3, label
+        c, b, a = (to_sympy(row) for row in form.rows)
+        quadratic, delta = a * T**2 + b * T + c, b**2 - 4 * a * c
+        assert sympy.expand(4 * a * quadratic - (2 * a * T + b) ** 2 + delta) == 0, label
+        assert sympy.expand(delta - sympy.discriminant(quadratic, T)) == 0, label
+        want_a, want_delta = QUADRATICS[label]
+        assert sympy.expand(a - want_a) == 0, label
+        assert sympy.expand(delta - want_delta) == 0, label
+
+
+def test_the_discriminant_cubics_are_irreducible_with_one_domain_root():
+    for cubic in (CUBIC_C, CUBIC_L, CUBIC_5_3):
+        poly = sympy.Poly(cubic, X)
+        assert poly.is_irreducible
+        assert poly.count_roots(q(5, 3), q(9, 5)) == 1
+
+
+def test_theta2_at_4_17_is_a_multiple_of_c():
+    assert_is(pb.theta2(F(4, 17)), -q(288, 7225) * CUBIC_C)
+
+
+def test_each_t_squared_coefficient_is_certified_positive_on_the_domain():
+    for label, form in quadratic_forms().items():
+        certificate = certify_sign_on_interval(form.rows[2], pb.PINCH_DOMAIN, "positive")
+        assert certificate.replay() is True, label
 
 
 # ---------------------------------------------------------------------------
