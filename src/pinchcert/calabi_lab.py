@@ -210,8 +210,11 @@ def build_calabi_immersion(s: int) -> Immersion:
 
 def random_rotation(dim: int, seed: int) -> np.ndarray:
     """Deterministic Haar-ish rotation from a seeded Gaussian QR; ``dim``
-    and ``seed`` are read as geometry_scan reads its inputs."""
+    and ``seed`` are read as geometry_scan reads its inputs, and a ``dim``
+    below 1 is refused."""
     dim = _integer(dim, "dimension")
+    if dim < 1:
+        raise ValueError(f"dimension must be at least 1, got {dim}")
     rng = np.random.default_rng(_seed(seed))
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     q *= np.sign(np.diag(r))
@@ -534,8 +537,11 @@ def covariant_derivative_h(imm: Immersion, point) -> float:
 
 def fibonacci_sphere_points(n: int, seed: int) -> np.ndarray:
     """Seeded low-discrepancy sample: Fibonacci lattice with jitter; ``n``
-    and ``seed`` are read as geometry_scan reads its inputs."""
+    and ``seed`` are read as geometry_scan reads its inputs, and an ``n``
+    below 1 is refused."""
     n = _integer(n, "sample count")
+    if n < 1:
+        raise ValueError(f"sample count must be at least 1, got {n}")
     rng = np.random.default_rng(_seed(seed))
     i = np.arange(n)
     z = 1.0 - 2.0 * (i + 0.5) / n

@@ -9,25 +9,26 @@ primitive integer pseudo-remainder sequences of integer tuples, memoized
 by integer form (:func:`_sturm_ints`).  Fraction coefficients are derived
 only when something reads them.  Root counts and sign claims are
 established by Sturm's theorem and packaged as :class:`SignCertificate`
-records.  One integer kernel, :func:`_prove`, proves every certificate when
-it is built and again when it is replayed, so it alone says which evidence
-proves which claim.  It works on integer forms only: points are reduced
-``(p, q)`` pairs, the Sturm chain is integer tuples from the one chain
-builder, and values are reduced ``p/q`` strings of integer Horner values;
-a certificate read back from JSON holds the polynomial of its coefficient
-strings' integer form, and its replay builds no Fraction.  No float enters
-this module: root isolation proposes its final dyadic cell by Illinois
-regula falsi on exact integer values when a Sturm count has found a single
-root, and the proposal's end signs alone confirm it; with more roots,
-Sturm-counted bisection finds the cell, on one integer grid per interval
-and width (:func:`_grid`, memoized).  The one grid builder,
-:func:`_on_grid`, prescales a :class:`Form`'s integer columns once for the
-grid's denominator (a polynomial is the form of one row,
-:func:`_grid_search`), so a search at t builds no polynomial and each
-value is one plain Horner pass at an integer grid point.  An isolation
-refuses, before it searches, a width whose certificate Python could not
-write as text.  A form is a polynomial in (t, x), held as its polynomials
-in x at each power of t.
+records; a root count is taken on an interval whose ends are no roots, and
+:func:`count_roots` refuses one whose end is.  One integer kernel,
+:func:`_prove`, proves every certificate when it is built and again when
+it is replayed, so it alone says which evidence proves which claim.  It
+works on integer forms only: points are reduced ``(p, q)`` pairs, the
+Sturm chain is integer tuples from the one chain builder, and values are
+reduced ``p/q`` strings of integer Horner values; a certificate read back
+from JSON holds the polynomial of its coefficient strings' integer form,
+and its replay builds no Fraction.  No float enters this module: root
+isolation proposes its final dyadic cell by Illinois regula falsi on exact
+integer values when a Sturm count has found a single root, and the
+proposal's end signs alone confirm it; with more roots, Sturm-counted
+bisection finds the cell, on one integer grid per interval and width
+(:func:`_grid`, memoized).  The one grid builder, :func:`_on_grid`,
+prescales a :class:`Form`'s integer columns once for the grid's
+denominator (a polynomial is the form of one row, :func:`_grid_search`),
+so a search at t builds no polynomial and each value is one plain Horner
+pass at an integer grid point.  An isolation refuses, before it searches,
+a width whose certificate Python could not write as text.  A form is a
+polynomial in (t, x), held as its polynomials in x at each power of t.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class ExactPolyError(Exception):
 
 
 class DegenerateEndpointError(ExactPolyError):
-    """An interval endpoint is a root and nudging could not clear it."""
+    """An interval endpoint is a root."""
 
 
 class SignClaimError(ExactPolyError):
@@ -664,26 +665,6 @@ class _RootCounter:
         return _variations_at(self.p, lo) - _variations_at(self.p, hi)
 
 
-def _nudge_endpoint(p: Polynomial, iv: IntervalQ, inward: int) -> Fraction:
-    """An end of ``iv`` moved off a root of p by shrinking rational steps.
-
-    ``inward`` is +1 for the lower end, -1 for the upper.  Steps are
-    ``span / 10**k`` for k = 6..12 toward the interior, where span is the
-    width of iv (1 if iv is a point); an end that is no root stays put.
-    """
-    x = iv.lo if inward > 0 else iv.hi
-    if sign_at(p, x):
-        return x
-    span = iv.width if iv.width > 0 else Fraction(1)
-    for k in range(6, 13):
-        candidate = x + inward * span / 10**k
-        if sign_at(p, candidate):
-            return candidate
-    raise DegenerateEndpointError(
-        f"endpoint {x} is a root and all nudges 10^-6..10^-12 of the span hit roots"
-    )
-
-
 @dataclass(frozen=True)
 class SignCertificate:
     """Exact-arithmetic proof record for a root-count or sign claim.
@@ -903,35 +884,23 @@ def _count_evidence(p: Polynomial, lo: Fraction, hi: Fraction) -> tuple[int, dic
 
 
 def count_roots(p: Polynomial, iv: IntervalQ) -> tuple[int, SignCertificate]:
-    """Exact number of distinct real roots of ``p`` on the certificate's
-    interval, and the certificate.
+    """Exact number of distinct real roots of ``p`` on ``iv``, and its
+    certificate on ``iv``.
 
-    That interval is ``iv`` with each end that is a root of p nudged inward
-    by shrinking rational steps (:func:`nudged_ends`); its ends are no
-    roots, so the count is the same on it open or closed, and when no end
-    of ``iv`` is a root it is ``iv``.  Otherwise the count leaves out the
-    end root and any root between it and the nudged end: (x - 1)(x - 1 -
-    10^-7) on [1, 2] counts 0, on [1 + 10^-6, 2].  If twelve decades of
-    nudging cannot clear an end the input is reported as degenerate.  The
-    certificate carries the strongest count claim its evidence proves:
-    ``no-root``, ``exactly-one-root`` when the single root changes p's sign
-    between the ends, ``root-count`` for any other nonzero count.
+    An end of ``iv`` that is a root of p is refused with
+    :class:`DegenerateEndpointError` naming it, so the count is the same on
+    iv open or closed.  The certificate carries the strongest count claim
+    its evidence proves: ``no-root``, ``exactly-one-root`` when the single
+    root changes p's sign between the ends, ``root-count`` for any other
+    nonzero count.
     """
-    lo, hi = nudged_ends(p, iv)
-    cert = _certificate(p, IntervalQ(lo, hi), None, lo, hi)
-    return cert.evidence["root_count"], cert
-
-
-def nudged_ends(p: Polynomial, iv: IntervalQ) -> tuple[Fraction, Fraction]:
-    """The ends at which :func:`count_roots` counts: each moved off a root of
-    p (see :func:`_nudge_endpoint`), raising :class:`DegenerateEndpointError`
-    when that fails or the moved ends cross."""
     if p.is_zero:
         raise ValueError("cannot count roots of the zero polynomial")
-    lo, hi = _nudge_endpoint(p, iv, +1), _nudge_endpoint(p, iv, -1)
-    if lo > hi:
-        raise DegenerateEndpointError("nudged endpoints crossed; interval too thin")
-    return lo, hi
+    for end in (iv.lo, iv.hi):
+        if not sign_at(p, end):
+            raise DegenerateEndpointError(f"interval end {end} is a root of p")
+    cert = _certificate(p, iv, None, iv.lo, iv.hi)
+    return cert.evidence["root_count"], cert
 
 
 def _offset_midpoint(p: Polynomial, lo: Fraction, hi: Fraction) -> Fraction:
@@ -1158,8 +1127,8 @@ def isolate_root(p: Polynomial, iv: IntervalQ, width) -> tuple[IntervalQ, SignCe
     """Shrink the one root of ``p`` that :func:`count_roots` counts on ``iv``.
 
     :func:`isolate_counted_root` of the interval's :func:`count_roots`
-    certificate, so the root is one in that certificate's interval, whose
-    ends are nudged off any root of p.
+    certificate, so an end of ``iv`` that is a root of p is refused with
+    :class:`DegenerateEndpointError` naming it.
     """
     return isolate_counted_root(count_roots(p, iv)[1], width)
 
@@ -1167,7 +1136,7 @@ def isolate_root(p: Polynomial, iv: IntervalQ, width) -> tuple[IntervalQ, SignCe
 def isolate_counted_root(count_cert: SignCertificate, width) -> tuple[IntervalQ, SignCertificate]:
     """Shrink the one root that a :func:`count_roots` certificate counts.
 
-    The search starts from the certificate's nudged ends, so a caller that
+    The search starts from the certificate's ends, so a caller that
     needs the count certificate anyway counts only once, and p's values
     there must differ in sign (a lone root without a sign change has even
     multiplicity); then the half holding the root is the half whose ends

@@ -12,7 +12,9 @@ signs enclose and Sturm certificates prove.  phi, its weight and its
 branches live in :mod:`pinchcert.pinching_bounds`.
 
 For the upper endpoint the certificate is a single cubic, so its root is
-isolated directly.
+isolated directly.  θ2(1/2) = (6561/100)(9 - 5x) has its one root at the
+domain's end 9/5, so :func:`right_threshold` refuses t = 1/2 and
+:func:`optimize` a right t grid of 1/2 alone.
 
 Left probes run at w = 5/3 alone, by an edge lemma (:func:`edge_lemma`):
 at the domain edge phi(5/3) = 5 (w - 5/3)^2 q(5/3)^2, and the weight q(5/3)
@@ -54,11 +56,11 @@ and only the winner's cell becomes an :class:`IntervalQ` and its forms
 polynomials.  :func:`left_threshold` and :func:`right_threshold` are the
 same cell functions plus one certificate step (:func:`_certify`), whose
 certificates prove the enclosure without the lemma.  Which claims prove an
-enclosure is said in one place, the claim table :func:`_claims`: a live
+enclosure is said in one place, the claim table :func:`_claims`: every
 enclosure rests on ``sign-constant-negative`` claims, θ2(t) on
-[enclosure.hi, 9/5] or each left quotient on [5/3, enclosure.lo]; only the
-degenerate right enclosure counts roots.  :func:`enclosure_holds` binds
-the certificates to the rows and :func:`certificate_labels` names them.
+[enclosure.hi, 9/5] or each left quotient on [5/3, enclosure.lo], and none
+counts roots.  :func:`enclosure_holds` binds the certificates to the rows
+and :func:`certificate_labels` names them.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 from . import pinching_bounds as pb
 from .exact_poly import (
     CLAIM_NEGATIVE,
-    CLAIM_NO_ROOT,
     ExactPolyError,
     IntervalQ,
     Polynomial,
@@ -86,8 +87,8 @@ from .exact_poly import (
     _sign_at_ratio,
     _smallest_root_cell,
     certify_sign_on_interval,
+    # not called here: perfbench's tracer test reads count_roots through this module
     count_roots,
-    nudged_ends,
     one_root_certificate,
     rat,
     rat_str,
@@ -227,6 +228,8 @@ class ThresholdEnclosure:
     w: Fraction
     enclosure: IntervalQ
     certificate: SignCertificate
+    # always false for a certified enclosure (the right side refuses t = 1/2);
+    # reports write it and perfbench reads it
     degenerate: bool
     support: tuple[SignCertificate, ...] = ()
     phi_lo: Fraction | None = None
@@ -306,7 +309,7 @@ def monotone_lemma(side: str) -> tuple[SignCertificate, ...]:
 
 #: [5/3, u]: each left quotient must be negative at u, where its isolation starts
 _SLIVER = IntervalQ(DOMAIN_LO, DOMAIN_LO + (DOMAIN_HI - DOMAIN_LO) / 10**6)
-#: the ends of the degenerate right enclosure [9/5, 9/5] as ``(lo_num, hi_num, den)``
+#: the degenerate right cell [9/5, 9/5], a table row only, as ``(lo_num, hi_num, den)``
 _TOP_ENDS = (9, 9, 5)
 #: the ends of the two sides' isolation intervals, as reduced pairs
 _U = (_SLIVER.hi.numerator, _SLIVER.hi.denominator)
@@ -469,9 +472,9 @@ def _right_cell(t: Fraction, width: Fraction, grids: Sequence[Callable]) -> _Cel
     θ2(t) decreases in x (:func:`monotone_lemma`), so it has one root in
     (5/3, 9/5) when its signs at the domain's ends, read once as the ends
     of its grid search at t, are strictly opposite (all t but 1/2), and
-    none otherwise: the degenerate cell [9/5, 9/5].  The root's cell is the
-    grid's, or, when the search fails, the Sturm-counted bisection's on
-    θ2(t).  Raises exactly where :func:`right_threshold` raises.
+    none otherwise: the degenerate cell [9/5, 9/5], ranked last and never
+    certified.  The root's cell is the grid's, or, when the search fails,
+    the Sturm-counted bisection's on θ2(t).
     """
     grid, = grids
     search = grid(t.numerator, t.denominator)
@@ -485,12 +488,6 @@ def _right_cell(t: Fraction, width: Fraction, grids: Sequence[Callable]) -> _Cel
     return _Cell("right", t, DOMAIN_HI, *ends, False)
 
 
-def _counted_domain(p: Polynomial) -> IntervalQ:
-    """The interval of ``count_roots(p, [5/3, 9/5])``'s certificate: the
-    domain with its ends nudged off p's roots (:func:`exact_poly.nudged_ends`)."""
-    return IntervalQ(*nudged_ends(p, pb.PINCH_DOMAIN))
-
-
 def right_threshold(t, width=DEFAULT_ISOLATION_WIDTH) -> ThresholdEnclosure:
     """Certified enclosure of the upper-endpoint threshold at parameter t.
 
@@ -498,13 +495,15 @@ def right_threshold(t, width=DEFAULT_ISOLATION_WIDTH) -> ThresholdEnclosure:
     pinching above the enclosure forces S to sit at the upper endpoint.
     This is :func:`_right_cell` with its certificate (:func:`_claims`):
     θ2(t) negative on exactly [enclosure.hi, 9/5], its positive value at
-    enclosure.lo showing the enclosure is tight, or, with no interior root
-    (t = 1/2), the degenerate [9/5, 9/5] with θ2(t)'s no-root count on
-    :func:`_counted_domain`, else :class:`ExactPolyError`.
+    enclosure.lo showing the enclosure is tight.  t = 1/2 is refused with
+    :class:`ValueError`: θ2(1/2)'s one root is the domain's end 9/5, so no
+    interior root exists to enclose.
     """
     t = rat(t)
     if not 0 < t <= F(1, 2):
         raise ValueError(f"parameter t must satisfy 0 < t <= 1/2, got {t}")
+    if 2 * t.numerator == t.denominator:
+        raise ValueError("right_threshold refuses t = 1/2: theta2(1/2)'s one root is 9/5")
     width = _isolation_width(width)
     return _certify(_right_cell(t, width, _grids("right", width)))
 
@@ -514,19 +513,15 @@ def _claims(th: ThresholdEnclosure | _Cell, polys: Sequence[Polynomial] = (),
     """``(label, polynomial, claim, interval)`` of each certificate that
     proves ``th``, the main one first: the one place that says which claims
     prove which enclosure, for :func:`_certify`, :func:`enclosure_holds` and
-    :func:`certificate_labels`.  The rows follow from th's side, t,
-    enclosure and degeneracy alone; ``polys`` (a certificate's own) spare
-    specializing the forms at t (:func:`_at_t`), and ``enclosure`` building
-    th's again.
+    :func:`certificate_labels`.  The rows follow from th's side, t and
+    enclosure alone; ``polys`` (a certificate's own) spare specializing the
+    forms at t (:func:`_at_t`), and ``enclosure`` building th's again.
 
-    - right, live: θ2(t) ``sign-constant-negative`` on [enclosure.hi, 9/5];
-    - right, degenerate: θ2(t) ``no-root`` on :func:`_counted_domain`;
+    - right: θ2(t) ``sign-constant-negative`` on [enclosure.hi, 9/5];
     - left: each quotient at t, in :func:`_at_t`'s order,
       ``sign-constant-negative`` on [5/3, enclosure.lo].
     """
     polys = polys or _at_t(th.side, th.t)
-    if th.side == "right" and th.degenerate:
-        return [("theta2-no-root-in-domain", polys[0], CLAIM_NO_ROOT, _counted_domain(polys[0]))]
     enclosure = enclosure or th.enclosure
     if th.side == "right":
         return [("theta2-negative-above-enclosure", polys[0], CLAIM_NEGATIVE,
@@ -537,15 +532,15 @@ def _claims(th: ThresholdEnclosure | _Cell, polys: Sequence[Polynomial] = (),
 
 
 def _values(th: ThresholdEnclosure | _Cell, polys: Sequence[Polynomial],
-            enclosure: IntervalQ) -> tuple[Fraction | None, Fraction | None]:
+            enclosure: IntervalQ) -> tuple[Fraction, Fraction]:
     """The values an enclosure stores at the ends of ``enclosure``, th's,
     from its claims' polynomials, one Fraction per end: θ2(t)'s on the
-    right, none for the degenerate one; phi's on the left, (x - 5/3) times
-    the larger quotient, from the quotients' integer Horner values, the
-    larger picked by one cross-multiplication."""
+    right; phi's on the left, (x - 5/3) times the larger quotient, from the
+    quotients' integer Horner values, the larger picked by one
+    cross-multiplication."""
     ends = (enclosure.lo, enclosure.hi)
     if th.side == "right":
-        return (None, None) if th.degenerate else tuple(polys[0](x) for x in ends)
+        return tuple(polys[0](x) for x in ends)
     values = []
     for x in ends:
         a, b = x.numerator, x.denominator
@@ -559,26 +554,15 @@ def _values(th: ThresholdEnclosure | _Cell, polys: Sequence[Polynomial],
 
 
 def _certify(cell: _Cell) -> ThresholdEnclosure:
-    """The certified enclosure of ``cell``: one certificate per row of
-    :func:`_claims`, the main one first, and :func:`_values`.  A
-    ``sign-constant-negative`` claim is proved by
-    :func:`exact_poly.certify_sign_on_interval`, which raises
-    :class:`SignClaimError` where it fails; a ``no-root`` count by
-    :func:`exact_poly.count_roots`, which must find no root, else
-    :class:`ExactPolyError`.  The cell's :class:`IntervalQ` and its forms
-    at t (:func:`_at_t`) are built here, once."""
+    """The certified enclosure of ``cell``: one
+    :func:`exact_poly.certify_sign_on_interval` per row of :func:`_claims`,
+    the main one first, which raises :class:`SignClaimError` where it fails,
+    and :func:`_values`.  The cell's :class:`IntervalQ` and its forms at t
+    (:func:`_at_t`) are built here, once."""
     enclosure = cell.enclosure
     claims = _claims(cell, (), enclosure)
-    certificates = []
-    for label, p, claim, interval in claims:
-        if claim == CLAIM_NO_ROOT:
-            n, cert = count_roots(p, interval)
-            if n:
-                raise ExactPolyError(f"{label} at t = {cell.t}: expected no root on "
-                                     f"[{interval.lo}, {interval.hi}], found {n}")
-        else:
-            cert = certify_sign_on_interval(p, interval, "negative")
-        certificates.append(cert)
+    certificates = [certify_sign_on_interval(p, interval, "negative")
+                    for _, p, _, interval in claims]
     phi_lo, phi_hi = _values(cell, [p for _, p, _, _ in claims], enclosure)
     return ThresholdEnclosure(
         side=cell.side, t=cell.t, w=cell.w, enclosure=enclosure,
@@ -597,28 +581,22 @@ def enclosure_holds(th: ThresholdEnclosure) -> bool:
     """The facts of a threshold enclosure beyond its certificates' replays.
 
     Its shape: w = 9/5 on the right and w = 5/3 on the left, with the
-    enclosure in the domain, or, degenerate, the right's weakest claim
-    [9/5, 9/5]; no left enclosure is degenerate.  Its stored values, which
-    :func:`_values` recomputes: θ2(t) positive at enclosure.lo and negative
-    at enclosure.hi on the right, phi negative at enclosure.lo and positive
-    at enclosure.hi on the left; none on the degenerate right.  Its
-    certificate and support: exactly the rows of :func:`_claims`, in order,
-    as (polynomial, claim, interval).  An unknown side or a t outside
-    (0, 1/2] holds nothing.
+    enclosure in the domain.  Its stored values, which :func:`_values`
+    recomputes: θ2(t) positive at enclosure.lo and negative at enclosure.hi
+    on the right, phi negative at enclosure.lo and positive at enclosure.hi
+    on the left.  Its certificate and support: exactly the rows of
+    :func:`_claims`, in order, as (polynomial, claim, interval).  An unknown
+    side, a t outside (0, 1/2] or a degenerate enclosure holds nothing.
     """
-    if th.side not in ("left", "right") or not 0 < th.t <= F(1, 2):
+    if th.side not in ("left", "right") or not 0 < th.t <= F(1, 2) or th.degenerate:
         return False
     lo, hi = th.enclosure.lo, th.enclosure.hi
     right = th.side == "right"
-    if th.degenerate:
-        shape = right and lo == hi == th.w == DOMAIN_HI
-    else:
-        shape = th.w == (DOMAIN_HI if right else DOMAIN_LO) and DOMAIN_LO <= lo and hi <= DOMAIN_HI
-    if not shape:
+    if not (th.w == (DOMAIN_HI if right else DOMAIN_LO) and DOMAIN_LO <= lo and hi <= DOMAIN_HI):
         return False
     claims = _claims(th)
     phi_lo, phi_hi = values = _values(th, [p for _, p, _, _ in claims], th.enclosure)
-    signs = th.degenerate or (phi_lo > 0 > phi_hi if right else phi_lo < 0 < phi_hi)
+    signs = phi_lo > 0 > phi_hi if right else phi_lo < 0 < phi_hi
     return (signs and (th.phi_lo, th.phi_hi) == values
             and [(c.polynomial, c.claim, c.interval) for c in (th.certificate, *th.support)]
             == [(p, claim, interval) for _, p, claim, interval in claims])
@@ -719,8 +697,9 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
     Deterministic: probes are exact rationals, results are compared exactly,
     and ties break toward smaller t.  The monotonicity lemma and, on the
     left, the edge lemma are proved first.  Only the side's one live w is
-    probed: 9/5 on the right, where a w grid holding any other w is refused,
-    and 5/3 on the left, where a w grid without it is refused; every other
+    probed: 9/5 on the right, where a w grid holding any other w, or a t
+    grid of 1/2 alone, whose probe is degenerate, is refused, and 5/3 on
+    the left, where a w grid without it is refused; every other
     left (t, w) pair, the grid's and the refinement's, is degenerate by the
     edge lemma and counted, not probed.  Probes, one per distinct t, share
     the request's :func:`_grids` and are ranked on their bare cells by
@@ -733,10 +712,15 @@ def optimize(side: str, config: SweepConfig) -> Optimum:
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     grid = config.w_grid
-    if side == "right" and any(w != DOMAIN_HI for w in grid):
-        raise ValueError("a right sweep probes w = 9/5 alone, got w_grid "
-                         f"[{', '.join(map(rat_str, grid))}]")
-    if side == "left":
+    if side == "right":
+        if any(w != DOMAIN_HI for w in grid):
+            raise ValueError("a right sweep probes w = 9/5 alone, got w_grid "
+                             f"[{', '.join(map(rat_str, grid))}]")
+        t = config.t_grid[0]  # the grid ascends to 1/2 or below
+        if 2 * t.numerator == t.denominator:
+            raise ValueError("a right sweep refuses a t grid of 1/2 alone: "
+                             "theta2(1/2)'s one root is 9/5")
+    else:
         if grid[0] != DOMAIN_LO:  # the grid ascends from 5/3 or above
             raise ValueError("a left sweep probes w = 5/3, which w_grid "
                              f"[{', '.join(map(rat_str, grid))}] lacks")

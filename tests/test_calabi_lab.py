@@ -467,6 +467,18 @@ def test_rotation_and_points_read_a_numpy_integer_as_an_int(make, what):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("make, what", [ROTATION_AND_POINT_INPUTS["rotation dimension"],
+                                        ROTATION_AND_POINT_INPUTS["point count"]],
+                         ids=["rotation dimension", "point count"])
+def test_rotation_and_points_refuse_a_size_below_one_naming_it(make, what):
+    # zero points divided by zero, a negative size reached numpy, whose
+    # refusal named no input, and a 0 x 0 rotation was returned
+    for bad in (0, -1, -7):
+        with pytest.raises(ValueError, match=f"^{what} must be at least 1, got {bad}$"):
+            make(bad)
+    assert make(1).shape in ((1, 1), (1, 3))
+
+
 @pytest.mark.parametrize("make", [lambda v: cl.random_rotation(9, v),
                                   lambda v: cl.fibonacci_sphere_points(64, v)],
                          ids=["rotation", "points"])

@@ -121,7 +121,7 @@ def test_a_failing_corner_stops_the_left_sweep(monkeypatch):
         ps.optimize("left", ps.SweepConfig(t_grid=(F(1, 2),), w_grid=(LO,)))
     # the right sweep does not rest on the lemma, and a left probe at
     # w > 5/3 is refused before any certificate is read
-    ps.optimize("right", ps.SweepConfig(t_grid=(F(1, 2),), w_grid=(HI,)))
+    ps.optimize("right", ps.SweepConfig(t_grid=(F(1, 8), F(1, 2)), w_grid=(HI,)))
     with pytest.raises(ValueError, match="got w = 9/5"):
         ps.left_threshold(F(1, 2), HI)
 

@@ -23,6 +23,7 @@ import exact_reference as ref
 from pinchcert import exact_poly as ep
 from pinchcert import param_search as ps
 from pinchcert.exact_poly import (
+    DegenerateEndpointError,
     ExactPolyError,
     Form,
     IntervalQ,
@@ -151,8 +152,15 @@ def test_kept_chain_matches_a_fresh_one_and_stays_out_of_equality():
 
 @settings(max_examples=200, deadline=None)
 @given(rooted_polys, intervals, widths)
+@example(from_roots([F(3, 2)]), IntervalQ(F(1), F(3, 2)), F(1, 10))
 def test_isolate_root_matches_reference(p, iv, width):
-    assert outcome(isolate_root, p, iv, width) == outcome(ref.isolate_root, p, iv, width)
+    # an end root, which the reference nudged off, is refused, naming the end
+    end_roots = [x for x in (iv.lo, iv.hi) if p(x) == 0]
+    if end_roots:
+        assert outcome(isolate_root, p, iv, width) == (
+            DegenerateEndpointError, f"interval end {end_roots[0]} is a root of p")
+    else:
+        assert outcome(isolate_root, p, iv, width) == outcome(ref.isolate_root, p, iv, width)
 
 
 def smallest_args(p, iv):
@@ -420,8 +428,9 @@ def test_every_default_grid_probe_takes_the_jump(monkeypatch):
     monkeypatch.setattr(ep._GridSearch, "cell", recording)
     monkeypatch.setattr(ps, "_smallest_root_cell", None)  # the fallback is never called
     t_grid = ps.default_config("right").t_grid
-    right = [ps.right_threshold(t) for t in t_grid]
-    assert len(searches) == sum(not th.degenerate for th in right) == 99  # t = 1/2 has no root
+    # right_threshold refuses t = 1/2, the last default t: it has no interior root
+    right = [ps.right_threshold(t) for t in t_grid[:-1]]
+    assert len(searches) == sum(not th.degenerate for th in right) == 99
     assert [kind for kind, _ in searches] == ["whole"] * 99
     for t in t_grid:
         ps.left_threshold(t, LO)
@@ -476,7 +485,7 @@ def test_default_grid_isolations_take_few_grid_evaluations(monkeypatch):
             evaluations.append(len(calls))
 
     monkeypatch.setattr(ep, "_propose_cell", counting)
-    for t in ps.default_config("right").t_grid:
+    for t in ps.default_config("right").t_grid[:-1]:  # all but t = 1/2, which is refused
         ps.right_threshold(t)
     right, evaluations[:] = list(evaluations), []
     for t in ps.default_config("left").t_grid:

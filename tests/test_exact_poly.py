@@ -266,27 +266,27 @@ def test_count_roots_in_tight_threshold_bracket():
     assert cert.replay()
 
 
-def test_count_roots_nudges_endpoint_roots():
+def test_count_roots_and_isolate_root_refuse_an_end_root_naming_it():
+    # x (x - 1): an end at 0 or 1 is a root, the lower end named first
     p = Polynomial.x() * (Polynomial.x() - 1)
-    n, cert = count_roots(p, IntervalQ(F(0), F(1)))
-    # both endpoints are roots of p; the open interval holds none
-    assert n == 0
-    assert rat(cert.evidence["lo"]) > 0
-    assert rat(cert.evidence["hi"]) < 1
-    # the certificate is on the nudged interval, which holds no root
-    assert cert.interval == IntervalQ(rat(cert.evidence["lo"]), rat(cert.evidence["hi"]))
-    assert cert.claim == CLAIM_NO_ROOT
-    assert cert.replay()
+    for iv, end in ((IntervalQ(F(0), F(1)), "0"), (IntervalQ(F(-1, 2), F(1)), "1"),
+                    (IntervalQ(F(0), F(1, 2)), "0"), (IntervalQ(F(1), F(1)), "1")):
+        message = f"^interval end {end} is a root of p$"
+        with pytest.raises(DegenerateEndpointError, match=message):
+            count_roots(p, iv)
+        with pytest.raises(DegenerateEndpointError, match=message):
+            isolate_root(p, iv, F(1, 10**6))
 
 
 def test_a_root_on_a_closed_end_is_never_certified_away():
     # x - 1 has its root on the lower end of [1, 2]: the closed interval
     # holds one root, so no certificate may say no-root on [1, 2]
     p = poly(-1, 1)
-    n, cert = count_roots(p, IntervalQ(F(1), F(2)))
+    with pytest.raises(DegenerateEndpointError, match="^interval end 1 is a root of p$"):
+        count_roots(p, IntervalQ(F(1), F(2)))
+    n, cert = count_roots(p, IntervalQ(F(1000001, 1000000), F(2)))
     assert n == 0 and cert.claim == CLAIM_NO_ROOT
     assert cert.evidence["lo"] == "1000001/1000000"
-    assert cert.interval == IntervalQ(F(1000001, 1000000), F(2))
     assert cert.replay()
     # the same evidence relabelled onto [1, 2]: its points are not the
     # interval's ends, so it proves only a root count there
@@ -295,15 +295,18 @@ def test_a_root_on_a_closed_end_is_never_certified_away():
     assert SignCertificate(p, forged.interval, CLAIM_ROOT_COUNT, cert.evidence).replay()
 
 
-def test_count_roots_counts_on_the_certificate_interval_not_the_open_one():
-    # (x - 1)(x - 1 - 10^-7) on [1, 2]: the open interval (1, 2) holds the
-    # root 1 + 10^-7, but the lower end is a root and its first nudge, to
-    # 1 + 10^-6, passes that root; the count is the one on the nudged
-    # interval, which the certificate names
+def test_count_roots_counts_on_the_interval_it_is_given():
+    # (x - 1)(x - 1 - 10^-7) on [1, 2]: the lower end is a root, so the
+    # count is refused rather than taken on a moved end that would pass the
+    # root 1 + 10^-7; on [1 + 10^-8, 2] that root is counted, on that
+    # interval itself
     p = poly(-1, 1) * Polynomial.linear(-1 - F(1, 10**7), 1)
-    n, cert = count_roots(p, IntervalQ(F(1), F(2)))
-    assert n == 0 and cert.claim == CLAIM_NO_ROOT
-    assert cert.interval == IntervalQ(F(1000001, 1000000), F(2))
+    with pytest.raises(DegenerateEndpointError, match="^interval end 1 is a root of p$"):
+        count_roots(p, IntervalQ(F(1), F(2)))
+    iv = IntervalQ(1 + F(1, 10**8), F(2))
+    n, cert = count_roots(p, iv)
+    assert n == 1 and cert.claim == CLAIM_ONE_ROOT
+    assert cert.interval == iv and cert.evidence["lo"] == "100000001/100000000"
     assert cert.replay()
 
 

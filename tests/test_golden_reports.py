@@ -21,8 +21,8 @@ contract, so a faster core or sweep must reproduce them exactly.
 default t: one sha256 over the JSON of ``right_threshold(k/200)`` for
 k = 1..99 and of ``left_threshold(k/200, 5/3)`` for k = 1..100, taken before
 polynomials were born from their integer forms.  ``right_threshold(1/2)``
-is left out: its certificate moved to the nudged domain when ``count_roots``
-stopped labelling a closed interval with a root on an end ``no-root``.
+is left out: θ2(1/2)'s one root is the domain's end 9/5, and the call is
+refused, having no interior root to enclose.
 
 Seven digests were retaken when a left enclosure came to rest on its two
 quotients g = p / (x - 5/3) alone: ``/1`` and ``/2`` of

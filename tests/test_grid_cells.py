@@ -195,10 +195,9 @@ def test_a_warm_default_sweep_specializes_only_its_winners_forms(monkeypatch, si
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("t, w", [(F(1, 2), HI), (F(1, 4), None)])
+@pytest.mark.parametrize("t, w", [(F(1, 8), HI), (F(1, 4), None)])
 def test_labels_need_no_specialization(monkeypatch, side, t, w):
-    # (1/2, 9/5) is the degenerate right enclosure; a left probe runs at
-    # w = 5/3 alone
+    # a left probe runs at w = 5/3 alone, and a right one at 9/5
     th = ps.left_threshold(t, LO) if side == "left" else ps.right_threshold(t)
     want = [label for label, *_ in ps._claims(th)]
     at = _count_calls(monkeypatch, ep.Form, "at")

@@ -102,7 +102,7 @@ def test_the_writer_rejects_what_a_report_never_holds(value):
 
 
 def _optimize_with_config():
-    config = ps.SweepConfig.from_json({"t_grid": ["1/2"], "w_grid": ["9/5"]})
+    config = ps.SweepConfig.from_json({"t_grid": ["1/8", "1/2"], "w_grid": ["9/5"]})
     return rc.cmd_optimize("right", config)
 
 

@@ -193,10 +193,7 @@ def _right_reference(t, width):
     θ2(t)'s negative certificate on [enclosure.hi, 9/5]."""
     p = pb.theta2(t)
     n, count_cert = count_roots(p, pb.PINCH_DOMAIN)
-    assert n in (0, 1)
-    if n == 0:
-        return ps.ThresholdEnclosure(side="right", t=t, w=HI, enclosure=IntervalQ(HI, HI),
-                                     certificate=count_cert, degenerate=True)
+    assert n == 1
     enclosure, _ = isolate_counted_root(count_cert, width)
     cert = certify_sign_on_interval(p, IntervalQ(enclosure.hi, HI), "negative")
     return ps.ThresholdEnclosure(side="right", t=t, w=HI, enclosure=enclosure,
@@ -258,11 +255,19 @@ T_VALUES = st.one_of(
 def test_probes_and_thresholds_match_the_sturm_references(t, width):
     ps.monotone_lemma("left")
     ps.monotone_lemma("right")
-    right = _right_reference(t, width)
     cell = ps._right_cell(t, width, ps._grids("right", width))
-    assert (cell.enclosure, cell.degenerate, ps._at_t("right", t)) == (
-        right.enclosure, right.degenerate, (pb.theta2(t),))
-    assert ps.right_threshold(t, width) == right
+    if t == F(1, 2):
+        # θ2(1/2)'s one root is the domain's end 9/5: the cell is the
+        # degenerate [9/5, 9/5], and no threshold is certified there
+        assert (cell.enclosure, cell.degenerate) == (IntervalQ(HI, HI), True)
+        with pytest.raises(ValueError, match="refuses t = 1/2"):
+            ps.right_threshold(t, width)
+    else:
+        right = _right_reference(t, width)
+        assert (cell.enclosure, cell.degenerate, ps._at_t("right", t)) == (
+            right.enclosure, right.degenerate, (pb.theta2(t),))
+        assert ps.right_threshold(t, width) == right
+        assert ps.replay_threshold(right)
 
     left = _endpoint_branch_reference(t, width)
     assert ps._left_cell(t, width, ps._grids("left", width)).enclosure == left.enclosure
@@ -279,7 +284,7 @@ def test_probes_and_thresholds_match_the_sturm_references(t, width):
     x_minus_lo = Polynomial.linear(-LO, 1)
     assert left.certificate.polynomial in [g * x_minus_lo for g in quotients]
     _assert_critical_root_not_below(t, width, mine.enclosure.lo)
-    assert ps.replay_threshold(mine) and ps.replay_threshold(ps.right_threshold(t, width))
+    assert ps.replay_threshold(mine)
 
 
 def test_left_isolations_on_the_quotient_take_few_evaluations(monkeypatch):
@@ -331,11 +336,13 @@ def test_thresholds_refuse_a_cell_their_counts_contradict(monkeypatch):
         ps.left_threshold(t, LO)
 
     # three roots: the cell holds one, and θ2 is not negative above it; two
-    # roots: equal end signs, but the count finds them
+    # roots: equal end signs make the cell the degenerate [9/5, 9/5], and
+    # θ2 is not negative at 9/5
     for roots, error, match in (
             ((F(17, 10), F(7, 4), F(177, 100)), SignClaimError,
              r"claimed sign-constant-negative but p\("),
-            ((F(17, 10), F(7, 4)), ExactPolyError, "expected no root.*found 2")):
+            ((F(17, 10), F(7, 4)), SignClaimError,
+             r"claimed sign-constant-negative but p\(9/5\) = 1/200$")):
         cubic = Polynomial.constant(1)
         for r in roots:
             cubic = cubic * Polynomial.linear(-r, 1)

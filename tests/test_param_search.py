@@ -141,12 +141,19 @@ def test_right_threshold_endpoint_signs():
 
 
 def test_right_threshold_no_root_at_half():
-    th = ps.right_threshold(F(1, 2), WIDTH)
-    assert th.degenerate
-    assert th.enclosure.lo == th.enclosure.hi == F(9, 5)
-    assert th.certificate.claim == "no-root"
-    assert th.certificate.replay()
-    assert ps.replay_threshold(th)
+    # θ2(1/2) = (6561/100)(9 - 5x) has its one root at the domain's end
+    # 9/5, so there is no interior root to enclose: t = 1/2 is refused
+    assert pb.theta2(F(1, 2)) == Polynomial.linear(F(59049, 100), F(-6561, 20))
+    for t in (F(1, 2), "1/2", F(3, 6)):
+        with pytest.raises(ValueError, match=r"^right_threshold refuses t = 1/2: .*9/5$"):
+            ps.right_threshold(t, WIDTH)
+
+
+@pytest.mark.parametrize("t_grid", [(F(1, 2),), (F(1, 2), F(1, 2))])
+def test_a_right_sweep_of_one_half_alone_is_refused(t_grid):
+    config = ps.SweepConfig(t_grid=t_grid, w_grid=(F(9, 5),), refinement_rounds=2)
+    with pytest.raises(ValueError, match=r"^a right sweep refuses a t grid of 1/2 alone"):
+        ps.optimize("right", config)
 
 
 def test_right_threshold_t_eighth_is_weaker_than_quarter():
@@ -215,33 +222,48 @@ def test_replay_rejects_forged_degenerate_enclosures():
         assert not ps.replay_threshold(forged)
 
 
-def test_the_degenerate_right_certificate_is_on_the_nudged_domain():
-    # θ2(1/2) is linear with its root at 9/5 itself, so the closed domain
-    # holds a root: the no-root count is certified on the domain with its
-    # upper end nudged inward, the interval its evidence is taken at
-    p = pb.theta2(F(1, 2))
-    assert p.degree == 1 and p(F(9, 5)) == 0
-    th = ps.right_threshold(F(1, 2), WIDTH)
-    nudged = ps.IntervalQ(F(5, 3), F(9, 5) - F(2, 15) / 10**6)
-    assert th.degenerate and th.certificate.claim == "no-root"
-    assert th.certificate.interval == nudged == ps.IntervalQ(F(5, 3), F(13499999, 7500000))
-    assert (th.certificate.evidence["lo"], th.certificate.evidence["hi"]) == (
-        "5/3", "13499999/7500000")
-    assert ps.replay_threshold(th)
-    # the parent's certificate, the same evidence on the closed domain
-    on_domain = replace(th.certificate, interval=pb.PINCH_DOMAIN)
-    assert not on_domain.replay()
-    assert not ps.replay_threshold(replace(th, certificate=on_domain))
-    assert not ps.enclosure_holds(replace(th, certificate=on_domain))
+#: ``right_threshold(1/2).to_json()`` as written before t = 1/2 was
+#: refused: the degenerate [9/5, 9/5] with θ2(1/2)'s no-root count on the
+#: domain with its upper end nudged off the root 9/5
+DEGENERATE_RIGHT_JSON = {
+    "certificate": {
+        "claim": "no-root",
+        "evidence": {"hi": "13499999/7500000", "lo": "5/3", "root_count": 0,
+                     "value_hi": "2187/50000000", "value_lo": "2187/50",
+                     "variations_hi": 1, "variations_lo": 1},
+        "interval": ["5/3", "13499999/7500000"],
+        "polynomial": ["59049/100", "-6561/20"],
+    },
+    "degenerate": True, "enclosure": ["9/5", "9/5"], "phi_hi": None, "phi_lo": None,
+    "side": "right", "support": [], "t": "1/2", "w": "9/5",
+}
+
+
+def _degenerate_right() -> ps.ThresholdEnclosure:
+    data = DEGENERATE_RIGHT_JSON
+    return ps.ThresholdEnclosure(
+        side=data["side"], t=rat(data["t"]), w=rat(data["w"]),
+        enclosure=ps.IntervalQ.from_json(data["enclosure"]),
+        certificate=ep.SignCertificate.from_json(data["certificate"]),
+        degenerate=data["degenerate"])
+
+
+def test_a_degenerate_right_enclosure_written_before_no_longer_holds():
+    th = _degenerate_right()
+    assert th.certificate.polynomial == pb.theta2(F(1, 2))
+    # its count still replays, but nothing certifies [9/5, 9/5] any more
+    assert th.certificate.replay()
+    assert not ps.enclosure_holds(th) and not ps.replay_threshold(th)
+    assert ps.certificate_labels(th) == ["theta2-negative-above-enclosure"]
 
 
 def test_replay_binds_a_degenerate_enclosure_to_its_certificate():
-    right = ps.right_threshold(F(1, 2), WIDTH)
+    right = _degenerate_right()
     # the frozen degenerate left enclosure, refused whole, as each forgery of it
     left = left_ref.left_threshold(F(1, 4), F(7, 4), WIDTH)
     edge = ps.IntervalQ(F(5, 3), F(5, 3))
     assert right.degenerate and left.degenerate
-    assert ps.replay_threshold(right) and not ps.replay_threshold(left)
+    assert not ps.replay_threshold(right) and not ps.replay_threshold(left)
     quarter = ps.right_threshold(F(1, 4), WIDTH)
     forgeries = {
         "right, no-root count of x - 3": replace(
@@ -418,18 +440,17 @@ def test_replay_rejects_a_parameter_or_side_outside_its_range(side, t):
     assert ps.replay_threshold(replace(genuine, t=t)) is False
     assert ps.replay_threshold(replace(genuine, side="up")) is False
     if side == "right":
-        # a degenerate enclosure built whole at t = 0, its certificate the
-        # table's row there: only the parameter range refuses it (no left
-        # enclosure is degenerate)
-        at_zero = ps._certify(ps._right_cell(F(0), WIDTH, ps._grids("right", WIDTH)))
-        assert at_zero.degenerate and at_zero.certificate.replay()
-        assert ps.enclosure_holds(at_zero) is False
+        # the degenerate cell at t = 0 is certified by nothing: its one
+        # claim, θ2(0) negative on [9/5, 9/5], fails at θ2(0)'s root 9/5
+        at_zero = ps._right_cell(F(0), WIDTH, ps._grids("right", WIDTH))
+        assert at_zero.degenerate
+        with pytest.raises(SignClaimError):
+            ps._certify(at_zero)
 
 
-@pytest.mark.parametrize("t", [F(1, 2), F(1, 4)])
+@pytest.mark.parametrize("t", [F(1, 8), F(1, 4)])
 @pytest.mark.parametrize("width", [0, F(-1, 10)])
 def test_right_threshold_checks_its_width_first(t, width):
-    # at t = 1/2 there is no root to isolate, so the width was never read
     with pytest.raises(ValueError, match="width must be positive"):
         ps.right_threshold(t, width)
 
@@ -594,9 +615,13 @@ def test_optimum_table_rows_are_sorted_and_exact():
     opt = ps.optimize("right", small_right_config())
     ts = [row[0] for row in opt.table]
     assert ts == sorted(ts)
+    assert opt.table[-1][0] == F(1, 2)
     for t, w, lo, hi, den, deg in opt.table:
-        th = ps.right_threshold(t, F(1, 10**6))
         assert all(type(v) is int for v in (lo, hi, den)) and den > 0
+        if t == F(1, 2):  # the degenerate row, which no threshold call certifies
+            assert (lo, hi, den, deg) == (9, 9, 5, True)
+            continue
+        th = ps.right_threshold(t, F(1, 10**6))
         assert (th.enclosure.lo, th.enclosure.hi, th.degenerate) == (F(lo, den), F(hi, den), deg)
 
 

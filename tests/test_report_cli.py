@@ -217,14 +217,17 @@ SIDE_CONFIGS = {
                             "sup-at-5/3-quotient-negative": "sign-constant-negative"}),
     ("right", "1/4", "9/5", {"theta2-negative-above-enclosure": "sign-constant-negative"}),
     ("left", "1/4", "17/10", {}),
-    ("right", "1/2", "9/5", {"theta2-no-root-in-domain": "no-root"}),
+    ("right", "1/2", "9/5", {}),
 ])
 def test_optimize_labels_each_certificate_by_its_one_role(side, t, w, roles):
-    # a live enclosure rests on strict sign claims alone; only the
-    # degenerate right enclosure keeps its no-root count
+    # every enclosure rests on strict sign claims alone, and no root count
     config = ps.SweepConfig(t_grid=(rat(t),), w_grid=(rat(w),))
-    if not roles:  # a left sweep without w = 5/3 is refused: nothing to label
-        with pytest.raises(ValueError, match=r"w = 5/3, which w_grid \[17/10\] lacks"):
+    if not roles:
+        # a left sweep without w = 5/3, and a right sweep of t = 1/2 alone,
+        # whose one probe is degenerate, are refused: nothing to label
+        refusal = (r"w = 5/3, which w_grid \[17/10\] lacks" if side == "left"
+                   else r"refuses a t grid of 1/2 alone")
+        with pytest.raises(ValueError, match=refusal):
             rc.cmd_optimize(side, config)
         return
     data = json.loads(rc.cmd_optimize(side, config).to_json_str())
@@ -242,7 +245,6 @@ def test_optimize_labels_each_certificate_by_its_one_role(side, t, w, roles):
         "sup-at-x-quotient-negative": (rat("5/3"), lo),
         "sup-at-5/3-quotient-negative": (rat("5/3"), lo),
         "theta2-negative-above-enclosure": (hi, rat("9/5")),
-        "theta2-no-root-in-domain": (rat("5/3"), rat("9/5") - rat("2/15") / 10**6),
     }
     assert [(row.lo, row.hi) for _, _, _, row in claims] == [intervals[role] for role in roles]
 
@@ -403,6 +405,27 @@ def test_a_right_w_grid_beside_9_5_is_a_usage_error_naming_the_grid(tmp_path, ca
         "usage error: a right sweep probes w = 9/5 alone, got w_grid [5/3, 7/4]"]
     path.write_text(json.dumps({"t_grid": ["1/4"], "w_grid": ["9/5", "9/5"]}))
     assert rc.main(["optimize", "--side", "right", "--config", str(path)]) == rc.EXIT_OK
+
+
+def test_a_right_t_grid_of_one_half_alone_is_a_usage_error(tmp_path, capsys):
+    # θ2(1/2)'s one root is the domain's end 9/5, so its probe is the
+    # degenerate [9/5, 9/5], which nothing certifies; beside a live t, 1/2
+    # stays a grid value, and its row is written as before
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"t_grid": ["1/2"], "w_grid": ["9/5"]}))
+    code = rc.main(["optimize", "--side", "right", "--config", str(path)])
+    assert code == rc.EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: a right sweep refuses a t grid of 1/2 alone: theta2(1/2)'s one root is 9/5"]
+    report = rc.cmd_optimize("right", ps.SweepConfig(t_grid=(rat("1/8"), rat("1/2")),
+                                                     w_grid=(rat("9/5"),)))
+    data = json.loads(report.to_json_str())
+    assert data["scans"][0]["table"] == (
+        "t=1/8 w=9/5 lo=1171739/655360 hi=1757609/983040\n"
+        "t=1/2 w=9/5 lo=9/5 hi=9/5 degenerate")
+    assert report.failing() == []
+    assert data["checks"][0]["details"] == {"best_t": "1/8", "best_w": "9/5",
+                                            "degenerate_rows": 1}
 
 
 def test_a_left_w_grid_without_5_3_is_a_usage_error_naming_the_grid(tmp_path, capsys):

@@ -10,9 +10,10 @@ coefficients of about 100 bits:
 - so do a ``Form``'s (a polynomial in t and x) ``+``, ``-``, ``*``, ``**``,
   ``at``, ``derivative`` and ``bernstein``, on forms of t-degree 0..3, and
   every certificate form's ``at``;
-- ``count_roots``'s count is ``sympy.Poly.count_roots`` on the certificate's
-  own closed interval, whose ends are never roots, for polynomials with
-  roots drawn at the interval's ends and just inside and outside them;
+- ``count_roots``'s count is ``sympy.Poly.count_roots`` on the closed
+  interval it is given, which its certificate names, for polynomials with
+  roots drawn just inside and outside the interval's ends, and a root on an
+  end is refused, naming the end;
 - each ``isolate_root`` enclosure holds exactly one root of ``real_roots``;
 - θ1, θ2(t), N, D, N'D - ND', the S_max numerator and both left branches
   are the expansions of the formulas their docstrings state, each left
@@ -38,8 +39,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pinchcert import pinching_bounds as pb
-from pinchcert.exact_poly import (Form, IntervalQ, Polynomial, certify_sign_on_interval,
-                                  count_roots, isolate_root)
+from pinchcert.exact_poly import (DegenerateEndpointError, Form, IntervalQ, Polynomial,
+                                  certify_sign_on_interval, count_roots, isolate_root)
 
 sympy = pytest.importorskip("sympy")
 
@@ -205,24 +206,23 @@ def test_bernstein_coefficients_are_sympys(form, h):
 # root counting and isolation
 
 ends = st.fractions(min_value=-3, max_value=3, max_denominator=1000)
-# offsets from an end, as fractions of the interval's width: inside or
-# outside the first nudge of 10^-6 and the last of 10^-12
+# offsets from an end, as fractions of the interval's width
 EPSILONS = st.sampled_from([F(1, 10**k) for k in (2, 5, 6, 7, 9, 12, 15)])
 
 
 @st.composite
 def rooted_on_interval(draw):
-    """A polynomial of degree 1..6 with roots drawn at the ends of an
-    interval [a, b], just inside and just outside them and anywhere in it,
-    times a ~100-bit constant and at times a quadratic without real roots,
-    and the interval."""
+    """A polynomial of degree 1..6 with roots drawn just inside and just
+    outside the ends of an interval [a, b] and anywhere inside it, but none
+    on an end, times a ~100-bit constant and at times a quadratic without
+    real roots, and the interval."""
     a, b = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
     span = b - a
     spots = st.one_of(
-        st.sampled_from([a, b]),
         st.tuples(st.sampled_from([a, b]), st.sampled_from([1, -1]), EPSILONS).map(
             lambda e: e[0] + e[1] * e[2] * span),
-        st.fractions(min_value=a, max_value=b, max_denominator=10**6),
+        st.fractions(min_value=a, max_value=b, max_denominator=10**6).filter(
+            lambda r: a < r < b),
     )
     roots = draw(st.lists(st.tuples(spots, st.integers(1, 2)), max_size=4))
     p = Polynomial.constant(draw(nonzero_big))
@@ -241,12 +241,12 @@ def sympy_value(p: Polynomial, x: Fraction):
 @settings(max_examples=200, deadline=None)
 @given(case=rooted_on_interval().filter(lambda case: 1 <= case[0].degree <= 6))
 @example(case=(Polynomial((1, -1)) * Polynomial.linear(-1 - F(1, 10**7), 1),
-               IntervalQ(F(1), F(2))))
+               IntervalQ(1 + F(1, 10**8), F(2))))
 def test_count_is_sympys_on_the_certificate_interval(case):
     p, iv = case
     n, cert = count_roots(p, iv)
-    lo, hi = cert.interval.lo, cert.interval.hi
-    assert iv.lo <= lo <= hi <= iv.hi
+    assert cert.interval == iv
+    lo, hi = iv.lo, iv.hi
     assert sympy_value(p, lo) != 0 and sympy_value(p, hi) != 0
     want = sympy.Poly(to_sympy(p), X, domain="QQ").count_roots(
         sympy.Rational(lo.numerator, lo.denominator), sympy.Rational(hi.numerator, hi.denominator))
@@ -258,8 +258,14 @@ def test_count_is_sympys_on_the_certificate_interval(case):
 @given(p=polys, iv=st.lists(ends, min_size=2, max_size=2, unique=True).map(
     lambda e: IntervalQ(*sorted(e))))
 def test_count_of_a_drawn_polynomial_is_sympys(p, iv):
+    end_roots = [x for x in (iv.lo, iv.hi) if sympy_value(p, x) == 0]
+    if end_roots:  # refused, naming the lower end root first
+        with pytest.raises(DegenerateEndpointError, match=f"^interval end {end_roots[0]} is"):
+            count_roots(p, iv)
+        return
     n, cert = count_roots(p, iv)
-    lo, hi = cert.interval.lo, cert.interval.hi
+    assert cert.interval == iv
+    lo, hi = iv.lo, iv.hi
     assert n == sympy.Poly(to_sympy(p), X, domain="QQ").count_roots(
         sympy.Rational(lo.numerator, lo.denominator), sympy.Rational(hi.numerator, hi.denominator))
 
@@ -267,22 +273,18 @@ def test_count_of_a_drawn_polynomial_is_sympys(p, iv):
 @st.composite
 def one_root_on_interval(draw):
     """A polynomial of degree 1..6 with one root of odd multiplicity in
-    [a, b], at times just inside an end, and other roots on the ends and
-    just outside them, and the interval."""
+    (a, b), at times just inside an end, and other roots just outside the
+    ends, and the interval."""
     a, b = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
     span = b - a
-    # beyond the first nudge of an end root, so the count finds it
     inside = st.one_of(
-        st.tuples(st.sampled_from([a, b]), st.sampled_from([F(1, 10**k) for k in (2, 3, 5)]))
+        st.tuples(st.sampled_from([a, b]), EPSILONS)
         .map(lambda e: e[0] + (span if e[0] == a else -span) * e[1]),
         st.fractions(min_value=F(1, 1000), max_value=F(999, 1000),
                      max_denominator=10**6).map(lambda f: a + f * span),
     )
-    others = st.one_of(
-        st.sampled_from([a, b]),
-        st.tuples(st.sampled_from([a, b]), EPSILONS).map(
-            lambda e: e[0] + (-span if e[0] == a else span) * e[1]),
-    )
+    others = st.tuples(st.sampled_from([a, b]), EPSILONS).map(
+        lambda e: e[0] + (-span if e[0] == a else span) * e[1])
     p = (Polynomial.constant(draw(nonzero_big))
          * Polynomial.linear(-draw(inside), 1) ** draw(st.sampled_from([1, 3])))
     for r in draw(st.lists(others, max_size=2, unique=True)):
@@ -303,6 +305,19 @@ def test_each_enclosure_holds_exactly_one_real_root(case, width):
     roots = set(sympy.real_roots(sympy.Poly(to_sympy(p), X, domain="QQ")))
     assert sum(1 for r in roots if lo <= r <= hi) == 1
     assert enclosure.width <= width and cert.replay()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=rooted_on_interval(), on_lo=st.booleans(), multiplicity=st.integers(1, 2))
+def test_an_end_root_is_refused_naming_the_end(case, on_lo, multiplicity):
+    # an end root times a drawn case, whose roots are all off the ends
+    p, iv = case
+    end = iv.lo if on_lo else iv.hi
+    p = p * Polynomial.linear(-end, 1) ** multiplicity
+    assert sympy_value(p, end) == 0
+    for refused in (lambda: count_roots(p, iv), lambda: isolate_root(p, iv, F(1, 10**6))):
+        with pytest.raises(DegenerateEndpointError, match=f"^interval end {end} is a root of p$"):
+            refused()
 
 
 # ---------------------------------------------------------------------------
