@@ -9,8 +9,8 @@ primitive integer pseudo-remainder sequences of integer tuples, memoized
 by integer form (:func:`_sturm_ints`).  Fraction coefficients are derived
 only when something reads them.  Root counts and sign claims are
 established by Sturm's theorem and packaged as :class:`SignCertificate`
-records; a root count is taken on an interval whose ends are no roots, and
-:func:`count_roots` refuses one whose end is.  One integer kernel,
+records, each evidenced at its own closed interval's ends; a root count is
+taken only where those ends are no roots.  One integer kernel,
 :func:`_prove`, proves every certificate when it is built and again when
 it is replayed, so it alone says which evidence proves which claim.  It
 works on integer forms only: points are reduced ``(p, q)`` pairs, the
@@ -725,27 +725,26 @@ class SignCertificate:
         )
 
     def replay(self) -> bool:
-        """Prove the claim again at the stored points and compare the
+        """Prove the claim again on the stored interval and compare the
         evidence key by key, types included.
 
-        The proof is :func:`_prove`'s, so the evidence must also prove the
-        label.  It starts from the stored polynomial's integer form and the
-        chain that the memoized builder :func:`_sturm_ints` gives for that
-        form; no polynomial holds a chain to trust.  The points ``lo``,
-        ``hi`` and, for a sign claim, ``witness`` must be canonical ``p/q``
-        strings (:func:`_canonical_ratio`).  Evidence that is missing, extra,
-        mistyped (a float, a bool, ``None``) or not in canonical form
-        replays ``False``; it never raises.  No Fraction, interval or
-        certificate is built.
+        The proof is :func:`_prove`'s, at the interval's own ends, so the
+        evidence must also prove the label, and its ``lo`` and ``hi`` must
+        be those ends as canonical ``p/q`` strings.  It starts from the
+        stored polynomial's integer form and the chain that the memoized
+        builder :func:`_sturm_ints` gives for that form; no polynomial holds
+        a chain to trust.  A sign claim's ``witness`` is read first, and must
+        be a canonical ``p/q`` string (:func:`_canonical_ratio`) in the
+        interval.  Evidence that is missing, extra, mistyped (a float, a
+        bool, ``None``) or not in canonical form replays ``False``; it never
+        raises.  No Fraction, interval or certificate is built.
         """
         evidence = self.evidence
         ints, den = self.polynomial._form
         try:
             witness = (_canonical_ratio(evidence["witness"])
                        if self.claim in _SIGN_CLAIMS else None)
-            lo, hi = _canonical_ratio(evidence["lo"]), _canonical_ratio(evidence["hi"])
-            fresh, claim = _prove(_sturm_ints(ints), den, self.interval, self.claim,
-                                  lo, hi, witness)
+            fresh, claim = _prove(_sturm_ints(ints), den, self.interval, self.claim, witness)
         except (ExactPolyError, ValueError, ZeroDivisionError, KeyError, TypeError):
             return False
         # types too: a float 2.0 or a bool True compares equal to an int
@@ -775,55 +774,48 @@ def _pair(x: Fraction) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
-def _certificate(p: Polynomial, iv: IntervalQ, claim: str | None, lo: Fraction,
-                 hi: Fraction, witness: Fraction | None = None) -> SignCertificate:
+def _certificate(p: Polynomial, iv: IntervalQ, claim: str | None,
+                 witness: Fraction | None = None) -> SignCertificate:
     """The certificate that ``p`` satisfies ``claim`` on ``iv``, evidenced at
-    iv.lo <= lo <= hi <= iv.hi (and ``witness``): :func:`_prove` on p's
-    Sturm chain, which raises unless the evidence proves the claim."""
-    evidence, claim = _prove(p._sturm(), p._form[1], iv, claim, _pair(lo),
-                             _pair(hi), None if witness is None else _pair(witness))
+    iv's ends (and ``witness``): :func:`_prove` on p's Sturm chain, which
+    raises unless the evidence proves the claim."""
+    evidence, claim = _prove(p._sturm(), p._form[1], iv, claim,
+                             None if witness is None else _pair(witness))
     return SignCertificate(p, iv, claim, evidence)
 
 
 def _prove(chain: Sequence[tuple[int, ...]], den: int, iv: IntervalQ, claim: str | None,
-           lo: tuple[int, int], hi: tuple[int, int],
            witness: tuple[int, int] | None = None) -> tuple[dict, str]:
-    """The evidence that a polynomial satisfies ``claim`` on ``iv``, evidenced
-    at iv.lo <= lo <= hi <= iv.hi, and the claim it proves; the one place
-    that says which evidence proves which claim, for building and replay.
+    """The evidence that a polynomial satisfies ``claim`` on the closed
+    interval ``iv``, evidenced at iv's own ends, and the claim it proves;
+    the one place that says which evidence proves which claim, for building
+    and replay.
 
     The polynomial is ``chain[0] / den``, its integer form, and ``chain`` its
-    Sturm chain as integer tuples (:func:`_sturm_ints`); points are reduced
-    pairs ``(a, b)`` with b > 0.  Every claim but ``root-count`` speaks of
-    the whole closed interval, so it needs its evidence at the interval's
-    own ends, lo = iv.lo and hi = iv.hi.  Then ``no-root`` needs no root in
-    (lo, hi) and p nonzero at both points (a root on a closed end is a root
-    of the interval too); ``exactly-one-root`` one distinct root and values
-    of strictly opposite sign, an odd root that no even-multiplicity touch
-    can fake; ``sign-constant-*`` no root and the stated strict sign at lo,
-    hi and ``witness``; ``root-count`` nothing more than the count, wherever
-    it is evidenced.  ``claim=None`` takes the one of the first two that
-    holds, else ``root-count``.  Raises :class:`ExactPolyError`
-    (:class:`SignClaimError`, with a counterexample, for a sign claim) when
-    the evidence does not prove the claim; only then is a Fraction built.
+    Sturm chain as integer tuples (:func:`_sturm_ints`); ``witness`` is a
+    reduced pair ``(a, b)`` with b > 0.  A count claim refuses an end of iv
+    that is a root with :class:`DegenerateEndpointError` naming it, so its
+    count is the number of distinct roots on the closed interval: then
+    ``no-root`` needs a count of 0; ``exactly-one-root`` one distinct root
+    and end values of strictly opposite sign, an odd root that no
+    even-multiplicity touch can fake; ``root-count`` nothing more than the
+    count.  ``sign-constant-*`` needs a ``witness`` in iv, no root, and the
+    stated strict sign at both ends and the witness.  ``claim=None`` takes
+    the one of the first two that holds, else ``root-count``.  Raises
+    :class:`ExactPolyError` (:class:`SignClaimError`, with a
+    counterexample, for a sign claim) when the evidence does not prove the
+    claim; only then is a Fraction built.
     """
-    (a_lo, b_lo), (a_hi, b_hi) = lo, hi
-    iv_lo, iv_hi = _pair(iv.lo), _pair(iv.hi)
-    if not (iv_lo[0] * b_lo <= a_lo * iv_lo[1] and a_lo * b_hi <= a_hi * b_lo
-            and a_hi * iv_hi[1] <= iv_hi[0] * b_hi):
-        raise ValueError(f"evidence points {Fraction(*lo)}, {Fraction(*hi)} not in order "
-                         f"inside [{iv.lo}, {iv.hi}]")
-    at_ends = lo == iv_lo and hi == iv_hi
+    lo, hi = _pair(iv.lo), _pair(iv.hi)
     evidence, y_lo, y_hi = _counted(chain, den, lo, hi)
     count = evidence["root_count"]
-    s_lo, s_hi = (y_lo > 0) - (y_lo < 0), (y_hi > 0) - (y_hi < 0)
     if claim in _SIGN_CLAIMS:
-        if not at_ends:
-            raise ExactPolyError(f"{claim} claim on [{iv.lo}, {iv.hi}] evidenced at "
-                                 f"{Fraction(*lo)} and {Fraction(*hi)}, not at its ends")
         want = _SIGN_CLAIMS[claim]
         ints, n = chain[0], len(chain[0]) - 1
-        y_witness = _homogeneous(ints, *witness)
+        a, b = witness
+        if not (lo[0] * b <= a * lo[1] and a * hi[1] <= hi[0] * b):
+            raise ValueError(f"witness {Fraction(a, b)} not in [{iv.lo}, {iv.hi}]")
+        y_witness = _homogeneous(ints, a, b)
         for (a, b), y in ((lo, y_lo), (hi, y_hi), (witness, y_witness)):
             if (y > 0) - (y < 0) != want:
                 x = Fraction(a, b)
@@ -832,26 +824,27 @@ def _prove(chain: Sequence[tuple[int, ...]], den: int, iv: IntervalQ, claim: str
             raise SignClaimError(
                 f"claimed {claim} but Sturm finds {count} interior root(s)",
                 _find_counterexample(Polynomial._from_integer_form(ints, den),
-                                     Fraction(*lo), Fraction(*hi), want),
+                                     iv.lo, iv.hi, want),
             )
         evidence["witness"] = f"{witness[0]}/{witness[1]}"
         evidence["witness_value"] = _ratio_str(y_witness, den * witness[1] ** n)
+        return evidence, claim
+    if claim is not None and claim not in _COUNT_CLAIMS:
+        raise ValueError(f"unknown claim {claim!r}")
+    for end, y in ((iv.lo, y_lo), (iv.hi, y_hi)):
+        if not y:
+            raise DegenerateEndpointError(f"interval end {end} is a root of p")
+    if count == 0:
+        proven = CLAIM_NO_ROOT
+    elif count == 1 and (y_lo > 0) != (y_hi > 0):
+        proven = CLAIM_ONE_ROOT
     else:
-        if not at_ends:
-            proven = CLAIM_ROOT_COUNT
-        elif count == 0 and s_lo != 0 and s_hi != 0:
-            proven = CLAIM_NO_ROOT
-        elif count == 1 and s_lo * s_hi < 0:
-            proven = CLAIM_ONE_ROOT
-        else:
-            proven = CLAIM_ROOT_COUNT
-        if claim is None:
-            claim = proven
-        elif claim not in _COUNT_CLAIMS:
-            raise ValueError(f"unknown claim {claim!r}")
-        elif claim not in (proven, CLAIM_ROOT_COUNT):
-            raise ExactPolyError(f"{claim} claim fails on [{Fraction(*lo)}, {Fraction(*hi)}]: "
-                                 f"{count} root(s), end signs {s_lo} and {s_hi}")
+        proven = CLAIM_ROOT_COUNT
+    if claim is None:
+        claim = proven
+    elif claim not in (proven, CLAIM_ROOT_COUNT):
+        raise ExactPolyError(f"{claim} claim fails on [{iv.lo}, {iv.hi}]: {count} root(s), "
+                             f"end signs {(y_lo > 0) - (y_lo < 0)} and {(y_hi > 0) - (y_hi < 0)}")
     return evidence, claim
 
 
@@ -887,7 +880,7 @@ def count_roots(p: Polynomial, iv: IntervalQ) -> tuple[int, SignCertificate]:
     """Exact number of distinct real roots of ``p`` on ``iv``, and its
     certificate on ``iv``.
 
-    An end of ``iv`` that is a root of p is refused with
+    :func:`_prove` refuses an end of ``iv`` that is a root of p with
     :class:`DegenerateEndpointError` naming it, so the count is the same on
     iv open or closed.  The certificate carries the strongest count claim
     its evidence proves: ``no-root``, ``exactly-one-root`` when the single
@@ -896,10 +889,7 @@ def count_roots(p: Polynomial, iv: IntervalQ) -> tuple[int, SignCertificate]:
     """
     if p.is_zero:
         raise ValueError("cannot count roots of the zero polynomial")
-    for end in (iv.lo, iv.hi):
-        if not sign_at(p, end):
-            raise DegenerateEndpointError(f"interval end {end} is a root of p")
-    cert = _certificate(p, iv, None, iv.lo, iv.hi)
+    cert = _certificate(p, iv, None)
     return cert.evidence["root_count"], cert
 
 
@@ -1028,16 +1018,19 @@ class _GridSearch(NamedTuple):
         """The cell :func:`_propose_cell` picks between grid points j_lo and
         j_hi, whose values are f_lo and f_hi, confirmed by its own end check:
         it lies in [j_lo, j_hi) and p's values at its two ends, read afresh,
-        have strictly opposite signs, so it holds a root of odd multiplicity
-        and no grid point is a root.  None when the search or the check
-        fails."""
+        have strictly f_lo's sign at its lower end and f_hi's at its upper
+        end, so it holds a root of odd multiplicity, no grid point is a root,
+        and a caller knows p's signs at the cell's ends without reading them
+        again.  None when the search or the check fails."""
         scaled, base, step = self.scaled, self.base, self.step
         j = _propose_cell(scaled, base, step, j_lo, f_lo, j_hi, f_hi)
         if j is None or not j_lo <= j < j_hi:
             return None
         lo = base + j * step
         v_lo, v_hi = _horner(scaled, lo), _horner(scaled, lo + step)
-        return j if v_lo < 0 < v_hi or v_hi < 0 < v_lo else None
+        # _propose_cell found f_lo and f_hi nonzero and of opposite sign
+        oriented = v_lo and v_hi and (v_lo > 0) == (f_lo > 0) and (v_hi > 0) == (f_hi > 0)
+        return j if oriented else None
 
     def ends(self, j: int) -> tuple[int, int, int]:
         """``(lo_num, hi_num, den)`` of cell j: (lo_num / den, hi_num / den),
@@ -1120,7 +1113,7 @@ def _smallest_root_cell(p: Polynomial, a: Fraction, b: Fraction, width: Fraction
 
 def one_root_certificate(p: Polynomial, enclosure: IntervalQ) -> SignCertificate:
     """The ``exactly-one-root`` certificate of p on an isolating cell."""
-    return _certificate(p, enclosure, CLAIM_ONE_ROOT, enclosure.lo, enclosure.hi)
+    return _certificate(p, enclosure, CLAIM_ONE_ROOT)
 
 
 def isolate_root(p: Polynomial, iv: IntervalQ, width) -> tuple[IntervalQ, SignCertificate]:
@@ -1245,4 +1238,4 @@ def certify_sign_on_interval(p: Polynomial, iv: IntervalQ, sign: str) -> SignCer
         raise SignClaimError("zero polynomial has no strict sign", iv.lo)
     witness = iv.lo if iv.lo == iv.hi else _offset_midpoint(p, iv.lo, iv.hi)
     claim = CLAIM_POSITIVE if sign == "positive" else CLAIM_NEGATIVE
-    return _certificate(p, iv, claim, iv.lo, iv.hi, witness)
+    return _certificate(p, iv, claim, witness)

@@ -83,7 +83,6 @@ from .exact_poly import (
     # perfbench's tracer wraps _RootCounter.count through this module's name
     _RootCounter,
     _homogeneous,
-    _horner,
     _sign_at_ratio,
     _smallest_root_cell,
     certify_sign_on_interval,
@@ -400,7 +399,11 @@ def _left_cell(t: Fraction, width: Fraction, grids: Sequence[Callable]) -> _Cell
     (:func:`exact_poly._smallest_root_cell`) on the quotients at t, the
     lower cell kept.  As phi is (x - 5/3) times the larger quotient, every
     quotient must be negative at the enclosure's lower end and one positive
-    at its upper end.  Raises exactly where :func:`left_threshold` raises.
+    at its upper end.  A grid cell's own quotient is confirmed negative and
+    positive at its ends (:meth:`exact_poly._GridSearch.cell`), so cell j
+    needs no further read and cell k one, sup-at-x at its lower end; the
+    Sturm-counted cell reads every end sign.  Raises exactly where
+    :func:`left_threshold` raises.
     """
     searches = []
     for (label, _, quotient), grid in zip(pb.left_branch_forms(), grids):
@@ -415,25 +418,23 @@ def _left_cell(t: Fraction, width: Fraction, grids: Sequence[Callable]) -> _Cell
                                  f"{quotient.at(t)(DOMAIN_HI)} at {DOMAIN_HI}, not positive")
         searches.append(search)
     first, second = searches
-    ends = None
+    # a confirmed cell has its quotient's end signs at its own ends:
+    # negative at its lower end, positive at its upper end
     j = first.cell(0, first.f_lo, first.cells, first.f_hi)
-    if j is not None:
-        v = second.value(j)  # the sup-at-5/3 quotient at cell j's lower end
-        if v < 0:  # its root lies above: cell j is the enclosure
-            ends = first.ends(j)
-        elif v > 0:  # its root lies below
-            k = second.cell(0, second.f_lo, j, v)
-            ends = None if k is None else second.ends(k)
-    if ends is None:
+    v = 0 if j is None else second.value(j)  # the sup-at-5/3 quotient at cell j's lower end
+    k = second.cell(0, second.f_lo, j, v) if v > 0 else None  # its root lies below
+    if v < 0:  # its root lies above: cell j is the enclosure, every sign known
+        (lo, hi, den), holds = first.ends(j), True
+    elif k is not None:  # sup-at-5/3's cell k, below j, where sup-at-x must be negative
+        (lo, hi, den), holds = second.ends(k), first.value(k) < 0
+    else:
         quotients = _at_t("left", t)
         # min keeps the first of equal cells, so a tie goes to sup-at-x
-        ends = _cell_ends(*min(_smallest_root_cell(g, _SLIVER.hi, DOMAIN_HI, width / 2,
-                                                   one_root=True) for g in quotients))
-        reads = [partial(_sign_at_ratio, g, b=ends[2]) for g in quotients]
-    else:  # on the grid's denominator: each value is one Horner pass
-        reads = [partial(_horner, s.scaled) for s in searches]
-    lo, hi, den = ends
-    if not (all(read(lo) < 0 for read in reads) and any(read(hi) > 0 for read in reads)):
+        lo, hi, den = _cell_ends(*min(_smallest_root_cell(g, _SLIVER.hi, DOMAIN_HI, width / 2,
+                                                          one_root=True) for g in quotients))
+        holds = (all(_sign_at_ratio(g, lo, den) < 0 for g in quotients)
+                 and any(_sign_at_ratio(g, hi, den) > 0 for g in quotients))
+    if not holds:
         raise ExactPolyError(
             f"threshold enclosure failed the exact endpoint check at t = {t}: "
             f"phi is not negative at {F(lo, den)} and positive at {F(hi, den)}"

@@ -30,9 +30,9 @@ def _count_certificates(monkeypatch) -> list:
     built = []
     real = ep._prove
 
-    def counting(chain, den, iv, claim, lo, hi, witness=None):
+    def counting(chain, den, iv, claim, witness=None):
         built.append(claim)
-        return real(chain, den, iv, claim, lo, hi, witness)
+        return real(chain, den, iv, claim, witness)
 
     monkeypatch.setattr(ep, "_prove", counting)
     return built

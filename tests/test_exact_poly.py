@@ -289,10 +289,10 @@ def test_a_root_on_a_closed_end_is_never_certified_away():
     assert cert.evidence["lo"] == "1000001/1000000"
     assert cert.replay()
     # the same evidence relabelled onto [1, 2]: its points are not the
-    # interval's ends, so it proves only a root count there
+    # interval's ends, so it proves nothing there, not even a root count
     forged = SignCertificate(p, IntervalQ(F(1), F(2)), CLAIM_NO_ROOT, cert.evidence)
     assert not forged.replay()
-    assert SignCertificate(p, forged.interval, CLAIM_ROOT_COUNT, cert.evidence).replay()
+    assert not SignCertificate(p, forged.interval, CLAIM_ROOT_COUNT, cert.evidence).replay()
 
 
 def test_count_roots_counts_on_the_interval_it_is_given():
@@ -516,6 +516,34 @@ def test_no_root_claim_fails_replay_with_a_root_on_the_closed_endpoint():
     cert = _forged_count_certificate(poly(-1, 1), CLAIM_NO_ROOT)
     assert cert.evidence["root_count"] == 0 and cert.evidence["value_lo"] == "0/1"
     assert not cert.replay()
+
+
+def test_root_count_claim_fails_replay_with_a_root_on_the_closed_endpoint():
+    # x - 1 on [1, 2], evidenced at its own ends: the end 1 is a root, so
+    # the closed interval holds one root, not the 0 that Sturm counts
+    cert = _forged_count_certificate(poly(-1, 1), CLAIM_ROOT_COUNT)
+    assert cert.evidence["root_count"] == 0 and cert.evidence["value_lo"] == "0/1"
+    assert not cert.replay()
+
+
+def test_root_count_claim_fails_replay_when_evidenced_inside_its_interval():
+    # (x - 1)(x - 3) has both its roots in [-1, 5], but none in [3/2, 5/2]
+    p = poly(-1, 1) * poly(-3, 1)
+    _, evidence, _ = _count_evidence(p, F(3, 2), F(5, 2))
+    assert evidence["root_count"] == 0
+    assert SignCertificate(p, IntervalQ(F(3, 2), F(5, 2)), CLAIM_NO_ROOT, evidence).replay()
+    assert not SignCertificate(p, IntervalQ(F(-1), F(5)), CLAIM_ROOT_COUNT, evidence).replay()
+
+
+def test_sign_claim_fails_replay_with_a_witness_outside_its_interval():
+    p = poly(1, 0, 1)
+    cert = certify_sign_on_interval(p, IntervalQ(F(0), F(1)), "positive")
+    assert cert.replay()
+    # x^2 + 1 is positive at 7 too, but 7 is no point of [0, 1]
+    evidence = dict(cert.evidence, witness="7/1", witness_value="50/1")
+    assert not SignCertificate(p, cert.interval, cert.claim, evidence).replay()
+    with pytest.raises(ValueError, match=r"^witness 7 not in \[0, 1\]$"):
+        ep._certificate(p, cert.interval, cert.claim, F(7))
 
 
 def test_one_root_claim_fails_replay_without_a_sign_change():

@@ -60,7 +60,7 @@ def test_certificate_values_are_the_fraction_values(p, ends):
     for q in (p, _born(p)):
         if ep.sign_at(q, lo) == 0 or ep.sign_at(q, hi) == 0:
             continue
-        cert = ep._certificate(q, IntervalQ(lo, hi), CLAIM_ROOT_COUNT, lo, hi)
+        cert = ep._certificate(q, IntervalQ(lo, hi), CLAIM_ROOT_COUNT)
         assert cert.evidence["value_lo"] == rat_str(p(lo))
         assert cert.evidence["value_hi"] == rat_str(p(hi))
         assert SignCertificate.from_json(cert.to_json()).replay()

@@ -1,16 +1,24 @@
-"""The integer evidence kernel builds and replays exactly as the frozen code.
+"""The integer evidence kernel builds and replays as the frozen code, but
+for the one rule per claim: every certificate is evidenced at its own
+interval's ends, a count claim's ends are no roots, and a sign claim's
+witness lies in its interval.
 
 ``replay_reference`` is ``SignCertificate.replay`` and ``_certificate`` as
 they were before one integer kernel came to prove every certificate when it
-is built and again when it is replayed.  Over certificates of all five
-claims on polynomials of degrees 1..6, the library must build the same
-certificate or raise the same error, and its replay must return the same
-bool as the frozen replay, before and after one tampering: an evidence field
-dropped, added, or swapped for a float, a bool, ``None`` or another spelling
-of a rational, or an int field given as an equal float or bool; the claim
-or the interval swapped; a decoy's Sturm chain put in the chain cache
-before replay; and each of these on a certificate read back from JSON
-as well.
+is built and again when it is replayed; they took evidence points anywhere
+inside the interval.  Over certificates of all five claims on polynomials
+of degrees 1..6, evidenced at the interval's ends, the library must build
+the same certificate or raise the same error, except that a count claim
+with an end root is refused with ``DegenerateEndpointError`` naming the
+end, wherever the frozen constructor accepted or refused it.  Its replay
+must return the frozen replay's bool, unless that accepts evidence off the
+interval's ends, a count claim with an end root or a witness outside the
+interval, which the library refuses; before and after one tampering: an
+evidence field dropped, added, or swapped for a float, a bool, ``None`` or
+another spelling of a rational, or an int field given as an equal float or
+bool; the claim or the interval swapped; a decoy's Sturm chain put in the
+chain cache before replay; and each of these on a certificate read back
+from JSON as well.
 """
 
 import json
@@ -25,6 +33,7 @@ from pinchcert.exact_poly import (
     CLAIM_ONE_ROOT,
     CLAIM_POSITIVE,
     CLAIM_ROOT_COUNT,
+    DegenerateEndpointError,
     ExactPolyError,
     IntervalQ,
     Polynomial,
@@ -36,6 +45,7 @@ import replay_reference as ref
 F = Fraction
 
 CLAIMS = (CLAIM_NO_ROOT, CLAIM_ONE_ROOT, CLAIM_ROOT_COUNT, CLAIM_POSITIVE, CLAIM_NEGATIVE)
+SIGN_CLAIMS = (CLAIM_POSITIVE, CLAIM_NEGATIVE)
 POINT_KEYS = ("lo", "hi", "witness")
 KEYS = POINT_KEYS + ("variations_lo", "variations_hi", "root_count", "value_lo", "value_hi",
                      "witness_value")
@@ -55,13 +65,33 @@ def _outcome(build, *args):
         return type(err), str(err), getattr(err, "counterexample", None)
 
 
+def _end_roots(p: Polynomial, iv: IntervalQ) -> list[Fraction]:
+    """The ends of ``iv`` that are roots of p, by the frozen evaluation."""
+    return [x for x in (iv.lo, iv.hi) if not ref._value_at(p, x)[1]]
+
+
+def _library_replay(cert: SignCertificate) -> bool:
+    """What the library's replay must return: the frozen replay's bool, but
+    ``False`` for evidence off the interval's ends, for a count claim with
+    an end root and for a sign claim's witness outside the interval."""
+    if not ref.replay(cert):
+        return False
+    evidence, iv = cert.evidence, cert.interval
+    if [evidence["lo"], evidence["hi"]] != iv.to_json():
+        return False
+    if cert.claim in SIGN_CLAIMS:
+        return iv.lo <= F(evidence["witness"]) <= iv.hi
+    return not _end_roots(cert.polynomial, iv)
+
+
 @st.composite
 def certificates(draw):
-    """A certificate of the frozen constructor: the drawn claim where the
-    evidence proves it, else the count claim the evidence proves.  The
-    library's constructor must agree on both outcomes."""
+    """A certificate of the frozen constructor at the interval's ends: the
+    drawn claim where the evidence proves it, else the count claim the
+    evidence proves.  The library's constructor must agree on both
+    outcomes, but refuse every count claim with an end root."""
     claim = draw(st.sampled_from(CLAIMS + (None,)))
-    if claim in (CLAIM_POSITIVE, CLAIM_NEGATIVE) and draw(st.booleans()):
+    if claim in SIGN_CLAIMS and draw(st.booleans()):
         # ±(q^2 + c), c > 0, of degree 2..6: the claim holds everywhere
         q = Polynomial(draw(coefficients.filter(lambda cs: len(cs) <= 4)))
         p = q * q + draw(small.filter(lambda c: c > 0))
@@ -72,17 +102,20 @@ def certificates(draw):
     iv = IntervalQ(a, b)
     inside = st.builds(lambda s: a + (b - a) * s,
                        st.fractions(min_value=0, max_value=1, max_denominator=6))
-    if claim == CLAIM_ROOT_COUNT and draw(st.booleans()):
-        lo, hi = sorted(draw(st.lists(inside, min_size=2, max_size=2)))
+    witness = draw(inside) if claim in SIGN_CLAIMS else None
+    got = _outcome(ep._certificate, p, iv, claim, witness)
+    want = _outcome(ref._certificate, p, iv, claim, a, b, witness)
+    roots = _end_roots(p, iv)
+    if roots and claim not in SIGN_CLAIMS:
+        assert got == (DegenerateEndpointError, f"interval end {roots[0]} is a root of p", None)
     else:
-        lo, hi = a, b
-    witness = draw(inside) if claim in (CLAIM_POSITIVE, CLAIM_NEGATIVE) else None
-    got = _outcome(ep._certificate, p, iv, claim, lo, hi, witness)
-    want = _outcome(ref._certificate, p, iv, claim, lo, hi, witness)
-    assert got == want
-    if not isinstance(want, SignCertificate):
-        want = ref._certificate(p, iv, None, a, b)
-        assert ep._certificate(p, iv, None, a, b) == want
+        assert got == want
+        if isinstance(want, SignCertificate):
+            return want
+    if roots:
+        p = p * p + 1  # a polynomial without roots, to count instead
+    want = ref._certificate(p, iv, None, a, b)
+    assert ep._certificate(p, iv, None) == want
     return want
 
 
@@ -141,12 +174,12 @@ def test_replay_returns_what_the_frozen_replay_returns(data):
     cert = data.draw(certificates())
     assert cert.replay() and ref.replay(cert)
     tampered = data.draw(tamperings(cert))
-    assert tampered.replay() is ref.replay(tampered)
+    assert tampered.replay() is _library_replay(tampered)
 
 
 def _one_of_each_claim() -> list[SignCertificate]:
     """A certificate of each claim on (x - 1)(x - 3), and a root count
-    evidenced inside its interval."""
+    whose evidence proves one root with a sign change."""
     x = Polynomial.x()
     p = (x - 1) * (x - 3)
     built = [
@@ -155,7 +188,7 @@ def _one_of_each_claim() -> list[SignCertificate]:
         ref._certificate(p, IntervalQ(0, 4), None, 0, 4),
         ref._certificate(p, IntervalQ(0, F(1, 2)), CLAIM_POSITIVE, 0, F(1, 2), F(1, 4)),
         ref._certificate(p, IntervalQ(2, F(5, 2)), CLAIM_NEGATIVE, 2, F(5, 2), F(9, 4)),
-        ref._certificate(p, IntervalQ(-1, 5), CLAIM_ROOT_COUNT, F(1, 2), F(7, 2)),
+        ref._certificate(p, IntervalQ(F(1, 2), 2), CLAIM_ROOT_COUNT, F(1, 2), 2),
     ]
     assert [c.claim for c in built] == list(CLAIMS) + [CLAIM_ROOT_COUNT]
     return built
@@ -185,4 +218,4 @@ def test_every_stand_in_and_respelling_replays_as_frozen():
             for stand_in in stand_ins:
                 evidence = dict(cert.evidence, **{key: stand_in})
                 tampered = SignCertificate(cert.polynomial, cert.interval, cert.claim, evidence)
-                assert tampered.replay() is ref.replay(tampered), (cert.claim, key, stand_in)
+                assert tampered.replay() is _library_replay(tampered), (cert.claim, key, stand_in)
