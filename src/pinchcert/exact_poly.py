@@ -17,17 +17,18 @@ works on integer forms only: points are reduced ``(p, q)`` pairs, the
 Sturm chain is integer tuples from the one chain builder, and values are
 reduced ``p/q`` strings of integer Horner values; a certificate read back
 from JSON holds the polynomial of its coefficient strings' integer form,
-and its replay builds no Fraction.  No float enters this module: root
-isolation proposes its final dyadic cell by Illinois regula falsi on exact
-integer values when a Sturm count has found a single root, and the
-proposal's end signs alone confirm it; with more roots, Sturm-counted
-bisection finds the cell, on one integer grid per interval and width
-(:func:`_grid`, memoized).  The one grid builder, :func:`_on_grid`,
+and its replay builds no Fraction.  No float enters this module: an
+isolation whose count certificate claims exactly one root reads p at
+neither of its ends again and proposes its final dyadic cell by Illinois
+regula falsi on exact integer values, on one integer grid per interval and
+width (:func:`_grid`, memoized); the proposal's end signs alone confirm
+it, and Sturm-counted bisection, whose cell it is, runs where the proposal
+fails or more roots are counted.  The one grid builder, :func:`_on_grid`,
 prescales a :class:`Form`'s integer columns once for the grid's
 denominator (a polynomial is the form of one row, :func:`_grid_search`),
 so a search at t builds no polynomial and each value is one plain Horner
-pass at an integer grid point.  An isolation refuses, before it searches,
-a width whose certificate Python could not write as text.  A form is a
+pass at an integer grid point.  An isolation refuses, before it searches, a
+width whose certificate Python could not write as text.  A form is a
 polynomial in (t, x), held as its polynomials in x at each power of t.
 """
 
@@ -368,9 +369,6 @@ class Polynomial:
                 rem[shift + i] -= factor * c
             rem.pop()
         return Polynomial(quo), Polynomial(rem)
-
-    def rem(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[1]
 
     # -- serialization --------------------------------------------------
 
@@ -1069,36 +1067,18 @@ def _grid_search(p: Polynomial, a: tuple[int, int], b: tuple[int, int],
     return _on_grid([(c,) for c in p._form[0]], a, b, width)(0, 1)
 
 
-def _jump_cell(p: Polynomial, a: Fraction, b: Fraction,
-               width: Fraction) -> tuple[Fraction, Fraction] | None:
-    """The cell of :func:`_smallest_root_cell`'s bisection, for a single
-    root, as two Fractions: :func:`_grid_search` over the whole grid of
-    (a, b), or None when it fails."""
-    search = _grid_search(p, (a.numerator, a.denominator), (b.numerator, b.denominator),
-                          (width.numerator, width.denominator))
-    j = search.cell(0, search.f_lo, search.cells, search.f_hi)
-    if j is None:
-        return None
-    lo = search.base + j * search.step
-    return Fraction(lo, search.den), Fraction(lo + search.step, search.den)
-
-
-def _smallest_root_cell(p: Polynomial, a: Fraction, b: Fraction, width: Fraction,
-                        one_root: bool = False) -> tuple[Fraction, Fraction]:
-    """Where bisection toward the smallest root of p in (a, b) stops.
+def _smallest_root_cell(p: Polynomial, a: Fraction, b: Fraction,
+                        width: Fraction) -> tuple[Fraction, Fraction]:
+    """Where Sturm-counted bisection toward p's smallest root in (a, b) stops.
 
     Bisection keeps the half of the current cell that holds the smallest
     root (a midpoint that is itself a root is replaced by a nearby
     non-root), until the cell is at most ``width`` wide and holds one root.
-    Requires p(a) != 0 != p(b) and a root in (a, b).  With ``one_root`` (a
-    Sturm count found exactly one) the cell is first taken from
-    :func:`_jump_cell`, which finds it by exact signs; Sturm-counted
-    bisection runs otherwise, and when the jump fails.
+    Requires p(a) != 0 != p(b) and a root in (a, b).  A single root's
+    bisection cells are the cells of (a, b)'s :func:`_grid` at the width,
+    so where a grid search (:func:`_grid_search`) confirms a cell, it is
+    the one this returns.
     """
-    if one_root:
-        cell = _jump_cell(p, a, b, width)
-        if cell is not None:
-            return cell
     counter = _RootCounter(p)
     while counter.count(a, b) > 1 or b - a > width:
         mid = (a + b) / 2
@@ -1130,12 +1110,15 @@ def isolate_counted_root(count_cert: SignCertificate, width) -> tuple[IntervalQ,
     """Shrink the one root that a :func:`count_roots` certificate counts.
 
     The search starts from the certificate's ends, so a caller that
-    needs the count certificate anyway counts only once, and p's values
-    there must differ in sign (a lone root without a sign change has even
-    multiplicity); then the half holding the root is the half whose ends
-    differ in sign, the shared smallest-root kernel's cell.  The enclosure
-    has ends of exactly opposite sign, is at most ``width`` wide, and comes
-    with its exactly-one-root certificate.  A width so narrow that the
+    needs the count certificate anyway counts only once.  Its claim must be
+    ``exactly-one-root``, which :func:`count_roots` gives a count of one
+    exactly when p's values at the ends differ in sign (a lone root without
+    a sign change has even multiplicity), so p is not read there again.  The
+    grid search of the ends (:func:`_grid_search`) finds the root's cell by
+    exact signs; Sturm-counted bisection (:func:`_smallest_root_cell`),
+    whose cell it is, runs only when the search fails.  The enclosure has
+    ends of exactly opposite sign, is at most ``width`` wide, and comes with
+    its exactly-one-root certificate.  A width so narrow that the
     certificate could not be written is refused first
     (:func:`_refuse_unwritable_width`).
     """
@@ -1145,14 +1128,20 @@ def isolate_counted_root(count_cert: SignCertificate, width) -> tuple[IntervalQ,
     count = count_cert.evidence["root_count"]
     if count != 1:
         raise ValueError(f"isolate_root requires exactly one root in the interval, found {count}")
-    p, lo, hi = count_cert.polynomial, count_cert.interval.lo, count_cert.interval.hi
-    if sign_at(p, lo) * sign_at(p, hi) >= 0:
+    if count_cert.claim != CLAIM_ONE_ROOT:
         raise ExactPolyError(
             "single root without endpoint sign change (even multiplicity); "
             "cannot certify an enclosure by signs"
         )
+    p, lo, hi = count_cert.polynomial, count_cert.interval.lo, count_cert.interval.hi
     _refuse_unwritable_width(p, lo, hi, width)
-    enclosure = IntervalQ(*_smallest_root_cell(p, lo, hi, width, one_root=True))
+    search = _grid_search(p, _pair(lo), _pair(hi), _pair(width))
+    j = search.cell(0, search.f_lo, search.cells, search.f_hi)
+    if j is None:
+        enclosure = IntervalQ(*_smallest_root_cell(p, lo, hi, width))
+    else:
+        lo_num, hi_num, den = search.ends(j)
+        enclosure = IntervalQ(Fraction(lo_num, den), Fraction(hi_num, den))
     return enclosure, one_root_certificate(p, enclosure)
 
 

@@ -358,10 +358,9 @@ def _isolate_smallest_root(
     certificate; requires p(a) != 0 != p(b).  No probe calls this
     Sturm-counted isolation; perfbench's tracer wraps it by name, and the
     frozen references in the tests call it."""
-    count = _RootCounter(p).count(a, b)
-    if count < 1:
+    if _RootCounter(p).count(a, b) < 1:
         raise ValueError("no root to isolate")
-    lo, hi = _smallest_root_cell(p, a, b, width, one_root=count == 1)
+    lo, hi = _smallest_root_cell(p, a, b, width)
     # the cell holds one root, so only an even-multiplicity touch fails
     if sign_at(p, lo) * sign_at(p, hi) >= 0:
         raise ExactPolyError(
@@ -430,8 +429,8 @@ def _left_cell(t: Fraction, width: Fraction, grids: Sequence[Callable]) -> _Cell
     else:
         quotients = _at_t("left", t)
         # min keeps the first of equal cells, so a tie goes to sup-at-x
-        lo, hi, den = _cell_ends(*min(_smallest_root_cell(g, _SLIVER.hi, DOMAIN_HI, width / 2,
-                                                          one_root=True) for g in quotients))
+        lo, hi, den = _cell_ends(*min(_smallest_root_cell(g, _SLIVER.hi, DOMAIN_HI, width / 2)
+                                      for g in quotients))
         holds = (all(_sign_at_ratio(g, lo, den) < 0 for g in quotients)
                  and any(_sign_at_ratio(g, hi, den) > 0 for g in quotients))
     if not holds:

@@ -13,12 +13,13 @@ its formula in the generators t and x, the branches at w = 5/3, where
 every left probe runs; the weight's supremum and θ1 are read from them.
 Whether the new gap bound beats the legacy one is decided by the integer
 signs of two constant polynomials (:func:`legacy_dominance_polynomials`),
-with no Fraction built.
+with no Fraction built.  The module holds formulas and certificate
+constructors only; :mod:`pinchcert.report_cli` writes the reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,7 +31,6 @@ from .exact_poly import (
     SignCertificate,
     certify_sign_on_interval,
     rat,
-    rat_str,
     sign_at,
 )
 
@@ -316,45 +316,3 @@ def left_branch_forms() -> tuple[tuple[str, Form, Form], ...]:
             raise ExactPolyError(f"left branch {label} does not vanish at {PINCH_DOMAIN.lo}")
         triples.append((label, form, Form(q for q, _ in rows)))
     return tuple(triples)
-
-
-@dataclass(frozen=True)
-class ThresholdReport:
-    """Human- and machine-readable record of one certified threshold.
-
-    It cites its certificates by the labels of the report's top-level
-    entries, which hold each certificate once; :meth:`to_json` writes those
-    labels as the row's ``certificates``.
-    """
-
-    name: str
-    certificate_labels: tuple[str, ...]
-    root_enclosure: IntervalQ | None
-    parameters: dict = field(default_factory=dict)
-    conclusion: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "certificates": list(self.certificate_labels),
-            "root_enclosure": self.root_enclosure.to_json() if self.root_enclosure else None,
-            "parameters": {k: rat_str(rat(v)) for k, v in self.parameters.items()},
-            "conclusion": self.conclusion,
-        }
-
-
-def render_markdown_table(reports: list[ThresholdReport]) -> str:
-    """Markdown certification table, one row per threshold report."""
-    lines = [
-        "| threshold | parameters | enclosure | conclusion |",
-        "|---|---|---|---|",
-    ]
-    for r in reports:
-        params = ", ".join(f"{k}={rat_str(rat(v))}" for k, v in sorted(r.parameters.items()))
-        if r.root_enclosure is not None:
-            enc = f"[{rat_str(r.root_enclosure.lo)}, {rat_str(r.root_enclosure.hi)}]"
-            enc += f" ~ [{float(r.root_enclosure.lo):.6f}, {float(r.root_enclosure.hi):.6f}] (approx)"
-        else:
-            enc = "-"
-        lines.append(f"| {r.name} | {params or '-'} | {enc} | {r.conclusion} |")
-    return "\n".join(lines)

@@ -346,36 +346,30 @@ def cmd_certify() -> CertificationReport:
     report.add_check("certificate-replay", all(replayed.values()),
                      certificates=len(report.certificates))
 
-    threshold_reports = [
-        pb.ThresholdReport(
-            name="lower endpoint rigidity",
-            certificate_labels=("theta1-root-count", "theta1-enclosure"),
-            root_enclosure=enc1,
-            parameters={"t": F(1, 2), "w": F(5, 3)},
-            conclusion="pinching 5/3 <= S <= 1.7075 forces S == 5/3 (curvature 1/6)",
-        ),
-        pb.ThresholdReport(
-            name="interior oscillation bound",
-            certificate_labels=("gap-bound-decreasing",),
-            root_enclosure=None,
-            parameters={},
-            conclusion="S_max - S_min >= gap_lower_bound(S_min) > 1/220 up to 1.7853",
-        ),
-        pb.ThresholdReport(
-            name="upper endpoint rigidity",
-            certificate_labels=("theta2-root-count", "theta2-enclosure"),
-            root_enclosure=enc2,
-            parameters={"t": F(1, 4), "w": F(9, 5)},
-            conclusion="pinching 1.7853 <= S <= 9/5 forces S == 9/5 (curvature 1/10)",
-        ),
-    ]
-    report.scans.append(
-        {
-            "label": "certified pinching thresholds",
-            "table": pb.render_markdown_table(threshold_reports),
-            "reports": [r.to_json() for r in threshold_reports],
-        }
+    # (name, cited certificate labels, root enclosure, parameters in sorted
+    # order, conclusion); each row cites its certificates by label
+    rows = (
+        ("lower endpoint rigidity", ("theta1-root-count", "theta1-enclosure"), enc1,
+         (("t", "1/2"), ("w", "5/3")),
+         "pinching 5/3 <= S <= 1.7075 forces S == 5/3 (curvature 1/6)"),
+        ("interior oscillation bound", ("gap-bound-decreasing",), None, (),
+         "S_max - S_min >= gap_lower_bound(S_min) > 1/220 up to 1.7853"),
+        ("upper endpoint rigidity", ("theta2-root-count", "theta2-enclosure"), enc2,
+         (("t", "1/4"), ("w", "9/5")),
+         "pinching 1.7853 <= S <= 9/5 forces S == 9/5 (curvature 1/10)"),
     )
+    lines = ["| threshold | parameters | enclosure | conclusion |", "|---|---|---|---|"]
+    reports = []
+    for name, labels, enc, params, conclusion in rows:
+        ends = None if enc is None else enc.to_json()
+        shown = "-" if enc is None else (f"[{ends[0]}, {ends[1]}] ~ [{float(enc.lo):.6f}, "
+                                         f"{float(enc.hi):.6f}] (approx)")
+        lines.append(f"| {name} | {', '.join(f'{k}={v}' for k, v in params) or '-'} | "
+                     f"{shown} | {conclusion} |")
+        reports.append({"name": name, "certificates": list(labels), "root_enclosure": ends,
+                        "parameters": dict(params), "conclusion": conclusion})
+    report.scans.append({"label": "certified pinching thresholds",
+                         "table": "\n".join(lines), "reports": reports})
     return report
 
 

@@ -3,11 +3,13 @@
 These are ``Polynomial.__call__``, ``sturm_sequence``, ``isolate_root`` and
 ``param_search._isolate_smallest_root`` with the helpers they call, exactly
 as they were before evaluation and Sturm counting moved to integers and
-isolation learned to jump to the final dyadic cell.  The only edits are
+isolation learned to jump to the final dyadic cell.  The edits are
 that every ``p(x)`` reads ``horner(p, x)`` and ``d.primitive()`` reads
 ``primitive(d)`` (the method went with the Fraction chain), so nothing here
-runs through the code under test.  Tests compare the library with these
-functions for equality; nothing in ``src`` imports this.
+runs through the code under test, and that ``a.rem(b)`` reads
+``a.divmod(b)[1]``, what the retired method returned.  Tests compare the
+library with these functions for equality; nothing in ``src`` imports
+this.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def sturm_sequence(p: Polynomial) -> list[Polynomial]:
         return chain
     chain.append(primitive(d))
     while True:
-        r = chain[-2].rem(chain[-1])
+        r = chain[-2].divmod(chain[-1])[1]
         if r.is_zero:
             break
         chain.append(primitive(-r))

@@ -8,8 +8,10 @@ the probes that built each form at t as a canonical :class:`Polynomial`
 became the one-row case of a form's.  The edits: each cell function
 returns the table row ``(t, w, lo_num, hi_num, den, degenerate)`` in place
 of the cell with its polynomials, every name it read from ``param_search``
-is read through the module, and their docstrings keep their first
-paragraph.  They are kept as a test oracle: the probes that read their
+is read through the module, their docstrings keep their first
+paragraph, and the left fallback calls ``_smallest_root_cell`` without the
+``one_root`` flag it has lost: a single root's bisection cell is the grid
+cell that flag looked up first.  They are kept as a test oracle: the probes that read their
 grid values off the forms' prescaled columns must give the same rows and
 raise the same errors.  Do not edit them to track the library; nothing in
 ``src`` imports this.
@@ -104,8 +106,8 @@ def _left_cell(t: Fraction, width: Fraction) -> tuple:
             ends = None if k is None else second.ends(k)
     if ends is None:
         # min keeps the first of equal cells, so a tie goes to sup-at-x
-        ends = ps._cell_ends(*min(_smallest_root_cell(g, ps._SLIVER.hi, DOMAIN_HI, width / 2,
-                                                      one_root=True) for g in quotients))
+        ends = ps._cell_ends(*min(_smallest_root_cell(g, ps._SLIVER.hi, DOMAIN_HI, width / 2)
+                                  for g in quotients))
     lo, hi, den = ends
     if not (all(_sign_at_ratio(g, lo, den) < 0 for g in quotients)
             and any(_sign_at_ratio(g, hi, den) > 0 for g in quotients)):

@@ -29,7 +29,7 @@ from pinchcert.exact_poly import (
     IntervalQ,
     Polynomial,
     _count_evidence,
-    _jump_cell,
+    _grid_search,
     count_roots,
     isolate_root,
     sign_at,
@@ -81,8 +81,20 @@ def outcome(fn, *args):
 
 
 def counts_one_root(p, a, b) -> bool:
-    """The single-root flag the callers pass: a count finds one root in (a, b)."""
+    """A count finds one root in (a, b)."""
     return ep._RootCounter(p).count(a, b) == 1
+
+
+def grid_cell(p, a, b, width):
+    """The cell that a single-root isolation takes from the grid search of
+    (a, b) at width, as two Fractions, or None when the search fails."""
+    search = _grid_search(p, (a.numerator, a.denominator), (b.numerator, b.denominator),
+                          (width.numerator, width.denominator))
+    j = search.cell(0, search.f_lo, search.cells, search.f_hi)
+    if j is None:
+        return None
+    lo, hi, den = search.ends(j)
+    return F(lo, den), F(hi, den)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +211,8 @@ single_root_cases = st.builds(
 @example((from_roots([F(13, 10)], F(-2, 3)), F(13, 10)), F(1, 10**6))  # degree 1
 @example((from_roots([F(1357, 1000), F(-1, 2)]), F(1357, 1000)), F(1, 1000))  # degree 2
 def test_single_root_path_matches_reference(case, width):
-    """A count of one root sends both isolators down the single-root path."""
+    """A count of one root sends isolate_root down the single-root path;
+    the Sturm-counted isolator reaches the same cell by bisection."""
     p, root = case
     a, b = F(1), F(2)
     assert counts_one_root(p, a, b)
@@ -250,14 +263,14 @@ def test_explicit_cases_match_reference(p, iv, width, why):
 def test_fallback_cases_are_not_jumped(p, iv, width, why):
     # more than one root goes straight to bisection; one is not jumped to
     a, b = smallest_args(p, iv)
-    assert not counts_one_root(p, a, b) or _jump_cell(p, a, b, width) is None
+    assert not counts_one_root(p, a, b) or grid_cell(p, a, b, width) is None
 
 
 def test_jump_lands_on_the_bisection_cell_for_a_simple_root():
     p = from_roots([F(13, 10), F(17, 10)], extra=[F(1, 3)])
     a, b = F(1), F(3, 2)
     assert counts_one_root(p, a, b)
-    cell = _jump_cell(p, a, b, F(1, 10**6))
+    cell = grid_cell(p, a, b, F(1, 10**6))
     assert cell is not None
     expected, _ = ref.isolate_smallest_root(p, a, b, F(1, 10**6))
     assert cell == (expected.lo, expected.hi)
@@ -397,7 +410,7 @@ def test_a_wrong_proposal_on_the_single_root_path_is_refused(monkeypatch, index)
     assert counts_one_root(ONE_ROOT, a, b)
     j = index(1 << grid_of(a, b, width)[3])
     monkeypatch.setattr(ep, "_propose_cell", lambda *args: j)
-    assert _jump_cell(ONE_ROOT, a, b, width) is None
+    assert grid_cell(ONE_ROOT, a, b, width) is None
     expected = ref.isolate_smallest_root(ONE_ROOT, a, b, width)
     assert ps._isolate_smallest_root(ONE_ROOT, a, b, width) == expected
     assert isolate_root(ONE_ROOT, IntervalQ(a, b), width) == ref.isolate_root(
@@ -408,7 +421,7 @@ def test_coefficients_beyond_float_range_now_jump():
     p = from_roots([F(13, 10)], scale=F(10**400))
     a, b, width = F(1), F(2), F(1, 10**6)
     expected, _ = ref.isolate_smallest_root(p, a, b, width)
-    assert _jump_cell(p, a, b, width) == (expected.lo, expected.hi)
+    assert grid_cell(p, a, b, width) == (expected.lo, expected.hi)
 
 
 def test_every_default_grid_probe_takes_the_jump(monkeypatch):

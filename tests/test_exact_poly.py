@@ -3,7 +3,9 @@
 from fractions import Fraction
 import json
 import random
+import re
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -25,6 +27,7 @@ from pinchcert.exact_poly import (
     _sturm_ints,
     certify_sign_on_interval,
     count_roots,
+    isolate_counted_root,
     isolate_root,
     rat,
     rat_str,
@@ -54,7 +57,7 @@ def eval_naive(p: Polynomial, x: Fraction) -> Fraction:
 def gcd_poly(a: Polynomial, b: Polynomial) -> Polynomial:
     """Euclidean gcd over Q, for square-free reduction in the scan oracle."""
     while not b.is_zero:
-        a, b = b, a.rem(b)
+        a, b = b, a.divmod(b)[1]
     return a
 
 
@@ -389,6 +392,32 @@ def test_isolate_root_even_multiplicity_rejected():
     p = poly(1, -2, 1)  # (x-1)^2: one distinct root, no sign change
     with pytest.raises(ExactPolyError):
         isolate_root(p, IntervalQ(F(0), F(2)), F(1, 100))
+
+
+EVEN_MULTIPLICITY = ("single root without endpoint sign change (even multiplicity); "
+                     "cannot certify an enclosure by signs")
+
+
+def test_isolate_counted_root_reads_its_certificates_claim_not_p_at_its_ends(monkeypatch):
+    # count_roots labels a count of one exactly-one-root exactly when p's
+    # end values have strictly opposite signs, so neither end is read again
+    def unread(p, x):
+        raise AssertionError(f"p read at {x}")
+
+    monkeypatch.setattr(ep, "sign_at", unread)
+    _, cert = count_roots(poly(-2, 0, 1), IntervalQ(1, 2))
+    enclosure, one = isolate_counted_root(cert, F(1, 10**6))
+    assert enclosure.lo ** 2 < 2 < enclosure.hi ** 2 and one.replay()
+    _, touch = count_roots((Polynomial.x() - F(3, 2)) ** 2, IntervalQ(1, 2))
+    assert touch.claim == CLAIM_ROOT_COUNT and touch.evidence["root_count"] == 1
+    with pytest.raises(ExactPolyError, match=f"^{re.escape(EVEN_MULTIPLICITY)}$"):
+        isolate_counted_root(touch, F(1, 100))
+    # a hand-built root-count certificate of a single root with a sign
+    # change replays, but only the claim that count_roots writes isolates
+    forged = replace(cert, claim=CLAIM_ROOT_COUNT)
+    assert forged.replay()
+    with pytest.raises(ExactPolyError, match=f"^{re.escape(EVEN_MULTIPLICITY)}$"):
+        isolate_counted_root(forged, F(1, 10**6))
 
 
 def _widest_refused_power(p, iv) -> int:

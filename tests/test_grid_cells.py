@@ -140,7 +140,7 @@ def test_a_zero_value_or_a_failed_search_takes_the_sturm_counted_path(monkeypatc
 
 
 def test_the_second_quotients_own_cell_never_lies_below_the_enclosure():
-    # the full search of the sup-at-5/3 quotient, which the left probe now
+    # the full isolation of the sup-at-5/3 quotient, which the left probe
     # skips where it is negative at the first cell's lower end, finds no
     # cell below the enclosure over the default t grid
     width = F(1, 10**6)
@@ -148,9 +148,9 @@ def test_the_second_quotients_own_cell_never_lies_below_the_enclosure():
     for t in ps.default_config("left").t_grid:
         cell = ps._left_cell(t, width, grids)
         second = ps._at_t("left", t)[1]
-        own = ep._jump_cell(second, ps._SLIVER.hi, HI, width / 2)
-        assert own is not None and own[0] >= cell.enclosure.lo, t
-        skipped += own[0] > cell.enclosure.lo
+        own, _ = ep.isolate_root(second, ep.IntervalQ(ps._SLIVER.hi, HI), width / 2)
+        assert own.lo >= cell.enclosure.lo, t
+        skipped += own.lo > cell.enclosure.lo
     assert skipped == 70
 
 

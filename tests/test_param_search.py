@@ -396,7 +396,7 @@ def test_replay_binds_a_left_enclosure_to_its_support():
     forms = {quotient.at(genuine.t): form.at(genuine.t)
              for _, form, quotient in pb.left_branch_forms()}
     # where the support ended before: the lower end of g's own cell
-    own_lo, _ = _smallest_root_cell(g, ps._SLIVER.hi, F(9, 5), WIDTH / 2, one_root=True)
+    own_lo, _ = _smallest_root_cell(g, ps._SLIVER.hi, F(9, 5), WIDTH / 2)
     near_t = ps.left_threshold(genuine.t + F(1, 10**4), F(5, 3), WIDTH).support[0].polynomial
     assert own_lo > lo and near_t != g
     forgeries = {

@@ -127,6 +127,41 @@ def test_certify_writes_each_certificate_once_and_tables_cite_labels():
     assert check["passed"] and check["details"]["certificates"] == len(found)
 
 
+def test_certify_threshold_table_json_and_markdown():
+    # one row per part of the theorem, written by certify itself: the
+    # formulas module holds no report code
+    data = json.loads(rc.cmd_certify().to_json_str())
+    (scan,) = data["scans"]
+    rows = scan["reports"]
+    lines = scan["table"].splitlines()
+    assert len(rows) == len(lines) - 2 == 3
+    labels = {entry["label"] for entry in data["certificates"]}
+    assert all(label in labels for row in rows for label in row["certificates"])
+    cells = [[cell.strip() for cell in line.split("|")[1:-1]] for line in lines[2:]]
+    enclosures = {entry["label"]: entry["interval"] for entry in data["enclosures"]}
+    lower, interior, upper = zip(rows, cells)
+    assert interior[0]["parameters"] == {} and interior[0]["root_enclosure"] is None
+    assert interior[1][1:3] == ["-", "-"]
+    for (row, (name, params, shown, _)), label, want in (
+            (lower, "theta1-root", "t=1/2, w=5/3"), (upper, "theta2-root", "t=1/4, w=9/5")):
+        lo, hi = row["root_enclosure"]
+        assert [lo, hi] == enclosures[label]
+        assert name == row["name"] and params == want and shown.startswith(f"[{lo}, {hi}] ~ ")
+    assert not hasattr(pb, "ThresholdReport") and not hasattr(pb, "render_markdown_table")
+
+
+def test_a_warm_certify_reads_p_at_no_count_certificates_end(monkeypatch):
+    # each isolation takes its ends' signs from its count certificate's
+    # claim; the one read left is the gap-derivative certificate's midpoint
+    # witness, where both isolations once read θ1 and θ2(1/4) at both ends
+    rc.cmd_certify()
+    reads = []
+    real = ep.sign_at
+    monkeypatch.setattr(ep, "sign_at", lambda p, x: reads.append((p, x)) or real(p, x))
+    assert rc.cmd_certify().all_passed
+    assert reads == [(pb.gap_derivative_numerator(), rat("26/15"))]
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_optimize_repeats_only_the_winners_certificates_under_best(side):
     data = json.loads(rc.cmd_optimize(side, SIDE_CONFIGS[side]).to_json_str())
